@@ -46,8 +46,9 @@ bench-check:
 
 # Machine-speed-independent subset of bench-check for CI: asserts the
 # committed baseline's acceptance gates (fused >= 3x batch on the
-# V_PP ladder, fused hammer rate > fast) and the fused-vs-batch
-# bit-identity differential, without timing re-measurement. The API
+# V_PP ladder, fused hammer rate > fast) and the fused-vs-batch plus
+# tRCD kernel-vs-command bit-identity differentials, without timing
+# re-measurement. The API
 # load smoke rides along: a reduced-job concurrent run with the
 # deterministic served-study-vs-direct-run gate.
 bench-smoke:

@@ -10,7 +10,9 @@ Three layers, any of which fails the check (exit 1):
   machine cannot flake the gate);
 * a differential bit-identity gate: a tiny-scale study runs on the
   batch and fused engines and every experiment family (rowhammer,
-  tRCD, retention) must match record-for-record;
+  tRCD, retention) must match record-for-record; the ``trcd`` family
+  additionally runs on the command engine (Alg. 2's oracle) down to
+  A0's V_PPmin, and both kernel engines' tRCD records must match it;
 * a perf-regression guard: re-measures the probe-throughput rates and
   the acceptance campaigns (``make bench`` writes them; see
   ``bench_probe.py``) and fails when any metric falls below its
@@ -57,6 +59,8 @@ RATE_KEYS = (
     "retention_probes_per_sec_command",
     "program_probes_per_sec_batch",
     "program_probes_per_sec_command",
+    "trcd_probes_per_sec_batch",
+    "trcd_probes_per_sec_command",
 )
 SPEEDUP_KEYS = (
     "campaign_speedup",
@@ -67,6 +71,9 @@ SPEEDUP_KEYS = (
 
 #: Experiment families covered by the differential bit-identity gate.
 FAMILIES = ("rowhammer", "trcd", "retention")
+#: V_PP points of the tRCD kernel-vs-command leg: nominal, and A0's
+#: V_PPmin, where rows walk up from the nominal tRCD.
+TRCD_VPP_LEVELS = (2.5, 1.4)
 
 
 def _tolerances():
@@ -117,23 +124,28 @@ def gate_baseline(committed):
 
 def differential_check():
     """Return the experiment families where a tiny-scale fused study
-    diverges from the batch reference (bit-identity gate)."""
+    diverges from the batch reference, plus ``trcd (<engine> vs
+    command)`` where a kernel engine's Alg. 2 records diverge from the
+    command engine's (bit-identity gate)."""
     from repro.core.scale import StudyScale
     from repro.core.study import CharacterizationStudy
 
-    def run(engine):
+    def run(engine, tests=FAMILIES, vpp_levels=(2.5, 2.2)):
         study = CharacterizationStudy(
             scale=StudyScale.tiny(), seed=3, probe_engine=engine
         )
-        return study.run_module(
-            "A0", tests=FAMILIES, vpp_levels=(2.5, 2.2)
-        )
+        return study.run_module("A0", tests=tests, vpp_levels=vpp_levels)
 
     batch, fused = run("batch"), run("fused")
-    return [
+    mismatches = [
         family for family in FAMILIES
         if getattr(batch, family) != getattr(fused, family)
     ]
+    command = run("command", ("trcd",), TRCD_VPP_LEVELS).trcd
+    for engine in ("batch", "fused"):
+        if run(engine, ("trcd",), TRCD_VPP_LEVELS).trcd != command:
+            mismatches.append(f"trcd ({engine} vs command)")
+    return mismatches
 
 
 def check(committed, measured, rate_tol, speedup_tol):
@@ -162,8 +174,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke", action="store_true",
         help="run only the machine-speed-independent layers (committed-"
-             "baseline gates + fused-vs-batch bit-identity), skipping "
-             "the timing re-measurement (the CI entry point)",
+             "baseline gates + fused-vs-batch and tRCD kernel-vs-command "
+             "bit-identity), skipping the timing re-measurement (the CI "
+             "entry point)",
     )
     args = parser.parse_args(argv)
 
@@ -184,13 +197,14 @@ def main(argv=None) -> int:
         return 1
 
     print("checking fused-vs-batch bit-identity (tiny scale, all "
-          "experiment families)...")
+          "experiment families) and tRCD kernel-vs-command...")
     mismatches = differential_check()
     if mismatches:
-        print("fused engine diverges from the batch reference on: "
+        print("kernel engines diverge from their reference on: "
               + ", ".join(mismatches), file=sys.stderr)
         return 1
-    print("fused records match the batch reference bit-for-bit")
+    print("fused records match the batch reference and kernel tRCD "
+          "records match the command engine bit-for-bit")
 
     if args.smoke:
         print("\nsmoke mode: skipping timing re-measurement")
@@ -200,6 +214,8 @@ def main(argv=None) -> int:
     measured = dict(bench_probe.bench_probe_rates())
     print("re-measuring DSL-program probe throughput...")
     measured.update(bench_probe.bench_program_rates())
+    print("re-measuring Alg. 2 (tRCD) probe throughput...")
+    measured.update(bench_probe.bench_trcd_rates())
     print("re-measuring one-module bench campaign (fast vs command)...")
     measured.update(bench_probe.bench_campaign())
     print("re-measuring characterization campaign (fast/batch/fused)...")

@@ -5,7 +5,8 @@ Measures, with both cache layers disabled:
 
 * single-probe throughput (probes/sec) of the batch, fast and
   command-level engines, for the Alg. 1 hammer probe and the Alg. 3
-  retention probe;
+  retention probe, and of the batch and command engines for the Alg. 2
+  tRCD probe (over whole ``find_trcd_min`` sweeps);
 * wall-clock of a bench-scale one-module RowHammer campaign
   (``get_study(("rowhammer",))``) on the fast and command engines --
   the acceptance metric of the probe-kernel PR (fast >= 3x command);
@@ -48,6 +49,7 @@ from repro.core.rowhammer import measure_ber
 from repro.core.retention import measure_retention
 from repro.core.sampling import sample_rows
 from repro.core.scale import StudyScale
+from repro.core.trcd import find_trcd_min
 from repro.core.wcdp import retention_wcdp, rowhammer_wcdp
 from repro.dram import constants
 from repro.dram.calibration import ModuleGeometry
@@ -147,6 +149,32 @@ def bench_program_rates():
         / rates["program_probes_per_sec_command"]
     )
     return rates
+
+
+def _trcd_probe_rate(ctx, pattern, seconds=1.0):
+    """Steady-state Alg. 2 probes/sec over whole ``find_trcd_min``
+    sweeps (session set-up included), counted by the engine."""
+    find_trcd_min(ctx, 100, pattern)  # warmup
+    counters = ctx.engine.counters
+    before = counters.trcd_probes
+    started = time.monotonic()
+    while True:
+        find_trcd_min(ctx, 100, pattern)
+        elapsed = time.monotonic() - started
+        if elapsed >= seconds:
+            return (counters.trcd_probes - before) / elapsed
+
+
+def bench_trcd_rates():
+    """Alg. 2 (tRCD sweep) probe throughput: the kernel session on the
+    batch engine vs the command engine's SoftMC programs."""
+    pattern = STANDARD_PATTERNS[0]
+    return {
+        f"trcd_probes_per_sec_{engine}": _trcd_probe_rate(
+            _context(engine), pattern
+        )
+        for engine in ("batch", "command")
+    }
 
 
 def _timed_campaign(engine, tests, scale=None):
@@ -279,6 +307,7 @@ REPORT_KEYS = (
     "hammer_probe_speedup", "retention_probe_speedup",
     "program_probes_per_sec_batch", "program_probes_per_sec_command",
     "program_probe_speedup",
+    "trcd_probes_per_sec_batch", "trcd_probes_per_sec_command",
     "campaign_seconds_fast", "campaign_seconds_command",
     "campaign_speedup", "characterization_seconds_fast",
     "characterization_seconds_batch", "characterization_seconds_fused",
@@ -322,10 +351,16 @@ def main(argv=None) -> int:
             " min-of-3; setup/preheat/WCDP run untimed at a single"
             " operating point"
         ),
+        "trcd_probes": (
+            "find_trcd_min sweeps of one B3 row (8192-bit rows), batch vs"
+            " command"
+        ),
     }}
     payload.update(bench_probe_rates())
     print("measuring DSL-program probe throughput (compiled vs command)...")
     payload.update(bench_program_rates())
+    print("measuring Alg. 2 (tRCD) probe throughput (batch vs command)...")
+    payload.update(bench_trcd_rates())
     print("measuring one-module bench campaigns (fast vs command)...")
     payload.update(bench_campaign())
     print("measuring characterization campaigns (fast vs batch vs fused)...")

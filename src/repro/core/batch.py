@@ -45,7 +45,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.core.perf import PROFILER
-from repro.core.probe import HammerSession, RetentionSession
+from repro.core.probe import HammerSession, RetentionSession, TrcdSession
+from repro.dram.bank import TrcdSweep
 from repro.obs.trace import TRACER
 
 
@@ -758,3 +759,71 @@ class BatchRetentionSession(RetentionSession):
         data = sweep.bits.copy()
         data[self._counts.flip_indices(elapsed)] = sweep.discharged_value
         sweep.state.data = data
+
+
+def _armed(injector) -> bool:
+    """Whether a bench fault injector can fire (an injector without a
+    ``spec`` is taken to be armed)."""
+    return injector is not None and getattr(injector, "spec", True) is not None
+
+
+class KernelTrcdSession(TrcdSession):
+    """One row's Alg. 2 sweep on the kernel engines (fast, batch and
+    fused).
+
+    Each trial's verdict comes from two cached scalars of a
+    :class:`~repro.dram.bank.TrcdSweep` (the charged cells' largest
+    activation requirement at this V_PP) and the command path's
+    bookkeeping is replayed per program: one program for a faulty
+    trial (the command path stops at the first faulty probe), otherwise
+    ``iterations``. The row data and the flip guard the last program
+    leaves are materialized at close.
+
+    The whole session runs on the command path instead, counted in
+    ``trcd_fallbacks_<reason>``, when
+
+    * ``per_column`` asks for Alg. 2's literal column loop;
+    * an armed fault injector is on the bench: injected faults must fire
+      at the same instruction tick as on the command engine;
+    * a charged cell could decay within the write-to-read tRP, so the
+      read might not see the written pattern.
+
+    The sweep is built per session and stays out of the engine's sweep
+    LRU (and its counters).
+    """
+
+    def __init__(self, engine, ctx, row, pattern, per_column=False):
+        super().__init__(engine, ctx, row, pattern, per_column)
+        self._module = engine._module
+        self._sweep = None
+        if per_column:
+            reason = "per_column"
+        elif _armed(ctx.infra.fault_injector):
+            reason = "fault_injector"
+        else:
+            sweep = TrcdSweep(self._module.bank(ctx.bank), row, pattern)
+            if sweep.decay_free(engine._trp_q):
+                self._sweep = sweep
+                return
+            reason = "retention_guard"
+        name = f"trcd_fallbacks_{reason}"
+        setattr(engine.counters, name, getattr(engine.counters, name) + 1)
+
+    def faulty(self, trcd, iterations):
+        sweep = self._sweep
+        if sweep is None:
+            return super().faulty(trcd, iterations)
+        # The command path checks communication per instruction; V_PP
+        # cannot change mid-trial, so one check up front is equivalent.
+        self._module.check_communication()
+        engine = self._engine
+        trcd_used = self._ctx.infra.fpga.quantize(trcd)
+        faulty = sweep.activation_faulty(trcd_used)
+        programs = 1 if faulty else iterations
+        sweep.replay(trcd_used, engine._row_io, engine._trp_q, programs)
+        engine.counters.trcd_probes += programs
+        return faulty
+
+    def close(self) -> None:
+        if self._sweep is not None:
+            self._sweep.close()

@@ -34,6 +34,17 @@ PROBE_METRIC_NAMES = {
     "sweep_misses": "repro_sweep_misses_total",
     "sweep_evictions": "repro_sweep_evictions_total",
     "sweep_saved_lookups": "repro_sweep_saved_lookups_total",
+    "trcd_probes": "repro_trcd_probes_total",
+    "trcd_fallbacks_per_column": "repro_trcd_fallbacks_total",
+    "trcd_fallbacks_fault_injector": "repro_trcd_fallbacks_total",
+    "trcd_fallbacks_retention_guard": "repro_trcd_fallbacks_total",
+}
+
+#: ProbeCounters fields published as one child of a labeled family.
+PROBE_METRIC_LABELS = {
+    "trcd_fallbacks_per_column": {"reason": "per_column"},
+    "trcd_fallbacks_fault_injector": {"reason": "fault_injector"},
+    "trcd_fallbacks_retention_guard": {"reason": "retention_guard"},
 }
 
 _PROBE_METRIC_HELP = {
@@ -46,6 +57,10 @@ _PROBE_METRIC_HELP = {
     "repro_sweep_evictions_total": "sweep-LRU capacity evictions",
     "repro_sweep_saved_lookups_total":
         "probes that reused an in-session sweep",
+    "repro_trcd_probes_total":
+        "Alg. 2 WRITE/READ probes, executed or replayed",
+    "repro_trcd_fallbacks_total":
+        "Alg. 2 sessions a kernel engine ran on the command path, by reason",
 }
 
 
@@ -68,6 +83,14 @@ class ProbeCounters:
     sweep_misses: int = 0
     sweep_evictions: int = 0
     sweep_saved_lookups: int = 0
+    #: Alg. 2 WRITE/READ probes (one per program the command path runs
+    #: or a kernel session replays), and the kernel engines' tRCD
+    #: sessions that fell back to the command path, per reason (see
+    #: :class:`repro.core.batch.KernelTrcdSession`).
+    trcd_probes: int = 0
+    trcd_fallbacks_per_column: int = 0
+    trcd_fallbacks_fault_injector: int = 0
+    trcd_fallbacks_retention_guard: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view (JSON exports, reports)."""
@@ -92,7 +115,8 @@ class ProbeCounters:
         """Fold this snapshot into the central metrics registry.
 
         Called once per module/unit run (never per probe), mapping each
-        field to its canonical ``repro_*_total`` counter.
+        field to its canonical ``repro_*_total`` counter (or, for the
+        fields of :data:`PROBE_METRIC_LABELS`, to one labeled child).
         """
         for spec in fields(self):
             value = getattr(self, spec.name)
@@ -100,9 +124,14 @@ class ProbeCounters:
                 metric_name = PROBE_METRIC_NAMES.get(
                     spec.name, f"repro_{spec.name}_total"
                 )
-                registry.counter(
-                    metric_name, _PROBE_METRIC_HELP.get(metric_name, "")
-                ).inc(value)
+                labels = PROBE_METRIC_LABELS.get(spec.name)
+                counter = registry.counter(
+                    metric_name, _PROBE_METRIC_HELP.get(metric_name, ""),
+                    labels=tuple(labels or ()),
+                )
+                if labels:
+                    counter = counter.labels(**labels)
+                counter.inc(value)
 
 
 class _NullPhase:

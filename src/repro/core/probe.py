@@ -1,10 +1,13 @@
-"""Probe engines: how Algorithms 1 and 3 touch the device.
+"""Probe engines: how Algorithms 1-3 touch the device.
 
-The paper's measurement loops reduce to two probe shapes, repeated tens
-of thousands of times per module:
+The paper's measurement loops reduce to three probe shapes, repeated
+tens of thousands of times per module:
 
 * the double-sided RowHammer probe of Alg. 1 (initialize victim and
-  aggressors, hammer, read back), and
+  aggressors, hammer, read back),
+* the tRCD trial of Alg. 2 (initialize, activate with the trial
+  latency, read back; see :mod:`repro.core.trcd` for its kernel/oracle
+  split), and
 * the write-wait-read retention probe of Alg. 3.
 
 Four engine tiers implement them (see ``docs/PERFORMANCE.md``):
@@ -70,6 +73,7 @@ from repro.core.metrics import bit_error_rate, flipped_word_counts
 from repro.core.perf import PROFILER, ProbeCounters
 from repro.core.scale import safe_timings
 from repro.dram.patterns import DataPattern
+from repro.dram.timing import TimingParameters
 from repro.errors import AnalysisError, ConfigurationError
 from repro.softmc.host import _COLUMN_LATENCY
 from repro.softmc.program import Program
@@ -270,6 +274,49 @@ class RetentionSession:
         ]
 
 
+class TrcdSession:
+    """One row's Alg. 2 sweep: the trial latencies of
+    :func:`repro.core.trcd.find_trcd_min` against one (row, pattern) at
+    a fixed operating point.
+
+    The generic implementation runs every probe as a program through
+    :meth:`ProbeEngine.trcd_probe`; the kernel engines override it with
+    :class:`~repro.core.batch.KernelTrcdSession`. Close the session (or
+    use it as a context manager) before anything else touches the
+    device.
+    """
+
+    def __init__(
+        self, engine: "ProbeEngine", ctx: "TestContext", row: int,
+        pattern: DataPattern, per_column: bool = False,
+    ):
+        self._engine = engine
+        self._ctx = ctx
+        self._row = row
+        self._pattern = pattern
+        self._per_column = per_column
+
+    def __enter__(self) -> "TrcdSession":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Flush any deferred device-state updates."""
+
+    def faulty(self, trcd: float, iterations: int) -> bool:
+        """Alg. 2's trial: is ``trcd`` faulty, i.e. does *any* of
+        ``iterations`` WRITE/READ probes show *any* flipped bit? Stops
+        at the first faulty probe."""
+        return any(
+            self._engine.trcd_probe(
+                self._ctx, self._row, self._pattern, trcd, self._per_column
+            )
+            for _ in range(iterations)
+        )
+
+
 def _program_damage(sweep, decoy_count, counts):
     """Victim damage one DSL-program probe deposits, replayed in the
     command path's exact deposit order: the initialization base (one
@@ -325,6 +372,20 @@ class ProbeEngine:
     ) -> RetentionSession:
         """Open a probe session for one row's Alg. 3 schedule."""
         return RetentionSession(self, ctx, row, pattern)
+
+    def trcd_session(
+        self, ctx: "TestContext", row: int, pattern: DataPattern,
+        per_column: bool = False,
+    ) -> TrcdSession:
+        """Open a probe session for one row's Alg. 2 sweep."""
+        return TrcdSession(self, ctx, row, pattern, per_column)
+
+    def trcd_probe(
+        self, ctx: "TestContext", row: int, pattern: DataPattern,
+        trcd: float, per_column: bool = False,
+    ) -> bool:
+        """One Alg. 2 probe as a SoftMC program; True if any bit flips."""
+        raise NotImplementedError
 
     def program_hammer_session(
         self, ctx: "TestContext", row: int, pattern: DataPattern, program
@@ -388,6 +449,32 @@ class CommandProbeEngine(ProbeEngine):
         expected = pattern.row_bits(ctx.row_bits)
         read = self._retention_read(ctx, row, pattern, trefw)
         return bit_error_rate(expected, read)
+
+    def trcd_probe(self, ctx, row, pattern, trcd, per_column=False):
+        """Initialize with the pattern, access with the trial tRCD,
+        check for flips -- the oracle the kernel sessions replay.
+
+        Alg. 2's probes stay out of ``commands_issued`` (they never
+        counted towards it)."""
+        timings = TimingParameters.nominal().with_trcd(trcd)
+        expected = pattern.row_bits(ctx.row_bits)
+        self.counters.trcd_probes += 1
+        if per_column:
+            columns = ctx.infra.module.geometry.columns
+            for column in range(columns):
+                program = Program(timings)
+                program.initialize_row(ctx.bank, row, pattern, ctx.row_bits)
+                read_index = program.read_column_of_row(ctx.bank, row, column)
+                result = ctx.infra.host.execute(program)
+                lo = column * 64
+                if np.any(result.data(read_index) != expected[lo : lo + 64]):
+                    return True
+            return False
+        program = Program(timings)
+        program.initialize_row(ctx.bank, row, pattern, ctx.row_bits)
+        read_index = program.read_row(ctx.bank, row)
+        result = ctx.infra.host.execute(program)
+        return bool(np.any(result.data(read_index) != expected))
 
 
 class _SweepHammerSession(HammerSession):
@@ -599,6 +686,14 @@ class FastProbeEngine(ProbeEngine):
 
     def retention_session(self, ctx, row, pattern):
         return _SweepRetentionSession(self, ctx, row, pattern)
+
+    def trcd_session(self, ctx, row, pattern, per_column=False):
+        from repro.core.batch import KernelTrcdSession  # local: cycle
+
+        return KernelTrcdSession(self, ctx, row, pattern, per_column)
+
+    #: The kernel sessions' fallback: the oracle's program path.
+    trcd_probe = CommandProbeEngine.trcd_probe
 
     def hammer_ber(self, ctx, row, pattern, hammer_count):
         return self._hammer_probe(

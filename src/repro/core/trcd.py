@@ -5,26 +5,44 @@ SoftMC command-clock granularity, footnote 10): down while the row reads
 back clean, up while it is faulty, until both a faulty and a reliable
 latency have been seen; ``tRCD_min`` is the smallest reliable one.
 
-The inner probe activates the row with the trial tRCD and reads it back
-against its worst-case pattern. The device model evaluates activation
-corruption per cell at activation time, so reading the full row under
-one activation is exactly equivalent to Alg. 2's per-column loop (each
-column of the paper's loop re-initializes and re-activates; our fused
-read observes the same per-cell pass/fail set) while being ~128x
-cheaper. A per-column mode is kept for fidelity checks.
+Each trial asks the probe engine's tRCD session
+(:meth:`~repro.core.probe.ProbeEngine.trcd_session`) whether the trial
+latency is faulty: whether *any* of ``iterations`` probes -- initialize
+the row with its worst-case pattern, activate it with the trial tRCD,
+read it back -- shows *any* flipped bit. Two implementations answer:
+
+* **the oracle** (:class:`~repro.core.probe.CommandProbeEngine`, and
+  every fallback) runs each probe as a SoftMC program through the host;
+* **the kernel** (:class:`~repro.core.batch.KernelTrcdSession`, on the
+  fast, batch and fused engines) resolves each trial arithmetically:
+  the freshly written row is faulty at a latency iff that latency
+  undercuts the largest activation requirement among the pattern's
+  charged cells, a constant per (row, pattern, V_PP).
+
+Bookkeeping contract: the kernel replays every program the oracle would
+have run -- one for a faulty trial, ``iterations`` for a clean one --
+with the same restores, neighbor disturbance, activation counts and
+``env.advance`` sequence, and leaves the same row data and flip guard.
+Results *and* device state are therefore bit-identical across engines
+(``tests/core/test_probe_equivalence.py``). Alg. 2's probes are counted
+in ``trcd_probes``, not in ``commands_issued``.
+
+The device model evaluates activation corruption per cell at activation
+time, so reading the full row under one activation is exactly
+equivalent to Alg. 2's per-column loop (each column of the paper's loop
+re-initializes and re-activates; our fused read observes the same
+per-cell pass/fail set) while being ~128x cheaper. The per-column mode
+(``per_column=True``) is kept for fidelity checks and always runs on
+the oracle.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.core.context import TestContext
 from repro.core.results import TrcdRowResult
 from repro.dram.constants import NOMINAL_TRCD, SOFTMC_COMMAND_CLOCK
 from repro.dram.patterns import DataPattern
-from repro.dram.timing import TimingParameters
-from repro.errors import AnalysisError
-from repro.softmc.program import Program
+from repro.errors import AnalysisError, ConfigurationError
 from repro.units import ns
 
 #: Upper bound of the sweep; a row needing more than this is recorded at
@@ -34,31 +52,6 @@ TRCD_SWEEP_MAX = ns(36.0)
 TRCD_SWEEP_MIN = SOFTMC_COMMAND_CLOCK
 
 
-def _row_is_faulty(
-    ctx: TestContext, row: int, pattern: DataPattern, trcd: float,
-    per_column: bool,
-) -> bool:
-    """Initialize with WCDP, access with the trial tRCD, check flips."""
-    timings = TimingParameters.nominal().with_trcd(trcd)
-    expected = pattern.row_bits(ctx.row_bits)
-    if per_column:
-        columns = ctx.infra.module.geometry.columns
-        for column in range(columns):
-            program = Program(timings)
-            program.initialize_row(ctx.bank, row, pattern, ctx.row_bits)
-            read_index = program.read_column_of_row(ctx.bank, row, column)
-            result = ctx.infra.host.execute(program)
-            lo = column * 64
-            if np.any(result.data(read_index) != expected[lo : lo + 64]):
-                return True
-        return False
-    program = Program(timings)
-    program.initialize_row(ctx.bank, row, pattern, ctx.row_bits)
-    read_index = program.read_row(ctx.bank, row)
-    result = ctx.infra.host.execute(program)
-    return bool(np.any(result.data(read_index) != expected))
-
-
 def find_trcd_min(
     ctx: TestContext, row: int, pattern: DataPattern,
     iterations: int = None, per_column: bool = False,
@@ -66,34 +59,33 @@ def find_trcd_min(
     """Alg. 2's search for the minimum reliable activation latency.
 
     A latency counts as faulty if *any* of the ``iterations`` repetitions
-    shows *any* flipped bit in the row.
+    shows *any* flipped bit. ``iterations`` defaults to the study scale's
+    and must be at least 1.
     """
-    iterations = iterations or ctx.scale.iterations
+    if iterations is None:
+        iterations = ctx.scale.iterations
+    elif iterations < 1:
+        raise ConfigurationError(f"iterations must be >= 1, got {iterations}")
     step = SOFTMC_COMMAND_CLOCK
-
-    def faulty(trcd: float) -> bool:
-        return any(
-            _row_is_faulty(ctx, row, pattern, trcd, per_column)
-            for _ in range(iterations)
-        )
 
     trcd = NOMINAL_TRCD
     found_faulty = False
     found_reliable = False
     trcd_min = None
-    while not (found_faulty and found_reliable):
-        if faulty(trcd):
-            found_faulty = True
-            trcd += step
-            if trcd > TRCD_SWEEP_MAX:
-                # Even the sweep ceiling fails: record the ceiling.
-                return TRCD_SWEEP_MAX
-        else:
-            found_reliable = True
-            trcd_min = trcd
-            trcd -= step
-            if trcd < TRCD_SWEEP_MIN:
-                break
+    with ctx.engine.trcd_session(ctx, row, pattern, per_column) as session:
+        while not (found_faulty and found_reliable):
+            if session.faulty(trcd, iterations):
+                found_faulty = True
+                trcd += step
+                if trcd > TRCD_SWEEP_MAX:
+                    # Even the sweep ceiling fails: record the ceiling.
+                    return TRCD_SWEEP_MAX
+            else:
+                found_reliable = True
+                trcd_min = trcd
+                trcd -= step
+                if trcd < TRCD_SWEEP_MIN:
+                    break
     if trcd_min is None:
         raise AnalysisError(f"tRCD sweep failed to converge for row {row}")
     return trcd_min

@@ -280,12 +280,27 @@ class Bank:
         if flips.any():
             bits[flips] = self._discharged_value(physical_row)
             charged = charged & ~flips
+        self._store_flip_guard(
+            state, charged, outlier_mask, effective_tolerance,
+            effective_retention,
+        )
 
-        # Rebuild the guard over the cells that can still flip. The
-        # guard outlives the restore session, so its thresholds carry a
-        # conservative margin covering the per-session measurement jitter
-        # (sigma ~2%; 0.9 is > 4 sigma of headroom): within the band the
-        # full evaluation re-runs, outside it the skip is always safe.
+    def _store_flip_guard(
+        self,
+        state: RowState,
+        charged: np.ndarray,
+        outlier_mask: np.ndarray,
+        effective_tolerance: np.ndarray,
+        effective_retention: np.ndarray,
+    ) -> None:
+        """Rebuild the flip guard over the cells that can still flip.
+
+        The guard outlives the restore session, so its thresholds carry
+        a conservative margin covering the per-session measurement
+        jitter (sigma ~2%; 0.9 is > 4 sigma of headroom): within the
+        band the full evaluation re-runs, outside it the skip is always
+        safe.
+        """
         def _min_over(mask: np.ndarray, values: np.ndarray) -> float:
             return float(values[mask].min()) if mask.any() else np.inf
 
@@ -353,12 +368,12 @@ class Bank:
         state.session += 1
 
     def _trcd_worst_requirement(
-        self, physical_row: int, state: RowState
+        self, physical_row: int, state: RowState, pattern_index: int
     ) -> float:
         """The row's worst-case (slowest-cell) activation requirement at
-        the current V_PP and the stored pattern slot. ``inf`` below the
-        conduction floor. Every factor is cached, so the common case is
-        a few dict hits and three multiplies."""
+        the current V_PP and pattern slot ``pattern_index``. ``inf``
+        below the conduction floor. Every factor is cached, so the
+        common case is a few dict hits and three multiplies."""
         base_key = ("_trcd_base", self._env.vpp)
         requirement_base = state.cache.get(base_key)
         if requirement_base is None:
@@ -371,7 +386,7 @@ class Bank:
             row_factor = self._cells.trcd_row_factor(physical_row)
             state.cache["_trcd_row_factor"] = row_factor
         pattern_factor = self._cached(state, physical_row, "trcd_pattern_factors")[
-            state.pattern_index
+            pattern_index
         ]
         cell_max = state.cache.get("_trcd_cell_max")
         if cell_max is None:
@@ -391,24 +406,36 @@ class Bank:
         the row's worst-case requirement is cached per row, so the
         common case (ample tRCD) costs two lookups and a compare.
         """
-        worst = self._trcd_worst_requirement(physical_row, state)
+        worst = self._trcd_worst_requirement(
+            physical_row, state, state.pattern_index
+        )
         if worst <= trcd_used:
             return None  # even the slowest cell is covered
         if math.isinf(worst):
             # Below the conduction floor nothing senses correctly.
             return self._charged_mask(physical_row, state.data)
-
-        requirement_base = state.cache[("_trcd_base", self._env.vpp)]
-        row_factor = state.cache["_trcd_row_factor"]
-        pattern_factor = self._cached(state, physical_row, "trcd_pattern_factors")[
-            state.pattern_index
-        ]
-        cell_factors = self._cached(state, physical_row, "cell_trcd_factors")
-        requirement = requirement_base * row_factor * pattern_factor * cell_factors
+        requirement = self._trcd_requirements(
+            physical_row, state, state.pattern_index
+        )
         corrupt = (requirement > trcd_used) & self._charged_mask(
             physical_row, state.data
         )
         return corrupt if corrupt.any() else None
+
+    def _trcd_requirements(
+        self, physical_row: int, state: RowState, pattern_index: int
+    ) -> np.ndarray:
+        """Per-cell activation requirements at the current V_PP and
+        pattern slot (finite part only: call after
+        :meth:`_trcd_worst_requirement`, which warms the scalar
+        factors)."""
+        requirement_base = state.cache[("_trcd_base", self._env.vpp)]
+        row_factor = state.cache["_trcd_row_factor"]
+        pattern_factor = self._cached(state, physical_row, "trcd_pattern_factors")[
+            pattern_index
+        ]
+        cell_factors = self._cached(state, physical_row, "cell_trcd_factors")
+        return requirement_base * row_factor * pattern_factor * cell_factors
 
     # -- commands -----------------------------------------------------------------
 
@@ -746,7 +773,9 @@ class Bank:
         self._check_row(logical_row)
         physical = self._mapping.to_physical(logical_row)
         state = self._state(physical)
-        worst = self._trcd_worst_requirement(physical, state)
+        worst = self._trcd_worst_requirement(
+            physical, state, state.pattern_index
+        )
         return worst <= trcd
 
     # -- introspection (testing / reverse-engineering support) --------------------------
@@ -1104,6 +1133,166 @@ class RetentionSweep(ProbeSweep):
             self._fused = _FusedRetentionCounts(self)
             self._fused_key = key
         return self._fused
+
+
+class TrcdSweep(ProbeSweep):
+    """Alg. 2's tRCD trial of one row, resolved without programs.
+
+    The command path runs each trial as a program: WRITE_ROW (ACT, full
+    write, PRE) then READ_ROW with the trial tRCD (ACT, full read, PRE).
+    Between the write's restore and the read's ACT only one tRP passes
+    and no neighbor is activated, so when no charged cell's retention
+    is that short (:meth:`decay_free`, checked by the session) the read
+    senses exactly the freshly written pattern. The
+    trial is then faulty iff its latency undercuts the largest
+    requirement among the pattern's charged cells -- two scalars per
+    (row, pattern, V_PP), compared exactly as
+    :meth:`Bank._activation_corruption` compares them.
+
+    :meth:`replay` performs the bookkeeping the programs would (three
+    restores and two neighbor deposits per program, the simulated-time
+    chain, activation counts); :meth:`close` materializes what the last
+    program leaves on the row: its data and the flip guard that the
+    last READ_ROW activation rebuilt. The write-side ACT's persist is
+    skipped -- the write overwrites whatever it would flip and pops the
+    guard it would rebuild -- and the RNG is stateless, so the skip
+    consumes no draws.
+    """
+
+    def __init__(self, bank: Bank, row: int, pattern: DataPattern):
+        super().__init__(bank, row, pattern)
+        self._requirement = None
+        self._deposits = None
+        #: Restore session of the last replayed READ_ROW activation
+        #: (None until a program is replayed, and again after close).
+        self.read_session = None
+
+    def activation_faulty(self, trcd_used: float) -> bool:
+        """Whether a READ_ROW activated with ``trcd_used`` mis-senses any
+        charged cell of the freshly written pattern."""
+        if self._requirement is None:
+            bank = self._bank
+            worst = bank._trcd_worst_requirement(
+                self.physical, self.state, self.pattern_index
+            )
+            charged_max = None
+            if not math.isinf(worst) and self.charged.any():
+                # Kept as a numpy scalar: it compares against the trial
+                # latency with the dtype the vectorized mask uses.
+                charged_max = bank._trcd_requirements(
+                    self.physical, self.state, self.pattern_index
+                )[self.charged].max()
+            self._requirement = (worst, charged_max)
+        worst, charged_max = self._requirement
+        if worst <= trcd_used:
+            return False
+        if math.isinf(worst):
+            # Below the conduction floor every charged cell mis-senses.
+            return bool(self.charged.any())
+        return charged_max is not None and bool(charged_max > trcd_used)
+
+    def min_charged_retention(self) -> float:
+        """Shortest effective retention among the pattern's charged
+        cells at the current operating point (``inf`` when nothing is
+        charged)."""
+        if not self.charged.any():
+            return math.inf
+        return float(self.effective_retention_times()[self.charged].min())
+
+    def decay_free(self, gap: float) -> bool:
+        """Whether no charged cell can decay in the ``gap`` (one tRP)
+        between a trial's write restore and its read activation.
+
+        The read sees ``now - restore``, which rounds to within
+        ulp(now) of ``gap``; while ulp(now) < ``gap`` the doubled bound
+        covers it."""
+        return (
+            self.min_charged_retention() > 2.0 * gap
+            and math.ulp(self._bank._env.now) < gap
+        )
+
+    def _neighbor_deposits(self) -> list:
+        """``(row state, bulk, outlier)`` damage one activation of the
+        row deposits on each physical neighbor, in
+        :meth:`Bank._damage_neighbors` order and with its expressions.
+        Resolved on first use so neighbors materialize at the same
+        simulated time as under the command path."""
+        if self._deposits is None:
+            bank = self._bank
+            attenuation = bank._cal.disturbance.distance2_attenuation
+            deposits = []
+            for distance, weight in (
+                (1, _DISTANCE1_WEIGHT),
+                (2, _DISTANCE1_WEIGHT * attenuation),
+            ):
+                for victim_physical in (
+                    self.physical - distance, self.physical + distance
+                ):
+                    if not 0 <= victim_physical < bank._geometry.rows_per_bank:
+                        continue
+                    victim = bank._state(victim_physical)
+                    scale_bulk, scale_outlier = bank._disturbance_scales(
+                        victim_physical
+                    )
+                    deposits.append((
+                        victim, 1 * weight / scale_bulk,
+                        1 * weight / scale_outlier,
+                    ))
+            self._deposits = deposits
+        return self._deposits
+
+    def replay(
+        self, trcd_used: float, row_io: float, trp: float, programs: int
+    ) -> None:
+        """Bookkeeping of ``programs`` WRITE_ROW + READ_ROW programs at
+        ``trcd_used``: restores, neighbor deposits and activation counts
+        at the host's exact ``env.advance`` sequence (``row_io`` is the
+        full-row column time, ``trp`` the quantized precharge)."""
+        bank = self._bank
+        env = bank._env
+        state = self.state
+        deposits = self._neighbor_deposits()
+
+        def activate() -> None:
+            bank._restore(self.physical, state)
+            for victim, bulk, outlier in deposits:
+                victim.damage_bulk += bulk
+                victim.damage_outlier += outlier
+
+        for _ in range(programs):
+            # WRITE_ROW: ACT, full-row write, PRE (the full write
+            # restores the row a second time).
+            activate()
+            env.advance(trcd_used)
+            env.advance(row_io)
+            bank._restore(self.physical, state)
+            env.advance(trp)
+            # READ_ROW: ACT with the trial latency, full-row read, PRE.
+            self.read_session = state.session
+            activate()
+            env.advance(trcd_used)
+            env.advance(row_io)
+            env.advance(trp)
+        state.pattern_index = self.pattern_index
+        bank.total_activations += 2 * programs
+
+    def close(self) -> None:
+        """Materialize the last replayed program's row data and the flip
+        guard its READ_ROW activation rebuilt (the write popped the
+        previous one)."""
+        if self.read_session is None:
+            return
+        bank = self._bank
+        state = self.state
+        state.data = self.bits.copy()
+        tolerance = bank._effective_tolerances(
+            self.physical, state, self.pattern_index, self.read_session
+        )
+        bank._store_flip_guard(
+            state, self.charged, self._outlier_mask, tolerance,
+            self.effective_retention_times(),
+        )
+        self.read_session = None
 
 
 _EMPTY_INDICES = np.empty(0, dtype=np.intp)

@@ -12,6 +12,7 @@ from repro.core.wcdp import retention_wcdp, rowhammer_wcdp, trcd_wcdp
 from repro.dram import constants
 from repro.dram.calibration import ModuleGeometry
 from repro.dram.patterns import STANDARD_PATTERNS
+from repro.errors import ConfigurationError
 from repro.softmc.infrastructure import TestInfrastructure
 from repro.units import ms, ns
 
@@ -153,6 +154,24 @@ class TestAlgorithm2:
             ctx, 20, pattern, iterations=1, per_column=True
         )
         assert fused == pytest.approx(per_column)
+
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_iterations_below_one_rejected(self, ctx, iterations):
+        # 0 once fell through ``iterations or scale.iterations`` to the
+        # scale default instead of being rejected.
+        with pytest.raises(ConfigurationError):
+            trcd.find_trcd_min(
+                ctx, 20, STANDARD_PATTERNS[0], iterations=iterations
+            )
+        assert ctx.engine.counters.trcd_probes == 0
+
+    def test_iterations_default_to_scale(self, ctx):
+        trcd.find_trcd_min(ctx, 20, STANDARD_PATTERNS[0])
+        default = ctx.engine.counters.trcd_probes
+        trcd.find_trcd_min(
+            ctx, 20, STANDARD_PATTERNS[0], iterations=ctx.scale.iterations
+        )
+        assert ctx.engine.counters.trcd_probes == 2 * default
 
 
 class TestAlgorithm3:

@@ -11,7 +11,11 @@ from dataclasses import fields
 
 import pytest
 
-from repro.core.perf import PROBE_METRIC_NAMES, ProbeCounters
+from repro.core.perf import (
+    PROBE_METRIC_LABELS,
+    PROBE_METRIC_NAMES,
+    ProbeCounters,
+)
 from repro.obs.metrics import MetricsRegistry
 
 FIELD_NAMES = tuple(spec.name for spec in fields(ProbeCounters))
@@ -63,7 +67,29 @@ def test_publish_maps_fields_to_canonical_counters():
     counters.publish(registry=registry)
     values = registry.counter_values()
     for field_name, metric_name in PROBE_METRIC_NAMES.items():
-        assert values[metric_name] == getattr(counters, field_name)
+        labels = PROBE_METRIC_LABELS.get(field_name)
+        if labels:
+            # Labeled fields land on their own child of the family.
+            family = registry.counter(metric_name, labels=tuple(labels))
+            value = family.labels(**labels).value
+        else:
+            value = values[metric_name]
+        assert value == getattr(counters, field_name)
+
+
+def test_trcd_fallbacks_publish_one_family_by_reason():
+    registry = MetricsRegistry()
+    ProbeCounters(
+        trcd_probes=40, trcd_fallbacks_per_column=1,
+        trcd_fallbacks_retention_guard=2,
+    ).publish(registry=registry)
+    values = registry.counter_values()
+    assert values["repro_trcd_probes_total"] == 40
+    assert values["repro_trcd_fallbacks_total"] == 3
+    text = registry.prometheus_text()
+    assert 'repro_trcd_fallbacks_total{reason="per_column"} 1' in text
+    assert 'repro_trcd_fallbacks_total{reason="retention_guard"} 2' in text
+    assert "fault_injector" not in text
 
 
 def test_publish_skips_zero_fields():

@@ -3,8 +3,9 @@
 The fast, batch and fused engines must be *bit-identical* to the
 validated ``Program``/``SoftMCHost`` reference for every quantity the
 studies record -- HC_first, RowHammer BER (including per-iteration
-values) and retention BER/histograms -- across modules of all three
-vendors and multiple V_PP levels. Any divergence here means a kernel's
+values), tRCD_min and retention BER/histograms -- across modules of all
+three vendors and multiple V_PP levels. Alg. 2's kernel is pinned down
+to the post-sweep device state. Any divergence here means a kernel's
 replay of the command schedule (session counters, simulated-time
 offsets, damage deposit order, sorted-threshold reductions) has drifted
 from the host's semantics.
@@ -24,9 +25,14 @@ from repro.core.probe import (
 )
 from repro.core.scale import StudyScale
 from repro.core.study import CharacterizationStudy
+from repro.core.trcd import find_trcd_min
+from repro.dram.constants import NOMINAL_TRCD
 from repro.dram.patterns import STANDARD_PATTERNS
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, FpgaTimeoutError
+from repro.harness.registry import run_experiment
+from repro.service.faults import FaultInjector, FaultSpec
 from repro.softmc.infrastructure import TestInfrastructure
+from repro.softmc.program import Program
 
 MODULES = ("A0", "B3", "C5")
 VPP_LEVELS = (2.5, 2.2)
@@ -44,6 +50,23 @@ def _run(name, engine_kind):
     )
     return study.run_module(
         name, tests=("rowhammer", "retention"), vpp_levels=list(VPP_LEVELS)
+    )
+
+
+@pytest.fixture(scope="module", params=MODULES)
+def trcd_quartet(request):
+    """Alg. 2 interleaved with Alg. 1 over each module's whole V_PP grid
+    (down to V_PPmin, where A0's rows walk *up* from the nominal tRCD)."""
+    name = request.param
+
+    def run(engine_kind):
+        study = CharacterizationStudy(
+            scale=StudyScale.tiny(), seed=3, probe_engine=engine_kind
+        )
+        return study.run_module(name, tests=("rowhammer", "trcd"))
+
+    return (
+        name, run("command"), run("fast"), run("batch"), run("fused"),
     )
 
 
@@ -92,6 +115,19 @@ class TestStudyEquivalence:
                 batched.word_flip_histogram == reference.word_flip_histogram
             )
             assert cross.word_flip_histogram == reference.word_flip_histogram
+
+    def test_trcd_records_identical(self, trcd_quartet):
+        name, command, fast, batch, fused = trcd_quartet
+        assert len(command.trcd) == len(command.vpp_levels) * len(
+            {r.row for r in command.trcd}
+        )
+        for kernel in (fast, batch, fused):
+            assert kernel.trcd == command.trcd
+            # Alg. 1 runs between a row's Alg. 2 sweeps on the same
+            # device, so it also pins the replayed bookkeeping.
+            assert kernel.rowhammer == command.rowhammer
+        if name == "A0":
+            assert max(r.trcd_min for r in command.trcd) > NOMINAL_TRCD
 
     def test_batch_engine_selected_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_PROBE_ENGINE", raising=False)
@@ -191,6 +227,179 @@ class TestDirectProbeEquivalence:
                         trefw, 2
                     ) == reference.worst_probe(trefw, 2)
             assert (_row_data(fast_ctx, 5) == _row_data(batch_ctx, 5)).all()
+
+
+def _device_state(ctx):
+    """Everything Alg. 2's bookkeeping touches: the clock, the bank's
+    activation count and every materialized row's state (in
+    materialization order)."""
+    bank = ctx.infra.module.bank(0)
+    rows = [
+        (
+            physical, state.session, state.damage_bulk,
+            state.damage_outlier, state.last_restore_time,
+            state.vpp_at_restore, state.pattern_index,
+            state.data.tobytes(), state.cache.get("_flip_guard"),
+        )
+        for physical, state in bank._rows.items()
+    ]
+    return ctx.infra.module.env.now, bank.total_activations, rows
+
+
+class TestTrcdSweepEquivalence:
+    """Alg. 2 sweeps on fresh benches: the command oracle vs the batch
+    and fused kernels, down to the post-sweep device state."""
+
+    ROW = 40
+
+    def _contexts(self, name, kinds=("command", "batch", "fused")):
+        contexts = []
+        for kind in kinds:
+            infra = TestInfrastructure.for_module(
+                name, geometry=StudyScale.tiny().geometry, seed=11
+            )
+            infra.set_temperature(50.0)
+            contexts.append(TestContext(infra, StudyScale.tiny(),
+                                        probe_engine=kind))
+        return contexts
+
+    def _sweeps(self, contexts, vpp=None, iterations=None):
+        values = []
+        for ctx in contexts:
+            ctx.infra.set_vpp(vpp or ctx.infra.module.vppmin)
+            values.append([
+                find_trcd_min(ctx, row, pattern, iterations=iterations)
+                for row in (self.ROW, self.ROW + 1, self.ROW)
+                for pattern in STANDARD_PATTERNS[:2]
+            ])
+        return values
+
+    def _assert_identical(self, contexts, values):
+        command = contexts[0]
+        for ctx, value in zip(contexts[1:], values[1:]):
+            assert value == values[0]
+            assert _device_state(ctx) == _device_state(command)
+            counters = ctx.engine.counters
+            assert counters.trcd_probes == command.engine.counters.trcd_probes
+            assert counters.trcd_fallbacks_retention_guard == 0
+            assert counters.commands_issued == 0
+            assert counters.sweep_hits + counters.sweep_misses == 0
+
+    @pytest.mark.parametrize("case", [
+        # (module, V_PP or None for V_PPmin, iterations)
+        ("A0", 2.5, None),   # clean at nominal tRCD: walks down
+        ("A0", 1.6, None),   # faulty at nominal tRCD: walks up
+        ("B3", None, None),  # at V_PPmin
+        ("C5", 2.5, 1),      # one iteration: the WCDP ranking path
+    ], ids=["walk-down", "walk-up", "vppmin", "one-iteration"])
+    def test_sweep_state_identical(self, case):
+        name, vpp, iterations = case
+        contexts = self._contexts(name)
+        values = self._sweeps(contexts, vpp, iterations)
+        self._assert_identical(contexts, values)
+        direction = values[0][0] > NOMINAL_TRCD
+        if case[1] == 1.6:
+            assert direction
+        elif case[1] == 2.5:
+            assert not direction
+
+    def test_sweep_after_aging(self):
+        """Large pending damage and a week of decay sit on the row
+        before the first WRITE: the replay must not depend on them."""
+        contexts = self._contexts("A0")
+        before = self._sweeps(contexts, 2.5)
+        for ctx in contexts:
+            aging = Program()
+            aging.hammer_doublesided(
+                0, ctx.adjacency.neighbors(0, self.ROW), 100_000
+            )
+            ctx.infra.host.execute(aging)
+            ctx.infra.module.env.advance(7 * 24 * 3600.0)
+        after = self._sweeps(contexts, 2.5)
+        self._assert_identical(
+            contexts, [b + a for b, a in zip(before, after)]
+        )
+
+    def test_trcd_stability_table_identical(self, monkeypatch):
+        outputs = []
+        for kind in ("command", "batch", "fused"):
+            monkeypatch.setenv("REPRO_PROBE_ENGINE", kind)
+            outputs.append(run_experiment(
+                "trcd_stability", scale=StudyScale.tiny(), modules=("B3",)
+            ))
+        for output in outputs[1:]:
+            assert output.render() == outputs[0].render()
+            assert output.data == outputs[0].data
+
+    def test_per_column_falls_back_to_command(self):
+        command, batch = self._contexts("A0", ("command", "batch"))
+        values = [
+            find_trcd_min(ctx, self.ROW, STANDARD_PATTERNS[0],
+                          iterations=1, per_column=True)
+            for ctx in (command, batch)
+        ]
+        assert values[0] == values[1]
+        assert _device_state(batch) == _device_state(command)
+        assert batch.engine.counters.trcd_fallbacks_per_column == 1
+
+    def test_retention_guard_falls_back_to_command(self, monkeypatch):
+        from repro.dram.bank import TrcdSweep
+
+        monkeypatch.setattr(
+            TrcdSweep, "min_charged_retention", lambda self: 0.0
+        )
+        contexts = self._contexts("A0", ("command", "batch"))
+        values = self._sweeps(contexts, 2.5)
+        assert values[0] == values[1]
+        assert _device_state(contexts[1]) == _device_state(contexts[0])
+        counters = contexts[1].engine.counters
+        assert counters.trcd_fallbacks_retention_guard == 6
+
+    def test_unarmed_injector_keeps_the_kernel(self):
+        infra = TestInfrastructure.for_module(
+            "A0", geometry=StudyScale.tiny().geometry, seed=11,
+            fault_injector=FaultInjector(None),
+        )
+        ctx = TestContext(infra, StudyScale.tiny(), probe_engine="batch")
+        find_trcd_min(ctx, self.ROW, STANDARD_PATTERNS[0])
+        assert ctx.engine.counters.trcd_fallbacks_fault_injector == 0
+        assert ctx.engine.counters.trcd_probes > 0
+
+    @pytest.mark.parametrize("after", [40, 900])
+    def test_armed_fault_fires_at_the_same_tick(self, monkeypatch, after):
+        """An armed injector keeps Alg. 2 on the command path, so an
+        FPGA timeout strikes the same instruction on the batch engine
+        as on the command engine."""
+        contexts = {}
+        build = CharacterizationStudy.build_context
+
+        def capture(study, name):
+            ctx = build(study, name)
+            contexts[study.probe_engine] = ctx
+            return ctx
+
+        monkeypatch.setattr(CharacterizationStudy, "build_context", capture)
+        injectors = {}
+        for kind in ("command", "batch"):
+            injectors[kind] = FaultInjector(
+                FaultSpec(kind="fpga_timeout", after=after)
+            )
+            study = CharacterizationStudy(
+                scale=StudyScale.tiny(), seed=3, probe_engine=kind,
+                fault_injector=injectors[kind],
+            )
+            with pytest.raises(FpgaTimeoutError):
+                study.run_module("A0", tests=("trcd",))
+        command, batch = contexts["command"], contexts["batch"]
+        assert injectors["batch"].fired and injectors["command"].fired
+        # Same simulated instant, same activation count, same probe
+        # count. (Whole-bank state differs by design here: the batch
+        # engine's preheat materializes the sampled rows up front.)
+        assert _device_state(batch)[:2] == _device_state(command)[:2]
+        counters = batch.engine.counters
+        assert counters.trcd_probes == command.engine.counters.trcd_probes
+        assert counters.trcd_probes > 0
+        assert counters.trcd_fallbacks_fault_injector > 0
 
 
 class TestEngineSelection:
