@@ -31,24 +31,26 @@ BENCH_SMOKE_OUT ?= /tmp/BENCH_service_smoke.json
 
 # Perf trajectory: hot-primitive micro-benchmarks plus the probe-kernel
 # benchmark, which writes benchmarks/BENCH_probe.json (probes/sec and
-# campaign wall-clock for the batched and command engines), plus the
+# campaign wall-clock for the fused kernel and the command oracle), plus the
 # orchestration-service smoke run (benchmarks/BENCH_service.json).
 bench: service-smoke
 	$(PYTHON) -m pytest benchmarks/test_microbenchmarks.py --benchmark-only
 	$(PYTHON) benchmarks/bench_probe.py
 
-# Perf-regression guard: re-measures probe throughput and both
-# acceptance campaigns, fails when any metric drops below the
-# committed benchmarks/BENCH_probe.json by more than the tolerance
-# band (REPRO_BENCH_TOLERANCE to widen on noisy machines).
+# Perf-regression guard: re-measures probe throughput and the
+# campaigns, fails when any metric regresses against the committed
+# benchmarks/BENCH_probe.json by more than the tolerance band
+# (REPRO_BENCH_TOLERANCE to widen on noisy machines).
 bench-check:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_check.py
 
 # Machine-speed-independent subset of bench-check for CI: asserts the
-# committed baseline's acceptance gates (fused >= 3x batch on the
-# V_PP ladder, fused hammer rate > fast) and the fused-vs-batch plus
-# tRCD kernel-vs-command bit-identity differentials, without timing
-# re-measurement. The API
+# committed baseline's acceptance gates (fused-over-command speedup
+# floors for the hammer, retention, DSL-program and tRCD probes and the
+# bench campaign) and the fused-vs-command bit-identity differential
+# over every experiment family, without timing re-measurement (the
+# fused ladder and characterization times are guarded by bench-check's
+# re-measurement). The API
 # load smoke rides along: a reduced-job concurrent run with the
 # deterministic served-study-vs-direct-run gate.
 bench-smoke:

@@ -4,21 +4,22 @@
 Three layers, any of which fails the check (exit 1):
 
 * deterministic acceptance gates on the *committed* baseline itself:
-  the fused engine's ladder-campaign speedup over batch must hold the
-  3x target and its single-probe hammer rate must beat the fast
-  engine's (asserted on the committed numbers, so a noisy check
-  machine cannot flake the gate);
+  every kernel-over-oracle speedup (fused vs command: hammer,
+  retention, DSL-program and tRCD probes, the bench campaign) must hold
+  its floor (``bench_probe.SPEEDUP_FLOORS``; asserted on the committed
+  numbers, so a noisy check machine cannot flake them);
 * a differential bit-identity gate: a tiny-scale study runs on the
-  batch and fused engines and every experiment family (rowhammer,
-  tRCD, retention) must match record-for-record; the ``trcd`` family
-  additionally runs on the command engine (Alg. 2's oracle) down to
-  A0's V_PPmin, and both kernel engines' tRCD records must match it;
+  fused kernel and the command oracle and every experiment family
+  (rowhammer, tRCD, retention) must match record-for-record; the
+  ``trcd`` family additionally runs down to A0's V_PPmin, where rows
+  walk up from the nominal tRCD;
 * a perf-regression guard: re-measures the probe-throughput rates and
-  the acceptance campaigns (``make bench`` writes them; see
-  ``bench_probe.py``) and fails when any metric falls below its
-  committed value by more than the tolerance band. Ratios (the
-  campaign speedups) are compared with a tighter band than absolute
-  probes/sec, which swing with machine load.
+  the campaigns (``make bench`` writes them; see ``bench_probe.py``)
+  and fails when a rate or speedup falls below its committed value, or
+  a fused campaign time (the characterization and the V_PP ladder)
+  rises above it, by more than the tolerance band.
+  Ratios (the speedups) are compared with a tighter band than absolute
+  rates and times, which swing with machine load.
 
 ``--smoke`` runs only the first two, machine-speed-independent layers
 (the CI entry point; ``make bench-smoke``).
@@ -41,38 +42,30 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import bench_probe  # noqa: E402  (sibling script, not a package)
+from repro.core.probe import ENGINE_NAMES  # noqa: E402
 
-#: Default fractional tolerance for absolute rates (probes/sec).
+#: Default fractional tolerance for absolute rates (probes/sec) and
+#: campaign wall-clock.
 RATE_TOLERANCE = 0.5
 #: Default fractional tolerance for speedup ratios; load cancels out
 #: of a ratio, so the band is tighter.
 SPEEDUP_TOLERANCE = 0.3
 
-RATE_KEYS = (
-    "hammer_probes_per_sec_batch",
-    "hammer_probes_per_sec_fused",
-    "hammer_probes_per_sec_fast",
-    "hammer_probes_per_sec_command",
-    "retention_probes_per_sec_batch",
-    "retention_probes_per_sec_fused",
-    "retention_probes_per_sec_fast",
-    "retention_probes_per_sec_command",
-    "program_probes_per_sec_batch",
-    "program_probes_per_sec_command",
-    "trcd_probes_per_sec_batch",
-    "trcd_probes_per_sec_command",
+RATE_KEYS = tuple(
+    f"{family}_probes_per_sec_{engine}"
+    for family in ("hammer", "retention", "program", "trcd")
+    for engine in ENGINE_NAMES
 )
-SPEEDUP_KEYS = (
-    "campaign_speedup",
-    "campaign_speedup_batch_over_fast",
-    "campaign_speedup_fused_over_batch",
-    "program_probe_speedup",
-)
+SPEEDUP_KEYS = tuple(bench_probe.SPEEDUP_FLOORS)
+#: Wall-clock keys: lower is better, so their band is a ceiling.
+SECONDS_KEYS = ("characterization_seconds_fused", "ladder_seconds_fused")
 
 #: Experiment families covered by the differential bit-identity gate.
 FAMILIES = ("rowhammer", "trcd", "retention")
-#: V_PP points of the tRCD kernel-vs-command leg: nominal, and A0's
-#: V_PPmin, where rows walk up from the nominal tRCD.
+#: V_PP points of the differential: nominal and a reduced level for
+#: every family, then nominal and A0's V_PPmin for the tRCD family,
+#: where rows walk up from the nominal tRCD.
+VPP_LEVELS = (2.5, 2.2)
 TRCD_VPP_LEVELS = (2.5, 1.4)
 
 
@@ -96,55 +89,40 @@ def gate_baseline(committed):
 
     These are properties of the committed numbers, not of this run's
     machine, so they never flake: if someone regenerates
-    BENCH_probe.json on a machine where the fused engine no longer
-    clears its targets, the commit fails here deterministically.
+    BENCH_probe.json on a machine where the kernel no longer clears its
+    floors, the commit fails here deterministically.
     """
     failures = []
-    speedup = committed.get("campaign_speedup_fused_over_batch")
-    if speedup is not None and speedup < 3.0:
-        failures.append(
-            f"committed campaign_speedup_fused_over_batch {speedup:.2f} "
-            "below the 3x acceptance target"
-        )
-    program = committed.get("program_probe_speedup")
-    if program is not None and program < 3.0:
-        failures.append(
-            f"committed program_probe_speedup {program:.2f} below the "
-            "3x acceptance target (compiled DSL path vs command fallback)"
-        )
-    fused = committed.get("hammer_probes_per_sec_fused")
-    fast = committed.get("hammer_probes_per_sec_fast")
-    if fused is not None and fast is not None and fused <= fast:
-        failures.append(
-            f"committed hammer_probes_per_sec_fused {fused:.2f} does not "
-            f"beat the fast engine's {fast:.2f}"
-        )
+    for key, floor in bench_probe.SPEEDUP_FLOORS.items():
+        value = committed.get(key)
+        if value is not None and value < floor:
+            failures.append(
+                f"committed {key} {value:.2f} below its {floor:g}x floor "
+                "(fused kernel vs command oracle)"
+            )
     return failures
 
 
 def differential_check():
     """Return the experiment families where a tiny-scale fused study
-    diverges from the batch reference, plus ``trcd (<engine> vs
-    command)`` where a kernel engine's Alg. 2 records diverge from the
-    command engine's (bit-identity gate)."""
+    diverges from the command oracle (bit-identity gate)."""
     from repro.core.scale import StudyScale
     from repro.core.study import CharacterizationStudy
 
-    def run(engine, tests=FAMILIES, vpp_levels=(2.5, 2.2)):
+    def run(engine, tests, vpp_levels):
         study = CharacterizationStudy(
             scale=StudyScale.tiny(), seed=3, probe_engine=engine
         )
         return study.run_module("A0", tests=tests, vpp_levels=vpp_levels)
 
-    batch, fused = run("batch"), run("fused")
-    mismatches = [
-        family for family in FAMILIES
-        if getattr(batch, family) != getattr(fused, family)
-    ]
-    command = run("command", ("trcd",), TRCD_VPP_LEVELS).trcd
-    for engine in ("batch", "fused"):
-        if run(engine, ("trcd",), TRCD_VPP_LEVELS).trcd != command:
-            mismatches.append(f"trcd ({engine} vs command)")
+    mismatches = []
+    for tests, levels in ((FAMILIES, VPP_LEVELS), (("trcd",), TRCD_VPP_LEVELS)):
+        fused = run("fused", tests, levels)
+        command = run("command", tests, levels)
+        mismatches.extend(
+            f"{family} (V_PP {levels})" for family in tests
+            if getattr(fused, family) != getattr(command, family)
+        )
     return mismatches
 
 
@@ -162,6 +140,16 @@ def check(committed, measured, rate_tol, speedup_tol):
                     f"{floor:.2f} (committed {committed[key]:.2f}, "
                     f"tolerance {tolerance:.0%})"
                 )
+    for key in SECONDS_KEYS:
+        if key not in committed:
+            continue
+        ceiling = committed[key] * (1.0 + rate_tol)
+        if measured[key] > ceiling:
+            failures.append(
+                f"{key}: measured {measured[key]:.3f} s > ceiling "
+                f"{ceiling:.3f} s (committed {committed[key]:.3f} s, "
+                f"tolerance {rate_tol:.0%})"
+            )
     return failures
 
 
@@ -174,9 +162,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke", action="store_true",
         help="run only the machine-speed-independent layers (committed-"
-             "baseline gates + fused-vs-batch and tRCD kernel-vs-command "
-             "bit-identity), skipping the timing re-measurement (the CI "
-             "entry point)",
+             "baseline gates + fused-vs-command bit-identity), skipping "
+             "the timing re-measurement (the CI entry point)",
     )
     args = parser.parse_args(argv)
 
@@ -196,15 +183,14 @@ def main(argv=None) -> int:
             print(f"  {failure}", file=sys.stderr)
         return 1
 
-    print("checking fused-vs-batch bit-identity (tiny scale, all "
-          "experiment families) and tRCD kernel-vs-command...")
+    print("checking fused-vs-command bit-identity (tiny scale, all "
+          "experiment families)...")
     mismatches = differential_check()
     if mismatches:
-        print("kernel engines diverge from their reference on: "
+        print("the fused kernel diverges from the command oracle on: "
               + ", ".join(mismatches), file=sys.stderr)
         return 1
-    print("fused records match the batch reference and kernel tRCD "
-          "records match the command engine bit-for-bit")
+    print("fused records match the command oracle bit-for-bit")
 
     if args.smoke:
         print("\nsmoke mode: skipping timing re-measurement")
@@ -216,16 +202,14 @@ def main(argv=None) -> int:
     measured.update(bench_probe.bench_program_rates())
     print("re-measuring Alg. 2 (tRCD) probe throughput...")
     measured.update(bench_probe.bench_trcd_rates())
-    print("re-measuring one-module bench campaign (fast vs command)...")
+    print("re-measuring one-module bench campaign (fused vs command)...")
     measured.update(bench_probe.bench_campaign())
-    print("re-measuring characterization campaign (fast/batch/fused)...")
+    print("re-measuring characterization campaign (fused)...")
     measured.update(bench_probe.bench_characterization_campaign(runs=2))
-    print("re-measuring V_PP-ladder campaign (batch vs fused)...")
-    # Ladder rounds are cheap (~4 s) and the speedup ratio is what the
-    # acceptance gate rides on, so spend full interleaved minima here.
+    print("re-measuring V_PP-ladder campaign (fused)...")
     measured.update(bench_probe.bench_vpp_ladder_campaign(runs=3))
 
-    for key in RATE_KEYS + SPEEDUP_KEYS:
+    for key in RATE_KEYS + SPEEDUP_KEYS + SECONDS_KEYS:
         committed_value = committed.get(key)
         committed_text = (
             f"{committed_value:.2f}" if committed_value is not None else "--"

@@ -1,34 +1,30 @@
 #!/usr/bin/env python3
 """Probe-kernel and campaign benchmark -> BENCH_probe.json.
 
-Measures, with both cache layers disabled:
+Measures the fused kernel engine against the command-engine oracle,
+with both cache layers disabled:
 
-* single-probe throughput (probes/sec) of the batch, fast and
-  command-level engines, for the Alg. 1 hammer probe and the Alg. 3
-  retention probe, and of the batch and command engines for the Alg. 2
-  tRCD probe (over whole ``find_trcd_min`` sweeps);
+* single-probe throughput (probes/sec) of the Alg. 1 hammer probe, the
+  Alg. 3 retention probe, a compiled DSL program's probe and the Alg. 2
+  tRCD probe (over whole ``find_trcd_min`` sweeps), each with its
+  kernel-over-oracle speedup;
 * wall-clock of a bench-scale one-module RowHammer campaign
-  (``get_study(("rowhammer",))``) on the fast and command engines --
-  the acceptance metric of the probe-kernel PR (fast >= 3x command);
+  (``get_study(("rowhammer",))``) on both engines, and its speedup;
 * wall-clock of the *characterization campaign* -- Alg. 1 bisections
   plus Alg. 3 retention ladders over the bench row set at the paper
-  modules' physical row size (8 KiB) -- on the fast, batch and fused
-  engines: the acceptance metric of the row-batched study kernels
-  (batch >= 3x fast). Engines are timed interleaved (min of several
-  alternating runs) because the batch engine's advantage would
-  otherwise be polluted by machine-load drift;
+  modules' physical row size (8 KiB) -- on the kernel (min of several
+  runs; the command engine would take minutes here);
 * wall-clock of the *V_PP-grid ladder phases* of that campaign --
   Alg. 1 and Alg. 3 re-run at every operating point of the V_PP grid
-  -- on the batch and fused engines: the acceptance metric of the
-  fused sweep kernels (fused >= 3x batch). Setup, preheat and WCDP
-  determination run once per engine as an untimed prologue: those
-  phases execute at a single operating point, so cross-operating-point
-  fusion cannot apply to them and timing them would only dilute the
-  metric identically on both sides.
+  -- on the kernel. Setup, preheat and WCDP determination run once as
+  an untimed prologue: those phases execute at a single operating
+  point, so timing them would only dilute the cross-operating-point
+  metric.
 
 The JSON is written next to this script (override with ``--out``) so
-future PRs have a perf trajectory to compare against;
-``benchmarks/bench_check.py`` (``make bench-check``) guards it.
+future changes have a perf trajectory to compare against;
+``benchmarks/bench_check.py`` (``make bench-check``) guards it and
+holds the speedup floors (:data:`SPEEDUP_FLOORS`).
 
 Run:  PYTHONPATH=src python benchmarks/bench_probe.py
 """
@@ -45,6 +41,7 @@ import time
 from repro.core import retention as retention_test
 from repro.core import rowhammer as rowhammer_test
 from repro.core.context import TestContext
+from repro.core.probe import ENGINE_NAMES
 from repro.core.rowhammer import measure_ber
 from repro.core.retention import measure_retention
 from repro.core.sampling import sample_rows
@@ -103,11 +100,30 @@ def _probe_rate(probe, warmup=3, seconds=1.0):
             return count / elapsed
 
 
+#: Kernel-over-oracle speedup floors, shared with ``bench_check``'s
+#: committed-baseline gates. Each is at least the committed floor or
+#: ratio of the retired tier it replaces (hammer: fast-over-command
+#: 7.98; retention: 9.50; campaign and DSL program: the 3x targets).
+SPEEDUP_FLOORS = {
+    "hammer_probe_speedup": 8.0,
+    "retention_probe_speedup": 9.5,
+    "program_probe_speedup": 3.0,
+    "trcd_probe_speedup": 3.0,
+    "campaign_speedup": 3.0,
+}
+
+
+def _speedup(rates, prefix):
+    return rates[f"{prefix}_per_sec_fused"] / rates[
+        f"{prefix}_per_sec_command"
+    ]
+
+
 def bench_probe_rates():
     rates = {}
     hammer_pattern = STANDARD_PATTERNS[0]
     retention_pattern = STANDARD_PATTERNS[2]
-    for engine in ("batch", "fused", "fast", "command"):
+    for engine in ENGINE_NAMES:
         ctx = _context(engine)
         rates[f"hammer_probes_per_sec_{engine}"] = _probe_rate(
             lambda: measure_ber(ctx, 100, hammer_pattern, 300_000)
@@ -116,38 +132,28 @@ def bench_probe_rates():
         rates[f"retention_probes_per_sec_{engine}"] = _probe_rate(
             lambda: measure_retention(ctx, 100, retention_pattern, 0.256)
         )
-    rates["hammer_probe_speedup"] = (
-        rates["hammer_probes_per_sec_fast"]
-        / rates["hammer_probes_per_sec_command"]
-    )
-    rates["retention_probe_speedup"] = (
-        rates["retention_probes_per_sec_fast"]
-        / rates["retention_probes_per_sec_command"]
-    )
+    rates["hammer_probe_speedup"] = _speedup(rates, "hammer_probes")
+    rates["retention_probe_speedup"] = _speedup(rates, "retention_probes")
     return rates
 
 
 def bench_program_rates():
     """DSL-program probe throughput: the compiled path (a non-default
-    4-sided program lowered onto the batch kernels) vs the fallback
-    path (the same program emitted as an instruction stream on the
-    command engine) -- the program-DSL PR's acceptance metric
-    (compiled >= 3x command)."""
+    4-sided program lowered onto the kernel) vs the fallback path (the
+    same program emitted as an instruction stream on the command
+    engine)."""
     from repro.core.probe import one_shot_hammer_ber
     from repro.progdsl import compile_program
 
     program = compile_program("quad-sided")
     pattern = STANDARD_PATTERNS[0]
     rates = {}
-    for engine in ("batch", "command"):
+    for engine in ENGINE_NAMES:
         ctx = _context(engine, program=program)
         rates[f"program_probes_per_sec_{engine}"] = _probe_rate(
             lambda: one_shot_hammer_ber(ctx, 100, pattern, 300_000)
         )
-    rates["program_probe_speedup"] = (
-        rates["program_probes_per_sec_batch"]
-        / rates["program_probes_per_sec_command"]
-    )
+    rates["program_probe_speedup"] = _speedup(rates, "program_probes")
     return rates
 
 
@@ -166,15 +172,17 @@ def _trcd_probe_rate(ctx, pattern, seconds=1.0):
 
 
 def bench_trcd_rates():
-    """Alg. 2 (tRCD sweep) probe throughput: the kernel session on the
-    batch engine vs the command engine's SoftMC programs."""
+    """Alg. 2 (tRCD sweep) probe throughput: the kernel session vs the
+    command engine's SoftMC programs."""
     pattern = STANDARD_PATTERNS[0]
-    return {
+    rates = {
         f"trcd_probes_per_sec_{engine}": _trcd_probe_rate(
             _context(engine), pattern
         )
-        for engine in ("batch", "command")
+        for engine in ENGINE_NAMES
     }
+    rates["trcd_probe_speedup"] = _speedup(rates, "trcd_probes")
+    return rates
 
 
 def _timed_campaign(engine, tests, scale=None):
@@ -190,43 +198,26 @@ def _timed_campaign(engine, tests, scale=None):
 
 
 def bench_campaign():
-    """The probe-kernel PR's acceptance campaign: fast vs command on
-    the default bench scale (kept for the perf trajectory)."""
-    results = {}
-    for engine in ("fast", "command"):
-        results[f"campaign_seconds_{engine}"] = _timed_campaign(
-            engine, ("rowhammer",)
-        )
+    """The one-module bench campaign on the kernel and the oracle."""
+    results = {
+        f"campaign_seconds_{engine}": _timed_campaign(engine, ("rowhammer",))
+        for engine in ENGINE_NAMES
+    }
     results["campaign_speedup"] = (
-        results["campaign_seconds_command"] / results["campaign_seconds_fast"]
+        results["campaign_seconds_command"] / results["campaign_seconds_fused"]
     )
     return results
 
 
 def bench_characterization_campaign(runs=2):
-    """The row-batched kernel PR's acceptance campaign: batch vs fast,
-    both Alg. 1 and Alg. 3, at the paper-realistic row size. The fused
-    engine rides along for the end-to-end trajectory (its acceptance
-    metric is the ladder-phase campaign below, where the single-
-    operating-point prologue does not dilute the comparison)."""
-    engines = ("fast", "batch", "fused")
-    for engine in engines:  # warmup: module generation, import costs
-        _timed_campaign(engine, CAMPAIGN_TESTS, CHARACTERIZATION_SCALE)
-    times = {engine: [] for engine in engines}
-    for _ in range(runs):
-        for engine in engines:
-            times[engine].append(_timed_campaign(
-                engine, CAMPAIGN_TESTS, CHARACTERIZATION_SCALE
-            ))
-    results = {
-        f"characterization_seconds_{engine}": min(times[engine])
-        for engine in engines
-    }
-    results["campaign_speedup_batch_over_fast"] = (
-        results["characterization_seconds_fast"]
-        / results["characterization_seconds_batch"]
-    )
-    return results
+    """Alg. 1 and Alg. 3 at the paper-realistic row size on the kernel
+    (min of ``runs`` after one warmup run: module generation, import
+    costs)."""
+    _timed_campaign("fused", CAMPAIGN_TESTS, CHARACTERIZATION_SCALE)
+    return {"characterization_seconds_fused": min(
+        _timed_campaign("fused", CAMPAIGN_TESTS, CHARACTERIZATION_SCALE)
+        for _ in range(runs)
+    )}
 
 
 def _ladder_state(engine):
@@ -242,9 +233,7 @@ def _ladder_state(engine):
         scale.geometry.rows_per_bank, scale.rows_per_module,
         scale.row_chunks,
     )
-    preheat = getattr(ctx.engine, "preheat", None)
-    if preheat is not None:
-        preheat(ctx, rows)
+    ctx.engine.preheat(ctx, rows, CAMPAIGN_TESTS)
     infra.set_vpp(constants.NOMINAL_VPP)
     infra.set_temperature(constants.ROWHAMMER_TEST_TEMPERATURE)
     wcdp_rh = {row: rowhammer_wcdp(ctx, row) for row in rows}
@@ -271,49 +260,30 @@ def _timed_ladder(state):
 
 
 def bench_vpp_ladder_campaign(runs=3):
-    """The fused-kernel PR's acceptance campaign: batch vs fused over
-    the V_PP-grid ladder phases (Alg. 1 worst-BER ladders + bisections
-    and Alg. 3 retention ladders, re-run at every operating point).
-
-    The ladder phases are exactly where the batch engine re-enters one
-    bisection per operating point while the fused engine resolves the
-    whole grid against one resolved sweep; the single-operating-point
-    prologue (setup, preheat, WCDP) runs once per engine, untimed --
-    cross-operating-point fusion cannot apply there, so timing it
-    would only shift both sides by the same constant.
-    """
-    engines = ("batch", "fused")
-    states = {engine: _ladder_state(engine) for engine in engines}
-    for engine in engines:  # warmup: sweep resolution, lazy imports
-        _timed_ladder(states[engine])
-    times = {engine: [] for engine in engines}
-    for _ in range(runs):
-        for engine in engines:
-            times[engine].append(_timed_ladder(states[engine]))
-    results = {
-        f"ladder_seconds_{engine}": min(times[engine]) for engine in engines
-    }
-    results["campaign_speedup_fused_over_batch"] = (
-        results["ladder_seconds_batch"] / results["ladder_seconds_fused"]
-    )
-    return results
+    """The V_PP-grid ladder phases (Alg. 1 worst-BER ladders +
+    bisections and Alg. 3 retention ladders, re-run at every operating
+    point) on the kernel: min of ``runs`` after one warmup pass (sweep
+    resolution, lazy imports). The single-operating-point prologue
+    (setup, preheat, WCDP) runs once, untimed."""
+    state = _ladder_state("fused")
+    _timed_ladder(state)
+    return {"ladder_seconds_fused": min(
+        _timed_ladder(state) for _ in range(runs)
+    )}
 
 
 REPORT_KEYS = (
-    "hammer_probes_per_sec_batch", "hammer_probes_per_sec_fused",
-    "hammer_probes_per_sec_fast", "hammer_probes_per_sec_command",
-    "retention_probes_per_sec_batch", "retention_probes_per_sec_fused",
-    "retention_probes_per_sec_fast", "retention_probes_per_sec_command",
-    "hammer_probe_speedup", "retention_probe_speedup",
-    "program_probes_per_sec_batch", "program_probes_per_sec_command",
+    "hammer_probes_per_sec_fused", "hammer_probes_per_sec_command",
+    "hammer_probe_speedup",
+    "retention_probes_per_sec_fused", "retention_probes_per_sec_command",
+    "retention_probe_speedup",
+    "program_probes_per_sec_fused", "program_probes_per_sec_command",
     "program_probe_speedup",
-    "trcd_probes_per_sec_batch", "trcd_probes_per_sec_command",
-    "campaign_seconds_fast", "campaign_seconds_command",
-    "campaign_speedup", "characterization_seconds_fast",
-    "characterization_seconds_batch", "characterization_seconds_fused",
-    "campaign_speedup_batch_over_fast",
-    "ladder_seconds_batch", "ladder_seconds_fused",
-    "campaign_speedup_fused_over_batch",
+    "trcd_probes_per_sec_fused", "trcd_probes_per_sec_command",
+    "trcd_probe_speedup",
+    "campaign_seconds_fused", "campaign_seconds_command",
+    "campaign_speedup",
+    "characterization_seconds_fused", "ladder_seconds_fused",
 )
 
 
@@ -336,36 +306,35 @@ def main(argv=None) -> int:
         TRACER.enable()
     counters_before = REGISTRY.counter_values()
     set_study_cache_dir(None)
-    print("measuring single-probe throughput...")
+    print("measuring single-probe throughput (fused vs command)...")
     payload = {"scope": {
+        "engines": "fused kernel vs command oracle, measured in one run",
         "probe_module": MODULE,
         "campaign_module": CAMPAIGN_MODULE,
         "campaign": "bench-scale get_study(('rowhammer',))",
         "characterization_campaign": (
             "bench-scale get_study(('rowhammer', 'retention')) at 65536-bit"
-            " physical rows, interleaved min-of-2"
+            " physical rows, fused, min-of-2"
         ),
         "ladder_campaign": (
             "V_PP-grid ladder phases (Alg. 1 + Alg. 3 at every level) at"
-            " 65536-bit physical rows, batch vs fused, interleaved"
-            " min-of-3; setup/preheat/WCDP run untimed at a single"
-            " operating point"
+            " 65536-bit physical rows, fused, min-of-3; setup/preheat/WCDP"
+            " run untimed at a single operating point"
         ),
         "trcd_probes": (
-            "find_trcd_min sweeps of one B3 row (8192-bit rows), batch vs"
-            " command"
+            "find_trcd_min sweeps of one B3 row (8192-bit rows)"
         ),
     }}
     payload.update(bench_probe_rates())
     print("measuring DSL-program probe throughput (compiled vs command)...")
     payload.update(bench_program_rates())
-    print("measuring Alg. 2 (tRCD) probe throughput (batch vs command)...")
+    print("measuring Alg. 2 (tRCD) probe throughput (fused vs command)...")
     payload.update(bench_trcd_rates())
-    print("measuring one-module bench campaigns (fast vs command)...")
+    print("measuring one-module bench campaigns (fused vs command)...")
     payload.update(bench_campaign())
-    print("measuring characterization campaigns (fast vs batch vs fused)...")
+    print("measuring the characterization campaign (fused)...")
     payload.update(bench_characterization_campaign())
-    print("measuring V_PP-ladder campaigns (batch vs fused)...")
+    print("measuring the V_PP-ladder campaign (fused)...")
     payload.update(bench_vpp_ladder_campaign())
 
     # The registry counters spent producing these numbers travel with
@@ -392,27 +361,11 @@ def main(argv=None) -> int:
         print(f"{key:>36}: {payload[key]:.2f}")
     print(f"wrote {args.out}")
     failed = False
-    if payload["campaign_speedup"] < 3.0:
-        print("WARNING: fast-over-command campaign speedup below the 3x "
-              "acceptance target", file=sys.stderr)
-        failed = True
-    if payload["campaign_speedup_batch_over_fast"] < 3.0:
-        print("WARNING: batch-over-fast characterization speedup below the "
-              "3x acceptance target", file=sys.stderr)
-        failed = True
-    if payload["campaign_speedup_fused_over_batch"] < 3.0:
-        print("WARNING: fused-over-batch ladder speedup below the 3x "
-              "acceptance target", file=sys.stderr)
-        failed = True
-    if payload["program_probe_speedup"] < 3.0:
-        print("WARNING: compiled-program-over-command probe speedup below "
-              "the 3x acceptance target", file=sys.stderr)
-        failed = True
-    if (payload["hammer_probes_per_sec_fused"]
-            <= payload["hammer_probes_per_sec_fast"]):
-        print("WARNING: fused single-probe hammer rate does not beat the "
-              "fast engine", file=sys.stderr)
-        failed = True
+    for key, floor in SPEEDUP_FLOORS.items():
+        if payload[key] < floor:
+            print(f"WARNING: {key} {payload[key]:.2f} below its "
+                  f"{floor:g}x floor", file=sys.stderr)
+            failed = True
     return 1 if failed else 0
 
 

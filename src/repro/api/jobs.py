@@ -38,7 +38,7 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.probe import engine_selection
+from repro.core.probe import ENGINE_NAMES, engine_selection
 from repro.core.scale import scale_preset
 from repro.core.study import TEST_TYPES
 from repro.errors import ConfigurationError, JobCancelledError
@@ -172,12 +172,10 @@ class JobSpec:
         scale = payload.get("scale", "tiny")
         scale_preset(scale)  # raises on unknown names
         engine = payload.get("probe_engine")
-        if engine is not None and engine not in (
-            "fused", "batch", "fast", "command"
-        ):
+        if engine is not None and engine not in ENGINE_NAMES:
             raise ConfigurationError(
-                f"unknown probe_engine {engine!r}; "
-                "expected fused, batch, fast or command"
+                f"unknown probe_engine {engine!r}; expected one of "
+                + ", ".join(ENGINE_NAMES)
             )
         program = validate_program(payload.get("program"))
         priority = payload.get("priority", 0)
@@ -445,6 +443,15 @@ def run_job(
             ]
 
 
+def _fail(job: Job, telemetry: JobTelemetry, error: str) -> None:
+    """Move a job to FAILED with ``error`` and report it."""
+    job.state = FAILED
+    job.error = error
+    job.finished = clock.wall()
+    telemetry.emit("job_finished", state=FAILED, error=error)
+    _count_outcome(FAILED)
+
+
 def _execute_job(
     job: Job,
     store: StudyStore,
@@ -453,6 +460,14 @@ def _execute_job(
 ) -> None:
     spec = job.spec
     telemetry = JobTelemetry(job.id)
+    try:
+        # Submission validated the name, but a job persisted before an
+        # engine was retired (and then adopted on restart) still names
+        # it: fail it here, typed, before the store is consulted.
+        engine_selection(spec.probe_engine)
+    except ConfigurationError as error:
+        _fail(job, telemetry, str(error))
+        return
     if store.contains(job.fingerprint):
         job.cache = "hit"
         job.state = COMPLETED
@@ -501,25 +516,16 @@ def _execute_job(
         _count_outcome(CANCELLED)
         return
     except ConfigurationError as error:
-        job.state = FAILED
-        job.error = str(error)
-        job.finished = clock.wall()
-        telemetry.emit("job_finished", state=FAILED, error=str(error))
-        _count_outcome(FAILED)
+        _fail(job, telemetry, str(error))
         return
     job.metrics = outcome.metrics.as_dict()
     job.cache = "resume" if outcome.metrics.units_resumed else "miss"
     if outcome.metrics.quarantined:
         # An incomplete study must never be published under the
         # fingerprint: the store promises full, bit-identical content.
-        job.state = FAILED
-        job.error = (
-            "quarantined modules: "
-            + ", ".join(sorted(outcome.metrics.quarantined))
-        )
-        job.finished = clock.wall()
-        telemetry.emit("job_finished", state=FAILED, error=job.error)
-        _count_outcome(FAILED)
+        _fail(job, telemetry, "quarantined modules: " + ", ".join(
+            sorted(outcome.metrics.quarantined)
+        ))
         return
     study = outcome.study
     attach_provenance(

@@ -287,9 +287,8 @@ def run_parallel(
         that many disjoint runs).
     probe_engine:
         Probe-engine override forwarded to every worker's
-        :class:`CharacterizationStudy` (``"fused"`` / ``"batch"`` /
-        ``"fast"`` / ``"command"``); None defers to the default
-        selection policy.
+        :class:`CharacterizationStudy` (``"fused"`` / ``"command"``);
+        None defers to the default selection policy.
     shared_state:
         Generate each module's per-cell parameter planes once, in this
         process, into shared memory (:mod:`repro.core.soa`) and have

@@ -25,16 +25,16 @@ class TestContext:
     scale: StudyScale
     bank: int = 0
     adjacency: AdjacencyOracle = None
-    #: Probe-engine selection: None (default policy), "fused", "batch",
-    #: "fast" or "command".
+    #: Probe-engine selection: None (default policy), "fused" (the
+    #: kernel) or "command" (the oracle).
     probe_engine: str = None
     #: The resolved :class:`repro.core.probe.ProbeEngine` instance.
     engine: object = None
-    #: Sweep-LRU capacity override of the kernelized engines; None
+    #: Sweep-LRU capacity override of the kernel engine; None
     #: defers to ``REPRO_SWEEP_CACHE`` / the built-in default.
     sweep_cache: int = None
     #: Sweep-LRU byte-budget override (resident kernel state, see
-    #: ``FastProbeEngine._enforce_byte_budget``); None defers to
+    #: ``FusedProbeEngine._enforce_byte_budget``); None defers to
     #: ``REPRO_SWEEP_CACHE_BYTES`` / the built-in default.
     sweep_cache_bytes: int = None
     #: Compiled DSL program (:class:`repro.progdsl.compile.

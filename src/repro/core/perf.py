@@ -38,6 +38,9 @@ PROBE_METRIC_NAMES = {
     "trcd_fallbacks_per_column": "repro_trcd_fallbacks_total",
     "trcd_fallbacks_fault_injector": "repro_trcd_fallbacks_total",
     "trcd_fallbacks_retention_guard": "repro_trcd_fallbacks_total",
+    "probe_fallbacks_hammer_sensing": "repro_probe_fallbacks_total",
+    "probe_fallbacks_retention_sensing": "repro_probe_fallbacks_total",
+    "probe_fallbacks_program_sensing": "repro_probe_fallbacks_total",
 }
 
 #: ProbeCounters fields published as one child of a labeled family.
@@ -45,6 +48,11 @@ PROBE_METRIC_LABELS = {
     "trcd_fallbacks_per_column": {"reason": "per_column"},
     "trcd_fallbacks_fault_injector": {"reason": "fault_injector"},
     "trcd_fallbacks_retention_guard": {"reason": "retention_guard"},
+    "probe_fallbacks_hammer_sensing": {"kind": "hammer", "reason": "sensing"},
+    "probe_fallbacks_retention_sensing": {
+        "kind": "retention", "reason": "sensing",
+    },
+    "probe_fallbacks_program_sensing": {"kind": "program", "reason": "sensing"},
 }
 
 _PROBE_METRIC_HELP = {
@@ -61,6 +69,9 @@ _PROBE_METRIC_HELP = {
         "Alg. 2 WRITE/READ probes, executed or replayed",
     "repro_trcd_fallbacks_total":
         "Alg. 2 sessions a kernel engine ran on the command path, by reason",
+    "repro_probe_fallbacks_total":
+        "Alg. 1/3 kernel sessions run on the per-probe vector path, by "
+        "session kind and reason",
 }
 
 
@@ -76,7 +87,7 @@ class ProbeCounters:
     hammer_probes: int = 0
     retention_probes: int = 0
     commands_issued: int = 0
-    #: Sweep-LRU traffic of the kernelized engines (fast/batch): cache
+    #: Sweep-LRU traffic of the kernel engine: cache
     #: hits, misses, capacity evictions, and per-session probes that
     #: reused an already-resolved sweep instead of re-entering the LRU.
     sweep_hits: int = 0
@@ -84,13 +95,20 @@ class ProbeCounters:
     sweep_evictions: int = 0
     sweep_saved_lookups: int = 0
     #: Alg. 2 WRITE/READ probes (one per program the command path runs
-    #: or a kernel session replays), and the kernel engines' tRCD
+    #: or a kernel session replays), and the kernel engine's tRCD
     #: sessions that fell back to the command path, per reason (see
-    #: :class:`repro.core.batch.KernelTrcdSession`).
+    #: :class:`repro.core.fused.KernelTrcdSession`).
     trcd_probes: int = 0
     trcd_fallbacks_per_column: int = 0
     trcd_fallbacks_fault_injector: int = 0
     trcd_fallbacks_retention_guard: int = 0
+    #: Kernel hammer, retention and DSL-program sessions that opened on
+    #: a sensing hazard (activation corruption could fire at this
+    #: operating point) and so ran every probe on the per-probe vector
+    #: path (see :mod:`repro.core.fused`).
+    probe_fallbacks_hammer_sensing: int = 0
+    probe_fallbacks_retention_sensing: int = 0
+    probe_fallbacks_program_sensing: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view (JSON exports, reports)."""

@@ -10,10 +10,10 @@ Section 4.2 prescribes: the *smallest* observed HC_first and the
 *largest* observed BER.
 
 The bisection control flow lives in :func:`bisect_hcfirst`, shared by
-every probe engine: the engines differ only in how a single "did
-anything flip at this hammer count?" probe is answered (the batch
-engine resolves a whole bisection inside one probe session; see
-:mod:`repro.core.batch`).
+both probe engines: they differ only in how a single "did anything
+flip at this hammer count?" probe is answered (the kernel engine
+resolves a whole bisection inside one probe session; see
+:mod:`repro.core.fused`).
 """
 
 from __future__ import annotations

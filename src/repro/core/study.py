@@ -83,9 +83,10 @@ class CharacterizationStudy:
     progress:
         Optional callback ``(message: str) -> None`` for long runs.
     probe_engine:
-        Probe-engine override (``"batch"`` / ``"fast"`` / ``"command"``);
-        None selects
-        the default policy of :func:`repro.core.probe.make_engine`.
+        Probe-engine override (``"fused"``, the kernel, or
+        ``"command"``, the oracle; see
+        :data:`repro.core.probe.ENGINE_NAMES`); None selects the default
+        policy of :func:`repro.core.probe.make_engine`.
     fault_injector:
         Optional :class:`repro.service.faults.FaultInjector` wired into
         every bench this study builds (the orchestration service uses
@@ -216,11 +217,11 @@ class CharacterizationStudy:
                 self.scale.row_chunks,
             )
         span.set(rows=len(rows))
-        # Batch-capable engines precompute the row set's per-row sort
-        # orders in one stacked (rows, cells) pass up front.
+        # The kernel engine precomputes the per-row sort orders the
+        # requested tests walk, in one stacked (rows, cells) pass.
         preheat = getattr(ctx.engine, "preheat", None)
         if preheat is not None:
-            preheat(ctx, rows)
+            preheat(ctx, rows, tests)
 
         # WCDP determination at nominal V_PP (Section 4.1).
         with PROFILER.phase("wcdp"):

@@ -13,8 +13,8 @@ read it back -- shows *any* flipped bit. Two implementations answer:
 
 * **the oracle** (:class:`~repro.core.probe.CommandProbeEngine`, and
   every fallback) runs each probe as a SoftMC program through the host;
-* **the kernel** (:class:`~repro.core.batch.KernelTrcdSession`, on the
-  fast, batch and fused engines) resolves each trial arithmetically:
+* **the kernel** (:class:`~repro.core.fused.KernelTrcdSession`, on the
+  fused engine) resolves each trial arithmetically:
   the freshly written row is faulty at a latency iff that latency
   undercuts the largest activation requirement among the pattern's
   charged cells, a constant per (row, pattern, V_PP).

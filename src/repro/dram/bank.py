@@ -58,7 +58,7 @@ _TOL_ORDER_KEY = "_tol_order"
 #: Row-state cache key of the retention sort statics: the ascending-
 #: retention cell order and the float32 retention times in that order
 #: (pure per-row properties; see :meth:`Bank.preheat_retention_orders`).
-#: The fused probe engine's cross-operating-point kernels re-slice this
+#: The probe engine's cross-operating-point kernels re-slice this
 #: one order for every V_PP point instead of re-sorting per point.
 _RET_ORDER_KEY = "_ret_order"
 
@@ -651,7 +651,7 @@ class Bank:
         Returns a :class:`HammerSweep` that computes the victim's
         per-cell effective thresholds once per operating point and then
         evaluates any number of hammer counts against them -- the kernel
-        behind the fast probe engine and Alg. 1's bisection.
+        behind the probe engine and Alg. 1's bisection.
         """
         return HammerSweep(self, victim_row, aggressor_rows, pattern)
 
@@ -674,9 +674,9 @@ class Bank:
     def preheat_tolerance_orders(self, logical_rows: Sequence[int]) -> int:
         """Warm the per-row tolerance sort orders for a whole row set.
 
-        The batch probe engine's count reductions walk each row's cells
-        in ascending-tolerance order (:meth:`HammerSweep.
-        threshold_counts`). The order is a pure per-row property, so a
+        The probe engine's exact hammer counts walk each row's cells
+        in ascending-tolerance order (the prefix statics of
+        :class:`_FusedHammerCounts`). The order is a pure per-row property, so a
         row set can compute it in one stacked ``(rows, cells)`` argsort
         instead of one argsort per row; the per-row results are
         identical. Returns the number of rows actually warmed (rows
@@ -711,7 +711,7 @@ class Bank:
     def preheat_retention_orders(self, logical_rows: Sequence[int]) -> int:
         """Warm the per-row retention sort orders for a whole row set.
 
-        The fused probe engine's cross-operating-point reductions walk
+        The probe engine's cross-operating-point reductions walk
         each row's charged cells in ascending-retention order (see
         :class:`_FusedRetentionCounts`): V_PP, temperature and data
         pattern only reparameterize monotone scalar factors on the
@@ -766,7 +766,7 @@ class Bank:
         """Whether an ACT with ``trcd`` is guaranteed corruption-free for
         this row *regardless of its content*: even the slowest cell's
         requirement (at the current V_PP and the row's stored pattern
-        slot) is covered. Data-independent, so the batch probe engine
+        slot) is covered. Data-independent, so the probe engine
         can cache the verdict per operating point across sessions --
         unlike :meth:`sensing_corruption`, whose ``None`` can also mean
         "the vulnerable cells happen to be uncharged right now"."""
@@ -839,7 +839,7 @@ class ProbeSweep:
         self._fused = None
         self._fused_key = None
         #: Operating point at which sensing is known data-independently
-        #: clean (see Bank.sensing_certainly_clean); batch sessions key
+        #: clean (see Bank.sensing_certainly_clean); kernel sessions key
         #: their per-session corruption verdict on this.
         self.sensing_clean_at = None
 
@@ -1055,42 +1055,16 @@ class HammerSweep(ProbeSweep):
 
     def fused_counts(self) -> "_FusedHammerCounts":
         """Deferred-statics hammer reductions at the current operating
-        point (the fused probe engine's kernel; see
+        point (the probe engine's kernel; see
         :class:`_FusedHammerCounts`). Cached separately from
-        :meth:`threshold_counts` so mixing engines on one sweep cannot
-        alias the two."""
+        :meth:`threshold_counts` so mixing the two kernels on one sweep
+        cannot alias them."""
         env = self._bank._env
         key = (env.vpp, env.temperature)
         if self._fused is None or self._fused_key != key:
             self._fused = _FusedHammerCounts(self)
             self._fused_key = key
         return self._fused
-
-    def flip_counts(
-        self, counts: Sequence[int], session: int, elapsed: float
-    ) -> np.ndarray:
-        """Flipped-cell counts for a whole vector of hammer counts.
-
-        One threshold computation covers every count -- the batched form
-        of a bisection's probe ladder (analysis/benchmark use; the probe
-        engine evaluates counts one session at a time to preserve the
-        per-probe jitter schedule).
-        """
-        charged = self.charged
-        base = np.zeros_like(charged)
-        effective_retention = self.effective_retention_times()
-        if elapsed > 0:
-            base |= charged & (effective_retention < elapsed)
-        effective_tolerance = self._bank._effective_tolerances(
-            self.physical, self.state, self.pattern_index, session
-        )
-        results = []
-        for count in counts:
-            damage_bulk, damage_outlier = self.victim_damage(count)
-            damage = np.where(self._outlier_mask, damage_outlier, damage_bulk)
-            flips = base | (charged & (damage >= effective_tolerance))
-            results.append(int(np.count_nonzero(flips)))
-        return np.asarray(results)
 
 
 class RetentionSweep(ProbeSweep):
@@ -1112,21 +1086,10 @@ class RetentionSweep(ProbeSweep):
             flips |= charged & (self.effective_retention_times() < elapsed)
         return flips
 
-    def threshold_counts(self) -> "_RetentionCounts":
-        """Sorted-threshold reductions at the current operating point
-        (exact flip counts for any elapsed time from one binary search).
-        """
-        env = self._bank._env
-        key = (env.vpp, env.temperature)
-        if self._counts is None or self._counts_key != key:
-            self._counts = _RetentionCounts(self)
-            self._counts_key = key
-        return self._counts
-
     def fused_counts(self) -> "_FusedRetentionCounts":
         """Group-decomposed retention reductions at the current
-        operating point (the fused probe engine's kernel; see
-        :class:`_FusedRetentionCounts`)."""
+        operating point (the probe engine's kernel: exact flip counts
+        for any elapsed time; see :class:`_FusedRetentionCounts`)."""
         env = self._bank._env
         key = (env.vpp, env.temperature)
         if self._fused is None or self._fused_key != key:
@@ -1452,8 +1415,9 @@ class _HammerCounts:
     replays the exact scalar operations of :meth:`HammerSweep.
     flip_mask` (float64 products of the float32 tolerances, strict /
     non-strict directions preserved), so the counts are bit-consistent
-    with ``np.count_nonzero(flip_mask(...))`` -- the batch probe
-    engine's differential tests assert exactly that.
+    with ``np.count_nonzero(flip_mask(...))``. The probe engine runs
+    :class:`_FusedHammerCounts`, which builds the same prefix statics
+    lazily; this eager variant serves analysis and the kernel tests.
     """
 
     def __init__(self, sweep: HammerSweep):
@@ -1557,7 +1521,7 @@ class _HammerCounts:
         float64 products make each population's flip set a prefix of
         its presorted index array. When ``elapsed <= min_retention`` no
         retention decay can fire, so these indices *are* the complete
-        flip set -- the batch engine materializes a session's final
+        flip set -- the probe engine materializes a session's final
         data from them without touching a full-row vector.
         """
         factor = self._factor(session)
@@ -1580,109 +1544,6 @@ class _HammerCounts:
         for retention in self._pop_retention:
             if retention is not None:
                 total += retention.nbytes
-        return total
-
-
-class _RetentionCounts:
-    """Exact retention-probe flip counts: one sorted threshold vector,
-    one ``searchsorted`` per probe (strict ``< elapsed``, matching
-    :meth:`RetentionSweep.flip_mask`).
-
-    The decayed cells of any elapsed time are exactly the charged cells
-    with threshold strictly below the cutoff, so the word-granular flip
-    histogram and the session's final data fall out of one comparison
-    against the (lazily materialized) charged threshold slice."""
-
-    def __init__(self, sweep: RetentionSweep):
-        state = sweep.state
-        charged_key = ("_charged_indices", sweep.pattern)
-        charged_indices = state.cache.get(charged_key)
-        if charged_indices is None:
-            charged_indices = np.flatnonzero(sweep.charged)
-            state.cache[charged_key] = charged_indices
-        self._charged_indices = charged_indices
-        bank = sweep._bank
-        env = bank._env
-        # The pattern only contributes a trailing positive scalar to the
-        # effective retention times, and multiplying by a positive
-        # scalar is (weakly) monotone in IEEE floats: sorting commutes
-        # with it. Cache the sorted charged *base* retention per
-        # operating point so every pattern's session pays one scalar
-        # multiply instead of a fresh materialize-and-sort.
-        op_key = (env.vpp, env.temperature)
-        base_key = ("_retention_sorted_base", sweep.pattern)
-        cached = state.cache.get(base_key)
-        if cached is None or cached[0] != op_key:
-            base = bank._retention_base(sweep.physical, state, env.vpp)
-            base_charged = base[charged_indices]
-            cached = (op_key, base_charged, np.sort(base_charged))
-            state.cache[base_key] = cached
-        scalar = bank._cached(
-            state, sweep.physical, "retention_pattern_factors"
-        )[sweep.pattern_index]
-        self._base_charged = cached[1]
-        self._scalar = scalar
-        if scalar > 0:
-            self._retention_sorted = cached[2] * scalar
-        else:  # pragma: no cover - calibration factors are positive
-            self._retention_sorted = np.sort(cached[1] * scalar)
-        # Full charged thresholds, materialized only when a flip *set*
-        # is actually requested (counting ladders need just the sorted
-        # values).
-        self._thresholds = None
-
-    def count(self, elapsed: float) -> int:
-        if elapsed <= 0 or self._retention_sorted.size == 0:
-            return 0
-        return int(self._retention_sorted.searchsorted(elapsed, "left"))
-
-    def count_many(self, elapsed_values: Sequence[float]) -> List[int]:
-        """Per-value :meth:`count` for a fused probe ladder. Scalar
-        ``searchsorted`` per value keeps the comparison semantics
-        identical to :meth:`count` (no dtype promotion of the sorted
-        vector against an array of needles)."""
-        sorted_thresholds = self._retention_sorted
-        if sorted_thresholds.size == 0:
-            return [0] * len(elapsed_values)
-        searchsorted = sorted_thresholds.searchsorted
-        return [
-            int(searchsorted(elapsed, "left")) if elapsed > 0 else 0
-            for elapsed in elapsed_values
-        ]
-
-    def flip_indices(self, elapsed: float) -> np.ndarray:
-        """The decayed cells' indices (``flip_mask``'s nonzero set)."""
-        count = self.count(elapsed)
-        if count == 0:
-            return _EMPTY_INDICES
-        if count == self._charged_indices.size:
-            return self._charged_indices
-        if self._thresholds is None:
-            self._thresholds = self._base_charged * self._scalar
-        return self._charged_indices[self._thresholds < elapsed]
-
-    def word_histogram(self, elapsed: float) -> "Dict[int, int]":
-        """``{flips-per-64-bit-word: word count}`` over affected words,
-        identical to binning ``flip_mask`` -- the Alg. 3 record's
-        word-granular histogram."""
-        flipped = self.flip_indices(elapsed)
-        if flipped.size == 0:
-            return {}
-        per_word = np.bincount(flipped >> 6)
-        histogram = np.bincount(per_word[per_word > 0])
-        return {
-            int(v): int(c)
-            for v, c in enumerate(histogram)
-            if v and c
-        }
-
-    def nbytes(self) -> int:
-        """Bytes of the operating-point-specific arrays this object owns
-        (the sorted charged thresholds and the lazily materialized flip
-        threshold slice; the base slice is state-cached and shared)."""
-        total = self._retention_sorted.nbytes
-        if self._thresholds is not None:
-            total += self._thresholds.nbytes
         return total
 
 
@@ -1725,12 +1586,12 @@ def _fused_group_prefix(
 
 class _FusedRetentionCounts:
     """Cross-operating-point retention reductions over the sensitivity
-    group decomposition -- the fused probe engine's kernel.
+    group decomposition -- the probe engine's retention kernel.
 
-    :class:`_RetentionCounts` materializes and sorts a fresh effective-
-    threshold vector per (row, pattern, operating point). Here V_PP,
-    temperature and pattern only *reparameterize* the presorted per-
-    group base retention times (:meth:`ProbeSweep.retention_groups`):
+    Instead of materializing and sorting a fresh effective-threshold
+    vector per (row, pattern, operating point), V_PP, temperature and
+    pattern only *reparameterize* the presorted per-group base
+    retention times (:meth:`ProbeSweep.retention_groups`):
     each group's effective thresholds are its ascending base times
     multiplied by three positive scalars, so an operating point costs
     just the scalar chain (no per-cell work at all) and every count
@@ -1739,8 +1600,8 @@ class _FusedRetentionCounts:
     exact float32/float64 operations of the vectorized
     ``retention * thermal * margin**sensitivity * pattern`` chain
     elementwise, so counts, flip sets and histograms are bit-identical
-    to :class:`_RetentionCounts`; the fused engine's differential tests
-    assert exactly that. The kernel owns *no* per-operating-point
+    to :meth:`RetentionSweep.flip_mask`; the engine's differential tests
+    against the command path assert exactly that. The kernel owns *no* per-operating-point
     arrays -- fused retention sweeps are weightless under the sweep
     LRU's byte budget, so V_PP ladders keep every row resident.
     """
@@ -1834,7 +1695,8 @@ class _FusedRetentionCounts:
 
     def word_histogram(self, elapsed: float) -> "Dict[int, int]":
         """``{flips-per-64-bit-word: word count}`` over affected words,
-        identical to :meth:`_RetentionCounts.word_histogram`."""
+        identical to binning ``flip_mask`` -- the Alg. 3 record's
+        word-granular histogram."""
         if elapsed <= 0:
             return {}
         prefixes = self._resolve(elapsed)[1]
@@ -1880,7 +1742,7 @@ class _FusedHammerCounts:
 
     Every path replays the scalar/broadcast expressions of
     :meth:`HammerSweep.flip_mask` exactly, so results stay bit-identical
-    to the batch/fast/command tiers.
+    to the command path.
     """
 
     #: Exact-count/flip-set calls per (row, pattern) -- accumulated
@@ -1902,7 +1764,7 @@ class _FusedHammerCounts:
             state, sweep.physical, "pattern_factors"
         )[sweep.pattern_index]
         # Population minima: enough to answer any_flip exactly (the
-        # batch kernel compares tol64[0] * factor <= damage; float() of
+        # prefix kernel compares tol64[0] * factor <= damage; float() of
         # the float32 minimum is the same float64 value).
         minima_key = ("_hammer_minima", sweep.pattern)
         minima = state.cache.get(minima_key)
@@ -1930,6 +1792,7 @@ class _FusedHammerCounts:
         self._min_bulk, self._min_outlier = minima
         self._retention_bound = _retention_lower_bound(sweep)
         self._retention = None
+        self._static = None
 
     def _factor(self, session: int):
         jitter = self._cells.measurement_jitter(self._physical, session)
@@ -1964,17 +1827,23 @@ class _FusedHammerCounts:
 
     def _statics(self):
         """The prefix statics, or None while the pair is below the build
-        threshold (callers then fall back to a one-shot vector pass)."""
-        state = self._sweep.state
-        static = state.cache.get(("_hammer_static", self._sweep.pattern))
+        threshold (callers then fall back to a one-shot vector pass).
+        Once available they are kept on the kernel, so a bisection's
+        exact counts skip the row-state lookup."""
+        static = self._static
         if static is not None:
             return static
-        uses_key = ("_fused_static_uses", self._sweep.pattern)
-        uses = state.cache.get(uses_key, 0) + 1
-        state.cache[uses_key] = uses
-        if uses < self.STATIC_BUILD_THRESHOLD:
-            return None
-        return _hammer_static(self._sweep)
+        state = self._sweep.state
+        static = state.cache.get(("_hammer_static", self._sweep.pattern))
+        if static is None:
+            uses_key = ("_fused_static_uses", self._sweep.pattern)
+            uses = state.cache.get(uses_key, 0) + 1
+            state.cache[uses_key] = uses
+            if uses < self.STATIC_BUILD_THRESHOLD:
+                return None
+            static = _hammer_static(self._sweep)
+        self._static = static
+        return static
 
     def _damage_mask(
         self, damage_bulk: float, damage_outlier: float, factor

@@ -193,7 +193,7 @@ class CellParameterGenerator:
     ) -> int:
         """Bulk-derive the jitter values of a set of restore sessions.
 
-        The batch probe engine knows its deterministic probe schedule --
+        The kernel probe engine knows its deterministic probe schedule --
         and therefore the session numbers whose jitter it will consume
         -- ahead of time, so the per-session generator constructions can
         be replaced by one vectorized derivation

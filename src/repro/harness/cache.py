@@ -62,9 +62,9 @@ _disk_dir = _UNSET
 def _key(tests, modules, scale, seed, program=None) -> Tuple:
     # Both tuples are order-normalized: ("A0", "B3") and ("B3", "A0")
     # request the same campaign. The resolved probe-engine selection
-    # participates too: command-engine and fast-engine runs are
+    # participates too: command-engine and kernel-engine runs are
     # bit-identical by design, but a command-path run must never mask a
-    # fast-path one (or vice versa) when the engines are being compared.
+    # kernel run (or vice versa) when the engines are being compared.
     return (
         tuple(sorted(tests)), tuple(sorted(modules)), scale, seed,
         engine_selection(), _program_key(program),
@@ -123,7 +123,7 @@ def study_fingerprint(
 
     Hashes the serialization schema version together with the normalized
     request -- including the resolved probe-engine selection
-    (``probe_engine`` param, else ``REPRO_PROBE_ENGINE``, else the batch
+    (``probe_engine`` param, else ``REPRO_PROBE_ENGINE``, else the fused
     default) -- so cache entries are automatically invalidated when the
     request, the engine, or the on-disk format changes. A non-default
     DSL ``program`` contributes its canonicalized (name-normalized)

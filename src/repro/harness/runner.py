@@ -232,6 +232,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.modules:
             validate_modules(args.modules)
         validate_program(args.program)
+        engine_selection()  # a bad REPRO_PROBE_ENGINE fails up front
     except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -1,7 +1,7 @@
 """Study provenance manifests.
 
 A provenance block answers "what exactly produced this result file?":
-the campaign request fingerprint, the probe-engine tier, the seed, the
+the campaign request fingerprint, the probe engine, the seed, the
 code version, whether the result came out of a cache or a fresh run,
 the wall clock it cost, and a snapshot of the probe counters that were
 spent producing it. The harness export path writes one into every
@@ -11,7 +11,7 @@ Schema (``repro.obs/provenance/v1``) -- required keys::
 
     schema        str    the literal schema id
     fingerprint   str    campaign/experiment content fingerprint
-    probe_engine  str    resolved engine tier ("batch"/"fast"/"command")
+    probe_engine  str    resolved engine ("fused" kernel / "command" oracle)
     seed          int    root campaign seed
     code_version  str    package version, plus git commit when available
     cache         str    "hit" | "miss" | "off"

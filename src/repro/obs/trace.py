@@ -2,7 +2,7 @@
 
 A :class:`Tracer` records nested, attribute-carrying spans::
 
-    with TRACER.span("module", module="B3", engine="batch"):
+    with TRACER.span("module", module="B3", engine="fused"):
         with TRACER.span("operating-point", vpp=2.5):
             ...
 

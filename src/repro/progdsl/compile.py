@@ -2,13 +2,13 @@
 
 ``compile_program`` turns a :class:`~repro.progdsl.spec.ProgramSpec`
 (or a registered name) into a :class:`CompiledProgram`, the object the
-engine tiers consume.  Two backends exist:
+probe engines consume.  Two backends exist:
 
 * **compiled path** -- data-independent programs (no refresh
   interleaving) lower onto the presorted-threshold kernels: the
   program's deterministic ACT stream reduces to per-round hammer-count
-  bursts that :class:`~repro.core.batch.ProgramBatchHammerSession` /
-  the fused variant replay as scalar chains.  This is the fast path and
+  bursts that :class:`~repro.core.fused.FusedHammerSession` replays as
+  scalar chains.  This is the fast path and
   requires **no engine-layer changes** per new program: resolution
   produces the row list, unrolling the burst schedule, and the generic
   program sessions do the rest.
@@ -199,7 +199,7 @@ class CompiledProgram:
         self, ctx, row: int, pattern: DataPattern, hammer_count: int
     ) -> float:
         """One-off probe BER, routed through a (one-probe) session so
-        every tier answers it from its kernel."""
+        every engine answers it from its own session."""
         with self.hammer_session(ctx, row, pattern) as session:
             return session.ber(hammer_count)
 

@@ -10,7 +10,7 @@ carry optional window-ladder / iteration overrides.
 
 Specs are *pure data*: resolution against a module's row mapping lives
 in :mod:`repro.progdsl.resolve`, ACT-stream unrolling in
-:mod:`repro.progdsl.unroll`, and backend selection (batch/fused kernels
+:mod:`repro.progdsl.unroll`, and backend selection (the fused kernel
 vs. SoftMC command stream) in :mod:`repro.progdsl.compile`.
 
 The canonical text form (:meth:`ProgramSpec.canonical`) round-trips

@@ -25,6 +25,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.core.probe import ENGINE_NAMES
 from repro.core.scale import SCALE_PRESETS
 from repro.core.serialization import save_study
 from repro.core.study import TEST_TYPES
@@ -88,9 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="root campaign seed (default 0)")
     parser.add_argument(
-        "--probe-engine", choices=("fused", "batch", "fast", "command"),
-        default=None,
-        help="probe engine override (default: REPRO_PROBE_ENGINE or batch)",
+        "--probe-engine", choices=ENGINE_NAMES, default=None,
+        help="probe engine override: the fused kernel or the command "
+             "oracle (default: REPRO_PROBE_ENGINE or fused)",
     )
     parser.add_argument(
         "--program", default=None, metavar="NAME",

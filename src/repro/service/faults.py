@@ -76,8 +76,8 @@ _ERROR_OF_KIND = {
 
 #: Largest operation index a randomly placed fault can strike at. Kept
 #: small so every kind can fire during bench bring-up / V_PPmin search
-#: regardless of the probe engine in use (the fast engine bypasses the
-#: host for its probes, but bring-up always runs command-level).
+#: regardless of the probe engine in use (the kernel engine bypasses
+#: the host for its probes, but bring-up always runs command-level).
 _MAX_RANDOM_TRIGGER = 6
 
 

@@ -189,7 +189,7 @@ class CampaignService:
         :meth:`~repro.core.study.CharacterizationStudy.run`).
     probe_engine:
         Engine override; resolved once (param, else
-        ``REPRO_PROBE_ENGINE``, else ``"batch"``) and passed explicitly
+        ``REPRO_PROBE_ENGINE``, else ``"fused"``) and passed explicitly
         to workers so pool processes cannot drift from the parent's
         environment.
     chunks_per_module:

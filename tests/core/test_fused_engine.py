@@ -1,12 +1,13 @@
-"""Differential and kernel tests for the fused probe-engine tier.
+"""Differential and kernel tests for the fused probe engine.
 
 The fused engine resolves every V_PP operating point of a (row,
 pattern) pair from one presorted cross-point layout. These tests pin
-it bit-identical to the batch tier (and, transitively through
-``test_probe_equivalence``, to the fast and command tiers) probe by
-probe, assert the explicit ``retention_grid`` kernel agrees with the
-per-point counts it fuses, and check the TRR routing and repeat-run
-determinism contracts.
+its sessions bit-identical to the command engine probe by probe across
+a V_PP ladder, check its hammer kernel against the eager prefix-statics
+kernel and the full-vector flip mask, assert the explicit
+``retention_grid`` kernel agrees with the per-point counts it fuses,
+and check the TRR routing, preheat and repeat-run determinism
+contracts.
 """
 
 import numpy as np
@@ -38,19 +39,19 @@ def _row_data(ctx, row):
 
 
 class TestFusedSessionEquivalence:
-    """Probe-by-probe fused-vs-batch sessions on fresh benches."""
+    """Probe-by-probe fused-vs-command sessions on fresh benches."""
 
     @pytest.mark.parametrize("name", MODULES)
     def test_hammer_session_sequence(self, name):
-        batch_ctx = _context(name, "batch")
+        command_ctx = _context(name, "command")
         fused_ctx = _context(name, "fused")
         pattern = STANDARD_PATTERNS[0]
         counts = (60_000, 120_000, 240_000, 480_000)
         for vpp in VPP_LEVELS:
-            for ctx in (batch_ctx, fused_ctx):
+            for ctx in (command_ctx, fused_ctx):
                 ctx.infra.set_vpp(vpp)
-            with batch_ctx.engine.hammer_session(
-                batch_ctx, 5, pattern
+            with command_ctx.engine.hammer_session(
+                command_ctx, 5, pattern
             ) as reference, fused_ctx.engine.hammer_session(
                 fused_ctx, 5, pattern
             ) as candidate:
@@ -59,20 +60,22 @@ class TestFusedSessionEquivalence:
                     assert candidate.any_flip(count) == reference.any_flip(
                         count
                     )
-            assert (_row_data(batch_ctx, 5) == _row_data(fused_ctx, 5)).all()
+            assert (
+                _row_data(command_ctx, 5) == _row_data(fused_ctx, 5)
+            ).all()
 
     @pytest.mark.parametrize("name", MODULES)
     def test_retention_session_sequence(self, name):
-        batch_ctx = _context(name, "batch")
+        command_ctx = _context(name, "command")
         fused_ctx = _context(name, "fused")
         pattern = STANDARD_PATTERNS[2]
         windows = list(StudyScale.tiny().retention_windows)
         for vpp in VPP_LEVELS:
-            for ctx in (batch_ctx, fused_ctx):
+            for ctx in (command_ctx, fused_ctx):
                 ctx.infra.set_vpp(vpp)
                 ctx.infra.set_temperature(80.0)
-            with batch_ctx.engine.retention_session(
-                batch_ctx, 5, pattern
+            with command_ctx.engine.retention_session(
+                command_ctx, 5, pattern
             ) as reference, fused_ctx.engine.retention_session(
                 fused_ctx, 5, pattern
             ) as candidate:
@@ -81,7 +84,9 @@ class TestFusedSessionEquivalence:
                     assert candidate.worst_probe(
                         trefw, 2
                     ) == reference.worst_probe(trefw, 2)
-            assert (_row_data(batch_ctx, 5) == _row_data(fused_ctx, 5)).all()
+            assert (
+                _row_data(command_ctx, 5) == _row_data(fused_ctx, 5)
+            ).all()
 
     @pytest.mark.parametrize("name", MODULES)
     def test_one_off_probes_match_command(self, name):
@@ -110,6 +115,35 @@ class TestFusedSessionEquivalence:
                     command_ctx, 5, retention_pattern, trefw
                 )
         assert (_row_data(command_ctx, 5) == _row_data(fused_ctx, 5)).all()
+
+
+class TestHammerKernels:
+    """The deferred-statics hammer kernel against the eager
+    prefix-statics kernel and the full-vector flip mask."""
+
+    @pytest.mark.parametrize("name", MODULES)
+    def test_counts_match_prefix_kernel_and_flip_mask(self, name):
+        ctx = _context(name, "fused")
+        bank = ctx.infra.module.bank(0)
+        pattern = STANDARD_PATTERNS[0]
+        sweep = bank.hammer_sweep(
+            5, ctx.adjacency.neighbors(0, 5), pattern
+        )
+        for vpp in VPP_LEVELS:
+            ctx.infra.set_vpp(vpp)
+            fused = sweep.fused_counts()
+            eager = sweep.threshold_counts()
+            # The fused kernel builds its prefix statics on the third
+            # exact count: cover the one-shot and the prefix paths.
+            for session, count in enumerate((60_000, 240_000, 480_000, 1)):
+                damage = sweep.victim_damage(count)
+                mask = sweep.flip_mask(*damage, session, 1e-3)
+                expected = int(np.count_nonzero(mask))
+                assert fused.count(*damage, session, 1e-3) == expected
+                assert eager.count(*damage, session, 1e-3) == expected
+                assert fused.any_flip(*damage, session, 1e-3) == (
+                    expected > 0
+                )
 
 
 class TestRetentionGrid:
@@ -184,6 +218,20 @@ class TestFusedRouting:
             ) == command_ctx.engine.hammer_ber(
                 command_ctx, 5, pattern, count
             )
+
+    def test_preheat_warms_only_what_the_tests_walk(self):
+        from repro.dram.bank import _RET_ORDER_KEY, _TOL_ORDER_KEY
+
+        ctx = _context("A0", "fused")
+        cache = ctx.infra.module.bank(0)._state(
+            ctx.infra.module.bank(0).mapping.to_physical(5)
+        ).cache
+        assert ctx.engine.preheat(ctx, [5], ("trcd",)) == 0
+        assert _TOL_ORDER_KEY not in cache and _RET_ORDER_KEY not in cache
+        assert ctx.engine.preheat(ctx, [5], ("rowhammer",)) == 1
+        assert _TOL_ORDER_KEY in cache and _RET_ORDER_KEY not in cache
+        ctx.engine.preheat(ctx, [5], ("retention",))
+        assert _RET_ORDER_KEY in cache
 
     def test_preheat_warms_both_sort_passes(self):
         ctx = _context("A0", "fused")

@@ -1,14 +1,15 @@
-"""Differential tests: the kernelized probe engines vs the command path.
+"""Differential tests: the kernel probe engine vs the command path.
 
-The fast, batch and fused engines must be *bit-identical* to the
-validated ``Program``/``SoftMCHost`` reference for every quantity the
-studies record -- HC_first, RowHammer BER (including per-iteration
-values), tRCD_min and retention BER/histograms -- across modules of all
-three vendors and multiple V_PP levels. Alg. 2's kernel is pinned down
-to the post-sweep device state. Any divergence here means a kernel's
-replay of the command schedule (session counters, simulated-time
-offsets, damage deposit order, sorted-threshold reductions) has drifted
-from the host's semantics.
+The fused kernel engine must be *bit-identical* to the validated
+``Program``/``SoftMCHost`` reference for every quantity the studies
+record -- HC_first, RowHammer BER (including per-iteration values),
+tRCD_min and retention BER/histograms -- across modules of all three
+vendors and multiple V_PP levels, on its kernel sessions and on its
+private per-probe sensing-hazard fallback alike. Alg. 2's kernel is
+pinned down to the post-sweep device state. Any divergence here means
+the kernel's replay of the command schedule (session counters,
+simulated-time offsets, damage deposit order, sorted-threshold
+reductions) has drifted from the host's semantics.
 """
 
 import pytest
@@ -16,9 +17,8 @@ import pytest
 from repro.core.context import TestContext
 from repro.core.fused import FusedProbeEngine
 from repro.core.probe import (
-    BatchProbeEngine,
+    ENGINE_NAMES,
     CommandProbeEngine,
-    FastProbeEngine,
     make_engine,
     sweep_cache_byte_capacity,
     sweep_cache_capacity,
@@ -26,6 +26,7 @@ from repro.core.probe import (
 from repro.core.scale import StudyScale
 from repro.core.study import CharacterizationStudy
 from repro.core.trcd import find_trcd_min
+from repro.dram.cell import CellParameterGenerator
 from repro.dram.constants import NOMINAL_TRCD
 from repro.dram.patterns import STANDARD_PATTERNS
 from repro.errors import ConfigurationError, FpgaTimeoutError
@@ -53,8 +54,17 @@ def _run(name, engine_kind):
     )
 
 
+@pytest.fixture
+def hazard_fallback(monkeypatch):
+    """Force every kernel session onto the per-probe sensing-hazard
+    fallback (as if activation corruption could fire everywhere)."""
+    monkeypatch.setattr(
+        "repro.core.fused._sensing_exact", lambda *args: False
+    )
+
+
 @pytest.fixture(scope="module", params=MODULES)
-def trcd_quartet(request):
+def trcd_pair(request):
     """Alg. 2 interleaved with Alg. 1 over each module's whole V_PP grid
     (down to V_PPmin, where A0's rows walk *up* from the nominal tRCD)."""
     name = request.param
@@ -65,81 +75,55 @@ def trcd_quartet(request):
         )
         return study.run_module(name, tests=("rowhammer", "trcd"))
 
-    return (
-        name, run("command"), run("fast"), run("batch"), run("fused"),
-    )
+    return name, run("command"), run("fused")
 
 
 @pytest.fixture(scope="module", params=MODULES)
-def engine_quartet(request):
+def engine_pair(request):
     name = request.param
-    return (
-        name,
-        _run(name, "command"),
-        _run(name, "fast"),
-        _run(name, "batch"),
-        _run(name, "fused"),
-    )
+    return name, _run(name, "command"), _run(name, "fused")
 
 
 class TestStudyEquivalence:
-    def test_rowhammer_records_identical(self, engine_quartet):
-        name, command, fast, batch, fused = engine_quartet
-        assert len(command.rowhammer) == len(fast.rowhammer)
-        assert len(command.rowhammer) == len(batch.rowhammer)
+    def test_rowhammer_records_identical(self, engine_pair):
+        name, command, fused = engine_pair
         assert len(command.rowhammer) == len(fused.rowhammer)
-        assert {r.vpp for r in fast.rowhammer} == set(VPP_LEVELS)
-        for reference, kernel, batched, cross in zip(
-            command.rowhammer, fast.rowhammer, batch.rowhammer,
-            fused.rowhammer,
-        ):
+        assert {r.vpp for r in fused.rowhammer} == set(VPP_LEVELS)
+        for reference, kernel in zip(command.rowhammer, fused.rowhammer):
             # Frozen dataclasses: equality covers hcfirst, ber and every
             # per-iteration BER value exactly (no tolerance).
             assert kernel == reference
-            assert batched == reference
-            assert cross == reference
 
-    def test_retention_records_identical(self, engine_quartet):
-        name, command, fast, batch, fused = engine_quartet
-        assert len(command.retention) == len(fast.retention)
-        assert len(command.retention) == len(batch.retention)
+    def test_retention_records_identical(self, engine_pair):
+        name, command, fused = engine_pair
         assert len(command.retention) == len(fused.retention)
-        for reference, kernel, batched, cross in zip(
-            command.retention, fast.retention, batch.retention,
-            fused.retention,
-        ):
+        for reference, kernel in zip(command.retention, fused.retention):
             assert kernel == reference
-            assert batched == reference
-            assert cross == reference
-            assert (
-                batched.word_flip_histogram == reference.word_flip_histogram
-            )
-            assert cross.word_flip_histogram == reference.word_flip_histogram
+            assert kernel.word_flip_histogram == reference.word_flip_histogram
 
-    def test_trcd_records_identical(self, trcd_quartet):
-        name, command, fast, batch, fused = trcd_quartet
+    def test_trcd_records_identical(self, trcd_pair):
+        name, command, fused = trcd_pair
         assert len(command.trcd) == len(command.vpp_levels) * len(
             {r.row for r in command.trcd}
         )
-        for kernel in (fast, batch, fused):
-            assert kernel.trcd == command.trcd
-            # Alg. 1 runs between a row's Alg. 2 sweeps on the same
-            # device, so it also pins the replayed bookkeeping.
-            assert kernel.rowhammer == command.rowhammer
+        assert fused.trcd == command.trcd
+        # Alg. 1 runs between a row's Alg. 2 sweeps on the same device,
+        # so it also pins the replayed bookkeeping.
+        assert fused.rowhammer == command.rowhammer
         if name == "A0":
             assert max(r.trcd_min for r in command.trcd) > NOMINAL_TRCD
 
-    def test_batch_engine_selected_by_default(self, monkeypatch):
+    def test_fused_engine_selected_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_PROBE_ENGINE", raising=False)
         study = CharacterizationStudy(scale=StudyScale.tiny(), seed=3)
         ctx = study.build_context("A0")
-        assert isinstance(ctx.engine, BatchProbeEngine)
+        assert isinstance(ctx.engine, FusedProbeEngine)
 
 
 class TestDirectProbeEquivalence:
     """Probe-by-probe comparison on fresh, independent benches."""
 
-    def _contexts(self, name, kinds=("command", "fast")):
+    def _contexts(self, name, kinds=("command", "fused")):
         contexts = []
         for kind in kinds:
             infra = TestInfrastructure.for_module(
@@ -151,82 +135,101 @@ class TestDirectProbeEquivalence:
 
     @pytest.mark.parametrize("name", MODULES)
     def test_hammer_ber_sequence(self, name):
-        command_ctx, fast_ctx = self._contexts(name)
+        command_ctx, fused_ctx = self._contexts(name)
         pattern = STANDARD_PATTERNS[0]
         for vpp in VPP_LEVELS:
-            for ctx in (command_ctx, fast_ctx):
+            for ctx in (command_ctx, fused_ctx):
                 ctx.infra.set_vpp(vpp)
             for count in (60_000, 120_000, 240_000):
                 reference = command_ctx.engine.hammer_ber(
                     command_ctx, 5, pattern, count
                 )
-                candidate = fast_ctx.engine.hammer_ber(
-                    fast_ctx, 5, pattern, count
+                candidate = fused_ctx.engine.hammer_ber(
+                    fused_ctx, 5, pattern, count
                 )
                 assert candidate == reference
 
     @pytest.mark.parametrize("name", MODULES)
     def test_retention_sequence(self, name):
-        command_ctx, fast_ctx = self._contexts(name)
+        command_ctx, fused_ctx = self._contexts(name)
         pattern = STANDARD_PATTERNS[2]
         windows = list(StudyScale.tiny().retention_windows)
         for vpp in VPP_LEVELS:
-            for ctx in (command_ctx, fast_ctx):
+            for ctx in (command_ctx, fused_ctx):
                 ctx.infra.set_vpp(vpp)
                 ctx.infra.set_temperature(80.0)
             for trefw in windows:
                 reference = command_ctx.engine.retention_probe(
                     command_ctx, 5, pattern, trefw
                 )
-                candidate = fast_ctx.engine.retention_probe(
-                    fast_ctx, 5, pattern, trefw
+                candidate = fused_ctx.engine.retention_probe(
+                    fused_ctx, 5, pattern, trefw
                 )
                 assert candidate == reference
 
-    @pytest.mark.parametrize("name", MODULES)
-    def test_batch_hammer_session_sequence(self, name):
-        """A batch session's per-probe answers (scalar reductions) match
-        the fast engine's per-probe vector path, including the deferred
-        data materialization at close."""
-        fast_ctx, batch_ctx = self._contexts(name, ("fast", "batch"))
-        pattern = STANDARD_PATTERNS[0]
-        counts = (60_000, 120_000, 240_000, 480_000)
+    def _hammer_sessions(self, ctx, pattern, counts):
+        answers = []
         for vpp in VPP_LEVELS:
-            for ctx in (fast_ctx, batch_ctx):
-                ctx.infra.set_vpp(vpp)
-            with fast_ctx.engine.hammer_session(
-                fast_ctx, 5, pattern
-            ) as reference, batch_ctx.engine.hammer_session(
-                batch_ctx, 5, pattern
-            ) as candidate:
+            ctx.infra.set_vpp(vpp)
+            with ctx.engine.hammer_session(ctx, 5, pattern) as session:
                 for count in counts:
-                    assert candidate.ber(count) == reference.ber(count)
-                    assert candidate.any_flip(count) == reference.any_flip(
-                        count
-                    )
-            # The deferred flush must leave identical device state.
-            assert (_row_data(fast_ctx, 5) == _row_data(batch_ctx, 5)).all()
+                    answers.append((session.ber(count),
+                                    session.any_flip(count)))
+                answers.append(tuple(session.ber_ladder(counts[0], 3)))
+            answers.append(_row_data(ctx, 5).tobytes())
+        return answers
+
+    def _retention_sessions(self, ctx, pattern, windows):
+        answers = []
+        for vpp in VPP_LEVELS:
+            ctx.infra.set_vpp(vpp)
+            ctx.infra.set_temperature(80.0)
+            with ctx.engine.retention_session(ctx, 5, pattern) as session:
+                for trefw in windows:
+                    answers.append(session.ber(trefw))
+                    answers.append(session.worst_probe(trefw, 2))
+                answers.append(session.worst_ladder(windows, 2))
+            answers.append(_row_data(ctx, 5).tobytes())
+        return answers
 
     @pytest.mark.parametrize("name", MODULES)
-    def test_batch_retention_session_sequence(self, name):
-        fast_ctx, batch_ctx = self._contexts(name, ("fast", "batch"))
+    def test_batch_hammer_session_sequence(self, name, monkeypatch):
+        """A schedule-batched kernel session's per-probe answers (scalar
+        reductions), and its per-probe sensing-hazard fallback's (full
+        vectors), match the command path probe for probe, including
+        the deferred data materialization at close."""
+        pattern = STANDARD_PATTERNS[0]
+        counts = (60_000, 120_000, 240_000, 480_000)
+        command_ctx, fused_ctx = self._contexts(name)
+        reference = self._hammer_sessions(command_ctx, pattern, counts)
+        assert self._hammer_sessions(fused_ctx, pattern, counts) == reference
+        monkeypatch.setattr(
+            "repro.core.fused._sensing_exact", lambda *args: False
+        )
+        (fallback_ctx,) = self._contexts(name, ("fused",))
+        assert self._hammer_sessions(
+            fallback_ctx, pattern, counts
+        ) == reference
+        assert fallback_ctx.engine.counters.probe_fallbacks_hammer_sensing
+
+    @pytest.mark.parametrize("name", MODULES)
+    def test_batch_retention_session_sequence(self, name, monkeypatch):
         pattern = STANDARD_PATTERNS[2]
         windows = list(StudyScale.tiny().retention_windows)
-        for vpp in VPP_LEVELS:
-            for ctx in (fast_ctx, batch_ctx):
-                ctx.infra.set_vpp(vpp)
-                ctx.infra.set_temperature(80.0)
-            with fast_ctx.engine.retention_session(
-                fast_ctx, 5, pattern
-            ) as reference, batch_ctx.engine.retention_session(
-                batch_ctx, 5, pattern
-            ) as candidate:
-                for trefw in windows:
-                    assert candidate.ber(trefw) == reference.ber(trefw)
-                    assert candidate.worst_probe(
-                        trefw, 2
-                    ) == reference.worst_probe(trefw, 2)
-            assert (_row_data(fast_ctx, 5) == _row_data(batch_ctx, 5)).all()
+        command_ctx, fused_ctx = self._contexts(name)
+        reference = self._retention_sessions(command_ctx, pattern, windows)
+        assert self._retention_sessions(
+            fused_ctx, pattern, windows
+        ) == reference
+        monkeypatch.setattr(
+            "repro.core.fused._sensing_exact", lambda *args: False
+        )
+        (fallback_ctx,) = self._contexts(name, ("fused",))
+        assert self._retention_sessions(
+            fallback_ctx, pattern, windows
+        ) == reference
+        counters = fallback_ctx.engine.counters
+        assert counters.probe_fallbacks_retention_sensing
 
 
 def _device_state(ctx):
@@ -247,12 +250,12 @@ def _device_state(ctx):
 
 
 class TestTrcdSweepEquivalence:
-    """Alg. 2 sweeps on fresh benches: the command oracle vs the batch
-    and fused kernels, down to the post-sweep device state."""
+    """Alg. 2 sweeps on fresh benches: the command oracle vs the fused
+    kernel, down to the post-sweep device state."""
 
     ROW = 40
 
-    def _contexts(self, name, kinds=("command", "batch", "fused")):
+    def _contexts(self, name, kinds=("command", "fused")):
         contexts = []
         for kind in kinds:
             infra = TestInfrastructure.for_module(
@@ -322,7 +325,7 @@ class TestTrcdSweepEquivalence:
 
     def test_trcd_stability_table_identical(self, monkeypatch):
         outputs = []
-        for kind in ("command", "batch", "fused"):
+        for kind in ("command", "fused"):
             monkeypatch.setenv("REPRO_PROBE_ENGINE", kind)
             outputs.append(run_experiment(
                 "trcd_stability", scale=StudyScale.tiny(), modules=("B3",)
@@ -332,15 +335,15 @@ class TestTrcdSweepEquivalence:
             assert output.data == outputs[0].data
 
     def test_per_column_falls_back_to_command(self):
-        command, batch = self._contexts("A0", ("command", "batch"))
+        command, fused = self._contexts("A0")
         values = [
             find_trcd_min(ctx, self.ROW, STANDARD_PATTERNS[0],
                           iterations=1, per_column=True)
-            for ctx in (command, batch)
+            for ctx in (command, fused)
         ]
         assert values[0] == values[1]
-        assert _device_state(batch) == _device_state(command)
-        assert batch.engine.counters.trcd_fallbacks_per_column == 1
+        assert _device_state(fused) == _device_state(command)
+        assert fused.engine.counters.trcd_fallbacks_per_column == 1
 
     def test_retention_guard_falls_back_to_command(self, monkeypatch):
         from repro.dram.bank import TrcdSweep
@@ -348,7 +351,7 @@ class TestTrcdSweepEquivalence:
         monkeypatch.setattr(
             TrcdSweep, "min_charged_retention", lambda self: 0.0
         )
-        contexts = self._contexts("A0", ("command", "batch"))
+        contexts = self._contexts("A0")
         values = self._sweeps(contexts, 2.5)
         assert values[0] == values[1]
         assert _device_state(contexts[1]) == _device_state(contexts[0])
@@ -360,7 +363,7 @@ class TestTrcdSweepEquivalence:
             "A0", geometry=StudyScale.tiny().geometry, seed=11,
             fault_injector=FaultInjector(None),
         )
-        ctx = TestContext(infra, StudyScale.tiny(), probe_engine="batch")
+        ctx = TestContext(infra, StudyScale.tiny(), probe_engine="fused")
         find_trcd_min(ctx, self.ROW, STANDARD_PATTERNS[0])
         assert ctx.engine.counters.trcd_fallbacks_fault_injector == 0
         assert ctx.engine.counters.trcd_probes > 0
@@ -368,7 +371,7 @@ class TestTrcdSweepEquivalence:
     @pytest.mark.parametrize("after", [40, 900])
     def test_armed_fault_fires_at_the_same_tick(self, monkeypatch, after):
         """An armed injector keeps Alg. 2 on the command path, so an
-        FPGA timeout strikes the same instruction on the batch engine
+        FPGA timeout strikes the same instruction on the fused engine
         as on the command engine."""
         contexts = {}
         build = CharacterizationStudy.build_context
@@ -380,7 +383,7 @@ class TestTrcdSweepEquivalence:
 
         monkeypatch.setattr(CharacterizationStudy, "build_context", capture)
         injectors = {}
-        for kind in ("command", "batch"):
+        for kind in ("command", "fused"):
             injectors[kind] = FaultInjector(
                 FaultSpec(kind="fpga_timeout", after=after)
             )
@@ -390,13 +393,12 @@ class TestTrcdSweepEquivalence:
             )
             with pytest.raises(FpgaTimeoutError):
                 study.run_module("A0", tests=("trcd",))
-        command, batch = contexts["command"], contexts["batch"]
-        assert injectors["batch"].fired and injectors["command"].fired
+        command, fused = contexts["command"], contexts["fused"]
+        assert injectors["fused"].fired and injectors["command"].fired
         # Same simulated instant, same activation count, same probe
-        # count. (Whole-bank state differs by design here: the batch
-        # engine's preheat materializes the sampled rows up front.)
-        assert _device_state(batch)[:2] == _device_state(command)[:2]
-        counters = batch.engine.counters
+        # count.
+        assert _device_state(fused)[:2] == _device_state(command)[:2]
+        counters = fused.engine.counters
         assert counters.trcd_probes == command.engine.counters.trcd_probes
         assert counters.trcd_probes > 0
         assert counters.trcd_fallbacks_fault_injector > 0
@@ -412,18 +414,31 @@ class TestEngineSelection:
     def test_explicit_kind_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROBE_ENGINE", "command")
         study = CharacterizationStudy(
-            scale=StudyScale.tiny(), seed=3, probe_engine="fast"
+            scale=StudyScale.tiny(), seed=3, probe_engine="fused"
         )
         ctx = study.build_context("A0")
-        assert isinstance(ctx.engine, FastProbeEngine)
-        assert not isinstance(ctx.engine, BatchProbeEngine)
+        assert isinstance(ctx.engine, FusedProbeEngine)
 
     def test_unknown_engine_rejected(self):
         infra = TestInfrastructure.for_module(
             "A0", geometry=StudyScale.tiny().geometry, seed=3
         )
-        with pytest.raises(ConfigurationError, match="batch"):
+        with pytest.raises(ConfigurationError, match="fused"):
             TestContext(infra, StudyScale.tiny(), probe_engine="warp")
+
+    def test_engine_names_are_kernel_and_oracle(self):
+        assert ENGINE_NAMES == ("fused", "command")
+
+    @pytest.mark.parametrize("retired", ["batch", "fast"])
+    def test_retired_engines_rejected(self, monkeypatch, retired):
+        infra = TestInfrastructure.for_module(
+            "A0", geometry=StudyScale.tiny().geometry, seed=3
+        )
+        with pytest.raises(ConfigurationError, match=retired):
+            TestContext(infra, StudyScale.tiny(), probe_engine=retired)
+        monkeypatch.setenv("REPRO_PROBE_ENGINE", retired)
+        with pytest.raises(ConfigurationError, match=retired):
+            TestContext(infra, StudyScale.tiny())
 
     def test_fused_engine_selected_explicitly(self, monkeypatch):
         monkeypatch.delenv("REPRO_PROBE_ENGINE", raising=False)
@@ -469,7 +484,7 @@ class TestEngineSelection:
 class TestSweepCache:
     """The configurable sweep LRU and its traffic counters."""
 
-    def _context(self, sweep_cache=None, probe_engine="fast"):
+    def _context(self, sweep_cache=None, probe_engine="fused"):
         infra = TestInfrastructure.for_module(
             "A0", geometry=StudyScale.tiny().geometry, seed=3
         )
@@ -530,6 +545,33 @@ class TestSweepCache:
         assert counters.sweep_misses == 1
         assert counters.sweep_saved_lookups == 3
 
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_every_session_probe_after_the_first_saves_a_lookup(
+        self, monkeypatch, fallback
+    ):
+        if fallback:
+            monkeypatch.setattr(
+                "repro.core.fused._sensing_exact", lambda *args: False
+            )
+        ctx = self._context()
+        ctx.infra.set_temperature(80.0)
+        with ctx.engine.hammer_session(
+            ctx, 5, STANDARD_PATTERNS[0]
+        ) as session:
+            session.ber(50_000)
+            session.any_flip(50_000)
+            session.ber_ladder(50_000, 3)
+        with ctx.engine.retention_session(
+            ctx, 5, STANDARD_PATTERNS[2]
+        ) as session:
+            session.ber(0.5)
+            session.ber(0.5)
+            session.worst_probe(0.5, 3)
+            session.worst_ladder((0.25, 0.5), 2)
+        counters = ctx.engine.counters
+        assert counters.sweep_misses == 2
+        assert counters.sweep_saved_lookups == (5 - 1) + (9 - 1)
+
     def test_counters_flow_into_profile(self):
         ctx = self._context(sweep_cache=1)
         ctx.engine.hammer_ber(ctx, 5, STANDARD_PATTERNS[0], 1_000)
@@ -540,7 +582,7 @@ class TestSweepCache:
 class TestSweepCacheByteBudget:
     """The byte-bounded side of the sweep LRU (``REPRO_SWEEP_CACHE_BYTES``)."""
 
-    def _context(self, sweep_cache_bytes=None, probe_engine="fast"):
+    def _context(self, sweep_cache_bytes=None, probe_engine="fused"):
         infra = TestInfrastructure.for_module(
             "A0", geometry=StudyScale.tiny().geometry, seed=3
         )
@@ -564,7 +606,9 @@ class TestSweepCacheByteBudget:
         with pytest.raises(ConfigurationError):
             sweep_cache_byte_capacity(0)
 
-    def test_tiny_budget_evicts_but_keeps_newest(self):
+    def test_tiny_budget_evicts_but_keeps_newest(self, hazard_fallback):
+        # Kernel sessions own no per-operating-point bytes; the per-probe
+        # hazard fallback materializes the effective-retention vector.
         ctx = self._context(sweep_cache_bytes=1)
         pattern = STANDARD_PATTERNS[0]
         ctx.engine.hammer_ber(ctx, 5, pattern, 1_000)
@@ -585,7 +629,7 @@ class TestSweepCacheByteBudget:
         assert ctx.engine.counters.sweep_evictions == 0
         assert len(ctx.engine._sweeps) == 3
 
-    def test_occupancy_gauge_published(self):
+    def test_occupancy_gauge_published(self, hazard_fallback):
         from repro.obs.metrics import REGISTRY
 
         ctx = self._context(sweep_cache_bytes=1 << 30)
@@ -597,22 +641,111 @@ class TestSweepCacheByteBudget:
         gauges = REGISTRY.snapshot()["gauges"]
         assert gauges.get("repro_sweep_cache_bytes", 0.0) > 0
 
-    def test_fused_residents_are_weightless(self):
+    def test_fused_residents_are_weightless(self, monkeypatch):
         # The fused kernels resolve probes against state-cached base
-        # arrays by needle inversion, so resident fused sweeps own no
+        # arrays by needle inversion, so resident sweeps own no
         # per-operating-point bytes: even a 1-byte budget keeps a whole
-        # retention row set resident, where the batch tier's
-        # materialized threshold stacks would evict down to one sweep.
-        ctx = self._context(sweep_cache_bytes=1, probe_engine="fused")
+        # retention row set resident, where the hazard fallback's
+        # materialized threshold vectors evict down to one sweep.
+        ctx = self._context(sweep_cache_bytes=1)
         pattern = STANDARD_PATTERNS[2]
         ctx.infra.set_temperature(80.0)
         ctx.engine.retention_ber(ctx, 5, pattern, 0.5)
         ctx.engine.retention_ber(ctx, 9, pattern, 0.5)
         assert ctx.engine.counters.sweep_evictions == 0
         assert len(ctx.engine._sweeps) == 2
-        batch_ctx = self._context(sweep_cache_bytes=1, probe_engine="batch")
-        batch_ctx.infra.set_temperature(80.0)
-        batch_ctx.engine.retention_ber(batch_ctx, 5, pattern, 0.5)
-        batch_ctx.engine.retention_ber(batch_ctx, 9, pattern, 0.5)
-        assert batch_ctx.engine.counters.sweep_evictions >= 1
-        assert len(batch_ctx.engine._sweeps) == 1
+        monkeypatch.setattr(
+            "repro.core.fused._sensing_exact", lambda *args: False
+        )
+        fallback_ctx = self._context(sweep_cache_bytes=1)
+        fallback_ctx.infra.set_temperature(80.0)
+        fallback_ctx.engine.retention_ber(fallback_ctx, 5, pattern, 0.5)
+        fallback_ctx.engine.retention_ber(fallback_ctx, 9, pattern, 0.5)
+        assert fallback_ctx.engine.counters.sweep_evictions >= 1
+        assert len(fallback_ctx.engine._sweeps) == 1
+
+
+class TestSensingHazard:
+    """A real sensing hazard: tRCD-offender rows at low V_PP, where the
+    probes' safe tRCD no longer covers every cell's activation
+    requirement, so kernel sessions run on the per-probe fallback."""
+
+    VPP_LEVELS = (2.5, 1.4)
+
+    @pytest.fixture
+    def offender_rows(self, monkeypatch):
+        # Double every row's activation requirement: at A0's V_PPmin
+        # the slowest cells then undercut the safe tRCD, at nominal V_PP
+        # they do not.
+        original = CellParameterGenerator.trcd_row_factor
+        monkeypatch.setattr(
+            CellParameterGenerator, "trcd_row_factor",
+            lambda self, physical_row: 2.0 * original(self, physical_row),
+        )
+
+    def _study(self, monkeypatch, kind):
+        contexts = []
+        build = CharacterizationStudy.build_context
+
+        def capture(study, name):
+            ctx = build(study, name)
+            contexts.append(ctx)
+            return ctx
+
+        monkeypatch.setattr(CharacterizationStudy, "build_context", capture)
+        study = CharacterizationStudy(
+            scale=StudyScale.tiny(), seed=3, probe_engine=kind
+        )
+        result = study.run_module(
+            "A0", tests=("rowhammer", "retention"),
+            vpp_levels=list(self.VPP_LEVELS),
+        )
+        return result, contexts[0].engine.counters
+
+    def test_fallback_counted_and_records_identical(
+        self, monkeypatch, offender_rows
+    ):
+        command, _ = self._study(monkeypatch, "command")
+        fused, counters = self._study(monkeypatch, "fused")
+        assert counters.probe_fallbacks_hammer_sensing > 0
+        assert counters.probe_fallbacks_retention_sensing > 0
+        assert fused.rowhammer == command.rowhammer
+        assert fused.retention == command.retention
+
+    def test_program_fallback_counted_and_identical(self, offender_rows):
+        from repro.core.probe import open_hammer_session
+        from repro.progdsl import compile_program
+
+        program = compile_program("quad-sided")
+        answers = {}
+        for kind in ("command", "fused"):
+            infra = TestInfrastructure.for_module(
+                "A0", geometry=StudyScale.tiny().geometry, seed=11
+            )
+            ctx = TestContext(infra, StudyScale.tiny(), probe_engine=kind,
+                              program=program)
+            infra.set_vpp(1.4)
+            with open_hammer_session(ctx, 64, STANDARD_PATTERNS[0]) as probe:
+                answers[kind] = [
+                    probe.ber(count) for count in (60_000, 120_000)
+                ]
+            answers[kind].append(_row_data(ctx, 64).tobytes())
+            counters = ctx.engine.counters
+        assert answers["fused"] == answers["command"]
+        assert counters.probe_fallbacks_program_sensing == 1
+
+    def test_fallbacks_publish_by_kind(self):
+        from repro.core.perf import ProbeCounters
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        ProbeCounters(
+            probe_fallbacks_hammer_sensing=2,
+            probe_fallbacks_program_sensing=1,
+        ).publish(registry=registry)
+        family = registry.counter(
+            "repro_probe_fallbacks_total", labels=("kind", "reason")
+        )
+        assert family.labels(kind="hammer", reason="sensing").value == 2
+        assert family.labels(kind="program", reason="sensing").value == 1
+        assert family.labels(kind="retention", reason="sensing").value == 0

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.core.scale import StudyScale
+from repro.errors import ConfigurationError
 from repro.harness import cache
 from repro.harness.cache import (
     clear_cache,
@@ -265,22 +266,29 @@ class TestProvenance:
 
 class TestProbeEngineKeying:
     """The resolved probe-engine selection is part of both cache keys:
-    command-engine and fast-engine runs are bit-identical by design, but
-    entries must never mask each other when the engines are compared."""
+    command-engine and kernel-engine runs are bit-identical by design,
+    but entries must never mask each other when the engines are
+    compared."""
 
     def test_engine_changes_fingerprint(self, tiny_scale):
-        fast = study_fingerprint(TESTS, MODULES, tiny_scale, 0,
-                                 probe_engine="fast")
+        fused = study_fingerprint(TESTS, MODULES, tiny_scale, 0,
+                                  probe_engine="fused")
         command = study_fingerprint(TESTS, MODULES, tiny_scale, 0,
                                     probe_engine="command")
-        assert fast != command
+        assert fused != command
 
-    def test_default_resolves_to_batch(self, tiny_scale, monkeypatch):
+    def test_default_resolves_to_fused(self, tiny_scale, monkeypatch):
         monkeypatch.delenv("REPRO_PROBE_ENGINE", raising=False)
         assert study_fingerprint(
             TESTS, MODULES, tiny_scale, 0
         ) == study_fingerprint(TESTS, MODULES, tiny_scale, 0,
-                               probe_engine="batch")
+                               probe_engine="fused")
+
+    @pytest.mark.parametrize("retired", ["batch", "fast"])
+    def test_retired_engine_has_no_fingerprint(self, tiny_scale, retired):
+        with pytest.raises(ConfigurationError, match=retired):
+            study_fingerprint(TESTS, MODULES, tiny_scale, 0,
+                              probe_engine=retired)
 
     def test_env_var_participates(self, tiny_scale, monkeypatch):
         monkeypatch.delenv("REPRO_PROBE_ENGINE", raising=False)
@@ -296,6 +304,6 @@ class TestProbeEngineKeying:
         get_study(TESTS, MODULES, scale=tiny_scale, seed=2)
         monkeypatch.setenv("REPRO_PROBE_ENGINE", "command")
         get_study(TESTS, MODULES, scale=tiny_scale, seed=2)
-        # Neither layer served the fast-engine entry to the command run.
+        # Neither layer served the kernel entry to the command run.
         assert len(calls) == 2
         assert len(_entries(cache_dir)) == 2

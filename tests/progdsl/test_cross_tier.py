@@ -1,10 +1,9 @@
 """Cross-tier bit-identity of compiled DSL programs.
 
-Every registered program must produce the same probe answers on all
-four engine tiers -- the command engine executing the emitted
-instruction stream is the reference; the fast/batch/fused kernels
-replay the program against presorted threshold reductions and must
-agree bit for bit. A structurally-default program must additionally be
+Every registered program must produce the same probe answers on both
+probe engines -- the command engine executing the emitted instruction
+stream is the reference; the fused kernel replays the program against
+presorted threshold reductions and must agree bit for bit. A structurally-default program must additionally be
 indistinguishable -- results *and* probe/command counters -- from the
 pre-DSL code path it normalizes to.
 """
@@ -19,7 +18,7 @@ from repro.dram.patterns import STANDARD_PATTERNS
 from repro.progdsl import compile_program
 from repro.softmc.infrastructure import TestInfrastructure
 
-ENGINES = ("command", "fast", "batch", "fused")
+ENGINES = ("command", "fused")
 MODULE = "B3"
 SEED = 11
 ROW = 64
@@ -75,9 +74,9 @@ class TestProgramBitIdentity:
         program = compile_program("quad-sided")
         pattern = STANDARD_PATTERNS[1]
         one_shot = one_shot_hammer_ber(
-            _context("batch", program), ROW, pattern, 90_000
+            _context("fused", program), ROW, pattern, 90_000
         )
-        ctx = _context("batch", program)
+        ctx = _context("fused", program)
         with open_hammer_session(ctx, ROW, pattern) as probe:
             in_session = probe.ber(90_000)
         assert one_shot == in_session
