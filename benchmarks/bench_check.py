@@ -12,12 +12,13 @@ Three layers, any of which fails the check (exit 1):
   fused kernel and the command oracle and every experiment family
   (rowhammer, tRCD, retention) must match record-for-record; the
   ``trcd`` family additionally runs down to A0's V_PPmin, where rows
-  walk up from the nominal tRCD;
+  walk up from the nominal tRCD, and rowhammer and retention rerun at
+  the paper's 65536-bit rows, where float32 tolerance ties occur;
 * a perf-regression guard: re-measures the probe-throughput rates and
   the campaigns (``make bench`` writes them; see ``bench_probe.py``)
   and fails when a rate or speedup falls below its committed value, or
-  a fused campaign time (the characterization and the V_PP ladder)
-  rises above it, by more than the tolerance band.
+  a fused campaign time (the characterization, the V_PP ladder and
+  the WCDP phase) rises above it, by more than the tolerance band.
   Ratios (the speedups) are compared with a tighter band than absolute
   rates and times, which swing with machine load.
 
@@ -35,9 +36,11 @@ Run:  PYTHONPATH=src python benchmarks/bench_check.py
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -58,7 +61,10 @@ RATE_KEYS = tuple(
 )
 SPEEDUP_KEYS = tuple(bench_probe.SPEEDUP_FLOORS)
 #: Wall-clock keys: lower is better, so their band is a ceiling.
-SECONDS_KEYS = ("characterization_seconds_fused", "ladder_seconds_fused")
+SECONDS_KEYS = (
+    "characterization_seconds_fused", "ladder_seconds_fused",
+    "wcdp_seconds_fused",
+)
 
 #: Experiment families covered by the differential bit-identity gate.
 FAMILIES = ("rowhammer", "trcd", "retention")
@@ -67,6 +73,10 @@ FAMILIES = ("rowhammer", "trcd", "retention")
 #: where rows walk up from the nominal tRCD.
 VPP_LEVELS = (2.5, 2.2)
 TRCD_VPP_LEVELS = (2.5, 1.4)
+#: The paper modules' physical row size (8 KiB), and the families the
+#: differential also runs there.
+PAPER_ROW_BITS = 65536
+PAPER_ROW_FAMILIES = ("rowhammer", "retention")
 
 
 def _tolerances():
@@ -104,23 +114,42 @@ def gate_baseline(committed):
 
 
 def differential_check():
-    """Return the experiment families where a tiny-scale fused study
-    diverges from the command oracle (bit-identity gate)."""
+    """Return the experiment families where a fused study diverges from
+    the command oracle (bit-identity gate), printing each case's time.
+
+    Every family runs at tiny scale; rowhammer and retention also run
+    over the tiny row sample at the paper's row size, where float32
+    tolerance ties occur (the tiny 2048-bit rows have almost none)."""
     from repro.core.scale import StudyScale
     from repro.core.study import CharacterizationStudy
 
-    def run(engine, tests, vpp_levels):
+    tiny = StudyScale.tiny()
+    paper_rows = dataclasses.replace(
+        tiny,
+        geometry=dataclasses.replace(tiny.geometry, row_bits=PAPER_ROW_BITS),
+    )
+
+    def run(engine, scale, tests, vpp_levels):
         study = CharacterizationStudy(
-            scale=StudyScale.tiny(), seed=3, probe_engine=engine
+            scale=scale, seed=3, probe_engine=engine
         )
         return study.run_module("A0", tests=tests, vpp_levels=vpp_levels)
 
     mismatches = []
-    for tests, levels in ((FAMILIES, VPP_LEVELS), (("trcd",), TRCD_VPP_LEVELS)):
-        fused = run("fused", tests, levels)
-        command = run("command", tests, levels)
+    for scale, tests, levels in (
+        (tiny, FAMILIES, VPP_LEVELS),
+        (tiny, ("trcd",), TRCD_VPP_LEVELS),
+        (paper_rows, PAPER_ROW_FAMILIES, VPP_LEVELS),
+    ):
+        started = time.monotonic()
+        fused = run("fused", scale, tests, levels)
+        command = run("command", scale, tests, levels)
+        row_bits = scale.geometry.row_bits
+        print(f"  {'/'.join(tests)} at V_PP {levels}, {row_bits}-bit "
+              f"rows: {time.monotonic() - started:.1f} s")
         mismatches.extend(
-            f"{family} (V_PP {levels})" for family in tests
+            f"{family} (V_PP {levels}, {row_bits}-bit rows)"
+            for family in tests
             if getattr(fused, family) != getattr(command, family)
         )
     return mismatches
@@ -184,7 +213,8 @@ def main(argv=None) -> int:
         return 1
 
     print("checking fused-vs-command bit-identity (tiny scale, all "
-          "experiment families)...")
+          "experiment families; rowhammer/retention also at "
+          f"{PAPER_ROW_BITS}-bit rows)...")
     mismatches = differential_check()
     if mismatches:
         print("the fused kernel diverges from the command oracle on: "
@@ -208,6 +238,8 @@ def main(argv=None) -> int:
     measured.update(bench_probe.bench_characterization_campaign(runs=2))
     print("re-measuring V_PP-ladder campaign (fused)...")
     measured.update(bench_probe.bench_vpp_ladder_campaign(runs=3))
+    print("re-measuring the WCDP phase (fused)...")
+    measured.update(bench_probe.bench_wcdp_phase())
 
     for key in RATE_KEYS + SPEEDUP_KEYS + SECONDS_KEYS:
         committed_value = committed.get(key)

@@ -19,7 +19,10 @@ with both cache layers disabled:
   -- on the kernel. Setup, preheat and WCDP determination run once as
   an untimed prologue: those phases execute at a single operating
   point, so timing them would only dilute the cross-operating-point
-  metric.
+  metric;
+* wall-clock of that campaign's *WCDP phase* (six data patterns per
+  row under the RowHammer and the retention rule) on the kernel, each
+  run on a fresh context so the phase pays its first-visit costs.
 
 The JSON is written next to this script (override with ``--out``) so
 future changes have a perf trajectory to compare against;
@@ -220,10 +223,9 @@ def bench_characterization_campaign(runs=2):
     )}
 
 
-def _ladder_state(engine):
-    """Untimed prologue of the ladder campaign: context, row sample,
-    preheat and both WCDP maps at nominal V_PP, shared by every timed
-    run of that engine."""
+def _preheated_context(engine):
+    """A fresh ladder-geometry context and its row sample, preheated
+    for the campaign's tests."""
     scale = LADDER_SCALE
     infra = TestInfrastructure.for_module(
         CAMPAIGN_MODULE, geometry=scale.geometry, seed=1
@@ -234,12 +236,29 @@ def _ladder_state(engine):
         scale.row_chunks,
     )
     ctx.engine.preheat(ctx, rows, CAMPAIGN_TESTS)
+    return ctx, rows
+
+
+def _wcdp_maps(ctx, rows):
+    """The study's WCDP phase at nominal V_PP: the RowHammer then the
+    retention WCDP of every row."""
+    infra = ctx.infra
     infra.set_vpp(constants.NOMINAL_VPP)
     infra.set_temperature(constants.ROWHAMMER_TEST_TEMPERATURE)
     wcdp_rh = {row: rowhammer_wcdp(ctx, row) for row in rows}
     infra.set_temperature(constants.RETENTION_TEST_TEMPERATURE)
     wcdp_ret = {row: retention_wcdp(ctx, row) for row in rows}
-    return ctx, rows, wcdp_rh, wcdp_ret, infra.vpp_levels(scale.vpp_step)
+    return wcdp_rh, wcdp_ret
+
+
+def _ladder_state(engine):
+    """Untimed prologue of the ladder campaign: context, row sample,
+    preheat and both WCDP maps at nominal V_PP, shared by every timed
+    run of that engine."""
+    ctx, rows = _preheated_context(engine)
+    wcdp_rh, wcdp_ret = _wcdp_maps(ctx, rows)
+    levels = ctx.infra.vpp_levels(LADDER_SCALE.vpp_step)
+    return ctx, rows, wcdp_rh, wcdp_ret, levels
 
 
 def _timed_ladder(state):
@@ -272,6 +291,20 @@ def bench_vpp_ladder_campaign(runs=3):
     )}
 
 
+def bench_wcdp_phase(runs=5):
+    """The WCDP phase (six patterns per row under the RowHammer and the
+    retention rule) on the kernel: min of ``runs``, each on a fresh
+    context whose build and preheat run untimed, so every run pays the
+    phase's first-visit costs as a study does."""
+    timings = []
+    for _ in range(runs):
+        ctx, rows = _preheated_context("fused")
+        started = time.monotonic()
+        _wcdp_maps(ctx, rows)
+        timings.append(time.monotonic() - started)
+    return {"wcdp_seconds_fused": min(timings)}
+
+
 REPORT_KEYS = (
     "hammer_probes_per_sec_fused", "hammer_probes_per_sec_command",
     "hammer_probe_speedup",
@@ -284,6 +317,7 @@ REPORT_KEYS = (
     "campaign_seconds_fused", "campaign_seconds_command",
     "campaign_speedup",
     "characterization_seconds_fused", "ladder_seconds_fused",
+    "wcdp_seconds_fused",
 )
 
 
@@ -321,6 +355,12 @@ def main(argv=None) -> int:
             " 65536-bit physical rows, fused, min-of-3; setup/preheat/WCDP"
             " run untimed at a single operating point"
         ),
+        "wcdp_phase": (
+            "WCDP phase (RowHammer + retention rules, six patterns per"
+            " row) over the bench row set at 65536-bit physical rows,"
+            " fused, min-of-5, each on a fresh context; build/preheat"
+            " untimed"
+        ),
         "trcd_probes": (
             "find_trcd_min sweeps of one B3 row (8192-bit rows)"
         ),
@@ -336,6 +376,8 @@ def main(argv=None) -> int:
     payload.update(bench_characterization_campaign())
     print("measuring the V_PP-ladder campaign (fused)...")
     payload.update(bench_vpp_ladder_campaign())
+    print("measuring the WCDP phase (fused)...")
+    payload.update(bench_wcdp_phase())
 
     # The registry counters spent producing these numbers travel with
     # them, so BENCH_probe.json entries are self-describing.

@@ -14,19 +14,20 @@ bit-exact oracle. It batches at two levels (see
   and a :class:`FusedRetentionSession` a whole Alg. 3 refresh-window
   ladder; each probe costs a jitter draw and a few scalar multiplies
   and binary searches instead of full-row vector work;
-* **the operating point** -- V_PP, temperature and data pattern only
-  reparameterize monotone scalar factors on per-row sorted threshold
-  vectors, so stepping V_PP costs a handful of scalar multiplies
-  instead of a fresh materialize-and-sort:
+* **the operating point and the data pattern** -- V_PP and
+  temperature only reparameterize monotone scalar factors on per-row
+  sorted threshold vectors, and a data pattern only selects which
+  cells are charged (a mask over cell indices mod 8), so one sort per
+  row serves every operating point and pattern, and a probe touches
+  only its flipped prefix:
 
   * *retention*: one ascending-retention sort per row, grouped by the
-    per-cell V_PP-sensitivity exponent, serves every operating point
+    per-cell V_PP-sensitivity exponent
     (:class:`~repro.dram.bank._FusedRetentionCounts`);
-  * *hammer*: ``any_flip`` bisections need only the charged
-    populations' tolerance minima; exact counts run as one-shot
-    broadcast passes until a (row, pattern) pair proves it will be
-    probed repeatedly, at which point presorted prefix statics are built
-    once and shared (:class:`~repro.dram.bank._FusedHammerCounts`).
+  * *hammer*: one ascending-tolerance sort per row, split into bulk
+    and outlier cells; ``any_flip`` bisections need only the charged
+    populations' tolerance minima, from the row's per-residue table
+    (:class:`~repro.dram.bank._FusedHammerCounts`).
 
 Equivalence contract (asserted bit-for-bit against the command engine
 by ``tests/core/test_probe_equivalence.py`` and
@@ -722,10 +723,11 @@ class FusedProbeEngine(ProbeEngine):
 
     def preheat(self, ctx, rows, tests: Sequence[str] = TEST_TYPES) -> int:
         """Warm, for a row set, the stacked sort passes the study's
-        ``tests`` walk: the tolerance orders of the hammer kernel
-        (``rowhammer``) and the retention orders every fused operating
-        point re-slices (``retention``). Alg. 2 needs neither. Returns
-        the number of rows whose tolerance order was newly warmed."""
+        ``tests`` walk: the tolerance layouts of the hammer kernel
+        (``rowhammer``) and the retention layouts every fused operating
+        point and pattern re-slices (``retention``). Alg. 2 needs
+        neither. Returns the number of rows whose tolerance layout was
+        newly warmed."""
         bank = self._module.bank(ctx.bank)
         warmed = 0
         if "rowhammer" in tests:
@@ -745,8 +747,9 @@ class FusedProbeEngine(ProbeEngine):
         """Decayed-cell counts over a V_PP x refresh-window grid.
 
         Builds the fused ``(points x cells)`` effective-threshold stack
-        for ``row``/``pattern`` -- each group's presorted base retention
-        times broadcast against the per-level scalar chains -- and
+        for ``row``/``pattern`` -- each group's presorted charged base
+        retention times (filtered out of the row's layout) broadcast
+        against the per-level scalar chains -- and
         reduces every (level, window) pair from it. Pure analysis: the
         device's operating point, simulated clock and row state are
         untouched (this is the kernel the probe sessions replay with
@@ -769,7 +772,10 @@ class FusedProbeEngine(ProbeEngine):
         )
         needles = np.asarray(windows, dtype=np.float64)
         counts = np.zeros((len(vpp_levels), len(windows)), dtype=np.int64)
-        for value, _, times in sweep.retention_groups():
+        for value, _, times, bits in bank.retention_layout(
+            sweep.state, sweep.physical
+        ):
+            times = times[(bits & sweep.charged_byte) != 0]
             exponents = np.power(margins, value)
             base = times * thermal
             # The (points x cells) stack: broadcasting the float32

@@ -49,18 +49,74 @@ from repro.rng import RngHub
 #: attacks, Section 4.2).
 _DISTANCE1_WEIGHT = 0.5
 
-#: Row-state cache key of the pattern-independent sort statics: the
-#: ascending-tolerance cell order, the float64 tolerances in that order
-#: and the outlier mask in that order (pure per-row properties; see
-#: :meth:`Bank.preheat_tolerance_orders`).
-_TOL_ORDER_KEY = "_tol_order"
+#: Row-state cache key of the per-row tolerance layout: the cells in
+#: ascending-tolerance order, split into the bulk and the outlier
+#: population, each as ``(indices, float64 tolerances, residue bits)``
+#: (see :meth:`Bank.preheat_tolerance_orders`). Every data pattern's
+#: hammer counts are answered from it.
+_TOL_LAYOUT_KEY = "_tol_layout"
 
-#: Row-state cache key of the retention sort statics: the ascending-
-#: retention cell order and the float32 retention times in that order
-#: (pure per-row properties; see :meth:`Bank.preheat_retention_orders`).
-#: The probe engine's cross-operating-point kernels re-slice this
-#: one order for every V_PP point instead of re-sorting per point.
-_RET_ORDER_KEY = "_ret_order"
+#: Row-state cache key of the per-row retention layout: the cells in
+#: ascending-retention order, split by V_PP-sensitivity exponent, each
+#: group as ``(sensitivity, indices, float32 times, residue bits)`` (see
+#: :meth:`Bank.preheat_retention_orders`). Every operating point and
+#: data pattern re-slices this one order instead of re-sorting.
+_RET_LAYOUT_KEY = "_ret_layout"
+
+#: Row-state cache keys of the per-residue tables (one O(n) pass, no
+#: sort): the bulk and outlier tolerance minima per residue, the
+#: retention minima per (sensitivity group, residue) and the largest
+#: activation-latency factor per residue.
+_TOL_RESIDUES_KEY = "_tol_residues"
+_RET_RESIDUES_KEY = "_ret_residues"
+_TRCD_RESIDUES_KEY = "_trcd_residues"
+
+#: The residues each charged byte selects. A cell's residue bit is
+#: ``1 << (index % 8)``; fill-byte patterns are 8-periodic, so a pattern
+#: charges exactly the cells whose residue bit is set in the row's
+#: *charged byte* (the fill byte on a true row, its inverse on an anti
+#: row): ``bits & charged_byte`` picks a pattern's cells out of a
+#: per-row layout.
+_SELECTED = tuple(
+    tuple(residue for residue in range(8) if byte >> residue & 1)
+    for byte in range(256)
+)
+
+
+def _with_residue_bits(indices: np.ndarray, *values) -> tuple:
+    """A presorted population: ``(int32 indices, *values, residue
+    bits)`` (the uint8 cast keeps an index's low bits)."""
+    residues = indices.astype(np.uint8) & 7
+    return (indices.astype(np.int32), *values, np.uint8(1) << residues)
+
+
+def _sensitivity_groups(sensitivity: np.ndarray) -> list:
+    """``(exponent, member cells)`` per V_PP-sensitivity group. Within a
+    group the effective retention threshold is the base time times
+    positive scalars, so it stays ordered with the base time at every
+    operating point. Weak-tier cells are sparse: only they are grouped
+    by value; the rest form the bulk group (exponent 1), as a slice
+    when it is the whole row."""
+    weak = np.flatnonzero(sensitivity != 1)
+    groups = []
+    if weak.size < sensitivity.size:
+        bulk = slice(None)
+        if weak.size:
+            bulk = np.ones(sensitivity.size, dtype=bool)
+            bulk[weak] = False
+        groups.append((np.float32(1.0), bulk))
+    weak_values = sensitivity[weak]
+    for value in np.unique(weak_values):
+        groups.append((value, weak[weak_values == value]))
+    return groups
+
+
+def _residue_minima(values: np.ndarray, member) -> np.ndarray:
+    """Per-residue minimum of ``values`` over the ``member`` cells
+    (``inf`` where a residue has none)."""
+    grouped = np.full(values.size, np.inf, dtype=values.dtype)
+    grouped[member] = values[member]
+    return grouped.reshape(-1, 8).min(axis=0)
 
 
 class Bank:
@@ -88,6 +144,8 @@ class Bank:
         self._trr = trr
         self._refresh_cursor = 0
         self._scale_cache = {}
+        self._pattern_views: Dict[tuple, tuple] = {}
+        self._retention_scalars = None
         self.total_activations = 0
 
     # -- helpers ---------------------------------------------------------------
@@ -149,6 +207,131 @@ class Bank:
             state.cache[fieldname] = vector
         return vector
 
+    def _retention_vectors(self, state: RowState, physical_row: int):
+        """The row's ``(retention times, V_PP sensitivity)``, generated
+        in one RNG replay when neither is cached yet."""
+        cache = state.cache
+        if (
+            "cell_retention_times" not in cache
+            and "cell_retention_vpp_sensitivity" not in cache
+        ):
+            times, sensitivity = self._cells.retention_structure_pair(
+                physical_row
+            )
+            cache["cell_retention_times"] = times
+            cache["cell_retention_vpp_sensitivity"] = sensitivity
+        return (
+            self._cached(state, physical_row, "cell_retention_times"),
+            self._cached(state, physical_row, "cell_retention_vpp_sensitivity"),
+        )
+
+    def retention_scalars(self) -> tuple:
+        """``(margin, thermal)`` retention factors at the current V_PP
+        and temperature, memoized for the last operating point (every
+        kernel of a row set asks at the same one)."""
+        env = self._env
+        key = (env.vpp, env.temperature)
+        cached = self._retention_scalars
+        if cached is None or cached[0] != key:
+            model = self._cal.retention
+            cached = self._retention_scalars = (
+                key,
+                model.margin_factor(env.vpp),
+                model.temperature_factor(env.temperature),
+            )
+        return cached[1:]
+
+    # -- per-row layouts and residue tables ----------------------------------------
+    #
+    # Every structure below is built once per row and serves all data
+    # patterns: a pattern is a charged byte selecting residues (see
+    # _SELECTED), never an array of its own.
+
+    def pattern_view(self, physical_row: int, pattern: DataPattern) -> tuple:
+        """``(bits, pattern slot, charged mask, charged byte)`` of
+        ``pattern`` written to ``physical_row``. Pure functions of the
+        pattern and the row's polarity, so the twelve variants are
+        shared bank-wide as read-only arrays (writers copy first)."""
+        anti = self._cells.is_anti_row(physical_row)
+        key = (pattern, anti)
+        view = self._pattern_views.get(key)
+        if view is None:
+            bits = pattern.row_bits(self._geometry.row_bits)
+            classified = classify_row_bits(bits)
+            charged = self._charged_mask(physical_row, bits)
+            charged_byte = sum(
+                int(charged[residue]) << residue for residue in range(8)
+            )
+            for array in (bits, charged):
+                array.setflags(write=False)
+            view = (
+                bits,
+                classified.index if classified is not None
+                else OTHER_PATTERN_INDEX,
+                charged,
+                charged_byte,
+            )
+            self._pattern_views[key] = view
+        return view
+
+    def tolerance_layout(self, state: RowState, physical_row: int) -> tuple:
+        """The row's ascending-tolerance layout (``_TOL_LAYOUT_KEY``),
+        sorted on first use unless preheated."""
+        if _TOL_LAYOUT_KEY not in state.cache:
+            self._lay_out_tolerances([physical_row], [state])
+        return state.cache[_TOL_LAYOUT_KEY]
+
+    def retention_layout(self, state: RowState, physical_row: int) -> tuple:
+        """The row's ascending-retention layout by sensitivity group
+        (``_RET_LAYOUT_KEY``), sorted on first use unless preheated."""
+        if _RET_LAYOUT_KEY not in state.cache:
+            self._lay_out_retention([physical_row], [state])
+        return state.cache[_RET_LAYOUT_KEY]
+
+    def tolerance_residues(self, state: RowState, physical_row: int) -> tuple:
+        """``(bulk, outlier)`` tolerance minima per residue, as two
+        8-tuples of floats (``inf`` where a residue has no such cell)."""
+        table = state.cache.get(_TOL_RESIDUES_KEY)
+        if table is None:
+            tolerance = self._cached(state, physical_row, "cell_tolerances")
+            outlier = self._cached(state, physical_row, "cell_outlier_mask")
+            table = tuple(
+                tuple(float(value) for value in _residue_minima(tolerance, member))
+                for member in (~outlier, outlier)
+            )
+            state.cache[_TOL_RESIDUES_KEY] = table
+        return table
+
+    def trcd_residues(self, state: RowState, physical_row: int) -> tuple:
+        """The largest activation-latency cell factor per residue, as an
+        8-tuple of floats."""
+        table = state.cache.get(_TRCD_RESIDUES_KEY)
+        if table is None:
+            factors = self._cached(state, physical_row, "cell_trcd_factors")
+            table = tuple(
+                float(value) for value in factors.reshape(-1, 8).max(axis=0)
+            )
+            state.cache[_TRCD_RESIDUES_KEY] = table
+        return table
+
+    def retention_residues(self, state: RowState, physical_row: int) -> tuple:
+        """``(sensitivity, minima)`` per sensitivity group: the group's
+        shortest base retention time per residue, as an 8-tuple of
+        floats (``inf`` where empty). No sort, so hammer-only studies
+        never order retention times."""
+        table = state.cache.get(_RET_RESIDUES_KEY)
+        if table is None:
+            times, sensitivity = self._retention_vectors(state, physical_row)
+            table = tuple(
+                (value, tuple(
+                    float(minimum)
+                    for minimum in _residue_minima(times, member)
+                ))
+                for value, member in _sensitivity_groups(sensitivity)
+            )
+            state.cache[_RET_RESIDUES_KEY] = table
+        return table
+
     # -- fault evaluation --------------------------------------------------------
 
     def _charged_mask(self, physical_row: int, bits: np.ndarray) -> np.ndarray:
@@ -172,10 +355,7 @@ class Bank:
         cached = state.cache.get("_retention_base")
         if cached is not None and cached[0] == key:
             return cached[1]
-        retention = self._cached(state, physical_row, "cell_retention_times")
-        sensitivity = self._cached(
-            state, physical_row, "cell_retention_vpp_sensitivity"
-        )
+        retention, sensitivity = self._retention_vectors(state, physical_row)
         model = self._cal.retention
         margin = model.margin_factor(vpp_at_restore)
         thermal = model.temperature_factor(self._env.temperature)
@@ -251,14 +431,7 @@ class Bank:
         bits = state.data
         charged = self._charged_mask(physical_row, bits)
         if not charged.any():
-            state.cache["_flip_guard"] = {
-                "pattern": state.pattern_index,
-                "temperature": self._env.temperature,
-                "vpp_at_restore": state.vpp_at_restore,
-                "min_bulk": np.inf,
-                "min_outlier": np.inf,
-                "min_retention": np.inf,
-            }
+            self._store_flip_guard(state, np.inf, np.inf, np.inf)
             return
         flips = np.zeros_like(charged)
 
@@ -280,20 +453,27 @@ class Bank:
         if flips.any():
             bits[flips] = self._discharged_value(physical_row)
             charged = charged & ~flips
+
+        def _min_over(mask: np.ndarray, values: np.ndarray) -> float:
+            return float(values[mask].min()) if mask.any() else np.inf
+
         self._store_flip_guard(
-            state, charged, outlier_mask, effective_tolerance,
-            effective_retention,
+            state,
+            _min_over(charged & ~outlier_mask, effective_tolerance),
+            _min_over(charged & outlier_mask, effective_tolerance),
+            _min_over(charged, effective_retention),
         )
 
     def _store_flip_guard(
         self,
         state: RowState,
-        charged: np.ndarray,
-        outlier_mask: np.ndarray,
-        effective_tolerance: np.ndarray,
-        effective_retention: np.ndarray,
+        min_bulk: float,
+        min_outlier: float,
+        min_retention: float,
     ) -> None:
-        """Rebuild the flip guard over the cells that can still flip.
+        """Record the flip guard from the cells that can still flip: the
+        smallest effective tolerance per population and the shortest
+        effective retention (``inf`` where no such cell is charged).
 
         The guard outlives the restore session, so its thresholds carry
         a conservative margin covering the per-session measurement
@@ -301,20 +481,13 @@ class Bank:
         band the full evaluation re-runs, outside it the skip is always
         safe.
         """
-        def _min_over(mask: np.ndarray, values: np.ndarray) -> float:
-            return float(values[mask].min()) if mask.any() else np.inf
-
         state.cache["_flip_guard"] = {
             "pattern": state.pattern_index,
             "temperature": self._env.temperature,
             "vpp_at_restore": state.vpp_at_restore,
-            "min_bulk": 0.9 * _min_over(
-                charged & ~outlier_mask, effective_tolerance
-            ),
-            "min_outlier": 0.9 * _min_over(
-                charged & outlier_mask, effective_tolerance
-            ),
-            "min_retention": 0.9 * _min_over(charged, effective_retention),
+            "min_bulk": 0.9 * min_bulk,
+            "min_outlier": 0.9 * min_outlier,
+            "min_retention": 0.9 * min_retention,
         }
 
     def _disturbance_scales(self, physical_row: int) -> "tuple[float, float]":
@@ -388,12 +561,7 @@ class Bank:
         pattern_factor = self._cached(state, physical_row, "trcd_pattern_factors")[
             pattern_index
         ]
-        cell_max = state.cache.get("_trcd_cell_max")
-        if cell_max is None:
-            cell_max = float(
-                self._cached(state, physical_row, "cell_trcd_factors").max()
-            )
-            state.cache["_trcd_cell_max"] = cell_max
+        cell_max = max(self.trcd_residues(state, physical_row))
         return requirement_base * row_factor * pattern_factor * cell_max
 
     def _activation_corruption(
@@ -423,18 +591,20 @@ class Bank:
         return corrupt if corrupt.any() else None
 
     def _trcd_requirements(
-        self, physical_row: int, state: RowState, pattern_index: int
+        self, physical_row: int, state: RowState, pattern_index: int,
+        cell_factors=None,
     ) -> np.ndarray:
         """Per-cell activation requirements at the current V_PP and
         pattern slot (finite part only: call after
         :meth:`_trcd_worst_requirement`, which warms the scalar
-        factors)."""
+        factors). ``cell_factors`` defaults to the row's whole vector."""
         requirement_base = state.cache[("_trcd_base", self._env.vpp)]
         row_factor = state.cache["_trcd_row_factor"]
         pattern_factor = self._cached(state, physical_row, "trcd_pattern_factors")[
             pattern_index
         ]
-        cell_factors = self._cached(state, physical_row, "cell_trcd_factors")
+        if cell_factors is None:
+            cell_factors = self._cached(state, physical_row, "cell_trcd_factors")
         return requirement_base * row_factor * pattern_factor * cell_factors
 
     # -- commands -----------------------------------------------------------------
@@ -672,27 +842,43 @@ class Bank:
         return self._state(self._mapping.to_physical(logical_row))
 
     def preheat_tolerance_orders(self, logical_rows: Sequence[int]) -> int:
-        """Warm the per-row tolerance sort orders for a whole row set.
+        """Warm the per-row tolerance layouts for a whole row set.
 
-        The probe engine's exact hammer counts walk each row's cells
-        in ascending-tolerance order (the prefix statics of
-        :class:`_FusedHammerCounts`). The order is a pure per-row property, so a
-        row set can compute it in one stacked ``(rows, cells)`` argsort
-        instead of one argsort per row; the per-row results are
-        identical. Returns the number of rows actually warmed (rows
-        whose order is already cached are skipped).
+        The probe engine's exact hammer counts walk each row's cells in
+        ascending-tolerance order (:class:`_FusedHammerCounts`). The
+        order is a pure per-row property, so a row set can compute it
+        in one stacked ``(rows, cells)`` argsort instead of one argsort
+        per row; the per-row results are identical. Returns the number
+        of rows actually warmed (rows already laid out are skipped).
         """
-        physicals: List[int] = []
-        states: List[RowState] = []
-        for logical in logical_rows:
-            self._check_row(logical)
-            physical = self._mapping.to_physical(logical)
-            state = self._state(physical)
-            if _TOL_ORDER_KEY not in state.cache:
-                physicals.append(physical)
-                states.append(state)
-        if not physicals:
-            return 0
+        physicals, states = self._cold_rows(logical_rows, _TOL_LAYOUT_KEY)
+        if physicals:
+            self._lay_out_tolerances(physicals, states)
+        return len(physicals)
+
+    def preheat_retention_orders(self, logical_rows: Sequence[int]) -> int:
+        """Warm the per-row retention layouts for a whole row set.
+
+        The probe engine's retention counts walk each row's cells in
+        ascending-retention order (see :class:`_FusedRetentionCounts`):
+        V_PP, temperature and data pattern only reparameterize monotone
+        scalar factors on the presorted per-cell retention times, so
+        one sort per row serves *every* operating point and pattern.
+        Like :meth:`preheat_tolerance_orders`, a row set computes the
+        orders in one stacked ``(rows, cells)`` argsort. Returns the
+        number of rows actually warmed.
+        """
+        physicals, states = self._cold_rows(logical_rows, _RET_LAYOUT_KEY)
+        if physicals:
+            self._lay_out_retention(physicals, states)
+        return len(physicals)
+
+    def _lay_out_tolerances(self, physicals, states) -> None:
+        """Store each row's tolerance layout: the ascending order split
+        into the bulk and outlier populations (relative order survives
+        the split). Tie order within equal tolerances is irrelevant:
+        every prefix cutoff compares values only, so tied cells enter
+        or leave a flip set together."""
         stacked = np.stack([
             self._cached(state, physical, "cell_tolerances")
             for physical, state in zip(physicals, states)
@@ -704,53 +890,42 @@ class Bank:
         for physical, state, order, tol_sorted in zip(
             physicals, states, orders, sorted64
         ):
-            outlier = self._cached(state, physical, "cell_outlier_mask")
-            state.cache[_TOL_ORDER_KEY] = (order, tol_sorted, outlier[order])
-        return len(physicals)
+            outlier = self._cached(state, physical, "cell_outlier_mask")[order]
+            state.cache[_TOL_LAYOUT_KEY] = tuple(
+                _with_residue_bits(order[member], tol_sorted[member])
+                for member in (~outlier, outlier)
+            )
 
-    def preheat_retention_orders(self, logical_rows: Sequence[int]) -> int:
-        """Warm the per-row retention sort orders for a whole row set.
+    def _lay_out_retention(self, physicals, states) -> None:
+        """Store each row's retention layout: the ascending order split
+        by sensitivity group."""
+        vectors = [
+            self._retention_vectors(state, physical)
+            for physical, state in zip(physicals, states)
+        ]
+        stacked = np.stack([times for times, _ in vectors])
+        orders = np.argsort(stacked, axis=1)
+        sorted_times = np.take_along_axis(stacked, orders, axis=1)
+        for state, (_, sensitivity), order, row_sorted in zip(
+            states, vectors, orders, sorted_times
+        ):
+            state.cache[_RET_LAYOUT_KEY] = tuple(
+                (value, *_with_residue_bits(order[member], row_sorted[member]))
+                for value, member in _sensitivity_groups(sensitivity[order])
+            )
 
-        The probe engine's cross-operating-point reductions walk
-        each row's charged cells in ascending-retention order (see
-        :class:`_FusedRetentionCounts`): V_PP, temperature and data
-        pattern only reparameterize monotone scalar factors on the
-        presorted per-cell retention times, so one sort per row serves
-        *every* operating point. Like
-        :meth:`preheat_tolerance_orders`, a row set computes the orders
-        in one stacked ``(rows, cells)`` argsort; the retention time /
-        V_PP-sensitivity structure pair is generated in a single RNG
-        replay per row (half the cost of the two single-field
-        accessors). Returns the number of rows actually warmed.
-        """
+    def _cold_rows(self, logical_rows: Sequence[int], key: str):
+        """``(physical rows, states)`` of the rows lacking ``key``."""
         physicals: List[int] = []
         states: List[RowState] = []
         for logical in logical_rows:
             self._check_row(logical)
             physical = self._mapping.to_physical(logical)
             state = self._state(physical)
-            if (
-                "cell_retention_times" not in state.cache
-                or "cell_retention_vpp_sensitivity" not in state.cache
-            ):
-                times, sensitivity = self._cells.retention_structure_pair(
-                    physical
-                )
-                state.cache["cell_retention_times"] = times
-                state.cache["cell_retention_vpp_sensitivity"] = sensitivity
-            if _RET_ORDER_KEY not in state.cache:
+            if key not in state.cache:
                 physicals.append(physical)
                 states.append(state)
-        if not physicals:
-            return 0
-        stacked = np.stack([
-            state.cache["cell_retention_times"] for state in states
-        ])
-        orders = np.argsort(stacked, axis=1)
-        sorted_times = np.take_along_axis(stacked, orders, axis=1)
-        for state, order, row_sorted in zip(states, orders, sorted_times):
-            state.cache[_RET_ORDER_KEY] = (order, row_sorted)
-        return len(physicals)
+        return physicals, states
 
     def sensing_corruption(
         self, logical_row: int, trcd: float
@@ -812,22 +987,9 @@ class ProbeSweep:
         self.pattern = pattern
         self.physical = bank._mapping.to_physical(victim_row)
         self.state = bank._state(self.physical)
-        # Bits, classification and charged mask are pure functions of
-        # (pattern, row polarity); cache them on the row state so sweep
-        # rebuilds (e.g. after an LRU eviction) cost dict hits only.
-        pattern_key = ("_probe_pattern", pattern)
-        cached = self.state.cache.get(pattern_key)
-        if cached is None:
-            bits = pattern.row_bits(bank._geometry.row_bits)
-            classified = classify_row_bits(bits)
-            cached = (
-                bits,
-                classified.index if classified is not None
-                else OTHER_PATTERN_INDEX,
-                bank._charged_mask(self.physical, bits),
-            )
-            self.state.cache[pattern_key] = cached
-        self.bits, self.pattern_index, self.charged = cached
+        self.bits, self.pattern_index, self.charged, self.charged_byte = (
+            bank.pattern_view(self.physical, pattern)
+        )
         self.discharged_value = bank._discharged_value(self.physical)
         self._outlier_mask = bank._cached(
             self.state, self.physical, "cell_outlier_mask"
@@ -855,72 +1017,48 @@ class ProbeSweep:
             self._op_key = key
         return self._retention_thresholds
 
-    def retention_groups(self) -> tuple:
-        """Per-V_PP-sensitivity decomposition of the charged cells.
-
-        Returns a tuple of ``(sensitivity, indices, times)`` groups:
-        cell indices and base retention times (80 degC, nominal V_PP) of
-        the charged cells sharing one sensitivity exponent, each group
-        ascending in retention time. Within a group the effective
-        retention threshold is the base time multiplied by *scalars*
-        (thermal factor, ``margin ** sensitivity``, pattern factor), and
-        positive scalar multiplication is weakly monotone in IEEE
-        floats, so every operating point reuses the same presorted
-        groups -- the heart of the fused cross-V_PP kernel. Cached on
-        the row state per pattern; the candidate sensitivity values come
-        from the calibration profile's retention tiers (plus the bulk
-        value 1), which is exactly the set the cell generator assigns.
-        """
-        state = self.state
-        key = ("_ret_groups", self.pattern)
-        groups = state.cache.get(key)
-        if groups is not None:
-            return groups
-        bank = self._bank
-        row_static = state.cache.get(_RET_ORDER_KEY)
-        if row_static is None:
-            times = bank._cached(
-                state, self.physical, "cell_retention_times"
+    def charged_tolerance_minima(self) -> tuple:
+        """``(bulk, outlier)``: the charged cells' smallest base
+        tolerance per population (``inf`` where none), from the row's
+        residue table."""
+        selected = _SELECTED[self.charged_byte]
+        return tuple(
+            min((minima[residue] for residue in selected), default=math.inf)
+            for minima in self._bank.tolerance_residues(
+                self.state, self.physical
             )
-            order = np.argsort(times)
-            row_static = (order, times[order])
-            state.cache[_RET_ORDER_KEY] = row_static
-        order, times_sorted = row_static
-        charged_sorted = self.charged[order]
-        indices = order[charged_sorted]
-        times_charged = times_sorted[charged_sorted]
-        sensitivity = bank._cached(
-            state, self.physical, "cell_retention_vpp_sensitivity"
-        )[indices]
-        candidates = {np.float32(1.0)}
-        for tier in bank._cal.profile.retention_tiers:
-            candidates.add(np.float32(tier.vpp_sensitivity))
-        groups = []
-        covered = 0
-        for value in sorted(candidates):
-            member = sensitivity == value
-            count = int(np.count_nonzero(member))
-            if count == 0:
-                continue
-            covered += count
-            if count == sensitivity.size:
-                groups.append((value, indices, times_charged))
-            else:
-                groups.append(
-                    (value, indices[member], times_charged[member])
+        )
+
+    def min_charged_retention(self) -> float:
+        """Shortest effective retention among the pattern's charged
+        cells at the current operating point (``inf`` when nothing is
+        charged), exactly ``effective_retention_times()[charged].min()``.
+
+        Within a sensitivity group the effective threshold is monotone
+        in the base time, so the minimum is among the groups' shortest
+        charged base times (the row's residue table); evaluating the
+        vector expression of :meth:`Bank._retention_base` on just those
+        elements rounds each exactly as the full vector would.
+        """
+        selected = _SELECTED[self.charged_byte]
+        if not selected:
+            return math.inf
+        bank = self._bank
+        margin, thermal = bank.retention_scalars()
+        pattern_factor = bank._cached(
+            self.state, self.physical, "retention_pattern_factors"
+        )[self.pattern_index]
+        shortest = math.inf
+        for value, minima in bank.retention_residues(self.state, self.physical):
+            base = min((minima[residue] for residue in selected), default=math.inf)
+            if base < math.inf:
+                # Bank._retention_base's expression and dtypes, one element.
+                effective = (
+                    np.float32(base) * thermal * np.power(margin, value)
+                    * pattern_factor
                 )
-        if covered != sensitivity.size:  # pragma: no cover - defensive
-            # A sensitivity value outside the calibration profile's tier
-            # set: rebuild the candidate list from the data itself.
-            groups = []
-            for value in np.unique(sensitivity):
-                member = sensitivity == value
-                groups.append(
-                    (value, indices[member], times_charged[member])
-                )
-        groups = tuple(groups)
-        state.cache[key] = groups
-        return groups
+                shortest = min(shortest, float(effective))
+        return shortest
 
     def cache_nbytes(self) -> int:
         """Approximate bytes of per-operating-point arrays owned by this
@@ -1054,7 +1192,7 @@ class HammerSweep(ProbeSweep):
         return self._counts
 
     def fused_counts(self) -> "_FusedHammerCounts":
-        """Deferred-statics hammer reductions at the current operating
+        """Layout-derived hammer reductions at the current operating
         point (the probe engine's kernel; see
         :class:`_FusedHammerCounts`). Cached separately from
         :meth:`threshold_counts` so mixing the two kernels on one sweep
@@ -1139,12 +1277,18 @@ class TrcdSweep(ProbeSweep):
                 self.physical, self.state, self.pattern_index
             )
             charged_max = None
-            if not math.isinf(worst) and self.charged.any():
-                # Kept as a numpy scalar: it compares against the trial
-                # latency with the dtype the vectorized mask uses.
+            selected = _SELECTED[self.charged_byte]
+            if not math.isinf(worst) and selected:
+                # The requirement is monotone in the cell factor, so the
+                # largest charged one is the charged residues' largest
+                # factor times the scalar chain. Kept as a numpy scalar:
+                # it compares against the trial latency with the dtype
+                # the vectorized mask uses.
+                factors = bank.trcd_residues(self.state, self.physical)
                 charged_max = bank._trcd_requirements(
-                    self.physical, self.state, self.pattern_index
-                )[self.charged].max()
+                    self.physical, self.state, self.pattern_index,
+                    np.float32(max(factors[residue] for residue in selected)),
+                )
             self._requirement = (worst, charged_max)
         worst, charged_max = self._requirement
         if worst <= trcd_used:
@@ -1153,14 +1297,6 @@ class TrcdSweep(ProbeSweep):
             # Below the conduction floor every charged cell mis-senses.
             return bool(self.charged.any())
         return charged_max is not None and bool(charged_max > trcd_used)
-
-    def min_charged_retention(self) -> float:
-        """Shortest effective retention among the pattern's charged
-        cells at the current operating point (``inf`` when nothing is
-        charged)."""
-        if not self.charged.any():
-            return math.inf
-        return float(self.effective_retention_times()[self.charged].min())
 
     def decay_free(self, gap: float) -> bool:
         """Whether no charged cell can decay in the ``gap`` (one tRP)
@@ -1248,17 +1384,20 @@ class TrcdSweep(ProbeSweep):
         bank = self._bank
         state = self.state
         state.data = self.bits.copy()
-        tolerance = bank._effective_tolerances(
-            self.physical, state, self.pattern_index, self.read_session
-        )
+        # The read's effective tolerances are tolerance * factor
+        # (Bank._effective_tolerances), monotone in the tolerance.
+        factor = bank._cached(state, self.physical, "pattern_factors")[
+            self.pattern_index
+        ] * bank._cells.measurement_jitter(self.physical, self.read_session)
+        min_bulk, min_outlier = self.charged_tolerance_minima()
         bank._store_flip_guard(
-            state, self.charged, self._outlier_mask, tolerance,
-            self.effective_retention_times(),
+            state, float(min_bulk * factor), float(min_outlier * factor),
+            self.min_charged_retention(),
         )
         self.read_session = None
 
 
-_EMPTY_INDICES = np.empty(0, dtype=np.intp)
+_EMPTY_INDICES = np.empty(0, dtype=np.int32)
 
 
 def _flip_prefix(tol64: np.ndarray, factor, damage: float) -> int:
@@ -1271,138 +1410,48 @@ def _flip_prefix(tol64: np.ndarray, factor, damage: float) -> int:
     broadcast ``damage >= tolerance * factor`` in :meth:`HammerSweep.
     flip_mask` (NumPy promotes the float32 tolerances to float64 before
     multiplying, which is exactly what ``tol64`` pre-bakes) -- selects a
-    prefix. A binary search finds its exact length.
+    prefix. Two ``searchsorted`` calls around the inverse needle
+    ``damage / factor`` bracket its end: cells below the bracket flip
+    and cells above it do not (the 1e-9 relative window dominates the
+    two float64 roundings by seven orders of magnitude), and a binary
+    search replaying the exact predicate resolves the bracket itself,
+    which holds only the cells tied at the boundary.
     """
-    n = tol64.shape[0]
-    if n == 0 or tol64[0] * factor > damage:
-        return 0
-    if tol64[n - 1] * factor <= damage:
-        return n
-    low, high = 0, n - 1
-    while high - low > 1:
+    needle = damage / float(factor)
+    low = int(tol64.searchsorted(needle * (1.0 - 1e-9), "right"))
+    high = int(tol64.searchsorted(needle * (1.0 + 1e-9), "left"))
+    while low < high:
         mid = (low + high) // 2
         if tol64[mid] * factor <= damage:
-            low = mid
+            low = mid + 1
         else:
             high = mid
-    return low + 1
+    return low
 
 
-def _hammer_static(sweep: "HammerSweep") -> tuple:
-    """The per-(row, pattern) charged-population prefix statics:
-    ``((bulk_indices, bulk_tol64), (outlier_indices, outlier_tol64))``.
-
-    The population index arrays and presorted float64 tolerances are
-    operating-point independent: they are cached on the row state (keyed
-    by pattern) so V_PP steps and sweep-LRU evictions only pay dict
-    hits. Shared between :class:`_HammerCounts` (which builds them
-    eagerly) and :class:`_FusedHammerCounts` (which defers them until a
-    probe schedule proves it needs repeated exact counts).
-    """
-    state = sweep.state
-    static_key = ("_hammer_static", sweep.pattern)
-    static = state.cache.get(static_key)
-    if static is None:
-        bank = sweep._bank
-        # Pattern-independent row precomputation, shared across
-        # pattern statics: the ascending-tolerance cell order, the
-        # float64 tolerances in that order, and the outlier mask in
-        # that order. Tie order within equal tolerances is
-        # irrelevant (every prefix cutoff compares values only, so
-        # tied cells enter or leave a flip set together) -- the
-        # sorts can use the default unstable kind.
-        row_static = state.cache.get(_TOL_ORDER_KEY)
-        if row_static is None:
-            tolerance = bank._cached(
-                state, sweep.physical, "cell_tolerances"
-            )
-            order = np.argsort(tolerance)
-            row_static = (
-                order,
-                tolerance[order].astype(np.float64),
-                sweep._outlier_mask[order],
-            )
-            state.cache[_TOL_ORDER_KEY] = row_static
-        order, tol_sorted, outlier_sorted = row_static
-        # Filter once down to the charged cells, then split by the
-        # outlier flag at half width -- relative (ascending
-        # tolerance) order survives both filters.
-        charged_sorted = sweep.charged[order]
-        idx_charged = order[charged_sorted]
-        tol_charged = tol_sorted[charged_sorted]
-        out_charged = outlier_sorted[charged_sorted]
-        bulk_flag = ~out_charged
-        static = (
-            (idx_charged[bulk_flag], tol_charged[bulk_flag]),
-            (idx_charged[out_charged], tol_charged[out_charged]),
-        )
-        state.cache[static_key] = static
-    return static
+def _charged_in_prefix(bits: np.ndarray, prefix: int, charged_byte: int) -> int:
+    """Charged cells among the first ``prefix`` cells of a layout
+    population (``bits`` are its residue bits)."""
+    if not prefix or not charged_byte:
+        return 0
+    if charged_byte == 0xFF:
+        return prefix
+    return int(np.count_nonzero(bits[:prefix] & charged_byte))
 
 
-def _retention_guard(sweep: ProbeSweep) -> tuple:
-    """``(min retention, min sensitivity, max sensitivity)`` over the
-    charged cells, cached on the row state per pattern (``(inf, 0, 0)``
-    when nothing is charged). Pure row/pattern properties -- the inputs
-    of the analytic retention lower bound below."""
-    state = sweep.state
-    guard_key = ("_retention_guard", sweep.pattern)
-    guard = state.cache.get(guard_key)
-    if guard is None:
-        bank = sweep._bank
-        retention = bank._cached(
-            state, sweep.physical, "cell_retention_times"
-        )
-        sensitivity = bank._cached(
-            state, sweep.physical, "cell_retention_vpp_sensitivity"
-        )
-        if sweep.charged.any():
-            charged_sensitivity = sensitivity[sweep.charged]
-            guard = (
-                float(retention[sweep.charged].min()),
-                float(charged_sensitivity.min()),
-                float(charged_sensitivity.max()),
-            )
-        else:
-            guard = (math.inf, 0.0, 0.0)
-        state.cache[guard_key] = guard
-    return guard
-
-
-def _retention_lower_bound(sweep: ProbeSweep) -> float:
-    """A sound scalar lower bound on the charged cells' effective
-    retention at the current operating point.
-
-    Retention decay cannot fire below it (hammer probes wait micro- to
-    milliseconds, retention thresholds sit orders of magnitude higher),
-    so the per-cell retention evaluation is deferred -- usually forever.
-    The bound is analytic:
-
-    ``min_i r_i * thermal * margin^s_i * pattern
-      >= min(r) * thermal * min(margin^min(s), margin^max(s)) * pattern``
-
-    (``margin^s`` is monotone in ``s``), deflated by 1e-5 to absorb the
-    float32 rounding of the vectorized expression."""
-    retention_min, sensitivity_min, sensitivity_max = _retention_guard(sweep)
-    if math.isinf(retention_min):
-        return math.inf
-    bank = sweep._bank
-    model = bank._cal.retention
-    env = bank._env
-    margin = model.margin_factor(env.vpp)
-    thermal = model.temperature_factor(env.temperature)
-    pattern_scalar = float(bank._cached(
-        sweep.state, sweep.physical, "retention_pattern_factors"
-    )[sweep.pattern_index])
-    return (
-        retention_min * thermal
-        * min(margin ** sensitivity_min, margin ** sensitivity_max)
-        * pattern_scalar * (1.0 - 1e-5)
-    )
+def _charged_members(
+    indices: np.ndarray, bits: np.ndarray, prefix: int, charged_byte: int
+) -> np.ndarray:
+    """Indices of the charged cells among a population's first
+    ``prefix`` cells."""
+    if charged_byte == 0xFF:
+        return indices[:prefix]
+    return indices[:prefix][(bits[:prefix] & charged_byte) != 0]
 
 
 class _HammerCounts:
-    """Exact hammer-probe flip *counts* from scalar reductions.
+    """Exact hammer-probe flip *counts* from scalar reductions -- the
+    kernel-level reference.
 
     A probe's flip set is ``R | D`` where ``R`` (retention decays) and
     ``D`` (damage flips, per bulk/outlier population) are both prefix
@@ -1415,9 +1464,12 @@ class _HammerCounts:
     replays the exact scalar operations of :meth:`HammerSweep.
     flip_mask` (float64 products of the float32 tolerances, strict /
     non-strict directions preserved), so the counts are bit-consistent
-    with ``np.count_nonzero(flip_mask(...))``. The probe engine runs
-    :class:`_FusedHammerCounts`, which builds the same prefix statics
-    lazily; this eager variant serves analysis and the kernel tests.
+    with ``np.count_nonzero(flip_mask(...))``. The populations are
+    derived independently of the probe engine's kernel
+    (:class:`_FusedHammerCounts`, which reads the shared per-row
+    layouts): masked from the sweep's charged and outlier masks, then
+    sorted, and owned by this object. Serves analysis and the kernel
+    tests.
     """
 
     def __init__(self, sweep: HammerSweep):
@@ -1425,14 +1477,21 @@ class _HammerCounts:
         state = sweep.state
         self._cells = bank._cells
         self._physical = sweep.physical
-        self._bulk, self._outlier = _hammer_static(sweep)
+        tolerance = bank._cached(state, sweep.physical, "cell_tolerances")
+        populations = []
+        for mask in (
+            sweep.charged & ~sweep._outlier_mask,
+            sweep.charged & sweep._outlier_mask,
+        ):
+            indices = np.flatnonzero(mask)
+            indices = indices[np.argsort(tolerance[indices])]
+            populations.append(
+                (indices, tolerance[indices].astype(np.float64))
+            )
+        self._bulk, self._outlier = populations
         self._hammer_pattern = bank._cached(
             state, sweep.physical, "pattern_factors"
         )[sweep.pattern_index]
-        # Retention decay cannot fire below the analytic lower bound, so
-        # the full per-cell retention vector is materialized lazily --
-        # usually never (see _retention_lower_bound).
-        self._retention_bound = _retention_lower_bound(sweep)
         self._sweep = sweep
         self._retention_sorted = None
         self._effective_retention = None
@@ -1445,8 +1504,10 @@ class _HammerCounts:
         return self._hammer_pattern * jitter
 
     def _decayed(self, elapsed: float) -> int:
-        """Exact decayed-cell count; materializes the retention vector
-        on first use (callers pre-filter with ``_retention_bound``)."""
+        """Exact decayed-cell count; materializes the sorted charged
+        retention thresholds on first use."""
+        if elapsed <= 0:
+            return 0
         if self._retention_sorted is None:
             self._effective_retention = (
                 self._sweep.effective_retention_times()
@@ -1459,11 +1520,7 @@ class _HammerCounts:
     def any_decay(self, elapsed: float) -> bool:
         """True when the probe's wait decays at least one charged cell
         (``flip_mask``'s retention term is nonzero)."""
-        return (
-            elapsed > 0
-            and elapsed > self._retention_bound
-            and self._decayed(elapsed) > 0
-        )
+        return self._decayed(elapsed) > 0
 
     def _population_retention(self, index: int) -> np.ndarray:
         retention = self._pop_retention[index]
@@ -1479,9 +1536,7 @@ class _HammerCounts:
     ) -> int:
         """``np.count_nonzero(flip_mask(...))``, without the vectors."""
         factor = self._factor(session)
-        decayed = 0
-        if elapsed > 0 and elapsed > self._retention_bound:
-            decayed = self._decayed(elapsed)
+        decayed = self._decayed(elapsed)
         total = decayed
         for index, damage in ((0, damage_bulk), (1, damage_outlier)):
             tol64 = (self._bulk, self._outlier)[index][1]
@@ -1519,10 +1574,8 @@ class _HammerCounts:
 
         The prefix form of ``flip_mask``'s damage term: monotone
         float64 products make each population's flip set a prefix of
-        its presorted index array. When ``elapsed <= min_retention`` no
-        retention decay can fire, so these indices *are* the complete
-        flip set -- the probe engine materializes a session's final
-        data from them without touching a full-row vector.
+        its presorted index array. Without retention decay these
+        indices *are* the complete flip set.
         """
         factor = self._factor(session)
         parts = []
@@ -1535,16 +1588,11 @@ class _HammerCounts:
         return parts
 
     def nbytes(self) -> int:
-        """Bytes of the operating-point-specific arrays this object
-        owns (the lazily sorted retention slices; the prefix statics
-        live on the shared row state and are not counted)."""
-        total = 0
-        if self._retention_sorted is not None:
-            total += self._retention_sorted.nbytes
-        for retention in self._pop_retention:
-            if retention is not None:
-                total += retention.nbytes
-        return total
+        """Bytes of the arrays this object owns (its populations and
+        the lazily sorted retention slices)."""
+        arrays = [*self._bulk, *self._outlier, *self._pop_retention]
+        arrays.append(self._retention_sorted)
+        return sum(array.nbytes for array in arrays if array is not None)
 
 
 def _fused_group_prefix(
@@ -1585,49 +1633,43 @@ def _fused_group_prefix(
 
 
 class _FusedRetentionCounts:
-    """Cross-operating-point retention reductions over the sensitivity
-    group decomposition -- the probe engine's retention kernel.
+    """Cross-operating-point retention reductions over the row's
+    retention layout -- the probe engine's retention kernel.
 
     Instead of materializing and sorting a fresh effective-threshold
     vector per (row, pattern, operating point), V_PP, temperature and
     pattern only *reparameterize* the presorted per-group base
-    retention times (:meth:`ProbeSweep.retention_groups`):
-    each group's effective thresholds are its ascending base times
-    multiplied by three positive scalars, so an operating point costs
-    just the scalar chain (no per-cell work at all) and every count
-    resolves against the shared base-time arrays by needle inversion
-    (:func:`_fused_group_prefix`). The boundary correction replays the
-    exact float32/float64 operations of the vectorized
-    ``retention * thermal * margin**sensitivity * pattern`` chain
-    elementwise, so counts, flip sets and histograms are bit-identical
-    to :meth:`RetentionSweep.flip_mask`; the engine's differential tests
-    against the command path assert exactly that. The kernel owns *no* per-operating-point
-    arrays -- fused retention sweeps are weightless under the sweep
-    LRU's byte budget, so V_PP ladders keep every row resident.
+    retention times (:meth:`Bank.retention_layout`): each group's
+    effective thresholds are its ascending base times multiplied by
+    three positive scalars, so an operating point costs just the scalar
+    chain and every decay prefix resolves against the shared base-time
+    arrays by needle inversion (:func:`_fused_group_prefix`). The layout
+    holds every cell, so a prefix also covers the cells the pattern
+    leaves uncharged; counts, flip sets and histograms keep only the
+    prefix's charged cells (``bits & charged_byte``). The boundary
+    correction replays the exact float32/float64 operations of the
+    vectorized ``retention * thermal * margin**sensitivity * pattern``
+    chain elementwise, so all three are bit-identical to
+    :meth:`RetentionSweep.flip_mask`; the engine's differential tests
+    against the command path assert exactly that. The kernel owns *no*
+    per-operating-point arrays -- fused retention sweeps are weightless
+    under the sweep LRU's byte budget, so V_PP ladders keep every row
+    resident.
     """
 
     def __init__(self, sweep: ProbeSweep):
         bank = sweep._bank
-        env = bank._env
-        model = bank._cal.retention
-        margin = np.float32(model.margin_factor(env.vpp))
-        thermal = np.float32(model.temperature_factor(env.temperature))
+        margin, thermal = (np.float32(x) for x in bank.retention_scalars())
         scalar = bank._cached(
             sweep.state, sweep.physical, "retention_pattern_factors"
         )[sweep.pattern_index]
-        groups = sweep.retention_groups()
-        self._indices = tuple(indices for _, indices, _ in groups)
-        self._times = tuple(times for _, _, times in groups)
-        # Word numbers of the group cells, for the histogram reduction:
-        # shifted once per (row, pattern) and shared through the row
-        # state's cache exactly like the group decomposition itself.
-        words_key = ("_ret_words", sweep.pattern)
-        words = sweep.state.cache.get(words_key)
-        if words is None:
-            words = tuple(indices >> 6 for indices in self._indices)
-            sweep.state.cache[words_key] = words
-        self._words = words
-        powers = tuple(np.power(margin, value) for value, _, _ in groups)
+        self._charged_byte = sweep.charged_byte
+        groups = (
+            bank.retention_layout(sweep.state, sweep.physical)
+            if self._charged_byte else ()
+        )
+        self._groups = tuple(group[1:] for group in groups)
+        powers = tuple(np.power(margin, group[0]) for group in groups)
         self._scalars = tuple(
             (thermal, margin_pow, scalar) for margin_pow in powers
         )
@@ -1638,20 +1680,31 @@ class _FusedRetentionCounts:
         # An Alg. 3 ladder re-asks the same elapsed times many times
         # over (every iteration of a worst-probe shares one elapsed;
         # the histogram and session close re-use the winner), so the
-        # resolved per-group prefixes are memoized per elapsed.
+        # resolved per-group prefixes are memoized per elapsed. The
+        # iterations' elapsed times differ by float rounding only and
+        # almost always decay the same cells, so the charged counts are
+        # memoized per prefix set as well.
         self._memo: Dict[float, tuple] = {}
+        self._charged_counts: Dict[tuple, int] = {}
 
     def _resolve(self, elapsed: float) -> tuple:
+        """``(charged decayed count, per-group layout prefixes)``."""
         cached = self._memo.get(elapsed)
         if cached is None:
             prefixes = tuple(
                 _fused_group_prefix(times, *scalars, factor, elapsed)
-                for times, scalars, factor in zip(
-                    self._times, self._scalars, self._factors
+                for (_, times, _), scalars, factor in zip(
+                    self._groups, self._scalars, self._factors
                 )
             )
-            cached = (sum(prefixes), prefixes)
-            self._memo[elapsed] = cached
+            count = self._charged_counts.get(prefixes)
+            if count is None:
+                count = sum(
+                    _charged_in_prefix(bits, prefix, self._charged_byte)
+                    for (_, _, bits), prefix in zip(self._groups, prefixes)
+                )
+                self._charged_counts[prefixes] = count
+            cached = self._memo[elapsed] = (count, prefixes)
         return cached
 
     def count(self, elapsed: float) -> int:
@@ -1681,34 +1734,24 @@ class _FusedRetentionCounts:
         result as a set)."""
         if elapsed <= 0:
             return _EMPTY_INDICES
-        parts = []
-        for indices, prefix in zip(self._indices, self._resolve(elapsed)[1]):
-            if prefix == indices.size:
-                parts.append(indices)
-            elif prefix:
-                parts.append(indices[:prefix])
-        if not parts:
+        count, prefixes = self._resolve(elapsed)
+        if not count:
             return _EMPTY_INDICES
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts)
+        parts = [
+            _charged_members(indices, bits, prefix, self._charged_byte)
+            for (indices, _, bits), prefix in zip(self._groups, prefixes)
+            if prefix
+        ]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def word_histogram(self, elapsed: float) -> "Dict[int, int]":
         """``{flips-per-64-bit-word: word count}`` over affected words,
         identical to binning ``flip_mask`` -- the Alg. 3 record's
         word-granular histogram."""
-        if elapsed <= 0:
+        flipped = self.flip_indices(elapsed)
+        if not flipped.size:
             return {}
-        prefixes = self._resolve(elapsed)[1]
-        parts = [
-            words if prefix == words.size else words[:prefix]
-            for words, prefix in zip(self._words, prefixes)
-            if prefix
-        ]
-        if not parts:
-            return {}
-        flipped_words = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        per_word = np.bincount(flipped_words)
+        per_word = np.bincount(flipped >> 6)
         histogram = np.bincount(per_word[per_word > 0])
         return {
             int(v): int(c)
@@ -1724,75 +1767,47 @@ class _FusedRetentionCounts:
 
 
 class _FusedHammerCounts:
-    """Hammer-probe reductions with *deferred* sort statics.
+    """Hammer-probe reductions over the row's shared tolerance layout
+    -- the probe engine's hammer kernel.
 
-    :class:`_HammerCounts` pays an eager per-(row, pattern) charged-
-    population sort the first time a pattern is probed -- dominant in
-    WCDP phases, where most (row, pattern) pairs answer a handful of
-    probes and never amortize it. This kernel answers
+    The row's cells sit once in ascending-tolerance order per
+    population (:meth:`Bank.tolerance_layout`); a data pattern only
+    selects which of them are charged. The flip predicate
+    ``tol * factor <= damage`` is monotone over the sorted layout, so a
+    probe's damage flips are the charged cells of one layout prefix
+    per population:
 
-    * ``any_flip`` from two cached population minima (no vectors),
-    * retention decay from the shared group decomposition
-      (:class:`_FusedRetentionCounts` -- no per-point sort), and
-    * exact ``count``/``flip_populations`` from a one-shot vector
-      evaluation until a (row, pattern) pair has asked for
-      :data:`STATIC_BUILD_THRESHOLD` of them, at which point it builds
-      the same prefix statics as :class:`_HammerCounts` (shared cache
-      key) and switches to scalar binary searches.
+    * ``any_flip`` compares the charged populations' tolerance minima,
+      read off the row's residue table (no layout, no vectors);
+    * ``count`` and ``flip_populations`` search the layout
+      (:func:`_flip_prefix`), then count or gather only the prefix's
+      charged cells;
+    * retention decay is decided by the exact charged minimum
+      (:meth:`ProbeSweep.min_charged_retention`) and, when it fires,
+      counted on the retention layout (:class:`_FusedRetentionCounts`).
 
     Every path replays the scalar/broadcast expressions of
     :meth:`HammerSweep.flip_mask` exactly, so results stay bit-identical
     to the command path.
     """
 
-    #: Exact-count/flip-set calls per (row, pattern) -- accumulated
-    #: across operating points -- after which the prefix statics are
-    #: built. Below it, one-shot vector evaluations are cheaper than the
-    #: sort; a WCDP tie-break session (one BER probe plus its close)
-    #: stays one-shot, while a grid bisection crosses the threshold on
-    #: its first operating point and amortizes the sort over the rest.
-    STATIC_BUILD_THRESHOLD = 3
-
     def __init__(self, sweep: HammerSweep):
         bank = sweep._bank
         state = sweep.state
         self._sweep = sweep
-        self._bank = bank
         self._cells = bank._cells
         self._physical = sweep.physical
         self._hammer_pattern = bank._cached(
             state, sweep.physical, "pattern_factors"
         )[sweep.pattern_index]
-        # Population minima: enough to answer any_flip exactly (the
-        # prefix kernel compares tol64[0] * factor <= damage; float() of
-        # the float32 minimum is the same float64 value).
-        minima_key = ("_hammer_minima", sweep.pattern)
-        minima = state.cache.get(minima_key)
-        if minima is None:
-            static = state.cache.get(("_hammer_static", sweep.pattern))
-            if static is not None:
-                minima = tuple(
-                    float(tol64[0]) if tol64.shape[0] else math.inf
-                    for _, tol64 in static
-                )
-            else:
-                tolerance = bank._cached(
-                    state, sweep.physical, "cell_tolerances"
-                )
-                charged = sweep.charged
-                outlier = sweep._outlier_mask
-                values = []
-                for mask in (charged & ~outlier, charged & outlier):
-                    values.append(
-                        float(tolerance[mask].min())
-                        if mask.any() else math.inf
-                    )
-                minima = tuple(values)
-            state.cache[minima_key] = minima
-        self._min_bulk, self._min_outlier = minima
-        self._retention_bound = _retention_lower_bound(sweep)
+        self._charged_byte = sweep.charged_byte
+        # Population minima answer any_flip exactly: float() of the
+        # float32 minimum is the float64 value flip_mask multiplies, and
+        # the product is monotone in the tolerance.
+        self._minima = sweep.charged_tolerance_minima()
+        self._min_retention = sweep.min_charged_retention()
         self._retention = None
-        self._static = None
+        self._layout = None
 
     def _factor(self, session: int):
         jitter = self._cells.measurement_jitter(self._physical, session)
@@ -1805,12 +1820,8 @@ class _FusedHammerCounts:
 
     def any_decay(self, elapsed: float) -> bool:
         """True when the probe's wait decays at least one charged cell
-        (group-counted; no per-operating-point sort)."""
-        return (
-            elapsed > 0
-            and elapsed > self._retention_bound
-            and self._retention_counts().count(elapsed) > 0
-        )
+        (``flip_mask``'s retention term: ``threshold < elapsed``)."""
+        return elapsed > 0 and self._min_retention < elapsed
 
     def any_flip(
         self, damage_bulk: float, damage_outlier: float, session: int,
@@ -1820,72 +1831,54 @@ class _FusedHammerCounts:
         if self.any_decay(elapsed):
             return True
         factor = self._factor(session)
+        min_bulk, min_outlier = self._minima
         return (
-            self._min_bulk * factor <= damage_bulk
-            or self._min_outlier * factor <= damage_outlier
+            min_bulk * factor <= damage_bulk
+            or min_outlier * factor <= damage_outlier
         )
 
-    def _statics(self):
-        """The prefix statics, or None while the pair is below the build
-        threshold (callers then fall back to a one-shot vector pass).
-        Once available they are kept on the kernel, so a bisection's
-        exact counts skip the row-state lookup."""
-        static = self._static
-        if static is not None:
-            return static
-        state = self._sweep.state
-        static = state.cache.get(("_hammer_static", self._sweep.pattern))
-        if static is None:
-            uses_key = ("_fused_static_uses", self._sweep.pattern)
-            uses = state.cache.get(uses_key, 0) + 1
-            state.cache[uses_key] = uses
-            if uses < self.STATIC_BUILD_THRESHOLD:
-                return None
-            static = _hammer_static(self._sweep)
-        self._static = static
-        return static
-
-    def _damage_mask(
-        self, damage_bulk: float, damage_outlier: float, factor
-    ) -> np.ndarray:
-        """``flip_mask``'s damage term, verbatim (one broadcast pass)."""
-        sweep = self._sweep
-        tolerance = self._bank._cached(
-            sweep.state, sweep.physical, "cell_tolerances"
-        )
-        damage = np.where(
-            sweep._outlier_mask, damage_outlier, damage_bulk
-        )
-        return sweep.charged & (damage >= tolerance * factor)
+    def _damage_flips(self, damage_bulk, damage_outlier, factor):
+        """``(population, layout prefix)`` per population with charged
+        damage flips (``flip_mask``'s damage term)."""
+        if self._layout is None:
+            self._layout = self._sweep._bank.tolerance_layout(
+                self._sweep.state, self._physical
+            )
+        flipped = []
+        for population, minimum, damage in zip(
+            self._layout, self._minima, (damage_bulk, damage_outlier)
+        ):
+            if minimum * factor <= damage:
+                flipped.append(
+                    (population, _flip_prefix(population[1], factor, damage))
+                )
+        return flipped
 
     def count(
         self, damage_bulk: float, damage_outlier: float, session: int,
         elapsed: float,
     ) -> int:
-        """``np.count_nonzero(flip_mask(...))``, statics-free until the
-        build threshold."""
+        """``np.count_nonzero(flip_mask(...))``, without the vectors."""
         factor = self._factor(session)
-        decayed = 0
-        if elapsed > 0 and elapsed > self._retention_bound:
-            decayed = self._retention_counts().count(elapsed)
-        if decayed:
-            # Rare: decay during a hammer probe. Evaluate the union
-            # exactly by scattering the group flip set over the damage
-            # mask -- equivalent to flip_mask's |= accumulation.
-            flips = self._damage_mask(damage_bulk, damage_outlier, factor)
+        flipped = self._damage_flips(damage_bulk, damage_outlier, factor)
+        if self.any_decay(elapsed):
+            # Rare: decay during a hammer probe. Count the union of the
+            # damage and decay flip sets (flip_mask's |=) exactly.
+            flips = np.zeros(self._sweep.charged.size, dtype=bool)
             flips[self._retention_counts().flip_indices(elapsed)] = True
+            for part in self._members(flipped):
+                flips[part] = True
             return int(np.count_nonzero(flips))
-        static = self._statics()
-        if static is not None:
-            total = 0
-            for (_, tol64), damage in (
-                (static[0], damage_bulk), (static[1], damage_outlier)
-            ):
-                total += _flip_prefix(tol64, factor, damage)
-            return total
-        return int(np.count_nonzero(
-            self._damage_mask(damage_bulk, damage_outlier, factor)
-        ))
+        return sum(
+            _charged_in_prefix(population[2], prefix, self._charged_byte)
+            for population, prefix in flipped
+        )
+
+    def _members(self, flipped) -> List[np.ndarray]:
+        return [
+            _charged_members(indices, bits, prefix, self._charged_byte)
+            for (indices, _, bits), prefix in flipped
+        ]
 
     def flip_populations(
         self, damage_bulk: float, damage_outlier: float, session: int
@@ -1893,21 +1886,11 @@ class _FusedHammerCounts:
         """Index arrays of the damage-flipped cells (set semantics; see
         :meth:`_HammerCounts.flip_populations`)."""
         factor = self._factor(session)
-        static = self._statics()
-        if static is not None:
-            parts = []
-            for (indices, tol64), damage in (
-                (static[0], damage_bulk), (static[1], damage_outlier)
-            ):
-                prefix = _flip_prefix(tol64, factor, damage)
-                if prefix:
-                    parts.append(indices[:prefix])
-            return parts
-        mask = self._damage_mask(damage_bulk, damage_outlier, factor)
-        if not mask.any():
-            return []
-        return [np.flatnonzero(mask)]
+        return self._members(
+            self._damage_flips(damage_bulk, damage_outlier, factor)
+        )
 
     def nbytes(self) -> int:
-        """Bytes of the owned per-operating-point arrays."""
-        return 0 if self._retention is None else self._retention.nbytes()
+        """Bytes of the owned per-operating-point arrays (none: the
+        layouts live on the shared row state)."""
+        return 0

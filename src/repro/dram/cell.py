@@ -207,8 +207,12 @@ class CellParameterGenerator:
         ]
         if not missing:
             return 0
-        if len(cache) > 262_144:
+        if len(cache) > self.JITTER_CACHE_LIMIT:
+            # The horizons describe what the cache holds: drop them with
+            # it, or rows would skip their prefetch and draw every
+            # session's jitter one generator at a time.
             cache.clear()
+            self._jitter_horizon.clear()
         prefix = f"bank/{self._bank}/row/{physical_row}/jitter/"
         draws = self._hub.standard_normals(
             [prefix + str(session) for session in missing]
@@ -238,6 +242,9 @@ class CellParameterGenerator:
     #: per call; the stranded tail, at most one block per row per
     #: campaign, is noise by comparison.
     JITTER_EXTEND_SPAN = 3 * 127
+    #: Cached jitter values past which the cache (and every row's
+    #: horizon) is cleared before the next prefetch.
+    JITTER_CACHE_LIMIT = 262_144
 
     def ensure_jitter_window(self, physical_row: int, session: int) -> None:
         """Guarantee the jitter block covering ``session`` is prefetched.
@@ -260,10 +267,11 @@ class CellParameterGenerator:
                     return
                 span = self.JITTER_EXTEND_SPAN
         horizon = session + span
-        self._jitter_horizon[physical_row] = horizon
         self.prefetch_measurement_jitter(
             physical_row, range(session, horizon + 1, 3)
         )
+        # Recorded after the prefetch, which may clear every horizon.
+        self._jitter_horizon[physical_row] = horizon
 
     def is_anti_row(self, physical_row: int) -> bool:
         """True cell rows store 1 as charge; anti rows store 0."""
