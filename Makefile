@@ -34,8 +34,8 @@ BENCH_SMOKE_OUT ?= /tmp/BENCH_service_smoke.json
 # campaign wall-clock for the fused kernel and the command oracle), plus the
 # orchestration-service smoke run (benchmarks/BENCH_service.json).
 bench: service-smoke
-	$(PYTHON) -m pytest benchmarks/test_microbenchmarks.py --benchmark-only
-	$(PYTHON) benchmarks/bench_probe.py
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_microbenchmarks.py --benchmark-only
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_probe.py
 
 # Perf-regression guard: re-measures probe throughput and the
 # campaigns, fails when any metric regresses against the committed
@@ -63,7 +63,7 @@ bench-smoke:
 # asserts the retry succeeds, the JSON-lines event log parses, and the
 # merged study matches the sequential reference bit-for-bit.
 service-smoke:
-	$(PYTHON) benchmarks/service_smoke.py
+	PYTHONPATH=src $(PYTHON) benchmarks/service_smoke.py
 
 # API load benchmark: >= 1000 concurrent tiny-campaign jobs against an
 # in-process server; records p50/p99 request latency and jobs/sec into
@@ -82,26 +82,28 @@ api-smoke:
 # the schemas in docs/OBSERVABILITY.md: Chrome-trace JSON (nested
 # spans), Prometheus text exposition, ts+mono telemetry events, the
 # study provenance disk round trip, and the stitched cross-process
-# trace of an API-submitted pooled job. Set OBS_SMOKE_ARTIFACTS to a
+# trace of an API-submitted pooled job, whose --profile table must
+# attribute phase time to the worker lanes. Set OBS_SMOKE_ARTIFACTS to a
 # directory to also write the traces + metrics text for CI upload.
 obs-smoke:
-	$(PYTHON) benchmarks/obs_smoke.py \
+	PYTHONPATH=src $(PYTHON) benchmarks/obs_smoke.py \
 		$(if $(OBS_SMOKE_ARTIFACTS),--artifacts $(OBS_SMOKE_ARTIFACTS))
 
 # Every artifact-regeneration benchmark (slow).
 bench-all:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Regenerate every paper table/figure into results/ (parallel campaigns).
+# Regenerate every paper table/figure into results/ (campaigns pre-run
+# through the orchestration service over 6 worker processes).
 artifacts:
-	$(PYTHON) examples/full_paper_run.py --parallel 6 --out results/
+	PYTHONPATH=src $(PYTHON) examples/full_paper_run.py --parallel 6 --out results/
 
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/spice_waveforms.py
-	$(PYTHON) examples/ecc_selective_refresh.py
-	$(PYTHON) examples/reduced_vpp_system.py
-	$(PYTHON) examples/system_level_attack.py
+	PYTHONPATH=src $(PYTHON) examples/quickstart.py
+	PYTHONPATH=src $(PYTHON) examples/spice_waveforms.py
+	PYTHONPATH=src $(PYTHON) examples/ecc_selective_refresh.py
+	PYTHONPATH=src $(PYTHON) examples/reduced_vpp_system.py
+	PYTHONPATH=src $(PYTHON) examples/system_level_attack.py
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .benchmarks

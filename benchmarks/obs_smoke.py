@@ -20,7 +20,9 @@ validates every surface of the unified observability layer
   the same trace id from HTTP admission (``api.admission``) through the
   worker thread (``api.job``), the orchestrator (``campaign``) and the
   pool workers' ``work-unit`` spans, with flow events over the queue
-  hop and per-tenant SLO histograms on the exposition.
+  hop and per-tenant SLO histograms on the exposition;
+* the ``--profile`` table of that pooled run attributes the ``module``,
+  ``wcdp`` and ``rowhammer`` phases to the worker lanes.
 
 Exits non-zero on any violation. ``--artifacts DIR`` additionally
 copies the Chrome traces (inline + stitched) and the Prometheus text
@@ -49,7 +51,7 @@ from repro.core.scale import StudyScale
 from repro.harness import cache
 from repro.obs.metrics import REGISTRY
 from repro.obs.provenance import validate_provenance
-from repro.obs.trace import TRACER
+from repro.obs.trace import TRACER, profile_report
 from repro.service import CampaignService
 from repro.service.telemetry import TelemetryLog
 
@@ -59,7 +61,8 @@ SEED = 0
 
 #: Span nesting the trace must exhibit (child -> allowed parents).
 #: ``module`` sits under ``campaign`` directly in study runs and under
-#: the service's ``service.unit`` phase span in orchestrated runs.
+#: the service's ``service.unit`` span in orchestrated runs (the smoke
+#: campaign is orchestrated, so that is where it must be found).
 EXPECTED_NESTING = {
     "module": {"campaign", "service.unit"},
     "operating-point": {"module"},
@@ -102,6 +105,12 @@ def validate_chrome_trace(path: str) -> None:
             f"{child!r} spans nested under {sorted(seen_parents)}, "
             f"expected one of {sorted(parents)}",
         )
+    module_parents = {e["args"].get("parent") for e in by_name["module"]}
+    check(
+        module_parents == {"service.unit"},
+        f"orchestrated module spans nested under {sorted(module_parents)}, "
+        "expected the service.unit span",
+    )
     campaign = by_name.get("campaign", [])
     check(len(campaign) == 1, "expected exactly one campaign span")
     check(campaign[0]["args"]["depth"] == 0, "campaign span not root")
@@ -247,12 +256,33 @@ def validate_stitched_api_trace(tmp: str) -> dict:
     ):
         check(needle in text,
               f"per-tenant SLO series missing from /metrics: {needle}")
+    validate_worker_attribution()
     TRACER.disable()
     obs_context.clear_fragments()
     print(f"  stitched: one trace ({trace_id[:8]}...) across "
           f"{len(pids)} processes, {len(flows) // 2} queue-hop flows, "
           "per-tenant SLO series exposed")
     return stitched
+
+
+#: Phases a pooled run executes only in its workers.
+WORKER_PHASES = ("module", "wcdp", "rowhammer")
+
+
+def validate_worker_attribution() -> None:
+    """The ``--profile`` table of the pooled run just traced must carry
+    worker-lane time for the phases only the workers execute."""
+    rows = {
+        line.split()[0]: line
+        for line in profile_report().splitlines()
+        if line and not line.startswith("--")
+    }
+    for phase in WORKER_PHASES:
+        check(phase in rows, f"--profile table has no {phase!r} row")
+        check("in workers" in rows[phase],
+              f"--profile {phase!r} row has no worker time: {rows[phase]}")
+    print(f"  profile: {', '.join(WORKER_PHASES)} time attributed to "
+          "worker lanes")
 
 
 def _emit_artifacts(directory, inline_trace_path, stitched) -> None:
@@ -302,7 +332,7 @@ def main(argv=None) -> int:
         if args.artifacts:
             _emit_artifacts(args.artifacts, trace_path, stitched)
     print("obs smoke: trace + metrics + events + provenance + "
-          "stitched API trace OK")
+          "stitched API trace + worker profile OK")
     return 0
 
 

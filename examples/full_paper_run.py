@@ -24,7 +24,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--parallel", type=int, default=None,
-        help="pre-run the campaigns with N worker processes",
+        help="pre-run the campaigns through the orchestration service "
+             "with N worker processes",
     )
     args = parser.parse_args()
 
@@ -35,7 +36,7 @@ def main() -> None:
         plan = build_plan(
             EXPERIMENT_IDS, modules=kwargs.get("modules"), seed=args.seed
         )
-        plan.preload_parallel(max_workers=args.parallel)
+        plan.orchestrate(max_workers=args.parallel)
     for experiment_id in EXPERIMENT_IDS:
         output = run_experiment(experiment_id, **kwargs)
         print(output.render())

@@ -21,7 +21,8 @@ This package implements Section 4's experimental pipeline end to end:
 * :mod:`repro.core.attacks` -- single/double/many-sided attack patterns.
 * :mod:`repro.core.profiling` -- REAPER-style weak-row retention
   profiling (feeds selective refresh).
-* :mod:`repro.core.campaign` -- process-parallel campaign execution.
+* :mod:`repro.core.campaign` -- row-chunk planning and chunk merging
+  for pooled campaigns.
 * :mod:`repro.core.serialization` -- study persistence (JSON).
 """
 

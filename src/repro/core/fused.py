@@ -56,10 +56,7 @@ by ``tests/core/test_probe_equivalence.py`` and
   instead, counted in ``repro_probe_fallbacks_total{reason=sensing}``.
 
 Alg. 2 runs on :class:`KernelTrcdSession` (see
-:mod:`repro.core.trcd`). :meth:`FusedProbeEngine.retention_grid`
-exposes the fused layout directly: one ``(points x cells)`` threshold
-stack answering a whole V_PP x refresh-window grid of decay counts
-without touching the device's operating point.
+:mod:`repro.core.trcd`).
 """
 
 from __future__ import annotations
@@ -69,7 +66,6 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.perf import PROFILER
 from repro.core.probe import (
     SWEEP_CACHE_GAUGE,
     CommandProbeEngine,
@@ -313,7 +309,6 @@ class FusedHammerSession(HammerSession):
             iterations if self._probed else iterations - 1
         )
         self._probed = True
-        PROFILER.count("hammer_probes", iterations)
         self._pending = (
             damage_bulk, damage_outlier, session - 1, elapsed
         )
@@ -422,7 +417,6 @@ class FusedRetentionSession(RetentionSession):
             probes if self._probed else probes - 1
         )
         self._probed = True
-        PROFILER.count("retention_probes", probes)
         self._pending = elapsed_values[-1]
         return self._counts.count_many(elapsed_values), elapsed_values
 
@@ -736,59 +730,6 @@ class FusedProbeEngine(ProbeEngine):
             bank.preheat_retention_orders(rows)
         return warmed
 
-    def retention_grid(
-        self,
-        ctx,
-        row: int,
-        pattern,
-        vpp_levels: Sequence[float],
-        windows: Sequence[float],
-    ) -> np.ndarray:
-        """Decayed-cell counts over a V_PP x refresh-window grid.
-
-        Builds the fused ``(points x cells)`` effective-threshold stack
-        for ``row``/``pattern`` -- each group's presorted charged base
-        retention times (filtered out of the row's layout) broadcast
-        against the per-level scalar chains -- and
-        reduces every (level, window) pair from it. Pure analysis: the
-        device's operating point, simulated clock and row state are
-        untouched (this is the kernel the probe sessions replay with
-        bookkeeping; its counts match theirs bit-for-bit at equal
-        elapsed times, ``windows`` being elapsed waits measured from
-        the restore). Returns an ``(len(vpp_levels), len(windows))``
-        int64 array.
-        """
-        bank = self._module.bank(ctx.bank)
-        sweep = self._sweep(ctx, "retention", row, pattern)
-        model = bank._cal.retention
-        env = self._env
-        thermal = np.float32(model.temperature_factor(env.temperature))
-        scalar = bank._cached(
-            sweep.state, sweep.physical, "retention_pattern_factors"
-        )[sweep.pattern_index]
-        margins = np.array(
-            [model.margin_factor(vpp) for vpp in vpp_levels],
-            dtype=np.float32,
-        )
-        needles = np.asarray(windows, dtype=np.float64)
-        counts = np.zeros((len(vpp_levels), len(windows)), dtype=np.int64)
-        for value, _, times, bits in bank.retention_layout(
-            sweep.state, sweep.physical
-        ):
-            times = times[(bits & sweep.charged_byte) != 0]
-            exponents = np.power(margins, value)
-            base = times * thermal
-            # The (points x cells) stack: broadcasting the float32
-            # multiplies evaluates, per element, the same scalar chain
-            # the per-point kernels run; the float64 pattern factor
-            # promotes last, exactly as in _FusedRetentionCounts.
-            thresholds = (base[None, :] * exponents[:, None]) * scalar
-            for point in range(margins.size):
-                counts[point] += np.searchsorted(
-                    thresholds[point], needles, side="left"
-                )
-        return counts
-
     # -- the private sensing-hazard fallback --------------------------------
     #
     # When activation corruption could fire, a session's probes run one
@@ -883,7 +824,6 @@ class FusedProbeEngine(ProbeEngine):
             (2 + len(sweep.aggressor_states)) * (2 + self._columns)
             + 2 * total_cycles
         )
-        PROFILER.count("hammer_probes")
         return float(np.count_nonzero(mismatches) / mismatches.size)
 
     def _retention_mismatches(self, ctx, sweep, trefw):
@@ -906,7 +846,6 @@ class FusedProbeEngine(ProbeEngine):
         mismatches = self._read_back(bank, sweep, sweep.flip_mask(elapsed))
         self.counters.retention_probes += 1
         self.counters.commands_issued += 2 * (2 + self._columns)
-        PROFILER.count("retention_probes")
         return mismatches
 
     def _retention_probe(self, ctx, sweep, trefw):

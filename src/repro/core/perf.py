@@ -1,16 +1,12 @@
-"""Campaign performance instrumentation.
+"""Probe-engine counters.
 
-A process-global :data:`PROFILER` collects per-phase wall-clock (WCDP
-determination, the per-V_PP probe loops, result export) and probe
-counters (:class:`ProbeCounters`, mirroring the command counters of
-:class:`~repro.softmc.host.ExecutionResult`). Everything is disabled by
-default and costs one attribute check per phase; the runner's
-``--profile`` flag turns it on.
-
-Since the unified observability layer (:mod:`repro.obs`) landed, this
-module is a thin façade over it: phases double as tracer spans when
-``--trace`` is live, and :meth:`ProbeCounters.publish` folds engine
-counters into the central metrics registry at module/unit completion.
+:class:`ProbeCounters` mirrors the command counters of
+:class:`~repro.softmc.host.ExecutionResult` for one probe engine, and
+:meth:`ProbeCounters.publish` folds them into the central metrics
+registry (:data:`repro.obs.metrics.REGISTRY`) at module/unit
+completion. Phase timing is the tracer's job: campaign phases are
+:data:`repro.obs.trace.TRACER` spans, and the runner's ``--profile``
+report aggregates them (:func:`repro.obs.trace.profile_report`).
 
 Not to be confused with :mod:`repro.core.profiling`, which implements
 the paper-domain REAPER-style *retention* profiling.
@@ -18,12 +14,10 @@ the paper-domain REAPER-style *retention* profiling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict
 
-from repro.obs import clock
 from repro.obs.metrics import REGISTRY
-from repro.obs.trace import TRACER
 
 #: ProbeCounters field -> metrics-registry counter it publishes into.
 PROBE_METRIC_NAMES = {
@@ -150,133 +144,3 @@ class ProbeCounters:
                 if labels:
                     counter = counter.labels(**labels)
                 counter.inc(value)
-
-
-class _NullPhase:
-    """No-op context manager handed out while profiling is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullPhase":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-
-_NULL_PHASE = _NullPhase()
-
-
-class _Phase:
-    """Accumulates one timed section into the profiler.
-
-    When the span tracer is live, the phase doubles as a span of the
-    same name, so ``--trace`` output covers every ``--profile`` phase.
-    """
-
-    __slots__ = ("_profiler", "_name", "_start", "_span")
-
-    def __init__(self, profiler: "PhaseProfiler", name: str, span=None):
-        self._profiler = profiler
-        self._name = name
-        self._start = 0.0
-        self._span = span
-
-    def __enter__(self) -> "_Phase":
-        if self._span is not None:
-            self._span.__enter__()
-        self._start = clock.monotonic()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._profiler._record(self._name, clock.monotonic() - self._start)
-        if self._span is not None:
-            self._span.__exit__(*exc)
-
-
-@dataclass
-class PhaseProfiler:
-    """Per-phase wall-clock and probe-count aggregation.
-
-    Disabled by default so the hot paths pay one boolean check. Phase
-    times from worker processes (``run_parallel``) stay in the workers;
-    the report covers the in-process portion of a run.
-    """
-
-    enabled: bool = False
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
-    phase_calls: Dict[str, int] = field(default_factory=dict)
-    counters: Dict[str, int] = field(default_factory=dict)
-
-    def enable(self) -> None:
-        """Turn profiling on (phases and counters start recording)."""
-        self.enabled = True
-
-    def disable(self) -> None:
-        """Turn profiling off."""
-        self.enabled = False
-
-    def reset(self) -> None:
-        """Drop all recorded phases and counters."""
-        self.phase_seconds.clear()
-        self.phase_calls.clear()
-        self.counters.clear()
-
-    def phase(self, name: str):
-        """Context manager timing one section under ``name``.
-
-        A no-op while both the profiler and the span tracer are off;
-        with only the tracer on it records a bare span, and with both
-        on one context serves phase table and trace.
-        """
-        if not self.enabled:
-            if TRACER.enabled:
-                return TRACER.span(name)
-            return _NULL_PHASE
-        span = TRACER.span(name) if TRACER.enabled else None
-        return _Phase(self, name, span)
-
-    def _record(self, name: str, seconds: float) -> None:
-        self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
-        self.phase_calls[name] = self.phase_calls.get(name, 0) + 1
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Bump a named counter (no-op while disabled)."""
-        if self.enabled:
-            self.counters[name] = self.counters.get(name, 0) + n
-
-    def record_probes(self, probe_counters: ProbeCounters) -> None:
-        """Fold an engine's counters into the global tallies."""
-        if self.enabled:
-            for name, value in probe_counters.as_dict().items():
-                if value:
-                    self.counters[name] = self.counters.get(name, 0) + value
-
-    def report(self) -> str:
-        """Human-readable breakdown of phases and counters."""
-        lines = ["-- profile ------------------------------------------"]
-        if self.phase_seconds:
-            total = sum(self.phase_seconds.values())
-            width = max(len(name) for name in self.phase_seconds)
-            for name in sorted(
-                self.phase_seconds, key=self.phase_seconds.get, reverse=True
-            ):
-                seconds = self.phase_seconds[name]
-                share = 100.0 * seconds / total if total else 0.0
-                lines.append(
-                    f"{name:<{width}}  {seconds:9.3f}s  {share:5.1f}%  "
-                    f"({self.phase_calls[name]} calls)"
-                )
-            lines.append(f"{'total':<{width}}  {total:9.3f}s")
-        else:
-            lines.append("no phases recorded")
-        if self.counters:
-            lines.append("-- counters --")
-            width = max(len(name) for name in self.counters)
-            for name in sorted(self.counters):
-                lines.append(f"{name:<{width}}  {self.counters[name]}")
-        return "\n".join(lines)
-
-
-#: Process-global profiler used by the study loops and the runner.
-PROFILER = PhaseProfiler()

@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.metrics import bit_error_rate, flipped_word_counts
-from repro.core.perf import PROFILER, ProbeCounters
+from repro.core.perf import ProbeCounters
 from repro.core.scale import safe_timings
 from repro.dram.patterns import DataPattern
 from repro.dram.timing import TimingParameters
@@ -396,7 +396,6 @@ class CommandProbeEngine(ProbeEngine):
         result = ctx.infra.host.execute(program)
         self.counters.hammer_probes += 1
         self.counters.commands_issued += result.commands_issued
-        PROFILER.count("hammer_probes")
         return bit_error_rate(
             pattern.row_bits(ctx.row_bits), result.data(read_index)
         )
@@ -409,7 +408,6 @@ class CommandProbeEngine(ProbeEngine):
         result = ctx.infra.host.execute(program)
         self.counters.retention_probes += 1
         self.counters.commands_issued += result.commands_issued
-        PROFILER.count("retention_probes")
         return result.data(read_index)
 
     def retention_probe(self, ctx, row, pattern, trefw):
@@ -479,7 +477,6 @@ class _ProgramStreamHammerSession(HammerSession):
         counters = self._engine.counters
         counters.hammer_probes += 1
         counters.commands_issued += result.commands_issued
-        PROFILER.count("hammer_probes")
         return bit_error_rate(self._expected, result.data(read_index))
 
 

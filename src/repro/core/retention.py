@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.context import TestContext
-from repro.core.perf import PROFILER
 from repro.core.results import RetentionRowResult
 from repro.dram.patterns import DataPattern
 from repro.obs.trace import TRACER
@@ -83,6 +82,6 @@ def characterize_rows(
     loop's batch entry point; probe order matches the per-row loop)."""
     results: List[RetentionRowResult] = []
     for row in rows:
-        with PROFILER.phase("retention"):
+        with TRACER.span("retention"):
             results.extend(characterize_row(ctx, row, patterns[row], vpp))
     return results

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.context import TestContext
-from repro.core.perf import PROFILER
 from repro.core.probe import one_shot_hammer_ber, open_hammer_session
 from repro.core.results import RowHammerRowResult
 from repro.core.scale import StudyScale
@@ -162,5 +161,5 @@ def characterize_rows(
 
 
 def _profiled_row(ctx, row, pattern, vpp) -> RowHammerRowResult:
-    with PROFILER.phase("rowhammer"):
+    with TRACER.span("rowhammer"):
         return characterize_row(ctx, row, pattern, vpp)

@@ -26,7 +26,6 @@ from repro.core import rowhammer as rowhammer_test
 from repro.core import trcd as trcd_test
 from repro.core.adjacency import ReverseEngineeredAdjacency
 from repro.core.context import TestContext
-from repro.core.perf import PROFILER
 from repro.core.results import ModuleResult
 from repro.core.sampling import sample_rows
 from repro.core.scale import StudyScale
@@ -224,7 +223,7 @@ class CharacterizationStudy:
             preheat(ctx, rows, tests)
 
         # WCDP determination at nominal V_PP (Section 4.1).
-        with PROFILER.phase("wcdp"):
+        with TRACER.span("wcdp"):
             infra.set_vpp(constants.NOMINAL_VPP)
             infra.set_temperature(constants.ROWHAMMER_TEST_TEMPERATURE)
             wcdp_rh = {}
@@ -263,13 +262,13 @@ class CharacterizationStudy:
                         continue
                     for row in rows:
                         if "rowhammer" in tests:
-                            with PROFILER.phase("rowhammer"):
+                            with TRACER.span("rowhammer"):
                                 result.rowhammer.append(
                                     rowhammer_test.characterize_row(
                                         ctx, row, wcdp_rh[row], vpp
                                     )
                                 )
-                        with PROFILER.phase("trcd"):
+                        with TRACER.span("trcd"):
                             result.trcd.append(
                                 trcd_test.characterize_row(
                                     ctx, row, wcdp_act[row], vpp
@@ -290,7 +289,6 @@ class CharacterizationStudy:
                             ctx, rows, wcdp_ret, vpp
                         )
                     )
-        PROFILER.record_probes(ctx.engine.counters)
         ctx.engine.counters.publish()
         return result
 

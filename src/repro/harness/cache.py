@@ -178,7 +178,7 @@ def attach_provenance(
 ) -> None:
     """Stamp a freshly produced study with its provenance block.
 
-    Shared by the cache miss path, the parallel preloader and the API
+    Shared by the cache miss path, the orchestrated pre-run and the API
     job runner, so every stored study carries the same schema-valid
     block (fingerprinted by the campaign *request*).
     """
@@ -205,6 +205,49 @@ _attach_provenance = attach_provenance
 # -- lookup -----------------------------------------------------------------------
 
 
+def _disk_store(use_disk: bool = None) -> Optional[StudyStore]:
+    """The disk layer :func:`get_study` reads and writes: none when
+    ``use_disk`` is False, else the active cache directory's store --
+    or, with ``use_disk=True`` and no active directory, the
+    :data:`DEFAULT_CACHE_DIR` one."""
+    if use_disk is False:
+        return None
+    store = study_store()
+    if store is None and use_disk:
+        store = study_store(DEFAULT_CACHE_DIR)
+    return store
+
+
+def cached_study(
+    tests: Sequence[str],
+    modules: Sequence[str],
+    scale: StudyScale,
+    seed: int = 0,
+    program: str = None,
+    use_disk: bool = None,
+) -> Optional[StudyResult]:
+    """The study a campaign request already has in either cache layer
+    (a disk hit is promoted into memory), or None -- counted as a
+    miss. ``use_disk`` is :func:`get_study`'s. The pre-run
+    (:meth:`repro.harness.plan.PreloadPlan.orchestrate`) uses it to skip
+    campaigns that need no run."""
+    key = _key(tests, modules, scale, seed, program)
+    if key in _CACHE:
+        _cache_event("memory_hits")
+        return _CACHE[key]
+    store = _disk_store(use_disk)
+    if store is not None:
+        study = store.load(
+            study_fingerprint(tests, modules, scale, seed, program=program)
+        )
+        if study is not None:
+            _cache_event("disk_hits")
+            _CACHE[key] = study
+            return study
+    _cache_event("misses")
+    return None
+
+
 def get_study(
     tests: Sequence[str],
     modules: Sequence[str] = BENCH_MODULES,
@@ -225,26 +268,9 @@ def get_study(
     and shares its cache entries).
     """
     scale = scale or StudyScale.bench()
-    key = _key(tests, modules, scale, seed, program)
-    if key in _CACHE:
-        _cache_event("memory_hits")
-        return _CACHE[key]
-    store = None
-    fingerprint = None
-    if use_disk is not False:
-        store = study_store()
-        if store is None and use_disk:
-            store = study_store(DEFAULT_CACHE_DIR)
-    if store is not None:
-        fingerprint = study_fingerprint(
-            tests, modules, scale, seed, program=program
-        )
-        study = store.load(fingerprint)
-        if study is not None:
-            _cache_event("disk_hits")
-            _CACHE[key] = study
-            return study
-    _cache_event("misses")
+    cached = cached_study(tests, modules, scale, seed, program, use_disk)
+    if cached is not None:
+        return cached
     baseline = REGISTRY.counter_values()
     started = clock.monotonic()
     study = CharacterizationStudy(scale=scale, seed=seed, program=program)
@@ -258,9 +284,13 @@ def get_study(
     attach_provenance(
         result, tests, modules, seed, wall, counters=spent, program=program
     )
-    _CACHE[key] = result
+    _CACHE[_key(tests, modules, scale, seed, program)] = result
+    store = _disk_store(use_disk)
     if store is not None:
-        store.store(result, fingerprint)
+        store.store(
+            result,
+            study_fingerprint(tests, modules, scale, seed, program=program),
+        )
     return result
 
 
@@ -273,8 +303,8 @@ def preload_study(
     wall_seconds: float = 0.0,
     program: str = None,
 ) -> None:
-    """Install an externally-produced study (parallel campaign, loaded
-    from disk) so subsequent ``get_study`` calls reuse it.
+    """Install an externally-produced study (orchestrated campaign,
+    loaded from disk) so subsequent ``get_study`` calls reuse it.
 
     A study arriving without a provenance block is stamped with one
     here (``wall_seconds`` lets the producer pass the campaign's cost
@@ -294,49 +324,6 @@ def preload_study(
                     tests, modules, study.scale, seed, program=program
                 ),
             )
-
-
-def preload_parallel(
-    tests_list: Sequence[Sequence[str]],
-    modules: Sequence[str] = BENCH_MODULES,
-    scale: StudyScale = None,
-    seed: int = 0,
-    max_workers: int = None,
-    program: str = None,
-) -> None:
-    """Run the campaigns the figure experiments will need, with work
-    fanned out over (module, row-chunk) units, and install them in the
-    cache. Campaigns already present in either cache layer are skipped.
-    """
-    from repro.core.campaign import run_parallel
-
-    scale = scale or StudyScale.bench()
-    for tests in tests_list:
-        key = _key(tests, modules, scale, seed, program)
-        if key in _CACHE:
-            _cache_event("memory_hits")
-            continue
-        store = study_store()
-        if store is not None:
-            study = store.load(
-                study_fingerprint(
-                    tests, modules, scale, seed, program=program
-                )
-            )
-            if study is not None:
-                _cache_event("disk_hits")
-                _CACHE[key] = study
-                continue
-        _cache_event("misses")
-        started = clock.monotonic()
-        study = run_parallel(
-            modules, scale=scale, seed=seed, tests=tuple(tests),
-            max_workers=max_workers, program=program,
-        )
-        preload_study(
-            study, tests, modules, seed=seed,
-            wall_seconds=clock.monotonic() - started, program=program,
-        )
 
 
 # -- invalidation -----------------------------------------------------------------

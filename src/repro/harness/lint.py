@@ -4,7 +4,7 @@
 campaign needs as ``StudyRequest`` entries on their ``SPEC`` and
 receive the resolved studies from the harness -- calling
 :func:`repro.harness.cache.get_study` directly would hide a need from
-the preload planner (``runner --parallel`` / ``--orchestrate``) and
+the preload planner (``runner --orchestrate``, alias ``--parallel``) and
 from the drift-guard test. The checker walks the AST of every module
 under ``repro/harness/experiments/`` and flags:
 

@@ -2,10 +2,10 @@
 
 :func:`build_plan` turns a set of experiment ids plus run arguments
 into the deduplicated list of :class:`~repro.harness.spec.
-ResolvedStudy` fetches those experiments will perform. One plan object
-drives both pre-run paths -- the process-parallel pre-run (``runner
---parallel``) and the checkpointed orchestration service (``runner
---orchestrate``) -- so the pre-run can never drift from what the
+ResolvedStudy` fetches those experiments will perform. The plan drives
+the one pre-run, :meth:`PreloadPlan.orchestrate` (``runner
+--orchestrate N``, also spelled ``--parallel N``), through the
+orchestration service, so the pre-run can never drift from what the
 experiments actually fetch (the failure mode the old hand-maintained
 ``CAMPAIGN_TESTS`` dict allowed: it routed pareto's preload over the
 benchmark subset while the experiment fetched its own module pair).
@@ -30,44 +30,32 @@ class PreloadPlan:
     def __bool__(self) -> bool:
         return bool(self.requests)
 
-    def describe(self) -> str:
-        """Human-readable ``tests@modules`` summary of the plan."""
-        return ", ".join(
-            f"{request.label}@{'+'.join(request.modules)}"
-            for request in self.requests
-        )
-
-    def preload_parallel(self, max_workers: int) -> None:
-        """Pre-run every planned study with worker processes
-        ((module, row-chunk) granularity), priming the in-process and
-        on-disk caches for the experiments that follow. Workers attach
-        each module's per-cell parameter planes from a shared-memory
-        device-state block (:mod:`repro.core.soa`) instead of
-        re-deriving them per process."""
-        for request in self.requests:
-            cache.preload_parallel(
-                [request.tests], modules=request.modules,
-                scale=request.scale, seed=request.seed,
-                max_workers=max_workers, program=request.program,
-            )
-
     def orchestrate(
         self,
         max_workers: int,
-        checkpoint_base: str,
+        checkpoint_base: Optional[str] = None,
         telemetry=None,
         resume: bool = False,
         progress=print,
     ) -> List[str]:
         """Run every planned study through the orchestration service
-        (checkpointed, resumable, fault-tolerant) and install the merged
-        studies in the cache; pool workers preload shared-memory device
-        state (:mod:`repro.core.soa`). Returns the quarantined module
-        names."""
+        (fault-tolerant; checkpointed under ``checkpoint_base`` and
+        resumable when one is given) and install the merged studies in
+        the cache; ``max_workers > 1`` fans the row chunks out over a
+        process pool. Studies already in either cache layer are skipped.
+        Returns the quarantined module names."""
         from repro.service.orchestrator import CampaignService
 
         quarantined: List[str] = []
         for request in self.requests:
+            if cache.cached_study(
+                request.tests, request.modules,
+                request.scale or StudyScale.bench(), request.seed,
+                request.program,
+            ) is not None:
+                progress(f"the {request.label} campaign is cached; "
+                         "skipping it")
+                continue
             progress(
                 f"orchestrating the {request.label} campaign over "
                 f"{len(request.modules)} modules with {max_workers} "

@@ -10,12 +10,13 @@ CSV/JSON to a results directory::
 Completed campaigns persist in a disk cache (``.study-cache/`` by
 default) keyed by scale/seed/modules/tests, so repeated invocations
 skip straight to the analysis; ``--no-cache`` opts out and
-``--cache-dir`` relocates it. ``--profile`` prints a per-phase timing
-breakdown (WCDP / probe loops / export) and probe counters at the end.
+``--cache-dir`` relocates it. ``--profile`` records spans and prints
+one per-phase table (WCDP / probe loops / export) over the stitched
+trace -- pool workers' phases included -- then the non-zero counters.
 
-The campaigns pre-run by ``--parallel`` and ``--orchestrate`` are
-derived from the experiments' declared specs (one shared
-:class:`~repro.harness.plan.PreloadPlan`), so the pre-run always
+``--orchestrate N`` (also spelled ``--parallel N``) pre-runs the
+campaigns the experiments declare (one :class:`~repro.harness.plan.
+PreloadPlan`) through the orchestration service, so the pre-run always
 matches what the experiments actually fetch.
 """
 
@@ -26,7 +27,6 @@ import hashlib
 import sys
 from typing import List, Optional
 
-from repro.core.perf import PROFILER
 from repro.core.probe import engine_selection
 from repro.harness.cache import DEFAULT_CACHE_DIR, set_study_cache_dir
 from repro.harness.export import export_output
@@ -46,7 +46,7 @@ from repro.harness.validation import (
 from repro.obs import ProgressReporter, build_provenance, clock
 from repro.obs import context as obs_context
 from repro.obs.metrics import REGISTRY
-from repro.obs.trace import TRACER
+from repro.obs.trace import TRACER, profile_report
 
 #: Study-cache counters consulted to label an experiment's provenance
 #: block with how its campaign was satisfied.
@@ -92,21 +92,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="export CSV/JSON results into DIR",
     )
     parser.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
+        "--orchestrate", "--parallel", dest="orchestrate", type=int,
+        default=None, metavar="N",
         help=(
             "pre-run the characterization campaigns the requested "
-            "experiments declare with N worker processes "
-            "((module, row-chunk) granularity) before dispatching the "
-            "experiments"
-        ),
-    )
-    parser.add_argument(
-        "--orchestrate", type=int, default=None, metavar="N",
-        help=(
-            "like --parallel, but pre-run the declared campaigns through "
-            "the orchestration service (repro.service): checkpointed, "
+            "experiments declare through the orchestration service "
+            "(repro.service) before dispatching the experiments: "
+            "(module, row-chunk) units over N worker processes (0/1 "
+            "runs in-process), checkpointed under --service-dir, "
             "resumable with --resume, fault-tolerant, with structured "
-            "telemetry; N worker processes (0/1 runs in-process)"
+            "telemetry; campaigns already cached are skipped"
         ),
     )
     parser.add_argument(
@@ -137,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="print a per-phase timing breakdown and probe counters",
+        help="print a per-phase span table (pool workers included) "
+             "and the non-zero counters",
     )
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -236,10 +232,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.parallel and args.orchestrate is not None:
-        print("error: --parallel and --orchestrate are mutually exclusive",
-              file=sys.stderr)
-        return 2
     if args.modules:
         for experiment_id in ids:
             if not get_spec(experiment_id).module_scoped:
@@ -249,10 +241,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     file=sys.stderr,
                 )
     set_study_cache_dir(None if args.no_cache else args.cache_dir)
-    if args.profile:
-        PROFILER.enable()
-        PROFILER.reset()
-    if args.trace:
+    if args.profile or args.trace:
         TRACER.enable()
     reporter = ProgressReporter() if args.progress else None
     if reporter is not None:
@@ -263,19 +252,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             kwargs["modules"] = tuple(args.modules)
         if args.program:
             kwargs["program"] = args.program
-        if args.parallel or args.orchestrate is not None:
+        if args.orchestrate is not None:
             plan = build_plan(
                 ids, modules=kwargs.get("modules"), seed=args.seed,
                 program=args.program,
             )
-        if args.parallel:
-            if not plan:
-                print("no shared campaigns needed; skipping pre-run")
-            else:
-                print(f"pre-running the {plan.describe()} campaigns with "
-                      f"{args.parallel} workers...")
-                plan.preload_parallel(max_workers=args.parallel)
-        if args.orchestrate is not None:
             if not plan:
                 print("no shared campaigns needed; skipping orchestration")
             else:
@@ -309,7 +290,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     counters_before, REGISTRY.counter_values(),
                     cache_enabled=not args.no_cache,
                 )
-                with PROFILER.phase("export"):
+                with TRACER.span("export"):
                     written = export_output(
                         output, args.out, provenance=provenance
                     )
@@ -322,12 +303,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if reporter is not None:
             reporter.detach()
     if args.profile:
-        # Phases timed inside --parallel worker processes stay in the
-        # workers; the report covers this process's share.
-        print(PROFILER.report())
-        if TRACER.enabled:
-            print(TRACER.report())
-        PROFILER.disable()
+        # Built from the stitched trace, so the phases that ran inside
+        # --orchestrate pool workers are counted too.
+        print(profile_report())
     if args.trace:
         if obs_context.fragments():
             # Stitched: the local document plus the fragments deposited
@@ -336,11 +314,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             obs_context.write_stitched_trace(args.trace)
         else:
             TRACER.write_chrome_trace(args.trace)
+        print(f"trace written: {args.trace}", file=sys.stderr)
+    if args.profile or args.trace:
         # Leave the process-global tracer clean for in-process callers
         # (tests, notebooks) that invoke main() repeatedly.
         TRACER.disable()
         obs_context.clear_fragments()
-        print(f"trace written: {args.trace}", file=sys.stderr)
     if args.metrics_out:
         REGISTRY.write_prometheus(args.metrics_out)
         print(f"metrics written: {args.metrics_out}", file=sys.stderr)

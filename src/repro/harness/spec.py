@@ -6,8 +6,8 @@ Every module under :mod:`repro.harness.experiments` exports an
 * identity -- id, title, description (the uniform output/export schema
   is built from these),
 * the characterization campaigns it consumes, as typed
-  :class:`StudyRequest` tuples (what the runner's ``--parallel`` /
-  ``--orchestrate`` preload planning is derived from),
+  :class:`StudyRequest` tuples (what the runner's ``--orchestrate`` /
+  ``--parallel`` preload planning is derived from),
 * spec-only knobs (e.g. ``fig8``'s ``samples``) with their defaults,
 * an analysis callable that receives the *resolved studies* -- specs
   are the only study entry point; analyses never call ``get_study``

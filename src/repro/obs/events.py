@@ -1,9 +1,8 @@
 """The observability event bus.
 
 One process-global publish/subscribe fan-out for campaign lifecycle
-events. Producers (the sequential study loop, the parallel campaign
-runner, the orchestration service's :class:`~repro.service.telemetry.
-TelemetryLog`) publish plain-dict records; sinks (the live
+events. Producers (the sequential study loop, the orchestration
+service's :class:`~repro.service.telemetry.TelemetryLog`) publish plain-dict records; sinks (the live
 :class:`~repro.obs.progress.ProgressReporter`, the telemetry JSON-lines
 file, tests) subscribe. With no subscribers -- the default -- a publish
 is one empty-tuple iteration.

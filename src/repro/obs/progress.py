@@ -5,8 +5,8 @@ rate/ETA line -- units done/total, units per second, probe throughput,
 quarantine count -- updated as ``unit_finished``-style events arrive.
 The same reporter serves every campaign shape because all of them
 publish the same event stream (see :mod:`repro.obs.events`): the
-sequential study loop, ``runner --parallel``, and the orchestration
-service. Enable it with ``--progress`` on ``repro.harness.runner`` or
+sequential study loop and the orchestration service (``runner
+--orchestrate``/``--parallel``, ``python -m repro.service``, API jobs). Enable it with ``--progress`` on ``repro.harness.runner`` or
 ``python -m repro.service``.
 
 Probe throughput comes from the metrics registry's probe counters

@@ -26,8 +26,10 @@ Finished spans export three ways:
   ``--trace trace.json`` flag);
 * :func:`repro.obs.context.stitched_trace` -- the same document merged
   with worker fragments into one cross-process trace;
-* :meth:`Tracer.aggregate` / :meth:`Tracer.report` -- a per-span-name
-  total-time/count table appended to ``--profile`` output.
+* :func:`span_table` / :func:`profile_report` -- a per-span-name
+  total-time/count table over any such document; the runner's
+  ``--profile`` prints it for the stitched trace, so pool workers'
+  phases count.
 
 ``Tracer.on_record`` is an optional single-subscriber hook invoked with
 each finished :class:`Span` (outside the tracer lock); the flight
@@ -44,6 +46,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import clock
 from repro.obs import context as obs_context
+from repro.obs.metrics import REGISTRY, _format_value
 
 
 @dataclass
@@ -291,31 +294,6 @@ class Tracer:
             json.dump(self.chrome_trace(), handle)
         return path
 
-    def aggregate(self) -> Dict[str, Tuple[int, float]]:
-        """Per-span-name ``(count, total seconds)`` aggregation."""
-        totals: Dict[str, Tuple[int, float]] = {}
-        with self._lock:
-            spans = list(self.spans)
-        for span in spans:
-            count, seconds = totals.get(span.name, (0, 0.0))
-            totals[span.name] = (count + 1, seconds + span.duration)
-        return totals
-
-    def report(self) -> str:
-        """Human-readable per-span-name time/count table."""
-        totals = self.aggregate()
-        lines = ["-- spans --------------------------------------------"]
-        if not totals:
-            lines.append("no spans recorded")
-            return "\n".join(lines)
-        width = max(len(name) for name in totals)
-        for name in sorted(totals, key=lambda n: totals[n][1], reverse=True):
-            count, seconds = totals[name]
-            lines.append(
-                f"{name:<{width}}  {seconds:9.3f}s  ({count} spans)"
-            )
-        return "\n".join(lines)
-
 
 #: Process-global tracer; the runner's ``--trace`` flag enables it.
 TRACER = Tracer()
@@ -325,3 +303,64 @@ def current_span_id() -> Optional[str]:
     """The id of the innermost open span on this thread (global tracer),
     or None while nothing is open / tracing is disabled."""
     return TRACER.current_span_id()
+
+
+def span_table(
+    document: Dict[str, Any],
+) -> Dict[str, Tuple[int, float, float]]:
+    """Per-span-name ``(count, total seconds, seconds in other
+    processes)`` over the complete (``"X"``) events of a Chrome-trace
+    document -- a local export or a stitched one, whose worker lanes
+    carry other pids."""
+    local = os.getpid()
+    totals: Dict[str, Tuple[int, float, float]] = {}
+    for event in document.get("traceEvents", ()):
+        if event.get("ph") != "X":
+            continue
+        seconds = event["dur"] / 1e6
+        count, total, remote = totals.get(event["name"], (0, 0.0, 0.0))
+        totals[event["name"]] = (
+            count + 1, total + seconds,
+            remote + (seconds if event.get("pid") != local else 0.0),
+        )
+    return totals
+
+
+def span_report(document: Dict[str, Any]) -> str:
+    """:func:`span_table` as a human-readable table, slowest first."""
+    totals = span_table(document)
+    lines = ["-- spans --------------------------------------------"]
+    if not totals:
+        lines.append("no spans recorded")
+        return "\n".join(lines)
+    width = max(len(name) for name in totals)
+    for name in sorted(totals, key=lambda n: totals[n][1], reverse=True):
+        count, seconds, remote = totals[name]
+        line = f"{name:<{width}}  {seconds:9.3f}s  ({count} spans)"
+        if remote:
+            line += f"  {remote:.3f}s in workers"
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def profile_report() -> str:
+    """The runner's ``--profile`` report: :func:`span_report` over the
+    stitched trace (this process's spans plus every collected
+    pool-worker fragment), then the non-zero counters of the global
+    metrics registry."""
+    lines = [
+        "-- profile ------------------------------------------",
+        span_report(obs_context.stitched_trace()),
+    ]
+    counters = {
+        name: value
+        for name, value in REGISTRY.counter_values().items() if value
+    }
+    if counters:
+        lines.append("-- counters --")
+        width = max(len(name) for name in counters)
+        lines.extend(
+            f"{name:<{width}}  {_format_value(counters[name])}"
+            for name in sorted(counters)
+        )
+    return "\n".join(lines)

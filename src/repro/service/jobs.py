@@ -1,10 +1,10 @@
 """Work-unit decomposition for orchestrated campaigns.
 
 A campaign over ``(modules, tests, scale, seed)`` decomposes into
-``(module, row-chunk)`` work units -- the same gap-partitioned chunking
-the parallel campaign runner uses (:func:`repro.core.campaign.
-plan_row_chunks`), so units are independent under the device model's
-coupling rules and merge bit-identically to a sequential run. Each unit
+``(module, row-chunk)`` work units, gap-partitioned by
+:func:`repro.core.campaign.plan_row_chunks`, so units are independent
+under the device model's coupling rules and merge bit-identically to a
+sequential run. Each unit
 carries everything a worker needs to characterize its rows in a fresh
 process: the module name, the row subset, and the test tuple.
 

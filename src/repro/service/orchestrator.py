@@ -3,11 +3,13 @@
 :class:`CampaignService` turns a study request into a fault-tolerant,
 resumable, observable campaign:
 
-1. **decompose** -- the request becomes ``(module, row-chunk)`` work
-   units (:mod:`repro.service.jobs`), the same gap-partitioned chunking
-   the parallel runner uses;
+1. **decompose** -- the request becomes gap-partitioned ``(module,
+   row-chunk)`` work units (:mod:`repro.service.jobs`);
 2. **schedule** -- units run inline (``max_workers<=1``) or across a
-   process pool, each attempt in a freshly built bench;
+   process pool -- the repository's only one -- each attempt in a
+   freshly built bench; pool workers attach each module's per-cell
+   parameter planes from one shared-memory device-state block
+   (:mod:`repro.core.soa`);
 3. **tolerate** -- a :class:`~repro.errors.BenchFaultError` (real or
    injected via a :class:`~repro.service.faults.FaultPlan`) triggers
    retry with exponential backoff; a unit that exhausts its attempts
@@ -20,8 +22,10 @@ resumable, observable campaign:
    :class:`~repro.core.study.StudyResult` is record-identical to a
    sequential, fault-free run;
 6. **observe** -- every step emits a structured telemetry event
-   (:mod:`repro.service.telemetry`) and bumps the shared
-   :data:`~repro.core.perf.PROFILER`.
+   (:mod:`repro.service.telemetry`) and records a
+   :data:`~repro.obs.trace.TRACER` span; with the tracer on, pool
+   workers ship their spans home as trace fragments, so the runner's
+   ``--profile`` table covers worker phases.
 
 Determinism: every attempt rebuilds its bench from the campaign seed,
 so retries (and resumed runs) replay the exact measurement a sequential
@@ -34,17 +38,12 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
+from contextlib import nullcontext
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.campaign import (
-    _attach_state,
-    _build_shared_states,
-    _release_shared_states,
-    merge_module_chunks,
-)
-from repro.core.perf import PROFILER
+from repro.core.campaign import merge_module_chunks
 from repro.core.probe import engine_selection
 from repro.core.results import ModuleResult
 from repro.core.scale import StudyScale
@@ -133,7 +132,7 @@ def _execute_unit(
             unit_span = (
                 TRACER.span("work-unit", module=module, rows=len(rows),
                             engine=probe_engine, pid=os.getpid())
-                if pool_side else _noop_span()
+                if pool_side else nullcontext()
             )
             with unit_span:
                 result = study.run_module(
@@ -157,14 +156,48 @@ def _execute_unit(
     return result, wall, delta, fragment
 
 
-class _noop_span:
-    """Placeholder context for inline attempts (no extra span)."""
+def _attach_state(handle):
+    """Worker-side attach to the coordinator's shared device state.
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
+    Returns None (fall back to private RNG derivation -- bit-identical,
+    just slower) when no state was shared or the segment is gone, e.g.
+    a resumed attempt after the owning coordinator died.
+    """
+    if handle is None:
         return None
+    from repro.core.soa import attach_device_state
+
+    try:
+        return attach_device_state(handle)
+    except (FileNotFoundError, OSError):  # pragma: no cover - rare race
+        return None
+
+
+def _build_shared_states(names, scale, seed) -> Dict[str, object]:
+    """Coordinator-side: one shared-memory device-state block per
+    module, covering the scale's full row sample (a superset of every
+    chunk). Returns ``{}`` -- private derivation, bit-identical -- when
+    shared memory is unavailable on the platform. The caller owns the
+    returned states and must release them in a finally.
+    """
+    from repro.core.soa import build_device_state
+
+    states: Dict[str, object] = {}
+    try:
+        for name in names:
+            states[name] = build_device_state(name, scale=scale, seed=seed)
+    except OSError:  # pragma: no cover - no /dev/shm (platform quirk)
+        _release_shared_states(states)
+        return {}
+    except BaseException:
+        _release_shared_states(states)
+        raise
+    return states
+
+
+def _release_shared_states(states: Dict[str, object]) -> None:
+    for state in states.values():
+        state.close(unlink=True)
 
 
 @dataclass
@@ -197,7 +230,13 @@ class CampaignService:
         ``row_chunks``).
     max_workers:
         ``<=1`` runs units in-process (deterministic scheduling, no
-        pool overhead); ``N>1`` fans units out over a process pool.
+        pool overhead); ``N>1`` fans units out over a process pool
+        whose workers attach each module's per-cell parameter planes,
+        generated once in the coordinator, from shared memory
+        (:mod:`repro.core.soa`) instead of re-deriving the device model
+        per process and per retry attempt. Results are bit-identical
+        either way; shared memory is silently skipped where the
+        platform lacks it.
     max_attempts:
         Attempts per unit before its module is quarantined.
     backoff:
@@ -216,13 +255,6 @@ class CampaignService:
         in-memory log.
     progress:
         Optional ``(message: str) -> None`` callback for live progress.
-    shared_state:
-        Generate each module's per-cell parameter planes once, in the
-        coordinator, into shared memory (:mod:`repro.core.soa`) and
-        have pool workers attach them zero-copy instead of re-deriving
-        the device model per process and per retry attempt (default
-        True; results are bit-identical either way). Only used in pool
-        mode; silently disabled where shared memory is unavailable.
     flight_dir:
         Optional directory for flight-recorder dumps. When set, the
         coordinator's :data:`~repro.obs.flightrec.RECORDER` follows the
@@ -268,7 +300,6 @@ class CampaignService:
         checkpoint_base: Optional[str] = None,
         telemetry: Optional[TelemetryLog] = None,
         progress: Optional[Callable[[str], None]] = None,
-        shared_state: bool = True,
         unit_timeout: Optional[float] = None,
         program: Optional[str] = None,
         flight_dir: Optional[str] = None,
@@ -300,7 +331,6 @@ class CampaignService:
         self.max_attempts = max_attempts
         self.backoff = backoff
         self.fault_plan = fault_plan
-        self.shared_state = shared_state
         self.unit_timeout = unit_timeout
         self.program = program
         self.flight_dir = flight_dir
@@ -494,13 +524,12 @@ class CampaignService:
         record.status = "completed"
         record.wall_seconds = wall_seconds
         state.metrics.units_completed += 1
-        PROFILER.count("service.units")
         REGISTRY.histogram(
             "repro_service_unit_seconds",
             "in-worker wall clock per completed work unit",
         ).observe(wall_seconds)
         if state.store is not None:
-            with PROFILER.phase("service.checkpoint"):
+            with TRACER.span("service.checkpoint"):
                 path = state.store.write_unit({
                     "unit_id": unit.unit_id,
                     "module": unit.module,
@@ -540,7 +569,6 @@ class CampaignService:
         record = state.unit_metrics[unit.unit_id]
         record.faults.append(kind)
         state.metrics.record_fault(kind)
-        PROFILER.count("service.faults")
         self.telemetry.emit("unit_fault", unit=unit.unit_id,
                             module=unit.module, attempt=attempt,
                             kind=kind, error=str(error))
@@ -549,7 +577,6 @@ class CampaignService:
             delay = self.backoff * (2 ** attempt) if self.backoff else 0.0
             record.retries += 1
             state.metrics.retries += 1
-            PROFILER.count("service.retries")
             self.telemetry.emit("unit_retry", unit=unit.unit_id,
                                 attempt=next_attempt,
                                 backoff_seconds=round(delay, 6))
@@ -596,7 +623,7 @@ class CampaignService:
             while True:
                 self._start_attempt(state, unit, attempt)
                 try:
-                    with PROFILER.phase("service.unit"):
+                    with TRACER.span("service.unit"):
                         # Inline attempt: the metric delta and spans
                         # already landed in this process's registry
                         # and tracer.
@@ -658,20 +685,20 @@ class CampaignService:
         return True
 
     def _run_pool(self, state: "_RunState") -> None:
-        if self.shared_state:
-            # One shared-memory block per module with pending units;
-            # every worker attempt (including retries) attaches it
-            # instead of re-deriving the device model.
-            pending_modules = sorted({u.module for u in state.pending})
-            self._device_states = _build_shared_states(
-                pending_modules, self.scale, self.seed
+        # One shared-memory block per module with pending units; every
+        # worker attempt (including retries) attaches it instead of
+        # re-deriving the device model.
+        pending_modules = sorted({u.module for u in state.pending})
+        self._device_states = _build_shared_states(
+            pending_modules, self.scale, self.seed
+        )
+        for module, shared in self._device_states.items():
+            self.telemetry.emit(
+                "device_state_shared", module=module,
+                bytes=shared.nbytes,
+                rows=len(shared.handle.physical_rows),
+                seed=shared.handle.seed,
             )
-            for module, shared in self._device_states.items():
-                self.telemetry.emit(
-                    "device_state_shared", module=module,
-                    bytes=shared.nbytes,
-                    rows=len(shared.handle.physical_rows),
-                )
         try:
             self._drain_pool(state)
         finally:
@@ -806,7 +833,7 @@ class CampaignService:
 
     def _merge(self, state: "_RunState") -> StudyResult:
         study = StudyResult(scale=self.scale, seed=self.seed)
-        with PROFILER.phase("service.merge"):
+        with TRACER.span("service.merge"):
             for module in self.modules:
                 if module in state.metrics.quarantined:
                     continue

@@ -10,11 +10,12 @@ Three layers, smallest first:
   campaign-level counters (attempts, retries, faults by kind, wall
   clock) accumulated by the orchestrator and rendered by
   :meth:`CampaignMetrics.summary`.
-* the :data:`repro.core.perf.PROFILER` integration -- the orchestrator
-  times its phases (``service.unit``, ``service.merge``,
-  ``service.checkpoint``) and bumps ``service.*`` counters through the
-  existing campaign profiler, so ``--profile`` output covers
-  orchestrated runs too.
+* :meth:`CampaignMetrics.publish` -- folds the campaign totals into the
+  central metrics registry as ``repro_service_*`` counters at campaign
+  end. Phase timing is not kept here: the orchestrator's phases
+  (``service.unit``, ``service.merge``, ``service.checkpoint``) are
+  tracer spans, so ``--profile`` (built from the stitched trace)
+  covers orchestrated runs, pool workers included.
 
 Event vocabulary (all emitted by
 :class:`~repro.service.orchestrator.CampaignService`):

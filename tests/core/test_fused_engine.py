@@ -5,9 +5,8 @@ of a row from one presorted layout per row. These tests pin its
 sessions bit-identical to the command engine probe by probe across a
 V_PP ladder, check its kernels against the eager masked reference
 kernel and the full-vector flip masks (at the paper's 65536-bit rows
-too), assert the explicit ``retention_grid`` kernel agrees with the
-per-point counts it fuses, and check the TRR routing, preheat, row-state
-cache, jitter-cache and repeat-run determinism contracts.
+too), and check the TRR routing, preheat, row-state cache, jitter-cache
+and repeat-run determinism contracts.
 """
 
 import dataclasses
@@ -377,59 +376,6 @@ class TestJitterCache:
         assert any(clears)
         assert draws == []
         assert len(cells._jitter_cache) <= 30 + 20
-
-
-class TestRetentionGrid:
-    """The explicit (points x cells) cross-operating-point kernel."""
-
-    def test_grid_matches_per_point_fused_counts(self):
-        ctx = _context("A0", "fused", seed=7)
-        pattern = STANDARD_PATTERNS[2]
-        ctx.infra.set_temperature(80.0)
-        levels = (2.5, 2.0, 1.6)
-        windows = (0.05, 0.5, 4.0, 30.0)
-        grid = ctx.engine.retention_grid(ctx, 5, pattern, levels, windows)
-        assert grid.shape == (len(levels), len(windows))
-        assert grid.dtype == np.int64
-        for i, vpp in enumerate(levels):
-            ctx.infra.set_vpp(vpp)
-            sweep = ctx.engine._sweep(ctx, "retention", 5, pattern)
-            counts = sweep.fused_counts()
-            for j, window in enumerate(windows):
-                assert grid[i, j] == counts.count(window)
-
-    def test_grid_monotone_in_window_and_vpp(self):
-        ctx = _context("A0", "fused", seed=7)
-        pattern = STANDARD_PATTERNS[2]
-        ctx.infra.set_temperature(80.0)
-        grid = ctx.engine.retention_grid(
-            ctx, 5, pattern, (2.5, 1.6, 1.4), (0.01, 2.0, 60.0, 600.0)
-        )
-        # More decays at longer windows ...
-        assert (np.diff(grid, axis=1) >= 0).all()
-        # ... and at lower V_PP (weaker restore), per the paper's Obs. 9.
-        assert (np.diff(grid, axis=0) >= 0).all()
-        assert grid[-1, -1] > 0
-
-    def test_grid_does_not_disturb_device_state(self):
-        ctx = _context("A0", "fused", seed=7)
-        pattern = STANDARD_PATTERNS[2]
-        ctx.infra.set_temperature(80.0)
-        ctx.infra.set_vpp(2.5)
-        before = ctx.infra.module.env.vpp
-        ctx.engine.retention_grid(
-            ctx, 5, pattern, (2.5, 1.6), (0.1, 10.0)
-        )
-        assert ctx.infra.module.env.vpp == before
-        # A subsequent real probe is unaffected by the grid analysis.
-        reference_ctx = _context("A0", "fused", seed=7)
-        reference_ctx.infra.set_temperature(80.0)
-        reference_ctx.infra.set_vpp(2.5)
-        assert ctx.engine.retention_ber(
-            ctx, 5, pattern, 1.0
-        ) == reference_ctx.engine.retention_ber(
-            reference_ctx, 5, pattern, 1.0
-        )
 
 
 class TestFusedRouting:

@@ -1,13 +1,9 @@
-"""Study persistence and the parallel campaign runner."""
+"""Study persistence, row-chunk planning, and pooled campaigns through
+the orchestration service, differentially against sequential studies."""
 
 import pytest
 
-from repro.core.campaign import (
-    CHUNK_GAP,
-    _module_mapping,
-    plan_row_chunks,
-    run_parallel,
-)
+from repro.core.campaign import CHUNK_GAP, module_mapping, plan_row_chunks
 from repro.core.sampling import sample_rows
 from repro.core.scale import StudyScale
 from repro.core.serialization import (
@@ -19,6 +15,16 @@ from repro.core.serialization import (
 )
 from repro.core.study import CharacterizationStudy
 from repro.errors import AnalysisError
+from repro.service import CampaignService
+
+
+def _campaign(modules, tests, max_workers, **kwargs):
+    """A tiny-scale, seed-6 campaign through the orchestration service."""
+    service = CampaignService(
+        modules, tests=tests, scale=StudyScale.tiny(), seed=6,
+        max_workers=max_workers, **kwargs,
+    )
+    return service.run().study
 
 
 @pytest.fixture(scope="module")
@@ -66,44 +72,37 @@ class TestSerialization:
 
 class TestParallelCampaign:
     def test_matches_sequential(self):
-        scale = StudyScale.tiny()
-        sequential = CharacterizationStudy(scale=scale, seed=6).run(
-            modules=["B3", "C5"], tests=("rowhammer",)
-        )
-        parallel = run_parallel(
-            ["B3", "C5"], scale=scale, seed=6, tests=("rowhammer",),
-            max_workers=2,
-        )
+        sequential = CharacterizationStudy(
+            scale=StudyScale.tiny(), seed=6
+        ).run(modules=["B3", "C5"], tests=("rowhammer",))
+        pooled = _campaign(["B3", "C5"], ("rowhammer",), max_workers=2)
         for name in ("B3", "C5"):
-            seq = [
-                (r.row, r.vpp, r.hcfirst, r.ber)
-                for r in sequential.module(name).rowhammer
-            ]
-            par = [
-                (r.row, r.vpp, r.hcfirst, r.ber)
-                for r in parallel.module(name).rowhammer
-            ]
-            assert seq == par
+            assert (
+                pooled.module(name).rowhammer
+                == sequential.module(name).rowhammer
+            )
 
     def test_single_worker_fallback(self):
-        scale = StudyScale.tiny()
-        result = run_parallel(
-            ["C5"], scale=scale, seed=6, tests=("rowhammer",), max_workers=1
+        sequential = CharacterizationStudy(
+            scale=StudyScale.tiny(), seed=6
+        ).run(modules=["C5"], tests=("rowhammer",))
+        inline = _campaign(["C5"], ("rowhammer",), max_workers=1)
+        assert inline.module("C5").rowhammer == (
+            sequential.module("C5").rowhammer
         )
-        assert "C5" in result.modules
 
     def test_module_granularity_matches_sequential(self):
-        scale = StudyScale.tiny()
-        sequential = CharacterizationStudy(scale=scale, seed=6).run(
-            modules=["B3", "C5"], tests=("rowhammer",)
-        )
-        parallel = run_parallel(
-            ["B3", "C5"], scale=scale, seed=6, tests=("rowhammer",),
-            max_workers=2, granularity="module",
+        """One chunk per module: whole modules fan out over the pool."""
+        sequential = CharacterizationStudy(
+            scale=StudyScale.tiny(), seed=6
+        ).run(modules=["B3", "C5"], tests=("rowhammer",))
+        pooled = _campaign(
+            ["B3", "C5"], ("rowhammer",), max_workers=2,
+            chunks_per_module=1,
         )
         for name in ("B3", "C5"):
             assert (
-                parallel.module(name).rowhammer
+                pooled.module(name).rowhammer
                 == sequential.module(name).rowhammer
             )
 
@@ -111,7 +110,7 @@ class TestParallelCampaign:
 class TestChunkGranularity:
     def test_plan_respects_gap_and_balance(self):
         scale = StudyScale.tiny()
-        mapping = _module_mapping("C5", scale)
+        mapping = module_mapping("C5", scale)
         rows = sample_rows(
             mapping.num_rows, scale.rows_per_module, scale.row_chunks
         )
@@ -130,14 +129,14 @@ class TestChunkGranularity:
 
     def test_plan_empty_row_list(self):
         scale = StudyScale.tiny()
-        mapping = _module_mapping("C5", scale)
+        mapping = module_mapping("C5", scale)
         assert plan_row_chunks([], mapping, 4) == []
 
     def test_plan_more_chunks_than_rows(self):
         """A chunk budget beyond the row count must not emit empty
         chunks; isolated rows each get their own chunk."""
         scale = StudyScale.tiny()
-        mapping = _module_mapping("C5", scale)
+        mapping = module_mapping("C5", scale)
         rows = sample_rows(mapping.num_rows, 3, 3)
         chunks = plan_row_chunks(rows, mapping, 64)
         assert all(chunks)
@@ -146,7 +145,7 @@ class TestChunkGranularity:
 
     def test_plan_single_chunk_when_coupled(self):
         scale = StudyScale.tiny()
-        mapping = _module_mapping("C5", scale)
+        mapping = module_mapping("C5", scale)
         # Physically contiguous rows can never be split.
         physical = [mapping.to_logical(p) for p in range(10, 18)]
         chunks = plan_row_chunks(physical, mapping, 4)
@@ -158,23 +157,16 @@ class TestChunkGranularity:
         sequential = CharacterizationStudy(scale=scale, seed=6).run(
             modules=["B3", "C5"], tests=("rowhammer", "retention")
         )
-        parallel = run_parallel(
-            ["B3", "C5"], scale=scale, seed=6,
-            tests=("rowhammer", "retention"), max_workers=4,
-            granularity="chunk",
+        pooled = _campaign(
+            ["B3", "C5"], ("rowhammer", "retention"), max_workers=2,
+            chunks_per_module=4,
         )
         for name in ("B3", "C5"):
             seq = sequential.module(name)
-            par = parallel.module(name)
+            par = pooled.module(name)
             assert par.vppmin == seq.vppmin
             assert par.vpp_levels == seq.vpp_levels
             # Frozen-dataclass equality: record-for-record identical, in
             # the sequential emission order.
             assert par.rowhammer == seq.rowhammer
             assert par.retention == seq.retention
-
-    def test_unknown_granularity_rejected(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            run_parallel(["C5"], scale=StudyScale.tiny(), granularity="row")

@@ -17,7 +17,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.campaign import run_parallel
 from repro.core.scale import StudyScale
 from repro.core.soa import (
     FIELDS,
@@ -28,6 +27,7 @@ from repro.core.study import CharacterizationStudy
 from repro.dram.module import DramModule
 from repro.dram.profiles import module_profile
 from repro.errors import ConfigurationError
+from repro.service import CampaignService
 
 SEED = 3
 
@@ -199,11 +199,17 @@ class TestCampaignEquivalence:
             name: sequential.run_module(name) for name in modules
         }
         before = set(_soa_segments())
-        parallel = run_parallel(
+        service = CampaignService(
             modules, scale=scale, seed=SEED, probe_engine="fused",
-            max_workers=2, granularity="chunk", shared_state=True,
+            max_workers=2,
         )
+        parallel = service.run().study
         assert set(_soa_segments()) == before
+        shared = {
+            record["module"] for record in service.telemetry.events
+            if record["event"] == "device_state_shared"
+        }
+        assert shared == set(modules)
         for name in modules:
             merged = parallel.module(name)
             assert merged.rowhammer == baseline[name].rowhammer

@@ -69,8 +69,11 @@ def test_cache_preload_is_used(tiny_scale):
 
 
 def test_parser_parallel_flag():
-    args = build_parser().parse_args(["fig3", "--parallel", "4"])
-    assert args.parallel == 4
+    """``--parallel N`` is a second spelling of ``--orchestrate N``."""
+    parser = build_parser()
+    parallel = parser.parse_args(["fig3", "--parallel", "4"])
+    assert parallel.orchestrate == 4
+    assert parallel == parser.parse_args(["fig3", "--orchestrate", "4"])
 
 
 def test_main_observability_flags(tmp_path, capsys):

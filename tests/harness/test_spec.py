@@ -166,9 +166,13 @@ def test_empty_plan_is_falsy():
 
 def test_plan_preload_primes_the_cache(tiny_scale):
     plan = build_plan(["fig3"], modules=("C5",), scale=tiny_scale)
-    plan.preload_parallel(max_workers=1)
+    plan.orchestrate(max_workers=1)
     key = cache._key(("rowhammer",), ("C5",), tiny_scale, 0)
     assert key in cache._CACHE
+    # A second pre-run finds the campaign cached and does not re-run it.
+    messages = []
+    plan.orchestrate(max_workers=1, progress=messages.append)
+    assert messages == ["the rowhammer campaign is cached; skipping it"]
 
 
 def test_runner_list_flag(capsys):

@@ -6,19 +6,19 @@ Two guarantees the tentpole PR makes:
   and the span call sites cost well under 5% of the campaign's wall
   clock (the disabled path is one boolean check returning a shared
   no-op singleton);
-* turning every observability surface on (tracer, profiler, progress
-  reporter on the event bus) changes no study result bit-for-bit --
+* turning every observability surface on (tracer, progress reporter on
+  the event bus) changes no study result bit-for-bit --
   observation never perturbs the physics.
 """
 
 import io
 import json
 
-from repro.core.perf import PROFILER
 from repro.core.scale import StudyScale
 from repro.core.serialization import study_to_dict
 from repro.core.study import CharacterizationStudy
 from repro.obs import clock
+from repro.obs.metrics import REGISTRY
 from repro.obs.progress import ProgressReporter
 from repro.obs.trace import TRACER
 
@@ -72,15 +72,12 @@ def test_full_observability_changes_no_result_bits():
     baseline = study_to_dict(_run_campaign())
 
     TRACER.enable()
-    PROFILER.enable()
     try:
         with ProgressReporter(stream=io.StringIO(), min_interval=0.0):
             observed = study_to_dict(_run_campaign())
     finally:
         TRACER.disable()
         TRACER.reset()
-        PROFILER.disable()
-        PROFILER.reset()
 
     assert json.dumps(baseline, sort_keys=True) == json.dumps(
         observed, sort_keys=True
@@ -88,15 +85,15 @@ def test_full_observability_changes_no_result_bits():
 
 
 def test_enabled_run_actually_records():
+    hammer_probes = "repro_probes_hammer_total"
+    before = REGISTRY.counter_values().get(hammer_probes, 0)
     TRACER.enable()
-    PROFILER.enable()
     try:
         _run_campaign()
         names = {span.name for span in TRACER.spans}
         assert {"campaign", "module", "operating-point"} <= names
-        assert PROFILER.counters.get("hammer_probes", 0) > 0
+        after = REGISTRY.counter_values().get(hammer_probes, 0)
+        assert after > before
     finally:
         TRACER.disable()
         TRACER.reset()
-        PROFILER.disable()
-        PROFILER.reset()

@@ -3,7 +3,13 @@
 import json
 import threading
 
-from repro.obs.trace import _NULL_SPAN, TRACER, Tracer
+from repro.obs.trace import (
+    _NULL_SPAN,
+    TRACER,
+    Tracer,
+    span_report,
+    span_table,
+)
 
 
 class TestDisabled:
@@ -145,19 +151,23 @@ class TestAggregate:
                 pass
         with tracer.span("module"):
             pass
-        totals = tracer.aggregate()
+        totals = span_table(tracer.chrome_trace())
         assert totals["probe-batch"][0] == 3
         assert totals["module"][0] == 1
-        assert all(seconds >= 0 for _, seconds in totals.values())
+        # All local: nothing is attributed to worker processes.
+        assert all(
+            seconds >= 0 and remote == 0.0
+            for _, seconds, remote in totals.values()
+        )
 
     def test_report_lists_every_name(self):
         tracer = Tracer()
         tracer.enable()
         with tracer.span("bisection"):
             pass
-        report = tracer.report()
+        report = span_report(tracer.chrome_trace())
         assert "-- spans" in report
         assert "bisection" in report and "(1 spans)" in report
 
     def test_empty_report(self):
-        assert "no spans recorded" in Tracer().report()
+        assert "no spans recorded" in span_report(Tracer().chrome_trace())

@@ -211,13 +211,6 @@ class TestRunnerIntegration:
         assert "unknown experiment id(s): fig99" in captured.err
         assert "known ids:" in captured.err
 
-    def test_parallel_and_orchestrate_are_exclusive(self, capsys):
-        from repro.harness.runner import main as runner_main
-
-        code = runner_main(["fig3", "--parallel", "2", "--orchestrate", "2"])
-        assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
     def test_orchestrate_skips_campaignless_experiments(self, capsys):
         from repro.harness.runner import main as runner_main
 
