@@ -48,9 +48,10 @@ bench-check:
 # committed baseline's acceptance gates (fused-over-command speedup
 # floors for the hammer, retention, DSL-program and tRCD probes and the
 # bench campaign) and the fused-vs-command bit-identity differential
-# over every experiment family, without timing re-measurement (the
-# fused ladder and characterization times are guarded by bench-check's
-# re-measurement). The API
+# over every experiment family, plus zero lazy layout-head extensions
+# in its 65536-bit-row run, without timing re-measurement (the fused
+# ladder, characterization, WCDP and preheat times are guarded by
+# bench-check's re-measurement). The API
 # load smoke rides along: a reduced-job concurrent run with the
 # deterministic served-study-vs-direct-run gate.
 bench-smoke:

@@ -13,7 +13,10 @@ Three layers, any of which fails the check (exit 1):
   (rowhammer, tRCD, retention) must match record-for-record; the
   ``trcd`` family additionally runs down to A0's V_PPmin, where rows
   walk up from the nominal tRCD, and rowhammer and retention rerun at
-  the paper's 65536-bit rows, where float32 tolerance ties occur;
+  the paper's 65536-bit rows, where float32 tolerance ties occur; that
+  rerun must also answer every probe from the per-row layout heads
+  (``repro_layout_extensions_total`` stays 0), so heads made too small
+  fail here rather than silently slowing studies down;
 * a perf-regression guard: re-measures the probe-throughput rates and
   the campaigns (``make bench`` writes them; see ``bench_probe.py``)
   and fails when a rate or speedup falls below its committed value, or
@@ -63,7 +66,7 @@ SPEEDUP_KEYS = tuple(bench_probe.SPEEDUP_FLOORS)
 #: Wall-clock keys: lower is better, so their band is a ceiling.
 SECONDS_KEYS = (
     "characterization_seconds_fused", "ladder_seconds_fused",
-    "wcdp_seconds_fused",
+    "wcdp_seconds_fused", "preheat_seconds_fused",
 )
 
 #: Experiment families covered by the differential bit-identity gate.
@@ -114,14 +117,21 @@ def gate_baseline(committed):
 
 
 def differential_check():
-    """Return the experiment families where a fused study diverges from
-    the command oracle (bit-identity gate), printing each case's time.
+    """Return ``(families, extensions)``: the experiment families where
+    a fused study diverges from the command oracle (bit-identity gate),
+    and the lazy layout extensions the paper-row-size studies made,
+    printing each case's time.
 
     Every family runs at tiny scale; rowhammer and retention also run
     over the tiny row sample at the paper's row size, where float32
     tolerance ties occur (the tiny 2048-bit rows have almost none)."""
     from repro.core.scale import StudyScale
     from repro.core.study import CharacterizationStudy
+    from repro.dram.bank import LAYOUT_EXTENSIONS_METRIC
+    from repro.obs.metrics import REGISTRY
+
+    def extensions():
+        return REGISTRY.counter_values().get(LAYOUT_EXTENSIONS_METRIC, 0.0)
 
     tiny = StudyScale.tiny()
     paper_rows = dataclasses.replace(
@@ -136,13 +146,17 @@ def differential_check():
         return study.run_module("A0", tests=tests, vpp_levels=vpp_levels)
 
     mismatches = []
+    paper_extensions = 0.0
     for scale, tests, levels in (
         (tiny, FAMILIES, VPP_LEVELS),
         (tiny, ("trcd",), TRCD_VPP_LEVELS),
         (paper_rows, PAPER_ROW_FAMILIES, VPP_LEVELS),
     ):
         started = time.monotonic()
+        before = extensions()
         fused = run("fused", scale, tests, levels)
+        if scale is paper_rows:
+            paper_extensions = extensions() - before
         command = run("command", scale, tests, levels)
         row_bits = scale.geometry.row_bits
         print(f"  {'/'.join(tests)} at V_PP {levels}, {row_bits}-bit "
@@ -152,7 +166,7 @@ def differential_check():
             for family in tests
             if getattr(fused, family) != getattr(command, family)
         )
-    return mismatches
+    return mismatches, paper_extensions
 
 
 def check(committed, measured, rate_tol, speedup_tol):
@@ -215,12 +229,21 @@ def main(argv=None) -> int:
     print("checking fused-vs-command bit-identity (tiny scale, all "
           "experiment families; rowhammer/retention also at "
           f"{PAPER_ROW_BITS}-bit rows)...")
-    mismatches = differential_check()
+    mismatches, extensions = differential_check()
     if mismatches:
         print("the fused kernel diverges from the command oracle on: "
               + ", ".join(mismatches), file=sys.stderr)
         return 1
     print("fused records match the command oracle bit-for-bit")
+    if extensions:
+        print(f"the {PAPER_ROW_BITS}-bit-row studies extended "
+              f"{extensions:g} per-row layout heads to the full sort "
+              "(repro_layout_extensions_total must stay 0 there): the "
+              "head bounds in repro.dram.bank are too small",
+              file=sys.stderr)
+        return 1
+    print(f"every {PAPER_ROW_BITS}-bit-row probe was answered from the "
+          "layout heads")
 
     if args.smoke:
         print("\nsmoke mode: skipping timing re-measurement")
@@ -240,6 +263,8 @@ def main(argv=None) -> int:
     measured.update(bench_probe.bench_vpp_ladder_campaign(runs=3))
     print("re-measuring the WCDP phase (fused)...")
     measured.update(bench_probe.bench_wcdp_phase())
+    print("re-measuring the preheat (fused)...")
+    measured.update(bench_probe.bench_preheat())
 
     for key in RATE_KEYS + SPEEDUP_KEYS + SECONDS_KEYS:
         committed_value = committed.get(key)

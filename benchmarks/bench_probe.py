@@ -22,7 +22,10 @@ with both cache layers disabled:
   metric;
 * wall-clock of that campaign's *WCDP phase* (six data patterns per
   row under the RowHammer and the retention rule) on the kernel, each
-  run on a fresh context so the phase pays its first-visit costs.
+  run on a fresh context so the phase pays its first-visit costs;
+* wall-clock of that campaign's *preheat* (per-cell generation and
+  the per-row tolerance and retention layouts) on the kernel, each run
+  on a fresh context.
 
 The JSON is written next to this script (override with ``--out``) so
 future changes have a perf trajectory to compare against;
@@ -223,9 +226,8 @@ def bench_characterization_campaign(runs=2):
     )}
 
 
-def _preheated_context(engine):
-    """A fresh ladder-geometry context and its row sample, preheated
-    for the campaign's tests."""
+def _ladder_context(engine):
+    """A fresh ladder-geometry context and its row sample."""
     scale = LADDER_SCALE
     infra = TestInfrastructure.for_module(
         CAMPAIGN_MODULE, geometry=scale.geometry, seed=1
@@ -235,6 +237,13 @@ def _preheated_context(engine):
         scale.geometry.rows_per_bank, scale.rows_per_module,
         scale.row_chunks,
     )
+    return ctx, rows
+
+
+def _preheated_context(engine):
+    """A fresh ladder-geometry context and its row sample, preheated
+    for the campaign's tests."""
+    ctx, rows = _ladder_context(engine)
     ctx.engine.preheat(ctx, rows, CAMPAIGN_TESTS)
     return ctx, rows
 
@@ -305,6 +314,20 @@ def bench_wcdp_phase(runs=5):
     return {"wcdp_seconds_fused": min(timings)}
 
 
+def bench_preheat(runs=5):
+    """The study's preheat (the per-row tolerance and retention layouts
+    of the campaign's tests) on the kernel: min of ``runs``, each on a
+    fresh context whose build runs untimed, so every run generates the
+    per-cell vectors and lays out every row as a study does."""
+    timings = []
+    for _ in range(runs):
+        ctx, rows = _ladder_context("fused")
+        started = time.monotonic()
+        ctx.engine.preheat(ctx, rows, CAMPAIGN_TESTS)
+        timings.append(time.monotonic() - started)
+    return {"preheat_seconds_fused": min(timings)}
+
+
 REPORT_KEYS = (
     "hammer_probes_per_sec_fused", "hammer_probes_per_sec_command",
     "hammer_probe_speedup",
@@ -317,7 +340,7 @@ REPORT_KEYS = (
     "campaign_seconds_fused", "campaign_seconds_command",
     "campaign_speedup",
     "characterization_seconds_fused", "ladder_seconds_fused",
-    "wcdp_seconds_fused",
+    "wcdp_seconds_fused", "preheat_seconds_fused",
 )
 
 
@@ -361,6 +384,11 @@ def main(argv=None) -> int:
             " fused, min-of-5, each on a fresh context; build/preheat"
             " untimed"
         ),
+        "preheat": (
+            "preheat of the bench row set's RowHammer and retention"
+            " layouts (per-cell generation included) at 65536-bit physical"
+            " rows, fused, min-of-5, each on a fresh context; build untimed"
+        ),
         "trcd_probes": (
             "find_trcd_min sweeps of one B3 row (8192-bit rows)"
         ),
@@ -378,6 +406,8 @@ def main(argv=None) -> int:
     payload.update(bench_vpp_ladder_campaign())
     print("measuring the WCDP phase (fused)...")
     payload.update(bench_wcdp_phase())
+    print("measuring the preheat (fused)...")
+    payload.update(bench_preheat())
 
     # The registry counters spent producing these numbers travel with
     # them, so BENCH_probe.json entries are self-describing.

@@ -19,7 +19,10 @@ bit-exact oracle. It batches at two levels (see
   sorted threshold vectors, and a data pattern only selects which
   cells are charged (a mask over cell indices mod 8), so one sort per
   row serves every operating point and pattern, and a probe touches
-  only its flipped prefix:
+  only its flipped prefix. Probes read only a row's weakest cells, so
+  each bulk population is sorted as a head, extended to the whole row
+  by the rare prefix that reaches its end
+  (``repro_layout_extensions_total``):
 
   * *retention*: one ascending-retention sort per row, grouped by the
     per-cell V_PP-sensitivity exponent
@@ -716,12 +719,12 @@ class FusedProbeEngine(ProbeEngine):
             return session.worst_probe(trefw, 1)
 
     def preheat(self, ctx, rows, tests: Sequence[str] = TEST_TYPES) -> int:
-        """Warm, for a row set, the stacked sort passes the study's
-        ``tests`` walk: the tolerance layouts of the hammer kernel
-        (``rowhammer``) and the retention layouts every fused operating
-        point and pattern re-slices (``retention``). Alg. 2 needs
-        neither. Returns the number of rows whose tolerance layout was
-        newly warmed."""
+        """Warm, for a row set, the stacked layout passes the study's
+        ``tests`` walk: the tolerance layout heads of the hammer kernel
+        (``rowhammer``) and the retention layout heads every fused
+        operating point and pattern re-slices (``retention``). Alg. 2
+        needs neither. Returns the number of rows whose tolerance
+        layout was newly warmed."""
         bank = self._module.bank(ctx.bank)
         warmed = 0
         if "rowhammer" in tests:

@@ -272,12 +272,9 @@ def build_device_state(
         state = DeviceState(handle, shm, owner=True)
         generator = bank_obj.cells
         for slot, physical in enumerate(physical_rows):
-            state.plane("cell_tolerances")[slot] = (
-                generator.cell_tolerances(physical)
-            )
-            state.plane("cell_outlier_mask")[slot] = (
-                generator.cell_outlier_mask(physical)
-            )
+            tolerances, outliers = generator.tolerance_structure_pair(physical)
+            state.plane("cell_tolerances")[slot] = tolerances
+            state.plane("cell_outlier_mask")[slot] = outliers
             times, sensitivity = generator.retention_structure_pair(physical)
             state.plane("cell_retention_times")[slot] = times
             state.plane("cell_retention_vpp_sensitivity")[slot] = sensitivity

@@ -25,8 +25,9 @@ equivalent of its unrolled ACT/PRE loop.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -49,19 +50,39 @@ from repro.rng import RngHub
 #: attacks, Section 4.2).
 _DISTANCE1_WEIGHT = 0.5
 
-#: Row-state cache key of the per-row tolerance layout: the cells in
-#: ascending-tolerance order, split into the bulk and the outlier
-#: population, each as ``(indices, float64 tolerances, residue bits)``
-#: (see :meth:`Bank.preheat_tolerance_orders`). Every data pattern's
-#: hammer counts are answered from it.
+#: Row-state cache key of the per-row tolerance layout: the bulk and
+#: the outlier population, each a :class:`_Population` in ascending-
+#: tolerance order with float64 tolerances (see
+#: :meth:`Bank.preheat_tolerance_orders`). The sparse outlier population
+#: is complete; the bulk population is a *head* -- its cells among the
+#: row's :data:`_TOL_HEAD_DIVISOR`-th part of smallest tolerances --
+#: extended to the whole row on the first prefix that reaches its end
+#: (:meth:`Bank.extended_tolerance_layout`). Every data pattern's hammer
+#: counts are answered from it.
 _TOL_LAYOUT_KEY = "_tol_layout"
 
-#: Row-state cache key of the per-row retention layout: the cells in
-#: ascending-retention order, split by V_PP-sensitivity exponent, each
-#: group as ``(sensitivity, indices, float32 times, residue bits)`` (see
-#: :meth:`Bank.preheat_retention_orders`). Every operating point and
-#: data pattern re-slices this one order instead of re-sorting.
+#: Row-state cache key of the per-row retention layout: the cells split
+#: by V_PP-sensitivity exponent, each group as ``(sensitivity,``
+#: :class:`_Population` ``)`` in ascending-retention order with float32
+#: times (see :meth:`Bank.preheat_retention_orders`). The sparse weak
+#: groups are complete; the bulk group (exponent 1) is a head over the
+#: row's :data:`_RET_HEAD_DIVISOR`-th part of shortest times, extended
+#: like the tolerance head (:meth:`Bank.extended_retention_layout`).
+#: Every operating point and data pattern re-slices this one layout
+#: instead of re-sorting.
 _RET_LAYOUT_KEY = "_ret_layout"
+
+#: A bulk head holds the cells among the ``row_bits // divisor``
+#: smallest values of its row. Probes read only a row's weakest cells:
+#: a RowHammer flip set stays far below 1/32 of a row, and a retention
+#: flip set (the 16 s window at V_PPmin) below 1/5, so the heads answer
+#: every probe of a study and a lazy extension is the rare slow path
+#: (``repro_layout_extensions_total``).
+_TOL_HEAD_DIVISOR = 32
+_RET_HEAD_DIVISOR = 5
+
+#: Counter of lazy head-to-full layout extensions, by layout.
+LAYOUT_EXTENSIONS_METRIC = "repro_layout_extensions_total"
 
 #: Row-state cache keys of the per-residue tables (one O(n) pass, no
 #: sort): the bulk and outlier tolerance minima per residue, the
@@ -83,11 +104,83 @@ _SELECTED = tuple(
 )
 
 
-def _with_residue_bits(indices: np.ndarray, *values) -> tuple:
-    """A presorted population: ``(int32 indices, *values, residue
-    bits)`` (the uint8 cast keeps an index's low bits)."""
+class _Population(NamedTuple):
+    """One presorted cell population of a per-row layout."""
+
+    #: Cell indices in ascending-value order (int32).
+    indices: np.ndarray
+    #: The cells' values, ascending.
+    values: np.ndarray
+    #: Residue bit ``1 << (index % 8)`` per cell (uint8; see _SELECTED).
+    bits: np.ndarray
+    #: False for a head: the population's other cells lie past its end.
+    complete: bool
+
+
+def _population(indices: np.ndarray, values: np.ndarray, complete):
+    """A :class:`_Population` of presorted cells (the uint8 cast keeps an
+    index's low bits)."""
     residues = indices.astype(np.uint8) & 7
-    return (indices.astype(np.int32), *values, np.uint8(1) << residues)
+    return _Population(
+        indices.astype(np.int32), values, np.uint8(1) << residues,
+        bool(complete),
+    )
+
+
+def _exhausted(population: _Population, prefix: int) -> bool:
+    """Whether a prefix search ran off the end of a head: the cells past
+    it may satisfy the predicate too. A shorter prefix is exact -- the
+    head holds its population's smallest values, so every cell outside
+    it fails a monotone predicate that the head's next cell fails."""
+    return prefix == population.values.shape[0] and not population.complete
+
+
+def _sorted_heads(stacked: np.ndarray, bound: int) -> tuple:
+    """``(orders, values)``: per row of ``stacked``, the cells of its
+    ``bound`` smallest values in ascending order (all of them when
+    ``bound`` covers the row). One stacked partition, then a sort of
+    just the heads."""
+    if bound >= stacked.shape[1]:
+        orders = np.argsort(stacked, axis=1)
+        return orders, np.take_along_axis(stacked, orders, axis=1)
+    orders = np.argpartition(stacked, bound - 1, axis=1)[:, :bound]
+    heads = np.take_along_axis(stacked, orders, axis=1)
+    sorter = np.argsort(heads, axis=1)
+    return (
+        np.take_along_axis(orders, sorter, axis=1),
+        np.take_along_axis(heads, sorter, axis=1),
+    )
+
+
+def _sorted_members(values: np.ndarray, members: np.ndarray, dtype):
+    """A sparse population, complete: ``members`` sorted by value."""
+    members = members[np.argsort(values[members])]
+    return _population(members, values[members].astype(dtype), True)
+
+
+def _count_extension(layout: str) -> None:
+    from repro.obs.metrics import REGISTRY  # local: keep obs optional
+
+    REGISTRY.counter(
+        LAYOUT_EXTENSIONS_METRIC,
+        "per-row layout heads extended to a full sort because a probe's "
+        "prefix reached the head's end, by layout",
+        labels=("layout",),
+    ).labels(layout=layout).inc()
+
+
+#: Per-cell fields generated together by one RNG replay: field ->
+#: (generator accessor returning both, the fields in its order).
+_PAIRED_FIELDS = {
+    name: (accessor, names)
+    for accessor, names in (
+        ("tolerance_structure_pair", ("cell_tolerances", "cell_outlier_mask")),
+        ("retention_structure_pair", (
+            "cell_retention_times", "cell_retention_vpp_sensitivity",
+        )),
+    )
+    for name in names
+}
 
 
 def _sensitivity_groups(sensitivity: np.ndarray) -> list:
@@ -201,25 +294,32 @@ class Bank:
         return state
 
     def _cached(self, state: RowState, physical_row: int, fieldname: str) -> np.ndarray:
-        vector = state.cache.get(fieldname)
+        cache = state.cache
+        vector = cache.get(fieldname)
         if vector is None:
-            vector = getattr(self._cells, fieldname)(physical_row)
-            state.cache[fieldname] = vector
+            paired = _PAIRED_FIELDS.get(fieldname)
+            if paired is None:
+                vector = getattr(self._cells, fieldname)(physical_row)
+                cache[fieldname] = vector
+            else:
+                # Both fields of one RNG replay, cached on first access
+                # to either.
+                accessor, names = paired
+                vectors = getattr(self._cells, accessor)(physical_row)
+                for name, value in zip(names, vectors):
+                    cache.setdefault(name, value)
+                vector = cache[fieldname]
         return vector
 
+    def _tolerance_vectors(self, state: RowState, physical_row: int):
+        """The row's ``(tolerances, outlier mask)``."""
+        return (
+            self._cached(state, physical_row, "cell_tolerances"),
+            self._cached(state, physical_row, "cell_outlier_mask"),
+        )
+
     def _retention_vectors(self, state: RowState, physical_row: int):
-        """The row's ``(retention times, V_PP sensitivity)``, generated
-        in one RNG replay when neither is cached yet."""
-        cache = state.cache
-        if (
-            "cell_retention_times" not in cache
-            and "cell_retention_vpp_sensitivity" not in cache
-        ):
-            times, sensitivity = self._cells.retention_structure_pair(
-                physical_row
-            )
-            cache["cell_retention_times"] = times
-            cache["cell_retention_vpp_sensitivity"] = sensitivity
+        """The row's ``(retention times, V_PP sensitivity)``."""
         return (
             self._cached(state, physical_row, "cell_retention_times"),
             self._cached(state, physical_row, "cell_retention_vpp_sensitivity"),
@@ -276,16 +376,42 @@ class Bank:
 
     def tolerance_layout(self, state: RowState, physical_row: int) -> tuple:
         """The row's ascending-tolerance layout (``_TOL_LAYOUT_KEY``),
-        sorted on first use unless preheated."""
+        laid out on first use unless preheated."""
         if _TOL_LAYOUT_KEY not in state.cache:
             self._lay_out_tolerances([physical_row], [state])
         return state.cache[_TOL_LAYOUT_KEY]
 
     def retention_layout(self, state: RowState, physical_row: int) -> tuple:
         """The row's ascending-retention layout by sensitivity group
-        (``_RET_LAYOUT_KEY``), sorted on first use unless preheated."""
+        (``_RET_LAYOUT_KEY``), laid out on first use unless preheated."""
         if _RET_LAYOUT_KEY not in state.cache:
             self._lay_out_retention([physical_row], [state])
+        return state.cache[_RET_LAYOUT_KEY]
+
+    def extended_tolerance_layout(
+        self, state: RowState, physical_row: int
+    ) -> tuple:
+        """The row's tolerance layout with its bulk head extended to the
+        whole row (the full sort; a no-op once extended). Consumers call
+        this when a prefix reaches the end of the head."""
+        if not state.cache[_TOL_LAYOUT_KEY][0].complete:
+            self._lay_out_tolerances(
+                [physical_row], [state], self._geometry.row_bits
+            )
+            _count_extension("tolerance")
+        return state.cache[_TOL_LAYOUT_KEY]
+
+    def extended_retention_layout(
+        self, state: RowState, physical_row: int
+    ) -> tuple:
+        """The row's retention layout with its bulk group extended to the
+        whole row (see :meth:`extended_tolerance_layout`)."""
+        layout = state.cache[_RET_LAYOUT_KEY]
+        if not all(population.complete for _, population in layout):
+            self._lay_out_retention(
+                [physical_row], [state], self._geometry.row_bits
+            )
+            _count_extension("retention")
         return state.cache[_RET_LAYOUT_KEY]
 
     def tolerance_residues(self, state: RowState, physical_row: int) -> tuple:
@@ -293,8 +419,7 @@ class Bank:
         8-tuples of floats (``inf`` where a residue has no such cell)."""
         table = state.cache.get(_TOL_RESIDUES_KEY)
         if table is None:
-            tolerance = self._cached(state, physical_row, "cell_tolerances")
-            outlier = self._cached(state, physical_row, "cell_outlier_mask")
+            tolerance, outlier = self._tolerance_vectors(state, physical_row)
             table = tuple(
                 tuple(float(value) for value in _residue_minima(tolerance, member))
                 for member in (~outlier, outlier)
@@ -844,10 +969,10 @@ class Bank:
     def preheat_tolerance_orders(self, logical_rows: Sequence[int]) -> int:
         """Warm the per-row tolerance layouts for a whole row set.
 
-        The probe engine's exact hammer counts walk each row's cells in
-        ascending-tolerance order (:class:`_FusedHammerCounts`). The
-        order is a pure per-row property, so a row set can compute it
-        in one stacked ``(rows, cells)`` argsort instead of one argsort
+        The probe engine's exact hammer counts walk each row's weakest
+        cells in ascending-tolerance order (:class:`_FusedHammerCounts`).
+        The order is a pure per-row property, so a row set computes its
+        heads in one stacked ``(rows, cells)`` partition instead of one
         per row; the per-row results are identical. Returns the number
         of rows actually warmed (rows already laid out are skipped).
         """
@@ -863,9 +988,9 @@ class Bank:
         ascending-retention order (see :class:`_FusedRetentionCounts`):
         V_PP, temperature and data pattern only reparameterize monotone
         scalar factors on the presorted per-cell retention times, so
-        one sort per row serves *every* operating point and pattern.
+        one layout per row serves *every* operating point and pattern.
         Like :meth:`preheat_tolerance_orders`, a row set computes the
-        orders in one stacked ``(rows, cells)`` argsort. Returns the
+        heads in one stacked ``(rows, cells)`` partition. Returns the
         number of rows actually warmed.
         """
         physicals, states = self._cold_rows(logical_rows, _RET_LAYOUT_KEY)
@@ -873,46 +998,67 @@ class Bank:
             self._lay_out_retention(physicals, states)
         return len(physicals)
 
-    def _lay_out_tolerances(self, physicals, states) -> None:
-        """Store each row's tolerance layout: the ascending order split
-        into the bulk and outlier populations (relative order survives
-        the split). Tie order within equal tolerances is irrelevant:
-        every prefix cutoff compares values only, so tied cells enter
-        or leave a flip set together."""
-        stacked = np.stack([
-            self._cached(state, physical, "cell_tolerances")
+    def _lay_out_tolerances(self, physicals, states, bound=None) -> None:
+        """Store each row's tolerance layout: the outlier population
+        sorted whole, and the bulk cells among the row's ``bound``
+        smallest tolerances (default: the head bound) sorted. Tie order
+        within equal tolerances is irrelevant: every prefix cutoff
+        compares values only, so tied cells enter or leave a flip set
+        together."""
+        cells = self._geometry.row_bits
+        if bound is None:
+            bound = cells // _TOL_HEAD_DIVISOR
+        vectors = [
+            self._tolerance_vectors(state, physical)
             for physical, state in zip(physicals, states)
-        ])
-        orders = np.argsort(stacked, axis=1)
-        sorted64 = np.take_along_axis(stacked, orders, axis=1).astype(
-            np.float64
+        ]
+        orders, heads = _sorted_heads(
+            np.stack([tolerance for tolerance, _ in vectors]), bound
         )
-        for physical, state, order, tol_sorted in zip(
-            physicals, states, orders, sorted64
+        for state, (tolerance, outlier), order, head in zip(
+            states, vectors, orders, heads
         ):
-            outlier = self._cached(state, physical, "cell_outlier_mask")[order]
-            state.cache[_TOL_LAYOUT_KEY] = tuple(
-                _with_residue_bits(order[member], tol_sorted[member])
-                for member in (~outlier, outlier)
+            outliers = np.flatnonzero(outlier)
+            bulk = ~outlier[order]
+            members = order[bulk]
+            state.cache[_TOL_LAYOUT_KEY] = (
+                _population(
+                    members, head[bulk].astype(np.float64),
+                    members.size == cells - outliers.size,
+                ),
+                _sorted_members(tolerance, outliers, np.float64),
             )
 
-    def _lay_out_retention(self, physicals, states) -> None:
-        """Store each row's retention layout: the ascending order split
-        by sensitivity group."""
+    def _lay_out_retention(self, physicals, states, bound=None) -> None:
+        """Store each row's retention layout: every weak sensitivity
+        group sorted whole, and the bulk group's cells among the row's
+        ``bound`` shortest times (default: the head bound) sorted."""
+        cells = self._geometry.row_bits
+        if bound is None:
+            bound = cells // _RET_HEAD_DIVISOR
         vectors = [
             self._retention_vectors(state, physical)
             for physical, state in zip(physicals, states)
         ]
-        stacked = np.stack([times for times, _ in vectors])
-        orders = np.argsort(stacked, axis=1)
-        sorted_times = np.take_along_axis(stacked, orders, axis=1)
-        for state, (_, sensitivity), order, row_sorted in zip(
-            states, vectors, orders, sorted_times
+        orders, heads = _sorted_heads(
+            np.stack([times for times, _ in vectors]), bound
+        )
+        for state, (times, sensitivity), order, head in zip(
+            states, vectors, orders, heads
         ):
-            state.cache[_RET_LAYOUT_KEY] = tuple(
-                (value, *_with_residue_bits(order[member], row_sorted[member]))
-                for value, member in _sensitivity_groups(sensitivity[order])
-            )
+            groups = [
+                (value, _sorted_members(times, member, np.float32))
+                for value, member in _sensitivity_groups(sensitivity)
+                if value != 1
+            ]
+            weak_cells = sum(group.indices.size for _, group in groups)
+            if weak_cells < cells:
+                bulk = sensitivity[order] == 1
+                members = order[bulk]
+                groups.insert(0, (np.float32(1.0), _population(
+                    members, head[bulk], members.size == cells - weak_cells,
+                )))
+            state.cache[_RET_LAYOUT_KEY] = tuple(groups)
 
     def _cold_rows(self, logical_rows: Sequence[int], key: str):
         """``(physical rows, states)`` of the rows lacking ``key``."""
@@ -1440,13 +1586,14 @@ def _charged_in_prefix(bits: np.ndarray, prefix: int, charged_byte: int) -> int:
 
 
 def _charged_members(
-    indices: np.ndarray, bits: np.ndarray, prefix: int, charged_byte: int
+    population: _Population, prefix: int, charged_byte: int
 ) -> np.ndarray:
     """Indices of the charged cells among a population's first
     ``prefix`` cells."""
+    indices = population.indices[:prefix]
     if charged_byte == 0xFF:
-        return indices[:prefix]
-    return indices[:prefix][(bits[:prefix] & charged_byte) != 0]
+        return indices
+    return indices[(population.bits[:prefix] & charged_byte) != 0]
 
 
 class _HammerCounts:
@@ -1643,10 +1790,12 @@ class _FusedRetentionCounts:
     effective thresholds are its ascending base times multiplied by
     three positive scalars, so an operating point costs just the scalar
     chain and every decay prefix resolves against the shared base-time
-    arrays by needle inversion (:func:`_fused_group_prefix`). The layout
-    holds every cell, so a prefix also covers the cells the pattern
-    leaves uncharged; counts, flip sets and histograms keep only the
-    prefix's charged cells (``bits & charged_byte``). The boundary
+    arrays by needle inversion (:func:`_fused_group_prefix`); the bulk
+    group is a head, extended to the whole row by the rare prefix that
+    reaches its end. The layout holds cells of every residue, so a
+    prefix also covers the cells the pattern leaves uncharged; counts,
+    flip sets and histograms keep only the prefix's charged cells
+    (``bits & charged_byte``). The boundary
     correction replays the exact float32/float64 operations of the
     vectorized ``retention * thermal * margin**sensitivity * pattern``
     chain elementwise, so all three are bit-identical to
@@ -1663,13 +1812,18 @@ class _FusedRetentionCounts:
         scalar = bank._cached(
             sweep.state, sweep.physical, "retention_pattern_factors"
         )[sweep.pattern_index]
+        # Bound to the row state, not the sweep (which caches this
+        # object), so evicted sweeps free without a cycle collection.
+        self._extended_layout = functools.partial(
+            bank.extended_retention_layout, sweep.state, sweep.physical
+        )
         self._charged_byte = sweep.charged_byte
         groups = (
             bank.retention_layout(sweep.state, sweep.physical)
             if self._charged_byte else ()
         )
-        self._groups = tuple(group[1:] for group in groups)
-        powers = tuple(np.power(margin, group[0]) for group in groups)
+        self._groups = tuple(population for _, population in groups)
+        powers = tuple(np.power(margin, value) for value, _ in groups)
         self._scalars = tuple(
             (thermal, margin_pow, scalar) for margin_pow in powers
         )
@@ -1687,21 +1841,34 @@ class _FusedRetentionCounts:
         self._memo: Dict[float, tuple] = {}
         self._charged_counts: Dict[tuple, int] = {}
 
+    def _prefixes(self, elapsed: float) -> tuple:
+        return tuple(
+            _fused_group_prefix(population.values, *scalars, factor, elapsed)
+            for population, scalars, factor in zip(
+                self._groups, self._scalars, self._factors
+            )
+        )
+
     def _resolve(self, elapsed: float) -> tuple:
-        """``(charged decayed count, per-group layout prefixes)``."""
+        """``(charged decayed count, per-group layout prefixes)``.
+
+        A prefix that reaches the end of the bulk head extends the row's
+        layout and is searched again; shorter prefixes (memoized ones
+        included) select the same cells from either layout."""
         cached = self._memo.get(elapsed)
         if cached is None:
-            prefixes = tuple(
-                _fused_group_prefix(times, *scalars, factor, elapsed)
-                for (_, times, _), scalars, factor in zip(
-                    self._groups, self._scalars, self._factors
+            prefixes = self._prefixes(elapsed)
+            if any(map(_exhausted, self._groups, prefixes)):
+                self._groups = tuple(
+                    population for _, population in self._extended_layout()
                 )
-            )
+                prefixes = self._prefixes(elapsed)
             count = self._charged_counts.get(prefixes)
             if count is None:
                 count = sum(
-                    _charged_in_prefix(bits, prefix, self._charged_byte)
-                    for (_, _, bits), prefix in zip(self._groups, prefixes)
+                    _charged_in_prefix(population.bits, prefix,
+                                       self._charged_byte)
+                    for population, prefix in zip(self._groups, prefixes)
                 )
                 self._charged_counts[prefixes] = count
             cached = self._memo[elapsed] = (count, prefixes)
@@ -1738,8 +1905,8 @@ class _FusedRetentionCounts:
         if not count:
             return _EMPTY_INDICES
         parts = [
-            _charged_members(indices, bits, prefix, self._charged_byte)
-            for (indices, _, bits), prefix in zip(self._groups, prefixes)
+            _charged_members(population, prefix, self._charged_byte)
+            for population, prefix in zip(self._groups, prefixes)
             if prefix
         ]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -1781,7 +1948,8 @@ class _FusedHammerCounts:
       read off the row's residue table (no layout, no vectors);
     * ``count`` and ``flip_populations`` search the layout
       (:func:`_flip_prefix`), then count or gather only the prefix's
-      charged cells;
+      charged cells; a bulk prefix that reaches the end of the layout's
+      head extends the row to the full sort first;
     * retention decay is decided by the exact charged minimum
       (:meth:`ProbeSweep.min_charged_retention`) and, when it fires,
       counted on the retention layout (:class:`_FusedRetentionCounts`).
@@ -1839,19 +2007,28 @@ class _FusedHammerCounts:
 
     def _damage_flips(self, damage_bulk, damage_outlier, factor):
         """``(population, layout prefix)`` per population with charged
-        damage flips (``flip_mask``'s damage term)."""
+        damage flips (``flip_mask``'s damage term). A prefix that
+        reaches the end of the bulk head extends the row's layout and
+        is searched again."""
+        bank = self._sweep._bank
         if self._layout is None:
-            self._layout = self._sweep._bank.tolerance_layout(
+            self._layout = bank.tolerance_layout(
                 self._sweep.state, self._physical
             )
         flipped = []
-        for population, minimum, damage in zip(
-            self._layout, self._minima, (damage_bulk, damage_outlier)
+        for index, (minimum, damage) in enumerate(
+            zip(self._minima, (damage_bulk, damage_outlier))
         ):
             if minimum * factor <= damage:
-                flipped.append(
-                    (population, _flip_prefix(population[1], factor, damage))
-                )
+                population = self._layout[index]
+                prefix = _flip_prefix(population.values, factor, damage)
+                if _exhausted(population, prefix):
+                    self._layout = bank.extended_tolerance_layout(
+                        self._sweep.state, self._physical
+                    )
+                    population = self._layout[index]
+                    prefix = _flip_prefix(population.values, factor, damage)
+                flipped.append((population, prefix))
         return flipped
 
     def count(
@@ -1870,14 +2047,14 @@ class _FusedHammerCounts:
                 flips[part] = True
             return int(np.count_nonzero(flips))
         return sum(
-            _charged_in_prefix(population[2], prefix, self._charged_byte)
+            _charged_in_prefix(population.bits, prefix, self._charged_byte)
             for population, prefix in flipped
         )
 
     def _members(self, flipped) -> List[np.ndarray]:
         return [
-            _charged_members(indices, bits, prefix, self._charged_byte)
-            for (indices, _, bits), prefix in flipped
+            _charged_members(population, prefix, self._charged_byte)
+            for population, prefix in flipped
         ]
 
     def flip_populations(

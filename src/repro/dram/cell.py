@@ -303,23 +303,23 @@ class CellParameterGenerator:
 
     # -- per-cell vectors --------------------------------------------------------
 
-    def cell_tolerances(self, physical_row: int) -> np.ndarray:
-        """Per-cell hammer tolerances at nominal V_PP (float32).
+    def _tolerance_structure(self, physical_row: int):
+        """Per-cell (hammer tolerances, outlier mask) at nominal V_PP.
 
         Two populations (see :mod:`repro.dram.calibration`): a bulk
         lognormal around the row's weakness ``w`` (whose lower tail is
         the 300K-hammer BER), overlaid with a Poisson-sparse set of
         outlier defect cells whose much lower tolerances set HC_first.
+        The mask marks exactly the cells whose tolerance was replaced by
+        an outlier draw.
         """
-        preloaded = self._preloaded(physical_row, "cell_tolerances")
-        if preloaded is not None:
-            return preloaded
         rng = self._rng(physical_row, "tolerance")
         weakness = self.row_weakness(physical_row)
         draws = rng.standard_normal(self._cells).astype(np.float32)
         tolerances = (
             weakness * np.exp(self._cal.bulk_sigma * draws)
         ).astype(np.float32)
+        mask = np.zeros(self._cells, dtype=bool)
 
         outlier_rng = self._rng(physical_row, "tolerance_outliers")
         count = int(outlier_rng.poisson(self._cal.outlier_rate))
@@ -332,36 +332,36 @@ class CellParameterGenerator:
             ).astype(np.float32)
             replace = outliers < tolerances[positions]
             tolerances[positions[replace]] = outliers[replace]
-        return tolerances
+            mask[positions[replace]] = True
+        return tolerances, mask
+
+    def tolerance_structure_pair(self, physical_row: int):
+        """``(hammer tolerances, outlier mask)`` in one generation pass.
+
+        Both come from the same RNG replay, so callers that need both
+        (the bank's per-row caches, the SoA device-state builder) should
+        use this accessor instead of the two single-field ones -- it
+        halves the generation cost.
+        """
+        tolerances = self._preloaded(physical_row, "cell_tolerances")
+        mask = self._preloaded(physical_row, "cell_outlier_mask")
+        if tolerances is not None and mask is not None:
+            return tolerances, mask
+        return self._tolerance_structure(physical_row)
+
+    def cell_tolerances(self, physical_row: int) -> np.ndarray:
+        """Per-cell hammer tolerances at nominal V_PP (float32)."""
+        preloaded = self._preloaded(physical_row, "cell_tolerances")
+        if preloaded is not None:
+            return preloaded
+        return self._tolerance_structure(physical_row)[0]
 
     def cell_outlier_mask(self, physical_row: int) -> np.ndarray:
-        """Boolean mask of the row's outlier (defect) cells.
-
-        Derived from the same RNG stream as :meth:`cell_tolerances`, so
-        the mask marks exactly the cells whose tolerance was replaced by
-        an outlier draw.
-        """
+        """Boolean mask of the row's outlier (defect) cells."""
         preloaded = self._preloaded(physical_row, "cell_outlier_mask")
         if preloaded is not None:
             return preloaded
-        # Reproduce the outlier placement deterministically.
-        rng = self._rng(physical_row, "tolerance")
-        weakness = self.row_weakness(physical_row)
-        draws = rng.standard_normal(self._cells).astype(np.float32)
-        bulk = (weakness * np.exp(self._cal.bulk_sigma * draws)).astype(np.float32)
-
-        mask = np.zeros(self._cells, dtype=bool)
-        outlier_rng = self._rng(physical_row, "tolerance_outliers")
-        count = int(outlier_rng.poisson(self._cal.outlier_rate))
-        if count:
-            count = min(count, self._cells)
-            positions = outlier_rng.choice(self._cells, size=count, replace=False)
-            outliers = np.exp(
-                self._cal.outlier_log_median
-                + self._cal.outlier_sigma * outlier_rng.standard_normal(count)
-            ).astype(np.float32)
-            mask[positions[outliers < bulk[positions]]] = True
-        return mask
+        return self._tolerance_structure(physical_row)[1]
 
     def _retention_structure(self, physical_row: int):
         """Per-cell (retention times, V_PP sensitivity) at 80 degC and

@@ -20,8 +20,16 @@ from repro.core.fused import FusedProbeEngine
 from repro.core.probe import CommandProbeEngine
 from repro.core.scale import StudyScale
 from repro.core.study import CharacterizationStudy
-from repro.dram.bank import TrcdSweep
+from repro.dram.bank import (
+    _RET_HEAD_DIVISOR,
+    _RET_LAYOUT_KEY,
+    _TOL_HEAD_DIVISOR,
+    _TOL_LAYOUT_KEY,
+    LAYOUT_EXTENSIONS_METRIC,
+    TrcdSweep,
+)
 from repro.dram.patterns import STANDARD_PATTERNS, DataPattern
+from repro.obs.metrics import REGISTRY
 from repro.softmc.infrastructure import TestInfrastructure
 
 MODULES = ("A0", "B3", "C5")
@@ -331,6 +339,226 @@ class TestHammerKernels:
             assert parts[0] not in retired
 
 
+def _extensions(layout):
+    """Current value of the lazy layout-extension counter for one
+    layout."""
+    return REGISTRY.counter(
+        LAYOUT_EXTENSIONS_METRIC, labels=("layout",)
+    ).labels(layout=layout).value
+
+
+def _paper_row_context(engine_kind, seed=11):
+    tiny = StudyScale.tiny()
+    scale = dataclasses.replace(
+        tiny,
+        geometry=dataclasses.replace(tiny.geometry, row_bits=PAPER_ROW_BITS),
+    )
+    infra = TestInfrastructure.for_module(
+        "A0", geometry=scale.geometry, seed=seed
+    )
+    return TestContext(infra, scale, probe_engine=engine_kind)
+
+
+class TestLayoutHeads:
+    """Per-row layouts hold a sorted head of each bulk population; a
+    prefix that reaches a head's end extends that row to the full sort
+    (counted in ``repro_layout_extensions_total``), and every result
+    stays exact."""
+
+    def test_sessions_past_the_heads_match_command(self):
+        """Hammer and retention probes whose flip sets reach past the
+        heads extend each row once and still equal the command
+        engine."""
+        fused_ctx = _paper_row_context("fused")
+        command_ctx = _paper_row_context("command")
+        bank = fused_ctx.infra.module.bank(0)
+        tolerance_before = _extensions("tolerance")
+        retention_before = _extensions("retention")
+        rows = (5, 9)
+        for row in rows:
+            for count in (300_000, 3_000_000, 6_000_000):
+                assert fused_ctx.engine.hammer_ber(
+                    fused_ctx, row, STANDARD_PATTERNS[1], count
+                ) == command_ctx.engine.hammer_ber(
+                    command_ctx, row, STANDARD_PATTERNS[1], count
+                )
+        assert _extensions("tolerance") == tolerance_before + len(rows)
+        for ctx in (fused_ctx, command_ctx):
+            ctx.infra.set_temperature(80.0)
+        for row in rows:
+            for trefw in (4.096, 64.0, 256.0):
+                assert fused_ctx.engine.retention_probe(
+                    fused_ctx, row, STANDARD_PATTERNS[2], trefw
+                ) == command_ctx.engine.retention_probe(
+                    command_ctx, row, STANDARD_PATTERNS[2], trefw
+                )
+        assert _extensions("retention") == retention_before + len(rows)
+        for row in rows:
+            cache = bank._state(bank.mapping.to_physical(row)).cache
+            assert all(
+                population.complete for population in cache[_TOL_LAYOUT_KEY]
+            )
+            assert all(
+                population.complete for _, population in cache[_RET_LAYOUT_KEY]
+            )
+
+    def test_kernels_past_the_heads_match_references(self):
+        """Kernel-level: damages and waits placed past the heads give
+        the reference counts, flip sets and word histograms, with one
+        extension per row and layout."""
+        infra, bank = TestHammerKernels._paper_row_bank()
+        infra.set_temperature(80.0)
+        tolerance_before = _extensions("tolerance")
+        retention_before = _extensions("retention")
+        rows = TestHammerKernels._polarity_rows(bank)
+        session = 3
+        for row in rows:
+            for pattern in STANDARD_PATTERNS[:3]:
+                sweep = bank.hammer_sweep(row, [row - 1, row + 1], pattern)
+                if not sweep.charged.any():
+                    continue
+                fused = sweep.fused_counts()
+                eager = sweep.threshold_counts()
+                effective = np.sort(bank._effective_tolerances(
+                    sweep.physical, sweep.state, sweep.pattern_index, session
+                )[sweep.charged & ~sweep._outlier_mask])
+                for quantile in (0.01, 0.2, 0.5):
+                    damage = float(effective[int(quantile * effective.size)])
+                    mask = sweep.flip_mask(damage, 0.0, session, 0.0)
+                    expected = int(np.count_nonzero(mask))
+                    assert fused.count(damage, 0.0, session, 0.0) == expected
+                    assert eager.count(damage, 0.0, session, 0.0) == expected
+                    got = np.concatenate(
+                        fused.flip_populations(damage, 0.0, session)
+                    )
+                    assert np.array_equal(np.sort(got), np.flatnonzero(mask))
+
+                retention = bank.retention_sweep(row, pattern)
+                counts = retention.fused_counts()
+                thresholds = np.sort(
+                    retention.effective_retention_times()[retention.charged]
+                )
+                for quantile in (0.01, 0.4, 0.9):
+                    elapsed = float(np.nextafter(
+                        thresholds[int(quantile * thresholds.size)], np.inf
+                    ))
+                    mask = retention.flip_mask(elapsed)
+                    assert counts.count(elapsed) == np.count_nonzero(mask)
+                    assert np.array_equal(
+                        np.sort(counts.flip_indices(elapsed)),
+                        np.flatnonzero(mask),
+                    )
+                    per_word = mask.reshape(-1, 64).sum(axis=1)
+                    assert counts.word_histogram(elapsed) == dict(
+                        Counter(int(c) for c in per_word if c > 0)
+                    )
+        assert _extensions("tolerance") == tolerance_before + len(rows)
+        assert _extensions("retention") == retention_before + len(rows)
+
+    @staticmethod
+    def _tied_row(bank, divisor, rng, nth):
+        """The ``nth`` untouched true-cell row, and values for it that
+        come in runs of equal values, the run at the head's last cell
+        straddling the head's end. Returns ``(logical row, values, head
+        bound)``."""
+        cells = PAPER_ROW_BITS
+        bound = cells // divisor
+        run = next(length for length in (2, 3) if bound % length)
+        values = np.repeat(
+            np.arange(1, cells // run + 2, dtype=np.float32), run
+        )[:cells] * np.float32(1000.0)
+        rng.shuffle(values)
+        rows = [
+            row for row in range(8, 64)
+            if not bank.cells.is_anti_row(bank.mapping.to_physical(row))
+        ]
+        return rows[nth], values, bound
+
+    def test_boundary_tie_extends_exactly(self):
+        """A cutoff equal to the head's last value, tied with a cell
+        outside the head: the prefix reaches the head's end, the row
+        extends, and the tied cell flips too."""
+        infra, bank = TestHammerKernels._paper_row_bank()
+        infra.set_temperature(80.0)
+        rng = np.random.default_rng(0)
+        pattern = STANDARD_PATTERNS[0]  # all-charged on a true-cell row
+
+        row, tolerances, bound = self._tied_row(bank, _TOL_HEAD_DIVISOR, rng, 0)
+        physical = bank.mapping.to_physical(row)
+        bank.cells.adopt_preloaded({
+            (physical, "cell_tolerances"): tolerances,
+            (physical, "cell_outlier_mask"): np.zeros(
+                PAPER_ROW_BITS, dtype=bool
+            ),
+        })
+        sweep = bank.hammer_sweep(row, [row - 1, row + 1], pattern)
+        assert sweep.charged_byte == 0xFF
+        fused = sweep.fused_counts()
+        head = bank.tolerance_layout(sweep.state, physical)[0]
+        assert head.values.size == bound and not head.complete
+        cutoff = head.values[-1]
+        assert np.count_nonzero(tolerances == cutoff) > np.count_nonzero(
+            head.values == cutoff
+        )
+        session = 1
+        damage = float(np.float64(cutoff) * fused._factor(session))
+        before = _extensions("tolerance")
+        expected = int(np.count_nonzero(
+            sweep.flip_mask(damage, 0.0, session, 0.0)
+        ))
+        assert expected > bound
+        assert fused.count(damage, 0.0, session, 0.0) == expected
+        assert _extensions("tolerance") == before + 1
+        assert bank.tolerance_layout(sweep.state, physical)[0].complete
+
+        row, times, bound = self._tied_row(bank, _RET_HEAD_DIVISOR, rng, 1)
+        physical = bank.mapping.to_physical(row)
+        bank.cells.adopt_preloaded({
+            (physical, "cell_retention_times"): times,
+            (physical, "cell_retention_vpp_sensitivity"): np.ones(
+                PAPER_ROW_BITS, dtype=np.float32
+            ),
+        })
+        sweep = bank.retention_sweep(row, pattern)
+        counts = sweep.fused_counts()
+        (_, head), = bank.retention_layout(sweep.state, physical)
+        assert head.values.size == bound and not head.complete
+        effective = sweep.effective_retention_times()
+        last = head.indices[-1]
+        assert np.count_nonzero(effective == effective[last]) > np.count_nonzero(
+            head.values == head.values[-1]
+        )
+        elapsed = float(np.nextafter(effective[last], np.inf))
+        before = _extensions("retention")
+        mask = sweep.flip_mask(elapsed)
+        assert np.count_nonzero(mask) > bound
+        assert counts.count(elapsed) == np.count_nonzero(mask)
+        assert np.array_equal(
+            np.sort(counts.flip_indices(elapsed)), np.flatnonzero(mask)
+        )
+        assert _extensions("retention") == before + 1
+
+    def test_tolerance_structure_pair_matches_single_fields(self):
+        """One RNG replay gives the single-field accessors' vectors bit
+        for bit, and preloaded vectors shadow it."""
+        _, bank = TestHammerKernels._paper_row_bank()
+        cells = bank.cells
+        for physical in (3, 4, 17):
+            tolerances, outliers = cells.tolerance_structure_pair(physical)
+            assert tolerances.dtype == np.float32 and outliers.dtype == bool
+            assert np.array_equal(tolerances, cells.cell_tolerances(physical))
+            assert np.array_equal(outliers, cells.cell_outlier_mask(physical))
+            preloaded = (tolerances.copy(), outliers.copy())
+            cells.adopt_preloaded({
+                (physical, "cell_tolerances"): preloaded[0],
+                (physical, "cell_outlier_mask"): preloaded[1],
+            })
+            pair = cells.tolerance_structure_pair(physical)
+            assert pair[0] is preloaded[0] and pair[1] is preloaded[1]
+            assert cells.cell_tolerances(physical) is preloaded[0]
+            assert cells.cell_outlier_mask(physical) is preloaded[1]
+
+
 class TestJitterCache:
     def test_clear_resets_horizons(self, monkeypatch):
         """Past the cache limit the jitter cache is cleared together
@@ -399,8 +627,6 @@ class TestFusedRouting:
             )
 
     def test_preheat_warms_only_what_the_tests_walk(self):
-        from repro.dram.bank import _RET_LAYOUT_KEY, _TOL_LAYOUT_KEY
-
         ctx = _context("A0", "fused")
         cache = ctx.infra.module.bank(0)._state(
             ctx.infra.module.bank(0).mapping.to_physical(5)
@@ -420,8 +646,6 @@ class TestFusedRouting:
         # Second preheat finds everything warm.
         assert ctx.engine.preheat(ctx, rows) == 0
         bank = ctx.infra.module.bank(0)
-        from repro.dram.bank import _RET_LAYOUT_KEY, _TOL_LAYOUT_KEY
-
         for row in rows:
             physical = bank.mapping.to_physical(row)
             cache = bank._state(physical).cache
