@@ -49,7 +49,8 @@ bench-check:
 # floors for the hammer, retention, DSL-program and tRCD probes and the
 # bench campaign) and the fused-vs-command bit-identity differential
 # over every experiment family, plus zero lazy layout-head extensions
-# in its 65536-bit-row run, without timing re-measurement (the fused
+# in its 65536-bit-row run, and the preheat's traced memory peak
+# within 25 % of its committed value, without timing re-measurement (the fused
 # ladder, characterization, WCDP and preheat times are guarded by
 # bench-check's re-measurement). The API
 # load smoke rides along: a reduced-job concurrent run with the

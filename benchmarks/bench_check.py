@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Perf-regression guard against the committed BENCH_probe.json.
 
-Three layers, any of which fails the check (exit 1):
+Four layers, any of which fails the check (exit 1):
 
 * deterministic acceptance gates on the *committed* baseline itself:
   every kernel-over-oracle speedup (fused vs command: hammer,
@@ -23,10 +23,14 @@ Three layers, any of which fails the check (exit 1):
   a fused campaign time (the characterization, the V_PP ladder and
   the WCDP phase) rises above it, by more than the tolerance band.
   Ratios (the speedups) are compared with a tighter band than absolute
-  rates and times, which swing with machine load.
+  rates and times, which swing with machine load;
+* a memory gate: the preheat's ``tracemalloc`` peak
+  (``preheat_peak_mib_fused``) must not exceed its committed value by
+  more than :data:`PEAK_TOLERANCE`. It measures allocation sizes, not
+  speed, so it runs in both modes with a fixed band.
 
-``--smoke`` runs only the first two, machine-speed-independent layers
-(the CI entry point; ``make bench-smoke``).
+``--smoke`` runs every layer but the timing re-measurement (the CI
+entry point; ``make bench-smoke``).
 
 Tolerances are fractions of the committed value and can be widened on
 noisy machines:
@@ -68,6 +72,12 @@ SECONDS_KEYS = (
     "characterization_seconds_fused", "ladder_seconds_fused",
     "wcdp_seconds_fused", "preheat_seconds_fused",
 )
+
+#: Fractional ceiling on the preheat's traced peak over its committed
+#: value (machine-speed independent, so not widened by
+#: ``REPRO_BENCH_TOLERANCE``).
+PEAK_TOLERANCE = 0.25
+PEAK_KEY = "preheat_peak_mib_fused"
 
 #: Experiment families covered by the differential bit-identity gate.
 FAMILIES = ("rowhammer", "trcd", "retention")
@@ -244,6 +254,17 @@ def main(argv=None) -> int:
         return 1
     print(f"every {PAPER_ROW_BITS}-bit-row probe was answered from the "
           "layout heads")
+
+    if PEAK_KEY in committed:
+        peak = bench_probe.bench_preheat_peak()[PEAK_KEY]
+        ceiling = committed[PEAK_KEY] * (1.0 + PEAK_TOLERANCE)
+        print(f"preheat traced peak {peak:.1f} MiB (committed "
+              f"{committed[PEAK_KEY]:.1f} MiB)")
+        if peak > ceiling:
+            print(f"{PEAK_KEY}: measured {peak:.1f} MiB > ceiling "
+                  f"{ceiling:.1f} MiB (committed {committed[PEAK_KEY]:.1f}"
+                  f" MiB, tolerance {PEAK_TOLERANCE:.0%})", file=sys.stderr)
+            return 1
 
     if args.smoke:
         print("\nsmoke mode: skipping timing re-measurement")

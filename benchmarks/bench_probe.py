@@ -25,7 +25,8 @@ with both cache layers disabled:
   run on a fresh context so the phase pays its first-visit costs;
 * wall-clock of that campaign's *preheat* (per-cell generation and
   the per-row tolerance and retention layouts) on the kernel, each run
-  on a fresh context.
+  on a fresh context, and the preheat's ``tracemalloc`` peak (MiB):
+  allocation sizes, not speed, so ``bench_check --smoke`` gates it.
 
 The JSON is written next to this script (override with ``--out``) so
 future changes have a perf trajectory to compare against;
@@ -43,6 +44,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 
 from repro.core import retention as retention_test
 from repro.core import rowhammer as rowhammer_test
@@ -328,6 +330,21 @@ def bench_preheat(runs=5):
     return {"preheat_seconds_fused": min(timings)}
 
 
+def bench_preheat_peak():
+    """Peak traced allocation (MiB) of the study's preheat on a fresh
+    context: the transient per-cell vectors and stacked partitions of
+    the layout passes on top of what the rows keep. A property of the
+    code, not of the machine's speed."""
+    ctx, rows = _ladder_context("fused")
+    tracemalloc.start()
+    try:
+        ctx.engine.preheat(ctx, rows, CAMPAIGN_TESTS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return {"preheat_peak_mib_fused": peak / 2**20}
+
+
 REPORT_KEYS = (
     "hammer_probes_per_sec_fused", "hammer_probes_per_sec_command",
     "hammer_probe_speedup",
@@ -340,7 +357,7 @@ REPORT_KEYS = (
     "campaign_seconds_fused", "campaign_seconds_command",
     "campaign_speedup",
     "characterization_seconds_fused", "ladder_seconds_fused",
-    "wcdp_seconds_fused", "preheat_seconds_fused",
+    "wcdp_seconds_fused", "preheat_seconds_fused", "preheat_peak_mib_fused",
 )
 
 
@@ -389,6 +406,10 @@ def main(argv=None) -> int:
             " layouts (per-cell generation included) at 65536-bit physical"
             " rows, fused, min-of-5, each on a fresh context; build untimed"
         ),
+        "preheat_peak": (
+            "tracemalloc peak (MiB) of that preheat, fused, on a fresh"
+            " context"
+        ),
         "trcd_probes": (
             "find_trcd_min sweeps of one B3 row (8192-bit rows)"
         ),
@@ -408,6 +429,7 @@ def main(argv=None) -> int:
     payload.update(bench_wcdp_phase())
     print("measuring the preheat (fused)...")
     payload.update(bench_preheat())
+    payload.update(bench_preheat_peak())
 
     # The registry counters spent producing these numbers travel with
     # them, so BENCH_probe.json entries are self-describing.

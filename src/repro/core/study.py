@@ -217,7 +217,7 @@ class CharacterizationStudy:
             )
         span.set(rows=len(rows))
         # The kernel engine precomputes the per-row sort orders the
-        # requested tests walk, in one stacked (rows, cells) pass.
+        # requested tests walk, in stacked passes over row blocks.
         preheat = getattr(ctx.engine, "preheat", None)
         if preheat is not None:
             preheat(ctx, rows, tests)

@@ -84,6 +84,12 @@ _RET_HEAD_DIVISOR = 5
 #: Counter of lazy head-to-full layout extensions, by layout.
 LAYOUT_EXTENSIONS_METRIC = "repro_layout_extensions_total"
 
+#: Rows per block of a layout pass. A pass holds only one block's
+#: per-cell vectors and stacked partition at a time, so its transient
+#: memory is bounded by ``_LAYOUT_BLOCK_ROWS * row_bits`` cells whatever
+#: the size of the row set.
+_LAYOUT_BLOCK_ROWS = 16
+
 #: Row-state cache keys of the per-residue tables (one O(n) pass, no
 #: sort): the bulk and outlier tolerance minima per residue, the
 #: retention minima per (sensitivity group, residue) and the largest
@@ -169,17 +175,19 @@ def _count_extension(layout: str) -> None:
     ).labels(layout=layout).inc()
 
 
-#: Per-cell fields generated together by one RNG replay: field ->
-#: (generator accessor returning both, the fields in its order).
-_PAIRED_FIELDS = {
-    name: (accessor, names)
-    for accessor, names in (
-        ("tolerance_structure_pair", ("cell_tolerances", "cell_outlier_mask")),
-        ("retention_structure_pair", (
-            "cell_retention_times", "cell_retention_vpp_sensitivity",
-        )),
-    )
-    for name in names
+#: The per-cell vector families, each generated by one RNG replay:
+#: family -> (generator accessor, the fields it returns in order).
+_FAMILIES = {
+    "tolerance": (
+        "tolerance_structure_pair", ("cell_tolerances", "cell_outlier_mask"),
+    ),
+    "retention": ("retention_structure_pair", (
+        "cell_retention_times", "cell_retention_vpp_sensitivity",
+    )),
+    "trcd": ("cell_trcd_factors", ("cell_trcd_factors",)),
+}
+_FIELD_FAMILIES = {
+    name: family for family, (_, names) in _FAMILIES.items() for name in names
 }
 
 
@@ -204,12 +212,28 @@ def _sensitivity_groups(sensitivity: np.ndarray) -> list:
     return groups
 
 
-def _residue_minima(values: np.ndarray, member) -> np.ndarray:
-    """Per-residue minimum of ``values`` over the ``member`` cells
-    (``inf`` where a residue has none)."""
+def _residue_minima(values: np.ndarray, member) -> tuple:
+    """Per-residue minimum of ``values`` over the ``member`` cells, as
+    an 8-tuple of floats (``inf`` where a residue has none)."""
     grouped = np.full(values.size, np.inf, dtype=values.dtype)
     grouped[member] = values[member]
-    return grouped.reshape(-1, 8).min(axis=0)
+    return tuple(float(value) for value in grouped.reshape(-1, 8).min(axis=0))
+
+
+def _tolerance_residue_table(tolerance, outlier) -> tuple:
+    """``(bulk, outlier)`` tolerance minima per residue."""
+    return tuple(
+        _residue_minima(tolerance, member) for member in (~outlier, outlier)
+    )
+
+
+def _retention_residue_table(times, sensitivity) -> tuple:
+    """``(sensitivity, minima)`` per sensitivity group: the group's
+    shortest base retention time per residue."""
+    return tuple(
+        (value, _residue_minima(times, member))
+        for value, member in _sensitivity_groups(sensitivity)
+    )
 
 
 class Bank:
@@ -294,36 +318,48 @@ class Bank:
         return state
 
     def _cached(self, state: RowState, physical_row: int, fieldname: str) -> np.ndarray:
+        """One per-cell field of the row, cached in its row state on
+        first use (every field of the field's family with it: they come
+        from one RNG replay). The command path and the full-vector
+        checks read vectors here."""
         cache = state.cache
         vector = cache.get(fieldname)
         if vector is None:
-            paired = _PAIRED_FIELDS.get(fieldname)
-            if paired is None:
+            family = _FIELD_FAMILIES.get(fieldname)
+            if family is None:
                 vector = getattr(self._cells, fieldname)(physical_row)
                 cache[fieldname] = vector
             else:
-                # Both fields of one RNG replay, cached on first access
-                # to either.
-                accessor, names = paired
-                vectors = getattr(self._cells, accessor)(physical_row)
+                _, names = _FAMILIES[family]
+                vectors = self._vectors(state, physical_row, family)
                 for name, value in zip(names, vectors):
                     cache.setdefault(name, value)
                 vector = cache[fieldname]
         return vector
 
-    def _tolerance_vectors(self, state: RowState, physical_row: int):
-        """The row's ``(tolerances, outlier mask)``."""
-        return (
-            self._cached(state, physical_row, "cell_tolerances"),
-            self._cached(state, physical_row, "cell_outlier_mask"),
-        )
+    def _vectors(self, state: RowState, physical_row: int, family: str):
+        """The row's per-cell vectors of one family (see ``_FAMILIES``),
+        *not* cached: the row cache's own where :meth:`_cached` holds
+        them, else the generator's (preloaded views in pool workers, a
+        fresh RNG replay otherwise). The builders of the per-row layouts
+        and residue tables read vectors here, so a row keeps those
+        structures and never the vectors they came from."""
+        accessor, names = _FAMILIES[family]
+        cache = state.cache
+        if names[0] in cache:
+            return tuple(cache[name] for name in names)
+        vectors = getattr(self._cells, accessor)(physical_row)
+        return vectors if len(names) > 1 else (vectors,)
 
-    def _retention_vectors(self, state: RowState, physical_row: int):
-        """The row's ``(retention times, V_PP sensitivity)``."""
-        return (
-            self._cached(state, physical_row, "cell_retention_times"),
-            self._cached(state, physical_row, "cell_retention_vpp_sensitivity"),
-        )
+    def _vector_blocks(self, physicals, states, family: str):
+        """``(states, vectors)`` per block of ``_LAYOUT_BLOCK_ROWS``
+        rows: a layout pass holds one block's vectors at a time."""
+        for start in range(0, len(states), _LAYOUT_BLOCK_ROWS):
+            block = slice(start, start + _LAYOUT_BLOCK_ROWS)
+            yield states[block], [
+                self._vectors(state, physical, family)
+                for physical, state in zip(physicals[block], states[block])
+            ]
 
     def retention_scalars(self) -> tuple:
         """``(margin, thermal)`` retention factors at the current V_PP
@@ -395,6 +431,8 @@ class Bank:
         whole row (the full sort; a no-op once extended). Consumers call
         this when a prefix reaches the end of the head."""
         if not state.cache[_TOL_LAYOUT_KEY][0].complete:
+            # Rare, and the row is probed deep: keep its vectors.
+            self._cached(state, physical_row, "cell_tolerances")
             self._lay_out_tolerances(
                 [physical_row], [state], self._geometry.row_bits
             )
@@ -408,6 +446,7 @@ class Bank:
         whole row (see :meth:`extended_tolerance_layout`)."""
         layout = state.cache[_RET_LAYOUT_KEY]
         if not all(population.complete for _, population in layout):
+            self._cached(state, physical_row, "cell_retention_times")
             self._lay_out_retention(
                 [physical_row], [state], self._geometry.row_bits
             )
@@ -416,15 +455,13 @@ class Bank:
 
     def tolerance_residues(self, state: RowState, physical_row: int) -> tuple:
         """``(bulk, outlier)`` tolerance minima per residue, as two
-        8-tuples of floats (``inf`` where a residue has no such cell)."""
+        8-tuples of floats (``inf`` where a residue has no such cell);
+        the tolerance layout pass fills it too."""
         table = state.cache.get(_TOL_RESIDUES_KEY)
         if table is None:
-            tolerance, outlier = self._tolerance_vectors(state, physical_row)
-            table = tuple(
-                tuple(float(value) for value in _residue_minima(tolerance, member))
-                for member in (~outlier, outlier)
+            table = state.cache[_TOL_RESIDUES_KEY] = _tolerance_residue_table(
+                *self._vectors(state, physical_row, "tolerance")
             )
-            state.cache[_TOL_RESIDUES_KEY] = table
         return table
 
     def trcd_residues(self, state: RowState, physical_row: int) -> tuple:
@@ -432,7 +469,7 @@ class Bank:
         8-tuple of floats."""
         table = state.cache.get(_TRCD_RESIDUES_KEY)
         if table is None:
-            factors = self._cached(state, physical_row, "cell_trcd_factors")
+            factors, = self._vectors(state, physical_row, "trcd")
             table = tuple(
                 float(value) for value in factors.reshape(-1, 8).max(axis=0)
             )
@@ -443,18 +480,13 @@ class Bank:
         """``(sensitivity, minima)`` per sensitivity group: the group's
         shortest base retention time per residue, as an 8-tuple of
         floats (``inf`` where empty). No sort, so hammer-only studies
-        never order retention times."""
+        never order retention times; the retention layout pass fills it
+        too."""
         table = state.cache.get(_RET_RESIDUES_KEY)
         if table is None:
-            times, sensitivity = self._retention_vectors(state, physical_row)
-            table = tuple(
-                (value, tuple(
-                    float(minimum)
-                    for minimum in _residue_minima(times, member)
-                ))
-                for value, member in _sensitivity_groups(sensitivity)
+            table = state.cache[_RET_RESIDUES_KEY] = _retention_residue_table(
+                *self._vectors(state, physical_row, "retention")
             )
-            state.cache[_RET_RESIDUES_KEY] = table
         return table
 
     # -- fault evaluation --------------------------------------------------------
@@ -480,7 +512,10 @@ class Bank:
         cached = state.cache.get("_retention_base")
         if cached is not None and cached[0] == key:
             return cached[1]
-        retention, sensitivity = self._retention_vectors(state, physical_row)
+        retention = self._cached(state, physical_row, "cell_retention_times")
+        sensitivity = self._cached(
+            state, physical_row, "cell_retention_vpp_sensitivity"
+        )
         model = self._cal.retention
         margin = model.margin_factor(vpp_at_restore)
         thermal = model.temperature_factor(self._env.temperature)
@@ -967,14 +1002,17 @@ class Bank:
         return self._state(self._mapping.to_physical(logical_row))
 
     def preheat_tolerance_orders(self, logical_rows: Sequence[int]) -> int:
-        """Warm the per-row tolerance layouts for a whole row set.
+        """Warm the per-row tolerance layouts and residue tables for a
+        whole row set.
 
         The probe engine's exact hammer counts walk each row's weakest
         cells in ascending-tolerance order (:class:`_FusedHammerCounts`).
-        The order is a pure per-row property, so a row set computes its
-        heads in one stacked ``(rows, cells)`` partition instead of one
-        per row; the per-row results are identical. Returns the number
-        of rows actually warmed (rows already laid out are skipped).
+        The order is a pure per-row property, so the row set computes
+        its heads one stacked ``(block, cells)`` partition per block of
+        ``_LAYOUT_BLOCK_ROWS`` rows instead of one per row; the per-row
+        results are identical. The per-cell vectors are transient.
+        Returns the number of rows actually warmed (rows already laid
+        out are skipped).
         """
         physicals, states = self._cold_rows(logical_rows, _TOL_LAYOUT_KEY)
         if physicals:
@@ -989,9 +1027,9 @@ class Bank:
         V_PP, temperature and data pattern only reparameterize monotone
         scalar factors on the presorted per-cell retention times, so
         one layout per row serves *every* operating point and pattern.
-        Like :meth:`preheat_tolerance_orders`, a row set computes the
-        heads in one stacked ``(rows, cells)`` partition. Returns the
-        number of rows actually warmed.
+        Like :meth:`preheat_tolerance_orders`, the row set computes the
+        heads (and residue tables) in blocks of stacked rows. Returns
+        the number of rows actually warmed.
         """
         physicals, states = self._cold_rows(logical_rows, _RET_LAYOUT_KEY)
         if physicals:
@@ -1001,64 +1039,71 @@ class Bank:
     def _lay_out_tolerances(self, physicals, states, bound=None) -> None:
         """Store each row's tolerance layout: the outlier population
         sorted whole, and the bulk cells among the row's ``bound``
-        smallest tolerances (default: the head bound) sorted. Tie order
-        within equal tolerances is irrelevant: every prefix cutoff
-        compares values only, so tied cells enter or leave a flip set
-        together."""
+        smallest tolerances (default: the head bound) sorted; and its
+        residue table, from the same vectors. Tie order within equal
+        tolerances is irrelevant: every prefix cutoff compares values
+        only, so tied cells enter or leave a flip set together."""
         cells = self._geometry.row_bits
         if bound is None:
             bound = cells // _TOL_HEAD_DIVISOR
-        vectors = [
-            self._tolerance_vectors(state, physical)
-            for physical, state in zip(physicals, states)
-        ]
-        orders, heads = _sorted_heads(
-            np.stack([tolerance for tolerance, _ in vectors]), bound
-        )
-        for state, (tolerance, outlier), order, head in zip(
-            states, vectors, orders, heads
+        for block, vectors in self._vector_blocks(
+            physicals, states, "tolerance"
         ):
-            outliers = np.flatnonzero(outlier)
-            bulk = ~outlier[order]
-            members = order[bulk]
-            state.cache[_TOL_LAYOUT_KEY] = (
-                _population(
-                    members, head[bulk].astype(np.float64),
-                    members.size == cells - outliers.size,
-                ),
-                _sorted_members(tolerance, outliers, np.float64),
+            orders, heads = _sorted_heads(
+                np.stack([tolerance for tolerance, _ in vectors]), bound
             )
+            for state, (tolerance, outlier), order, head in zip(
+                block, vectors, orders, heads
+            ):
+                outliers = np.flatnonzero(outlier)
+                bulk = ~outlier[order]
+                members = order[bulk]
+                state.cache[_TOL_LAYOUT_KEY] = (
+                    _population(
+                        members, head[bulk].astype(np.float64),
+                        members.size == cells - outliers.size,
+                    ),
+                    _sorted_members(tolerance, outliers, np.float64),
+                )
+                if _TOL_RESIDUES_KEY not in state.cache:
+                    state.cache[_TOL_RESIDUES_KEY] = _tolerance_residue_table(
+                        tolerance, outlier
+                    )
 
     def _lay_out_retention(self, physicals, states, bound=None) -> None:
         """Store each row's retention layout: every weak sensitivity
         group sorted whole, and the bulk group's cells among the row's
-        ``bound`` shortest times (default: the head bound) sorted."""
+        ``bound`` shortest times (default: the head bound) sorted; and
+        its residue table, from the same vectors."""
         cells = self._geometry.row_bits
         if bound is None:
             bound = cells // _RET_HEAD_DIVISOR
-        vectors = [
-            self._retention_vectors(state, physical)
-            for physical, state in zip(physicals, states)
-        ]
-        orders, heads = _sorted_heads(
-            np.stack([times for times, _ in vectors]), bound
-        )
-        for state, (times, sensitivity), order, head in zip(
-            states, vectors, orders, heads
+        for block, vectors in self._vector_blocks(
+            physicals, states, "retention"
         ):
-            groups = [
-                (value, _sorted_members(times, member, np.float32))
-                for value, member in _sensitivity_groups(sensitivity)
-                if value != 1
-            ]
-            weak_cells = sum(group.indices.size for _, group in groups)
-            if weak_cells < cells:
-                bulk = sensitivity[order] == 1
-                members = order[bulk]
-                groups.insert(0, (np.float32(1.0), _population(
-                    members, head[bulk], members.size == cells - weak_cells,
-                )))
-            state.cache[_RET_LAYOUT_KEY] = tuple(groups)
+            orders, heads = _sorted_heads(
+                np.stack([times for times, _ in vectors]), bound
+            )
+            for state, (times, sensitivity), order, head in zip(
+                block, vectors, orders, heads
+            ):
+                groups = [
+                    (value, _sorted_members(times, member, np.float32))
+                    for value, member in _sensitivity_groups(sensitivity)
+                    if value != 1
+                ]
+                weak_cells = sum(group.indices.size for _, group in groups)
+                if weak_cells < cells:
+                    bulk = sensitivity[order] == 1
+                    members = order[bulk]
+                    groups.insert(0, (np.float32(1.0), _population(
+                        members, head[bulk], members.size == cells - weak_cells,
+                    )))
+                state.cache[_RET_LAYOUT_KEY] = tuple(groups)
+                if _RET_RESIDUES_KEY not in state.cache:
+                    state.cache[_RET_RESIDUES_KEY] = _retention_residue_table(
+                        times, sensitivity
+                    )
 
     def _cold_rows(self, logical_rows: Sequence[int], key: str):
         """``(physical rows, states)`` of the rows lacking ``key``."""
@@ -1137,9 +1182,6 @@ class ProbeSweep:
             bank.pattern_view(self.physical, pattern)
         )
         self.discharged_value = bank._discharged_value(self.physical)
-        self._outlier_mask = bank._cached(
-            self.state, self.physical, "cell_outlier_mask"
-        )
         self._op_key = None
         self._retention_thresholds = None
         self._counts = None
@@ -1150,6 +1192,12 @@ class ProbeSweep:
         #: clean (see Bank.sensing_certainly_clean); kernel sessions key
         #: their per-session corruption verdict on this.
         self.sensing_clean_at = None
+
+    @property
+    def _outlier_mask(self) -> np.ndarray:
+        """The row's outlier mask (full-vector readers only; cached in
+        the row state on first use)."""
+        return self._bank._cached(self.state, self.physical, "cell_outlier_mask")
 
     def effective_retention_times(self) -> np.ndarray:
         """Per-cell retention thresholds at the current operating point

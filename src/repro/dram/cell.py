@@ -37,6 +37,22 @@ PATTERN_SLOTS = 7
 #: Index used for data that matches none of the six standard patterns.
 OTHER_PATTERN_INDEX = 6
 
+#: Counter of full per-cell vector generations (RNG replays), by family
+#: (``tolerance``, ``retention`` or ``trcd``); preloaded vectors are not
+#: generated and do not count.
+CELL_VECTOR_GENERATIONS_METRIC = "repro_cell_vector_generations_total"
+
+
+def _count_generation(family: str) -> None:
+    from repro.obs.metrics import REGISTRY  # local: keep obs optional
+
+    REGISTRY.counter(
+        CELL_VECTOR_GENERATIONS_METRIC,
+        "full per-cell vector generations (RNG replays of a row's "
+        "tolerance, retention or tRCD vectors), by family",
+        labels=("family",),
+    ).labels(family=family).inc()
+
 
 @dataclass
 class RowState:
@@ -57,7 +73,16 @@ class RowState:
     pattern_index: int = OTHER_PATTERN_INDEX
     #: Count of restorations; salts the per-measurement jitter stream.
     session: int = 0
-    #: Cached per-cell parameter vectors, keyed by field name.
+    #: Per-row derived data, keyed by name. The durable entries are
+    #: small: the per-row layouts and residue tables the probe kernels
+    #: read (``_tol_layout``, ``_ret_layout``, ``_tol_residues``,
+    #: ``_ret_residues``, ``_trcd_residues``), the per-pattern factor
+    #: tables and scalar caches. The full per-cell vectors
+    #: (``cell_tolerances``, ``cell_outlier_mask``,
+    #: ``cell_retention_times``, ``cell_retention_vpp_sensitivity``,
+    #: ``cell_trcd_factors``) and the ``_retention_base`` vector are
+    #: cached only on rows a full-vector reader touched: the command
+    #: path, the per-probe fallbacks and checks, and layout extensions.
     cache: Dict[str, np.ndarray] = field(default_factory=dict)
 
 
@@ -313,6 +338,7 @@ class CellParameterGenerator:
         The mask marks exactly the cells whose tolerance was replaced by
         an outlier draw.
         """
+        _count_generation("tolerance")
         rng = self._rng(physical_row, "tolerance")
         weakness = self.row_weakness(physical_row)
         draws = rng.standard_normal(self._cells).astype(np.float32)
@@ -375,6 +401,7 @@ class CellParameterGenerator:
         Observation 14 finds every failing word single-error-
         correctable).
         """
+        _count_generation("retention")
         rng = self._rng(physical_row, "retention")
         draws = rng.standard_normal(self._cells).astype(np.float32)
         times = np.exp(
@@ -460,6 +487,7 @@ class CellParameterGenerator:
         preloaded = self._preloaded(physical_row, "cell_trcd_factors")
         if preloaded is not None:
             return preloaded
+        _count_generation("trcd")
         rng = self._rng(physical_row, "trcd_cell")
         draws = rng.standard_normal(self._cells).astype(np.float32)
         factors = np.exp(self._trcd_cell_sigma * draws) / self._trcd_cell_norm

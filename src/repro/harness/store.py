@@ -38,7 +38,7 @@ from typing import List, Optional
 from repro.core.serialization import load_study, save_study
 from repro.core.study import StudyResult
 from repro.errors import AnalysisError
-from repro.obs import clock, validate_provenance
+from repro.obs import clock
 from repro.obs.metrics import REGISTRY
 
 #: Prefix/suffix of every store entry.
@@ -117,11 +117,6 @@ class StudyStore:
         try:
             size = os.path.getsize(path)
             study = load_study(path)
-            if study.provenance is not None:
-                # load_study already schema-checked the block;
-                # re-validate so a corrupted-but-parseable entry is
-                # treated like any other corrupt entry.
-                validate_provenance(study.provenance)
         except (OSError, ValueError, KeyError, TypeError, AnalysisError):
             try:
                 os.unlink(path)

@@ -5,8 +5,8 @@ of a row from one presorted layout per row. These tests pin its
 sessions bit-identical to the command engine probe by probe across a
 V_PP ladder, check its kernels against the eager masked reference
 kernel and the full-vector flip masks (at the paper's 65536-bit rows
-too), and check the TRR routing, preheat, row-state cache, jitter-cache
-and repeat-run determinism contracts.
+too), and check the TRR routing, preheat, row-state cache, transient
+per-cell vector, jitter-cache and repeat-run determinism contracts.
 """
 
 import dataclasses
@@ -18,16 +18,23 @@ import pytest
 from repro.core.context import TestContext
 from repro.core.fused import FusedProbeEngine
 from repro.core.probe import CommandProbeEngine
+from repro.core.sampling import sample_rows
 from repro.core.scale import StudyScale
 from repro.core.study import CharacterizationStudy
+from repro.dram import bank as bank_module
 from repro.dram.bank import (
+    _FAMILIES,
     _RET_HEAD_DIVISOR,
     _RET_LAYOUT_KEY,
+    _RET_RESIDUES_KEY,
     _TOL_HEAD_DIVISOR,
     _TOL_LAYOUT_KEY,
+    _TOL_RESIDUES_KEY,
+    _TRCD_RESIDUES_KEY,
     LAYOUT_EXTENSIONS_METRIC,
     TrcdSweep,
 )
+from repro.dram.cell import CELL_VECTOR_GENERATIONS_METRIC
 from repro.dram.patterns import STANDARD_PATTERNS, DataPattern
 from repro.obs.metrics import REGISTRY
 from repro.softmc.infrastructure import TestInfrastructure
@@ -557,6 +564,287 @@ class TestLayoutHeads:
             assert pair[0] is preloaded[0] and pair[1] is preloaded[1]
             assert cells.cell_tolerances(physical) is preloaded[0]
             assert cells.cell_outlier_mask(physical) is preloaded[1]
+
+
+#: The full per-cell vectors a row state may cache.
+FULL_VECTOR_KEYS = tuple(
+    name for _, names in _FAMILIES.values() for name in names
+)
+
+
+def _generations(family):
+    """Current value of the per-cell vector generation counter for one
+    family."""
+    return REGISTRY.counter(
+        CELL_VECTOR_GENERATIONS_METRIC, labels=("family",)
+    ).labels(family=family).value
+
+
+def _all_generations():
+    return {family: _generations(family) for family in _FAMILIES}
+
+
+def _preload(ctx, rows):
+    """Install copies of the rows' per-cell vectors as preloaded views,
+    as a pool worker's shared device state does."""
+    bank = ctx.infra.module.bank(0)
+    cells = bank.cells
+    vectors = {}
+    for row in rows:
+        physical = bank.mapping.to_physical(row)
+        for accessor, names in _FAMILIES.values():
+            generated = getattr(cells, accessor)(physical)
+            if len(names) == 1:
+                generated = (generated,)
+            for name, vector in zip(names, generated):
+                vectors[(physical, name)] = vector.copy()
+    cells.adopt_preloaded(vectors)
+
+
+class TestTransientVectors:
+    """Per-row layouts and residue tables are built from transient
+    per-cell vectors: a row keeps only its durable structures, and the
+    rare full-vector readers regenerate (and cache) vectors
+    bit-identically."""
+
+    def test_study_rows_keep_layouts_not_vectors(self):
+        """After a fused study at 65536-bit rows, every sampled row the
+        command path never touched holds its layouts and residue tables
+        and none of the full vectors; each family is generated at most
+        once per sampled row, plus once per command-touched row."""
+        tiny = StudyScale.tiny()
+        scale = dataclasses.replace(
+            tiny,
+            geometry=dataclasses.replace(
+                tiny.geometry, row_bits=PAPER_ROW_BITS
+            ),
+        )
+        study = CharacterizationStudy(scale=scale, seed=3, probe_engine="fused")
+        contexts = []
+        build = study.build_context
+
+        def capture(name):
+            ctx = build(name)
+            contexts.append(ctx)
+            return ctx
+
+        study.build_context = capture
+        before = _all_generations()
+        study.run_module(
+            "A0", tests=("rowhammer", "retention"), vpp_levels=VPP_LEVELS
+        )
+        bank = contexts[0].infra.module.bank(0)
+        sampled = {
+            bank.mapping.to_physical(row)
+            for row in sample_rows(
+                scale.geometry.rows_per_bank, scale.rows_per_module,
+                scale.row_chunks,
+            )
+        }
+        states = {
+            physical: bank._state(physical)
+            for physical in bank.materialized_rows()
+        }
+        untouched = [
+            physical for physical in sampled
+            if not any(key in states[physical].cache for key in FULL_VECTOR_KEYS)
+        ]
+        assert len(untouched) >= len(sampled) - 2
+        for physical in untouched:
+            cache = states[physical].cache
+            for key in (
+                _TOL_LAYOUT_KEY, _RET_LAYOUT_KEY, _TOL_RESIDUES_KEY,
+                _RET_RESIDUES_KEY, _TRCD_RESIDUES_KEY,
+            ):
+                assert key in cache
+        for family, (_, names) in _FAMILIES.items():
+            touched = sum(
+                names[0] in state.cache for state in states.values()
+            )
+            assert _generations(family) - before[family] <= (
+                len(sampled) + touched
+            )
+
+    def test_blocked_preheat_matches_row_at_a_time(self, monkeypatch):
+        """Preheat in blocks of 3 over 7 rows gives the layouts and
+        residue tables of one-row builds, and the command engine's
+        counts and flip sets."""
+        rows = [5, 9, 13, 17, 21, 25, 29]
+        single = _paper_row_context("fused")
+        for row in rows:
+            single.engine.preheat(single, [row], ("rowhammer", "retention"))
+        monkeypatch.setattr(bank_module, "_LAYOUT_BLOCK_ROWS", 3)
+        blocked = _paper_row_context("fused")
+        assert blocked.engine.preheat(
+            blocked, rows, ("rowhammer", "retention")
+        ) == len(rows)
+        command = _paper_row_context("command")
+
+        def populations(key, layout):
+            if key == _RET_LAYOUT_KEY:
+                return [population for _, population in layout]
+            return list(layout)
+
+        for row in rows:
+            caches = [
+                ctx.infra.module.bank(0).probe_state(row).cache
+                for ctx in (single, blocked)
+            ]
+            for key in (_TOL_LAYOUT_KEY, _RET_LAYOUT_KEY):
+                expected, got = (
+                    populations(key, cache[key]) for cache in caches
+                )
+                assert len(expected) == len(got)
+                for want, have in zip(expected, got):
+                    assert want.complete == have.complete
+                    for field in ("indices", "values", "bits"):
+                        assert np.array_equal(
+                            getattr(want, field), getattr(have, field)
+                        )
+            for key in (_TOL_RESIDUES_KEY, _RET_RESIDUES_KEY):
+                assert caches[0][key] == caches[1][key]
+            assert not any(key in caches[1] for key in FULL_VECTOR_KEYS)
+        for row in rows:
+            for count in (300_000, 1_000_000):
+                assert blocked.engine.hammer_ber(
+                    blocked, row, STANDARD_PATTERNS[1], count
+                ) == command.engine.hammer_ber(
+                    command, row, STANDARD_PATTERNS[1], count
+                )
+            assert (_row_data(blocked, row) == _row_data(command, row)).all()
+        for ctx in (blocked, command):
+            ctx.infra.set_temperature(80.0)
+        for row in rows:
+            assert blocked.engine.retention_probe(
+                blocked, row, STANDARD_PATTERNS[2], 4.096
+            ) == command.engine.retention_probe(
+                command, row, STANDARD_PATTERNS[2], 4.096
+            )
+            assert (_row_data(blocked, row) == _row_data(command, row)).all()
+
+    @staticmethod
+    def _benches(rows, tests=("rowhammer", "retention")):
+        """``{name: context}``: a fused bench that generates vectors, a
+        fused bench reading preloaded ones (both preheated, with the
+        rows' tRCD residue tables built) and a command bench, all at
+        65536-bit rows."""
+        benches = {
+            "fresh": _paper_row_context("fused"),
+            "preloaded": _paper_row_context("fused"),
+            "command": _paper_row_context("command"),
+        }
+        _preload(benches["preloaded"], rows)
+        for name in ("fresh", "preloaded"):
+            ctx = benches[name]
+            ctx.engine.preheat(ctx, rows, tests)
+            bank = ctx.infra.module.bank(0)
+            for row in rows:
+                bank.trcd_residues(
+                    bank.probe_state(row), bank.mapping.to_physical(row)
+                )
+        return benches
+
+    @staticmethod
+    def _run(benches, probe):
+        """``{name: (result, generations spent)}`` of ``probe(ctx)`` on
+        every bench."""
+        outcomes = {}
+        for name, ctx in benches.items():
+            before = _all_generations()
+            result = probe(ctx)
+            outcomes[name] = (result, {
+                family: value - before[family]
+                for family, value in _all_generations().items()
+            })
+        return outcomes
+
+    @staticmethod
+    def _assert_regenerated(benches, outcomes, row, family):
+        """Every bench gave the same result and row data; the fresh
+        bench generated the family once more and now caches vectors
+        equal to the preloaded ones; the preloaded bench generated
+        nothing."""
+        results = [result for result, _ in outcomes.values()]
+        assert results[0] == results[1] == results[2]
+        data = [_row_data(ctx, row) for ctx in benches.values()]
+        assert (data[0] == data[1]).all() and (data[0] == data[2]).all()
+        assert outcomes["fresh"][1][family] == 1
+        assert not any(outcomes["preloaded"][1].values())
+        fresh, preloaded = (
+            benches[name].infra.module.bank(0).probe_state(row).cache
+            for name in ("fresh", "preloaded")
+        )
+        for name in _FAMILIES[family][1]:
+            assert np.array_equal(fresh[name], preloaded[name])
+
+    def test_head_extension_regenerates_vectors(self):
+        row = 5
+        benches = self._benches([row], ("rowhammer",))
+        before = _extensions("tolerance")
+        outcomes = self._run(benches, lambda ctx: ctx.engine.hammer_ber(
+            ctx, row, STANDARD_PATTERNS[1], 6_000_000
+        ))
+        assert _extensions("tolerance") == before + 2
+        self._assert_regenerated(benches, outcomes, row, "tolerance")
+
+    def test_decay_at_hammer_close_regenerates_vectors(self, monkeypatch):
+        """A hammer probe long enough for a weak cell to decay closes on
+        the full ``flip_mask``, which reads the row's vectors."""
+        row = 32
+        benches = self._benches([row])
+        for ctx in benches.values():
+            ctx.infra.set_vpp(1.4)
+            ctx.infra.set_temperature(95.0)
+        masks = []
+        flip_mask = bank_module.HammerSweep.flip_mask
+
+        def spy(sweep, *args):
+            mask = flip_mask(sweep, *args)
+            masks.append(mask)
+            return mask
+
+        monkeypatch.setattr(bank_module.HammerSweep, "flip_mask", spy)
+        outcomes = self._run(benches, lambda ctx: ctx.engine.hammer_ber(
+            ctx, row, STANDARD_PATTERNS[0], 1_000_000
+        ))
+        assert len(masks) >= 2
+        assert outcomes["fresh"][0] > 0
+        self._assert_regenerated(benches, outcomes, row, "retention")
+
+    def test_sensing_full_check_regenerates_vectors(self):
+        """An activation latency just under the row's slowest cell runs
+        the per-cell sensing check on the full tRCD factors."""
+        row = 5
+        benches = self._benches([row])
+
+        def probe(ctx):
+            ctx.infra.set_vpp(1.4)
+            bank = ctx.infra.module.bank(0)
+            physical = bank.mapping.to_physical(row)
+            state = bank.probe_state(row)
+            worst = bank._trcd_worst_requirement(
+                physical, state, state.pattern_index
+            )
+            corrupt = bank.sensing_corruption(row, 0.995 * worst)
+            assert corrupt is not None
+            return tuple(np.flatnonzero(corrupt))
+
+        outcomes = self._run(benches, probe)
+        self._assert_regenerated(benches, outcomes, row, "trcd")
+
+    def test_probe_sweep_construction_generates_nothing(self):
+        ctx = _paper_row_context("fused")
+        bank = ctx.infra.module.bank(0)
+        before = _all_generations()
+        pattern = STANDARD_PATTERNS[0]
+        sweeps = [
+            bank.hammer_sweep(5, [4, 6], pattern),
+            bank.retention_sweep(5, pattern),
+            TrcdSweep(bank, 5, pattern),
+        ]
+        assert _all_generations() == before
+        for sweep in sweeps:
+            assert not any(key in sweep.state.cache for key in FULL_VECTOR_KEYS)
 
 
 class TestJitterCache:
