@@ -49,8 +49,10 @@ bench-check:
 # floors for the hammer, retention, DSL-program and tRCD probes and the
 # bench campaign) and the fused-vs-command bit-identity differential
 # over every experiment family, plus zero lazy layout-head extensions
-# in its 65536-bit-row run, and the preheat's traced memory peak
-# within 25 % of its committed value, without timing re-measurement (the fused
+# in its 65536-bit-row run, the preheat's traced memory peak
+# within 25 % of its committed value, and the measurement-jitter
+# prefetch's speedup floors over per-key draws (a same-process ratio,
+# re-measured), without timing re-measurement (the fused
 # ladder, characterization, WCDP and preheat times are guarded by
 # bench-check's re-measurement). The API
 # load smoke rides along: a reduced-job concurrent run with the

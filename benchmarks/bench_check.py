@@ -27,7 +27,14 @@ Four layers, any of which fails the check (exit 1):
 * a memory gate: the preheat's ``tracemalloc`` peak
   (``preheat_peak_mib_fused``) must not exceed its committed value by
   more than :data:`PEAK_TOLERANCE`. It measures allocation sizes, not
-  speed, so it runs in both modes with a fixed band.
+  speed, so it runs in both modes with a fixed band;
+* a jitter-kernel gate: the measurement-jitter prefetch's speedups over
+  per-key generator draws (``jitter_block_speedup``,
+  ``jitter_small_block_speedup``) are re-measured and must hold their
+  ``SPEEDUP_FLOORS`` in one of :data:`JITTER_ATTEMPTS` measurements.
+  Both paths run alternately in one process, so the ratio is
+  machine-speed independent; it runs in both modes, so a prefetch that
+  stops vectorizing fails CI.
 
 ``--smoke`` runs every layer but the timing re-measurement (the CI
 entry point; ``make bench-smoke``).
@@ -67,6 +74,11 @@ RATE_KEYS = tuple(
     for engine in ENGINE_NAMES
 )
 SPEEDUP_KEYS = tuple(bench_probe.SPEEDUP_FLOORS)
+#: Speedups the jitter-kernel gate re-measures in both modes, and the
+#: measurements it makes before failing: a loaded machine can depress
+#: one measurement, a per-key prefetch (speedup ~1) fails all of them.
+JITTER_SPEEDUP_KEYS = ("jitter_block_speedup", "jitter_small_block_speedup")
+JITTER_ATTEMPTS = 3
 #: Wall-clock keys: lower is better, so their band is a ceiling.
 SECONDS_KEYS = (
     "characterization_seconds_fused", "ladder_seconds_fused",
@@ -266,12 +278,31 @@ def main(argv=None) -> int:
                   f" MiB, tolerance {PEAK_TOLERANCE:.0%})", file=sys.stderr)
             return 1
 
+    print("measuring the jitter prefetch against per-key draws...")
+    for _ in range(JITTER_ATTEMPTS):
+        jitter = bench_probe.bench_jitter_rates()
+        short = [
+            key for key in JITTER_SPEEDUP_KEYS
+            if jitter[key] < bench_probe.SPEEDUP_FLOORS[key]
+        ]
+        for key in JITTER_SPEEDUP_KEYS:
+            print(f"{key} {jitter[key]:.2f} (floor "
+                  f"{bench_probe.SPEEDUP_FLOORS[key]:g}x)")
+        if not short:
+            break
+    else:
+        print(f"{', '.join(short)} below the floor in all "
+              f"{JITTER_ATTEMPTS} attempts: the jitter prefetch is not "
+              "vectorized", file=sys.stderr)
+        return 1
+
     if args.smoke:
         print("\nsmoke mode: skipping timing re-measurement")
         return 0
 
     print("re-measuring probe throughput...")
     measured = dict(bench_probe.bench_probe_rates())
+    measured.update(jitter)
     print("re-measuring DSL-program probe throughput...")
     measured.update(bench_probe.bench_program_rates())
     print("re-measuring Alg. 2 (tRCD) probe throughput...")

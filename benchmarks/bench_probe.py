@@ -8,6 +8,9 @@ with both cache layers disabled:
   Alg. 3 retention probe, a compiled DSL program's probe and the Alg. 2
   tRCD probe (over whole ``find_trcd_min`` sweeps), each with its
   kernel-over-oracle speedup;
+* measurement-jitter derivation (draws/sec) of one row's block of
+  restore sessions, 128 and 20 keys: the prefetch's vectorized kernel
+  against per-key generator draws, with its speedups;
 * wall-clock of a bench-scale one-module RowHammer campaign
   (``get_study(("rowhammer",))``) on both engines, and its speedup;
 * wall-clock of the *characterization campaign* -- Alg. 1 bisections
@@ -108,6 +111,20 @@ def _probe_rate(probe, warmup=3, seconds=1.0):
             return count / elapsed
 
 
+#: Sessions per measurement-jitter block: a row's extension block and
+#: its initial window (``CellParameterGenerator.JITTER_EXTEND_SPAN`` and
+#: ``JITTER_WINDOW_SPAN``, on the stride-3 session lattice).
+JITTER_BLOCK_KEYS = 128
+JITTER_SMALL_BLOCK_KEYS = 20
+#: Floors of the block prefetch over per-key ``generator(key)
+#: .standard_normal()`` draws. Both sit above the ratios of the kernel
+#: the vectorized one replaced (a reused PCG64 fed one state per draw:
+#: 2.7-2.8x at 128 keys, 1.65-1.7x at 20 on a 2-core host; the
+#: vectorized kernel measures ~7x and ~2.5x there), so a fixed-cost
+#: regression to that kernel's level fails here.
+JITTER_BLOCK_FLOOR = 3.5
+JITTER_SMALL_BLOCK_FLOOR = 1.9
+
 #: Kernel-over-oracle speedup floors, shared with ``bench_check``'s
 #: committed-baseline gates. Each is at least the committed floor or
 #: ratio of the retired tier it replaces (hammer: fast-over-command
@@ -118,6 +135,8 @@ SPEEDUP_FLOORS = {
     "program_probe_speedup": 3.0,
     "trcd_probe_speedup": 3.0,
     "campaign_speedup": 3.0,
+    "jitter_block_speedup": JITTER_BLOCK_FLOOR,
+    "jitter_small_block_speedup": JITTER_SMALL_BLOCK_FLOOR,
 }
 
 
@@ -162,6 +181,46 @@ def bench_program_rates():
             lambda: one_shot_hammer_ber(ctx, 100, pattern, 300_000)
         )
     rates["program_probe_speedup"] = _speedup(rates, "program_probes")
+    return rates
+
+
+def bench_jitter_rates(rounds=200):
+    """Measurement-jitter draws/sec for one row's block of sessions:
+    the prefetch (``prefetch_measurement_jitter``: seeds, the vectorized
+    draw kernel, exp and caching) against per-key
+    ``generator(key).standard_normal()``, at the extension block and
+    the initial window. The two paths alternate, each round on fresh
+    sessions, and each keeps its fastest round, so machine load mostly
+    cancels out of the speedups."""
+    from repro.dram.calibration import calibrate
+    from repro.dram.cell import CellParameterGenerator
+    from repro.dram.profiles import module_profile
+    from repro.rng import RngHub
+
+    calibration = calibrate(module_profile(MODULE), GEOMETRY)
+    hub = RngHub(5)
+    rates = {}
+    for name, keys in (("block", JITTER_BLOCK_KEYS),
+                       ("small_block", JITTER_SMALL_BLOCK_KEYS)):
+        cells = CellParameterGenerator(calibration, hub, bank_index=0)
+        prefix = "bank/0/row/7/jitter/"
+        block = per_key = float("inf")
+        for round_index in range(rounds + 1):
+            sessions = range(
+                3 * keys * round_index, 3 * keys * (round_index + 1), 3
+            )
+            started = time.perf_counter()
+            cells.prefetch_measurement_jitter(7, sessions)
+            middle = time.perf_counter()
+            for session in sessions:
+                hub.generator(prefix + str(session)).standard_normal()
+            ended = time.perf_counter()
+            if round_index:  # the first round warms both paths
+                block = min(block, middle - started)
+                per_key = min(per_key, ended - middle)
+        rates[f"jitter_{name}_draws_per_sec"] = keys / block
+        rates[f"jitter_{name}_draws_per_sec_per_key"] = keys / per_key
+        rates[f"jitter_{name}_speedup"] = per_key / block
     return rates
 
 
@@ -354,6 +413,11 @@ REPORT_KEYS = (
     "program_probe_speedup",
     "trcd_probes_per_sec_fused", "trcd_probes_per_sec_command",
     "trcd_probe_speedup",
+    "jitter_block_draws_per_sec", "jitter_block_draws_per_sec_per_key",
+    "jitter_block_speedup",
+    "jitter_small_block_draws_per_sec",
+    "jitter_small_block_draws_per_sec_per_key",
+    "jitter_small_block_speedup",
     "campaign_seconds_fused", "campaign_seconds_command",
     "campaign_speedup",
     "characterization_seconds_fused", "ladder_seconds_fused",
@@ -413,12 +477,19 @@ def main(argv=None) -> int:
         "trcd_probes": (
             "find_trcd_min sweeps of one B3 row (8192-bit rows)"
         ),
+        "jitter_blocks": (
+            "measurement-jitter prefetch of one row's 128- and 20-session"
+            " blocks vs per-key generator draws, fastest of 200 alternating"
+            " rounds"
+        ),
     }}
     payload.update(bench_probe_rates())
     print("measuring DSL-program probe throughput (compiled vs command)...")
     payload.update(bench_program_rates())
     print("measuring Alg. 2 (tRCD) probe throughput (fused vs command)...")
     payload.update(bench_trcd_rates())
+    print("measuring jitter-block derivation (prefetch vs per-key)...")
+    payload.update(bench_jitter_rates())
     print("measuring one-module bench campaigns (fused vs command)...")
     payload.update(bench_campaign())
     print("measuring the characterization campaign (fused)...")

@@ -199,9 +199,15 @@ def study_from_dict(payload: Dict[str, Any]) -> StudyResult:
 
 
 def save_study(study: StudyResult, path: str) -> None:
-    """Write a study result to ``path`` as JSON."""
+    """Write a study result to ``path`` as JSON.
+
+    Encoded once with ``json.dumps`` and written in one call: the bytes
+    equal streaming ``json.dump``'s, but ``dump`` to a file handle runs
+    CPython's pure-Python encoder, several times slower.
+    """
+    text = json.dumps(study_to_dict(study))
     with open(path, "w") as handle:
-        json.dump(study_to_dict(study), handle)
+        handle.write(text)
 
 
 def load_study(path: str) -> StudyResult:

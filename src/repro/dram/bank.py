@@ -77,9 +77,13 @@ _RET_LAYOUT_KEY = "_ret_layout"
 #: a RowHammer flip set stays far below 1/32 of a row, and a retention
 #: flip set (the 16 s window at V_PPmin) below 1/5, so the heads answer
 #: every probe of a study and a lazy extension is the rare slow path
-#: (``repro_layout_extensions_total``).
+#: (``repro_layout_extensions_total``). On short rows a fixed part is
+#: too few cells (1/32 of a 2048-bit row is 64, which some RowHammer
+#: flip sets of a tiny-scale study exceed), so no head holds fewer than
+#: :data:`_MIN_HEAD_CELLS` cells.
 _TOL_HEAD_DIVISOR = 32
 _RET_HEAD_DIVISOR = 5
+_MIN_HEAD_CELLS = 256
 
 #: Counter of lazy head-to-full layout extensions, by layout.
 LAYOUT_EXTENSIONS_METRIC = "repro_layout_extensions_total"
@@ -1045,7 +1049,7 @@ class Bank:
         only, so tied cells enter or leave a flip set together."""
         cells = self._geometry.row_bits
         if bound is None:
-            bound = cells // _TOL_HEAD_DIVISOR
+            bound = max(cells // _TOL_HEAD_DIVISOR, _MIN_HEAD_CELLS)
         for block, vectors in self._vector_blocks(
             physicals, states, "tolerance"
         ):
@@ -1077,7 +1081,7 @@ class Bank:
         its residue table, from the same vectors."""
         cells = self._geometry.row_bits
         if bound is None:
-            bound = cells // _RET_HEAD_DIVISOR
+            bound = max(cells // _RET_HEAD_DIVISOR, _MIN_HEAD_CELLS)
         for block, vectors in self._vector_blocks(
             physicals, states, "retention"
         ):

@@ -28,7 +28,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from repro.dram.calibration import ModuleCalibration
-from repro.rng import RngHub
+from repro.rng import RngHub, standard_normal_draws
 from repro.stats import normal_ppf
 
 #: Number of data patterns distinguished by the coupling-factor table
@@ -52,6 +52,25 @@ def _count_generation(family: str) -> None:
         "tolerance, retention or tRCD vectors), by family",
         labels=("family",),
     ).labels(family=family).inc()
+
+
+#: Counter of measurement-jitter draws, by ``path``: ``block`` for the
+#: lanes the vectorized prefetch resolved, ``single`` for the ones drawn
+#: one generator at a time (rejected prefetch lanes and
+#: :meth:`CellParameterGenerator.measurement_jitter` misses, which
+#: include every command-path draw).
+JITTER_DRAWS_METRIC = "repro_jitter_draws_total"
+
+
+def _count_jitter_draws(path: str, amount: int) -> None:
+    from repro.obs.metrics import REGISTRY  # local: keep obs optional
+
+    REGISTRY.counter(
+        JITTER_DRAWS_METRIC,
+        "measurement-jitter draws, by path (block: resolved by the "
+        "vectorized prefetch; single: one generator per draw)",
+        labels=("path",),
+    ).labels(path=path).inc(amount)
 
 
 @dataclass
@@ -109,12 +128,15 @@ class CellParameterGenerator:
                 * normal_ppf(self._cells / (self._cells + 1.0))
             )
         )
-        # Prefetched measurement-jitter values, keyed (physical_row,
-        # session). Populated by prefetch_measurement_jitter (batch
-        # probe engine); consulted first by measurement_jitter. Values
-        # are bit-identical to the direct draw, so a hit and a miss are
-        # indistinguishable to callers.
-        self._jitter_cache: Dict[Tuple[int, int], float] = {}
+        # Prefetched measurement-jitter values, keyed
+        # ``session << 32 | physical_row`` (an int key allocates no
+        # container, so tens of thousands of entries add no garbage-
+        # collector work; rows are < 2**32). Populated by
+        # prefetch_measurement_jitter (kernel probe engine); consulted
+        # first by measurement_jitter. Values are bit-identical to the
+        # direct draw, so a hit and a miss are indistinguishable to
+        # callers.
+        self._jitter_cache: Dict[int, float] = {}
         # Per-row high-water mark of the prefetched session lattice
         # (see ensure_jitter_window).
         self._jitter_horizon: Dict[int, int] = {}
@@ -205,12 +227,13 @@ class CellParameterGenerator:
         Models the iteration-to-iteration variation behind the paper's
         coefficient-of-variation analysis (Section 4.6).
         """
-        cached = self._jitter_cache.get((physical_row, session))
+        cached = self._jitter_cache.get(session << 32 | physical_row)
         if cached is not None:
             return cached
         rng = self._hub.generator(
             f"bank/{self._bank}/row/{physical_row}/jitter/{session}"
         )
+        _count_jitter_draws("single", 1)
         return float(np.exp(self._cal.measurement_sigma * rng.standard_normal()))
 
     def prefetch_measurement_jitter(
@@ -220,15 +243,16 @@ class CellParameterGenerator:
 
         The kernel probe engine knows its deterministic probe schedule --
         and therefore the session numbers whose jitter it will consume
-        -- ahead of time, so the per-session generator constructions can
-        be replaced by one vectorized derivation
-        (:meth:`repro.rng.RngHub.standard_normals`, bit-identical per
-        key). Returns the number of newly cached values.
+        -- ahead of time, so the per-session generator constructions are
+        replaced by one vectorized derivation
+        (:func:`repro.rng.standard_normal_draws`, bit-identical per
+        key) over seeds hashed from one per-row key prefix. Returns the
+        number of newly cached values.
         """
         cache = self._jitter_cache
         missing = [
             session for session in sessions
-            if (physical_row, session) not in cache
+            if session << 32 | physical_row not in cache
         ]
         if not missing:
             return 0
@@ -238,16 +262,19 @@ class CellParameterGenerator:
             # session's jitter one generator at a time.
             cache.clear()
             self._jitter_horizon.clear()
-        prefix = f"bank/{self._bank}/row/{physical_row}/jitter/"
-        draws = self._hub.standard_normals(
-            [prefix + str(session) for session in missing]
-        )
+        draws, singles = standard_normal_draws(self._hub.suffix_seeds(
+            f"bank/{self._bank}/row/{physical_row}/jitter/", missing
+        ))
+        _count_jitter_draws("block", len(missing) - singles)
+        if singles:
+            _count_jitter_draws("single", singles)
         # One vectorized exp over the block (bit-identical to the
         # per-draw scalar exp: same ufunc, same float64 inputs).
-        sigma = self._cal.measurement_sigma
-        values = np.exp(np.asarray(draws) * sigma)
-        for session, value in zip(missing, values.tolist()):
-            cache[(physical_row, session)] = value
+        values = np.exp(draws * self._cal.measurement_sigma)
+        cache.update(zip(
+            [session << 32 | physical_row for session in missing],
+            values.tolist(),
+        ))
         return len(missing)
 
     #: Sessions per initial prefetched jitter block. A hammer probe
@@ -257,15 +284,13 @@ class CellParameterGenerator:
     #: ~16 bisection rounds).
     JITTER_WINDOW_SPAN = 3 * 19
     #: Sessions per extension block once a row is past its initial
-    #: window. Every probe schedule advances a row's session by a
-    #: multiple of 3, so in practice the stride-3 lattice persists for
-    #: a row's entire campaign and almost all prefetches are extends --
-    #: a V_PP ladder walks one row through hundreds of probes. The
-    #: derivation kernel's cost is dominated by a fixed per-call term
-    #: (:meth:`repro.rng.RngHub.standard_normals` batches arbitrarily
-    #: wide), so extends are sized to cover several operating points
-    #: per call; the stranded tail, at most one block per row per
-    #: campaign, is noise by comparison.
+    #: window. A row's own probes advance its session by multiples of 3,
+    #: but other rows' probes (which write it as a non-victim row) and
+    #: other tests' restores advance it too, moving it off the
+    #: prefetched lattice, so most derived draws are never read (only
+    #: about a third are, on the bench studies). The derivation (:func:`repro.rng.standard_normal_draws`)
+    #: costs ~1-2 us per draw plus a fixed per-call term, so wide blocks
+    #: still beat narrower ones that would strand less.
     JITTER_EXTEND_SPAN = 3 * 127
     #: Cached jitter values past which the cache (and every row's
     #: horizon) is cleared before the next prefetch.

@@ -20,17 +20,20 @@ such as ``"module/A0/bank/0/row/1234/retention"``.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
+from repro._ziggurat_tables import KI as _ZIGGURAT_KI
+from repro._ziggurat_tables import WI as _ZIGGURAT_WI
+
 # SeedSequence pool-mixing and PCG64 stream-initialization constants
-# (numpy/random/bit_generator.pyx and pcg64.c). _bulk_pcg64_states
-# replays both bit-exactly; tests/core/test_rng.py asserts equality
+# (numpy/random/bit_generator.pyx and pcg64.c). The kernels below
+# replay both bit-exactly; tests/core/test_rng.py asserts equality
 # against np.random.default_rng for every derivation path.
-_INIT_A = np.uint32(0x43B0D7E5)
+_INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
-_INIT_B = np.uint32(0x8B51F9DD)
+_INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
@@ -40,110 +43,185 @@ _M128 = (1 << 128) - 1
 _PCG_DEFAULT_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
-def _hash_schedule(init: int, mult: int, steps: int) -> np.ndarray:
+def _hash_schedule(init: int, mult: int, steps: int) -> list:
     """The SeedSequence hash-constant chain ``(xor, mult)`` per step --
     seed-independent, so it is precomputed once at import."""
-    table = np.empty((steps, 2), dtype=np.uint32)
+    table = []
     const = init
-    for step in range(steps):
-        table[step, 0] = const
+    for _ in range(steps):
+        xor = const
         const = (const * mult) & _M32
-        table[step, 1] = const
+        table.append((xor, const))
     return table
 
 
-#: Mixing-phase constants: 4 initial pool hashes + 12 src/dst mixes.
-_MIX_SCHEDULE = _hash_schedule(int(_INIT_A), _MULT_A, 16)
-#: Output-phase constants: 8 generated state words.
-_OUT_SCHEDULE = _hash_schedule(int(_INIT_B), _MULT_B, 8)
-#: Destination rows per mixing source; within one source iteration the
-#: three destination updates never read each other, so they run stacked.
-_MIX_DSTS = [
-    np.array([dst for dst in range(4) if dst != src]) for src in range(4)
-]
-#: Output words draw round-robin from the pool rows.
-_OUT_ROWS = np.array([0, 1, 2, 3, 0, 1, 2, 3])
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint32)[:, None]
 
 
-def _bulk_pcg64_states(seeds: Sequence[int]) -> List[Tuple[int, int]]:
-    """PCG64 ``(state, inc)`` pairs for a batch of integer seeds.
+def _build_mixing_constants():
+    """Stacked operands of the SeedSequence mixing phase.
 
-    Equivalent to ``np.random.PCG64(seed).state`` for each seed, but the
-    SeedSequence entropy-pool mixing runs vectorized across the whole
-    batch (the hash-constant schedule is seed-independent, so every
-    lane shares it). Seeds must be non-negative and < 2**64; the
-    entropy words are then ``[lo32]`` or ``[lo32, hi32]``, and because
-    a missing second word hashes identically to a zero word, one
-    two-word layout covers both cases.
+    Entropy words 0-1 hash with schedule steps 0-1; pool rows 2-3 hash
+    a zero word, a constant. Then each source row hashes once per
+    destination (the other three rows, in row order, with consecutive
+    schedule steps), and no destination reads another within a source
+    iteration -- so one source's three updates run as one (4, n) pass
+    whose source-row slot (dummy constants) is overwritten with the
+    unchanged row after.
     """
-    arr = np.asarray(seeds, dtype=np.uint64)
-    pool = np.zeros((4, arr.shape[0]), dtype=np.uint32)
-    pool[0] = arr.astype(np.uint32)
-    pool[1] = (arr >> np.uint64(32)).astype(np.uint32)
-
-    # Initial per-entry hash: one stacked pass over all four pool rows
-    # (constants 0..3 of the mixing schedule, one per row).
-    values = (pool ^ _MIX_SCHEDULE[:4, :1]) * _MIX_SCHEDULE[:4, 1:]
-    pool = values ^ (values >> _XSHIFT)
-    step = 4
+    schedule = _hash_schedule(_INIT_A, _MULT_A, 16)
+    zero_rows = []
+    for xor, mult in schedule[2:4]:
+        value = (xor * mult) & _M32
+        zero_rows.append(value ^ (value >> 16))
+    sources = []
+    steps = iter(schedule[4:])
     for src in range(4):
-        # One source feeds three destinations with consecutive schedule
-        # constants, and no destination reads another within the
-        # iteration -- so hash and mix all three lanes in (3, n) blocks.
-        consts = _MIX_SCHEDULE[step:step + 3]
-        step += 3
-        values = (pool[src] ^ consts[:, :1]) * consts[:, 1:]
-        dsts = _MIX_DSTS[src]
-        mixed = pool[dsts] * _MIX_MULT_L - (
-            values ^ (values >> _XSHIFT)
-        ) * _MIX_MULT_R
-        pool[dsts] = mixed ^ (mixed >> _XSHIFT)
-
-    # Output pass, stacked over the 8 generated words (word i draws
-    # from pool row i % 4).
-    values = (pool[_OUT_ROWS] ^ _OUT_SCHEDULE[:, :1]) * _OUT_SCHEDULE[:, 1:]
-    words = values ^ (values >> _XSHIFT)
-    halves = [
-        ((words[2 * i + 1].astype(np.uint64) << np.uint64(32))
-         | words[2 * i]).tolist()
-        for i in range(4)
-    ]
-
-    states = []
-    for w0, w1, w2, w3 in zip(*halves):
-        initstate = (w0 << 64) | w1
-        inc = (((((w2 << 64) | w3) << 1) | 1)) & _M128
-        state = ((inc + initstate) * _PCG_DEFAULT_MULT + inc) & _M128
-        states.append((state, inc))
-    return states
+        xors, mults = [0] * 4, [1] * 4
+        for dst in range(4):
+            if dst != src:
+                xors[dst], mults[dst] = next(steps)
+        sources.append((_column(xors), _column(mults)))
+    entropy = schedule[:2]
+    return (
+        _column([xor for xor, _ in entropy]),
+        _column([mult for _, mult in entropy]),
+        _column(zero_rows),
+        sources,
+    )
 
 
-class _NormalDrawKernel:
-    """One reused PCG64 generator fed precomputed stream states.
+(_ENTROPY_XORS, _ENTROPY_MULTS, _ZERO_WORD_HASHES,
+ _SOURCE_HASHES) = _build_mixing_constants()
+#: Output-phase constants of the 8 generated state words, as (2, 4, 1):
+#: word ``4 * a + b`` draws from pool row ``b``.
+_OUTPUT_SCHEDULE = _hash_schedule(_INIT_B, _MULT_B, 8)
+_OUTPUT_XORS = _column([x for x, _ in _OUTPUT_SCHEDULE]).reshape(2, 4, 1)
+_OUTPUT_MULTS = _column([m for _, m in _OUTPUT_SCHEDULE]).reshape(2, 4, 1)
 
-    Injecting ``(state, inc)`` and drawing reproduces
-    ``np.random.Generator(np.random.PCG64(seed)).standard_normal()``
-    without paying the per-seed Generator/SeedSequence construction.
+
+def _seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(8, np.uint32)`` per seed, as
+    an (8, n) uint32 array, with the entropy-pool mixing vectorized
+    across the batch (the hash-constant schedule is seed-independent,
+    so every lane shares it). Seeds are uint64; the entropy words are
+    then ``[lo32]`` or ``[lo32, hi32]``, and because a missing second
+    word hashes identically to a zero word, one two-word layout covers
+    both cases.
     """
+    # Explicit little-endian: each seed's entropy words are its two
+    # 32-bit halves, low first.
+    halves = np.ascontiguousarray(seeds, dtype="<u8").view("<u4").reshape(
+        -1, 2
+    ).T
+    pool = np.empty((4, halves.shape[1]), dtype=np.uint32)
+    values = (halves ^ _ENTROPY_XORS) * _ENTROPY_MULTS
+    pool[:2] = values ^ (values >> _XSHIFT)
+    pool[2:] = _ZERO_WORD_HASHES
+    for src, (xors, mults) in enumerate(_SOURCE_HASHES):
+        row = pool[src]
+        values = (row ^ xors) * mults
+        values ^= values >> _XSHIFT
+        values *= _MIX_MULT_R
+        mixed = pool * _MIX_MULT_L
+        mixed -= values
+        mixed ^= mixed >> _XSHIFT
+        mixed[src] = row
+        pool = mixed
+    values = (pool ^ _OUTPUT_XORS) * _OUTPUT_MULTS
+    return (values ^ (values >> _XSHIFT)).reshape(8, -1)
 
-    __slots__ = ("_bit_generator", "_generator", "_template")
 
-    def __init__(self):
-        self._bit_generator = np.random.PCG64()
-        self._generator = np.random.Generator(self._bit_generator)
-        self._template = {
-            "bit_generator": "PCG64",
-            "state": {"state": 0, "inc": 0},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+def _build_first_step():
+    """The PCG64 seeding plus one LCG step as one affine map on 16-bit
+    limbs of the 8 SeedSequence words.
 
-    def standard_normal(self, state: int, inc: int):
-        inner = self._template["state"]
-        inner["state"] = state
-        inner["inc"] = inc
-        self._bit_generator.state = self._template
-        return self._generator.standard_normal()
+    ``PCG64`` seeds with ``initstate = w0:w1`` and ``inc = 2 * (w2:w3)
+    + 1`` (``w_i = u[2i+1]:u[2i]``, 128-bit values as high:low 64-bit
+    halves), sets ``state = (inc + initstate) * M + inc`` and steps once
+    more before its first output, so that output's state is
+    ``initstate * M^2 + (w2:w3) * 2B + B`` with ``B = M^2 + M + 1``, all
+    mod 2^128. Row ``m`` of the returned (4, 16) matrix holds the 32-bit
+    limb ``m`` of each input limb's coefficient (``K * 2^position mod
+    2^128``); a 16-bit limb times a 32-bit entry, summed over 16 inputs,
+    stays far below 2^64, so one integer matmul yields the output state
+    as four carry-pending 32-bit columns.
+    """
+    mult2 = _PCG_DEFAULT_MULT * _PCG_DEFAULT_MULT
+    offset = (mult2 + _PCG_DEFAULT_MULT + 1) & _M128
+    factors = (mult2 & _M128,) * 4 + ((2 * offset) & _M128,) * 4
+    # 32-bit position of word u within its 128-bit value (u0..u3 make
+    # initstate, u4..u7 the stream selector).
+    positions = (2, 3, 0, 1, 2, 3, 0, 1)
+    matrix = np.zeros((4, 16), dtype=np.uint64)
+    for word, (factor, position) in enumerate(zip(factors, positions)):
+        for half in range(2):
+            coefficient = (factor << (32 * position + 16 * half)) & _M128
+            for limb in range(4):
+                matrix[limb, word + 8 * half] = (
+                    coefficient >> (32 * limb)
+                ) & _M32
+    limbs = [(offset >> (32 * limb)) & _M32 for limb in range(4)]
+    return matrix, np.array(limbs, dtype=np.uint64)[:, None]
+
+
+_FIRST_STEP_MATRIX, _FIRST_STEP_OFFSET = _build_first_step()
+_U32 = np.uint64(32)
+
+
+def _pcg64_first_outputs(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.PCG64(seed).random_raw()`` per seed, vectorized: the
+    SeedSequence words, the seeding plus first LCG step as one integer
+    matmul (:func:`_build_first_step`), then the XSL-RR output
+    ``rotr64(hi ^ lo, hi >> 58)``."""
+    words = _seed_sequence_words(seeds)
+    limbs = np.concatenate(
+        (words & np.uint32(0xFFFF), words >> _XSHIFT)
+    ).astype(np.uint64)
+    columns = _FIRST_STEP_MATRIX @ limbs
+    columns += _FIRST_STEP_OFFSET
+    low, high = columns[0::2] + (columns[1::2] << _U32)
+    high += (columns[1] + (columns[0] >> _U32)) >> _U32
+    mixed = high ^ low
+    rotation = high >> np.uint64(58)
+    return (mixed >> rotation) | (
+        mixed << ((np.uint64(64) - rotation) & np.uint64(63))
+    )
+
+
+def _ziggurat_fast_path(outputs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """numpy's ``random_standard_normal`` first iteration on 64-bit
+    outputs: ``(draws, accepted)``. Bits 0-7 pick the layer, bit 8 the
+    sign and bits 9-60 the magnitude ``rabs``; a lane is accepted, and
+    its draw final, iff ``rabs < KI[layer]``. Rejected lanes (the wedge
+    and tail tests, which read further outputs) carry no valid draw."""
+    layers = outputs.astype(np.uint8)  # the low byte
+    magnitudes = (outputs >> np.uint64(9)) & np.uint64((1 << 52) - 1)
+    draws = magnitudes.astype(np.float64) * _ZIGGURAT_WI[layers]
+    # Negation flips the sign bit, also of a zero draw.
+    draws.view(np.uint64)[...] ^= (outputs << np.uint64(55)) & np.uint64(
+        1 << 63
+    )
+    return draws, magnitudes < _ZIGGURAT_KI[layers]
+
+
+def standard_normal_draws(seeds: np.ndarray) -> Tuple[np.ndarray, int]:
+    """``np.random.default_rng(seed).standard_normal()`` per uint64 seed,
+    bit for bit: ``(draws, singles)``.
+
+    The first PCG64 output of every lane is computed vectorized and the
+    ziggurat's fast path resolves ~98.5 % of lanes; the ``singles``
+    rejected lanes fall back to a per-seed generator one at a time.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    draws, accepted = _ziggurat_fast_path(_pcg64_first_outputs(seeds))
+    if accepted.all():
+        return draws, 0
+    rejected = np.flatnonzero(~accepted)
+    for lane in rejected.tolist():
+        draws[lane] = np.random.default_rng(int(seeds[lane])).standard_normal()
+    return draws, rejected.size
 
 
 def derive_seed(root_seed: int, key: str) -> int:
@@ -171,7 +249,6 @@ class RngHub:
         if not isinstance(root_seed, int):
             raise TypeError(f"root_seed must be an int, got {type(root_seed)!r}")
         self._root_seed = root_seed
-        self._draw_kernel = None
 
     @property
     def root_seed(self) -> int:
@@ -187,30 +264,31 @@ class RngHub:
         """
         return np.random.default_rng(derive_seed(self._root_seed, key))
 
-    def standard_normals(self, keys: Sequence[str]) -> List:
+    def standard_normals(self, keys: Sequence[str]) -> np.ndarray:
         """One standard-normal draw per key, in order.
 
         Bit-identical to ``self.generator(key).standard_normal()`` for
-        every key, but the per-key SeedSequence mixing is vectorized
-        across the batch and a single generator is reused for the draws
-        -- the kernel behind the batch probe engine's jitter prefetch.
+        every key, but derived for the whole batch at once
+        (:func:`standard_normal_draws`).
         """
-        kernel = self._draw_kernel
-        if kernel is None:
-            kernel = self._draw_kernel = _NormalDrawKernel()
-        root = f"{self._root_seed}:".encode("utf-8")
-        blake2b = hashlib.blake2b
-        from_bytes = int.from_bytes
-        states = _bulk_pcg64_states([
-            from_bytes(
-                blake2b(
-                    root + key.encode("utf-8"), digest_size=8
-                ).digest(),
-                "little",
-            )
-            for key in keys
-        ])
-        return [kernel.standard_normal(state, inc) for state, inc in states]
+        return standard_normal_draws(np.array(
+            [derive_seed(self._root_seed, key) for key in keys],
+            dtype=np.uint64,
+        ))[0]
+
+    def suffix_seeds(self, prefix: str, suffixes: Iterable[int]) -> np.ndarray:
+        """``derive_seed(root_seed, prefix + str(suffix))`` per integer
+        suffix, as uint64: the shared prefix is hashed once and each
+        key's hash continues from a copy of that state."""
+        base = hashlib.blake2b(
+            f"{self._root_seed}:{prefix}".encode("utf-8"), digest_size=8
+        )
+        digests = []
+        for suffix in suffixes:
+            digest = base.copy()
+            digest.update(b"%d" % suffix)
+            digests.append(digest.digest())
+        return np.frombuffer(b"".join(digests), dtype="<u8")
 
     def spawn(self, key: str) -> "RngHub":
         """Return a child hub rooted at ``(root_seed, key)``.

@@ -87,8 +87,11 @@ def _atomic_write_json(payload: Dict[str, Any], path: str) -> None:
         dir=directory, prefix=".tmp-", suffix=".json"
     )
     try:
+        # One json.dumps, one write: same bytes as streaming json.dump,
+        # without its pure-Python encoder.
+        text = json.dumps(payload)
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
+            handle.write(text)
         os.replace(tmp_path, path)
     except BaseException:
         try:

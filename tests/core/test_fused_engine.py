@@ -372,6 +372,16 @@ class TestLayoutHeads:
     (counted in ``repro_layout_extensions_total``), and every result
     stays exact."""
 
+    def test_tiny_rowhammer_study_makes_no_extension(self):
+        """Heads have a floor of cells, so the tiny scale's 2048-bit
+        rows (1/32 of a row is 64 cells) answer a whole RowHammer study
+        -- the ``service`` benchmark's C5 request -- from their heads."""
+        before = _extensions("tolerance") + _extensions("retention")
+        CharacterizationStudy(scale=StudyScale.tiny(), seed=0).run(
+            modules=["C5"], tests=("rowhammer",)
+        )
+        assert _extensions("tolerance") + _extensions("retention") == before
+
     def test_sessions_past_the_heads_match_command(self):
         """Hammer and retention probes whose flip sets reach past the
         heads extend each row once and still equal the command

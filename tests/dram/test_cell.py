@@ -5,11 +5,13 @@ import pytest
 
 from repro.dram.calibration import ModuleGeometry, calibrate
 from repro.dram.cell import (
+    JITTER_DRAWS_METRIC,
     OTHER_PATTERN_INDEX,
     PATTERN_SLOTS,
     CellParameterGenerator,
 )
 from repro.dram.profiles import module_profile
+from repro.obs.metrics import REGISTRY
 from repro.rng import RngHub
 
 
@@ -106,6 +108,33 @@ def test_measurement_jitter_close_to_one(generator):
     jitters = [generator.measurement_jitter(9, s) for s in range(50)]
     assert 0.9 < np.mean(jitters) < 1.1
     assert np.std(jitters) < 0.1
+
+
+def _jitter_draws(path):
+    return REGISTRY.counter(
+        JITTER_DRAWS_METRIC, labels=("path",)
+    ).labels(path=path).value
+
+
+def test_prefetched_jitter_matches_direct_draws_and_is_counted(generator):
+    """A prefetched block equals the per-session draws bit for bit;
+    its lanes count once per call as ``block`` or ``single``, a cache
+    miss counts one ``single`` and a cache hit nothing."""
+    direct = CellParameterGenerator(
+        generator._cal, RngHub(3), bank_index=0
+    )
+    sessions = list(range(2, 2 + 3 * 400, 3))
+    before = _jitter_draws("block") + _jitter_draws("single")
+    assert generator.prefetch_measurement_jitter(9, sessions) == 400
+    assert generator.prefetch_measurement_jitter(9, sessions) == 0
+    assert _jitter_draws("block") + _jitter_draws("single") == before + 400
+    singles = _jitter_draws("single")
+    for session in sessions:
+        assert generator.measurement_jitter(9, session) == (
+            direct.measurement_jitter(9, session)
+        )
+    assert _jitter_draws("single") == singles + 400  # the direct misses
+    assert _jitter_draws("block") + _jitter_draws("single") == before + 800
 
 
 def test_powerup_bits_are_bits(generator):
