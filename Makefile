@@ -52,7 +52,9 @@ bench-check:
 # in its 65536-bit-row run, the preheat's traced memory peak
 # within 25 % of its committed value, and the measurement-jitter
 # prefetch's speedup floors over per-key draws (a same-process ratio,
-# re-measured), without timing re-measurement (the fused
+# re-measured), and a cold import of the service and CLI entry points
+# that must load no scipy module and stay within 25 % of its committed
+# peak RSS, without timing re-measurement (the fused
 # ladder, characterization, WCDP and preheat times are guarded by
 # bench-check's re-measurement). The API
 # load smoke rides along: a reduced-job concurrent run with the

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Perf-regression guard against the committed BENCH_probe.json.
 
-Four layers, any of which fails the check (exit 1):
+Six layers, any of which fails the check (exit 1):
 
 * deterministic acceptance gates on the *committed* baseline itself:
   every kernel-over-oracle speedup (fused vs command: hammer,
@@ -28,6 +28,12 @@ Four layers, any of which fails the check (exit 1):
   (``preheat_peak_mib_fused``) must not exceed its committed value by
   more than :data:`PEAK_TOLERANCE`. It measures allocation sizes, not
   speed, so it runs in both modes with a fixed band;
+* a cold-start gate: a fresh interpreter importing the service and CLI
+  entry points (``bench_probe.bench_cold_import``) must load no
+  ``scipy`` module, and its peak RSS (``cold_import_peak_mib``) must
+  not exceed the committed value by more than :data:`PEAK_TOLERANCE`.
+  Both run in both modes; full mode also guards
+  ``cold_import_seconds`` with the timing band;
 * a jitter-kernel gate: the measurement-jitter prefetch's speedups over
   per-key generator draws (``jitter_block_speedup``,
   ``jitter_small_block_speedup``) are re-measured and must hold their
@@ -82,14 +88,17 @@ JITTER_ATTEMPTS = 3
 #: Wall-clock keys: lower is better, so their band is a ceiling.
 SECONDS_KEYS = (
     "characterization_seconds_fused", "ladder_seconds_fused",
-    "wcdp_seconds_fused", "preheat_seconds_fused",
+    "wcdp_seconds_fused", "preheat_seconds_fused", "cold_import_seconds",
 )
 
-#: Fractional ceiling on the preheat's traced peak over its committed
-#: value (machine-speed independent, so not widened by
+#: Fractional ceiling on the preheat's traced peak and the cold
+#: import's peak RSS over their committed values (machine-speed
+#: independent, so not widened by
 #: ``REPRO_BENCH_TOLERANCE``).
 PEAK_TOLERANCE = 0.25
 PEAK_KEY = "preheat_peak_mib_fused"
+#: The cold-import peak RSS, held to the same band.
+COLD_PEAK_KEY = "cold_import_peak_mib"
 
 #: Experiment families covered by the differential bit-identity gate.
 FAMILIES = ("rowhammer", "trcd", "retention")
@@ -248,6 +257,25 @@ def main(argv=None) -> int:
             print(f"  {failure}", file=sys.stderr)
         return 1
 
+    print("measuring the entry points' cold import...")
+    cold = bench_probe.bench_cold_import()
+    print(f"cold import {cold['cold_import_seconds']:.2f} s, peak "
+          f"{cold[COLD_PEAK_KEY]:.1f} MiB, "
+          f"{cold['cold_import_scipy_modules']} scipy modules")
+    if cold["cold_import_scipy_modules"]:
+        print("importing repro.api.server and repro.harness.runner loaded "
+              "scipy: it is a test-only dependency and must stay out of "
+              "the runtime import graph", file=sys.stderr)
+        return 1
+    if COLD_PEAK_KEY in committed:
+        ceiling = committed[COLD_PEAK_KEY] * (1.0 + PEAK_TOLERANCE)
+        if cold[COLD_PEAK_KEY] > ceiling:
+            print(f"{COLD_PEAK_KEY}: measured {cold[COLD_PEAK_KEY]:.1f} MiB "
+                  f"> ceiling {ceiling:.1f} MiB (committed "
+                  f"{committed[COLD_PEAK_KEY]:.1f} MiB, tolerance "
+                  f"{PEAK_TOLERANCE:.0%})", file=sys.stderr)
+            return 1
+
     print("checking fused-vs-command bit-identity (tiny scale, all "
           "experiment families; rowhammer/retention also at "
           f"{PAPER_ROW_BITS}-bit rows)...")
@@ -303,6 +331,7 @@ def main(argv=None) -> int:
     print("re-measuring probe throughput...")
     measured = dict(bench_probe.bench_probe_rates())
     measured.update(jitter)
+    measured.update(cold)
     print("re-measuring DSL-program probe throughput...")
     measured.update(bench_probe.bench_program_rates())
     print("re-measuring Alg. 2 (tRCD) probe throughput...")

@@ -29,7 +29,12 @@ with both cache layers disabled:
 * wall-clock of that campaign's *preheat* (per-cell generation and
   the per-row tolerance and retention layouts) on the kernel, each run
   on a fresh context, and the preheat's ``tracemalloc`` peak (MiB):
-  allocation sizes, not speed, so ``bench_check --smoke`` gates it.
+  allocation sizes, not speed, so ``bench_check --smoke`` gates it;
+* the cold start of the service and CLI entry points: a fresh
+  interpreter imports ``repro.api.server`` and ``repro.harness.runner``
+  (import wall seconds, min of several runs, and the interpreter's
+  peak RSS in MiB), and counts the ``scipy`` modules that import
+  loaded, which ``bench_check`` requires to be none.
 
 The JSON is written next to this script (override with ``--out``) so
 future changes have a perf trajectory to compare against;
@@ -45,6 +50,7 @@ import argparse
 import dataclasses
 import json
 import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -404,6 +410,58 @@ def bench_preheat_peak():
     return {"preheat_peak_mib_fused": peak / 2**20}
 
 
+#: What a fresh interpreter runs for :func:`bench_cold_import`: the
+#: service and CLI entry points' imports, timed, then the process's
+#: peak RSS and the ``scipy`` modules the imports loaded. The peak is
+#: ``VmHWM``, which exec resets: ``ru_maxrss`` would carry over the
+#: forking benchmark process's RSS.
+COLD_IMPORT_SCRIPT = """
+import json, resource, sys, time
+started = time.perf_counter()
+import repro.api.server, repro.harness.runner
+seconds = time.perf_counter() - started
+try:
+    with open("/proc/self/status") as status:
+        peak_kib = next(
+            int(line.split()[1]) for line in status
+            if line.startswith("VmHWM:")
+        )
+except OSError:
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({
+    "seconds": seconds,
+    "peak_kib": peak_kib,
+    "scipy": sum(name.startswith("scipy") for name in sys.modules),
+}))
+"""
+
+
+def bench_cold_import(runs=3):
+    """Cold start of the service and CLI entry points, each run in a
+    fresh interpreter: import wall seconds and peak RSS (MiB), min of
+    ``runs``, and the number of ``scipy`` modules loaded (the runtime
+    needs none). Runs from the source tree ``repro`` is imported from."""
+    import repro
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (src, env.get("PYTHONPATH")) if path
+    )
+    samples = []
+    for _ in range(runs):
+        completed = subprocess.run(
+            [sys.executable, "-c", COLD_IMPORT_SCRIPT],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        samples.append(json.loads(completed.stdout.splitlines()[-1]))
+    return {
+        "cold_import_seconds": min(s["seconds"] for s in samples),
+        "cold_import_peak_mib": min(s["peak_kib"] for s in samples) / 1024,
+        "cold_import_scipy_modules": max(s["scipy"] for s in samples),
+    }
+
+
 REPORT_KEYS = (
     "hammer_probes_per_sec_fused", "hammer_probes_per_sec_command",
     "hammer_probe_speedup",
@@ -422,6 +480,7 @@ REPORT_KEYS = (
     "campaign_speedup",
     "characterization_seconds_fused", "ladder_seconds_fused",
     "wcdp_seconds_fused", "preheat_seconds_fused", "preheat_peak_mib_fused",
+    "cold_import_seconds", "cold_import_peak_mib",
 )
 
 
@@ -477,6 +536,11 @@ def main(argv=None) -> int:
         "trcd_probes": (
             "find_trcd_min sweeps of one B3 row (8192-bit rows)"
         ),
+        "cold_import": (
+            "fresh interpreter importing repro.api.server and"
+            " repro.harness.runner: import wall seconds and peak RSS (MiB),"
+            " min-of-3, and the scipy modules loaded"
+        ),
         "jitter_blocks": (
             "measurement-jitter prefetch of one row's 128- and 20-session"
             " blocks vs per-key generator draws, fastest of 200 alternating"
@@ -501,6 +565,8 @@ def main(argv=None) -> int:
     print("measuring the preheat (fused)...")
     payload.update(bench_preheat())
     payload.update(bench_preheat_peak())
+    print("measuring the entry points' cold import...")
+    payload.update(bench_cold_import())
 
     # The registry counters spent producing these numbers travel with
     # them, so BENCH_probe.json entries are self-describing.

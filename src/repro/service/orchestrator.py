@@ -708,6 +708,9 @@ class CampaignService:
     def _drain_pool(self, state: "_RunState") -> None:
         queue = deque((unit, 0) for unit in state.pending)
         inflight: Dict = {}  # future -> (unit, attempt, deadline)
+        # Workers fork from this process: load the kernel engine they
+        # resolve here, once, not in every worker of every run.
+        from repro.core.fused import FusedProbeEngine  # noqa: F401
         pool = ProcessPoolExecutor(max_workers=self.max_workers)
         try:
             while queue or inflight:

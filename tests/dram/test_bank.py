@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dram.bank import _residue_fold, _residue_minima, _sensitivity_groups
 from repro.dram.patterns import STANDARD_PATTERNS
 from repro.errors import DramAddressError, DramCommandError
 from repro.units import ns
@@ -249,3 +250,67 @@ class TestRefresh:
         bank.activate(5)
         with pytest.raises(DramCommandError):
             bank.refresh()
+
+
+def _reference_minima(values, member):
+    """The one-stage ``reshape(-1, 8)`` reduction the folds replace."""
+    grouped = np.full(values.size, np.inf, dtype=values.dtype)
+    grouped[member] = values[member]
+    return tuple(float(v) for v in grouped.reshape(-1, 8).min(axis=0))
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestResidueFolds:
+    """The two-stage residue folds equal the one-stage ``(-1, 8)``
+    reduction bit for bit, whatever the member set."""
+
+    @pytest.mark.parametrize("size", [256, 8192, 65536])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_minima_match_one_stage_reduction(self, size, dtype):
+        rng = np.random.default_rng(size)
+        values = rng.lognormal(3.0, 1.0, size).astype(dtype)
+        values[rng.choice(size, size // 64, replace=False)] = np.inf
+        sparse = np.sort(rng.choice(size, 5, replace=False))
+        mask = rng.random(size) < 0.5
+        single_residue = np.arange(3, size, 8)
+        members = {
+            "sparse": sparse,
+            "empty": np.array([], dtype=np.intp),
+            "mask": mask,
+            "inverted mask": ~mask,
+            "single residue": single_residue,
+            "whole row": slice(None),
+        }
+        for name, member in members.items():
+            assert _bits(_residue_minima(values, member)) == _bits(
+                _reference_minima(values, member)
+            ), name
+
+    @pytest.mark.parametrize("size", [256, 8192, 65536])
+    def test_maxima_match_one_stage_reduction(self, size):
+        rng = np.random.default_rng(size + 1)
+        factors = rng.lognormal(0.0, 0.02, size).astype(np.float32)
+        factors[rng.integers(size)] = np.inf
+        expected = tuple(float(v) for v in factors.reshape(-1, 8).max(axis=0))
+        assert _bits(_residue_fold(factors, np.maximum)) == _bits(expected)
+
+
+@pytest.mark.parametrize(
+    "weak_values", [[], [1.5, 1.2, 1.5, 2.0], [1.5, 1.2] * 8]
+)
+def test_sensitivity_groups_are_distinct_and_ascending(weak_values):
+    """The bulk group (exponent 1, when any cell has it), then one group
+    per distinct weak value in ascending order; every cell in one."""
+    sensitivity = np.ones(16, dtype=np.float32)
+    sensitivity[16 - len(weak_values):] = weak_values
+    groups = _sensitivity_groups(sensitivity)
+    expected = list(np.unique(sensitivity))
+    assert [value for value, _ in groups] == expected
+    covered = np.zeros(sensitivity.size, dtype=int)
+    for value, member in groups:
+        assert np.all(sensitivity[member] == value)
+        covered[member] += 1
+    assert np.all(covered == 1)

@@ -1,6 +1,7 @@
 """Anchor-to-parameter calibration."""
 
 import math
+from statistics import NormalDist
 
 import pytest
 
@@ -11,7 +12,6 @@ from repro.dram.calibration import (
 )
 from repro.dram.profiles import MODULE_PROFILES, module_profile
 from repro.errors import ConfigurationError
-from repro.stats import normal_cdf
 from repro.units import ns
 
 
@@ -64,7 +64,7 @@ def test_bulk_anchor_reproduces_ber():
         calibration.bulk_log_weakness
         + calibration.vendor.row_sigma * normal_ppf(0.10)
     )
-    ber = normal_cdf(
+    ber = NormalDist().cdf(
         (math.log(300_000) - log_w_anchor) / calibration.bulk_sigma
     )
     assert float(ber) == pytest.approx(profile.ber_nominal, rel=0.01)
@@ -115,9 +115,8 @@ def test_retention_beta_reproduces_vendor_anchor_shift():
     from repro.stats import normal_ppf
 
     z_nom = normal_ppf(vendor.retention_ber_4s_nominal)
-    shifted = normal_cdf(z_nom - math.log(margin) / -vendor.retention_sigma * -1.0)
     # margin < 1 shifts retention down; predicted BER at 1.5 V:
-    predicted = normal_cdf(z_nom + math.log(1.0 / margin) / vendor.retention_sigma)
+    predicted = NormalDist().cdf(z_nom + math.log(1.0 / margin) / vendor.retention_sigma)
     assert float(predicted) == pytest.approx(
         vendor.retention_ber_4s_lowvpp, rel=0.05
     )

@@ -1,5 +1,9 @@
 """Statistical helpers."""
 
+import dataclasses
+import math
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -24,8 +28,9 @@ def test_normal_ppf_rejects_bad_quantiles():
 
 
 def test_normal_cdf_inverse_of_ppf():
+    # Phi comes from the standard library: repro.stats has no CDF.
     for q in (0.01, 0.3, 0.77, 0.999):
-        assert stats.normal_cdf(stats.normal_ppf(q)) == pytest.approx(q)
+        assert NormalDist().cdf(stats.normal_ppf(q)) == pytest.approx(q)
 
 
 def test_cv_of_constant_series_is_zero():
@@ -85,7 +90,7 @@ def test_lognormal_sigma_for_tail_roundtrip():
     sigma = stats.lognormal_sigma_for_tail(0.01, 0.5)
     # P(X < median * 0.5) should be ~1% under that sigma.
     z = np.log(0.5) / sigma
-    assert stats.normal_cdf(z) == pytest.approx(0.01, rel=1e-6)
+    assert NormalDist().cdf(z) == pytest.approx(0.01, rel=1e-6)
 
 
 def test_geometric_mean():
@@ -101,3 +106,68 @@ def test_cv_is_scale_invariant(values):
     cv1 = stats.coefficient_of_variation(values)
     cv2 = stats.coefficient_of_variation([v * 7.5 for v in values])
     assert cv1 == pytest.approx(cv2, rel=1e-6, abs=1e-9)
+
+
+def _port_quantiles() -> np.ndarray:
+    """Quantiles over every ``ndtri`` branch and its boundaries: uniform
+    draws (central region and the ``z < 8`` tail), log-uniform tails
+    down to 1e-300 (the ``z >= 8`` branch), upper tails ``1 - 10^-k``,
+    and the branch edges themselves."""
+    rng = np.random.default_rng(20)
+    exp_m2 = 0.13533528323661269189
+    edges = [
+        math.exp(-2), 1 - math.exp(-2), exp_m2, 1 - exp_m2,
+        np.nextafter(exp_m2, 0), np.nextafter(exp_m2, 1),
+        np.nextafter(1 - exp_m2, 0), np.nextafter(1 - exp_m2, 1),
+        math.exp(-32), np.nextafter(math.exp(-32), 0),
+        np.nextafter(math.exp(-32), 1),
+        5e-324, 2.2250738585072014e-308, 1e-300,
+        1 - 2.0**-53, 2.0**-53, 0.5, np.nextafter(0.5, 0),
+        np.nextafter(0.5, 1),
+    ]
+    return np.concatenate([
+        rng.random(300_000),
+        10.0 ** rng.uniform(-300.0, 0.0, 200_000),
+        1.0 - 10.0 ** -rng.uniform(1.0, 16.0, 20_000),
+        [1.0 - 10.0 ** -k for k in range(1, 16)],
+        edges,
+    ])
+
+
+class TestNdtriPort:
+    """``normal_ppf`` is a port of Cephes ``ndtri``; it must return the
+    same float64 as scipy, bit for bit."""
+
+    def test_bit_identical_to_scipy(self):
+        scipy_special = pytest.importorskip("scipy.special")
+        scipy_stats = pytest.importorskip("scipy.stats")
+        quantiles = _port_quantiles()
+        quantiles = quantiles[(quantiles > 0.0) & (quantiles < 1.0)]
+        assert quantiles.size >= 500_000
+        ported = np.array([stats.normal_ppf(q) for q in quantiles.tolist()])
+        for reference in (
+            scipy_special.ndtri(quantiles),
+            scipy_stats.norm.ppf(quantiles),
+        ):
+            mismatched = np.flatnonzero(
+                ported.view(np.int64) != reference.view(np.int64)
+            )
+            assert mismatched.size == 0, quantiles[mismatched[:5]]
+
+    def test_calibrations_unchanged_against_scipy(self, monkeypatch):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        from repro.dram import calibration
+        from repro.dram.profiles import MODULE_PROFILES, module_profile
+
+        names = sorted(MODULE_PROFILES)
+        ported = [calibration.calibrate(module_profile(n)) for n in names]
+        monkeypatch.setattr(
+            calibration, "normal_ppf",
+            lambda q: float(scipy_stats.norm.ppf(q)),
+        )
+        for name, mine in zip(names, ported):
+            theirs = calibration.calibrate(module_profile(name))
+            for field in dataclasses.fields(mine):
+                assert getattr(mine, field.name) == getattr(
+                    theirs, field.name
+                ), (name, field.name)
