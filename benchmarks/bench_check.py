@@ -16,7 +16,9 @@ Six layers, any of which fails the check (exit 1):
   the paper's 65536-bit rows, where float32 tolerance ties occur; that
   rerun must also answer every probe from the per-row layout heads
   (``repro_layout_extensions_total`` stays 0), so heads made too small
-  fail here rather than silently slowing studies down;
+  fail here rather than silently slowing studies down, and must clear
+  every sensing check on its bound, generating no tRCD cell vector
+  (``repro_cell_vector_generations_total{family="trcd"}`` stays 0);
 * a perf-regression guard: re-measures the probe-throughput rates and
   the campaigns (``make bench`` writes them; see ``bench_probe.py``)
   and fails when a rate or speedup falls below its committed value, or
@@ -148,10 +150,11 @@ def gate_baseline(committed):
 
 
 def differential_check():
-    """Return ``(families, extensions)``: the experiment families where
-    a fused study diverges from the command oracle (bit-identity gate),
-    and the lazy layout extensions the paper-row-size studies made,
-    printing each case's time.
+    """Return ``(families, extensions, trcd_vectors)``: the experiment
+    families where a fused study diverges from the command oracle
+    (bit-identity gate), and the lazy layout extensions and tRCD cell
+    vector generations the fused paper-row-size study made, printing
+    each case's time.
 
     Every family runs at tiny scale; rowhammer and retention also run
     over the tiny row sample at the paper's row size, where float32
@@ -159,10 +162,16 @@ def differential_check():
     from repro.core.scale import StudyScale
     from repro.core.study import CharacterizationStudy
     from repro.dram.bank import LAYOUT_EXTENSIONS_METRIC
+    from repro.dram.cell import CELL_VECTOR_GENERATIONS_METRIC
     from repro.obs.metrics import REGISTRY
 
     def extensions():
         return REGISTRY.counter_values().get(LAYOUT_EXTENSIONS_METRIC, 0.0)
+
+    def trcd_vectors():
+        return REGISTRY.counter(
+            CELL_VECTOR_GENERATIONS_METRIC, labels=("family",)
+        ).labels(family="trcd").value
 
     tiny = StudyScale.tiny()
     paper_rows = dataclasses.replace(
@@ -177,17 +186,18 @@ def differential_check():
         return study.run_module("A0", tests=tests, vpp_levels=vpp_levels)
 
     mismatches = []
-    paper_extensions = 0.0
+    paper_extensions = paper_trcd_vectors = 0.0
     for scale, tests, levels in (
         (tiny, FAMILIES, VPP_LEVELS),
         (tiny, ("trcd",), TRCD_VPP_LEVELS),
         (paper_rows, PAPER_ROW_FAMILIES, VPP_LEVELS),
     ):
         started = time.monotonic()
-        before = extensions()
+        before = extensions(), trcd_vectors()
         fused = run("fused", scale, tests, levels)
         if scale is paper_rows:
-            paper_extensions = extensions() - before
+            paper_extensions = extensions() - before[0]
+            paper_trcd_vectors = trcd_vectors() - before[1]
         command = run("command", scale, tests, levels)
         row_bits = scale.geometry.row_bits
         print(f"  {'/'.join(tests)} at V_PP {levels}, {row_bits}-bit "
@@ -197,7 +207,7 @@ def differential_check():
             for family in tests
             if getattr(fused, family) != getattr(command, family)
         )
-    return mismatches, paper_extensions
+    return mismatches, paper_extensions, paper_trcd_vectors
 
 
 def check(committed, measured, rate_tol, speedup_tol):
@@ -279,7 +289,7 @@ def main(argv=None) -> int:
     print("checking fused-vs-command bit-identity (tiny scale, all "
           "experiment families; rowhammer/retention also at "
           f"{PAPER_ROW_BITS}-bit rows)...")
-    mismatches, extensions = differential_check()
+    mismatches, extensions, trcd_vectors = differential_check()
     if mismatches:
         print("the fused kernel diverges from the command oracle on: "
               + ", ".join(mismatches), file=sys.stderr)
@@ -294,6 +304,15 @@ def main(argv=None) -> int:
         return 1
     print(f"every {PAPER_ROW_BITS}-bit-row probe was answered from the "
           "layout heads")
+    if trcd_vectors:
+        print(f"the {PAPER_ROW_BITS}-bit-row RowHammer + retention study "
+              f"generated {trcd_vectors:g} tRCD cell vectors "
+              "(repro_cell_vector_generations_total{family=\"trcd\"} "
+              "must stay 0 there): a sensing check no longer clears on "
+              "its bound (repro.dram.cell.TRCD_CELL_FACTOR_BOUND)",
+              file=sys.stderr)
+        return 1
+    print("every sensing check cleared on its bound (no tRCD cell vector)")
 
     if PEAK_KEY in committed:
         peak = bench_probe.bench_preheat_peak()[PEAK_KEY]

@@ -349,11 +349,16 @@ class JobStateDir:
         return os.path.join(self.directory, f"{job_id}.json")
 
     def save(self, job: Job) -> None:
+        """Write the job's record atomically (temp file + rename).
+        Encoded once with ``json.dumps`` and written in one call: the
+        bytes equal streaming ``json.dump``'s, which runs CPython's
+        pure-Python encoder."""
+        text = json.dumps(job.as_dict(), sort_keys=True)
         os.makedirs(self.directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=".tmp-")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(job.as_dict(), handle, sort_keys=True)
+                handle.write(text)
             os.replace(tmp, self.path(job.id))
         except BaseException:
             try:

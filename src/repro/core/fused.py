@@ -48,9 +48,11 @@ by ``tests/core/test_probe_equivalence.py`` and
   masks (:meth:`~repro.dram.bank.HammerSweep.flip_mask`);
 * only the victim's *data* materialization is deferred: intermediate
   probe data is overwritten by the next probe anyway, so one
-  evaluation at session close reproduces the final state (the
-  evaluation is a pure function of the recorded probe parameters);
-  sessions close before anything else can observe the row;
+  evaluation reproduces the final state. It is a pure function of the
+  recorded probe parameters, so the session's close installs it as the
+  row's data producer (:meth:`~repro.dram.cell.RowState.defer_data`),
+  run on the first read of the row's data -- usually never, as the
+  next probe's write replaces it;
 * activation corruption (:meth:`~repro.dram.bank.Bank.
   sensing_corruption`) is data-independent whenever its fast check
   passes -- constant per (row, pattern, operating point) -- so it is
@@ -106,6 +108,16 @@ def _sensing_exact(sweep, bank, engine, row) -> bool:
         sweep.sensing_clean_at = op_key
         return True
     return bank.sensing_corruption(row, engine._trcd_q) is None
+
+
+def _flipped_bits(sweep, flip_sets) -> np.ndarray:
+    """The sweep's pattern bits with every cell of ``flip_sets`` (index
+    arrays) discharged: a victim's data after its session's last
+    probe."""
+    data = sweep.bits.copy()
+    for indices in flip_sets:
+        data[indices] = sweep.discharged_value
+    return data
 
 
 def _add_damage(damage_bulk, damage_outlier, terms, counts):
@@ -323,22 +335,28 @@ class FusedHammerSession(HammerSession):
         damage_bulk, damage_outlier, session, elapsed = self._pending
         self._pending = None
         sweep = self._sweep
-        data = sweep.bits.copy()
         counts = self._counts
         if counts.any_decay(elapsed):
             # Retention decay fires: evaluate the full vectorized mask
-            # (rare -- probe waits are far below retention times).
+            # (rare -- probe waits are far below retention times). Eager:
+            # flip_mask reads the retention thresholds at the *current*
+            # operating point.
+            data = sweep.bits.copy()
             flips = sweep.flip_mask(
                 damage_bulk, damage_outlier, session, elapsed
             )
             if flips.any():
                 data[flips] = sweep.discharged_value
+            sweep.state.data = data
         else:
-            for indices in counts.flip_populations(
-                damage_bulk, damage_outlier, session
-            ):
-                data[indices] = sweep.discharged_value
-        sweep.state.data = data
+            # The damage flips depend only on the recorded probe, so the
+            # row's bits are built on first read -- usually never: the
+            # next probe's WRITE_ROW overwrites them.
+            sweep.state.defer_data(lambda: _flipped_bits(
+                sweep, counts.flip_populations(
+                    damage_bulk, damage_outlier, session
+                ),
+            ))
 
 
 class FusedRetentionSession(RetentionSession):
@@ -485,9 +503,12 @@ class FusedRetentionSession(RetentionSession):
         elapsed = self._pending
         self._pending = None
         sweep = self._sweep
-        data = sweep.bits.copy()
-        data[self._counts.flip_indices(elapsed)] = sweep.discharged_value
-        sweep.state.data = data
+        counts = self._counts
+        # Built on first read (see FusedHammerSession.close): the kernel
+        # resolves its prefixes against layouts fixed at this point.
+        sweep.state.defer_data(lambda: _flipped_bits(
+            sweep, (counts.flip_indices(elapsed),)
+        ))
 
 
 def _armed(injector) -> bool:

@@ -340,9 +340,14 @@ class Bank:
         state = self._rows.get(physical_row)
         if state is None:
             state = RowState(
-                data=self._cells.powerup_bits(physical_row),
                 last_restore_time=self._env.now,
                 vpp_at_restore=self._env.vpp,
+            )
+            # Most rows are written before anything reads them (every
+            # probe starts with WRITE_ROW): their power-up content is
+            # built only if read.
+            state.defer_data(
+                functools.partial(self._cells.powerup_bits, physical_row)
             )
             self._rows[physical_row] = state
         return state
@@ -679,15 +684,23 @@ class Bank:
             "min_retention": 0.9 * min_retention,
         }
 
-    def _disturbance_scales(self, physical_row: int) -> "tuple[float, float]":
+    def _disturbance_scales(
+        self, physical_row: int, state: RowState
+    ) -> "tuple[float, float]":
         """Per-row (bulk, outlier) tolerance scales at the current V_PP,
         cached per operating point: every activation consults them, so
-        the gamma draws and power evaluations must not repeat."""
+        the power evaluations must not repeat. The gamma exponents are a
+        pure function of the row, drawn once per row state."""
         key = (physical_row, self._env.vpp, self._env.temperature)
         cached = self._scale_cache.get(key)
         if cached is None:
             model = self._cal.disturbance
-            gamma_bulk, gamma_outlier = self._cells.row_gammas(physical_row)
+            gammas = state.cache.get("_row_gammas")
+            if gammas is None:
+                gammas = state.cache["_row_gammas"] = self._cells.row_gammas(
+                    physical_row
+                )
+            gamma_bulk, gamma_outlier = gammas
             cached = (
                 float(model.tolerance_scale(
                     self._env.vpp, gamma_bulk, self._env.temperature
@@ -716,7 +729,7 @@ class Bank:
                     continue
                 victim = self._state(victim_physical)
                 scale_bulk, scale_outlier = self._disturbance_scales(
-                    victim_physical
+                    victim_physical, victim
                 )
                 victim.damage_bulk += count * weight / scale_bulk
                 victim.damage_outlier += count * weight / scale_outlier
@@ -729,13 +742,14 @@ class Bank:
         state.damage_outlier = 0.0
         state.session += 1
 
-    def _trcd_worst_requirement(
+    def _trcd_row_requirement(
         self, physical_row: int, state: RowState, pattern_index: int
     ) -> float:
-        """The row's worst-case (slowest-cell) activation requirement at
-        the current V_PP and pattern slot ``pattern_index``. ``inf``
+        """The row's activation requirement at the current V_PP and
+        pattern slot ``pattern_index`` before the per-cell factor:
+        ``requirement_base * row_factor * pattern_factor``, ``inf``
         below the conduction floor. Every factor is cached, so the
-        common case is a few dict hits and three multiplies."""
+        common case is a few dict hits and two multiplies."""
         base_key = ("_trcd_base", self._env.vpp)
         requirement_base = state.cache.get(base_key)
         if requirement_base is None:
@@ -750,8 +764,46 @@ class Bank:
         pattern_factor = self._cached(state, physical_row, "trcd_pattern_factors")[
             pattern_index
         ]
-        cell_max = max(self.trcd_residues(state, physical_row))
-        return requirement_base * row_factor * pattern_factor * cell_max
+        return requirement_base * row_factor * pattern_factor
+
+    def _trcd_worst_requirement(
+        self, physical_row: int, state: RowState, pattern_index: int
+    ) -> float:
+        """The row's worst-case (slowest-cell) activation requirement at
+        the current V_PP and pattern slot ``pattern_index``. ``inf``
+        below the conduction floor. Reads the row's tRCD residue table
+        (built from its cell factors on first use)."""
+        requirement = self._trcd_row_requirement(
+            physical_row, state, pattern_index
+        )
+        if math.isinf(requirement):
+            return requirement
+        return requirement * max(self.trcd_residues(state, physical_row))
+
+    def _slowest_cell_covered(
+        self, physical_row: int, state: RowState, trcd_used: float
+    ) -> bool:
+        """Whether ``trcd_used`` covers even the slowest cell's
+        requirement at the current V_PP and the row's stored pattern
+        slot.
+
+        A conservative bound decides first: the row requirement times
+        the generator's bound on every cell factor
+        (:data:`~repro.dram.cell.TRCD_CELL_FACTOR_BOUND`). Float
+        multiplication by a positive number is monotone, so when the
+        bound product is covered the exact product is too. The row's
+        tRCD factors are read only when the bound does not clear (a row
+        near its tRCD limit, or Alg. 2's sweep); on the stock modules
+        every probe clears it, at most about 27 ns against the 36 ns
+        safe tRCD at A0's V_PPmin."""
+        bound = self._cells.trcd_cell_factor_bound
+        if bound and self._trcd_row_requirement(
+            physical_row, state, state.pattern_index
+        ) * bound <= trcd_used:
+            return True
+        return self._trcd_worst_requirement(
+            physical_row, state, state.pattern_index
+        ) <= trcd_used
 
     def _activation_corruption(
         self, physical_row: int, state: RowState, trcd_used: float
@@ -759,15 +811,15 @@ class Bank:
         """Cells mis-sensed because ``trcd_used`` undercuts their
         requirement at the current V_PP (Alg. 2's failure mode).
 
-        Hot path: the analytic base requirement is cached per V_PP and
-        the row's worst-case requirement is cached per row, so the
-        common case (ample tRCD) costs two lookups and a compare.
+        Hot path: the scalar factors are cached per V_PP and per row, so
+        the common case (ample tRCD) costs a few lookups and a compare
+        against the bounded slowest-cell requirement.
         """
+        if self._slowest_cell_covered(physical_row, state, trcd_used):
+            return None  # even the slowest cell is covered
         worst = self._trcd_worst_requirement(
             physical_row, state, state.pattern_index
         )
-        if worst <= trcd_used:
-            return None  # even the slowest cell is covered
         if math.isinf(worst):
             # Below the conduction floor nothing senses correctly.
             return self._charged_mask(physical_row, state.data)
@@ -1167,11 +1219,7 @@ class Bank:
         "the vulnerable cells happen to be uncharged right now"."""
         self._check_row(logical_row)
         physical = self._mapping.to_physical(logical_row)
-        state = self._state(physical)
-        worst = self._trcd_worst_requirement(
-            physical, state, state.pattern_index
-        )
-        return worst <= trcd
+        return self._slowest_cell_covered(physical, self._state(physical), trcd)
 
     # -- introspection (testing / reverse-engineering support) --------------------------
 
@@ -1350,7 +1398,7 @@ class HammerSweep(ProbeSweep):
         cached = self._damage_terms
         if cached is None or cached[0] != key:
             scale_bulk, scale_outlier = self._bank._disturbance_scales(
-                self.physical
+                self.physical, self.state
             )
             base_bulk = 0.0
             base_outlier = 0.0
@@ -1554,7 +1602,7 @@ class TrcdSweep(ProbeSweep):
                         continue
                     victim = bank._state(victim_physical)
                     scale_bulk, scale_outlier = bank._disturbance_scales(
-                        victim_physical
+                        victim_physical, victim
                     )
                     deposits.append((
                         victim, 1 * weight / scale_bulk,
@@ -1606,7 +1654,7 @@ class TrcdSweep(ProbeSweep):
             return
         bank = self._bank
         state = self.state
-        state.data = self.bits.copy()
+        state.defer_data(self.bits.copy)
         # The read's effective tolerances are tolerance * factor
         # (Bank._effective_tolerances), monotone in the tolerance.
         factor = bank._cached(state, self.physical, "pattern_factors")[

@@ -22,8 +22,8 @@ per-pattern coupling factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+import math
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +36,32 @@ from repro.stats import normal_ppf
 PATTERN_SLOTS = 7
 #: Index used for data that matches none of the six standard patterns.
 OTHER_PATTERN_INDEX = 6
+
+#: Log-sigma of the per-cell activation-latency factors around the row
+#: factor (:meth:`CellParameterGenerator.cell_trcd_factors`).
+TRCD_CELL_SIGMA = 0.02
+
+#: numpy's ziggurat ``standard_normal`` base-strip edge ``r``
+#: (``ziggurat_nor_r`` in ``numpy/random/src/distributions``).
+_ZIGGURAT_R = 3.6541528853610088
+#: A magnitude no draw of numpy's ziggurat ``standard_normal`` exceeds.
+#: Layer and wedge draws stay below ``r``; the tail branch returns
+#: ``r + (-ln(1 - U)) / r`` with ``U <= 1 - 2**-53`` (a 53-bit double),
+#: so at most ``r + 53 ln 2 / r`` (~13.708).
+ZIGGURAT_Z_MAX = _ZIGGURAT_R + 53 * math.log(2) / _ZIGGURAT_R
+#: Upper bound on the un-normalized cell tRCD factor
+#: ``exp(TRCD_CELL_SIGMA * z)`` over every draw ``z`` the generator can
+#: make, rounded up by 1e-4 relative. The float32 pipeline of
+#: :meth:`CellParameterGenerator.cell_trcd_factors` (cast of ``z``,
+#: product, ``exp``, division by the normalizer) rounds by a few float32
+#: ulps, under 1e-6 relative, so the slack covers it 100-fold. A
+#: derived constant, not a setting: the sensing checks compare this
+#: bound (over the normalizer) against tRCD before reading a row's
+#: factors (:meth:`repro.dram.bank.Bank.sensing_certainly_clean`). A
+#: bound of 0 disables that shortcut: every check reads the factors.
+TRCD_CELL_FACTOR_BOUND = (
+    math.exp(TRCD_CELL_SIGMA * ZIGGURAT_Z_MAX) * (1.0 + 1e-4)
+)
 
 #: Counter of full per-cell vector generations (RNG replays), by family
 #: (``tolerance``, ``retention`` or ``trcd``); preloaded vectors are not
@@ -73,36 +99,77 @@ def _count_jitter_draws(path: str, amount: int) -> None:
     ).labels(path=path).inc(amount)
 
 
-@dataclass
 class RowState:
-    """Mutable state of one materialized physical row."""
+    """Mutable state of one materialized physical row.
 
-    #: Stored bits, one uint8 (0/1) per cell; None until first write.
-    data: Optional[np.ndarray] = None
-    #: Simulated time of the last full restoration (write/refresh) [s].
-    last_restore_time: float = 0.0
-    #: Wordline voltage during the last restoration [V].
-    vpp_at_restore: float = 2.5
-    #: Accumulated RowHammer damage on the bulk cell population, in units
-    #: of nominal-V_PP hammers.
-    damage_bulk: float = 0.0
-    #: Accumulated RowHammer damage on the outlier cell population.
-    damage_outlier: float = 0.0
-    #: Pattern slot of the stored data (set on full-row writes).
-    pattern_index: int = OTHER_PATTERN_INDEX
-    #: Count of restorations; salts the per-measurement jitter stream.
-    session: int = 0
-    #: Per-row derived data, keyed by name. The durable entries are
-    #: small: the per-row layouts and residue tables the probe kernels
-    #: read (``_tol_layout``, ``_ret_layout``, ``_tol_residues``,
-    #: ``_ret_residues``, ``_trcd_residues``), the per-pattern factor
-    #: tables and scalar caches. The full per-cell vectors
-    #: (``cell_tolerances``, ``cell_outlier_mask``,
-    #: ``cell_retention_times``, ``cell_retention_vpp_sensitivity``,
-    #: ``cell_trcd_factors``) and the ``_retention_base`` vector are
-    #: cached only on rows a full-vector reader touched: the command
-    #: path, the per-probe fallbacks and checks, and layout extensions.
-    cache: Dict[str, np.ndarray] = field(default_factory=dict)
+    ``data`` is built on first read. A row's stored bits are often
+    overwritten before anything reads them: a never-written row's
+    power-up content under its first WRITE_ROW, a fused probe session's
+    final flips under the next session's write. :meth:`defer_data`
+    installs a producer that builds the bits when ``data`` is first
+    read; assigning ``data`` cancels a pending producer. In-place
+    writers read ``data`` first, which runs the producer. A producer
+    must be a pure function of state fixed when it is installed.
+    """
+
+    __slots__ = (
+        "_data", "_producer", "last_restore_time", "vpp_at_restore",
+        "damage_bulk", "damage_outlier", "pattern_index", "session", "cache",
+    )
+
+    def __init__(
+        self, last_restore_time: float = 0.0, vpp_at_restore: float = 2.5
+    ):
+        self._data: Optional[np.ndarray] = None
+        self._producer: Optional[Callable[[], np.ndarray]] = None
+        #: Simulated time of the last full restoration (write/refresh) [s].
+        self.last_restore_time = last_restore_time
+        #: Wordline voltage during the last restoration [V].
+        self.vpp_at_restore = vpp_at_restore
+        #: Accumulated RowHammer damage on the bulk cell population, in
+        #: units of nominal-V_PP hammers.
+        self.damage_bulk = 0.0
+        #: Accumulated RowHammer damage on the outlier cell population.
+        self.damage_outlier = 0.0
+        #: Pattern slot of the stored data (set on full-row writes).
+        self.pattern_index = OTHER_PATTERN_INDEX
+        #: Count of restorations; salts the per-measurement jitter stream.
+        self.session = 0
+        #: Per-row derived data, keyed by name. The durable entries are
+        #: small: the per-row layouts and residue tables the probe
+        #: kernels read (``_tol_layout``, ``_ret_layout``,
+        #: ``_tol_residues``, ``_ret_residues``), the per-pattern factor
+        #: tables and scalar caches (``_row_gammas``,
+        #: ``_trcd_row_factor``). The full per-cell vectors
+        #: (``cell_tolerances``, ``cell_outlier_mask``,
+        #: ``cell_retention_times``, ``cell_retention_vpp_sensitivity``,
+        #: ``cell_trcd_factors``), the ``_retention_base`` vector and the
+        #: ``_trcd_residues`` table are cached only on rows a full-vector
+        #: reader touched: the command path, the per-probe fallbacks and
+        #: checks (a sensing check whose bound does not clear, Alg. 2),
+        #: and layout extensions.
+        self.cache: Dict[str, np.ndarray] = {}
+
+    @property
+    def data(self) -> Optional[np.ndarray]:
+        """Stored bits, one uint8 (0/1) per cell, built on first read
+        (None while nothing is stored or deferred)."""
+        producer = self._producer
+        if producer is not None:
+            self._data = producer()
+            self._producer = None
+        return self._data
+
+    @data.setter
+    def data(self, bits: Optional[np.ndarray]) -> None:
+        self._data = bits
+        self._producer = None
+
+    def defer_data(self, producer: Callable[[], np.ndarray]) -> None:
+        """Replace the stored bits with ``producer()``, run on the first
+        read of ``data`` (never, if ``data`` is assigned first)."""
+        self._data = None
+        self._producer = producer
 
 
 class CellParameterGenerator:
@@ -121,12 +188,17 @@ class CellParameterGenerator:
         self._cells = geometry.row_bits
         # Normalizer so the expected per-row max of the cell tRCD factors
         # is ~1.0 (the row factor carries the row-to-row variation).
-        self._trcd_cell_sigma = 0.02
         self._trcd_cell_norm = float(
             np.exp(
-                self._trcd_cell_sigma
+                TRCD_CELL_SIGMA
                 * normal_ppf(self._cells / (self._cells + 1.0))
             )
+        )
+        #: Upper bound on every cell tRCD factor of every row (1.21 at
+        #: 65536-bit rows, 1.23 at 2048), against a typical row maximum
+        #: near 1.0; 0 when TRCD_CELL_FACTOR_BOUND is.
+        self.trcd_cell_factor_bound = (
+            TRCD_CELL_FACTOR_BOUND / self._trcd_cell_norm
         )
         # Prefetched measurement-jitter values, keyed
         # ``session << 32 | physical_row`` (an int key allocates no
@@ -515,7 +587,7 @@ class CellParameterGenerator:
         _count_generation("trcd")
         rng = self._rng(physical_row, "trcd_cell")
         draws = rng.standard_normal(self._cells).astype(np.float32)
-        factors = np.exp(self._trcd_cell_sigma * draws) / self._trcd_cell_norm
+        factors = np.exp(TRCD_CELL_SIGMA * draws) / self._trcd_cell_norm
         return factors.astype(np.float32)
 
     def powerup_bits(self, physical_row: int) -> np.ndarray:

@@ -163,9 +163,12 @@ class FlightRecorder:
             "extra": extra or {},
             "entries": entries,
         }
+        # One json.dumps and one write: streaming json.dump runs the
+        # pure-Python encoder (same bytes).
+        text = json.dumps(document)
         tmp = path + ".tmp"
         with open(tmp, "w") as handle:
-            json.dump(document, handle)
+            handle.write(text)
         os.replace(tmp, path)
         REGISTRY.counter(
             "repro_flightrec_dumps_total",

@@ -621,7 +621,9 @@ class TestTransientVectors:
         """After a fused study at 65536-bit rows, every sampled row the
         command path never touched holds its layouts and residue tables
         and none of the full vectors; each family is generated at most
-        once per sampled row, plus once per command-touched row."""
+        once per sampled row, plus once per command-touched row. The
+        sensing checks clear on their bound, so no row builds a tRCD
+        residue table and no tRCD vector is generated."""
         tiny = StudyScale.tiny()
         scale = dataclasses.replace(
             tiny,
@@ -664,9 +666,11 @@ class TestTransientVectors:
             cache = states[physical].cache
             for key in (
                 _TOL_LAYOUT_KEY, _RET_LAYOUT_KEY, _TOL_RESIDUES_KEY,
-                _RET_RESIDUES_KEY, _TRCD_RESIDUES_KEY,
+                _RET_RESIDUES_KEY,
             ):
                 assert key in cache
+            assert _TRCD_RESIDUES_KEY not in cache
+        assert _generations("trcd") == before["trcd"]
         for family, (_, names) in _FAMILIES.items():
             touched = sum(
                 names[0] in state.cache for state in states.values()
