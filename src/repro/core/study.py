@@ -102,15 +102,6 @@ class CharacterizationStudy:
         a retention ladder with no overrides) are normalized to None
         at context-build time so their runs -- and their cached study
         fingerprints -- are bit-identical to the pre-DSL paths.
-    device_state:
-        Optional pre-generated per-cell parameter planes -- a
-        :class:`repro.core.soa.DeviceState` (single module) or a
-        ``{module name: DeviceState}`` mapping. Installed into each
-        matching module's bank at context-build time; preloaded vectors
-        are bit-identical to the RNG derivation they shadow, so results
-        are unchanged. Pool workers use this to share one
-        shared-memory block instead of re-deriving the device model
-        per process.
     """
 
     def __init__(
@@ -121,7 +112,6 @@ class CharacterizationStudy:
         progress: Optional[Callable[[str], None]] = None,
         probe_engine: str = None,
         fault_injector=None,
-        device_state=None,
         program=None,
     ):
         from repro.progdsl import compile_program  # local: keep core light
@@ -132,7 +122,6 @@ class CharacterizationStudy:
         self._progress = progress or (lambda message: None)
         self.probe_engine = probe_engine
         self.fault_injector = fault_injector
-        self.device_state = device_state
         self.program = compile_program(program)
 
     # -- module-level runs --------------------------------------------------------
@@ -154,25 +143,7 @@ class CharacterizationStudy:
         )
         if self._reverse_engineer:
             ctx.adjacency = ReverseEngineeredAdjacency(infra)
-        self._install_device_state(name, ctx)
         return ctx
-
-    def _install_device_state(self, name: str, ctx: TestContext) -> None:
-        """Preload shared per-cell planes into the fresh context, if a
-        matching :class:`~repro.core.soa.DeviceState` was supplied."""
-        state = self.device_state
-        if state is None:
-            return
-        if isinstance(state, dict):
-            state = state.get(name)
-            if state is None:
-                return
-        if state.handle.seed != self.seed:
-            raise ConfigurationError(
-                f"device state was generated under seed "
-                f"{state.handle.seed}, not this study's seed {self.seed}"
-            )
-        state.install(ctx)
 
     def run_module(
         self, name: str, tests: Sequence[str] = TEST_TYPES,

@@ -319,9 +319,8 @@ class Bank:
 
     @property
     def cells(self) -> CellParameterGenerator:
-        """The bank's deterministic per-cell parameter factory (the
-        shared-memory device state of :mod:`repro.core.soa` preloads
-        vectors into it)."""
+        """The bank's deterministic per-cell parameter factory: every
+        per-cell vector of the bank is an RNG replay of it."""
         return self._cells
 
     def _check_row(self, row: int) -> None:
@@ -375,8 +374,8 @@ class Bank:
     def _vectors(self, state: RowState, physical_row: int, family: str):
         """The row's per-cell vectors of one family (see ``_FAMILIES``),
         *not* cached: the row cache's own where :meth:`_cached` holds
-        them, else the generator's (preloaded views in pool workers, a
-        fresh RNG replay otherwise). The builders of the per-row layouts
+        them, else a fresh RNG replay of the generator. The builders of
+        the per-row layouts
         and residue tables read vectors here, so a row keeps those
         structures and never the vectors they came from."""
         accessor, names = _FAMILIES[family]
@@ -795,15 +794,32 @@ class Bank:
         tRCD factors are read only when the bound does not clear (a row
         near its tRCD limit, or Alg. 2's sweep); on the stock modules
         every probe clears it, at most about 27 ns against the 36 ns
-        safe tRCD at A0's V_PPmin."""
+        safe tRCD at A0's V_PPmin.
+
+        Past the bound the row's residue table decides. A check that
+        builds the table from a fresh generation and still fails keeps
+        the vector too, for the per-cell check that follows
+        (:meth:`_activation_corruption`); one that clears keeps only the
+        table."""
+        requirement = self._trcd_row_requirement(
+            physical_row, state, state.pattern_index
+        )
         bound = self._cells.trcd_cell_factor_bound
-        if bound and self._trcd_row_requirement(
-            physical_row, state, state.pattern_index
-        ) * bound <= trcd_used:
+        if bound and requirement * bound <= trcd_used:
             return True
-        return self._trcd_worst_requirement(
-            physical_row, state, state.pattern_index
-        ) <= trcd_used
+        if math.isinf(requirement):
+            return False
+        factors = None
+        if _TRCD_RESIDUES_KEY not in state.cache:
+            factors, = self._vectors(state, physical_row, "trcd")
+            state.cache[_TRCD_RESIDUES_KEY] = _residue_fold(
+                factors, np.maximum
+            )
+        if requirement * max(state.cache[_TRCD_RESIDUES_KEY]) <= trcd_used:
+            return True
+        if factors is not None:
+            state.cache["cell_trcd_factors"] = factors
+        return False
 
     def _activation_corruption(
         self, physical_row: int, state: RowState, trcd_used: float
@@ -813,16 +829,25 @@ class Bank:
 
         Hot path: the scalar factors are cached per V_PP and per row, so
         the common case (ample tRCD) costs a few lookups and a compare
-        against the bounded slowest-cell requirement.
+        against the bounded slowest-cell requirement. Past the bound
+        this is a full-vector reader, like the rest of the command path:
+        the row's tRCD factors are generated once and cached, and its
+        residue table is built from them.
         """
-        if self._slowest_cell_covered(physical_row, state, trcd_used):
-            return None  # even the slowest cell is covered
-        worst = self._trcd_worst_requirement(
+        requirement = self._trcd_row_requirement(
             physical_row, state, state.pattern_index
         )
-        if math.isinf(worst):
+        bound = self._cells.trcd_cell_factor_bound
+        if bound and requirement * bound <= trcd_used:
+            return None  # even the slowest cell is covered
+        if math.isinf(requirement):
             # Below the conduction floor nothing senses correctly.
             return self._charged_mask(physical_row, state.data)
+        self._cached(state, physical_row, "cell_trcd_factors")
+        if self._trcd_worst_requirement(
+            physical_row, state, state.pattern_index
+        ) <= trcd_used:
+            return None
         requirement = self._trcd_requirements(
             physical_row, state, state.pattern_index
         )

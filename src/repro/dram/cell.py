@@ -23,7 +23,7 @@ per-pattern coupling factor.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional
 
 import numpy as np
 
@@ -64,8 +64,7 @@ TRCD_CELL_FACTOR_BOUND = (
 )
 
 #: Counter of full per-cell vector generations (RNG replays), by family
-#: (``tolerance``, ``retention`` or ``trcd``); preloaded vectors are not
-#: generated and do not count.
+#: (``tolerance``, ``retention`` or ``trcd``).
 CELL_VECTOR_GENERATIONS_METRIC = "repro_cell_vector_generations_total"
 
 
@@ -212,13 +211,6 @@ class CellParameterGenerator:
         # Per-row high-water mark of the prefetched session lattice
         # (see ensure_jitter_window).
         self._jitter_horizon: Dict[int, int] = {}
-        # Externally supplied per-cell vectors, keyed (physical_row,
-        # fieldname). Populated by adopt_preloaded (the shared-memory
-        # struct-of-arrays device state of :mod:`repro.core.soa`);
-        # consulted before any RNG derivation. Preloaded vectors were
-        # produced by an identical generator, so a hit and a fresh draw
-        # are bit-identical.
-        self._preload: Dict[Tuple[int, str], np.ndarray] = {}
 
     def _rng(self, physical_row: int, fieldname: str) -> np.random.Generator:
         return self._hub.generator(
@@ -399,34 +391,13 @@ class CellParameterGenerator:
         """True cell rows store 1 as charge; anti rows store 0."""
         return bool(physical_row % 2)
 
-    # -- preloaded (shared-memory) vectors ---------------------------------------
-
-    def adopt_preloaded(
-        self, vectors: Dict[Tuple[int, str], np.ndarray]
-    ) -> int:
-        """Install externally generated per-cell vectors.
-
-        ``vectors`` maps ``(physical_row, fieldname)`` to an ndarray --
-        typically read-only views into a shared-memory struct-of-arrays
-        block built by :func:`repro.core.soa.build_device_state`. The
-        vectors must come from a generator with the same calibration,
-        seed and bank index; they then shadow the RNG derivation
-        bit-identically. Returns the number of vectors adopted.
-        """
-        self._preload.update(vectors)
-        return len(vectors)
-
-    def _preloaded(
-        self, physical_row: int, fieldname: str
-    ) -> Optional[np.ndarray]:
-        if not self._preload:
-            return None
-        return self._preload.get((physical_row, fieldname))
-
     # -- per-cell vectors --------------------------------------------------------
 
-    def _tolerance_structure(self, physical_row: int):
-        """Per-cell (hammer tolerances, outlier mask) at nominal V_PP.
+    def tolerance_structure_pair(self, physical_row: int):
+        """Per-cell ``(hammer tolerances, outlier mask)`` at nominal V_PP,
+        from one RNG replay: callers that need both (the bank's per-row
+        caches and layouts) should use this instead of the two
+        single-field accessors, which each replay it.
 
         Two populations (see :mod:`repro.dram.calibration`): a bulk
         lognormal around the row's weakness ``w`` (whose lower tail is
@@ -458,37 +429,19 @@ class CellParameterGenerator:
             mask[positions[replace]] = True
         return tolerances, mask
 
-    def tolerance_structure_pair(self, physical_row: int):
-        """``(hammer tolerances, outlier mask)`` in one generation pass.
-
-        Both come from the same RNG replay, so callers that need both
-        (the bank's per-row caches, the SoA device-state builder) should
-        use this accessor instead of the two single-field ones -- it
-        halves the generation cost.
-        """
-        tolerances = self._preloaded(physical_row, "cell_tolerances")
-        mask = self._preloaded(physical_row, "cell_outlier_mask")
-        if tolerances is not None and mask is not None:
-            return tolerances, mask
-        return self._tolerance_structure(physical_row)
-
     def cell_tolerances(self, physical_row: int) -> np.ndarray:
         """Per-cell hammer tolerances at nominal V_PP (float32)."""
-        preloaded = self._preloaded(physical_row, "cell_tolerances")
-        if preloaded is not None:
-            return preloaded
-        return self._tolerance_structure(physical_row)[0]
+        return self.tolerance_structure_pair(physical_row)[0]
 
     def cell_outlier_mask(self, physical_row: int) -> np.ndarray:
         """Boolean mask of the row's outlier (defect) cells."""
-        preloaded = self._preloaded(physical_row, "cell_outlier_mask")
-        if preloaded is not None:
-            return preloaded
-        return self._tolerance_structure(physical_row)[1]
+        return self.tolerance_structure_pair(physical_row)[1]
 
-    def _retention_structure(self, physical_row: int):
-        """Per-cell (retention times, V_PP sensitivity) at 80 degC and
-        nominal V_PP.
+    def retention_structure_pair(self, physical_row: int):
+        """Per-cell ``(retention times, V_PP sensitivity)`` at 80 degC
+        and nominal V_PP, from one RNG replay (see
+        :meth:`tolerance_structure_pair`; the fused probe engine's
+        preheat reads both).
 
         The bulk population is lognormal around the vendor-calibrated
         median with sensitivity 1; rows assigned to a weak tier (see
@@ -546,44 +499,17 @@ class CellParameterGenerator:
             sensitivity[positions[replace]] = tier.vpp_sensitivity
         return times, sensitivity
 
-    def retention_structure_pair(self, physical_row: int):
-        """``(retention times, V_PP sensitivity)`` in one generation pass.
-
-        The two vectors come from the same RNG replay, so callers that
-        need both (the fused probe engine's preheat, the SoA device-state
-        builder) should use this accessor instead of the two single-field
-        ones -- it halves the generation cost.
-        """
-        times = self._preloaded(physical_row, "cell_retention_times")
-        sensitivity = self._preloaded(
-            physical_row, "cell_retention_vpp_sensitivity"
-        )
-        if times is not None and sensitivity is not None:
-            return times, sensitivity
-        return self._retention_structure(physical_row)
-
     def cell_retention_times(self, physical_row: int) -> np.ndarray:
         """Per-cell retention times at 80 degC and nominal V_PP [s]."""
-        preloaded = self._preloaded(physical_row, "cell_retention_times")
-        if preloaded is not None:
-            return preloaded
-        return self._retention_structure(physical_row)[0]
+        return self.retention_structure_pair(physical_row)[0]
 
     def cell_retention_vpp_sensitivity(self, physical_row: int) -> np.ndarray:
         """Per-cell margin-exponent multipliers (1 for bulk cells)."""
-        preloaded = self._preloaded(
-            physical_row, "cell_retention_vpp_sensitivity"
-        )
-        if preloaded is not None:
-            return preloaded
-        return self._retention_structure(physical_row)[1]
+        return self.retention_structure_pair(physical_row)[1]
 
     def cell_trcd_factors(self, physical_row: int) -> np.ndarray:
         """Per-cell activation-latency factors, normalized so the row's
         worst cell sits at ~1.0 relative to the row factor."""
-        preloaded = self._preloaded(physical_row, "cell_trcd_factors")
-        if preloaded is not None:
-            return preloaded
         _count_generation("trcd")
         rng = self._rng(physical_row, "trcd_cell")
         draws = rng.standard_normal(self._cells).astype(np.float32)

@@ -7,9 +7,9 @@ resumable, observable campaign:
    row-chunk)`` work units (:mod:`repro.service.jobs`);
 2. **schedule** -- units run inline (``max_workers<=1``) or across a
    process pool -- the repository's only one -- each attempt in a
-   freshly built bench; pool workers attach each module's per-cell
-   parameter planes from one shared-memory device-state block
-   (:mod:`repro.core.soa`);
+   freshly built bench that derives its rows' per-cell parameters
+   itself, the same way in both modes (a row belongs to exactly one
+   unit, so no row is derived twice);
 3. **tolerate** -- a :class:`~repro.errors.BenchFaultError` (real or
    injected via a :class:`~repro.service.faults.FaultPlan`) triggers
    retry with exponential backoff; a unit that exhausts its attempts
@@ -103,7 +103,7 @@ def _execute_unit(
     left untouched so span nesting stays exactly as PR 5 shipped it.
     """
     module, rows, tests, scale, seed, probe_engine, program, fault_spec, \
-        state_handle, obs_cfg = job
+        obs_cfg = job
     obs_cfg = obs_cfg or {}
     pool_side = bool(obs_cfg.get("pool"))
     trace_ctx = None
@@ -119,85 +119,32 @@ def _execute_unit(
             TRACER.label = f"repro worker pid {os.getpid()}"
             TRACER.enable()
     injector = FaultInjector(fault_spec) if fault_spec is not None else None
-    state = _attach_state(state_handle)
-    try:
-        with obs_context.activate(trace_ctx):
-            study = CharacterizationStudy(
-                scale=scale, seed=seed, probe_engine=probe_engine,
-                fault_injector=injector, device_state=state,
-                program=program,
-            )
-            baseline = REGISTRY.snapshot()
-            started = clock.monotonic()
-            unit_span = (
-                TRACER.span("work-unit", module=module, rows=len(rows),
-                            engine=probe_engine, pid=os.getpid())
-                if pool_side else nullcontext()
-            )
-            with unit_span:
-                result = study.run_module(
-                    module, tests=tests, rows=list(rows)
-                )
-            wall = clock.monotonic() - started
-            REGISTRY.histogram(
-                "repro_service_unit_run_seconds",
-                "in-worker wall clock per work-unit attempt by engine "
-                "tier",
-                labels=("engine",),
-            ).labels(engine=probe_engine).observe(wall)
-            delta = snapshot_delta(baseline, REGISTRY.snapshot())
-    finally:
-        if state is not None:
-            state.close()
+    with obs_context.activate(trace_ctx):
+        study = CharacterizationStudy(
+            scale=scale, seed=seed, probe_engine=probe_engine,
+            fault_injector=injector, program=program,
+        )
+        baseline = REGISTRY.snapshot()
+        started = clock.monotonic()
+        unit_span = (
+            TRACER.span("work-unit", module=module, rows=len(rows),
+                        engine=probe_engine, pid=os.getpid())
+            if pool_side else nullcontext()
+        )
+        with unit_span:
+            result = study.run_module(module, tests=tests, rows=list(rows))
+        wall = clock.monotonic() - started
+        REGISTRY.histogram(
+            "repro_service_unit_run_seconds",
+            "in-worker wall clock per work-unit attempt by engine tier",
+            labels=("engine",),
+        ).labels(engine=probe_engine).observe(wall)
+        delta = snapshot_delta(baseline, REGISTRY.snapshot())
     fragment = None
     if pool_side and trace_ctx is not None and TRACER.enabled:
         fragment = TRACER.chrome_trace()
         TRACER.disable()
     return result, wall, delta, fragment
-
-
-def _attach_state(handle):
-    """Worker-side attach to the coordinator's shared device state.
-
-    Returns None (fall back to private RNG derivation -- bit-identical,
-    just slower) when no state was shared or the segment is gone, e.g.
-    a resumed attempt after the owning coordinator died.
-    """
-    if handle is None:
-        return None
-    from repro.core.soa import attach_device_state
-
-    try:
-        return attach_device_state(handle)
-    except (FileNotFoundError, OSError):  # pragma: no cover - rare race
-        return None
-
-
-def _build_shared_states(names, scale, seed) -> Dict[str, object]:
-    """Coordinator-side: one shared-memory device-state block per
-    module, covering the scale's full row sample (a superset of every
-    chunk). Returns ``{}`` -- private derivation, bit-identical -- when
-    shared memory is unavailable on the platform. The caller owns the
-    returned states and must release them in a finally.
-    """
-    from repro.core.soa import build_device_state
-
-    states: Dict[str, object] = {}
-    try:
-        for name in names:
-            states[name] = build_device_state(name, scale=scale, seed=seed)
-    except OSError:  # pragma: no cover - no /dev/shm (platform quirk)
-        _release_shared_states(states)
-        return {}
-    except BaseException:
-        _release_shared_states(states)
-        raise
-    return states
-
-
-def _release_shared_states(states: Dict[str, object]) -> None:
-    for state in states.values():
-        state.close(unlink=True)
 
 
 @dataclass
@@ -230,13 +177,10 @@ class CampaignService:
         ``row_chunks``).
     max_workers:
         ``<=1`` runs units in-process (deterministic scheduling, no
-        pool overhead); ``N>1`` fans units out over a process pool
-        whose workers attach each module's per-cell parameter planes,
-        generated once in the coordinator, from shared memory
-        (:mod:`repro.core.soa`) instead of re-deriving the device model
-        per process and per retry attempt. Results are bit-identical
-        either way; shared memory is silently skipped where the
-        platform lacks it.
+        pool overhead); ``N>1`` fans units out over a process pool.
+        Either way each attempt's bench derives its own rows' per-cell
+        parameters from the campaign seed, so results are bit-identical
+        and the coordinator generates nothing ahead of the workers.
     max_attempts:
         Attempts per unit before its module is quarantined.
     backoff:
@@ -335,7 +279,6 @@ class CampaignService:
         self.program = program
         self.flight_dir = flight_dir
         self._trace_context: Optional[obs_context.TraceContext] = None
-        self._device_states: Dict[str, object] = {}
         self.telemetry = telemetry or TelemetryLog()
         self._progress = progress or (lambda message: None)
         self.fingerprint = campaign_fingerprint(
@@ -442,7 +385,7 @@ class CampaignService:
                     if self.max_workers <= 1:
                         self._run_inline(state)
                     else:
-                        self._run_pool(state)
+                        self._drain_pool(state)
                 study = self._merge(state)
             finally:
                 self._trace_context = None
@@ -493,7 +436,6 @@ class CampaignService:
         spec: Optional[FaultSpec] = None
         if self.fault_plan is not None:
             spec = self.fault_plan.spec_for(unit.unit_id, attempt)
-        state = self._device_states.get(unit.module)
         obs_cfg: Dict = {"pool": pool}
         if pool:
             if self.flight_dir:
@@ -502,9 +444,7 @@ class CampaignService:
                 obs_cfg["trace"] = self._trace_context.to_dict()
         return (
             unit.module, unit.rows, unit.tests, self.scale, self.seed,
-            self.probe_engine, self.program, spec,
-            state.handle if state is not None else None,
-            obs_cfg,
+            self.probe_engine, self.program, spec, obs_cfg,
         )
 
     def _start_attempt(
@@ -684,32 +624,14 @@ class CampaignService:
         self._finish_unit(state, unit, result, attempt, wall_seconds)
         return True
 
-    def _run_pool(self, state: "_RunState") -> None:
-        # One shared-memory block per module with pending units; every
-        # worker attempt (including retries) attaches it instead of
-        # re-deriving the device model.
-        pending_modules = sorted({u.module for u in state.pending})
-        self._device_states = _build_shared_states(
-            pending_modules, self.scale, self.seed
-        )
-        for module, shared in self._device_states.items():
-            self.telemetry.emit(
-                "device_state_shared", module=module,
-                bytes=shared.nbytes,
-                rows=len(shared.handle.physical_rows),
-                seed=shared.handle.seed,
-            )
-        try:
-            self._drain_pool(state)
-        finally:
-            _release_shared_states(self._device_states)
-            self._device_states = {}
-
     def _drain_pool(self, state: "_RunState") -> None:
         queue = deque((unit, 0) for unit in state.pending)
         inflight: Dict = {}  # future -> (unit, attempt, deadline)
         # Workers fork from this process: load the kernel engine they
-        # resolve here, once, not in every worker of every run.
+        # resolve and numpy's lazily imported RNG package here, once,
+        # not in every worker of every run.
+        import numpy.random  # noqa: F401
+
         from repro.core.fused import FusedProbeEngine  # noqa: F401
         pool = ProcessPoolExecutor(max_workers=self.max_workers)
         try:

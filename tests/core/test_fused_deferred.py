@@ -81,9 +81,9 @@ def _device_state(module):
     return module.env.now, banks
 
 
-def _study(scale, name, tests, vpp_levels=None):
+def _study(scale, name, tests, vpp_levels=None, seed=3, engine="fused"):
     """``(module result, final device state)`` of one study."""
-    study = CharacterizationStudy(scale=scale, seed=3, probe_engine="fused")
+    study = CharacterizationStudy(scale=scale, seed=seed, probe_engine=engine)
     contexts = []
     build = study.build_context
 
@@ -133,6 +133,76 @@ class TestTrcdCellFactorBound:
         assert bank.sensing_corruption(5, ctx.engine._trcd_q) is None
         assert _trcd_generations() == before
         assert _TRCD_RESIDUES_KEY not in _row_state(ctx, 5).cache
+
+    @staticmethod
+    def _worst(row):
+        """Row ``row``'s exact worst-case tRCD requirement at 1.4 V, taken
+        on a bench of its own."""
+        ctx = _context("A0", "fused", row_bits=65536)
+        ctx.infra.set_vpp(1.4)
+        bank = ctx.infra.module.bank(0)
+        state = bank.probe_state(row)
+        return bank._trcd_worst_requirement(
+            bank.mapping.to_physical(row), state, state.pattern_index
+        )
+
+    def test_a_clearing_exact_check_keeps_only_the_residue_table(self):
+        worst = self._worst(5)
+        ctx = _context("A0", "fused", row_bits=65536)
+        ctx.infra.set_vpp(1.4)
+        bank = ctx.infra.module.bank(0)
+        before = _trcd_generations()
+        assert bank.sensing_certainly_clean(5, worst)
+        assert _trcd_generations() == before + 1
+        cache = _row_state(ctx, 5).cache
+        assert _TRCD_RESIDUES_KEY in cache
+        assert "cell_trcd_factors" not in cache
+
+    def test_a_failing_exact_check_generates_once(self):
+        """The kernel's data-independent check fails, then its per-cell
+        check reads the vector that check generated."""
+        trcd = 0.995 * self._worst(5)
+        reference = _context("A0", "fused", row_bits=65536)
+        ctx = _context("A0", "fused", row_bits=65536)
+        for bench in (reference, ctx):
+            bench.infra.set_vpp(1.4)
+        bank = ctx.infra.module.bank(0)
+        before = _trcd_generations()
+        assert not bank.sensing_certainly_clean(5, trcd)
+        corrupt = bank.sensing_corruption(5, trcd)
+        assert _trcd_generations() == before + 1
+        assert "cell_trcd_factors" in _row_state(ctx, 5).cache
+        expected = reference.infra.module.bank(0).sensing_corruption(5, trcd)
+        assert corrupt is not None and np.array_equal(corrupt, expected)
+
+    def test_ladder_study_link_check_generates_row_zero_once(
+        self, monkeypatch
+    ):
+        """V_PPmin discovery reads row 0 at every V_PP step through the
+        command path. On A0 the reads pass the bound from 2.1 V down
+        and mis-sense cells from 1.7 V down; row 0's tRCD factors are
+        generated once for all of them, and nothing else generates any.
+        Records equal the command engine's, and the final device state
+        equals that of a study whose every sensing check reads the
+        factors (bound 0)."""
+        tiny = StudyScale.tiny()
+        scale = dataclasses.replace(
+            tiny, rows_per_module=4,
+            geometry=dataclasses.replace(tiny.geometry, row_bits=65536),
+        )
+        tests = ("rowhammer", "retention")
+        before = _trcd_generations()
+        fused, state = _study(scale, "A0", tests, seed=0)
+        assert _trcd_generations() == before + 1
+        command, _ = _study(scale, "A0", tests, seed=0, engine="command")
+        assert fused.vpp_levels == command.vpp_levels
+        assert fused.rowhammer == command.rowhammer
+        assert fused.retention == command.retention
+        monkeypatch.setattr(cell_module, "TRCD_CELL_FACTOR_BOUND", 0.0)
+        exact, exact_state = _study(scale, "A0", tests, seed=0)
+        assert exact.rowhammer == fused.rowhammer
+        assert exact.retention == fused.retention
+        assert exact_state == state
 
 
 class TestBoundDifferential:

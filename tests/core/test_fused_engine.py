@@ -491,7 +491,16 @@ class TestLayoutHeads:
         ]
         return rows[nth], values, bound
 
-    def test_boundary_tie_extends_exactly(self):
+    @staticmethod
+    def _inject(monkeypatch, cells, accessor, physical, vectors):
+        """Make the generator's ``accessor`` (a structure-pair RNG
+        replay) return crafted ``vectors`` for one physical row."""
+        replay = getattr(cells, accessor)
+        monkeypatch.setattr(cells, accessor, lambda row: (
+            vectors if row == physical else replay(row)
+        ))
+
+    def test_boundary_tie_extends_exactly(self, monkeypatch):
         """A cutoff equal to the head's last value, tied with a cell
         outside the head: the prefix reaches the head's end, the row
         extends, and the tied cell flips too."""
@@ -502,12 +511,10 @@ class TestLayoutHeads:
 
         row, tolerances, bound = self._tied_row(bank, _TOL_HEAD_DIVISOR, rng, 0)
         physical = bank.mapping.to_physical(row)
-        bank.cells.adopt_preloaded({
-            (physical, "cell_tolerances"): tolerances,
-            (physical, "cell_outlier_mask"): np.zeros(
-                PAPER_ROW_BITS, dtype=bool
-            ),
-        })
+        self._inject(
+            monkeypatch, bank.cells, "tolerance_structure_pair", physical,
+            (tolerances, np.zeros(PAPER_ROW_BITS, dtype=bool)),
+        )
         sweep = bank.hammer_sweep(row, [row - 1, row + 1], pattern)
         assert sweep.charged_byte == 0xFF
         fused = sweep.fused_counts()
@@ -530,12 +537,10 @@ class TestLayoutHeads:
 
         row, times, bound = self._tied_row(bank, _RET_HEAD_DIVISOR, rng, 1)
         physical = bank.mapping.to_physical(row)
-        bank.cells.adopt_preloaded({
-            (physical, "cell_retention_times"): times,
-            (physical, "cell_retention_vpp_sensitivity"): np.ones(
-                PAPER_ROW_BITS, dtype=np.float32
-            ),
-        })
+        self._inject(
+            monkeypatch, bank.cells, "retention_structure_pair", physical,
+            (times, np.ones(PAPER_ROW_BITS, dtype=np.float32)),
+        )
         sweep = bank.retention_sweep(row, pattern)
         counts = sweep.fused_counts()
         (_, head), = bank.retention_layout(sweep.state, physical)
@@ -557,7 +562,7 @@ class TestLayoutHeads:
 
     def test_tolerance_structure_pair_matches_single_fields(self):
         """One RNG replay gives the single-field accessors' vectors bit
-        for bit, and preloaded vectors shadow it."""
+        for bit."""
         _, bank = TestHammerKernels._paper_row_bank()
         cells = bank.cells
         for physical in (3, 4, 17):
@@ -565,15 +570,6 @@ class TestLayoutHeads:
             assert tolerances.dtype == np.float32 and outliers.dtype == bool
             assert np.array_equal(tolerances, cells.cell_tolerances(physical))
             assert np.array_equal(outliers, cells.cell_outlier_mask(physical))
-            preloaded = (tolerances.copy(), outliers.copy())
-            cells.adopt_preloaded({
-                (physical, "cell_tolerances"): preloaded[0],
-                (physical, "cell_outlier_mask"): preloaded[1],
-            })
-            pair = cells.tolerance_structure_pair(physical)
-            assert pair[0] is preloaded[0] and pair[1] is preloaded[1]
-            assert cells.cell_tolerances(physical) is preloaded[0]
-            assert cells.cell_outlier_mask(physical) is preloaded[1]
 
 
 #: The full per-cell vectors a row state may cache.
@@ -592,23 +588,6 @@ def _generations(family):
 
 def _all_generations():
     return {family: _generations(family) for family in _FAMILIES}
-
-
-def _preload(ctx, rows):
-    """Install copies of the rows' per-cell vectors as preloaded views,
-    as a pool worker's shared device state does."""
-    bank = ctx.infra.module.bank(0)
-    cells = bank.cells
-    vectors = {}
-    for row in rows:
-        physical = bank.mapping.to_physical(row)
-        for accessor, names in _FAMILIES.values():
-            generated = getattr(cells, accessor)(physical)
-            if len(names) == 1:
-                generated = (generated,)
-            for name, vector in zip(names, generated):
-                vectors[(physical, name)] = vector.copy()
-    cells.adopt_preloaded(vectors)
 
 
 class TestTransientVectors:
@@ -738,24 +717,20 @@ class TestTransientVectors:
 
     @staticmethod
     def _benches(rows, tests=("rowhammer", "retention")):
-        """``{name: context}``: a fused bench that generates vectors, a
-        fused bench reading preloaded ones (both preheated, with the
-        rows' tRCD residue tables built) and a command bench, all at
+        """``{name: context}``: a fused bench (preheated, with the rows'
+        tRCD residue tables built) and a command bench, both at
         65536-bit rows."""
         benches = {
             "fresh": _paper_row_context("fused"),
-            "preloaded": _paper_row_context("fused"),
             "command": _paper_row_context("command"),
         }
-        _preload(benches["preloaded"], rows)
-        for name in ("fresh", "preloaded"):
-            ctx = benches[name]
-            ctx.engine.preheat(ctx, rows, tests)
-            bank = ctx.infra.module.bank(0)
-            for row in rows:
-                bank.trcd_residues(
-                    bank.probe_state(row), bank.mapping.to_physical(row)
-                )
+        ctx = benches["fresh"]
+        ctx.engine.preheat(ctx, rows, tests)
+        bank = ctx.infra.module.bank(0)
+        for row in rows:
+            bank.trcd_residues(
+                bank.probe_state(row), bank.mapping.to_physical(row)
+            )
         return benches
 
     @staticmethod
@@ -774,22 +749,22 @@ class TestTransientVectors:
 
     @staticmethod
     def _assert_regenerated(benches, outcomes, row, family):
-        """Every bench gave the same result and row data; the fresh
+        """Both benches gave the same result and row data; the fresh
         bench generated the family once more and now caches vectors
-        equal to the preloaded ones; the preloaded bench generated
-        nothing."""
+        equal to a direct draw of the generator."""
         results = [result for result, _ in outcomes.values()]
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1]
         data = [_row_data(ctx, row) for ctx in benches.values()]
-        assert (data[0] == data[1]).all() and (data[0] == data[2]).all()
+        assert (data[0] == data[1]).all()
         assert outcomes["fresh"][1][family] == 1
-        assert not any(outcomes["preloaded"][1].values())
-        fresh, preloaded = (
-            benches[name].infra.module.bank(0).probe_state(row).cache
-            for name in ("fresh", "preloaded")
-        )
-        for name in _FAMILIES[family][1]:
-            assert np.array_equal(fresh[name], preloaded[name])
+        bank = benches["fresh"].infra.module.bank(0)
+        accessor, names = _FAMILIES[family]
+        drawn = getattr(bank.cells, accessor)(bank.mapping.to_physical(row))
+        if len(names) == 1:
+            drawn = (drawn,)
+        cache = bank.probe_state(row).cache
+        for name, vector in zip(names, drawn):
+            assert np.array_equal(cache[name], vector)
 
     def test_head_extension_regenerates_vectors(self):
         row = 5
@@ -798,7 +773,7 @@ class TestTransientVectors:
         outcomes = self._run(benches, lambda ctx: ctx.engine.hammer_ber(
             ctx, row, STANDARD_PATTERNS[1], 6_000_000
         ))
-        assert _extensions("tolerance") == before + 2
+        assert _extensions("tolerance") == before + 1
         self._assert_regenerated(benches, outcomes, row, "tolerance")
 
     def test_decay_at_hammer_close_regenerates_vectors(self, monkeypatch):
@@ -821,7 +796,7 @@ class TestTransientVectors:
         outcomes = self._run(benches, lambda ctx: ctx.engine.hammer_ber(
             ctx, row, STANDARD_PATTERNS[0], 1_000_000
         ))
-        assert len(masks) >= 2
+        assert masks
         assert outcomes["fresh"][0] > 0
         self._assert_regenerated(benches, outcomes, row, "retention")
 
