@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Perf-regression guard against the committed BENCH_probe.json.
 
-Six layers, any of which fails the check (exit 1):
+Seven layers, any of which fails the check (exit 1):
 
 * deterministic acceptance gates on the *committed* baseline itself:
   every kernel-over-oracle speedup (fused vs command: hammer,
@@ -30,6 +30,11 @@ Six layers, any of which fails the check (exit 1):
   (``preheat_peak_mib_fused``) must not exceed its committed value by
   more than :data:`PEAK_TOLERANCE`. It measures allocation sizes, not
   speed, so it runs in both modes with a fixed band;
+* a study-store gate: the A0 ``ladder`` document's decoded size
+  (``study_decoded_mib``, ``tracemalloc``) must not exceed its committed
+  value by more than :data:`PEAK_TOLERANCE`, in both modes; full mode
+  also guards its load and publish times (``study_load_ms``,
+  ``study_publish_ms``) with the timing band;
 * a cold-start gate: a fresh interpreter importing the service and CLI
   entry points (``bench_probe.bench_cold_import``) must load no
   ``scipy`` module, and its peak RSS (``cold_import_peak_mib``) must
@@ -87,10 +92,12 @@ SPEEDUP_KEYS = tuple(bench_probe.SPEEDUP_FLOORS)
 #: one measurement, a per-key prefetch (speedup ~1) fails all of them.
 JITTER_SPEEDUP_KEYS = ("jitter_block_speedup", "jitter_small_block_speedup")
 JITTER_ATTEMPTS = 3
-#: Wall-clock keys: lower is better, so their band is a ceiling.
+#: Wall-clock keys (seconds, or ms for the study store): lower is
+#: better, so their band is a ceiling.
 SECONDS_KEYS = (
     "characterization_seconds_fused", "ladder_seconds_fused",
     "wcdp_seconds_fused", "preheat_seconds_fused", "cold_import_seconds",
+    "study_load_ms", "study_publish_ms",
 )
 
 #: Fractional ceiling on the preheat's traced peak and the cold
@@ -101,6 +108,8 @@ PEAK_TOLERANCE = 0.25
 PEAK_KEY = "preheat_peak_mib_fused"
 #: The cold-import peak RSS, held to the same band.
 COLD_PEAK_KEY = "cold_import_peak_mib"
+#: The decoded study's traced size, held to the same band.
+STUDY_SIZE_KEY = "study_decoded_mib"
 
 #: Experiment families covered by the differential bit-identity gate.
 FAMILIES = ("rowhammer", "trcd", "retention")
@@ -230,8 +239,8 @@ def check(committed, measured, rate_tol, speedup_tol):
         ceiling = committed[key] * (1.0 + rate_tol)
         if measured[key] > ceiling:
             failures.append(
-                f"{key}: measured {measured[key]:.3f} s > ceiling "
-                f"{ceiling:.3f} s (committed {committed[key]:.3f} s, "
+                f"{key}: measured {measured[key]:.3f} > ceiling "
+                f"{ceiling:.3f} (committed {committed[key]:.3f}, "
                 f"tolerance {rate_tol:.0%})"
             )
     return failures
@@ -325,6 +334,20 @@ def main(argv=None) -> int:
                   f" MiB, tolerance {PEAK_TOLERANCE:.0%})", file=sys.stderr)
             return 1
 
+    print("measuring the study store (A0 ladder document)...")
+    store = bench_probe.bench_study_store()
+    print(f"study load {store['study_load_ms']:.1f} ms, publish "
+          f"{store['study_publish_ms']:.1f} ms, decoded "
+          f"{store[STUDY_SIZE_KEY]:.2f} MiB")
+    if STUDY_SIZE_KEY in committed:
+        ceiling = committed[STUDY_SIZE_KEY] * (1.0 + PEAK_TOLERANCE)
+        if store[STUDY_SIZE_KEY] > ceiling:
+            print(f"{STUDY_SIZE_KEY}: measured {store[STUDY_SIZE_KEY]:.2f} "
+                  f"MiB > ceiling {ceiling:.2f} MiB (committed "
+                  f"{committed[STUDY_SIZE_KEY]:.2f} MiB, tolerance "
+                  f"{PEAK_TOLERANCE:.0%})", file=sys.stderr)
+            return 1
+
     print("measuring the jitter prefetch against per-key draws...")
     for _ in range(JITTER_ATTEMPTS):
         jitter = bench_probe.bench_jitter_rates()
@@ -351,6 +374,7 @@ def main(argv=None) -> int:
     measured = dict(bench_probe.bench_probe_rates())
     measured.update(jitter)
     measured.update(cold)
+    measured.update(store)
     print("re-measuring DSL-program probe throughput...")
     measured.update(bench_probe.bench_program_rates())
     print("re-measuring Alg. 2 (tRCD) probe throughput...")

@@ -30,6 +30,11 @@ with both cache layers disabled:
   the per-row tolerance and retention layouts) on the kernel, each run
   on a fresh context, and the preheat's ``tracemalloc`` peak (MiB):
   allocation sizes, not speed, so ``bench_check --smoke`` gates it;
+* the study store: ``StudyStore.load`` (parse and decode into column
+  tables) and ``StudyStore.store`` (encode and write) of that
+  campaign's A0 seed-0 document, min of several runs, and the
+  ``tracemalloc`` size of the decoded study (MiB), which
+  ``bench_check --smoke`` gates;
 * the cold start of the service and CLI entry points: a fresh
   interpreter imports ``repro.api.server`` and ``repro.harness.runner``
   (import wall seconds, min of several runs, and the interpreter's
@@ -48,10 +53,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -69,6 +76,7 @@ from repro.dram import constants
 from repro.dram.calibration import ModuleGeometry
 from repro.dram.patterns import STANDARD_PATTERNS
 from repro.harness.cache import clear_cache, get_study, set_study_cache_dir
+from repro.harness.store import StudyStore
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
 from repro.softmc.infrastructure import TestInfrastructure
@@ -410,6 +418,50 @@ def bench_preheat_peak():
     return {"preheat_peak_mib_fused": peak / 2**20}
 
 
+def bench_study_store(runs=7):
+    """The study store's read and publish of the A0 seed-0 RowHammer +
+    retention document at 65536-bit rows (the benchmark's ``ladder``
+    study, 1,152 RowHammer and 12,672 retention records): ``load``
+    (parse and decode into column tables) and ``store`` (encode and
+    write) in ms, min of ``runs``, each after a ``gc.collect()``; and
+    the ``tracemalloc`` size (MiB) of the decoded study, a property of
+    the code, not of the machine's speed."""
+    clear_cache()
+    study = get_study(
+        CAMPAIGN_TESTS, modules=(CAMPAIGN_MODULE,),
+        scale=CHARACTERIZATION_SCALE, seed=0, use_disk=False,
+    )
+    fingerprint = study.provenance["fingerprint"]
+    load_ms, publish_ms = [], []
+    with tempfile.TemporaryDirectory() as directory:
+        store = StudyStore(directory)
+        for _ in range(runs):
+            store.delete(fingerprint)
+            gc.collect()
+            started = time.perf_counter()
+            store.store(study, fingerprint)
+            publish_ms.append((time.perf_counter() - started) * 1e3)
+            gc.collect()
+            started = time.perf_counter()
+            store.load(fingerprint)
+            load_ms.append((time.perf_counter() - started) * 1e3)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            decoded = store.load(fingerprint)
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    clear_cache()
+    if decoded.modules != study.modules:
+        raise AssertionError("the store returned a different study")
+    return {
+        "study_load_ms": min(load_ms),
+        "study_publish_ms": min(publish_ms),
+        "study_decoded_mib": size / 2**20,
+    }
+
+
 #: What a fresh interpreter runs for :func:`bench_cold_import`: the
 #: service and CLI entry points' imports, timed, then the process's
 #: peak RSS and the ``scipy`` modules the imports loaded. The peak is
@@ -481,6 +533,7 @@ REPORT_KEYS = (
     "characterization_seconds_fused", "ladder_seconds_fused",
     "wcdp_seconds_fused", "preheat_seconds_fused", "preheat_peak_mib_fused",
     "cold_import_seconds", "cold_import_peak_mib",
+    "study_load_ms", "study_publish_ms", "study_decoded_mib",
 )
 
 
@@ -541,6 +594,12 @@ def main(argv=None) -> int:
             " repro.harness.runner: import wall seconds and peak RSS (MiB),"
             " min-of-3, and the scipy modules loaded"
         ),
+        "study_store": (
+            "StudyStore.load and .store of the A0 seed-0 RowHammer +"
+            " retention study at 65536-bit physical rows (ms, min-of-7,"
+            " each after gc.collect()), and the tracemalloc size (MiB) of"
+            " the decoded study"
+        ),
         "jitter_blocks": (
             "measurement-jitter prefetch of one row's 128- and 20-session"
             " blocks vs per-key generator draws, fastest of 200 alternating"
@@ -567,6 +626,8 @@ def main(argv=None) -> int:
     payload.update(bench_preheat_peak())
     print("measuring the entry points' cold import...")
     payload.update(bench_cold_import())
+    print("measuring the study store's load and publish...")
+    payload.update(bench_study_store())
 
     # The registry counters spent producing these numbers travel with
     # them, so BENCH_probe.json entries are self-describing.

@@ -137,6 +137,7 @@ def main(argv=None) -> int:
         except ValueError:
             pass
 
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")

@@ -57,7 +57,7 @@ import html
 import json
 import threading
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import __version__
 from repro.api.jobs import (
@@ -247,8 +247,9 @@ class ApiServer:
     def handle(
         self, method: str, path: str, query: Dict[str, str],
         payload: Optional[Dict], tenant: str,
-    ) -> Tuple[int, Dict]:
-        """Route one non-SSE request; returns (status, JSON body)."""
+    ) -> Tuple[int, Union[Dict, bytes]]:
+        """Route one non-SSE request; returns (status, JSON body), the
+        body as a document or, for a stored study, its encoded bytes."""
         parts = [part for part in path.split("/") if part]
         try:
             if path == "/v1/jobs":
@@ -288,12 +289,13 @@ class ApiServer:
             if len(parts) == 3 and parts[:2] == ["v1", "studies"]:
                 if method != "GET":
                     return 405, {"error": "method not allowed"}
-                document = self.store.load_dict(parts[2])
-                if document is None:
+                body = self.store.read_bytes(parts[2])
+                if body is None:
                     return 404, {
                         "error": f"no study published for {parts[2]!r}"
                     }
-                return 200, document
+                # The entry is json.dumps output already: sent as stored.
+                return 200, body
             if path == "/v1/healthz":
                 return 200, {
                     "status": "ok",
@@ -534,11 +536,12 @@ class ApiServer:
         body = await reader.readexactly(length) if length else b""
         return method.upper(), path, query, headers, body
 
-    def _respond(self, writer, status: int, document: Dict) -> None:
-        self._write_body(
-            writer, status, json.dumps(document).encode("utf-8"),
-            "application/json",
-        )
+    def _respond(
+        self, writer, status: int, document: Union[Dict, bytes]
+    ) -> None:
+        if not isinstance(document, bytes):
+            document = json.dumps(document).encode("utf-8")
+        self._write_body(writer, status, document, "application/json")
 
     def _respond_text(self, writer, status: int, text: str) -> None:
         self._write_body(

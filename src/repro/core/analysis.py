@@ -50,32 +50,29 @@ def _per_row_normalized(
     module_result: ModuleResult, metric: str, vpp: float
 ) -> List[float]:
     """Per-row metric at ``vpp`` normalized to the same row's value at
-    nominal V_PP. Rows without a valid nominal value are skipped."""
+    nominal V_PP, in the nominal records' row order. Rows without a
+    valid nominal value are skipped."""
     nominal = module_result.vpp_levels[0]
-    if metric == "ber":
-        base = {r.row: r.ber for r in module_result.rowhammer_at(nominal)}
-        here = {r.row: r.ber for r in module_result.rowhammer_at(vpp)}
-    elif metric == "hcfirst":
-        base = {
-            r.row: r.hcfirst
-            for r in module_result.rowhammer_at(nominal)
-            if r.hcfirst is not None
-        }
-        here = {
-            r.row: r.hcfirst
-            for r in module_result.rowhammer_at(vpp)
-            if r.hcfirst is not None
-        }
+    if metric in ("ber", "hcfirst"):
+        table = module_result.rowhammer
+        column = table.ber if metric == "ber" else table.hcfirst
+        valid = ~table.censored if metric == "hcfirst" else True
     elif metric == "trcd":
-        base = {r.row: r.trcd_min for r in module_result.trcd_at(nominal)}
-        here = {r.row: r.trcd_min for r in module_result.trcd_at(vpp)}
+        table = module_result.trcd
+        column = table.trcd_min
+        valid = True
     else:
         raise AnalysisError(f"unknown metric {metric!r}")
-    values = []
-    for row, baseline in base.items():
-        if row in here and baseline:
-            values.append(here[row] / baseline)
-    return values
+    base = table.at(nominal) & valid
+    here = table.at(vpp) & valid
+    if not here.any():
+        return []
+    base_rows, baseline = table.row[base], column[base]
+    order = np.argsort(table.row[here])
+    here_rows, values = table.row[here][order], column[here][order]
+    slot = np.searchsorted(here_rows, base_rows).clip(max=len(here_rows) - 1)
+    found = (here_rows[slot] == base_rows) & (baseline != 0)
+    return (values[slot[found]] / baseline[found]).tolist()
 
 
 def normalized_curves(
@@ -226,26 +223,27 @@ def retention_curves(
     study: StudyResult, band_level: float = 0.90
 ) -> List[RetentionCurve]:
     """Figure 10a data: BER vs. tREFW per V_PP, rows pooled across
-    modules."""
-    by_vpp: Dict[float, Dict[float, List[float]]] = {}
-    for module_result in study.modules.values():
-        for record in module_result.retention:
-            by_vpp.setdefault(record.vpp, {}).setdefault(
-                record.trefw, []
-            ).append(record.ber)
+    modules (in module, then record order)."""
+    tables = [m.retention for m in study.modules.values()]
+    if not tables:
+        return []
+    vpp = np.concatenate([table.vpp for table in tables])
+    trefw = np.concatenate([table.trefw for table in tables])
+    ber = np.concatenate([table.ber for table in tables])
     curves = []
-    for vpp in sorted(by_vpp, reverse=True):
-        windows = sorted(by_vpp[vpp])
+    for level in np.unique(vpp)[::-1].tolist():
+        at_level = vpp == level
+        windows = np.unique(trefw[at_level]).tolist()
         means, lows, highs = [], [], []
         for window in windows:
-            values = by_vpp[vpp][window]
+            values = ber[at_level & (trefw == window)]
             band = confidence_band(values, band_level)
             means.append(float(np.mean(values)))
             lows.append(band.low)
             highs.append(band.high)
         curves.append(
             RetentionCurve(
-                vpp=vpp, windows=windows, mean_ber=means,
+                vpp=level, windows=windows, mean_ber=means,
                 band_low=lows, band_high=highs,
             )
         )
@@ -257,21 +255,22 @@ def retention_density_at(
 ) -> Dict[str, dict]:
     """Figure 10b data: per-vendor retention-BER distribution across rows
     at one refresh window, with per-V_PP means."""
-    per_vendor: Dict[str, Dict[float, List[float]]] = {}
+    per_vendor: Dict[str, Dict[float, List[np.ndarray]]] = {}
     for module_result in study.modules.values():
-        for record in module_result.retention:
-            if abs(record.trefw - trefw) > 1e-12:
-                continue
-            per_vendor.setdefault(module_result.vendor, {}).setdefault(
-                record.vpp, []
-            ).append(record.ber)
+        table = module_result.retention
+        keep = np.abs(table.trefw - trefw) <= 1e-12
+        if not keep.any():
+            continue
+        vpps, bers = table.vpp[keep], table.ber[keep]
+        by_vpp = per_vendor.setdefault(module_result.vendor, {})
+        levels, first = np.unique(vpps, return_index=True)
+        for level in levels[np.argsort(first)].tolist():
+            by_vpp.setdefault(level, []).append(bers[vpps == level])
     output: Dict[str, dict] = {}
     for vendor, by_vpp in per_vendor.items():
-        all_values = [v for values in by_vpp.values() for v in values]
-        if not all_values:
-            continue
+        by_vpp = {vpp: np.concatenate(parts) for vpp, parts in by_vpp.items()}
         output[vendor] = {
-            "values": all_values,
+            "values": np.concatenate(list(by_vpp.values())).tolist(),
             "mean_by_vpp": {
                 vpp: float(np.mean(values)) for vpp, values in by_vpp.items()
             },

@@ -20,7 +20,9 @@ agree record-for-record (asserted by the differential tests in
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
+
+import numpy as np
 
 from repro.core.results import ModuleResult
 from repro.core.scale import StudyScale
@@ -112,34 +114,26 @@ def merge_module_chunks(
             raise AnalysisError(
                 f"module {name}: chunk workers disagree on the V_PP grid"
             )
-    merged = ModuleResult(
+    levels = list(reference.vpp_levels)
+    return ModuleResult(
         module=name,
         vendor=reference.vendor,
         vppmin=reference.vppmin,
-        vpp_levels=list(reference.vpp_levels),
+        vpp_levels=levels,
+        rowhammer=_sequential_order([p.rowhammer for p in parts], levels),
+        trcd=_sequential_order([p.trcd for p in parts], levels),
+        retention=_sequential_order([p.retention for p in parts], levels),
     )
-    rowhammer: Dict[Tuple[float, int], object] = {}
-    trcd: Dict[Tuple[float, int], object] = {}
-    retention: Dict[Tuple[float, int], list] = {}
-    for part in parts:
-        for record in part.rowhammer:
-            rowhammer[(record.vpp, record.row)] = record
-        for record in part.trcd:
-            trcd[(record.vpp, record.row)] = record
-        for record in part.retention:
-            retention.setdefault((record.vpp, record.row), []).append(record)
-    all_rows = sorted(
-        {key[1] for key in rowhammer}
-        | {key[1] for key in trcd}
-        | {key[1] for key in retention}
-    )
-    for vpp in merged.vpp_levels:
-        for row in all_rows:
-            if (vpp, row) in rowhammer:
-                merged.rowhammer.append(rowhammer[(vpp, row)])
-            if (vpp, row) in trcd:
-                merged.trcd.append(trcd[(vpp, row)])
-    for vpp in merged.vpp_levels:
-        for row in all_rows:
-            merged.retention.extend(retention.get((vpp, row), []))
-    return merged
+
+
+def _sequential_order(tables, vpp_levels):
+    """One table of the parts' records, ordered by (V_PP level, row) --
+    a sequential run's order. The sort is stable, so each (V_PP, row)
+    group keeps its part's window order; records at a V_PP off the
+    grid are dropped."""
+    table = type(tables[0]).concat(tables)
+    level = np.full(len(table), -1)
+    for index, vpp in enumerate(vpp_levels):
+        level[table.vpp == vpp] = index
+    order = np.lexsort((table.row, level))
+    return table.take(order[level[order] >= 0])

@@ -110,14 +110,22 @@ def _sensing_exact(sweep, bank, engine, row) -> bool:
     return bank.sensing_corruption(row, engine._trcd_q) is None
 
 
-def _flipped_bits(sweep, flip_sets) -> np.ndarray:
-    """The sweep's pattern bits with every cell of ``flip_sets`` (index
-    arrays) discharged: a victim's data after its session's last
-    probe."""
-    data = sweep.bits.copy()
-    for indices in flip_sets:
-        data[indices] = sweep.discharged_value
-    return data
+def _flipped_bits(sweep, flip_sets, *args):
+    """A producer of the sweep's pattern bits with every cell of
+    ``flip_sets(*args)`` (index arrays) discharged: a victim's data
+    after its session's last probe. It holds the bits, the flip-set
+    callable and its arguments, but not the sweep, so the row state it
+    is installed on does not keep an evicted sweep alive."""
+    bits = sweep.bits
+    discharged = sweep.discharged_value
+
+    def produce() -> np.ndarray:
+        data = bits.copy()
+        for indices in flip_sets(*args):
+            data[indices] = discharged
+        return data
+
+    return produce
 
 
 def _add_damage(damage_bulk, damage_outlier, terms, counts):
@@ -352,10 +360,9 @@ class FusedHammerSession(HammerSession):
             # The damage flips depend only on the recorded probe, so the
             # row's bits are built on first read -- usually never: the
             # next probe's WRITE_ROW overwrites them.
-            sweep.state.defer_data(lambda: _flipped_bits(
-                sweep, counts.flip_populations(
-                    damage_bulk, damage_outlier, session
-                ),
+            sweep.state.defer_data(_flipped_bits(
+                sweep, counts.flip_populations,
+                damage_bulk, damage_outlier, session,
             ))
 
 
@@ -506,8 +513,8 @@ class FusedRetentionSession(RetentionSession):
         counts = self._counts
         # Built on first read (see FusedHammerSession.close): the kernel
         # resolves its prefixes against layouts fixed at this point.
-        sweep.state.defer_data(lambda: _flipped_bits(
-            sweep, (counts.flip_indices(elapsed),)
+        sweep.state.defer_data(_flipped_bits(
+            sweep, lambda: (counts.flip_indices(elapsed),)
         ))
 
 

@@ -54,10 +54,9 @@ def smallest_failing_window(
 ) -> Optional[float]:
     """Smallest tREFW with non-zero retention BER at ``vpp`` (None when
     the module never fails in the swept range)."""
-    failing = [
-        r.trefw for r in module_result.retention_at(vpp) if r.ber > 0
-    ]
-    return min(failing) if failing else None
+    table = module_result.retention
+    failing = table.trefw[module_result.retention_at(vpp) & (table.ber > 0)]
+    return float(failing.min()) if failing.size else None
 
 
 def ecc_report(
@@ -68,31 +67,25 @@ def ecc_report(
         trefw = smallest_failing_window(module_result, vpp)
         if trefw is None:
             return None
-    records = module_result.retention_at(vpp, trefw)
-    if not records:
+    table = module_result.retention
+    selected = module_result.retention_at(vpp, trefw)
+    if not selected.any():
         raise AnalysisError(
             f"no retention data at vpp={vpp}, trefw={trefw}"
         )
-    correctable = 0
-    uncorrectable = 0
-    rows_with_flips = 0
-    for record in records:
-        if not record.word_flip_histogram:
-            continue
-        rows_with_flips += 1
-        counts = []
-        for flips, words in record.word_flip_histogram.items():
-            counts.extend([flips] * words)
-        verdict = count_correctable_words(np.asarray(counts))
-        correctable += verdict["correctable"]
-        uncorrectable += verdict["uncorrectable"]
+    lengths = np.diff(table.hist_offsets)
+    entries = np.repeat(selected, lengths)
+    # One flip count per erroneous word of the selected records.
+    verdict = count_correctable_words(
+        np.repeat(table.hist_flips[entries], table.hist_words[entries])
+    )
     return EccReport(
         module=module_result.module,
         vpp=vpp,
         trefw=trefw,
-        rows_with_flips=rows_with_flips,
-        words_correctable=correctable,
-        words_uncorrectable=uncorrectable,
+        rows_with_flips=int(np.count_nonzero(selected & (lengths > 0))),
+        words_correctable=verdict["correctable"],
+        words_uncorrectable=verdict["uncorrectable"],
     )
 
 
@@ -122,35 +115,22 @@ def selective_refresh_report(
     module_result: ModuleResult, vpp: float, trefw: float
 ) -> SelectiveRefreshReport:
     """Rows failing at ``trefw`` but clean at every smaller window."""
-    records_at = {
-        r.row: r for r in module_result.retention_at(vpp, trefw)
-    }
-    smaller_windows = sorted(
-        {
-            r.trefw
-            for r in module_result.retention_at(vpp)
-            if r.trefw < trefw - 1e-12
-        }
-    )
-    failed_smaller = set()
-    for window in smaller_windows:
-        for record in module_result.retention_at(vpp, window):
-            if record.ber > 0:
-                failed_smaller.add(record.row)
+    table = module_result.retention
+    at_vpp = module_result.retention_at(vpp)
+    at_window = module_result.retention_at(vpp, trefw)
+    failed_smaller = table.row[
+        at_vpp & (table.trefw < trefw - 1e-12) & (table.ber > 0)
+    ]
+    newly = at_window & (table.ber != 0) & ~np.isin(table.row, failed_smaller)
     histogram: Dict[int, int] = {}
-    newly_failing = 0
-    for row, record in records_at.items():
-        if row in failed_smaller or record.ber == 0:
-            continue
-        newly_failing += 1
-        erroneous_words = sum(record.word_flip_histogram.values())
-        histogram[erroneous_words] = histogram.get(erroneous_words, 0) + 1
+    for words in table.histogram_sums()[newly].tolist():
+        histogram[words] = histogram.get(words, 0) + 1
     return SelectiveRefreshReport(
         module=module_result.module,
         vpp=vpp,
         trefw=trefw,
-        total_rows=len(records_at),
-        newly_failing_rows=newly_failing,
+        total_rows=len(np.unique(table.row[at_window])),
+        newly_failing_rows=int(np.count_nonzero(newly)),
         word_count_histogram=histogram,
     )
 
@@ -196,10 +176,9 @@ def recommend_vpp(module_result: ModuleResult) -> VppRecommendation:
             module_result.max_trcd_min(vpp) > NOMINAL_TRCD + 1e-12
         ):
             continue
-        if module_result.retention:
-            at_64ms = module_result.retention_at(vpp, NOMINAL_TREFW)
-            if any(r.ber > 0 for r in at_64ms):
-                continue
+        at_64ms = module_result.retention_at(vpp, NOMINAL_TREFW)
+        if (module_result.retention.ber[at_64ms] > 0).any():
+            continue
         return VppRecommendation(
             module=module_result.module,
             vpp=vpp,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.context import TestContext
-from repro.core.results import RetentionRowResult
+from repro.core.results import RetentionRow
 from repro.dram.patterns import DataPattern
 from repro.obs.trace import TRACER
 
@@ -39,7 +39,7 @@ def measure_retention(
 def characterize_row(
     ctx: TestContext, row: int, pattern: DataPattern, vpp: float,
     windows: List[float] = None,
-) -> List[RetentionRowResult]:
+) -> List[RetentionRow]:
     """Full Alg. 3 characterization of one row at the current V_PP.
 
     Measures every refresh window in the scale's sweep (or the
@@ -60,8 +60,7 @@ def characterize_row(
     ), ctx.engine.retention_session(ctx, row, pattern) as session:
         worst = session.worst_ladder(windows, iterations)
     return [
-        RetentionRowResult(
-            module=ctx.module_name,
+        RetentionRow(
             bank=ctx.bank,
             row=row,
             vpp=vpp,
@@ -77,10 +76,10 @@ def characterize_row(
 def characterize_rows(
     ctx: TestContext, rows: Sequence[int],
     patterns: Dict[int, DataPattern], vpp: float,
-) -> List[RetentionRowResult]:
+) -> List[RetentionRow]:
     """Alg. 3 over a whole row set at the current V_PP (the campaign
     loop's batch entry point; probe order matches the per-row loop)."""
-    results: List[RetentionRowResult] = []
+    results: List[RetentionRow] = []
     for row in rows:
         with TRACER.span("retention"):
             results.extend(characterize_row(ctx, row, patterns[row], vpp))

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.context import TestContext
 from repro.core.probe import one_shot_hammer_ber, open_hammer_session
-from repro.core.results import RowHammerRowResult
+from repro.core.results import RowHammerRow
 from repro.core.scale import StudyScale
 from repro.dram.patterns import DataPattern
 from repro.obs.metrics import REGISTRY
@@ -131,14 +131,13 @@ def find_hcfirst(
 
 def characterize_row(
     ctx: TestContext, row: int, pattern: DataPattern, vpp: float,
-) -> RowHammerRowResult:
+) -> RowHammerRow:
     """Full Alg. 1 characterization of one row at the current V_PP."""
     ber, iterations_values = measure_worst_ber(
         ctx, row, pattern, ctx.scale.ber_hammer_count, ctx.scale.iterations
     )
     hcfirst = find_hcfirst(ctx, row, pattern)
-    return RowHammerRowResult(
-        module=ctx.module_name,
+    return RowHammerRow(
         bank=ctx.bank,
         row=row,
         vpp=vpp,
@@ -152,7 +151,7 @@ def characterize_row(
 def characterize_rows(
     ctx: TestContext, rows: Sequence[int],
     patterns: Dict[int, DataPattern], vpp: float,
-) -> List[RowHammerRowResult]:
+) -> List[RowHammerRow]:
     """Alg. 1 over a whole row set at the current V_PP (the campaign
     loop's batch entry point; probe order matches the per-row loop)."""
     return [
@@ -160,6 +159,6 @@ def characterize_rows(
     ]
 
 
-def _profiled_row(ctx, row, pattern, vpp) -> RowHammerRowResult:
+def _profiled_row(ctx, row, pattern, vpp) -> RowHammerRow:
     with TRACER.span("rowhammer"):
         return characterize_row(ctx, row, pattern, vpp)

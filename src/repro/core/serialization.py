@@ -9,13 +9,17 @@ document (schema-versioned) and round-trip losslessly.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Any, Dict
 
+import numpy as np
+
 from repro.core.results import (
+    HCFIRST_CENSORED,
     ModuleResult,
-    RetentionRowResult,
-    RowHammerRowResult,
-    TrcdRowResult,
+    RetentionTable,
+    RowHammerTable,
+    TrcdTable,
 )
 from repro.core.scale import StudyScale
 from repro.core.study import StudyResult
@@ -56,12 +60,32 @@ def _scale_from_dict(payload: Dict[str, Any]) -> StudyScale:
     )
 
 
+class _FlipKeys(dict):
+    """``str(flips)`` by flip count, each built once (a histogram key
+    repeats across thousands of records)."""
+
+    def __missing__(self, flips: int) -> str:
+        key = self[flips] = str(flips)
+        return key
+
+
+_FLIP_KEYS = _FlipKeys()
+
+
 def module_result_to_dict(result: ModuleResult) -> Dict[str, Any]:
     """Serialize one module's results to plain JSON-ready data.
 
     Used both for whole-study documents (:func:`study_to_dict`) and for
-    the orchestration service's per-unit checkpoints.
+    the orchestration service's per-unit checkpoints. Columns leave
+    through ``tolist()``, so ints stay ints and floats stay floats.
     """
+    rowhammer = result.rowhammer
+    trcd = result.trcd
+    retention = result.retention
+    hcfirst = [
+        None if value == HCFIRST_CENSORED else value
+        for value in rowhammer.hcfirst.tolist()
+    ]
     return {
         "module": result.module,
         "vendor": result.vendor,
@@ -69,94 +93,97 @@ def module_result_to_dict(result: ModuleResult) -> Dict[str, Any]:
         "vpp_levels": list(result.vpp_levels),
         "rowhammer": [
             {
-                "bank": r.bank,
-                "row": r.row,
-                "vpp": r.vpp,
-                "wcdp_index": r.wcdp_index,
-                "hcfirst": r.hcfirst,
-                "ber": r.ber,
-                "ber_iterations": list(r.ber_iterations),
+                "bank": bank,
+                "row": row,
+                "vpp": vpp,
+                "wcdp_index": wcdp,
+                "hcfirst": hc,
+                "ber": ber,
+                "ber_iterations": iterations,
             }
-            for r in result.rowhammer
+            for bank, row, vpp, wcdp, hc, ber, iterations in zip(
+                rowhammer.bank.tolist(), rowhammer.row.tolist(),
+                rowhammer.vpp.tolist(), rowhammer.wcdp_index.tolist(),
+                hcfirst, rowhammer.ber.tolist(),
+                rowhammer.ber_iterations.tolist(),
+            )
         ],
         "trcd": [
             {
-                "bank": r.bank,
-                "row": r.row,
-                "vpp": r.vpp,
-                "wcdp_index": r.wcdp_index,
-                "trcd_min": r.trcd_min,
+                "bank": bank,
+                "row": row,
+                "vpp": vpp,
+                "wcdp_index": wcdp,
+                "trcd_min": trcd_min,
             }
-            for r in result.trcd
+            for bank, row, vpp, wcdp, trcd_min in zip(
+                trcd.bank.tolist(), trcd.row.tolist(), trcd.vpp.tolist(),
+                trcd.wcdp_index.tolist(), trcd.trcd_min.tolist(),
+            )
         ],
         "retention": [
             {
-                "bank": r.bank,
-                "row": r.row,
-                "vpp": r.vpp,
-                "trefw": r.trefw,
-                "wcdp_index": r.wcdp_index,
-                "ber": r.ber,
-                "word_flip_histogram": {
-                    str(k): v
-                    for k, v in r.word_flip_histogram.items()
-                },
+                "bank": bank,
+                "row": row,
+                "vpp": vpp,
+                "trefw": trefw,
+                "wcdp_index": wcdp,
+                "ber": ber,
+                "word_flip_histogram": histogram,
             }
-            for r in result.retention
+            for bank, row, vpp, trefw, wcdp, ber, histogram in zip(
+                retention.bank.tolist(), retention.row.tolist(),
+                retention.vpp.tolist(), retention.trefw.tolist(),
+                retention.wcdp_index.tolist(), retention.ber.tolist(),
+                retention.histograms(key=_FLIP_KEYS.__getitem__),
+            )
         ],
     }
 
 
+#: Each record family's table and JSON fields, with the numpy dtype a
+#: field decodes to (None: a list the table converts itself -- censored
+#: ``hcfirst``, the per-iteration block, the histograms).
+_FAMILIES = (
+    ("rowhammer", RowHammerTable, (
+        ("bank", np.int64), ("row", np.int64), ("vpp", np.float64),
+        ("wcdp_index", np.int64), ("hcfirst", None), ("ber", np.float64),
+        ("ber_iterations", None),
+    )),
+    ("trcd", TrcdTable, (
+        ("bank", np.int64), ("row", np.int64), ("vpp", np.float64),
+        ("wcdp_index", np.int64), ("trcd_min", np.float64),
+    )),
+    ("retention", RetentionTable, (
+        ("bank", np.int64), ("row", np.int64), ("vpp", np.float64),
+        ("trefw", np.float64), ("wcdp_index", np.int64),
+        ("ber", np.float64), ("word_flip_histogram", None),
+    )),
+)
+
+
 def module_result_from_dict(payload: Dict[str, Any]) -> ModuleResult:
-    """Inverse of :func:`module_result_to_dict`."""
-    name = payload["module"]
-    result = ModuleResult(
-        module=name,
+    """Inverse of :func:`module_result_to_dict`: fills the columns
+    straight from the record lists, one pass per field (no per-record
+    objects)."""
+    tables = {}
+    for family, table, fields in _FAMILIES:
+        records = payload[family]
+        columns = {}
+        for name, dtype in fields:
+            values = map(itemgetter(name), records)
+            columns[name] = (
+                list(values) if dtype is None
+                else np.fromiter(values, dtype, len(records))
+            )
+        tables[family] = table(**columns)
+    return ModuleResult(
+        module=payload["module"],
         vendor=payload["vendor"],
         vppmin=payload["vppmin"],
         vpp_levels=list(payload["vpp_levels"]),
+        **tables,
     )
-    for r in payload["rowhammer"]:
-        result.rowhammer.append(
-            RowHammerRowResult(
-                module=name,
-                bank=r["bank"],
-                row=r["row"],
-                vpp=r["vpp"],
-                wcdp_index=r["wcdp_index"],
-                hcfirst=r["hcfirst"],
-                ber=r["ber"],
-                ber_iterations=tuple(r["ber_iterations"]),
-            )
-        )
-    for r in payload["trcd"]:
-        result.trcd.append(
-            TrcdRowResult(
-                module=name,
-                bank=r["bank"],
-                row=r["row"],
-                vpp=r["vpp"],
-                wcdp_index=r["wcdp_index"],
-                trcd_min=r["trcd_min"],
-            )
-        )
-    for r in payload["retention"]:
-        result.retention.append(
-            RetentionRowResult(
-                module=name,
-                bank=r["bank"],
-                row=r["row"],
-                vpp=r["vpp"],
-                trefw=r["trefw"],
-                wcdp_index=r["wcdp_index"],
-                ber=r["ber"],
-                word_flip_histogram={
-                    int(k): v
-                    for k, v in r["word_flip_histogram"].items()
-                },
-            )
-        )
-    return result
 
 
 def study_to_dict(study: StudyResult) -> Dict[str, Any]:

@@ -26,7 +26,12 @@ from repro.core import rowhammer as rowhammer_test
 from repro.core import trcd as trcd_test
 from repro.core.adjacency import ReverseEngineeredAdjacency
 from repro.core.context import TestContext
-from repro.core.results import ModuleResult
+from repro.core.results import (
+    ModuleResult,
+    RetentionTable,
+    RowHammerTable,
+    TrcdTable,
+)
 from repro.core.sampling import sample_rows
 from repro.core.scale import StudyScale
 from repro.core.wcdp import retention_wcdp, rowhammer_wcdp, trcd_wcdp
@@ -174,12 +179,6 @@ class CharacterizationStudy:
         infra = ctx.infra
         if vpp_levels is None:
             vpp_levels = infra.vpp_levels(self.scale.vpp_step)
-        result = ModuleResult(
-            module=name,
-            vendor=profile.vendor.value,
-            vppmin=min(vpp_levels),
-            vpp_levels=list(vpp_levels),
-        )
         if rows is None:
             rows = sample_rows(
                 infra.module.geometry.rows_per_bank,
@@ -192,6 +191,9 @@ class CharacterizationStudy:
         preheat = getattr(ctx.engine, "preheat", None)
         if preheat is not None:
             preheat(ctx, rows, tests)
+
+        # Alg. 1/2/3 row outputs, assembled into the module's tables once.
+        rowhammer_rows, trcd_rows, retention_rows = [], [], []
 
         # WCDP determination at nominal V_PP (Section 4.1).
         with TRACER.span("wcdp"):
@@ -225,7 +227,7 @@ class CharacterizationStudy:
                     "operating-point", module=name, vpp=vpp, phase="50C",
                 ):
                     if "trcd" not in tests:
-                        result.rowhammer.extend(
+                        rowhammer_rows.extend(
                             rowhammer_test.characterize_rows(
                                 ctx, rows, wcdp_rh, vpp
                             )
@@ -234,13 +236,13 @@ class CharacterizationStudy:
                     for row in rows:
                         if "rowhammer" in tests:
                             with TRACER.span("rowhammer"):
-                                result.rowhammer.append(
+                                rowhammer_rows.append(
                                     rowhammer_test.characterize_row(
                                         ctx, row, wcdp_rh[row], vpp
                                     )
                                 )
                         with TRACER.span("trcd"):
-                            result.trcd.append(
+                            trcd_rows.append(
                                 trcd_test.characterize_row(
                                     ctx, row, wcdp_act[row], vpp
                                 )
@@ -255,13 +257,21 @@ class CharacterizationStudy:
                 with TRACER.span(
                     "operating-point", module=name, vpp=vpp, phase="80C",
                 ):
-                    result.retention.extend(
+                    retention_rows.extend(
                         retention_test.characterize_rows(
                             ctx, rows, wcdp_ret, vpp
                         )
                     )
         ctx.engine.counters.publish()
-        return result
+        return ModuleResult(
+            module=name,
+            vendor=profile.vendor.value,
+            vppmin=min(vpp_levels),
+            vpp_levels=list(vpp_levels),
+            rowhammer=RowHammerTable.from_rows(rowhammer_rows),
+            trcd=TrcdTable.from_rows(trcd_rows),
+            retention=RetentionTable.from_rows(retention_rows),
+        )
 
     # -- campaign-level runs ---------------------------------------------------------
 

@@ -39,7 +39,7 @@ the oracle.
 from __future__ import annotations
 
 from repro.core.context import TestContext
-from repro.core.results import TrcdRowResult
+from repro.core.results import TrcdRow
 from repro.dram.constants import NOMINAL_TRCD, SOFTMC_COMMAND_CLOCK
 from repro.dram.patterns import DataPattern
 from repro.errors import AnalysisError, ConfigurationError
@@ -93,11 +93,10 @@ def find_trcd_min(
 
 def characterize_row(
     ctx: TestContext, row: int, pattern: DataPattern, vpp: float,
-) -> TrcdRowResult:
+) -> TrcdRow:
     """Full Alg. 2 characterization of one row at the current V_PP."""
     trcd_min = find_trcd_min(ctx, row, pattern)
-    return TrcdRowResult(
-        module=ctx.module_name,
+    return TrcdRow(
         bank=ctx.bank,
         row=row,
         vpp=vpp,

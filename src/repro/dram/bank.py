@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -1527,7 +1528,10 @@ class RetentionSweep(ProbeSweep):
         env = self._bank._env
         key = (env.vpp, env.temperature)
         if self._fused is None or self._fused_key != key:
-            self._fused = _FusedRetentionCounts(self)
+            self._fused = _FusedRetentionCounts(
+                self._bank, self.state, self.physical, self.pattern_index,
+                self.charged_byte,
+            )
             self._fused_key = key
         return self._fused
 
@@ -1956,20 +1960,21 @@ class _FusedRetentionCounts:
     resident.
     """
 
-    def __init__(self, sweep: ProbeSweep):
-        bank = sweep._bank
+    def __init__(self, bank: Bank, state: RowState, physical: int,
+                 pattern_index: int, charged_byte: int):
         margin, thermal = (np.float32(x) for x in bank.retention_scalars())
         scalar = bank._cached(
-            sweep.state, sweep.physical, "retention_pattern_factors"
-        )[sweep.pattern_index]
-        # Bound to the row state, not the sweep (which caches this
-        # object), so evicted sweeps free without a cycle collection.
-        self._extended_layout = functools.partial(
-            bank.extended_retention_layout, sweep.state, sweep.physical
-        )
-        self._charged_byte = sweep.charged_byte
+            state, physical, "retention_pattern_factors"
+        )[pattern_index]
+        # Holds neither the sweep (which caches this object) nor the row
+        # state (whose deferred data producer may hold this object), so
+        # an evicted sweep frees without a cycle collection.
+        self._bank = bank
+        self._state = weakref.ref(state)
+        self._physical = physical
+        self._charged_byte = charged_byte
         groups = (
-            bank.retention_layout(sweep.state, sweep.physical)
+            bank.retention_layout(state, physical)
             if self._charged_byte else ()
         )
         self._groups = tuple(population for _, population in groups)
@@ -2009,9 +2014,10 @@ class _FusedRetentionCounts:
         if cached is None:
             prefixes = self._prefixes(elapsed)
             if any(map(_exhausted, self._groups, prefixes)):
-                self._groups = tuple(
-                    population for _, population in self._extended_layout()
+                layout = self._bank.extended_retention_layout(
+                    self._state(), self._physical
                 )
+                self._groups = tuple(population for _, population in layout)
                 prefixes = self._prefixes(elapsed)
             count = self._charged_counts.get(prefixes)
             if count is None:
@@ -2112,9 +2118,14 @@ class _FusedHammerCounts:
     def __init__(self, sweep: HammerSweep):
         bank = sweep._bank
         state = sweep.state
-        self._sweep = sweep
+        # No reference to the sweep or (strongly) to the row state; see
+        # _FusedRetentionCounts.
+        self._bank = bank
+        self._state = weakref.ref(state)
         self._cells = bank._cells
         self._physical = sweep.physical
+        self._pattern_index = sweep.pattern_index
+        self._size = sweep.charged.size
         self._hammer_pattern = bank._cached(
             state, sweep.physical, "pattern_factors"
         )[sweep.pattern_index]
@@ -2133,7 +2144,10 @@ class _FusedHammerCounts:
 
     def _retention_counts(self) -> _FusedRetentionCounts:
         if self._retention is None:
-            self._retention = _FusedRetentionCounts(self._sweep)
+            self._retention = _FusedRetentionCounts(
+                self._bank, self._state(), self._physical,
+                self._pattern_index, self._charged_byte,
+            )
         return self._retention
 
     def any_decay(self, elapsed: float) -> bool:
@@ -2160,10 +2174,10 @@ class _FusedHammerCounts:
         damage flips (``flip_mask``'s damage term). A prefix that
         reaches the end of the bulk head extends the row's layout and
         is searched again."""
-        bank = self._sweep._bank
+        bank = self._bank
         if self._layout is None:
             self._layout = bank.tolerance_layout(
-                self._sweep.state, self._physical
+                self._state(), self._physical
             )
         flipped = []
         for index, (minimum, damage) in enumerate(
@@ -2174,7 +2188,7 @@ class _FusedHammerCounts:
                 prefix = _flip_prefix(population.values, factor, damage)
                 if _exhausted(population, prefix):
                     self._layout = bank.extended_tolerance_layout(
-                        self._sweep.state, self._physical
+                        self._state(), self._physical
                     )
                     population = self._layout[index]
                     prefix = _flip_prefix(population.values, factor, damage)
@@ -2191,7 +2205,7 @@ class _FusedHammerCounts:
         if self.any_decay(elapsed):
             # Rare: decay during a hammer probe. Count the union of the
             # damage and decay flip sets (flip_mask's |=) exactly.
-            flips = np.zeros(self._sweep.charged.size, dtype=bool)
+            flips = np.zeros(self._size, dtype=bool)
             flips[self._retention_counts().flip_indices(elapsed)] = True
             for part in self._members(flipped):
                 flips[part] = True

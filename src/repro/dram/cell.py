@@ -114,6 +114,7 @@ class RowState:
     __slots__ = (
         "_data", "_producer", "last_restore_time", "vpp_at_restore",
         "damage_bulk", "damage_outlier", "pattern_index", "session", "cache",
+        "__weakref__",
     )
 
     def __init__(

@@ -11,6 +11,8 @@ vendor shifts), plus the Observation 13 module count at the nominal
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import paper
 from repro.core.analysis import retention_curves, retention_density_at
 from repro.dram.constants import NOMINAL_TREFW
@@ -89,27 +91,24 @@ def _analyze(output, studies, *, modules, scale, seed):
 
 
 def _closest_window(study, target: float) -> float:
-    windows = sorted(
-        {
-            record.trefw
-            for module_result in study.modules.values()
-            for record in module_result.retention
-        }
-    )
+    windows = np.unique(np.concatenate([
+        module_result.retention.trefw
+        for module_result in study.modules.values()
+    ])).tolist()
     return min(windows, key=lambda w: abs(w - target))
 
 
 def _modules_at_nominal_window(study):
     clean, failing = [], []
     for name, module_result in sorted(study.modules.items()):
-        records = [
-            r
-            for r in module_result.retention_at(module_result.vppmin)
-            if abs(r.trefw - NOMINAL_TREFW) < 1e-9
-        ]
-        if not records:
+        table = module_result.retention
+        selected = module_result.retention_at(module_result.vppmin) & (
+            np.abs(table.trefw - NOMINAL_TREFW) < 1e-9
+        )
+        if not selected.any():
             continue
-        (failing if any(r.ber > 0 for r in records) else clean).append(name)
+        failed = (table.ber[selected] > 0).any()
+        (failing if failed else clean).append(name)
     return clean, failing
 
 

@@ -18,10 +18,10 @@ def _analyze(output, studies, *, modules, scale, seed):
     (study,) = studies
     paper_cv = paper.value("significance.cv_percentiles")
     series = [
-        record.ber_iterations
+        series
         for module_result in study.modules.values()
-        for record in module_result.rowhammer
-        if max(record.ber_iterations, default=0) > 0
+        for series in module_result.rowhammer.ber_iterations
+        if series.size and series.max() > 0
     ]
     percentiles = cv_percentiles(series)
     table = output.add_table(

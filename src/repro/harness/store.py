@@ -129,9 +129,19 @@ class StudyStore:
         ).inc(size)
         return study
 
+    def read_bytes(self, fingerprint: str) -> Optional[bytes]:
+        """One entry's stored bytes, unparsed; ``None`` when absent (the
+        API's study endpoint sends these verbatim)."""
+        try:
+            with open(self.path(fingerprint), "rb") as handle:
+                return handle.read()
+        except OSError:
+            return None
+
     def load_dict(self, fingerprint: str) -> Optional[dict]:
-        """The raw JSON document of one entry (the API serves this
-        verbatim, no deserialize/re-serialize round trip)."""
+        """One entry's JSON document, parsed but not decoded into a
+        :class:`~repro.core.study.StudyResult`; ``None`` when absent or
+        unparseable."""
         path = self.path(fingerprint)
         try:
             with open(path) as handle:

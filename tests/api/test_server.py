@@ -6,6 +6,8 @@ the API serves must be bit-identical to a direct study run -- go over
 a real socket via :class:`BackgroundServer` + :class:`ApiClient`.
 """
 
+import http.client
+import json
 import os
 
 import pytest
@@ -27,6 +29,20 @@ def api(tmp_path):
     return ApiServer(
         str(tmp_path / "store"), str(tmp_path / "state"), workers=1
     )
+
+
+def _raw_request(port, method, path):
+    """(status, content type, body bytes) of one plain HTTP request."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        connection.request(method, path)
+        response = connection.getresponse()
+        return (
+            response.status, response.getheader("Content-Type"),
+            response.read(),
+        )
+    finally:
+        connection.close()
 
 
 def submit(api, payload=None, tenant="default"):
@@ -206,6 +222,28 @@ class TestHttpRoundTrip:
             if key != "provenance"
         }
         assert strip(served) == strip(direct_doc)
+
+    def test_study_body_is_the_stored_entry(self, server, finished_job):
+        """GET /v1/studies/<fp> sends the entry file's bytes as they are;
+        an unknown fingerprint stays 404 and other methods 405."""
+        fingerprint = finished_job["fingerprint"]
+        with open(server.api.store.path(fingerprint), "rb") as handle:
+            stored = handle.read()
+        status, content_type, body = _raw_request(
+            server.port, "GET", f"/v1/studies/{fingerprint}"
+        )
+        assert (status, content_type) == (200, "application/json")
+        assert body == stored
+        status, _, body = _raw_request(
+            server.port, "GET", f"/v1/studies/{'0' * 32}"
+        )
+        assert status == 404
+        assert "no study published" in json.loads(body)["error"]
+        status, _, body = _raw_request(
+            server.port, "DELETE", f"/v1/studies/{fingerprint}"
+        )
+        assert status == 405
+        assert json.loads(body) == {"error": "method not allowed"}
 
     def test_sse_replays_full_history(self, client, finished_job):
         """A subscriber arriving after completion still sees the whole

@@ -60,7 +60,7 @@ class TestAlgorithm1:
     def test_characterize_row_record(self, ctx):
         pattern = _charged_pattern(ctx, 20)
         record = rowhammer.characterize_row(ctx, 20, pattern, vpp=2.5)
-        assert record.module == "B3"
+        assert record.bank == ctx.bank
         assert record.row == 20
         assert len(record.ber_iterations) == ctx.scale.iterations
         assert record.ber == max(record.ber_iterations)

@@ -11,7 +11,9 @@ Every case is checked against the path that does the work eagerly.
 
 import collections
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -45,7 +47,7 @@ def _trcd_generations():
     ).labels(family="trcd").value
 
 
-def _context(name, engine_kind, row_bits=None, seed=11):
+def _context(name, engine_kind, row_bits=None, seed=11, **options):
     scale = StudyScale.tiny()
     if row_bits is not None:
         scale = dataclasses.replace(
@@ -55,7 +57,7 @@ def _context(name, engine_kind, row_bits=None, seed=11):
     infra = TestInfrastructure.for_module(
         name, geometry=scale.geometry, seed=seed
     )
-    return TestContext(infra, scale, probe_engine=engine_kind)
+    return TestContext(infra, scale, probe_engine=engine_kind, **options)
 
 
 def _row_state(ctx, row):
@@ -339,6 +341,51 @@ class TestDeferredRowData:
         command = _row_state(contexts["command"], row)
         assert np.array_equal(fused.data, command.data)
         assert (fused.data != STANDARD_PATTERNS[0].row_bits(65536)).any()
+
+
+class TestEvictedSweepsFree:
+    """A session's deferred producer holds neither its sweep nor the
+    row state, so a sweep the LRU evicts is freed by reference counting
+    alone, with its row's data still pending (and still equal to the
+    command engine's)."""
+
+    @pytest.mark.parametrize("kind", ["hammer", "retention"])
+    def test_evicted_sweep_dies_without_a_collection(self, kind):
+        command_ctx = _context("B3", "command")
+        fused_ctx = _context("B3", "fused", sweep_cache=1)
+        pattern = STANDARD_PATTERNS[2]
+        rows = (5, 9)
+        for ctx in (command_ctx, fused_ctx):
+            ctx.infra.set_vpp(2.2)
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            swept = []
+            for ctx in (command_ctx, fused_ctx):
+                for row in rows:
+                    if kind == "hammer":
+                        with ctx.engine.hammer_session(
+                            ctx, row, pattern
+                        ) as session:
+                            session.ber(2_000_000)
+                    else:
+                        ctx.infra.set_temperature(80.0)
+                        with ctx.engine.retention_session(
+                            ctx, row, pattern
+                        ) as session:
+                            session.worst_ladder([4.096, 16.384], 2)
+                    if ctx is fused_ctx and not swept:
+                        (sweep,) = ctx.engine._sweeps.values()
+                        swept.append(weakref.ref(sweep))
+                        del sweep
+            assert fused_ctx.engine.counters.sweep_evictions == 1
+            assert swept[0]() is None
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        first = _row_state(fused_ctx, rows[0])
+        assert first._producer is not None
+        assert np.array_equal(first.data, _row_state(command_ctx, rows[0]).data)
 
 
 class TestRowGammas:

@@ -18,9 +18,12 @@ from repro.core.mitigation import (
 )
 from repro.core.results import (
     ModuleResult,
-    RetentionRowResult,
-    RowHammerRowResult,
-    TrcdRowResult,
+    RetentionRow,
+    RetentionTable,
+    RowHammerRow,
+    RowHammerTable,
+    TrcdRow,
+    TrcdTable,
 )
 from repro.core.scale import StudyScale
 from repro.core.study import StudyResult
@@ -28,23 +31,23 @@ from repro.errors import AnalysisError, ConfigurationError
 from repro.units import ms, ns
 
 
-def _rh(module, row, vpp, hcfirst, ber):
-    return RowHammerRowResult(
-        module=module, bank=0, row=row, vpp=vpp, wcdp_index=0,
+def _rh(row, vpp, hcfirst, ber):
+    return RowHammerRow(
+        bank=0, row=row, vpp=vpp, wcdp_index=0,
         hcfirst=hcfirst, ber=ber, ber_iterations=(ber,),
     )
 
 
-def _trcd(module, row, vpp, value_ns):
-    return TrcdRowResult(
-        module=module, bank=0, row=row, vpp=vpp, wcdp_index=0,
+def _trcd(row, vpp, value_ns):
+    return TrcdRow(
+        bank=0, row=row, vpp=vpp, wcdp_index=0,
         trcd_min=ns(value_ns),
     )
 
 
-def _ret(module, row, vpp, trefw, ber, histogram=None):
-    return RetentionRowResult(
-        module=module, bank=0, row=row, vpp=vpp, trefw=trefw,
+def _ret(row, vpp, trefw, ber, histogram=None):
+    return RetentionRow(
+        bank=0, row=row, vpp=vpp, trefw=trefw,
         wcdp_index=0, ber=ber, word_flip_histogram=histogram or {},
     )
 
@@ -55,31 +58,31 @@ def synthetic_study():
     m1 = ModuleResult(module="X1", vendor="A", vppmin=1.6,
                       vpp_levels=[2.5, 1.6])
     # Row 1 improves (HC up, BER down); row 2 worsens.
-    m1.rowhammer += [
-        _rh("X1", 1, 2.5, 10_000, 0.010),
-        _rh("X1", 2, 2.5, 20_000, 0.020),
-        _rh("X1", 1, 1.6, 15_000, 0.005),
-        _rh("X1", 2, 1.6, 18_000, 0.024),
-    ]
-    m1.trcd += [
-        _trcd("X1", 1, 2.5, 10.5), _trcd("X1", 2, 2.5, 12.0),
-        _trcd("X1", 1, 1.6, 12.0), _trcd("X1", 2, 1.6, 13.5),
-    ]
-    m1.retention += [
-        _ret("X1", 1, 2.5, ms(64.0), 0.0),
-        _ret("X1", 1, 2.5, 4.0, 0.001, {1: 2}),
-        _ret("X1", 1, 1.6, ms(64.0), 0.0005, {1: 1}),
-        _ret("X1", 1, 1.6, 4.0, 0.002, {1: 3, 2: 0}),
-    ]
+    m1.rowhammer = RowHammerTable.from_rows([
+        _rh(1, 2.5, 10_000, 0.010),
+        _rh(2, 2.5, 20_000, 0.020),
+        _rh(1, 1.6, 15_000, 0.005),
+        _rh(2, 1.6, 18_000, 0.024),
+    ])
+    m1.trcd = TrcdTable.from_rows([
+        _trcd(1, 2.5, 10.5), _trcd(2, 2.5, 12.0),
+        _trcd(1, 1.6, 12.0), _trcd(2, 1.6, 13.5),
+    ])
+    m1.retention = RetentionTable.from_rows([
+        _ret(1, 2.5, ms(64.0), 0.0),
+        _ret(1, 2.5, 4.0, 0.001, {1: 2}),
+        _ret(1, 1.6, ms(64.0), 0.0005, {1: 1}),
+        _ret(1, 1.6, 4.0, 0.002, {1: 3, 2: 0}),
+    ])
     m2 = ModuleResult(module="Y1", vendor="B", vppmin=2.0,
                       vpp_levels=[2.5, 2.0])
-    m2.rowhammer += [
-        _rh("Y1", 5, 2.5, 8_000, 0.10),
-        _rh("Y1", 5, 2.0, 9_000, 0.09),
-    ]
-    m2.trcd += [
-        _trcd("Y1", 5, 2.5, 12.0), _trcd("Y1", 5, 2.0, 15.0),
-    ]
+    m2.rowhammer = RowHammerTable.from_rows([
+        _rh(5, 2.5, 8_000, 0.10),
+        _rh(5, 2.0, 9_000, 0.09),
+    ])
+    m2.trcd = TrcdTable.from_rows([
+        _trcd(5, 2.5, 12.0), _trcd(5, 2.0, 15.0),
+    ])
     study = StudyResult(scale=StudyScale.tiny(), seed=0)
     study.modules = {"X1": m1, "Y1": m2}
     return study
@@ -101,9 +104,12 @@ class TestModuleResult:
             synthetic_study.module("nope")
 
     def test_word_properties(self):
-        record = _ret("X1", 1, 2.5, 4.0, 0.01, {1: 4, 2: 1, 3: 2})
-        assert record.words_with_one_flip == 4
-        assert record.words_uncorrectable == 3
+        table = RetentionTable.from_rows([
+            _ret(1, 2.5, 4.0, 0.01, {1: 4, 2: 1, 3: 2}),
+            _ret(2, 2.5, 4.0, 0.0),
+        ])
+        assert table.words_with_one_flip.tolist() == [4, 0]
+        assert table.words_uncorrectable.tolist() == [3, 0]
 
     def test_by_vendor(self, synthetic_study):
         assert [m.module for m in synthetic_study.by_vendor("A")] == ["X1"]
@@ -188,7 +194,9 @@ class TestMitigation:
     def test_ecc_report_none_when_clean(self):
         module = ModuleResult(module="Z", vendor="C", vppmin=1.5,
                               vpp_levels=[2.5, 1.5])
-        module.retention.append(_ret("Z", 1, 1.5, ms(64.0), 0.0))
+        module.retention = RetentionTable.from_rows(
+            [_ret(1, 1.5, ms(64.0), 0.0)]
+        )
         assert ecc_report(module, 1.5) is None
 
     def test_selective_refresh(self, synthetic_study):
@@ -209,10 +217,10 @@ class TestMitigation:
     def test_recommendation_accepts_clean_improvement(self):
         module = ModuleResult(module="Z", vendor="C", vppmin=1.5,
                               vpp_levels=[2.5, 1.5])
-        module.rowhammer += [
-            _rh("Z", 1, 2.5, 10_000, 0.02),
-            _rh("Z", 1, 1.5, 12_000, 0.01),
-        ]
+        module.rowhammer = RowHammerTable.from_rows([
+            _rh(1, 2.5, 10_000, 0.02),
+            _rh(1, 1.5, 12_000, 0.01),
+        ])
         recommendation = recommend_vpp(module)
         assert recommendation.vpp == 1.5
         assert recommendation.hcfirst == 12_000

@@ -24,9 +24,9 @@ def test_every_row_measured_at_every_level(b3_study):
     module = b3_study.module("B3")
     scale = b3_study.scale
     for vpp in module.vpp_levels:
-        assert len(module.rowhammer_at(vpp)) == scale.rows_per_module
-        assert len(module.trcd_at(vpp)) == scale.rows_per_module
-        assert len(module.retention_at(vpp)) == (
+        assert module.rowhammer_at(vpp).sum() == scale.rows_per_module
+        assert module.trcd_at(vpp).sum() == scale.rows_per_module
+        assert module.retention_at(vpp).sum() == (
             scale.rows_per_module * len(scale.retention_windows)
         )
 
@@ -54,7 +54,7 @@ def test_retention_ber_monotone_in_window(b3_study):
     module = b3_study.module("B3")
     for vpp in module.vpp_levels:
         by_row = {}
-        for record in module.retention_at(vpp):
+        for record in module.retention.take(module.retention_at(vpp)):
             by_row.setdefault(record.row, []).append(
                 (record.trefw, record.ber)
             )
