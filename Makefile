@@ -106,6 +106,8 @@ artifacts:
 
 examples:
 	PYTHONPATH=src $(PYTHON) examples/quickstart.py
+	PYTHONPATH=src $(PYTHON) examples/attack_demo.py
+	PYTHONPATH=src $(PYTHON) examples/vpp_recommendation.py
 	PYTHONPATH=src $(PYTHON) examples/spice_waveforms.py
 	PYTHONPATH=src $(PYTHON) examples/ecc_selective_refresh.py
 	PYTHONPATH=src $(PYTHON) examples/reduced_vpp_system.py

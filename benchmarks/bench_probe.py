@@ -12,7 +12,8 @@ with both cache layers disabled:
   restore sessions, 128 and 20 keys: the prefetch's vectorized kernel
   against per-key generator draws, with its speedups;
 * wall-clock of a bench-scale one-module RowHammer campaign
-  (``get_study(("rowhammer",))``) on both engines, and its speedup;
+  (``CharacterizationStudy(probe_engine=...).run``) on both engines,
+  and its speedup;
 * wall-clock of the *characterization campaign* -- Alg. 1 bisections
   plus Alg. 3 retention ladders over the bench row set at the paper
   modules' physical row size (8 KiB) -- on the kernel (min of several
@@ -70,6 +71,7 @@ from repro.core.rowhammer import measure_ber
 from repro.core.retention import measure_retention
 from repro.core.sampling import sample_rows
 from repro.core.scale import StudyScale
+from repro.core.study import CharacterizationStudy
 from repro.core.trcd import find_trcd_min
 from repro.core.wcdp import retention_wcdp, rowhammer_wcdp
 from repro.dram import constants
@@ -267,15 +269,11 @@ def bench_trcd_rates():
 
 
 def _timed_campaign(engine, tests, scale=None):
-    os.environ["REPRO_PROBE_ENGINE"] = engine
-    try:
-        clear_cache()
-        started = time.monotonic()
-        get_study(tests, modules=(CAMPAIGN_MODULE,), scale=scale)
-        return time.monotonic() - started
-    finally:
-        os.environ.pop("REPRO_PROBE_ENGINE", None)
-        clear_cache()
+    started = time.monotonic()
+    CharacterizationStudy(scale=scale, probe_engine=engine).run(
+        modules=(CAMPAIGN_MODULE,), tests=tuple(tests)
+    )
+    return time.monotonic() - started
 
 
 def bench_campaign():
@@ -561,9 +559,10 @@ def main(argv=None) -> int:
         "engines": "fused kernel vs command oracle, measured in one run",
         "probe_module": MODULE,
         "campaign_module": CAMPAIGN_MODULE,
-        "campaign": "bench-scale get_study(('rowhammer',))",
+        "campaign": "bench-scale CharacterizationStudy ('rowhammer',)",
         "characterization_campaign": (
-            "bench-scale get_study(('rowhammer', 'retention')) at 65536-bit"
+            "bench-scale CharacterizationStudy ('rowhammer', 'retention')"
+            " at 65536-bit"
             " physical rows, fused, min-of-2"
         ),
         "ladder_campaign": (

@@ -1,7 +1,7 @@
 """API job model: specs, lifecycle, durable state, and the runner.
 
 A *job* is one characterization campaign submitted over HTTP. Its spec
-is either given explicitly (modules / tests / scale / seed / engine) or
+is either given explicitly (modules / tests / scale / seed / program) or
 derived from a registered experiment's declared campaign
 (``{"experiment": "fig3"}`` -- the same
 :class:`~repro.harness.spec.StudyRequest` resolution the runner uses),
@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.probe import ENGINE_NAMES, engine_selection
+from repro.atomic import write_atomic
 from repro.core.scale import scale_preset
 from repro.core.study import TEST_TYPES
 from repro.errors import ConfigurationError, JobCancelledError
@@ -95,7 +94,6 @@ class JobSpec:
     modules: tuple
     scale: str = "tiny"
     seed: int = 0
-    probe_engine: Optional[str] = None
     chunks: Optional[int] = None
     workers: int = 0
     priority: int = 0
@@ -171,11 +169,12 @@ class JobSpec:
     def _finish(cls, payload, tests, modules, experiment) -> "JobSpec":
         scale = payload.get("scale", "tiny")
         scale_preset(scale)  # raises on unknown names
-        engine = payload.get("probe_engine")
-        if engine is not None and engine not in ENGINE_NAMES:
+        if "probe_engine" in payload:
+            # Refused, not ignored: no client may think it ran the oracle.
             raise ConfigurationError(
-                f"unknown probe_engine {engine!r}; expected one of "
-                + ", ".join(ENGINE_NAMES)
+                f"probe_engine is not a job field (got "
+                f"{payload['probe_engine']!r}): both probe engines "
+                "produce the same study, so a job does not choose one"
             )
         program = validate_program(payload.get("program"))
         priority = payload.get("priority", 0)
@@ -205,7 +204,6 @@ class JobSpec:
             modules=tuple(modules),
             scale=scale,
             seed=seed,
-            probe_engine=engine,
             chunks=int(chunks) if chunks else None,
             workers=workers,
             priority=priority,
@@ -220,7 +218,7 @@ class JobSpec:
         request -- the API's determinism contract hangs off this)."""
         return study_fingerprint(
             self.tests, self.modules, scale_preset(self.scale),
-            self.seed, self.probe_engine, program=self.program,
+            self.seed, program=self.program,
         )
 
     def as_dict(self) -> Dict[str, Any]:
@@ -229,7 +227,6 @@ class JobSpec:
             "modules": list(self.modules),
             "scale": self.scale,
             "seed": self.seed,
-            "probe_engine": self.probe_engine,
             "chunks": self.chunks,
             "workers": self.workers,
             "priority": self.priority,
@@ -241,13 +238,14 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "JobSpec":
-        """Rehydrate a persisted spec (already validated at submit)."""
+        """Rehydrate a persisted spec (already validated at submit).
+        Keys this version does not know -- such as the engine name
+        older records carry -- are ignored."""
         return cls(
             tests=tuple(payload["tests"]),
             modules=tuple(payload["modules"]),
             scale=payload["scale"],
             seed=payload["seed"],
-            probe_engine=payload.get("probe_engine"),
             chunks=payload.get("chunks"),
             workers=payload.get("workers", 0),
             priority=payload.get("priority", 0),
@@ -349,23 +347,11 @@ class JobStateDir:
         return os.path.join(self.directory, f"{job_id}.json")
 
     def save(self, job: Job) -> None:
-        """Write the job's record atomically (temp file + rename).
-        Encoded once with ``json.dumps`` and written in one call: the
-        bytes equal streaming ``json.dump``'s, which runs CPython's
-        pure-Python encoder."""
-        text = json.dumps(job.as_dict(), sort_keys=True)
-        os.makedirs(self.directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, self.path(job.id))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        """Write the job's record atomically (:func:`~repro.atomic.
+        write_atomic`)."""
+        write_atomic(
+            self.path(job.id), json.dumps(job.as_dict(), sort_keys=True)
+        )
 
     def load_all(self) -> List[Job]:
         """Every persisted job (corrupt files are skipped, not fatal)."""
@@ -420,7 +406,7 @@ def run_job(
     flight-recorder directory whose dumps are listed in
     ``job.flightrec`` if the job ends in an error state. The per-tenant
     run-duration SLO histogram ``repro_api_job_seconds`` is observed at
-    every terminal transition, labeled by tenant and engine tier.
+    every terminal transition, labeled by tenant.
     """
     started = clock.monotonic()
     flight_dir = (
@@ -433,13 +419,11 @@ def run_job(
                              fingerprint=job.fingerprint):
                 _execute_job(job, store, checkpoint_base, flight_dir)
     finally:
-        engine = job.spec.probe_engine or engine_selection()
         REGISTRY.histogram(
             "repro_api_job_seconds",
-            "job run duration (queue pop to terminal state) by tenant "
-            "and engine tier",
-            labels=("tenant", "engine"),
-        ).labels(tenant=job.tenant, engine=engine).observe(
+            "job run duration (queue pop to terminal state) by tenant",
+            labels=("tenant",),
+        ).labels(tenant=job.tenant).observe(
             clock.monotonic() - started
         )
         if flight_dir and job.error:
@@ -465,14 +449,6 @@ def _execute_job(
 ) -> None:
     spec = job.spec
     telemetry = JobTelemetry(job.id)
-    try:
-        # Submission validated the name, but a job persisted before an
-        # engine was retired (and then adopted on restart) still names
-        # it: fail it here, typed, before the store is consulted.
-        engine_selection(spec.probe_engine)
-    except ConfigurationError as error:
-        _fail(job, telemetry, str(error))
-        return
     if store.contains(job.fingerprint):
         job.cache = "hit"
         job.state = COMPLETED
@@ -486,7 +462,6 @@ def _execute_job(
         tests=spec.tests,
         scale=scale_preset(spec.scale),
         seed=spec.seed,
-        probe_engine=spec.probe_engine,
         chunks_per_module=spec.chunks,
         max_workers=spec.workers,
         max_attempts=spec.max_attempts,
@@ -535,8 +510,7 @@ def _execute_job(
     study = outcome.study
     attach_provenance(
         study, spec.tests, spec.modules, spec.seed,
-        outcome.metrics.wall_seconds, probe_engine=spec.probe_engine,
-        program=spec.program,
+        outcome.metrics.wall_seconds, program=spec.program,
     )
     store.store(study, job.fingerprint)
     job.state = COMPLETED

@@ -72,14 +72,14 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.probe import (
+    _SWEEP_CACHE_BYTES,
+    _SWEEP_CACHE_SIZE,
     SWEEP_CACHE_GAUGE,
     CommandProbeEngine,
     HammerSession,
     ProbeEngine,
     RetentionSession,
     TrcdSession,
-    sweep_cache_byte_capacity,
-    sweep_cache_capacity,
 )
 from repro.core.scale import safe_timings
 from repro.core.study import TEST_TYPES
@@ -589,8 +589,7 @@ class FusedProbeEngine(ProbeEngine):
     """The kernel engine: whole probe sessions at scalar cost, every
     V_PP point from one presorted layout per row.
 
-    Selection: the default, or ``probe_engine="fused"`` /
-    ``REPRO_PROBE_ENGINE=fused`` (TRR modules still force the command
+    Selection: the default engine (TRR modules still force the command
     engine). Sweeps -- a (row, pattern) pair's cached per-row state --
     live in a capacity- and byte-bounded LRU. The one-off probe entry
     points (``hammer_ber``, ``retention_ber``, ``retention_probe``) are
@@ -616,11 +615,9 @@ class FusedProbeEngine(ProbeEngine):
         )
         self._columns = self._module.geometry.columns
         self._sweeps: "OrderedDict" = OrderedDict()
-        self._sweep_capacity = sweep_cache_capacity(
-            getattr(ctx, "sweep_cache", None)
-        )
-        self._sweep_byte_capacity = sweep_cache_byte_capacity(
-            getattr(ctx, "sweep_cache_bytes", None)
+        self._sweep_capacity = ctx.sweep_cache or _SWEEP_CACHE_SIZE
+        self._sweep_byte_capacity = (
+            ctx.sweep_cache_bytes or _SWEEP_CACHE_BYTES
         )
         self._sweep_gauge = None
         self._sweep_budget_tick = 0

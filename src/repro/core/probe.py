@@ -42,16 +42,18 @@ the differential tests in ``tests/core/test_probe_equivalence.py``):
    dtypes) at the same simulated-time offsets (same ``env.advance``
    sequence).
 
-Engine selection: ``TestContext`` defaults to the kernel; set
-``REPRO_PROBE_ENGINE=command`` (or pass ``probe_engine="command"``) to
-force the reference path. :data:`ENGINE_NAMES` lists the accepted
-names. Banks with the TRR defense installed always use the command
-path, which feeds TRR its per-activation stream.
+Engine selection: ``TestContext`` defaults to the kernel; pass
+``probe_engine="command"`` to ``TestContext`` or
+``CharacterizationStudy`` to force the reference path (the differential
+tests and the benchmarks do). Both engines produce the same results, so
+nothing above that seam -- no environment variable, CLI flag, API field
+or fingerprint -- names an engine. :data:`ENGINE_NAMES` lists the
+accepted names. Banks with the TRR defense installed always use the
+command path, which feeds TRR its per-activation stream.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
@@ -68,19 +70,9 @@ from repro.softmc.program import Program
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context import TestContext
 
-#: Environment variable overriding the default engine choice.
-ENGINE_ENV_VAR = "REPRO_PROBE_ENGINE"
-
 #: The selectable probe engines: the kernel (the default) and the
-#: command-path oracle. The runner, the service CLI and the API accept
-#: exactly these names.
+#: command-path oracle, accepted by ``TestContext(probe_engine=...)``.
 ENGINE_NAMES = ("fused", "command")
-
-#: Environment variable overriding the sweep-LRU capacity.
-SWEEP_CACHE_ENV_VAR = "REPRO_SWEEP_CACHE"
-
-#: Environment variable overriding the sweep-LRU byte budget.
-SWEEP_CACHE_BYTES_ENV_VAR = "REPRO_SWEEP_CACHE_BYTES"
 
 #: Default cap on cached (row, pattern) sweeps. The V_PP ladder revisits
 #: every sampled row once per level and per probe kind, so the cap must
@@ -98,66 +90,15 @@ _SWEEP_CACHE_SIZE = 1024
 #: (:meth:`repro.dram.bank.ProbeSweep.cache_nbytes`). At 8 Kb rows the
 #: entry cap binds first; at 65536-bit rows one sweep's arrays reach
 #: ~1.5 MB, so 192 entries would quietly hold ~300 MB -- the byte bound
-#: keeps such campaigns under a predictable ceiling. Occupancy is
-#: exported as the ``repro_sweep_cache_bytes`` gauge.
+#: keeps such campaigns under a predictable ceiling. At least one sweep
+#: always stays resident, so a tiny budget degrades to per-schedule
+#: caching rather than failing. Occupancy is exported as the
+#: ``repro_sweep_cache_bytes`` gauge.
 _SWEEP_CACHE_BYTES = 256 * 1024 * 1024
 
 #: Metric name of the sweep-LRU occupancy gauge (bytes owned by the
 #: resident sweeps of the engine that most recently updated the cache).
 SWEEP_CACHE_GAUGE = "repro_sweep_cache_bytes"
-
-
-def sweep_cache_capacity(override: int = None) -> int:
-    """Resolve the sweep-LRU capacity of the kernelized engines.
-
-    ``override`` (the ``TestContext.sweep_cache`` knob) wins when given;
-    otherwise the ``REPRO_SWEEP_CACHE`` environment variable applies,
-    defaulting to :data:`_SWEEP_CACHE_SIZE`.
-    """
-    if override is None:
-        raw = os.environ.get(SWEEP_CACHE_ENV_VAR)
-        if not raw:
-            return _SWEEP_CACHE_SIZE
-        try:
-            override = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"{SWEEP_CACHE_ENV_VAR} must be an integer, got {raw!r}"
-            ) from None
-    if override < 1:
-        raise ConfigurationError(
-            f"sweep cache capacity must be >= 1, got {override}"
-        )
-    return override
-
-
-def sweep_cache_byte_capacity(override: int = None) -> int:
-    """Resolve the sweep-LRU byte budget of the kernelized engines.
-
-    ``override`` (the ``TestContext.sweep_cache_bytes`` knob) wins when
-    given; otherwise the ``REPRO_SWEEP_CACHE_BYTES`` environment
-    variable applies, defaulting to :data:`_SWEEP_CACHE_BYTES`. The
-    budget bounds the bytes *owned* by resident sweeps (shared row-state
-    caches are not charged); at least one sweep always stays resident,
-    so a tiny budget degrades to per-schedule caching rather than
-    failing.
-    """
-    if override is None:
-        raw = os.environ.get(SWEEP_CACHE_BYTES_ENV_VAR)
-        if not raw:
-            return _SWEEP_CACHE_BYTES
-        try:
-            override = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"{SWEEP_CACHE_BYTES_ENV_VAR} must be an integer, got "
-                f"{raw!r}"
-            ) from None
-    if override < 1:
-        raise ConfigurationError(
-            f"sweep cache byte budget must be >= 1, got {override}"
-        )
-    return override
 
 
 class HammerSession:
@@ -506,34 +447,20 @@ def one_shot_hammer_ber(
     return ctx.engine.hammer_ber(ctx, row, pattern, hammer_count)
 
 
-def engine_selection(kind: str = None) -> str:
-    """Resolve the requested probe-engine name.
+def make_engine(ctx: "TestContext", kind: str = None) -> ProbeEngine:
+    """Build the probe engine for a context.
 
-    ``kind`` wins when given; otherwise the ``REPRO_PROBE_ENGINE``
-    environment variable applies, defaulting to ``"fused"``. Names
-    outside :data:`ENGINE_NAMES` raise :class:`ConfigurationError`.
-    This is the selection *before* the per-module TRR override of
-    :func:`make_engine`, and is what campaign-scoped identities (the
-    study-cache fingerprint, the service checkpoint manifest) record.
+    ``kind`` picks ``"fused"`` (None, the default) or ``"command"``;
+    other names raise :class:`ConfigurationError`. TRR-enabled modules
+    always get the command engine, whose per-activation stream drives
+    the defense model.
     """
-    kind = kind or os.environ.get(ENGINE_ENV_VAR) or ENGINE_NAMES[0]
+    kind = kind or ENGINE_NAMES[0]
     if kind not in ENGINE_NAMES:
         raise ConfigurationError(
             f"unknown probe engine {kind!r}; expected one of "
             + ", ".join(repr(name) for name in ENGINE_NAMES)
         )
-    return kind
-
-
-def make_engine(ctx: "TestContext", kind: str = None) -> ProbeEngine:
-    """Build the probe engine for a context.
-
-    ``kind`` (or the ``REPRO_PROBE_ENGINE`` environment variable) picks
-    ``"fused"`` (the default) or ``"command"``. TRR-enabled modules
-    always get the command engine, whose per-activation stream drives
-    the defense model.
-    """
-    kind = engine_selection(kind)
     if kind == "command" or any(
         bank.trr is not None for bank in ctx.infra.module.banks
     ):

@@ -90,7 +90,9 @@ class CharacterizationStudy:
         Probe-engine override (``"fused"``, the kernel, or
         ``"command"``, the oracle; see
         :data:`repro.core.probe.ENGINE_NAMES`); None selects the default
-        policy of :func:`repro.core.probe.make_engine`.
+        policy of :func:`repro.core.probe.make_engine`. Both engines
+        give the same results; the differential tests and the
+        benchmarks are its callers.
     fault_injector:
         Optional :class:`repro.service.faults.FaultInjector` wired into
         every bench this study builds (the orchestration service uses

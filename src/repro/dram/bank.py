@@ -1769,8 +1769,12 @@ class _HammerCounts:
     derived independently of the probe engine's kernel
     (:class:`_FusedHammerCounts`, which reads the shared per-row
     layouts): masked from the sweep's charged and outlier masks, then
-    sorted, and owned by this object. Serves analysis and the kernel
-    tests.
+    sorted, and owned by this object. No engine or analysis path uses
+    it: its only callers are the kernel tests
+    (``tests/core/test_fused_engine.py``, ``TestHammerKernels`` and
+    ``TestLayoutHeads``), which reach it through
+    :meth:`HammerSweep.threshold_counts` as the eager reference the
+    fused kernel is checked against.
     """
 
     def __init__(self, sweep: HammerSweep):

@@ -11,10 +11,9 @@ On top of the in-process dictionary sits an optional disk layer: when a
 cache directory is configured (:func:`set_study_cache_dir` or the
 ``REPRO_STUDY_CACHE_DIR`` environment variable), completed campaigns
 are serialized through :mod:`repro.core.serialization` under a content
-fingerprint of ``(schema, tests, modules, scale, seed, probe engine)``,
-and later
-runner or benchmark invocations -- including across processes -- load
-them instead of recomputing. The library default is *off* (imports have
+fingerprint of ``(schema, tests, modules, scale, seed, program)``, and
+later runner or benchmark invocations -- including across processes --
+load them instead of recomputing. The library default is *off* (imports have
 no filesystem side effects); the runner enables it by default and
 exposes ``--no-cache`` / ``--cache-dir``.
 
@@ -33,7 +32,6 @@ import json
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.probe import engine_selection
 from repro.core.scale import StudyScale
 from repro.core.serialization import SCHEMA_VERSION, _scale_to_dict
 from repro.core.study import CharacterizationStudy, StudyResult
@@ -61,13 +59,11 @@ _disk_dir = _UNSET
 
 def _key(tests, modules, scale, seed, program=None) -> Tuple:
     # Both tuples are order-normalized: ("A0", "B3") and ("B3", "A0")
-    # request the same campaign. The resolved probe-engine selection
-    # participates too: command-engine and kernel-engine runs are
-    # bit-identical by design, but a command-path run must never mask a
-    # kernel run (or vice versa) when the engines are being compared.
+    # request the same campaign. The probe engine does not participate:
+    # the kernel and the oracle produce the same study.
     return (
         tuple(sorted(tests)), tuple(sorted(modules)), scale, seed,
-        engine_selection(), _program_key(program),
+        _program_key(program),
     )
 
 
@@ -116,16 +112,14 @@ def study_fingerprint(
     modules: Sequence[str],
     scale: StudyScale,
     seed: int,
-    probe_engine: str = None,
     program: str = None,
 ) -> str:
     """Content fingerprint of a campaign request.
 
     Hashes the serialization schema version together with the normalized
-    request -- including the resolved probe-engine selection
-    (``probe_engine`` param, else ``REPRO_PROBE_ENGINE``, else the fused
-    default) -- so cache entries are automatically invalidated when the
-    request, the engine, or the on-disk format changes. A non-default
+    request, so cache entries are automatically invalidated when the
+    request or the on-disk format changes. The probe engine is not part
+    of the request: both engines produce the same study. A non-default
     DSL ``program`` contributes its canonicalized (name-normalized)
     schedule; the default program leaves the payload -- and so the
     fingerprint -- byte-identical to a pre-DSL request.
@@ -136,7 +130,6 @@ def study_fingerprint(
         "modules": sorted(modules),
         "scale": _scale_to_dict(scale),
         "seed": seed,
-        "probe_engine": engine_selection(probe_engine),
     }
     program_key = _program_key(program)
     if program_key is not None:
@@ -173,7 +166,6 @@ def attach_provenance(
     seed: int,
     wall_seconds: float,
     counters: Optional[Dict[str, float]] = None,
-    probe_engine: Optional[str] = None,
     program: Optional[str] = None,
 ) -> None:
     """Stamp a freshly produced study with its provenance block.
@@ -184,9 +176,8 @@ def attach_provenance(
     """
     study.provenance = build_provenance(
         fingerprint=study_fingerprint(
-            tests, modules, study.scale, seed, probe_engine, program
+            tests, modules, study.scale, seed, program=program
         ),
-        probe_engine=engine_selection(probe_engine),
         seed=seed,
         cache="miss",
         wall_seconds=wall_seconds,

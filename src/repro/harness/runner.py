@@ -27,7 +27,6 @@ import hashlib
 import sys
 from typing import List, Optional
 
-from repro.core.probe import engine_selection
 from repro.harness.cache import DEFAULT_CACHE_DIR, set_study_cache_dir
 from repro.harness.export import export_output
 from repro.harness.plan import build_plan
@@ -158,12 +157,11 @@ def _experiment_provenance(
     """The provenance block embedded in one experiment's JSON export.
 
     The fingerprint hashes the experiment request (id, seed, module
-    subset, engine tier); the cache label reflects what the study cache
-    actually did while the experiment ran.
+    subset); the cache label reflects what the study cache actually did
+    while the experiment ran.
     """
     canonical = (
         f"{experiment_id}|seed={seed}|modules={sorted(modules or ())}"
-        f"|engine={engine_selection()}"
     )
     if not cache_enabled:
         cache_state = "off"
@@ -183,7 +181,6 @@ def _experiment_provenance(
         fingerprint=hashlib.sha256(
             canonical.encode("utf-8")
         ).hexdigest()[:32],
-        probe_engine=engine_selection(),
         seed=seed,
         cache=cache_state,
         wall_seconds=wall_seconds,
@@ -228,7 +225,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.modules:
             validate_modules(args.modules)
         validate_program(args.program)
-        engine_selection()  # a bad REPRO_PROBE_ENGINE fails up front
     except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -4,15 +4,15 @@ The disk layer of the study cache (:mod:`repro.harness.cache`) and the
 characterization API (:mod:`repro.api`) share this store: one directory
 holding ``study-<fingerprint>.json`` entries, where the fingerprint is
 the content hash of the campaign *request* (tests, modules, scale,
-seed, probe engine, schema version -- see
+seed, program, schema version -- see
 :func:`repro.harness.cache.study_fingerprint`). Because the request
 determines the result bit-for-bit, two writers racing on the same
 fingerprint are by construction writing identical bytes; the store only
 has to guarantee that
 
-* **readers never observe a torn entry** -- every publish is a write to
-  a temp file in the same directory followed by ``os.replace`` (atomic
-  on POSIX and Windows), and
+* **readers never observe a torn entry** -- every publish goes through
+  :func:`repro.atomic.write_atomic` (a temp file in the same directory,
+  then ``os.replace``), and
 * **writers do not waste work or collide on temp state** -- a per-
   fingerprint lockfile (``O_CREAT | O_EXCL``) admits a single writer;
   a second writer waits briefly and then simply adopts the published
@@ -31,11 +31,11 @@ from __future__ import annotations
 import errno
 import json
 import os
-import tempfile
 import time
 from typing import List, Optional
 
-from repro.core.serialization import load_study, save_study
+from repro.atomic import write_atomic
+from repro.core.serialization import load_study, study_to_dict
 from repro.core.study import StudyResult
 from repro.errors import AnalysisError
 from repro.obs import clock
@@ -208,20 +208,7 @@ class StudyStore:
             _store_event("write_races")
             return path
         try:
-            fd, tmp_path = tempfile.mkstemp(
-                dir=self.directory, prefix=".tmp-", suffix=ENTRY_SUFFIX
-            )
-            try:
-                os.close(fd)
-                save_study(study, tmp_path)
-                written = os.path.getsize(tmp_path)
-                os.replace(tmp_path, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
-                raise
+            written = write_atomic(path, json.dumps(study_to_dict(study)))
         finally:
             os.close(lock_fd)
             try:

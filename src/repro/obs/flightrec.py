@@ -31,6 +31,7 @@ import threading
 from collections import deque
 from typing import Any, Dict, List, Optional
 
+from repro.atomic import write_atomic
 from repro.obs import clock
 from repro.obs import events as obs_events
 from repro.obs.metrics import REGISTRY
@@ -142,8 +143,8 @@ class FlightRecorder:
 
         Returns the written path, or None when no dump directory is
         configured (recording without a sink is legal). The write is
-        atomic (temp file + rename) so ops readers never see a torn
-        dump.
+        atomic (:func:`~repro.atomic.write_atomic`) so ops readers never
+        see a torn dump, and a failed write leaves no temp file.
         """
         with self._lock:
             dump_dir = self._dump_dir
@@ -163,13 +164,7 @@ class FlightRecorder:
             "extra": extra or {},
             "entries": entries,
         }
-        # One json.dumps and one write: streaming json.dump runs the
-        # pure-Python encoder (same bytes).
-        text = json.dumps(document)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        write_atomic(path, json.dumps(document))
         REGISTRY.counter(
             "repro_flightrec_dumps_total",
             "Flight-recorder dumps written by failure paths.",

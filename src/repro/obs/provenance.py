@@ -1,17 +1,16 @@
 """Study provenance manifests.
 
 A provenance block answers "what exactly produced this result file?":
-the campaign request fingerprint, the probe engine, the seed, the
-code version, whether the result came out of a cache or a fresh run,
-the wall clock it cost, and a snapshot of the probe counters that were
-spent producing it. The harness export path writes one into every
-study/result JSON; the disk cache verifies the block round-trips.
+the campaign request fingerprint, the seed, the code version, whether
+the result came out of a cache or a fresh run, the wall clock it cost,
+and a snapshot of the probe counters that were spent producing it.
+The harness export path writes one into every study/result JSON; the
+disk cache verifies the block round-trips.
 
 Schema (``repro.obs/provenance/v1``) -- required keys::
 
     schema        str    the literal schema id
     fingerprint   str    campaign/experiment content fingerprint
-    probe_engine  str    resolved engine ("fused" kernel / "command" oracle)
     seed          int    root campaign seed
     code_version  str    package version, plus git commit when available
     cache         str    "hit" | "miss" | "off"
@@ -20,7 +19,8 @@ Schema (``repro.obs/provenance/v1``) -- required keys::
     created       float  wall-clock timestamp (label only)
 
 Optional keys (``tests``, ``modules``, ``scale``, anything extra) pass
-through untouched. :func:`validate_provenance` enforces the schema;
+through untouched -- including the engine name that older blocks still
+carry. :func:`validate_provenance` enforces the schema;
 ``benchmarks/obs_smoke.py`` and the disk-cache tests run it on every
 block they see.
 """
@@ -41,7 +41,6 @@ PROVENANCE_SCHEMA = "repro.obs/provenance/v1"
 _REQUIRED = {
     "schema": str,
     "fingerprint": str,
-    "probe_engine": str,
     "seed": int,
     "code_version": str,
     "cache": str,
@@ -83,7 +82,6 @@ def code_version() -> str:
 
 def build_provenance(
     fingerprint: str,
-    probe_engine: str,
     seed: int,
     cache: str,
     wall_seconds: float,
@@ -98,7 +96,6 @@ def build_provenance(
     block: Dict[str, Any] = {
         "schema": PROVENANCE_SCHEMA,
         "fingerprint": fingerprint,
-        "probe_engine": probe_engine,
         "seed": seed,
         "code_version": code_version(),
         "cache": cache,

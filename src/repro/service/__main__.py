@@ -25,7 +25,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core.probe import ENGINE_NAMES
 from repro.core.scale import SCALE_PRESETS
 from repro.core.serialization import save_study
 from repro.core.study import TEST_TYPES
@@ -88,11 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0,
                         help="root campaign seed (default 0)")
-    parser.add_argument(
-        "--probe-engine", choices=ENGINE_NAMES, default=None,
-        help="probe engine override: the fused kernel or the command "
-             "oracle (default: REPRO_PROBE_ENGINE or fused)",
-    )
     parser.add_argument(
         "--program", default=None, metavar="NAME",
         help="registered DRAM-program DSL name the probe schedules run "
@@ -222,7 +216,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     tests=tuple(args.tests),
                     scale=SCALE_PRESETS[args.scale](),
                     seed=args.seed,
-                    probe_engine=args.probe_engine,
                     chunks_per_module=args.chunks,
                     max_workers=args.workers,
                     max_attempts=args.max_attempts,
@@ -256,7 +249,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.out:
         outcome.study.provenance = build_provenance(
             fingerprint=service.fingerprint,
-            probe_engine=service.probe_engine,
             seed=args.seed,
             cache="off",
             wall_seconds=clock.monotonic() - started,

@@ -5,16 +5,16 @@ Layout of a checkpoint directory::
     <dir>/manifest.json        # campaign identity (fingerprint, request)
     <dir>/unit-<module>-<chunk>.json   # one file per completed unit
 
-Every file is published atomically (written to a temp file in the same
-directory, then ``os.replace``d), so a campaign killed mid-write never
-leaves a half-written unit behind -- at worst the unit is missing and is
-re-run on resume. Unit payloads embed the serialized
+Every file is published atomically (:func:`repro.atomic.write_atomic`:
+a temp file in the same directory, then ``os.replace``), so a campaign
+killed mid-write never leaves a half-written unit behind -- at worst
+the unit is missing and is re-run on resume. Unit payloads embed the serialized
 :class:`~repro.core.results.ModuleResult` part
 (:func:`repro.core.serialization.module_result_to_dict`) plus the unit's
 row set, so resume can verify a checkpoint still matches the plan.
 
 The manifest records a *campaign fingerprint* -- a content hash of the
-request (tests, modules, scale, seed, probe engine, chunking) plus both
+request (tests, modules, scale, seed, program, chunking) plus both
 schema versions -- and ``--resume`` refuses to mix checkpoints from a
 different campaign.
 """
@@ -24,9 +24,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from typing import Any, Dict, Optional, Sequence
 
+from repro.atomic import write_atomic
 from repro.core.scale import StudyScale
 from repro.core.serialization import SCHEMA_VERSION, _scale_to_dict
 from repro.errors import ConfigurationError
@@ -43,7 +43,6 @@ def campaign_fingerprint(
     modules: Sequence[str],
     scale: StudyScale,
     seed: int,
-    probe_engine: str,
     chunks_per_module: Optional[int],
     program: Optional[str] = None,
 ) -> str:
@@ -62,7 +61,6 @@ def campaign_fingerprint(
         "modules": sorted(modules),
         "scale": _scale_to_dict(scale),
         "seed": seed,
-        "probe_engine": probe_engine,
         "chunks_per_module": chunks_per_module,
     }
     if program is not None:
@@ -78,27 +76,6 @@ def campaign_fingerprint(
 def campaign_dir(base: str, fingerprint: str) -> str:
     """The per-campaign checkpoint directory under a base directory."""
     return os.path.join(base, f"campaign-{fingerprint[:12]}")
-
-
-def _atomic_write_json(payload: Dict[str, Any], path: str) -> None:
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=".tmp-", suffix=".json"
-    )
-    try:
-        # One json.dumps, one write: same bytes as streaming json.dump,
-        # without its pure-Python encoder.
-        text = json.dumps(payload)
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
 
 
 class CheckpointStore:
@@ -165,13 +142,13 @@ class CheckpointStore:
                         os.unlink(os.path.join(self.directory, entry))
                     except OSError:
                         pass
-        _atomic_write_json(manifest, manifest_path)
+        write_atomic(manifest_path, json.dumps(manifest))
         return {}
 
     def write_unit(self, payload: Dict[str, Any]) -> str:
         """Atomically persist one completed unit; returns the path."""
         path = self._unit_path(payload["unit_id"])
-        _atomic_write_json(payload, path)
+        write_atomic(path, json.dumps(payload))
         return path
 
     def _load_units(self) -> Dict[str, Dict[str, Any]]:

@@ -44,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.campaign import merge_module_chunks
-from repro.core.probe import engine_selection
 from repro.core.results import ModuleResult
 from repro.core.scale import StudyScale
 from repro.core.serialization import (
@@ -102,8 +101,7 @@ def _execute_unit(
     ``work-unit`` root span; inline, the coordinator's live tracer is
     left untouched so span nesting stays exactly as PR 5 shipped it.
     """
-    module, rows, tests, scale, seed, probe_engine, program, fault_spec, \
-        obs_cfg = job
+    module, rows, tests, scale, seed, program, fault_spec, obs_cfg = job
     obs_cfg = obs_cfg or {}
     pool_side = bool(obs_cfg.get("pool"))
     trace_ctx = None
@@ -121,14 +119,14 @@ def _execute_unit(
     injector = FaultInjector(fault_spec) if fault_spec is not None else None
     with obs_context.activate(trace_ctx):
         study = CharacterizationStudy(
-            scale=scale, seed=seed, probe_engine=probe_engine,
-            fault_injector=injector, program=program,
+            scale=scale, seed=seed, fault_injector=injector,
+            program=program,
         )
         baseline = REGISTRY.snapshot()
         started = clock.monotonic()
         unit_span = (
             TRACER.span("work-unit", module=module, rows=len(rows),
-                        engine=probe_engine, pid=os.getpid())
+                        pid=os.getpid())
             if pool_side else nullcontext()
         )
         with unit_span:
@@ -136,9 +134,9 @@ def _execute_unit(
         wall = clock.monotonic() - started
         REGISTRY.histogram(
             "repro_service_unit_run_seconds",
-            "in-worker wall clock per work-unit attempt by engine tier",
-            labels=("engine",),
-        ).labels(engine=probe_engine).observe(wall)
+            "in-worker wall clock per work-unit attempt by module",
+            labels=("module",),
+        ).labels(module=module).observe(wall)
         delta = snapshot_delta(baseline, REGISTRY.snapshot())
     fragment = None
     if pool_side and trace_ctx is not None and TRACER.enabled:
@@ -167,11 +165,6 @@ class CampaignService:
     modules / tests / scale / seed:
         The campaign request (same semantics as
         :meth:`~repro.core.study.CharacterizationStudy.run`).
-    probe_engine:
-        Engine override; resolved once (param, else
-        ``REPRO_PROBE_ENGINE``, else ``"fused"``) and passed explicitly
-        to workers so pool processes cannot drift from the parent's
-        environment.
     chunks_per_module:
         Target chunk count per module (default: the scale's
         ``row_chunks``).
@@ -234,7 +227,6 @@ class CampaignService:
         tests: Sequence[str] = TEST_TYPES,
         scale: StudyScale = None,
         seed: int = 0,
-        probe_engine: str = None,
         chunks_per_module: Optional[int] = None,
         max_workers: int = 0,
         max_attempts: int = 3,
@@ -269,7 +261,6 @@ class CampaignService:
         self.tests = tuple(tests)
         self.scale = scale or StudyScale.bench()
         self.seed = seed
-        self.probe_engine = engine_selection(probe_engine)
         self.chunks_per_module = chunks_per_module
         self.max_workers = max_workers
         self.max_attempts = max_attempts
@@ -283,8 +274,7 @@ class CampaignService:
         self._progress = progress or (lambda message: None)
         self.fingerprint = campaign_fingerprint(
             self.tests, self.modules, self.scale, self.seed,
-            self.probe_engine, self.chunks_per_module,
-            program=self.program,
+            self.chunks_per_module, program=self.program,
         )
         if checkpoint_base:
             checkpoint_dir = campaign_dir(checkpoint_base, self.fingerprint)
@@ -335,7 +325,6 @@ class CampaignService:
             modules=list(self.modules),
             tests=list(self.tests),
             seed=self.seed,
-            probe_engine=self.probe_engine,
             units=len(units),
             resume=resume,
         )
@@ -373,8 +362,7 @@ class CampaignService:
         )
         with TRACER.span(
             "campaign", fingerprint=self.fingerprint, units=len(units),
-            seed=self.seed, engine=self.probe_engine,
-            workers=self.max_workers,
+            seed=self.seed, workers=self.max_workers,
         ) as campaign_span:
             # Pool workers re-parent their spans under this campaign
             # span (which itself parents under any ambient context the
@@ -423,7 +411,6 @@ class CampaignService:
             "modules": list(self.modules),
             "scale": _scale_to_dict(self.scale),
             "seed": self.seed,
-            "probe_engine": self.probe_engine,
             "chunks_per_module": self.chunks_per_module,
             "program": self.program,
             "trace_id": trace_id,
@@ -444,7 +431,7 @@ class CampaignService:
                 obs_cfg["trace"] = self._trace_context.to_dict()
         return (
             unit.module, unit.rows, unit.tests, self.scale, self.seed,
-            self.probe_engine, self.program, spec, obs_cfg,
+            self.program, spec, obs_cfg,
         )
 
     def _start_attempt(

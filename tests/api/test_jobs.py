@@ -78,6 +78,23 @@ class TestJobSpecParsing:
         other = JobSpec.from_payload({"modules": ["C5"], "seed": 1})
         assert other.fingerprint() != one.fingerprint()
 
+    def test_fingerprint_matches_study_fingerprint(self):
+        from repro.core.scale import StudyScale
+        from repro.harness.cache import study_fingerprint
+
+        request = {"modules": ["C5"], "tests": ["rowhammer"], "seed": 4,
+                   "scale": "tiny"}
+        expected = study_fingerprint(
+            ("rowhammer",), ("C5",), StudyScale.tiny(), 4
+        )
+        assert JobSpec.from_payload(request).fingerprint() == expected
+        # A record an older server persisted with an engine name hashes
+        # the same request: the engine is not part of it.
+        spec = JobSpec.from_payload(request).as_dict()
+        assert "probe_engine" not in spec
+        legacy = JobSpec.from_dict(dict(spec, probe_engine="command"))
+        assert legacy.fingerprint() == expected
+
 
 class TestJobPersistence:
     def test_save_load_round_trip(self, tmp_path):

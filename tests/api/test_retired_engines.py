@@ -1,88 +1,71 @@
-"""Retired probe-engine names (``batch``, ``fast``) are rejected everywhere.
+"""Engine names at the front ends: no request names a probe engine.
 
-Only the fused kernel and the command oracle are selectable. Every
-front end turns a retired name into a typed
-:class:`~repro.errors.ConfigurationError` and its documented outcome --
-exit code 2 on the runner and the service CLI, HTTP 400 at submission
--- and state persisted before the retirement (a queued job, a
-checkpoint) fails typed instead of with a traceback.
+The fused kernel and the command oracle produce the same study, so the
+engine is chosen only at ``TestContext``/``CharacterizationStudy`` (the
+differential tests and benchmarks). The service CLI has no engine flag
+(exit 2, argparse), ``POST /v1/jobs`` refuses the field with a 400 that
+names it, and state persisted by older versions -- a job record naming
+an engine, a checkpoint fingerprinted with one -- is adopted or
+refused cleanly, never with a traceback.
 """
 
+import hashlib
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
 from repro.api import ApiServer
 from repro.api.jobs import run_job
+from repro.core.probe import ENGINE_NAMES
 from repro.core.scale import StudyScale
-from repro.errors import ConfigurationError
+from repro.core.serialization import SCHEMA_VERSION, _scale_to_dict
+from repro.harness.cache import study_fingerprint
 from repro.service.__main__ import main as service_main
 from repro.service.checkpoint import (
     MANIFEST_NAME,
+    SERVICE_SCHEMA_VERSION,
     campaign_dir,
-    campaign_fingerprint,
 )
-from repro.service.orchestrator import CampaignService
 
-REPO = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 RETIRED = ("batch", "fast")
 PAYLOAD = {
     "modules": ["C5"], "tests": ["rowhammer"], "scale": "tiny", "seed": 0,
 }
 
 
-def run_cli(argv, engine=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(REPO, "src")
-    env.pop("REPRO_PROBE_ENGINE", None)
-    if engine is not None:
-        env["REPRO_PROBE_ENGINE"] = engine
-    return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env,
-        cwd=REPO, timeout=120,
+@pytest.mark.parametrize("retired", RETIRED + ENGINE_NAMES)
+def test_service_exits_2_on_retired_engine(retired, capsys):
+    # Any engine name: argparse no longer knows the flag.
+    with pytest.raises(SystemExit) as exited:
+        service_main(["--modules", "C5", "--scale", "tiny",
+                      "--no-checkpoint", "--probe-engine", retired])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --probe-engine" in (
+        capsys.readouterr().err
     )
 
 
-@pytest.mark.parametrize("retired", RETIRED)
-def test_runner_exits_2_on_retired_env_engine(retired):
-    result = run_cli(["-m", "repro.harness.runner", "table2", "--no-cache"],
-                     engine=retired)
-    assert result.returncode == 2, result.stderr
-    assert retired in result.stderr
-
-
-@pytest.mark.parametrize("retired", RETIRED)
-def test_service_exits_2_on_retired_engine(retired):
-    flag = run_cli(["-m", "repro.service", "--modules", "C5", "--scale",
-                    "tiny", "--no-checkpoint", "--probe-engine", retired])
-    assert flag.returncode == 2, flag.stderr
-    env = run_cli(["-m", "repro.service", "--modules", "C5", "--scale",
-                   "tiny", "--no-checkpoint", "--quiet"], engine=retired)
-    assert env.returncode == 2, env.stderr
-    assert retired in env.stderr
-
-
-@pytest.mark.parametrize("retired", RETIRED)
+@pytest.mark.parametrize("retired", RETIRED + ENGINE_NAMES)
 def test_submission_is_400(tmp_path, retired):
+    # Any engine name, supported ones included, names the field.
     api = ApiServer(str(tmp_path / "store"), str(tmp_path / "state"))
     status, document = api.handle(
         "POST", "/v1/jobs", {}, dict(PAYLOAD, probe_engine=retired),
         "default",
     )
     assert status == 400
+    assert "probe_engine" in document["error"]
     assert retired in document["error"]
 
 
-def test_adopted_job_naming_a_retired_engine_fails_typed(tmp_path):
+def test_adopted_job_naming_a_retired_engine_completes(tmp_path):
     store_dir = str(tmp_path / "store")
     state_dir = str(tmp_path / "state")
     first = ApiServer(store_dir, state_dir)  # workers never started
     _, document = first.handle("POST", "/v1/jobs", {}, dict(PAYLOAD), "t")
     job_id = document["job"]["id"]
-    # Rewrite the persisted spec as a pre-retirement server left it.
+    # Rewrite the persisted spec as an older server left it.
     path = first.state.path(job_id)
     with open(path) as handle:
         persisted = json.load(handle)
@@ -94,29 +77,42 @@ def test_adopted_job_naming_a_retired_engine_fails_typed(tmp_path):
     assert second._recovered == 1
     job = second.queue.get(job_id)
     run_job(job, second.store, None)
-    assert job.state == "failed"
-    assert "unknown probe engine 'batch'" in job.error
-    assert not second.store.contains(job.fingerprint)
-
-
-def test_resuming_a_retired_engine_checkpoint_fails_typed(tmp_path):
-    base = str(tmp_path / "checkpoints")
-    scale = StudyScale.tiny()
-    retired_fp = campaign_fingerprint(
-        ("rowhammer",), ("C5",), scale, 0, "batch", None
+    assert job.state == "completed", job.error
+    assert job.fingerprint == study_fingerprint(
+        ("rowhammer",), ("C5",), StudyScale.tiny(), 0
     )
-    directory = campaign_dir(base, retired_fp)
+    assert second.store.contains(job.fingerprint)
+
+
+def _engine_keyed_fingerprint(scale, engine):
+    """A campaign fingerprint as versions that hashed the engine into
+    it computed it."""
+    payload = {
+        "service_schema": SERVICE_SCHEMA_VERSION,
+        "study_schema": SCHEMA_VERSION,
+        "tests": ["rowhammer"],
+        "modules": ["C5"],
+        "scale": _scale_to_dict(scale),
+        "seed": 0,
+        "probe_engine": engine,
+        "chunks_per_module": None,
+    }
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
+
+
+def test_resuming_a_retired_engine_checkpoint_fails_typed(tmp_path, capsys):
+    base = str(tmp_path / "checkpoints")
+    legacy = _engine_keyed_fingerprint(StudyScale.tiny(), "batch")
+    directory = campaign_dir(base, legacy)
     os.makedirs(directory)
     with open(os.path.join(directory, MANIFEST_NAME), "w") as handle:
-        json.dump({"fingerprint": retired_fp, "probe_engine": "batch"},
-                  handle)
-    with pytest.raises(ConfigurationError, match="batch"):
-        CampaignService(modules=["C5"], tests=("rowhammer",), scale=scale,
-                        probe_engine="batch", checkpoint_base=base)
-    # The supported engines never pick the retired checkpoint up.
+        json.dump({"fingerprint": legacy, "probe_engine": "batch"}, handle)
+    # The engine-free fingerprint names another directory: the legacy
+    # checkpoint is never merged, and --resume finds nothing to resume.
     code = service_main([
         "--modules", "C5", "--tests", "rowhammer", "--scale", "tiny",
         "--quiet", "--checkpoint-dir", base, "--resume",
-        "--probe-engine", "fused",
     ])
     assert code == 2
+    assert "cannot resume" in capsys.readouterr().err

@@ -12,6 +12,8 @@ simulated-time offsets, damage deposit order, sorted-threshold
 reductions) has drifted from the host's semantics.
 """
 
+import functools
+
 import pytest
 
 from repro.core.context import TestContext
@@ -20,8 +22,6 @@ from repro.core.probe import (
     ENGINE_NAMES,
     CommandProbeEngine,
     make_engine,
-    sweep_cache_byte_capacity,
-    sweep_cache_capacity,
 )
 from repro.core.scale import StudyScale
 from repro.core.study import CharacterizationStudy
@@ -113,8 +113,7 @@ class TestStudyEquivalence:
         if name == "A0":
             assert max(r.trcd_min for r in command.trcd) > NOMINAL_TRCD
 
-    def test_fused_engine_selected_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROBE_ENGINE", raising=False)
+    def test_fused_engine_selected_by_default(self):
         study = CharacterizationStudy(scale=StudyScale.tiny(), seed=3)
         ctx = study.build_context("A0")
         assert isinstance(ctx.engine, FusedProbeEngine)
@@ -324,9 +323,16 @@ class TestTrcdSweepEquivalence:
         )
 
     def test_trcd_stability_table_identical(self, monkeypatch):
+        from repro.harness.experiments import trcd_stability
+
         outputs = []
         for kind in ("command", "fused"):
-            monkeypatch.setenv("REPRO_PROBE_ENGINE", kind)
+            # The experiment builds its own contexts; the engine seam is
+            # the TestContext it constructs.
+            monkeypatch.setattr(
+                trcd_stability, "TestContext",
+                functools.partial(TestContext, probe_engine=kind),
+            )
             outputs.append(run_experiment(
                 "trcd_stability", scale=StudyScale.tiny(), modules=("B3",)
             ))
@@ -405,19 +411,18 @@ class TestTrcdSweepEquivalence:
 
 
 class TestEngineSelection:
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROBE_ENGINE", "command")
-        study = CharacterizationStudy(scale=StudyScale.tiny(), seed=3)
-        ctx = study.build_context("A0")
-        assert isinstance(ctx.engine, CommandProbeEngine)
-
     def test_explicit_kind_beats_env(self, monkeypatch):
+        # The constructor argument is the only selector: the variable
+        # older versions read selects nothing.
         monkeypatch.setenv("REPRO_PROBE_ENGINE", "command")
+        default = CharacterizationStudy(scale=StudyScale.tiny(), seed=3)
+        assert isinstance(default.build_context("A0").engine,
+                          FusedProbeEngine)
         study = CharacterizationStudy(
-            scale=StudyScale.tiny(), seed=3, probe_engine="fused"
+            scale=StudyScale.tiny(), seed=3, probe_engine="command"
         )
-        ctx = study.build_context("A0")
-        assert isinstance(ctx.engine, FusedProbeEngine)
+        assert isinstance(study.build_context("A0").engine,
+                          CommandProbeEngine)
 
     def test_unknown_engine_rejected(self):
         infra = TestInfrastructure.for_module(
@@ -430,30 +435,20 @@ class TestEngineSelection:
         assert ENGINE_NAMES == ("fused", "command")
 
     @pytest.mark.parametrize("retired", ["batch", "fast"])
-    def test_retired_engines_rejected(self, monkeypatch, retired):
+    def test_retired_engines_rejected(self, retired):
         infra = TestInfrastructure.for_module(
             "A0", geometry=StudyScale.tiny().geometry, seed=3
         )
         with pytest.raises(ConfigurationError, match=retired):
             TestContext(infra, StudyScale.tiny(), probe_engine=retired)
-        monkeypatch.setenv("REPRO_PROBE_ENGINE", retired)
-        with pytest.raises(ConfigurationError, match=retired):
-            TestContext(infra, StudyScale.tiny())
 
-    def test_fused_engine_selected_explicitly(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROBE_ENGINE", raising=False)
+    def test_fused_engine_selected_explicitly(self):
         study = CharacterizationStudy(
             scale=StudyScale.tiny(), seed=3, probe_engine="fused"
         )
         ctx = study.build_context("A0")
         assert isinstance(ctx.engine, FusedProbeEngine)
         assert ctx.engine.name == "fused"
-
-    def test_fused_engine_selected_by_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROBE_ENGINE", "fused")
-        study = CharacterizationStudy(scale=StudyScale.tiny(), seed=3)
-        ctx = study.build_context("A0")
-        assert isinstance(ctx.engine, FusedProbeEngine)
 
     def test_trr_forces_command_engine(self):
         infra = TestInfrastructure.for_module(
@@ -492,22 +487,14 @@ class TestSweepCache:
                            probe_engine=probe_engine,
                            sweep_cache=sweep_cache)
 
-    def test_capacity_default_and_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_CACHE", raising=False)
-        assert sweep_cache_capacity() == 1024
-        assert sweep_cache_capacity(7) == 7
-        monkeypatch.setenv("REPRO_SWEEP_CACHE", "12")
-        assert sweep_cache_capacity() == 12
-        # An explicit override beats the environment.
-        assert sweep_cache_capacity(3) == 3
+    def test_capacity_default_and_override(self):
+        assert self._context().engine._sweep_capacity == 1024
+        assert self._context(sweep_cache=7).engine._sweep_capacity == 7
 
-    def test_capacity_validation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_CACHE", "zero")
-        with pytest.raises(ConfigurationError):
-            sweep_cache_capacity()
-        monkeypatch.delenv("REPRO_SWEEP_CACHE", raising=False)
-        with pytest.raises(ConfigurationError):
-            sweep_cache_capacity(0)
+    def test_capacity_validation(self):
+        for kind in ENGINE_NAMES:  # checked on the context, either engine
+            with pytest.raises(ConfigurationError, match="sweep_cache"):
+                self._context(sweep_cache=0, probe_engine=kind)
 
     def test_hit_miss_counters(self):
         ctx = self._context()
@@ -580,7 +567,8 @@ class TestSweepCache:
 
 
 class TestSweepCacheByteBudget:
-    """The byte-bounded side of the sweep LRU (``REPRO_SWEEP_CACHE_BYTES``)."""
+    """The byte-bounded side of the sweep LRU
+    (``TestContext.sweep_cache_bytes``)."""
 
     def _context(self, sweep_cache_bytes=None, probe_engine="fused"):
         infra = TestInfrastructure.for_module(
@@ -590,21 +578,15 @@ class TestSweepCacheByteBudget:
                            probe_engine=probe_engine,
                            sweep_cache_bytes=sweep_cache_bytes)
 
-    def test_byte_capacity_default_and_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_CACHE_BYTES", raising=False)
-        assert sweep_cache_byte_capacity() == 256 * 1024 * 1024
-        assert sweep_cache_byte_capacity(4096) == 4096
-        monkeypatch.setenv("REPRO_SWEEP_CACHE_BYTES", "65536")
-        assert sweep_cache_byte_capacity() == 65536
-        assert sweep_cache_byte_capacity(1024) == 1024
+    def test_byte_capacity_default_and_override(self):
+        engine = self._context().engine
+        assert engine._sweep_byte_capacity == 256 * 1024 * 1024
+        engine = self._context(sweep_cache_bytes=4096).engine
+        assert engine._sweep_byte_capacity == 4096
 
-    def test_byte_capacity_validation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_CACHE_BYTES", "plenty")
-        with pytest.raises(ConfigurationError):
-            sweep_cache_byte_capacity()
-        monkeypatch.delenv("REPRO_SWEEP_CACHE_BYTES", raising=False)
-        with pytest.raises(ConfigurationError):
-            sweep_cache_byte_capacity(0)
+    def test_byte_capacity_validation(self):
+        with pytest.raises(ConfigurationError, match="sweep_cache_bytes"):
+            self._context(sweep_cache_bytes=0)
 
     def test_tiny_budget_evicts_but_keeps_newest(self, hazard_fallback):
         # Kernel sessions own no per-operating-point bytes; the per-probe

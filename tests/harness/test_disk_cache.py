@@ -6,7 +6,6 @@ import os
 import pytest
 
 from repro.core.scale import StudyScale
-from repro.errors import ConfigurationError
 from repro.harness import cache
 from repro.harness.cache import (
     clear_cache,
@@ -264,46 +263,31 @@ class TestProvenance:
         assert after_disk["repro_study_cache_read_bytes_total"] > 0
 
 
-class TestProbeEngineKeying:
-    """The resolved probe-engine selection is part of both cache keys:
-    command-engine and kernel-engine runs are bit-identical by design,
-    but entries must never mask each other when the engines are
-    compared."""
+class TestEngineFreeKeying:
+    """The probe engine is not part of either cache key: the kernel and
+    the oracle produce the same study, so one entry serves both."""
 
-    def test_engine_changes_fingerprint(self, tiny_scale):
-        fused = study_fingerprint(TESTS, MODULES, tiny_scale, 0,
-                                  probe_engine="fused")
-        command = study_fingerprint(TESTS, MODULES, tiny_scale, 0,
-                                    probe_engine="command")
-        assert fused != command
-
-    def test_default_resolves_to_fused(self, tiny_scale, monkeypatch):
-        monkeypatch.delenv("REPRO_PROBE_ENGINE", raising=False)
-        assert study_fingerprint(
-            TESTS, MODULES, tiny_scale, 0
-        ) == study_fingerprint(TESTS, MODULES, tiny_scale, 0,
-                               probe_engine="fused")
-
-    @pytest.mark.parametrize("retired", ["batch", "fast"])
-    def test_retired_engine_has_no_fingerprint(self, tiny_scale, retired):
-        with pytest.raises(ConfigurationError, match=retired):
-            study_fingerprint(TESTS, MODULES, tiny_scale, 0,
-                              probe_engine=retired)
-
-    def test_env_var_participates(self, tiny_scale, monkeypatch):
-        monkeypatch.delenv("REPRO_PROBE_ENGINE", raising=False)
-        default = study_fingerprint(TESTS, MODULES, tiny_scale, 0)
-        monkeypatch.setenv("REPRO_PROBE_ENGINE", "command")
-        assert study_fingerprint(TESTS, MODULES, tiny_scale, 0) != default
-
-    def test_engines_get_distinct_entries_and_runs(
+    def test_command_study_preload_is_a_default_hit(
         self, cache_dir, tiny_scale, monkeypatch
     ):
+        from repro.core.study import CharacterizationStudy
+        from repro.harness.cache import preload_study
+        from repro.obs.metrics import REGISTRY
+
+        study = CharacterizationStudy(
+            scale=tiny_scale, seed=2, probe_engine="command"
+        ).run(modules=MODULES, tests=TESTS)
+        preload_study(study, TESTS, MODULES, seed=2)
+        assert "probe_engine" not in study.provenance
+        fingerprint = study_fingerprint(TESTS, MODULES, tiny_scale, 2)
+        assert study.provenance["fingerprint"] == fingerprint
+        assert _entries(cache_dir) == [f"study-{fingerprint}.json"]
+
         calls = _count_runs(monkeypatch)
-        monkeypatch.delenv("REPRO_PROBE_ENGINE", raising=False)
+        key = "repro_study_cache_memory_hits_total"
+        before = REGISTRY.counter_values().get(key, 0.0)
+        assert get_study(TESTS, MODULES, scale=tiny_scale, seed=2) is study
+        assert REGISTRY.counter_values()[key] == before + 1
+        clear_cache()
         get_study(TESTS, MODULES, scale=tiny_scale, seed=2)
-        monkeypatch.setenv("REPRO_PROBE_ENGINE", "command")
-        get_study(TESTS, MODULES, scale=tiny_scale, seed=2)
-        # Neither layer served the kernel entry to the command run.
-        assert len(calls) == 2
-        assert len(_entries(cache_dir)) == 2
+        assert not calls  # the disk entry served the default request

@@ -14,7 +14,6 @@ from repro.obs.provenance import (
 def _block(**overrides):
     block = build_provenance(
         fingerprint="abc123",
-        probe_engine="fused",
         seed=7,
         cache="miss",
         wall_seconds=1.5,
@@ -29,7 +28,6 @@ class TestBuild:
         block = _block()
         assert block["schema"] == PROVENANCE_SCHEMA
         assert block["fingerprint"] == "abc123"
-        assert block["probe_engine"] == "fused"
         assert block["seed"] == 7
         assert block["cache"] == "miss"
         assert block["wall_seconds"] == 1.5
@@ -38,7 +36,7 @@ class TestBuild:
 
     def test_extra_keys_pass_through(self):
         block = build_provenance(
-            fingerprint="abc", probe_engine="command", seed=0, cache="off",
+            fingerprint="abc", seed=0, cache="off",
             wall_seconds=0.0, counters={},
             tests=["rowhammer"], modules=["C5"], scale="tiny",
         )
@@ -49,20 +47,24 @@ class TestBuild:
 
     def test_counters_sorted_and_stringified(self):
         block = build_provenance(
-            fingerprint="abc", probe_engine="fused", seed=0, cache="hit",
+            fingerprint="abc", seed=0, cache="hit",
             wall_seconds=0.0, counters={"b": 2, "a": 1},
         )
         assert list(block["counters"]) == ["a", "b"]
 
-    def test_default_engine_recorded_as_fused(self, monkeypatch):
+    def test_attached_block_names_no_engine(self):
         from repro.core.scale import StudyScale
         from repro.core.study import StudyResult
         from repro.harness.cache import attach_provenance
 
-        monkeypatch.delenv("REPRO_PROBE_ENGINE", raising=False)
         study = StudyResult(scale=StudyScale.tiny(), seed=0)
         attach_provenance(study, ("rowhammer",), ("C5",), 0, 0.0, {})
-        assert study.provenance["probe_engine"] == "fused"
+        assert "probe_engine" not in study.provenance
+        validate_provenance(study.provenance)
+
+    def test_older_block_with_engine_still_validates(self):
+        block = _block(probe_engine="command")
+        assert validate_provenance(block)["probe_engine"] == "command"
 
     def test_code_version_mentions_package(self):
         version = code_version()

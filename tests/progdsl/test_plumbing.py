@@ -111,7 +111,7 @@ class TestFingerprints:
     ):
         def fp(program):
             return campaign_fingerprint(
-                ("rowhammer",), ("C5",), tiny_scale, 0, "fused", None,
+                ("rowhammer",), ("C5",), tiny_scale, 0, None,
                 program=program,
             )
 

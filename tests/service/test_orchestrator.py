@@ -121,8 +121,6 @@ class TestInlineExecution:
             CampaignService(["C5"], backoff=-1.0)
         with pytest.raises(ConfigurationError):
             CampaignService(["C5"], checkpoint_dir="a", checkpoint_base="b")
-        with pytest.raises(ConfigurationError):
-            CampaignService(["C5"], probe_engine="warp")
 
 
 class _SimulatedKill(Exception):
@@ -257,8 +255,7 @@ class TestPoolExecution:
         study = CharacterizationStudy(scale=scale, seed=3, probe_engine="fused")
         baseline = {name: study.run_module(name) for name in modules}
         pooled = CampaignService(
-            modules, scale=scale, seed=3, probe_engine="fused",
-            max_workers=2,
+            modules, scale=scale, seed=3, max_workers=2,
         ).run().study
         for name in modules:
             merged = pooled.module(name)
@@ -283,7 +280,7 @@ class TestPoolExecution:
             before = [counter.labels(family=f).value for f in families]
             study = CampaignService(
                 ["A0", "B3"], ("rowhammer", "retention"), scale=scale,
-                seed=0, probe_engine="fused", max_workers=workers,
+                seed=0, max_workers=workers,
             ).run().study
             generated = tuple(
                 counter.labels(family=family).value - start

@@ -183,7 +183,7 @@ class TestServiceCli:
         study = load_study(out)
         block = validate_provenance(study.provenance)
         assert block["cache"] == "off"
-        assert block["probe_engine"] in ("fused", "command")
+        assert "probe_engine" not in block
         assert block["modules"] == ["C5"]
 
     def test_progress_flag_renders_rate_line(self, tmp_path, capsys):

@@ -109,7 +109,7 @@ class TestHungWorkerReaping:
 
 class TestReaperMergeHardening:
     """Regression: pool workers observe the labeled
-    ``repro_service_unit_run_seconds{engine}`` histogram inside their
+    ``repro_service_unit_run_seconds{module}`` histogram inside their
     delta window, and the coordinator never registers that family
     itself -- so a reaped-and-retried campaign exercises
     ``merge_snapshot``'s create-on-merge path for labeled histograms
@@ -120,22 +120,21 @@ class TestReaperMergeHardening:
     ):
         family = REGISTRY.histogram(
             "repro_service_unit_run_seconds",
-            labels=("engine",),
+            labels=("module",),
         )
         service = CampaignService(
             modules=["C5"], tests=TESTS, scale=tiny_scale, seed=0,
             max_workers=2, fault_plan=HangOneAttempt("C5/0"),
             unit_timeout=3.0,
         )
-        engine = service.probe_engine
-        before = family.labels(engine=engine).count
+        before = family.labels(module="C5").count
         outcome = service.run()
         completed = outcome.metrics.units_completed
         assert completed == outcome.metrics.units_planned
         # One delta per completed unit arrived (the reaped attempt's
         # never did), and merging created/extended the labeled series.
-        assert family.labels(engine=engine).count == before + completed
-        assert family.labels(engine=engine).sum > 0
+        assert family.labels(module="C5").count == before + completed
+        assert family.labels(module="C5").sum > 0
 
     def test_reap_and_hang_paths_dump_the_flight_recorder(
         self, tiny_scale, tmp_path

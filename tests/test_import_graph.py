@@ -74,7 +74,6 @@ def _run(args):
         p for p in (_SRC, env.get("PYTHONPATH")) if p
     )
     env.pop("REPRO_STUDY_CACHE_DIR", None)
-    env.pop("REPRO_PROBE_ENGINE", None)
     completed = subprocess.run(
         [sys.executable] + args,
         capture_output=True,
