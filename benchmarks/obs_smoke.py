@@ -22,7 +22,9 @@ validates every surface of the unified observability layer
   pool workers' ``work-unit`` spans, with flow events over the queue
   hop and per-tenant SLO histograms on the exposition;
 * the ``--profile`` table of that pooled run attributes the ``module``,
-  ``wcdp`` and ``rowhammer`` phases to the worker lanes.
+  ``wcdp`` and ``rowhammer`` phases to the worker lanes;
+* every metric family on the exposition has a row in the metrics table
+  of ``docs/OBSERVABILITY.md``.
 
 Exits non-zero on any violation. ``--artifacts DIR`` additionally
 copies the Chrome traces (inline + stitched) and the Prometheus text
@@ -72,6 +74,15 @@ EXPECTED_NESTING = {
 _SAMPLE_RE = re.compile(
     r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [0-9+.eE-]+(Inf)?$"
 )
+
+#: The metrics table every exposed family must have a row in.
+METRICS_DOC = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "docs",
+    "OBSERVABILITY.md",
+)
+
+#: A metrics-table row: its first cell opens with the metric name.
+_DOC_ROW_RE = re.compile(r"^\| `([a-zA-Z_:][a-zA-Z0-9_:]*)[`{]", re.M)
 
 
 def check(condition: bool, message: str) -> None:
@@ -285,6 +296,21 @@ def validate_worker_attribution() -> None:
           "worker lanes")
 
 
+def validate_metrics_documented(text: str) -> None:
+    """Every metric family on the exposition has a docs table row."""
+    with open(METRICS_DOC) as handle:
+        documented = set(_DOC_ROW_RE.findall(handle.read()))
+    exposed = {
+        line.split(" ")[2] for line in text.splitlines()
+        if line.startswith("# TYPE ")
+    }
+    missing = sorted(exposed - documented)
+    check(not missing,
+          f"metrics with no row in docs/OBSERVABILITY.md: {missing}")
+    print(f"  docs: all {len(exposed)} exposed metric families have a "
+          "row in docs/OBSERVABILITY.md")
+
+
 def _emit_artifacts(directory, inline_trace_path, stitched) -> None:
     os.makedirs(directory, exist_ok=True)
     with open(inline_trace_path) as handle:
@@ -329,10 +355,11 @@ def main(argv=None) -> int:
         validate_events(events)
         validate_cache_provenance(tmp, scale)
         stitched = validate_stitched_api_trace(tmp)
+        validate_metrics_documented(REGISTRY.prometheus_text())
         if args.artifacts:
             _emit_artifacts(args.artifacts, trace_path, stitched)
     print("obs smoke: trace + metrics + events + provenance + "
-          "stitched API trace + worker profile OK")
+          "stitched API trace + worker profile + metrics docs OK")
     return 0
 
 

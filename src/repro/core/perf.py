@@ -110,19 +110,6 @@ class ProbeCounters:
             spec.name: getattr(self, spec.name) for spec in fields(self)
         }
 
-    def merge(self, other: "ProbeCounters") -> None:
-        """Accumulate another counter set into this one.
-
-        Field-driven so a newly added counter can never be silently
-        dropped from chunk merges (``sweep_saved_lookups`` once was;
-        ``tests/core/test_perf_counters.py`` pins the full roundtrip).
-        """
-        for spec in fields(self):
-            setattr(
-                self, spec.name,
-                getattr(self, spec.name) + getattr(other, spec.name),
-            )
-
     def publish(self, registry=REGISTRY) -> None:
         """Fold this snapshot into the central metrics registry.
 

@@ -189,10 +189,6 @@ def attach_provenance(
     )
 
 
-#: Backwards-compatible private alias (pre-API name).
-_attach_provenance = attach_provenance
-
-
 # -- lookup -----------------------------------------------------------------------
 
 

@@ -34,13 +34,9 @@ the registry only mutates at coarse-grained sites.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
-
 from repro.obs import clock, context, events
 from repro.obs.context import (
     TraceContext,
-    activate_context,
-    current_context,
     new_context,
     stitch_traces,
     stitched_trace,
@@ -49,12 +45,7 @@ from repro.obs.context import (
 from repro.obs.flightrec import FlightRecorder, RECORDER, recent_dumps
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    LabeledCounter,
-    LabeledGauge,
-    LabeledHistogram,
+    MetricFamily,
     MetricsRegistry,
     REGISTRY,
     prometheus_text,
@@ -70,14 +61,9 @@ from repro.obs.provenance import (
 from repro.obs.trace import Span, TRACER, Tracer, current_span_id
 
 __all__ = [
-    "Counter",
     "DEFAULT_BUCKETS",
     "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "LabeledCounter",
-    "LabeledGauge",
-    "LabeledHistogram",
+    "MetricFamily",
     "MetricsRegistry",
     "PROVENANCE_SCHEMA",
     "ProgressReporter",
@@ -87,38 +73,19 @@ __all__ = [
     "TRACER",
     "TraceContext",
     "Tracer",
-    "activate_context",
     "build_provenance",
     "clock",
     "code_version",
     "context",
-    "current_context",
     "current_span_id",
     "events",
-    "merge_snapshot",
     "new_context",
     "prometheus_text",
     "recent_dumps",
-    "snapshot",
     "snapshot_delta",
-    "span",
     "stitch_traces",
     "stitched_trace",
     "validate_provenance",
     "write_stitched_trace",
 ]
 
-
-def span(name: str, **attrs):
-    """Open a span on the global tracer (no-op while disabled)."""
-    return TRACER.span(name, **attrs)
-
-
-def snapshot() -> Dict[str, Any]:
-    """Snapshot the global registry (for cross-process transport)."""
-    return REGISTRY.snapshot()
-
-
-def merge_snapshot(snap: Optional[Dict[str, Any]]) -> None:
-    """Fold a worker's snapshot delta into the global registry."""
-    REGISTRY.merge_snapshot(snap)

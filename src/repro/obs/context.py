@@ -250,17 +250,9 @@ def stitch_traces(
     }
 
 
-# Package-level aliases (``repro.obs.activate_context`` reads better
-# than a bare ``activate`` next to the tracer helpers).
-activate_context = activate
-current_context = current
-
-
 __all__ = [
     "TraceContext",
     "activate",
-    "activate_context",
-    "current_context",
     "add_fragment",
     "clear_fragments",
     "current",

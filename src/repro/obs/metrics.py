@@ -14,13 +14,16 @@ so collection costs nothing measurable -- and exposition is on demand:
   produced (:func:`snapshot_delta`) and the coordinator folds it in
   (counters and histograms add; gauges keep the maximum).
 
-Metrics may carry **labels** (per-tenant SLO histograms, per-engine
-unit timings): request them with ``REGISTRY.histogram(name, labels=
-("tenant",))`` and record through ``.labels(tenant="acme").observe(x)``.
-A labeled family exposes one sample line per label combination with
-escaped label values, snapshots as a ``{"labels": [...], "series":
-{...}}`` payload, and is created on merge when a worker delta mentions
-a family the coordinator has never seen.
+Every registered name is one :class:`MetricFamily`: a kind, a tuple of
+label names and one child series per label-value combination. A plain
+metric is the family with no label names and exactly one child, which
+its ``inc``/``set``/``dec``/``observe``/``value``/``count``/``sum``
+reach directly. A labeled family (``REGISTRY.histogram(name, labels=
+("tenant",))``) records through ``.labels(tenant="acme").observe(x)``,
+exposes one sample line per label combination with escaped label
+values, snapshots as ``{"labels": [...], "series": {...}}`` (a plain
+metric as its bare value, or ``{buckets, counts, sum, count}``), and is
+created on merge when a worker delta mentions it first.
 
 ``docs/OBSERVABILITY.md`` tables every metric the reproduction emits.
 """
@@ -38,7 +41,7 @@ _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 #: Joiner for label-value tuples inside snapshot ``series`` keys (a
-#: control character no real tenant/engine name contains).
+#: control character no real tenant/module name contains).
 _SERIES_SEP = "\x1f"
 
 #: Default histogram buckets (seconds): covers sub-millisecond probe
@@ -46,130 +49,6 @@ _SERIES_SEP = "\x1f"
 DEFAULT_BUCKETS = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0,
 )
-
-
-def _check_name(name: str) -> str:
-    if not _NAME_RE.match(name):
-        raise ConfigurationError(f"invalid metric name {name!r}")
-    return name
-
-
-class Counter:
-    """Monotonically increasing value."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, help_text: str = ""):
-        self.name = _check_name(name)
-        self.help = help_text
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def inc(self, amount: float = 1) -> None:
-        """Add ``amount`` (must be >= 0)."""
-        if amount < 0:
-            raise ConfigurationError(
-                f"counter {self.name} cannot decrease (inc({amount}))"
-            )
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def expose(self) -> List[str]:
-        value = self._value
-        return [f"{self.name} {_format_value(value)}"]
-
-
-class Gauge:
-    """Last-observed value (can go up and down)."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help_text: str = ""):
-        self.name = _check_name(name)
-        self.help = help_text
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        self.inc(-amount)
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def expose(self) -> List[str]:
-        return [f"{self.name} {_format_value(self._value)}"]
-
-
-class Histogram:
-    """Cumulative-bucket histogram (Prometheus semantics)."""
-
-    kind = "histogram"
-
-    def __init__(
-        self, name: str, help_text: str = "",
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ):
-        self.name = _check_name(name)
-        self.help = help_text
-        uppers = tuple(sorted(float(b) for b in buckets))
-        if not uppers:
-            raise ConfigurationError(
-                f"histogram {name} needs at least one bucket"
-            )
-        self.buckets = uppers
-        self._lock = threading.Lock()
-        self._counts = [0] * (len(uppers) + 1)  # +1: the +Inf bucket
-        self._sum = 0.0
-        self._count = 0
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        value = float(value)
-        index = len(self.buckets)
-        for i, upper in enumerate(self.buckets):
-            if value <= upper:
-                index = i
-                break
-        with self._lock:
-            self._counts[index] += 1
-            self._sum += value
-            self._count += 1
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        return self._sum
-
-    def expose(self) -> List[str]:
-        lines = []
-        cumulative = 0
-        for upper, bucket_count in zip(self.buckets, self._counts):
-            cumulative += bucket_count
-            lines.append(
-                f'{self.name}_bucket{{le="{_format_le(upper)}"}} '
-                f"{cumulative}"
-            )
-        cumulative += self._counts[-1]
-        lines.append(f'{self.name}_bucket{{le="+Inf"}} {cumulative}')
-        lines.append(f"{self.name}_sum {_format_value(self._sum)}")
-        lines.append(f"{self.name}_count {self._count}")
-        return lines
 
 
 def _format_value(value: float) -> str:
@@ -195,39 +74,226 @@ def _escape_label(value: str) -> str:
     )
 
 
-class _LabeledFamily:
-    """Shared machinery of labeled metric families.
+def _label_block(pairs: List[str], le: Optional[str] = None) -> str:
+    """``{a="x",le="1"}`` from rendered label pairs ("" when none)."""
+    if le is not None:
+        pairs = pairs + [f'le="{le}"']
+    return "{" + ",".join(pairs) + "}" if pairs else ""
 
-    A family owns one child metric per label-value combination; the
-    family itself cannot be mutated -- call :meth:`labels` first.
+
+class _Series:
+    """One child series of a family. Each kind says how it mutates,
+    how it renders, its snapshot payload, how it absorbs an incoming
+    payload on merge and how it subtracts a baseline payload."""
+
+    @staticmethod
+    def layout(name: str, buckets: Sequence[float]):
+        return None  # histograms alone have a bucket layout
+
+    @staticmethod
+    def carries(incoming: Any) -> bool:
+        return True  # whether merging ``incoming`` creates its series
+
+
+class _CounterSeries(_Series):
+    """Monotonically increasing value."""
+
+    kind, section, ops = "counter", "counters", ("inc",)
+
+    def __init__(self, name: str, buckets: Optional[Tuple[float, ...]]):
+        self.name = name
+        self._lock = threading.Lock()
+        self._value = 0.0
+
+    def inc(self, amount: float = 1) -> None:
+        """Add ``amount`` (must be >= 0)."""
+        if amount < 0:
+            raise ConfigurationError(
+                f"counter {self.name} cannot decrease (inc({amount}))"
+            )
+        with self._lock:
+            self._value += amount
+
+    @property
+    def value(self) -> float:
+        return self._value
+
+    def expose(self, pairs: List[str]) -> List[str]:
+        return [
+            f"{self.name}{_label_block(pairs)} {_format_value(self._value)}"
+        ]
+
+    def payload(self) -> float:
+        return self._value
+
+    def absorb(self, amount: float) -> None:
+        self.inc(amount)
+
+    carries = staticmethod(bool)  # merging a zero creates no series
+
+    @staticmethod
+    def subtract(current: float, base: Optional[float]) -> Optional[float]:
+        changed = current - (0.0 if base is None else base)
+        return changed or None
+
+
+class _GaugeSeries(_CounterSeries):
+    """Last-observed value (can go up and down)."""
+
+    kind, section, ops = "gauge", "gauges", ("set", "inc", "dec")
+
+    def set(self, value: float) -> None:
+        with self._lock:
+            self._value = float(value)
+
+    def inc(self, amount: float = 1) -> None:
+        with self._lock:
+            self._value += amount
+
+    def dec(self, amount: float = 1) -> None:
+        self.inc(-amount)
+
+    def absorb(self, incoming: float) -> None:
+        with self._lock:
+            self._value = max(self._value, incoming)
+
+    carries = staticmethod(_Series.carries)
+
+    @staticmethod
+    def subtract(current: float, base: Optional[float]) -> float:
+        return current  # a gauge travels whole; receivers keep the max
+
+
+class _HistogramSeries(_Series):
+    """Cumulative-bucket histogram (Prometheus semantics)."""
+
+    kind, section, ops = "histogram", "histograms", ("observe",)
+
+    def __init__(self, name: str, buckets: Tuple[float, ...]):
+        self.name = name
+        self._lock = threading.Lock()
+        self.buckets = buckets
+        self._counts = [0] * (len(buckets) + 1)  # +1: the +Inf bucket
+        self._sum = 0.0
+        self._count = 0
+
+    @staticmethod
+    def layout(name: str, buckets: Sequence[float]) -> Tuple[float, ...]:
+        uppers = tuple(sorted(float(b) for b in buckets))
+        if not uppers:
+            raise ConfigurationError(
+                f"histogram {name} needs at least one bucket"
+            )
+        return uppers
+
+    def observe(self, value: float) -> None:
+        """Record one observation."""
+        value = float(value)
+        index = len(self.buckets)
+        for i, upper in enumerate(self.buckets):
+            if value <= upper:
+                index = i
+                break
+        with self._lock:
+            self._counts[index] += 1
+            self._sum += value
+            self._count += 1
+
+    @property
+    def count(self) -> int:
+        return self._count
+
+    @property
+    def sum(self) -> float:
+        return self._sum
+
+    def expose(self, pairs: List[str]) -> List[str]:
+        lines = []
+        cumulative = 0
+        uppers = [_format_le(upper) for upper in self.buckets] + ["+Inf"]
+        for le, bucket_count in zip(uppers, self._counts):
+            cumulative += bucket_count
+            lines.append(
+                f"{self.name}_bucket{_label_block(pairs, le)} {cumulative}"
+            )
+        block = _label_block(pairs)
+        lines.append(f"{self.name}_sum{block} {_format_value(self._sum)}")
+        lines.append(f"{self.name}_count{block} {self._count}")
+        return lines
+
+    def payload(self) -> Dict[str, Any]:
+        return {
+            "counts": list(self._counts),
+            "sum": self._sum,
+            "count": self._count,
+        }
+
+    def absorb(self, incoming: Dict[str, Any]) -> None:
+        with self._lock:
+            for i, count in enumerate(incoming["counts"]):
+                self._counts[i] += count
+            self._sum += incoming["sum"]
+            self._count += incoming["count"]
+
+    @staticmethod
+    def subtract(
+        current: Dict[str, Any], base: Optional[Dict[str, Any]]
+    ) -> Optional[Dict[str, Any]]:
+        if base is None:
+            base = {"counts": [0] * len(current["counts"]), "sum": 0.0,
+                    "count": 0}
+        counts = [c - b for c, b in zip(current["counts"], base["counts"])]
+        if not any(counts):
+            return None
+        return {
+            "counts": counts,
+            "sum": current["sum"] - base["sum"],
+            "count": current["count"] - base["count"],
+        }
+
+
+#: Series class per kind, in snapshot section order.
+_KINDS = {
+    cls.kind: cls
+    for cls in (_CounterSeries, _GaugeSeries, _HistogramSeries)
+}
+
+
+class MetricFamily:
+    """Every series registered under one metric name.
+
+    A plain metric is the family with no label names: its single child
+    exists from the start and its mutators *are* that child's bound
+    methods. A labeled family creates one child per label-value
+    combination on first use and refuses direct mutation -- call
+    :meth:`labels` first.
     """
 
-    kind = ""  # overridden
-    child_cls: Any = None  # overridden
-
-    def __init__(
-        self, name: str, help_text: str = "",
-        labelnames: Sequence[str] = (), **child_kwargs,
-    ):
-        self.name = _check_name(name)
+    def __init__(self, kind: str, name: str, help_text: str = "",
+                 labelnames: Sequence[str] = (),
+                 buckets: Sequence[float] = DEFAULT_BUCKETS):
+        if not _NAME_RE.match(name):
+            raise ConfigurationError(f"invalid metric name {name!r}")
+        self.name = name
         self.help = help_text
-        names = tuple(labelnames)
-        if not names:
-            raise ConfigurationError(
-                f"labeled metric {name!r} needs at least one label name"
-            )
-        for label in names:
+        self.kind = kind
+        self._series_cls = _KINDS[kind]
+        for label in labelnames:
             if not _LABEL_RE.match(label):
                 raise ConfigurationError(
                     f"invalid label name {label!r} on metric {name!r}"
                 )
-        self.labelnames = names
-        self._child_kwargs = child_kwargs
+        self.labelnames = tuple(labelnames)
+        self.buckets = self._series_cls.layout(name, buckets)
         self._lock = threading.Lock()
         self._children: Dict[Tuple[str, ...], Any] = {}
+        solo = None if self.labelnames else self._child(())
+        for op in self._series_cls.ops:
+            setattr(self, op, self._refuse if solo is None
+                    else getattr(solo, op))
 
     def labels(self, **labelvalues):
-        """The child metric for one label-value combination (created on
+        """The child series for one label-value combination (created on
         first use). Every declared label must be supplied."""
         if set(labelvalues) != set(self.labelnames):
             raise ConfigurationError(
@@ -242,9 +308,7 @@ class _LabeledFamily:
         with self._lock:
             child = self._children.get(key)
             if child is None:
-                child = self.child_cls(
-                    self.name, self.help, **self._child_kwargs
-                )
+                child = self._series_cls(self.name, self.buckets)
                 self._children[key] = child
             return child
 
@@ -252,155 +316,131 @@ class _LabeledFamily:
         with self._lock:
             return sorted(self._children.items())
 
-    def _label_str(self, key: Tuple[str, ...], extra: str = "") -> str:
-        parts = [
-            f'{n}="{_escape_label(v)}"'
-            for n, v in zip(self.labelnames, key)
-        ]
-        if extra:
-            parts.append(extra)
-        return ",".join(parts)
-
-    def _no_direct(self, *_args, **_kwargs):
+    def _refuse(self, *_args, **_kwargs):
         raise ConfigurationError(
             f"metric {self.name!r} is labeled "
             f"({', '.join(self.labelnames)}); record through .labels()"
         )
 
-    inc = observe = set = dec = _no_direct
-
-
-class LabeledCounter(_LabeledFamily):
-    """Counter family keyed by label values."""
-
-    kind = "counter"
-    child_cls = Counter
+    def _solo(self):
+        if self.labelnames:
+            self._refuse()
+        return self._children[()]
 
     @property
     def value(self) -> float:
-        """Sum across every label combination."""
-        return sum(child.value for _, child in self._items())
+        """A plain metric's value; a labeled family's sum across every
+        label combination."""
+        if self.labelnames:
+            return sum(child.value for _, child in self._items())
+        return self._children[()].value
+
+    count = property(lambda self: self._solo().count)
+    sum = property(lambda self: self._solo().sum)
 
     def expose(self) -> List[str]:
-        return [
-            f"{self.name}{{{self._label_str(key)}}} "
-            f"{_format_value(child.value)}"
-            for key, child in self._items()
-        ]
-
-
-class LabeledGauge(_LabeledFamily):
-    """Gauge family keyed by label values."""
-
-    kind = "gauge"
-    child_cls = Gauge
-
-    def expose(self) -> List[str]:
-        return [
-            f"{self.name}{{{self._label_str(key)}}} "
-            f"{_format_value(child.value)}"
-            for key, child in self._items()
-        ]
-
-
-class LabeledHistogram(_LabeledFamily):
-    """Histogram family keyed by label values (shared bucket layout)."""
-
-    kind = "histogram"
-    child_cls = Histogram
-
-    def __init__(
-        self, name: str, help_text: str = "",
-        labelnames: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ):
-        super().__init__(name, help_text, labelnames, buckets=buckets)
-        self.buckets = tuple(sorted(float(b) for b in buckets))
-
-    def expose(self) -> List[str]:
+        """Sample lines of every series, in label-value order."""
         lines: List[str] = []
         for key, child in self._items():
-            base = self._label_str(key)
-            cumulative = 0
-            for upper, bucket_count in zip(child.buckets, child._counts):
-                cumulative += bucket_count
-                lines.append(
-                    f'{self.name}_bucket{{{base},le="{_format_le(upper)}"}}'
-                    f" {cumulative}"
-                )
-            cumulative += child._counts[-1]
-            lines.append(
-                f'{self.name}_bucket{{{base},le="+Inf"}} {cumulative}'
-            )
-            lines.append(
-                f"{self.name}_sum{{{base}}} {_format_value(child._sum)}"
-            )
-            lines.append(f"{self.name}_count{{{base}}} {child._count}")
+            lines.extend(child.expose([
+                f'{n}="{_escape_label(v)}"'
+                for n, v in zip(self.labelnames, key)
+            ]))
         return lines
+
+    def payload(self) -> Any:
+        """This family's snapshot payload."""
+        return _encode(
+            self.labelnames, self.buckets,
+            {key: child.payload() for key, child in self._items()},
+        )
+
+
+def _encode(labelnames: Tuple[str, ...], buckets, series: Dict) -> Any:
+    """Wire payload of one family: a plain metric's bare value (or
+    ``{buckets, counts, sum, count}``), else ``{labels, [buckets,]
+    series}`` keyed by the joined label values."""
+    if not labelnames:
+        (payload,) = series.values()
+        if buckets is None:
+            return payload
+        return {"buckets": list(buckets), **payload}
+    encoded: Dict[str, Any] = {"labels": list(labelnames)}
+    if buckets is not None:
+        encoded["buckets"] = list(buckets)
+    encoded["series"] = {
+        _SERIES_SEP.join(key): payload for key, payload in series.items()
+    }
+    return encoded
+
+
+def _decode(payload: Any):
+    """``(labelnames, buckets, {label key: series payload})`` of one
+    family's wire payload (the inverse of :func:`_encode`)."""
+    if not isinstance(payload, dict):
+        return (), None, {(): payload}
+    buckets = payload.get("buckets")
+    if "series" not in payload:
+        series = {k: v for k, v in payload.items() if k != "buckets"}
+        return (), buckets, {(): series}
+    return tuple(payload.get("labels", ())), buckets, {
+        tuple(key.split(_SERIES_SEP)): value
+        for key, value in payload["series"].items()
+    }
 
 
 class MetricsRegistry:
-    """Name-keyed collection of counters, gauges and histograms."""
+    """Name-keyed collection of counter, gauge and histogram families."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._metrics: Dict[str, Any] = {}
+        self._metrics: Dict[str, MetricFamily] = {}
 
     def _get_or_create(
-        self, cls, labeled_cls, name: str, help_text: str,
-        labels: Sequence[str] = (), **kwargs,
-    ):
+        self, kind: str, name: str, help_text: str,
+        labels: Sequence[str] = (), buckets: Sequence[float] = (),
+    ) -> MetricFamily:
         labels = tuple(labels)
         with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                if labels:
-                    metric = labeled_cls(name, help_text, labels, **kwargs)
-                else:
-                    metric = cls(name, help_text, **kwargs)
-                self._metrics[name] = metric
-                return metric
-            if metric.kind != cls.kind:
+            family = self._metrics.get(name)
+            if family is None:
+                family = MetricFamily(kind, name, help_text, labels, buckets)
+                self._metrics[name] = family
+                return family
+            if family.kind != kind:
                 raise ConfigurationError(
                     f"metric {name!r} already registered as "
-                    f"{metric.kind}, not {cls.kind}"
+                    f"{family.kind}, not {kind}"
                 )
-            labeled = isinstance(metric, _LabeledFamily)
-            if labeled != bool(labels):
+            if family.labelnames != labels:
+                if family.labelnames and labels:
+                    detail = f"with labels {family.labelnames}, not {labels}"
+                else:
+                    detail = "with" if family.labelnames else "without"
+                    detail += " labels"
                 raise ConfigurationError(
-                    f"metric {name!r} already registered "
-                    f"{'with' if labeled else 'without'} labels"
+                    f"metric {name!r} already registered {detail}"
                 )
-            if labeled and metric.labelnames != labels:
-                raise ConfigurationError(
-                    f"metric {name!r} already registered with labels "
-                    f"{metric.labelnames}, not {labels}"
-                )
-            return metric
+            return family
 
     def counter(self, name: str, help_text: str = "",
-                labels: Sequence[str] = ()):
-        """Get (or lazily register) a counter (family, with labels)."""
-        return self._get_or_create(
-            Counter, LabeledCounter, name, help_text, labels
-        )
+                labels: Sequence[str] = ()) -> MetricFamily:
+        """Get (or lazily register) a counter family."""
+        return self._get_or_create("counter", name, help_text, labels)
 
     def gauge(self, name: str, help_text: str = "",
-              labels: Sequence[str] = ()):
-        """Get (or lazily register) a gauge (family, with labels)."""
-        return self._get_or_create(
-            Gauge, LabeledGauge, name, help_text, labels
-        )
+              labels: Sequence[str] = ()) -> MetricFamily:
+        """Get (or lazily register) a gauge family."""
+        return self._get_or_create("gauge", name, help_text, labels)
 
     def histogram(
         self, name: str, help_text: str = "",
         buckets: Sequence[float] = DEFAULT_BUCKETS,
         labels: Sequence[str] = (),
-    ):
-        """Get (or lazily register) a histogram (family, with labels)."""
+    ) -> MetricFamily:
+        """Get (or lazily register) a histogram family."""
         return self._get_or_create(
-            Histogram, LabeledHistogram, name, help_text, labels,
-            buckets=buckets,
+            "histogram", name, help_text, labels, buckets
         )
 
     def reset(self) -> None:
@@ -408,28 +448,27 @@ class MetricsRegistry:
         with self._lock:
             self._metrics.clear()
 
+    def _families(self) -> List[MetricFamily]:
+        with self._lock:
+            return list(self._metrics.values())
+
     # -- exposition --------------------------------------------------------------
 
     def counter_values(self) -> Dict[str, float]:
         """Plain name->value view of every counter (labeled families
         report the sum across their label combinations)."""
-        with self._lock:
-            metrics = list(self._metrics.values())
         return {
-            m.name: m.value for m in metrics
-            if isinstance(m, (Counter, LabeledCounter))
+            f.name: f.value for f in self._families() if f.kind == "counter"
         }
 
     def prometheus_text(self) -> str:
         """Version-0.0.4 Prometheus text exposition of every metric."""
-        with self._lock:
-            metrics = sorted(self._metrics.values(), key=lambda m: m.name)
         lines: List[str] = []
-        for metric in metrics:
-            if metric.help:
-                lines.append(f"# HELP {metric.name} {metric.help}")
-            lines.append(f"# TYPE {metric.name} {metric.kind}")
-            lines.extend(metric.expose())
+        for family in sorted(self._families(), key=lambda f: f.name):
+            if family.help:
+                lines.append(f"# HELP {family.name} {family.help}")
+            lines.append(f"# TYPE {family.name} {family.kind}")
+            lines.extend(family.expose())
         return "\n".join(lines) + ("\n" if lines else "")
 
     def write_prometheus(self, path: str) -> str:
@@ -441,53 +480,11 @@ class MetricsRegistry:
     # -- cross-process transport -------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-ready state of every metric (picklable, mergeable).
-
-        Plain metrics snapshot by value; labeled families snapshot as
-        ``{"labels": [...], "series": {joined-values: payload}}`` so the
-        receiving registry can recreate the family wholesale.
-        """
-        with self._lock:
-            metrics = list(self._metrics.values())
-        snap: Dict[str, Any] = {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
-        for metric in metrics:
-            if isinstance(metric, Counter):
-                snap["counters"][metric.name] = metric.value
-            elif isinstance(metric, Gauge):
-                snap["gauges"][metric.name] = metric.value
-            elif isinstance(metric, Histogram):
-                snap["histograms"][metric.name] = {
-                    "buckets": list(metric.buckets),
-                    "counts": list(metric._counts),
-                    "sum": metric._sum,
-                    "count": metric._count,
-                }
-            elif isinstance(metric, (LabeledCounter, LabeledGauge)):
-                section = (
-                    "counters" if metric.kind == "counter" else "gauges"
-                )
-                snap[section][metric.name] = {
-                    "labels": list(metric.labelnames),
-                    "series": {
-                        _SERIES_SEP.join(key): child.value
-                        for key, child in metric._items()
-                    },
-                }
-            elif isinstance(metric, LabeledHistogram):
-                snap["histograms"][metric.name] = {
-                    "labels": list(metric.labelnames),
-                    "buckets": list(metric.buckets),
-                    "series": {
-                        _SERIES_SEP.join(key): {
-                            "counts": list(child._counts),
-                            "sum": child._sum,
-                            "count": child._count,
-                        }
-                        for key, child in metric._items()
-                    },
-                }
+        """JSON-ready state of every metric (picklable, mergeable), one
+        section per kind in registration order."""
+        snap: Dict[str, Any] = {cls.section: {} for cls in _KINDS.values()}
+        for family in self._families():
+            snap[_KINDS[family.kind].section][family.name] = family.payload()
         return snap
 
     def merge_snapshot(self, snap: Optional[Dict[str, Any]]) -> None:
@@ -498,67 +495,31 @@ class MetricsRegistry:
         reduction). Metrics the worker recorded but this registry has
         never seen -- labeled or plain, histogram or counter -- are
         created on merge rather than dropped, so the first unit a fresh
-        coordinator reaps still lands its worker-side series. A bucket
-        layout mismatch against an *existing* histogram is still a hard
+        coordinator reaps still lands its worker-side series; a plain
+        counter at zero is skipped. A bucket layout mismatch against an
+        *existing* histogram is still a hard
         :class:`~repro.errors.ConfigurationError`.
         """
         if not snap:
             return
-        for name, value in snap.get("counters", {}).items():
-            if isinstance(value, dict):
-                family = self.counter(
-                    name, labels=tuple(value.get("labels", ()))
+        for kind, series_cls in _KINDS.items():
+            for name, payload in snap.get(series_cls.section, {}).items():
+                labelnames, buckets, series = _decode(payload)
+                series = {
+                    key: incoming for key, incoming in series.items()
+                    if series_cls.carries(incoming)
+                }
+                if not (series or labelnames):
+                    continue
+                family = self._get_or_create(
+                    kind, name, "", labelnames, buckets or ()
                 )
-                for key, amount in value.get("series", {}).items():
-                    if amount:
-                        family._child(
-                            tuple(key.split(_SERIES_SEP))
-                        ).inc(amount)
-            elif value:
-                self.counter(name).inc(value)
-        for name, value in snap.get("gauges", {}).items():
-            if isinstance(value, dict):
-                family = self.gauge(
-                    name, labels=tuple(value.get("labels", ()))
-                )
-                for key, incoming in value.get("series", {}).items():
-                    child = family._child(tuple(key.split(_SERIES_SEP)))
-                    with child._lock:
-                        child._value = max(child._value, incoming)
-            else:
-                gauge = self.gauge(name)
-                with gauge._lock:
-                    gauge._value = max(gauge._value, value)
-        for name, payload in snap.get("histograms", {}).items():
-            buckets = tuple(payload["buckets"])
-            if "series" in payload:
-                family = self.histogram(
-                    name, labels=tuple(payload.get("labels", ())),
-                    buckets=buckets,
-                )
-                if buckets != family.buckets:
+                if buckets is not None and tuple(buckets) != family.buckets:
                     raise ConfigurationError(
-                        f"histogram {name!r} bucket layout mismatch "
-                        "in merge"
+                        f"histogram {name!r} bucket layout mismatch in merge"
                     )
-                for key, series in payload.get("series", {}).items():
-                    child = family._child(tuple(key.split(_SERIES_SEP)))
-                    with child._lock:
-                        for i, count in enumerate(series["counts"]):
-                            child._counts[i] += count
-                        child._sum += series["sum"]
-                        child._count += series["count"]
-                continue
-            histogram = self.histogram(name, buckets=buckets)
-            if buckets != histogram.buckets:
-                raise ConfigurationError(
-                    f"histogram {name!r} bucket layout mismatch in merge"
-                )
-            with histogram._lock:
-                for i, count in enumerate(payload["counts"]):
-                    histogram._counts[i] += count
-                histogram._sum += payload["sum"]
-                histogram._count += payload["count"]
+                for key, incoming in series.items():
+                    family._child(key).absorb(incoming)
 
 
 def snapshot_delta(
@@ -568,86 +529,22 @@ def snapshot_delta(
 
     Worker processes capture a baseline before executing a unit and
     return the delta, so long-lived pool workers never double-report
-    state accumulated by earlier units.
+    state accumulated by earlier units. Unchanged counter and histogram
+    series are left out; gauges travel whole.
     """
-    delta: Dict[str, Any] = {"counters": {}, "gauges": {}, "histograms": {}}
-    base_counters = baseline.get("counters", {})
-    for name, value in current.get("counters", {}).items():
-        base = base_counters.get(name)
-        if isinstance(value, dict):
-            base_series = (
-                base.get("series", {}) if isinstance(base, dict) else {}
-            )
-            series = {}
-            for key, amount in value.get("series", {}).items():
-                changed = amount - base_series.get(key, 0.0)
-                if changed:
-                    series[key] = changed
-            if series:
-                delta["counters"][name] = {
-                    "labels": list(value.get("labels", ())),
-                    "series": series,
-                }
-            continue
-        changed = value - (base if isinstance(base, (int, float)) else 0.0)
-        if changed:
-            delta["counters"][name] = changed
-    delta["gauges"] = {
-        name: (
-            {
-                "labels": list(value.get("labels", ())),
-                "series": dict(value.get("series", {})),
-            }
-            if isinstance(value, dict) else value
-        )
-        for name, value in current.get("gauges", {}).items()
-    }
-    base_histograms = baseline.get("histograms", {})
-    for name, payload in current.get("histograms", {}).items():
-        base = base_histograms.get(name)
-        if "series" in payload:
-            base_series = (
-                base.get("series", {})
-                if isinstance(base, dict) and "series" in base else {}
-            )
-            series = {}
-            for key, cur in payload["series"].items():
-                prior = base_series.get(
-                    key,
-                    {"counts": [0] * len(cur["counts"]),
-                     "sum": 0.0, "count": 0},
-                )
-                counts = [
-                    c - b for c, b in zip(cur["counts"], prior["counts"])
-                ]
-                if any(counts):
-                    series[key] = {
-                        "counts": counts,
-                        "sum": cur["sum"] - prior["sum"],
-                        "count": cur["count"] - prior["count"],
-                    }
-            if series:
-                delta["histograms"][name] = {
-                    "labels": list(payload.get("labels", ())),
-                    "buckets": list(payload["buckets"]),
-                    "series": series,
-                }
-            continue
-        if not isinstance(base, dict) or "series" in base:
-            base = {
-                "counts": [0] * len(payload["counts"]),
-                "sum": 0.0, "count": 0,
-            }
-        counts = [
-            c - b for c, b in zip(payload["counts"], base["counts"])
-        ]
-        if any(counts):
-            delta["histograms"][name] = {
-                "buckets": list(payload["buckets"]),
-                "counts": counts,
-                "sum": payload["sum"] - base["sum"],
-                "count": payload["count"] - base["count"],
-            }
+    delta: Dict[str, Any] = {cls.section: {} for cls in _KINDS.values()}
+    for series_cls in _KINDS.values():
+        section = series_cls.section
+        base_section = baseline.get(section, {})
+        for name, payload in current.get(section, {}).items():
+            labelnames, buckets, series = _decode(payload)
+            base = base_section.get(name)
+            base_series = {} if base is None else _decode(base)[2]
+            diffs = {key: series_cls.subtract(value, base_series.get(key))
+                     for key, value in series.items()}
+            changed = {k: d for k, d in diffs.items() if d is not None}
+            if changed or series_cls is _GaugeSeries:
+                delta[section][name] = _encode(labelnames, buckets, changed)
     return delta
 
 

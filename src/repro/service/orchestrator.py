@@ -451,10 +451,6 @@ class CampaignService:
         record.status = "completed"
         record.wall_seconds = wall_seconds
         state.metrics.units_completed += 1
-        REGISTRY.histogram(
-            "repro_service_unit_seconds",
-            "in-worker wall clock per completed work unit",
-        ).observe(wall_seconds)
         if state.store is not None:
             with TRACER.span("service.checkpoint"):
                 path = state.store.write_unit({
@@ -597,9 +593,8 @@ class CampaignService:
                 module=unit.module, attempt=attempt,
             )
             return False
-        if delta is not None and unit.unit_id not in state.merged_units:
+        if delta is not None:
             REGISTRY.merge_snapshot(delta)
-            state.merged_units.add(unit.unit_id)
             RECORDER.record("metrics", {
                 "unit": unit.unit_id, "delta": delta,
             })
@@ -796,10 +791,6 @@ class _RunState:
     unit_metrics: Dict[str, UnitMetrics]
     on_unit_done: Optional[Callable[[str, int], None]]
     store: Optional[CheckpointStore]
-    #: Unit ids whose worker metric delta was already folded into the
-    #: coordinator registry -- the dedup set that keeps re-queued /
-    #: duplicate deliveries from inflating ``repro_probes_*``.
-    merged_units: set = field(default_factory=set)
     #: Chrome-trace fragments accepted from pool workers, in delivery
     #: order (one per unit at most; duplicates never reach here).
     fragments: List[Dict] = field(default_factory=list)

@@ -1,10 +1,8 @@
-"""ProbeCounters: field-complete merge/as_dict and registry publish.
+"""ProbeCounters: field-complete as_dict and registry publish.
 
-Pins the satellite fix for the chunk-merge bug where
-``ProbeCounters.merge`` silently dropped ``sweep_saved_lookups``: both
-``merge`` and ``as_dict`` are now driven by ``dataclasses.fields``, so
+``as_dict`` and ``publish`` are driven by ``dataclasses.fields``, so
 these tests fail loudly if any counter -- present or future -- goes
-missing from either path.
+missing from the dict view or from the registry.
 """
 
 from dataclasses import fields
@@ -21,10 +19,10 @@ from repro.obs.metrics import MetricsRegistry
 FIELD_NAMES = tuple(spec.name for spec in fields(ProbeCounters))
 
 
-def _distinct_counters(offset=0):
+def _distinct_counters():
     """A ProbeCounters with a different non-zero value per field."""
     return ProbeCounters(**{
-        name: offset + index + 1 for index, name in enumerate(FIELD_NAMES)
+        name: index + 1 for index, name in enumerate(FIELD_NAMES)
     })
 
 
@@ -34,25 +32,6 @@ def test_as_dict_covers_every_field():
     assert set(payload) == set(FIELD_NAMES)
     assert all(payload[name] == getattr(counters, name)
                for name in FIELD_NAMES)
-
-
-def test_merge_accumulates_every_field():
-    total = _distinct_counters()
-    expected = {
-        name: 2 * getattr(total, name) + 100 for name in FIELD_NAMES
-    }
-    total.merge(_distinct_counters(offset=100))
-    assert total.as_dict() == expected
-
-
-def test_merge_roundtrip_preserves_sweep_saved_lookups():
-    # The regression: chunk merges once rebuilt counters field-by-field
-    # and omitted sweep_saved_lookups.
-    left = ProbeCounters(sweep_saved_lookups=7)
-    right = ProbeCounters(sweep_saved_lookups=5, hammer_probes=2)
-    left.merge(right)
-    assert left.sweep_saved_lookups == 12
-    assert left.hammer_probes == 2
 
 
 def test_every_field_has_a_registry_metric_name():

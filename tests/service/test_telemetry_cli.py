@@ -175,8 +175,11 @@ class TestServiceCli:
         with open(metrics_path) as handle:
             text = handle.read()
         assert "# TYPE repro_probes_hammer_total counter" in text
-        assert "# TYPE repro_service_unit_seconds histogram" in text
-        assert 'repro_service_unit_seconds_bucket{le="+Inf"}' in text
+        assert "# TYPE repro_service_unit_run_seconds histogram" in text
+        assert (
+            'repro_service_unit_run_seconds_bucket{module="C5",le="+Inf"}'
+            in text
+        )
 
         from repro.obs.provenance import validate_provenance
 

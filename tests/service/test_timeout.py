@@ -151,6 +151,7 @@ class TestReaperMergeHardening:
         # flushed when the reaper declared the attempt dead.
         assert "hang_injected.json" in reasons
         assert "pool_reaped.json" in reasons
+
     def _state(self, units):
         return _RunState(
             units=units, pending=list(units), completed={},
@@ -192,27 +193,3 @@ class TestReaperMergeHardening:
         events = [e["event"] for e in service.telemetry.events]
         assert events.count("unit_finished") == 1
         assert "unit_duplicate_dropped" in events
-
-    def test_requeued_attempt_merges_delta_once(self, tiny_scale):
-        """A restarted (innocent) unit whose first outcome never arrived
-        still merges exactly one delta."""
-        service = CampaignService(
-            modules=["C5"], tests=TESTS, scale=tiny_scale, seed=0
-        )
-        units = plan_units(["C5"], tiny_scale, TESTS, None)
-        unit = units[0]
-        result, wall, delta, _ = _execute_unit(service._job(unit, 0))
-        state = self._state(units)
-        # Simulate the reap path: the delta was merged for attempt 0,
-        # but the outcome never surfaced (worker killed mid-return).
-        REGISTRY.merge_snapshot(delta)
-        state.merged_units.add(unit.unit_id)
-        before = REGISTRY.counter_values()
-        assert service._deliver_result(
-            state, unit, 1, result, wall, delta
-        ) is True
-        after = REGISTRY.counter_values()
-        # Delivery completed the unit without re-merging the delta.
-        assert state.metrics.units_completed == 1
-        for name in delta.get("counters", {}):
-            assert after.get(name) == before.get(name)
