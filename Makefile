@@ -33,7 +33,9 @@ BENCH_SMOKE_OUT ?= /tmp/BENCH_service_smoke.json
 # benchmark, which writes benchmarks/BENCH_probe.json (probes/sec and
 # campaign wall-clock for the fused kernel and the command oracle), plus the
 # orchestration-service smoke run (benchmarks/BENCH_service.json).
-bench: service-smoke
+bench:
+	PYTHONPATH=src $(PYTHON) benchmarks/service_smoke.py \
+		--out benchmarks/BENCH_service.json
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_microbenchmarks.py --benchmark-only
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_probe.py
 
@@ -67,7 +69,8 @@ bench-smoke:
 
 # One-module orchestrated campaign with one injected bench fault:
 # asserts the retry succeeds, the JSON-lines event log parses, and the
-# merged study matches the sequential reference bit-for-bit.
+# merged study matches the sequential reference bit-for-bit. Writes
+# its timings to the temp directory; `make bench` records them.
 service-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/service_smoke.py
 

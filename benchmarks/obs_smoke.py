@@ -236,9 +236,14 @@ def validate_stitched_api_trace(tmp: str) -> dict:
     check(bool(trace_id), "admitted job carries no trace id")
     job = api.queue.pop(timeout=1.0)
     check(job is not None, "submitted job never became poppable")
+    before = REGISTRY.counter_values().get(HAMMER_PROBES, 0.0)
     run_job(job, api.store, api.checkpoint_base,
             flight_base=api.flight_base)
     check(job.state == "completed", f"api job failed: {job.error}")
+    validate_job_provenance(
+        api.store.load_dict(job.fingerprint), job.fingerprint,
+        REGISTRY.counter_values().get(HAMMER_PROBES, 0.0) - before,
+    )
     status, payload = api.handle(
         "GET", f"/v1/jobs/{job.id}/trace", {}, None, "smoke"
     )
@@ -274,6 +279,28 @@ def validate_stitched_api_trace(tmp: str) -> dict:
           f"{len(pids)} processes, {len(flows) // 2} queue-hop flows, "
           "per-tenant SLO series exposed")
     return stitched
+
+
+HAMMER_PROBES = "repro_probes_hammer_total"
+
+
+def validate_job_provenance(
+    document: dict, fingerprint: str, spent: float
+) -> None:
+    """The pooled job's stored study carries the campaign service's
+    stamp: a valid block under the job's fingerprint whose counters
+    are that one job's work (the registry's growth across it), not
+    process totals."""
+    block = validate_provenance(document["provenance"])
+    check(block["fingerprint"] == fingerprint,
+          f"stored study fingerprint {block['fingerprint']} != job's "
+          f"{fingerprint}")
+    recorded = block["counters"].get(HAMMER_PROBES, 0.0)
+    check(0 < recorded == spent,
+          f"stored study records {recorded} hammer probes; the job "
+          f"spent {spent}")
+    print(f"  provenance: API job study stamped with its own "
+          f"{recorded:.0f} hammer probes")
 
 
 #: Phases a pooled run executes only in its workers.

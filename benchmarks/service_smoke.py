@@ -12,12 +12,13 @@ one scripted fault injected into the first work unit, and asserts:
   ``CharacterizationStudy.run`` -- the injected fault left no trace in
   the science.
 
-Timings land in ``benchmarks/BENCH_service.json`` (override with
-``--out``) next to the probe benchmark's numbers, so ``make bench``
-reports the orchestration overhead trajectory alongside probe
-throughput.
+Timings land in ``--out`` (default: ``BENCH_service.json`` in the
+temp directory, so a smoke run leaves the checkout clean); ``make
+bench`` points it at ``benchmarks/BENCH_service.json``, next to the
+probe benchmark's numbers, to record the orchestration overhead
+trajectory alongside probe throughput.
 
-Run:  PYTHONPATH=src python benchmarks/service_smoke.py
+Run:  PYTHONPATH=src python benchmarks/service_smoke.py [--out PATH]
 """
 
 from __future__ import annotations
@@ -112,9 +113,7 @@ def run_smoke(scale: StudyScale, events_path: str) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    default_out = os.path.join(
-        os.path.dirname(__file__), "BENCH_service.json"
-    )
+    default_out = os.path.join(tempfile.gettempdir(), "BENCH_service.json")
     parser.add_argument("--out", default=default_out)
     args = parser.parse_args(argv)
 

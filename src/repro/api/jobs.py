@@ -41,11 +41,7 @@ from repro.atomic import write_atomic
 from repro.core.scale import scale_preset
 from repro.core.study import TEST_TYPES
 from repro.errors import ConfigurationError, JobCancelledError
-from repro.harness.cache import (
-    BENCH_MODULES,
-    attach_provenance,
-    study_fingerprint,
-)
+from repro.harness.cache import BENCH_MODULES, study_fingerprint
 from repro.harness.store import StudyStore
 from repro.harness.validation import (
     validate_modules,
@@ -507,12 +503,7 @@ def _execute_job(
             sorted(outcome.metrics.quarantined)
         ))
         return
-    study = outcome.study
-    attach_provenance(
-        study, spec.tests, spec.modules, spec.seed,
-        outcome.metrics.wall_seconds, program=spec.program,
-    )
-    store.store(study, job.fingerprint)
+    store.store(outcome.study, job.fingerprint)
     job.state = COMPLETED
     job.finished = clock.wall()
     telemetry.emit("job_finished", state=COMPLETED, cache=job.cache,

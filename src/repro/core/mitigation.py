@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.results import ModuleResult
-from repro.core.study import StudyResult
 from repro.dram.constants import NOMINAL_TRCD, NOMINAL_TREFW
 from repro.dram.ecc import count_correctable_words
 from repro.errors import AnalysisError
@@ -196,10 +195,3 @@ def recommend_vpp(module_result: ModuleResult) -> VppRecommendation:
         ber=ber_nominal,
         rationale="no reduced V_PP improved on nominal without side effects",
     )
-
-
-def recommend_all(study: StudyResult) -> Dict[str, VppRecommendation]:
-    """V_PPRec for every module of a study."""
-    return {
-        name: recommend_vpp(result) for name, result in study.modules.items()
-    }

@@ -170,9 +170,11 @@ def attach_provenance(
 ) -> None:
     """Stamp a freshly produced study with its provenance block.
 
-    Shared by the cache miss path, the orchestrated pre-run and the API
-    job runner, so every stored study carries the same schema-valid
-    block (fingerprinted by the campaign *request*).
+    Called by the two producers -- :func:`get_study`'s miss path and
+    :meth:`repro.service.orchestrator.CampaignService.run` -- so every
+    stored study carries the same schema-valid block (fingerprinted by
+    the study *request*), with ``counters`` the work spent producing
+    it. Without ``counters`` the block records process totals.
     """
     study.provenance = build_provenance(
         fingerprint=study_fingerprint(
@@ -293,9 +295,10 @@ def preload_study(
     """Install an externally-produced study (orchestrated campaign,
     loaded from disk) so subsequent ``get_study`` calls reuse it.
 
-    A study arriving without a provenance block is stamped with one
-    here (``wall_seconds`` lets the producer pass the campaign's cost
-    through), so every disk-cache entry carries provenance.
+    Orchestrated studies arrive stamped by the campaign service; one
+    arriving without a provenance block is stamped here (with
+    ``wall_seconds`` as its cost), so every disk-cache entry carries
+    provenance.
     """
     if study.provenance is None:
         attach_provenance(

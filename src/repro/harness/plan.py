@@ -72,9 +72,7 @@ class PreloadPlan:
             quarantined.extend(sorted(outcome.metrics.quarantined))
             cache.preload_study(
                 outcome.study, request.tests, request.modules,
-                seed=request.seed,
-                wall_seconds=outcome.metrics.wall_seconds,
-                program=request.program,
+                seed=request.seed, program=request.program,
             )
         return quarantined
 

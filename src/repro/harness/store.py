@@ -123,10 +123,7 @@ class StudyStore:
             except OSError:
                 pass
             return None
-        REGISTRY.counter(
-            "repro_study_cache_read_bytes_total",
-            "bytes read from the on-disk study store",
-        ).inc(size)
+        _count_read(size)
         return study
 
     def read_bytes(self, fingerprint: str) -> Optional[bytes]:
@@ -134,9 +131,11 @@ class StudyStore:
         API's study endpoint sends these verbatim)."""
         try:
             with open(self.path(fingerprint), "rb") as handle:
-                return handle.read()
+                data = handle.read()
         except OSError:
             return None
+        _count_read(len(data))
+        return data
 
     def load_dict(self, fingerprint: str) -> Optional[dict]:
         """One entry's JSON document, parsed but not decoded into a
@@ -246,3 +245,10 @@ def _store_event(kind: str) -> None:
         f"repro_study_cache_{kind}_total",
         f"study-store {kind.replace('_', ' ')}",
     ).inc()
+
+
+def _count_read(size: int) -> None:
+    REGISTRY.counter(
+        "repro_study_cache_read_bytes_total",
+        "bytes read from the on-disk study store",
+    ).inc(size)

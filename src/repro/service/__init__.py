@@ -13,7 +13,7 @@ observable jobs instead of one monolithic in-process call:
 * :mod:`repro.service.faults` -- seedable injection of transient bench
   faults (supply droop, FPGA timeout, host disconnect);
 * :mod:`repro.service.telemetry` -- JSON-lines event log plus
-  unit/campaign metrics.
+  campaign metrics.
 
 CLI: ``python -m repro.service --help``; ``docs/SERVICE.md`` has the
 full job model and telemetry schema.
@@ -22,12 +22,7 @@ full job model and telemetry schema.
 from repro.service.faults import FAULT_KINDS, FaultInjector, FaultPlan, FaultSpec
 from repro.service.jobs import WorkUnit, plan_units
 from repro.service.orchestrator import CampaignOutcome, CampaignService
-from repro.service.telemetry import (
-    CampaignMetrics,
-    TelemetryLog,
-    UnitMetrics,
-    read_events,
-)
+from repro.service.telemetry import CampaignMetrics, TelemetryLog, read_events
 
 __all__ = [
     "FAULT_KINDS",
@@ -40,6 +35,5 @@ __all__ = [
     "CampaignService",
     "CampaignMetrics",
     "TelemetryLog",
-    "UnitMetrics",
     "read_events",
 ]

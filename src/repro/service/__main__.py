@@ -31,7 +31,7 @@ from repro.core.study import TEST_TYPES
 from repro.errors import ConfigurationError
 from repro.harness.cache import BENCH_MODULES
 from repro.harness.validation import validate_modules, validate_program
-from repro.obs import ProgressReporter, build_provenance, clock
+from repro.obs import ProgressReporter
 from repro.obs import context as obs_context
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
@@ -208,7 +208,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         reporter = ProgressReporter() if args.progress else None
         if reporter is not None:
             reporter.attach()
-        started = clock.monotonic()
         try:
             with TelemetryLog(args.events, resume=args.resume) as telemetry:
                 service = CampaignService(
@@ -247,16 +246,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"/ {len(module.retention)} retention records"
         )
     if args.out:
-        outcome.study.provenance = build_provenance(
-            fingerprint=service.fingerprint,
-            seed=args.seed,
-            cache="off",
-            wall_seconds=clock.monotonic() - started,
-            counters=REGISTRY.counter_values(),
-            tests=list(args.tests),
-            modules=list(args.modules),
-            scale=args.scale,
-        )
         save_study(outcome.study, args.out)
         print(f"study saved: {args.out}")
     if args.trace:

@@ -13,10 +13,9 @@ the unit is missing and is re-run on resume. Unit payloads embed the serialized
 (:func:`repro.core.serialization.module_result_to_dict`) plus the unit's
 row set, so resume can verify a checkpoint still matches the plan.
 
-The manifest records a *campaign fingerprint* -- a content hash of the
-request (tests, modules, scale, seed, program, chunking) plus both
-schema versions -- and ``--resume`` refuses to mix checkpoints from a
-different campaign.
+The manifest records a *campaign fingerprint* -- a hash of the study
+fingerprint, the chunking and the checkpoint layout version -- and
+``--resume`` refuses to mix checkpoints from a different campaign.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from typing import Any, Dict, Optional, Sequence
 
 from repro.atomic import write_atomic
 from repro.core.scale import StudyScale
-from repro.core.serialization import SCHEMA_VERSION, _scale_to_dict
 from repro.errors import ConfigurationError
+from repro.harness.cache import study_fingerprint
 
 #: Bumped when the checkpoint layout changes incompatibly.
 SERVICE_SCHEMA_VERSION = 1
@@ -48,28 +47,16 @@ def campaign_fingerprint(
 ) -> str:
     """Content fingerprint of an orchestrated-campaign request.
 
-    Everything that can change the merged result -- or the unit
-    decomposition -- participates, so checkpoints from a different
-    request never get merged together. A non-default DSL program
-    contributes its name-normalized schedule; the default leaves the
-    payload identical to a pre-DSL request.
+    The study fingerprint (everything that can change the merged
+    result) plus the chunking (the unit decomposition) and the
+    checkpoint layout version, so checkpoints from a different request
+    never get merged together.
     """
-    payload = {
-        "service_schema": SERVICE_SCHEMA_VERSION,
-        "study_schema": SCHEMA_VERSION,
-        "tests": sorted(tests),
-        "modules": sorted(modules),
-        "scale": _scale_to_dict(scale),
-        "seed": seed,
-        "chunks_per_module": chunks_per_module,
-    }
-    if program is not None:
-        from repro.progdsl import compile_program
-
-        compiled = compile_program(program)
-        if not compiled.is_default:
-            payload["program"] = compiled.spec.schedule_key()
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps([
+        SERVICE_SCHEMA_VERSION,
+        study_fingerprint(tests, modules, scale, seed, program=program),
+        chunks_per_module,
+    ])
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
 
 

@@ -20,7 +20,9 @@ resumable, observable campaign:
 5. **merge** -- surviving parts reassemble through
    :func:`repro.core.campaign.merge_module_chunks`, so the merged
    :class:`~repro.core.study.StudyResult` is record-identical to a
-   sequential, fault-free run;
+   sequential, fault-free run, and is stamped with its provenance
+   block (``counters``: the metric deltas of the units this run
+   delivered);
 6. **observe** -- every step emits a structured telemetry event
    (:mod:`repro.service.telemetry`) and records a
    :data:`~repro.obs.trace.TRACER` span; with the tracer on, pool
@@ -56,10 +58,11 @@ from repro.errors import (
     ConfigurationError,
     WorkerTimeoutError,
 )
+from repro.harness.cache import attach_provenance
 from repro.obs import clock
 from repro.obs import context as obs_context
 from repro.obs.flightrec import RECORDER
-from repro.obs.metrics import REGISTRY, snapshot_delta
+from repro.obs.metrics import REGISTRY, MetricsRegistry, snapshot_delta
 from repro.obs.trace import TRACER
 from repro.service.checkpoint import (
     CheckpointStore,
@@ -69,11 +72,7 @@ from repro.service.checkpoint import (
 )
 from repro.service.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.service.jobs import WorkUnit, plan_units
-from repro.service.telemetry import (
-    CampaignMetrics,
-    TelemetryLog,
-    UnitMetrics,
-)
+from repro.service.telemetry import CampaignMetrics, TelemetryLog
 
 
 def _execute_unit(
@@ -89,9 +88,10 @@ def _execute_unit(
     attempt produced (baseline-relative, so forked pool workers never
     re-report inherited registry state) and -- in pool mode with trace
     propagation active -- the worker's Chrome-trace fragment. The
-    coordinator merges the delta and collects the fragment only across
-    true process boundaries; in inline mode the increments and spans
-    already landed in this process's registry/tracer.
+    coordinator counts every delivered delta as the campaign's spend,
+    but merges it into the registry and collects the fragment only
+    across true process boundaries; in inline mode the increments and
+    spans already landed in this process's registry/tracer.
 
     The job's trailing ``obs`` dict carries the propagated trace
     context (worker spans re-parent under the submitting job) and the
@@ -147,14 +147,13 @@ def _execute_unit(
 
 @dataclass
 class CampaignOutcome:
-    """Everything a finished orchestrated campaign produced."""
+    """Everything a finished orchestrated campaign produced: the merged
+    study (stamped with its provenance block) and the campaign counters.
+    Per-unit facts live in the telemetry events; pool workers' trace
+    fragments in :mod:`repro.obs.context`'s collector."""
 
     study: StudyResult
     metrics: CampaignMetrics
-    units: Dict[str, UnitMetrics] = field(default_factory=dict)
-    #: Chrome-trace fragments returned by pool workers (also deposited
-    #: in :mod:`repro.obs.context`'s collector for stitching).
-    trace_fragments: List[Dict] = field(default_factory=list)
 
 
 class CampaignService:
@@ -314,11 +313,6 @@ class CampaignService:
             program=self.program,
         )
         metrics = CampaignMetrics(units_planned=len(units))
-        unit_metrics = {
-            unit.unit_id: UnitMetrics(unit_id=unit.unit_id,
-                                      module=unit.module)
-            for unit in units
-        }
         self.telemetry.emit(
             "campaign_started",
             fingerprint=self.fingerprint,
@@ -346,10 +340,6 @@ class CampaignService:
                 completed[unit.unit_id] = module_result_from_dict(
                     payload["result"]
                 )
-                record = unit_metrics[unit.unit_id]
-                record.status = "resumed"
-                record.attempts = payload.get("attempts", 1)
-                record.wall_seconds = payload.get("wall_seconds", 0.0)
                 metrics.units_resumed += 1
                 self.telemetry.emit("unit_resumed", unit=unit.unit_id,
                                     module=unit.module)
@@ -357,8 +347,7 @@ class CampaignService:
         pending = [u for u in units if u.unit_id not in completed]
         state = _RunState(
             units=units, pending=pending, completed=completed,
-            metrics=metrics, unit_metrics=unit_metrics,
-            on_unit_done=on_unit_done, store=store,
+            metrics=metrics, on_unit_done=on_unit_done, store=store,
         )
         with TRACER.span(
             "campaign", fingerprint=self.fingerprint, units=len(units),
@@ -389,9 +378,12 @@ class CampaignService:
             wall_seconds=round(metrics.wall_seconds, 6),
         )
         self._progress(metrics.summary())
-        return CampaignOutcome(study=study, metrics=metrics,
-                               units=unit_metrics,
-                               trace_fragments=state.fragments)
+        attach_provenance(
+            study, self.tests, self.modules, self.seed,
+            metrics.wall_seconds, counters=state.spent.counter_values(),
+            program=self.program,
+        )
+        return CampaignOutcome(study=study, metrics=metrics)
 
     # -- internals --------------------------------------------------------------
 
@@ -440,16 +432,12 @@ class CampaignService:
         self.telemetry.emit("unit_started", unit=unit.unit_id,
                             module=unit.module, attempt=attempt,
                             rows=len(unit.rows))
-        state.unit_metrics[unit.unit_id].attempts += 1
 
     def _finish_unit(
         self, state: "_RunState", unit: WorkUnit, result: ModuleResult,
         attempt: int, wall_seconds: float,
     ) -> None:
         state.completed[unit.unit_id] = result
-        record = state.unit_metrics[unit.unit_id]
-        record.status = "completed"
-        record.wall_seconds = wall_seconds
         state.metrics.units_completed += 1
         if state.store is not None:
             with TRACER.span("service.checkpoint"):
@@ -489,8 +477,6 @@ class CampaignService:
         """Process one failed attempt; returns True when a retry should
         be scheduled, False when the module was quarantined."""
         kind = type(error).__name__
-        record = state.unit_metrics[unit.unit_id]
-        record.faults.append(kind)
         state.metrics.record_fault(kind)
         self.telemetry.emit("unit_fault", unit=unit.unit_id,
                             module=unit.module, attempt=attempt,
@@ -498,7 +484,6 @@ class CampaignService:
         next_attempt = attempt + 1
         if next_attempt < self.max_attempts:
             delay = self.backoff * (2 ** attempt) if self.backoff else 0.0
-            record.retries += 1
             state.metrics.retries += 1
             self.telemetry.emit("unit_retry", unit=unit.unit_id,
                                 attempt=next_attempt,
@@ -515,7 +500,6 @@ class CampaignService:
             f"(last: {kind}: {error})"
         )
         state.quarantine(unit.module, reason)
-        record.status = "quarantined"
         state.metrics.units_failed += 1
         dump_path = RECORDER.dump("module_quarantined", extra={
             "module": unit.module, "unit": unit.unit_id,
@@ -528,10 +512,8 @@ class CampaignService:
         return False
 
     def _skip_unit(self, state: "_RunState", unit: WorkUnit) -> None:
-        record = state.unit_metrics[unit.unit_id]
-        if record.status in ("completed", "resumed", "quarantined"):
+        if unit.unit_id in state.completed:
             return
-        record.status = "skipped"
         state.metrics.units_failed += 1
         self.telemetry.emit("unit_skipped", unit=unit.unit_id,
                             module=unit.module,
@@ -547,10 +529,10 @@ class CampaignService:
                 self._start_attempt(state, unit, attempt)
                 try:
                     with TRACER.span("service.unit"):
-                        # Inline attempt: the metric delta and spans
-                        # already landed in this process's registry
-                        # and tracer.
-                        result, wall, _, _ = _execute_unit(
+                        # Inline attempt: its spans and increments
+                        # already landed in this process's tracer and
+                        # registry; the delta only counts as spend.
+                        result, wall, delta, _ = _execute_unit(
                             self._job(unit, attempt)
                         )
                 except BenchFaultError as error:
@@ -558,7 +540,8 @@ class CampaignService:
                         attempt += 1
                         continue
                     break
-                self._deliver_result(state, unit, attempt, result, wall)
+                self._deliver_result(state, unit, attempt, result, wall,
+                                     delta)
                 break
 
     def _deliver_result(
@@ -568,10 +551,15 @@ class CampaignService:
         attempt: int,
         result: ModuleResult,
         wall_seconds: float,
-        delta: Optional[Dict] = None,
+        delta: Dict,
         fragment: Optional[Dict] = None,
     ) -> bool:
         """Accept one successful attempt's outcome, exactly once per unit.
+
+        The attempt's metric delta is counted as this campaign's spend
+        (the provenance ``counters``); a pool attempt's delta is also
+        merged into this process's registry, where an inline attempt's
+        increments already landed.
 
         A unit can deliver more than once in degenerate schedules: an
         attempt declared hung is reaped and re-queued, and the original
@@ -593,7 +581,8 @@ class CampaignService:
                 module=unit.module, attempt=attempt,
             )
             return False
-        if delta is not None:
+        state.spent.merge_snapshot(delta)
+        if self.max_workers > 1:
             REGISTRY.merge_snapshot(delta)
             RECORDER.record("metrics", {
                 "unit": unit.unit_id, "delta": delta,
@@ -602,7 +591,6 @@ class CampaignService:
             # Deposit the worker's trace fragment for stitching; the
             # dedup above guarantees at most one fragment per unit.
             obs_context.add_fragment(fragment)
-            state.fragments.append(fragment)
         self._finish_unit(state, unit, result, attempt, wall_seconds)
         return True
 
@@ -788,12 +776,11 @@ class _RunState:
     pending: List[WorkUnit]
     completed: Dict[str, ModuleResult]
     metrics: CampaignMetrics
-    unit_metrics: Dict[str, UnitMetrics]
     on_unit_done: Optional[Callable[[str, int], None]]
     store: Optional[CheckpointStore]
-    #: Chrome-trace fragments accepted from pool workers, in delivery
-    #: order (one per unit at most; duplicates never reach here).
-    fragments: List[Dict] = field(default_factory=list)
+    #: Merged metric deltas of the units this run delivered -- the
+    #: study's provenance ``counters``.
+    spent: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     def quarantine(self, module: str, reason: str) -> None:
         """Mark a module as quarantined (idempotent)."""

@@ -6,10 +6,10 @@ Three layers, smallest first:
   event is one line: ``{"event": <name>, "ts": <unix seconds>, ...}``.
   Events are also mirrored in memory (``log.events``) so tests and the
   in-process progress summary never re-parse the file.
-* :class:`UnitMetrics` / :class:`CampaignMetrics` -- per-unit and
-  campaign-level counters (attempts, retries, faults by kind, wall
-  clock) accumulated by the orchestrator and rendered by
-  :meth:`CampaignMetrics.summary`.
+* :class:`CampaignMetrics` -- campaign-level counters (units, retries,
+  faults by kind, wall clock) accumulated by the orchestrator and
+  rendered by :meth:`CampaignMetrics.summary`; per-unit facts are the
+  events below.
 * :meth:`CampaignMetrics.publish` -- folds the campaign totals into the
   central metrics registry as ``repro_service_*`` counters at campaign
   end. Phase timing is not kept here: the orchestrator's phases
@@ -134,33 +134,6 @@ def read_events(path: str) -> List[Dict[str, Any]]:
             if line:
                 events.append(json.loads(line))
     return events
-
-
-@dataclass
-class UnitMetrics:
-    """Execution record of one work unit."""
-
-    unit_id: str
-    module: str
-    #: pending -> completed | resumed | quarantined | skipped
-    status: str = "pending"
-    attempts: int = 0
-    retries: int = 0
-    faults: List[str] = field(default_factory=list)
-    #: In-worker wall clock of the successful attempt (seconds).
-    wall_seconds: float = 0.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Plain-dict view (JSON exports)."""
-        return {
-            "unit_id": self.unit_id,
-            "module": self.module,
-            "status": self.status,
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "faults": list(self.faults),
-            "wall_seconds": round(self.wall_seconds, 6),
-        }
 
 
 @dataclass

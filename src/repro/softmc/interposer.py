@@ -28,11 +28,6 @@ class Interposer:
         self._last_activations = 0
         self._last_time = module.env.now
 
-    @property
-    def shunt_installed(self) -> bool:
-        """Whether the factory shunt still bridges the V_PP rails."""
-        return self._shunt_installed
-
     def remove_shunt(self) -> None:
         """Perform the paper's rework: disconnect the FPGA's V_PP rail."""
         self._shunt_installed = False

@@ -59,11 +59,6 @@ class PowerSupply:
         """Programmed output voltage [V]."""
         return self._setpoint
 
-    @property
-    def output_enabled(self) -> bool:
-        """Whether the output stage is on."""
-        return self._output_enabled
-
     def set_voltage(self, voltage: float) -> float:
         """Program the output voltage; returns the quantized setpoint."""
         if not self._min <= voltage <= self._max:

@@ -89,12 +89,6 @@ class Program:
             Instruction(Opcode.WRITE_ROW, bank=bank, row=row, data=bits)
         )
 
-    def write_row_bits(self, bank: int, row: int, bits: np.ndarray) -> int:
-        """Fill a row with arbitrary bits."""
-        return self._append(
-            Instruction(Opcode.WRITE_ROW, bank=bank, row=row, data=np.asarray(bits))
-        )
-
     def hammer(self, bank: int, rows: Sequence[int], count: int) -> int:
         """``count`` alternating ACT/PRE cycles per row, interleaved
         round-robin over ``rows`` -- the general n-sided hammer burst

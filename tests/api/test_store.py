@@ -61,6 +61,25 @@ class TestBasics:
         assert document["provenance"]["fingerprint"] == fingerprint
         assert MODULE in document["modules"]
 
+    def test_read_bytes_counts_bytes_read(
+        self, tmp_path, tiny_study, fingerprint
+    ):
+        from repro.obs.metrics import REGISTRY
+
+        def read_total():
+            return REGISTRY.counter_values().get(
+                "repro_study_cache_read_bytes_total", 0.0
+            )
+
+        store = StudyStore(str(tmp_path))
+        store.store(tiny_study, fingerprint)
+        before = read_total()
+        data = store.read_bytes(fingerprint)
+        assert data == open(store.path(fingerprint), "rb").read()
+        assert read_total() - before == len(data)
+        assert store.read_bytes("f" * 32) is None
+        assert read_total() - before == len(data)
+
     def test_missing_entry_is_none(self, tmp_path):
         store = StudyStore(str(tmp_path))
         assert store.load("f" * 32) is None

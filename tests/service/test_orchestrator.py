@@ -72,8 +72,13 @@ class TestInlineExecution:
         )
         assert outcome.metrics.retries == 1
         assert outcome.metrics.faults == {"PowerDroopError": 1}
-        record = outcome.units["C5/0"]
-        assert record.attempts == 2 and record.faults == ["PowerDroopError"]
+        unit_events = [
+            e for e in service.telemetry.events if e.get("unit") == "C5/0"
+        ]
+        assert [e["attempt"] for e in unit_events
+                if e["event"] == "unit_started"] == [0, 1]
+        assert [e["kind"] for e in unit_events
+                if e["event"] == "unit_fault"] == ["PowerDroopError"]
         events = [e["event"] for e in service.telemetry.events]
         assert "unit_fault" in events and "unit_retry" in events
 
@@ -94,11 +99,14 @@ class TestInlineExecution:
             outcome.study, sequential(["C5"], tiny_scale), ["C5"]
         )
         assert "B3" in outcome.metrics.quarantined
-        assert outcome.units["B3/0"].status == "quarantined"
+        events = service.telemetry.events
+        assert [e["unit"] for e in events
+                if e["event"] == "module_quarantined"] == ["B3/0"]
         # B3's sibling unit was dropped, not executed.
-        assert outcome.units["B3/1"].status == "skipped"
-        events = [e["event"] for e in service.telemetry.events]
-        assert "module_quarantined" in events and "unit_skipped" in events
+        assert "B3/1" in [e["unit"] for e in events
+                          if e["event"] == "unit_skipped"]
+        assert "B3/1" not in [e.get("unit") for e in events
+                              if e["event"] == "unit_started"]
 
     def test_random_plan_with_retry_headroom_still_identical(
         self, tiny_scale

@@ -6,12 +6,7 @@ import pytest
 
 from repro.core.serialization import load_study
 from repro.service.__main__ import main
-from repro.service.telemetry import (
-    CampaignMetrics,
-    TelemetryLog,
-    UnitMetrics,
-    read_events,
-)
+from repro.service.telemetry import CampaignMetrics, TelemetryLog, read_events
 
 
 class TestTelemetryLog:
@@ -98,13 +93,6 @@ class TestMetrics:
         assert "PowerDroopError=2" in summary
         assert "quarantined  B3" in summary
 
-    def test_unit_metrics_as_dict(self):
-        record = UnitMetrics(unit_id="C5/0", module="C5")
-        assert record.status == "pending"
-        record.status = "completed"
-        record.wall_seconds = 0.5
-        assert record.as_dict()["wall_seconds"] == 0.5
-
 
 BASE_ARGS = ["--modules", "C5", "--tests", "rowhammer", "--scale", "tiny",
              "--backoff", "0", "--quiet"]
@@ -185,7 +173,7 @@ class TestServiceCli:
 
         study = load_study(out)
         block = validate_provenance(study.provenance)
-        assert block["cache"] == "off"
+        assert block["cache"] == "miss"
         assert "probe_engine" not in block
         assert block["modules"] == ["C5"]
 

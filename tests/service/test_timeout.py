@@ -21,7 +21,7 @@ from repro.service import CampaignService
 from repro.service.faults import FaultSpec
 from repro.service.jobs import plan_units
 from repro.service.orchestrator import _RunState, _execute_unit
-from repro.service.telemetry import CampaignMetrics, UnitMetrics
+from repro.service.telemetry import CampaignMetrics
 
 TESTS = ("rowhammer",)
 
@@ -77,9 +77,12 @@ class TestHungWorkerReaping:
             outcome.metrics.units_planned
         )
         assert not outcome.metrics.quarantined
-        record = outcome.units["C5/0"]
-        assert record.status == "completed"
-        assert record.faults == ["WorkerTimeoutError"]
+        unit_events = [
+            e for e in service.telemetry.events if e.get("unit") == "C5/0"
+        ]
+        assert [e["kind"] for e in unit_events
+                if e["event"] == "unit_fault"] == ["WorkerTimeoutError"]
+        assert [e["event"] for e in unit_events].count("unit_finished") == 1
         events = [e["event"] for e in service.telemetry.events]
         assert "pool_reaped" in events
         # The retry rebuilt its bench from the campaign seed: the study
@@ -156,10 +159,6 @@ class TestReaperMergeHardening:
         return _RunState(
             units=units, pending=list(units), completed={},
             metrics=CampaignMetrics(units_planned=len(units)),
-            unit_metrics={
-                u.unit_id: UnitMetrics(unit_id=u.unit_id, module=u.module)
-                for u in units
-            },
             on_unit_done=None, store=None,
         )
 
