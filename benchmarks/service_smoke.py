@@ -12,6 +12,11 @@ one scripted fault injected into the first work unit, and asserts:
   ``CharacterizationStudy.run`` -- the injected fault left no trace in
   the science.
 
+It also times ``pooled_seconds``: the median wall clock of the same
+campaign, fault-free on two workers, run again and again on one
+:class:`~repro.service.pool.WorkerPool` after one warm-up run -- what a
+pooled job costs a serving process whose workers are already forked.
+
 Timings land in ``--out`` (default: ``BENCH_service.json`` in the
 temp directory, so a smoke run leaves the checkout clean); ``make
 bench`` points it at ``benchmarks/BENCH_service.json``, next to the
@@ -26,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -40,6 +46,7 @@ except ImportError:  # launched from a checkout without PYTHONPATH
 from repro.core.scale import StudyScale
 from repro.core.study import CharacterizationStudy
 from repro.service import CampaignService, FaultPlan
+from repro.service.pool import WorkerPool
 from repro.service.telemetry import TelemetryLog, read_events
 
 MODULE = "C5"
@@ -48,6 +55,26 @@ SEED = 0
 #: The scripted fault: a transient V_PP supply droop on the first
 #: attempt of the module's first work unit.
 FAULTED_UNIT = f"{MODULE}/0"
+#: Timed pooled campaigns behind ``pooled_seconds`` (after one warm-up).
+POOLED_RUNS = 9
+
+
+def time_pooled(scale: StudyScale, reference) -> float:
+    """Median wall clock of a 2-worker campaign on one shared pool."""
+    samples = []
+    with WorkerPool(2) as pool:
+        for run in range(POOLED_RUNS + 1):
+            started = time.monotonic()
+            outcome = CampaignService(
+                modules=[MODULE], tests=TESTS, scale=scale, seed=SEED,
+                max_workers=2, pool=pool,
+            ).run()
+            if run:
+                samples.append(time.monotonic() - started)
+    assert outcome.study.modules[MODULE].rowhammer == (
+        reference.modules[MODULE].rowhammer
+    ), "pooled study diverged from the sequential reference"
+    return statistics.median(samples)
 
 
 def run_smoke(scale: StudyScale, events_path: str) -> dict:
@@ -108,6 +135,7 @@ def run_smoke(scale: StudyScale, events_path: str) -> dict:
         "orchestration_overhead": round(
             orchestrated_seconds / sequential_seconds, 3
         ),
+        "pooled_seconds": round(time_pooled(scale, reference), 4),
     }
 
 
@@ -143,7 +171,7 @@ def main(argv=None) -> int:
 
     for key in ("units", "retries", "events", "records",
                 "orchestrated_seconds", "sequential_seconds",
-                "orchestration_overhead"):
+                "orchestration_overhead", "pooled_seconds"):
         print(f"{key:>24}: {payload[key]}")
     print(f"wrote {args.out}")
     print("service smoke: retry + event log + bit-identical merge OK")

@@ -126,6 +126,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{args.workers} worker(s))",
         file=sys.stderr,
     )
+    # Forks the campaign worker pool, so it runs before anything here
+    # starts a thread.
     server.start_workers()
     try:
         asyncio.run(server.serve(host=args.host, port=args.port))

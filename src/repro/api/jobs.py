@@ -56,6 +56,7 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
 from repro.service.checkpoint import MANIFEST_NAME, campaign_dir
 from repro.service.orchestrator import CampaignService
+from repro.service.pool import WorkerPool
 from repro.service.telemetry import TelemetryLog
 
 #: Job lifecycle states.
@@ -386,6 +387,7 @@ def run_job(
     store: StudyStore,
     checkpoint_base: Optional[str] = None,
     flight_base: Optional[str] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> None:
     """Execute one job through the orchestrator, in the calling thread.
 
@@ -393,7 +395,8 @@ def run_job(
     produced study is published to ``store`` under the job's request
     fingerprint; a fingerprint already published short-circuits the
     whole campaign (the store is content-addressed -- running it again
-    would produce identical bytes).
+    would produce identical bytes). A pooled job runs its units on
+    ``pool`` when given (the server's shared pool).
 
     Observability: the trace context minted at admission (``job.trace``)
     is re-activated around an ``api.job`` span, so the orchestrator's
@@ -413,7 +416,7 @@ def run_job(
         with obs_context.activate(ctx):
             with TRACER.span("api.job", job=job.id, tenant=job.tenant,
                              fingerprint=job.fingerprint):
-                _execute_job(job, store, checkpoint_base, flight_dir)
+                _execute_job(job, store, checkpoint_base, flight_dir, pool)
     finally:
         REGISTRY.histogram(
             "repro_api_job_seconds",
@@ -442,6 +445,7 @@ def _execute_job(
     store: StudyStore,
     checkpoint_base: Optional[str],
     flight_dir: Optional[str],
+    pool: Optional[WorkerPool],
 ) -> None:
     spec = job.spec
     telemetry = JobTelemetry(job.id)
@@ -466,6 +470,7 @@ def _execute_job(
         telemetry=telemetry,
         program=spec.program,
         flight_dir=flight_dir,
+        pool=pool,
     )
     resume = False
     if checkpoint_base:

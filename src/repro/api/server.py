@@ -4,8 +4,10 @@ One asyncio server speaks a deliberately small HTTP/1.1 subset (JSON
 bodies, ``Connection: close``), fronting the thread-world behind it:
 the :class:`~repro.api.queue.JobQueue`, a pool of worker threads
 running campaigns through :class:`~repro.service.orchestrator.
-CampaignService`, and the content-addressed
-:class:`~repro.harness.store.StudyStore` studies are published to.
+CampaignService`, the one campaign :class:`~repro.service.pool.
+WorkerPool` every pooled job shares (forked before any thread starts),
+and the content-addressed :class:`~repro.harness.store.StudyStore`
+studies are published to.
 
 Routes (``docs/API.md`` is the full reference)::
 
@@ -77,6 +79,7 @@ from repro.obs import events as obs_events
 from repro.obs.flightrec import recent_dumps
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
+from repro.service.pool import WorkerPool
 
 #: Default bind address/port of ``python -m repro.api``.
 DEFAULT_HOST = "127.0.0.1"
@@ -108,8 +111,10 @@ class ApiServer:
         Server-private state: job records (``jobs/``) and campaign
         checkpoints (``checkpoints/``).
     workers:
-        Worker *threads* executing jobs (each job may itself fan out
-        over processes via its spec's ``workers`` field).
+        Worker *threads* executing jobs. A job with ``workers > 1``
+        fans its units out over the server's one process pool
+        (``os.cpu_count()`` workers, forked by :meth:`start_workers`),
+        with at most ``workers`` of them in flight.
     tenant_quota:
         Max non-terminal jobs per tenant (429 beyond it).
     allowed_modules / allowed_experiments:
@@ -142,6 +147,7 @@ class ApiServer:
         self._events_lock = threading.Lock()
         self._job_events: Dict[str, deque] = {}
         self._bus_sink = None
+        self.pool: Optional[WorkerPool] = None
         self._recovered = self._recover()
 
     # -- lifecycle --------------------------------------------------------------
@@ -158,7 +164,11 @@ class ApiServer:
         return requeued
 
     def start_workers(self) -> None:
-        """Spawn the worker threads and attach the SSE bus bridge."""
+        """Fork the campaign worker pool, then spawn the worker threads
+        and attach the SSE bus bridge. Call it before this process
+        starts any other thread: the pool forks first."""
+        if self.pool is None:
+            self.pool = WorkerPool()
         self._bus_sink = obs_events.subscribe(self._route_event)
         for index in range(self.workers):
             thread = threading.Thread(
@@ -169,7 +179,8 @@ class ApiServer:
             self._threads.append(thread)
 
     def stop_workers(self) -> None:
-        """Stop accepting work and join the worker threads."""
+        """Stop accepting work, join the worker threads, then shut the
+        campaign pool down and join its processes."""
         self._stop.set()
         self.queue.close()
         for thread in self._threads:
@@ -178,6 +189,9 @@ class ApiServer:
         if self._bus_sink is not None:
             obs_events.unsubscribe(self._bus_sink)
             self._bus_sink = None
+        if self.pool is not None:
+            self.pool.shutdown()
+            self.pool = None
 
     def _worker_loop(self) -> None:
         while not self._stop.is_set():
@@ -189,7 +203,7 @@ class ApiServer:
             try:
                 run_job(
                     job, self.store, self.checkpoint_base,
-                    flight_base=self.flight_base,
+                    flight_base=self.flight_base, pool=self.pool,
                 )
             except Exception as error:  # noqa: BLE001 - job must terminate
                 job.state = FAILED
@@ -626,6 +640,9 @@ class BackgroundServer:
         self._thread: Optional[threading.Thread] = None
 
     def __enter__(self) -> "BackgroundServer":
+        # Workers before the event-loop thread: start_workers forks the
+        # campaign pool, which must happen while this is one thread.
+        self.api.start_workers()
         ready = threading.Event()
         sockets: list = []
 
@@ -649,9 +666,9 @@ class BackgroundServer:
         )
         self._thread.start()
         if not ready.wait(timeout=10.0):
+            self.__exit__(None, None, None)
             raise RuntimeError("API server failed to start")
         self.port = sockets[0].getsockname()[1]
-        self.api.start_workers()
         return self
 
     def __exit__(self, *exc) -> None:

@@ -13,6 +13,7 @@ benchmark subset while the experiment fetched its own module pair).
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -41,39 +42,46 @@ class PreloadPlan:
         """Run every planned study through the orchestration service
         (fault-tolerant; checkpointed under ``checkpoint_base`` and
         resumable when one is given) and install the merged studies in
-        the cache; ``max_workers > 1`` fans the row chunks out over a
-        process pool. Studies already in either cache layer are skipped.
-        Returns the quarantined module names."""
+        the cache; ``max_workers > 1`` fans the row chunks out over one
+        process pool of that size, forked for the first study not
+        already cached and shared by the rest. Studies already in either
+        cache layer are skipped. Returns the quarantined module names."""
         from repro.service.orchestrator import CampaignService
+        from repro.service.pool import WorkerPool
 
         quarantined: List[str] = []
-        for request in self.requests:
-            if cache.cached_study(
-                request.tests, request.modules,
-                request.scale or StudyScale.bench(), request.seed,
-                request.program,
-            ) is not None:
-                progress(f"the {request.label} campaign is cached; "
-                         "skipping it")
-                continue
-            progress(
-                f"orchestrating the {request.label} campaign over "
-                f"{len(request.modules)} modules with {max_workers} "
-                "workers..."
-            )
-            service = CampaignService(
-                modules=request.modules, tests=request.tests,
-                scale=request.scale, seed=request.seed,
-                max_workers=max_workers, checkpoint_base=checkpoint_base,
-                telemetry=telemetry, progress=progress,
-                program=request.program,
-            )
-            outcome = service.run(resume=resume)
-            quarantined.extend(sorted(outcome.metrics.quarantined))
-            cache.preload_study(
-                outcome.study, request.tests, request.modules,
-                seed=request.seed, program=request.program,
-            )
+        with ExitStack() as stack:
+            pool = None
+            for request in self.requests:
+                if cache.cached_study(
+                    request.tests, request.modules,
+                    request.scale or StudyScale.bench(), request.seed,
+                    request.program,
+                ) is not None:
+                    progress(f"the {request.label} campaign is cached; "
+                             "skipping it")
+                    continue
+                progress(
+                    f"orchestrating the {request.label} campaign over "
+                    f"{len(request.modules)} modules with {max_workers} "
+                    "workers..."
+                )
+                if pool is None and max_workers > 1:
+                    pool = stack.enter_context(WorkerPool(max_workers))
+                service = CampaignService(
+                    modules=request.modules, tests=request.tests,
+                    scale=request.scale, seed=request.seed,
+                    max_workers=max_workers,
+                    checkpoint_base=checkpoint_base,
+                    telemetry=telemetry, progress=progress,
+                    program=request.program, pool=pool,
+                )
+                outcome = service.run(resume=resume)
+                quarantined.extend(sorted(outcome.metrics.quarantined))
+                cache.preload_study(
+                    outcome.study, request.tests, request.modules,
+                    seed=request.seed, program=request.program,
+                )
         return quarantined
 
 

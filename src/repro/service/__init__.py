@@ -8,6 +8,8 @@ observable jobs instead of one monolithic in-process call:
 * :mod:`repro.service.orchestrator` -- :class:`CampaignService`:
   scheduling (inline or process pool), retry with backoff, module
   quarantine, bit-identical merge;
+* :mod:`repro.service.pool` -- :class:`WorkerPool`: the long-lived
+  ``fork`` worker pool a serving process shares between campaigns;
 * :mod:`repro.service.checkpoint` -- atomic per-unit checkpoints and
   ``--resume``;
 * :mod:`repro.service.faults` -- seedable injection of transient bench
@@ -22,6 +24,7 @@ full job model and telemetry schema.
 from repro.service.faults import FAULT_KINDS, FaultInjector, FaultPlan, FaultSpec
 from repro.service.jobs import WorkUnit, plan_units
 from repro.service.orchestrator import CampaignOutcome, CampaignService
+from repro.service.pool import WorkerPool
 from repro.service.telemetry import CampaignMetrics, TelemetryLog, read_events
 
 __all__ = [
@@ -33,6 +36,7 @@ __all__ = [
     "plan_units",
     "CampaignOutcome",
     "CampaignService",
+    "WorkerPool",
     "CampaignMetrics",
     "TelemetryLog",
     "read_events",

@@ -6,10 +6,11 @@ resumable, observable campaign:
 1. **decompose** -- the request becomes gap-partitioned ``(module,
    row-chunk)`` work units (:mod:`repro.service.jobs`);
 2. **schedule** -- units run inline (``max_workers<=1``) or across a
-   process pool -- the repository's only one -- each attempt in a
-   freshly built bench that derives its rows' per-cell parameters
-   itself, the same way in both modes (a row belongs to exactly one
-   unit, so no row is derived twice);
+   process pool (:mod:`repro.service.pool`) -- the one a serving
+   process forked at start and shares between campaigns, or one forked
+   for this run -- each attempt in a freshly built bench that derives
+   its rows' per-cell parameters itself, the same way in both modes (a
+   row belongs to exactly one unit, so no row is derived twice);
 3. **tolerate** -- a :class:`~repro.errors.BenchFaultError` (real or
    injected via a :class:`~repro.service.faults.FaultPlan`) triggers
    retry with exponential backoff; a unit that exhausts its attempts
@@ -41,7 +42,8 @@ import os
 import time
 from collections import deque
 from contextlib import nullcontext
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -72,7 +74,12 @@ from repro.service.checkpoint import (
 )
 from repro.service.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.service.jobs import WorkUnit, plan_units
+from repro.service.pool import WorkerPool
 from repro.service.telemetry import CampaignMetrics, TelemetryLog
+
+#: How often a campaign whose free workers are all taken by other
+#: campaigns looks for a freed one while its own units run.
+_STARVED_POLL_SECONDS = 0.05
 
 
 def _execute_unit(
@@ -85,37 +92,48 @@ def _execute_unit(
     the (possibly injected) bench faults mid-attempt.
 
     Besides the result and its wall clock, returns the metric delta the
-    attempt produced (baseline-relative, so forked pool workers never
-    re-report inherited registry state) and -- in pool mode with trace
-    propagation active -- the worker's Chrome-trace fragment. The
-    coordinator counts every delivered delta as the campaign's spend,
-    but merges it into the registry and collects the fragment only
-    across true process boundaries; in inline mode the increments and
-    spans already landed in this process's registry/tracer.
+    attempt produced (baseline-relative, so a pool worker never
+    re-reports what earlier units left in its registry) and -- in pool
+    mode with trace propagation active -- the worker's Chrome-trace
+    fragment. The coordinator counts every delivered delta as the
+    campaign's spend, but merges it into the registry and collects the
+    fragment only across true process boundaries; in inline mode the
+    increments and spans already landed in this process's
+    registry/tracer.
 
     The job's trailing ``obs`` dict carries the propagated trace
     context (worker spans re-parent under the submitting job) and the
-    flight-recorder dump directory. Pool-side, the worker resets the
-    inherited tracer before recording -- safe because the fragment is
-    this attempt's whole story -- and wraps the attempt in one
-    ``work-unit`` root span; inline, the coordinator's live tracer is
-    left untouched so span nesting stays exactly as PR 5 shipped it.
+    flight-recorder dump directory. Pool-side, the long-lived worker
+    starts every attempt from an empty recorder ring and a reset tracer
+    -- safe because the fragment is this attempt's whole story -- and
+    wraps the attempt in one ``work-unit`` root span; inline, the
+    coordinator's live tracer and recorder are left untouched.
     """
     module, rows, tests, scale, seed, program, fault_spec, obs_cfg = job
     obs_cfg = obs_cfg or {}
     pool_side = bool(obs_cfg.get("pool"))
     trace_ctx = None
     if pool_side:
-        if obs_cfg.get("flight_dir"):
-            RECORDER.configure(obs_cfg["flight_dir"])
+        # A pool worker outlives the campaign: each unit starts from an
+        # empty flight-recorder ring pointed at its own campaign's dump
+        # directory (or at none) and a reset tracer, so a dump or a
+        # fragment never carries another unit's story.
+        flight_dir = obs_cfg.get("flight_dir")
+        RECORDER.clear()
+        RECORDER.configure(flight_dir)
+        if flight_dir:
             RECORDER.attach()
+        else:
+            RECORDER.detach()
+        TRACER.reset()
         trace_ctx = obs_context.TraceContext.from_dict(
             obs_cfg.get("trace")
         )
         if trace_ctx is not None:
-            TRACER.reset()
             TRACER.label = f"repro worker pid {os.getpid()}"
             TRACER.enable()
+        else:
+            TRACER.disable()
     injector = FaultInjector(fault_spec) if fault_spec is not None else None
     with obs_context.activate(trace_ctx):
         study = CharacterizationStudy(
@@ -169,7 +187,9 @@ class CampaignService:
         ``row_chunks``).
     max_workers:
         ``<=1`` runs units in-process (deterministic scheduling, no
-        pool overhead); ``N>1`` fans units out over a process pool.
+        pool overhead); ``N>1`` fans units out over a process pool,
+        with at most ``N`` of this campaign's units in flight: ``pool``
+        when given, else a pool of ``N`` workers forked for this run.
         Either way each attempt's bench derives its own rows' per-cell
         parameters from the campaign seed, so results are bit-identical
         and the coordinator generates nothing ahead of the workers.
@@ -200,17 +220,19 @@ class CampaignService:
         quarantine) flush their rings there; the resulting dump paths
         ride on the corresponding telemetry events.
     unit_timeout:
-        Per-attempt wall-clock deadline (seconds) in pool mode. An
-        attempt that exceeds it is declared hung: the pool's worker
-        processes are killed (a :class:`~concurrent.futures.
-        ProcessPoolExecutor` cannot reap a single worker), the unit is
-        charged a :class:`~repro.errors.WorkerTimeoutError` fault and
-        retried like any transient bench fault, and innocent in-flight
-        units are restarted at the same attempt -- every rebuilt bench
-        replays bit-identically, so neither reaping nor restarting can
-        change the merged study. ``None`` (default) disables the
-        reaper; inline mode ignores it (a hung inline unit shares our
-        process and cannot be reaped).
+        Per-attempt wall-clock deadline (seconds) in pool mode, counted
+        from the moment a free worker took the unit. An attempt that
+        exceeds it is declared hung: the pool is replaced (a
+        :class:`~concurrent.futures.ProcessPoolExecutor` cannot reap a
+        single worker), the unit is charged a
+        :class:`~repro.errors.WorkerTimeoutError` fault and retried
+        like any transient bench fault, and innocent in-flight units --
+        this campaign's and any other sharing the pool -- are restarted
+        at the same attempt, uncharged. Every rebuilt bench replays
+        bit-identically, so neither reaping nor restarting can change
+        the merged study. ``None`` (default) disables the reaper;
+        inline mode ignores it (a hung inline unit shares our process
+        and cannot be reaped).
     program:
         Optional registered DSL program name (:mod:`repro.progdsl`)
         every worker's study runs its probe schedules through; chunk
@@ -218,6 +240,10 @@ class CampaignService:
         the campaign fingerprint (hence checkpoint identity)
         incorporates the canonicalized schedule. None (and any
         structurally-default program) is the paper's schedule.
+    pool:
+        Optional :class:`~repro.service.pool.WorkerPool` the pooled
+        units run on, owned (and shut down) by the caller -- the
+        serving process's shared pool.
     """
 
     def __init__(
@@ -238,6 +264,7 @@ class CampaignService:
         unit_timeout: Optional[float] = None,
         program: Optional[str] = None,
         flight_dir: Optional[str] = None,
+        pool: Optional[WorkerPool] = None,
     ):
         from repro.progdsl import compile_program
 
@@ -268,6 +295,7 @@ class CampaignService:
         self.unit_timeout = unit_timeout
         self.program = program
         self.flight_dir = flight_dir
+        self.pool = pool
         self._trace_context: Optional[obs_context.TraceContext] = None
         self.telemetry = telemetry or TelemetryLog()
         self._progress = progress or (lambda message: None)
@@ -358,11 +386,13 @@ class CampaignService:
             # API's admission span activated).
             self._trace_context = campaign_span.context()
             try:
-                if pending:
-                    if self.max_workers <= 1:
-                        self._run_inline(state)
-                    else:
-                        self._drain_pool(state)
+                if pending and self.max_workers <= 1:
+                    self._run_inline(state)
+                elif pending and self.pool is not None:
+                    self._drain_pool(state, self.pool)
+                elif pending:
+                    with WorkerPool(self.max_workers) as pool:
+                        self._drain_pool(state, pool)
                 study = self._merge(state)
             finally:
                 self._trace_context = None
@@ -594,44 +624,49 @@ class CampaignService:
         self._finish_unit(state, unit, result, attempt, wall_seconds)
         return True
 
-    def _drain_pool(self, state: "_RunState") -> None:
+    def _drain_pool(self, state: "_RunState", pool: WorkerPool) -> None:
         queue = deque((unit, 0) for unit in state.pending)
-        inflight: Dict = {}  # future -> (unit, attempt, deadline)
-        # Workers fork from this process: load the kernel engine they
-        # resolve and numpy's lazily imported RNG package here, once,
-        # not in every worker of every run.
-        import numpy.random  # noqa: F401
-
-        from repro.core.fused import FusedProbeEngine  # noqa: F401
-        pool = ProcessPoolExecutor(max_workers=self.max_workers)
+        # future -> (unit, attempt, deadline, pool generation)
+        inflight: Dict = {}
         try:
             while queue or inflight:
+                starved = False
                 while queue and len(inflight) < self.max_workers:
-                    unit, attempt = queue.popleft()
+                    unit, attempt = queue[0]
                     if unit.module in state.metrics.quarantined:
+                        queue.popleft()
                         self._skip_unit(state, unit)
                         continue
+                    # A free worker first: the deadline below must not
+                    # count time queued behind other campaigns' units.
+                    if not pool.acquire(block=not inflight):
+                        starved = True
+                        break
+                    queue.popleft()
                     self._start_attempt(state, unit, attempt)
                     deadline = (
                         clock.monotonic() + self.unit_timeout
                         if self.unit_timeout else None
                     )
-                    future = pool.submit(
+                    future, generation = pool.submit(
                         _execute_unit, self._job(unit, attempt, pool=True)
                     )
-                    inflight[future] = (unit, attempt, deadline)
+                    inflight[future] = (unit, attempt, deadline, generation)
                 if not inflight:
                     break
                 timeout = None
                 if self.unit_timeout:
                     next_deadline = min(
-                        deadline for _, _, deadline in inflight.values()
+                        entry[2] for entry in inflight.values()
                     )
                     timeout = max(0.02, next_deadline - clock.monotonic())
+                if starved:
+                    timeout = min(timeout or _STARVED_POLL_SECONDS,
+                                  _STARVED_POLL_SECONDS)
                 done, _ = wait(inflight, timeout=timeout,
                                return_when=FIRST_COMPLETED)
                 for future in done:
-                    unit, attempt, _ = inflight.pop(future)
+                    unit, attempt, _, generation = inflight.pop(future)
                     if unit.module in state.metrics.quarantined:
                         # A sibling unit quarantined the module while
                         # this one was in flight; drop its outcome.
@@ -644,6 +679,22 @@ class CampaignService:
                         if self._handle_fault(state, unit, attempt, error):
                             queue.appendleft((unit, attempt + 1))
                         continue
+                    except BrokenProcessPool:
+                        if generation == pool.generation:
+                            # A worker died by itself: renew the pool
+                            # for everyone, and fail this campaign as
+                            # a broken pool always did.
+                            pool.replace(generation)
+                            raise
+                        # Another campaign's reaper replaced the pool
+                        # under this unit: not its fault, same attempt.
+                        self.telemetry.emit(
+                            "unit_restarted", unit=unit.unit_id,
+                            module=unit.module, attempt=attempt,
+                            reason="pool replaced",
+                        )
+                        queue.appendleft((unit, attempt))
+                        continue
                     self._deliver_result(
                         state, unit, attempt, result, wall, delta,
                         fragment,
@@ -651,44 +702,42 @@ class CampaignService:
                 if self.unit_timeout:
                     now = clock.monotonic()
                     overdue = [
-                        future
-                        for future, (_, _, deadline) in inflight.items()
-                        if now >= deadline and not future.done()
+                        future for future, entry in inflight.items()
+                        if now >= entry[2] and not future.done()
                     ]
                     if overdue:
-                        pool = self._reap(
-                            pool, state, inflight, overdue, queue
-                        )
+                        self._reap(pool, state, inflight, overdue, queue)
         finally:
-            if any(not future.done() for future in inflight):
-                # Exceptional exit with workers still running (or
-                # hung): never block shutdown on them.
-                _terminate_pool(pool)
-            else:
-                pool.shutdown(wait=True)
+            # A cancelled or failed campaign abandons its own futures
+            # only; the pool's owner decides the workers' fate.
+            for future in inflight:
+                future.cancel()
 
     def _reap(
         self,
-        pool: ProcessPoolExecutor,
+        pool: WorkerPool,
         state: "_RunState",
         inflight: Dict,
         overdue: List,
         queue: deque,
-    ) -> ProcessPoolExecutor:
-        """Kill a pool with hung workers and reschedule its in-flight
-        units; returns the replacement pool.
+    ) -> None:
+        """Replace a pool with hung workers and reschedule this
+        campaign's in-flight units.
 
         Overdue units are charged a :class:`~repro.errors.
         WorkerTimeoutError` fault (retry or quarantine, like any bench
         fault). The executor cannot terminate a single worker, so the
-        whole pool is torn down: innocent in-flight units are
-        re-queued at the *same* attempt -- their rebuilt benches replay
+        whole pool is replaced: innocent in-flight units are re-queued
+        at the *same* attempt -- their rebuilt benches replay
         bit-identically, and :meth:`_deliver_result` drops any late
         duplicate outcome that slipped out before the teardown.
+        Other campaigns on the pool re-queue theirs in
+        :meth:`_drain_pool`.
         """
         reaped, restarted = [], []
+        generation = max(inflight[future][3] for future in overdue)
         for future in overdue:
-            unit, attempt, _ = inflight.pop(future)
+            unit, attempt, _, _ = inflight.pop(future)
             reaped.append(unit.unit_id)
             error = WorkerTimeoutError(
                 f"unit {unit.unit_id} attempt {attempt} exceeded "
@@ -696,7 +745,7 @@ class CampaignService:
             )
             if self._handle_fault(state, unit, attempt, error):
                 queue.appendleft((unit, attempt + 1))
-        for future, (unit, attempt, _) in list(inflight.items()):
+        for unit, attempt, _, _ in inflight.values():
             restarted.append(unit.unit_id)
             self.telemetry.emit(
                 "unit_restarted", unit=unit.unit_id, module=unit.module,
@@ -704,7 +753,7 @@ class CampaignService:
             )
             queue.appendleft((unit, attempt))
         inflight.clear()
-        _terminate_pool(pool)
+        pool.replace(generation)
         REGISTRY.counter(
             "repro_service_worker_timeouts_total",
             "pool workers reaped after exceeding unit_timeout",
@@ -724,7 +773,6 @@ class CampaignService:
             f"reaped {len(reaped)} hung worker attempt(s) "
             f"({', '.join(reaped)}); pool rebuilt"
         )
-        return ProcessPoolExecutor(max_workers=self.max_workers)
 
     def _merge(self, state: "_RunState") -> StudyResult:
         study = StudyResult(scale=self.scale, seed=self.seed)
@@ -745,27 +793,6 @@ class CampaignService:
                     module, [part for _, part in parts], self.scale
                 )
         return study
-
-
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down without waiting on its (possibly hung) workers.
-
-    ``ProcessPoolExecutor`` offers no per-worker reaping, so hung-worker
-    recovery kills every worker process and abandons the executor; the
-    brief join afterwards just prevents zombie processes.
-    """
-    processes = list(getattr(pool, "_processes", {}).values())
-    for process in processes:
-        try:
-            process.terminate()
-        except Exception:  # already dead / never started
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        try:
-            process.join(timeout=5.0)
-        except Exception:
-            pass
 
 
 @dataclass

@@ -6,11 +6,15 @@ port); loading it costs over a second and tens of MB per process, so a
 fresh interpreter that imports every entry point and runs a study must
 finish with no ``scipy`` module in ``sys.modules``.
 
-Pool workers fork from the coordinator for every pooled campaign, so a
-module only the worker's code path imports is imported again in every
-worker of every job (tens of ms each on the ``service`` benchmark).
+A serving process forks its pool workers once and every pooled
+campaign reuses them; the pool's initializer loads what the unit path
+imports lazily. A module a worker imported while running a unit instead
+would cost the campaign that first lands on that worker (tens of ms on
+the ``service`` benchmark), and a worker forked per campaign would pay
+it every time.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -39,22 +43,20 @@ sys.exit(1 if loaded else 0)
 """
 
 
-#: Two pooled campaigns; before the second, an audit hook (inherited
-#: by the forked workers, not by spawned helpers such as the resource
-#: tracker) reports every module a worker imports.
+#: Two pooled campaigns on one pool. The audit hook goes in before the
+#: pool forks, so the workers inherit it (spawned helpers such as the
+#: resource tracker do not) and report every module they import; the
+#: marker line separates the first campaign from the second.
 _POOLED_SCRIPT = """
 import os
 import sys
+import time
 
 from repro import StudyScale
+from repro.obs import context as obs_context
+from repro.obs.trace import TRACER
 from repro.service import CampaignService
-
-
-def run(seed):
-    CampaignService(
-        ["C5"], tests=("rowhammer",), scale=StudyScale.tiny(), seed=seed,
-        max_workers=2,
-    ).run()
+from repro.service.pool import WorkerPool
 
 
 def report_worker_imports(event, args, coordinator=os.getpid()):
@@ -62,9 +64,35 @@ def report_worker_imports(event, args, coordinator=os.getpid()):
         print("worker import:", args[0], flush=True)
 
 
-run(0)
+def run(seed, pool):
+    CampaignService(
+        ["C5"], tests=("rowhammer",), scale=StudyScale.tiny(), seed=seed,
+        max_workers=2, pool=pool,
+    ).run()
+    pids = sorted({
+        event["args"]["pid"]
+        for fragment in obs_context.fragments()
+        for event in fragment["traceEvents"]
+        if event.get("name") == "work-unit"
+    })
+    obs_context.clear_fragments()
+    return pids
+
+
 sys.addaudithook(report_worker_imports)
-run(1)
+TRACER.enable()
+with WorkerPool(2) as pool:
+    forked = pool.pids()
+    first = run(0, pool)
+    # Both workers busy at once: each has finished its initializer.
+    for _ in range(2):
+        pool.acquire(block=True)
+    futures = [pool.submit(time.sleep, 0.2)[0] for _ in range(2)]
+    for future in futures:
+        future.result()
+    print("=== second campaign", flush=True)
+    second = run(1, pool)
+    print("pids:", repr((forked, first, second, pool.pids())), flush=True)
 """
 
 
@@ -93,4 +121,18 @@ def test_entry_points_and_a_study_never_load_scipy():
 
 def test_pool_workers_import_nothing_per_campaign():
     stdout = _run(["-c", _POOLED_SCRIPT]).stdout
-    assert "worker import:" not in stdout, stdout[-2000:]
+    before, marker, after = stdout.partition("=== second campaign")
+    assert marker, stdout[-2000:]
+    # The hook reached the workers (the initializer's imports show)...
+    assert "worker import: numpy.random" in before, before[-2000:]
+    # ...and the second campaign made them import nothing.
+    assert "worker import:" not in after, after[-2000:]
+    pids_line = [line for line in after.splitlines()
+                 if line.startswith("pids:")]
+    forked, first, second, final = ast.literal_eval(
+        pids_line[0][len("pids:"):].strip()
+    )
+    # Both campaigns ran on the workers forked with the pool.
+    assert len(forked) == 2 and final == forked
+    assert first and set(first) <= set(forked)
+    assert second and set(second) <= set(forked)
