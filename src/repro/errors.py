@@ -95,6 +95,17 @@ class WorkerTimeoutError(BenchFaultError):
     """
 
 
+class WorkerCrashError(BenchFaultError):
+    """A pool worker died mid-unit (killed from outside, out of memory,
+    a crash in native code).
+
+    Raised *by the coordinator* for every unit in flight on the dead
+    worker's pool: any of them may have killed it, so each is retried
+    like any other transient bench fault, and a unit that keeps killing
+    its worker quarantines its module.
+    """
+
+
 class QuotaExceededError(ReproError):
     """A tenant tried to exceed its admission quota on the job queue."""
 

@@ -11,10 +11,11 @@ resumable, observable campaign:
    for this run -- each attempt in a freshly built bench that derives
    its rows' per-cell parameters itself, the same way in both modes (a
    row belongs to exactly one unit, so no row is derived twice);
-3. **tolerate** -- a :class:`~repro.errors.BenchFaultError` (real or
-   injected via a :class:`~repro.service.faults.FaultPlan`) triggers
-   retry with exponential backoff; a unit that exhausts its attempts
-   quarantines its *module* -- reported, never fatal to the campaign;
+3. **tolerate** -- a :class:`~repro.errors.BenchFaultError` (real,
+   injected via a :class:`~repro.service.faults.FaultPlan`, or a pool
+   worker that hung or died mid-unit) triggers retry with exponential
+   backoff; a unit that exhausts its attempts quarantines its *module*
+   -- reported, never fatal to the campaign;
 4. **checkpoint** -- completed units persist atomically
    (:mod:`repro.service.checkpoint`); ``run(resume=True)`` restores
    them instead of re-running;
@@ -58,6 +59,7 @@ from repro.core.study import TEST_TYPES, CharacterizationStudy, StudyResult
 from repro.errors import (
     BenchFaultError,
     ConfigurationError,
+    WorkerCrashError,
     WorkerTimeoutError,
 )
 from repro.harness.cache import attach_provenance
@@ -639,19 +641,21 @@ class CampaignService:
                         continue
                     # A free worker first: the deadline below must not
                     # count time queued behind other campaigns' units.
-                    if not pool.acquire(block=not inflight):
+                    submitted = pool.submit(
+                        _execute_unit, self._job(unit, attempt, pool=True),
+                        block=not inflight,
+                    )
+                    if submitted is None:
                         starved = True
                         break
                     queue.popleft()
-                    self._start_attempt(state, unit, attempt)
+                    future, generation = submitted
                     deadline = (
                         clock.monotonic() + self.unit_timeout
                         if self.unit_timeout else None
                     )
-                    future, generation = pool.submit(
-                        _execute_unit, self._job(unit, attempt, pool=True)
-                    )
                     inflight[future] = (unit, attempt, deadline, generation)
+                    self._start_attempt(state, unit, attempt)
                 if not inflight:
                     break
                 timeout = None
@@ -680,14 +684,19 @@ class CampaignService:
                             queue.appendleft((unit, attempt + 1))
                         continue
                     except BrokenProcessPool:
-                        if generation == pool.generation:
-                            # A worker died by itself: renew the pool
-                            # for everyone, and fail this campaign as
-                            # a broken pool always did.
-                            pool.replace(generation)
-                            raise
-                        # Another campaign's reaper replaced the pool
-                        # under this unit: not its fault, same attempt.
+                        if pool.broken(generation):
+                            # A worker died by itself. Any unit in flight
+                            # may have killed it, so each is charged.
+                            error = WorkerCrashError(
+                                f"unit {unit.unit_id} attempt {attempt}: "
+                                "a pool worker died mid-unit"
+                            )
+                            if self._handle_fault(state, unit, attempt,
+                                                  error):
+                                queue.appendleft((unit, attempt + 1))
+                            continue
+                        # A reaper replaced the pool under this unit:
+                        # not its fault, same attempt.
                         self.telemetry.emit(
                             "unit_restarted", unit=unit.unit_id,
                             module=unit.module, attempt=attempt,
@@ -709,9 +718,9 @@ class CampaignService:
                         self._reap(pool, state, inflight, overdue, queue)
         finally:
             # A cancelled or failed campaign abandons its own futures
-            # only; the pool's owner decides the workers' fate.
-            for future in inflight:
-                future.cancel()
+            # only; the pool replaces itself once one is overdue.
+            for future, (_, _, deadline, generation) in inflight.items():
+                pool.abandon(future, deadline, generation)
 
     def _reap(
         self,

@@ -1,13 +1,18 @@
 """The campaign worker pool: forked once, shared by every pooled campaign.
 
 A process that serves jobs (the API server, ``python -m repro.api``)
-owns one :class:`WorkerPool` for its whole life. It forks the workers
-with the ``fork`` start method before it starts any thread -- forking a
-multi-threaded process can deadlock the child, and Python 3.12
-deprecates it -- and every pooled campaign it runs reuses them, so a
-job pays for no pool start-up. A direct caller that passes no pool to
+owns one :class:`WorkerPool` for its whole life. It forks the first
+workers with the ``fork`` start method before it starts any thread --
+forking a multi-threaded process can deadlock the child, and Python
+3.12 deprecates it -- and every pooled campaign it runs reuses them, so
+a job pays for no pool start-up. A direct caller that passes no pool to
 :class:`~repro.service.orchestrator.CampaignService` gets a pool of its
 ``max_workers`` for the one run.
+
+Replacing the workers (:meth:`WorkerPool.replace`, after a hang or a
+crash) still forks from whichever thread notices, while the serving
+process's other threads run; only the first workers are forked
+single-threaded.
 
 ``fork`` is pinned rather than inherited: ``forkserver`` (Python 3.14's
 default on Linux) re-imports the parent's ``__main__`` in every worker,
@@ -15,16 +20,19 @@ which breaks any caller script without a ``__main__`` guard.
 
 Sharing rules:
 
-* A unit is submitted only once :meth:`WorkerPool.acquire` hands it a
-  free worker (a semaphore the size of the pool), so a unit's
+* :meth:`WorkerPool.submit` hands a unit a free worker (a semaphore
+  the size of the pool) before it submits it, so a unit's
   ``unit_timeout`` deadline never counts time queued behind another
   campaign's units.
 * The executor cannot kill one worker, so the hung-worker reaper
-  replaces the whole pool (:meth:`WorkerPool.replace`), and each
-  replacement is counted. Other campaigns' units that die with it
-  re-queue at the same attempt; see ``CampaignService._drain_pool``.
-* A cancelled or failed campaign abandons only its own futures; only
-  the pool's owner shuts it down.
+  replaces the whole pool, and each replacement is counted. Units of
+  other campaigns that die with a replaced pool re-queue at the same
+  attempt; units that die with a worker that crashed by itself are
+  each charged a fault (see :meth:`WorkerPool.broken`).
+* A cancelled or failed campaign abandons only its own futures
+  (:meth:`WorkerPool.abandon`). An abandoned unit keeps its deadline:
+  once it is overdue, the next :meth:`~WorkerPool.submit` replaces the
+  pool, so a hung abandoned unit never holds its worker for good.
 """
 
 from __future__ import annotations
@@ -34,9 +42,14 @@ import os
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
+from repro.obs import clock
 from repro.obs.metrics import REGISTRY
+
+#: How often a submit blocked on a full pool checks for overdue
+#: abandoned units.
+_BLOCKED_POLL_SECONDS = 0.05
 
 
 def _warm_worker() -> None:
@@ -65,12 +78,15 @@ class WorkerPool:
 
     def __init__(self, size: Optional[int] = None):
         self.size = max(1, size or os.cpu_count() or 1)
-        #: Bumped by every :meth:`replace`; a unit records the
-        #: generation it was submitted to.
+        #: Bumped by every replacement; a unit records the generation
+        #: it was submitted to.
         self.generation = 0
+        self._crashed: Set[int] = set()
         self._slots = threading.BoundedSemaphore(self.size)
         self._lock = threading.Lock()
-        self._held = 0
+        #: Abandoned futures still running: future -> (deadline,
+        #: generation).
+        self._abandoned: Dict[Future, Tuple[float, int]] = {}
         self._executor: Optional[ProcessPoolExecutor] = self._fork()
 
     def _fork(self) -> ProcessPoolExecutor:
@@ -87,38 +103,71 @@ class WorkerPool:
     def __exit__(self, *exc) -> None:
         self.shutdown()
 
-    def pids(self) -> List[int]:
-        """The current workers' process ids."""
-        with self._lock:
-            executor = self._executor
-            return sorted(getattr(executor, "_processes", None) or ())
-
-    def acquire(self, block: bool) -> bool:
-        """Take a free worker's slot; False when none is free and
-        ``block`` is false. Each taken slot must go to :meth:`submit`."""
-        return self._slots.acquire(blocking=block)
-
-    def submit(self, fn: Callable, arg) -> Tuple[Future, int]:
-        """Run ``fn(arg)`` on the worker whose slot the caller holds;
-        returns the future and the pool generation it runs in. The slot
-        frees when the future completes, fails or is cancelled."""
-        with self._lock:
-            try:
-                future = self._executor.submit(fn, arg)
-            except BrokenProcessPool:
-                # A worker died on its own since the last unit: renew
-                # the pool rather than fail every later campaign.
-                self._replace_locked()
-                future = self._executor.submit(fn, arg)
-            generation = self.generation
-            self._held += 1
+    def submit(
+        self, fn: Callable, arg, block: bool,
+    ) -> Optional[Tuple[Future, int]]:
+        """Run ``fn(arg)`` on a free worker; returns the future and the
+        pool generation it runs in, or None when no worker is free and
+        ``block`` is false. The worker's slot frees when the future
+        completes, fails or is cancelled."""
+        if not self._take_slot(block):
+            return None
+        try:
+            with self._lock:
+                if self._executor is None:
+                    raise RuntimeError("the worker pool is shut down")
+                try:
+                    future = self._executor.submit(fn, arg)
+                except BrokenProcessPool:
+                    # A worker died on its own since the last unit:
+                    # renew the pool rather than fail every later
+                    # campaign.
+                    self._crashed.add(self.generation)
+                    self._replace_locked()
+                    future = self._executor.submit(fn, arg)
+                generation = self.generation
+        except BaseException:
+            self._slots.release()
+            raise
         future.add_done_callback(self._release)
         return future, generation
 
-    def _release(self, _future: Future) -> None:
+    def _take_slot(self, block: bool) -> bool:
+        while True:
+            self._reap_abandoned()
+            if not block:
+                return self._slots.acquire(blocking=False)
+            if self._slots.acquire(timeout=_BLOCKED_POLL_SECONDS):
+                return True
+
+    def _release(self, future: Future) -> None:
         with self._lock:
-            self._held -= 1
+            self._abandoned.pop(future, None)
         self._slots.release()
+
+    def abandon(
+        self, future: Future, deadline: Optional[float], generation: int,
+    ) -> None:
+        """Give up on ``future`` (its campaign was cancelled or failed).
+        A queued one is cancelled; a running one finishes in its worker,
+        and past ``deadline`` (when given) the pool is replaced, so a
+        hung unit never keeps its worker."""
+        if future.cancel() or deadline is None:
+            return
+        with self._lock:
+            # Still running under the lock means its done callback,
+            # which drops the entry, has not run yet.
+            if not future.done():
+                self._abandoned[future] = (deadline, generation)
+
+    def _reap_abandoned(self) -> None:
+        now = clock.monotonic()
+        with self._lock:
+            if self._executor is not None and any(
+                generation == self.generation and now >= deadline
+                for deadline, generation in self._abandoned.values()
+            ):
+                self._replace_locked()
 
     def replace(self, generation: int) -> bool:
         """Kill the workers of ``generation`` and fork new ones; False
@@ -129,6 +178,19 @@ class WorkerPool:
                 return False
             self._replace_locked()
         return True
+
+    def broken(self, generation: int) -> bool:
+        """Account for a future of ``generation`` that failed with
+        ``BrokenProcessPool``; True when a worker crashed (died by
+        itself), False when :meth:`replace` or :meth:`shutdown` killed
+        the workers. A generation still current when its first broken
+        future is seen crashed, and is replaced here; every unit in
+        flight on it sees the same answer."""
+        with self._lock:
+            if generation == self.generation and self._executor is not None:
+                self._crashed.add(generation)
+                self._replace_locked()
+            return generation in self._crashed
 
     def _replace_locked(self) -> None:
         # Bump first: a campaign whose future breaks must already see
@@ -142,17 +204,12 @@ class WorkerPool:
         ).inc()
 
     def shutdown(self) -> None:
-        """Stop the workers and join them; busy workers are killed,
-        never waited for. Idempotent."""
+        """Kill the workers, idle or busy (a busy one is never waited
+        for), and join them. Idempotent."""
         with self._lock:
             executor, self._executor = self._executor, None
-            busy = self._held > 0
-        if executor is None:
-            return
-        if busy:
+        if executor is not None:
             _terminate(executor)
-        else:
-            executor.shutdown(wait=True)
 
 
 def _terminate(executor: ProcessPoolExecutor) -> None:

@@ -7,6 +7,7 @@ units that die with the old pool restart uncharged; a cancelled job
 abandons only its own units.
 """
 
+import ast
 import functools
 import multiprocessing
 import os
@@ -145,13 +146,13 @@ class TestSharedPoolRules:
         assert served == _direct_study(SLOW_SEEDS_FROM)
 
     def test_cancelled_job_leaves_the_other_jobs_units_running(
-        self, tmp_path, slow_units
+        self, tmp_path, slow_units, worker_pids
     ):
         replaced = _replacements()
         with BackgroundServer(str(tmp_path / "store"),
                               str(tmp_path / "state"), workers=2) as server:
             client = ApiClient(port=server.port)
-            workers = server.api.pool.pids()
+            workers = worker_pids(server.api.pool)
             doomed = client.submit_job(_payload(SLOW_SEEDS_FROM, chunks=4))
             other = client.submit_job(_payload(SLOW_SEEDS_FROM + 1))
             _wait_for_event(server, doomed["id"], "unit_started")
@@ -162,7 +163,7 @@ class TestSharedPoolRules:
             events = server.api.job_events(other["id"])
             served = _served_study(client, other)
             # The cancelled job never tore the shared pool down.
-            assert server.api.pool.pids() == workers
+            assert worker_pids(server.api.pool) == workers
         assert doomed["state"] == "cancelled"
         assert other["state"] == "completed"
         assert _replacements() == replaced
@@ -226,6 +227,32 @@ with BackgroundServer(sys.argv[1], sys.argv[2], workers=2) as server:
 print("threads at each fork:", forks)
 """
 
+#: Replaces the server's pool the way the hung-worker reaper does, while
+#: the server's threads run, and records the thread count at every fork.
+_REPLACE_SCRIPT = """
+import os
+import sys
+import threading
+
+forks = []
+os.register_at_fork(before=lambda: forks.append(threading.active_count()))
+
+from repro.api import ApiClient, BackgroundServer
+
+with BackgroundServer(sys.argv[1], sys.argv[2], workers=2) as server:
+    pool = server.api.pool
+    started = len(forks)
+    assert pool.replace(pool.generation)
+    client = ApiClient(port=server.port)
+    job = client.submit_job({
+        "modules": ["C5"], "tests": ["rowhammer"], "scale": "tiny",
+        "seed": 0, "workers": 2,
+    })
+    job = client.wait_job(job["id"])
+    assert job["state"] == "completed", job
+print("threads at each fork:", forks[:started], forks[started:])
+"""
+
 #: The benchmark's set-up probe: build, start and stop the server.
 _SETUP_SCRIPT = """
 import sys
@@ -234,7 +261,7 @@ from repro.api import BackgroundServer
 
 server = BackgroundServer(sys.argv[1], sys.argv[2])
 server.__enter__()
-print("workers:", *server.api.pool.pids())
+print("workers:", *server.api.pool._executor._processes)
 server.__exit__(None, None, None)
 """
 
@@ -252,10 +279,27 @@ class TestForkSafety:
         assert counts.startswith("[") and counts != "[]", line
         assert set(counts.strip("[]").split(", ")) == {"1"}, line
 
-    def test_no_worker_outlives_the_server(self, tmp_path):
+    def test_pool_replacement_forks_while_threads_run(self, tmp_path):
+        """A known limitation, pinned so that it stays visible: the
+        first workers fork single-threaded, but a replacement (after a
+        hang or a crash) forks from a process whose server and job
+        threads are running. A replacement path that does not fork
+        from threads should turn the second assertion around."""
+        stdout = _python(["-c", _REPLACE_SCRIPT],
+                         tmp_path / "store", tmp_path / "state").stdout
+        line = stdout.strip().splitlines()[-1]
+        first, replaced = ast.literal_eval(
+            "(" + line.split(":", 1)[1].strip().replace("] [", "], [") + ")"
+        )
+        workers = os.cpu_count() or 1
+        assert first == [1] * workers, line
+        assert len(replaced) == workers, line
+        assert min(replaced) > 1, line
+
+    def test_no_worker_outlives_the_server(self, tmp_path, worker_pids):
         with BackgroundServer(str(tmp_path / "store"),
                               str(tmp_path / "state")) as server:
-            workers = server.api.pool.pids()
+            workers = worker_pids(server.api.pool)
             assert len(workers) == (os.cpu_count() or 1)
             assert all(_alive(pid) for pid in workers)
         assert multiprocessing.active_children() == []

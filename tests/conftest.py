@@ -51,3 +51,12 @@ def _clear_study_cache():
     yield
     clear_cache()
     set_study_cache_dir(previous)
+
+
+@pytest.fixture
+def worker_pids():
+    """``worker_pids(pool)``: the process ids of a
+    :class:`~repro.service.pool.WorkerPool`'s current workers."""
+    def pids(pool):
+        return sorted(pool._executor._processes)
+    return pids

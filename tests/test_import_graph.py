@@ -64,6 +64,10 @@ def report_worker_imports(event, args, coordinator=os.getpid()):
         print("worker import:", args[0], flush=True)
 
 
+def worker_pids(pool):
+    return sorted(pool._executor._processes)
+
+
 def run(seed, pool):
     CampaignService(
         ["C5"], tests=("rowhammer",), scale=StudyScale.tiny(), seed=seed,
@@ -82,17 +86,17 @@ def run(seed, pool):
 sys.addaudithook(report_worker_imports)
 TRACER.enable()
 with WorkerPool(2) as pool:
-    forked = pool.pids()
+    forked = worker_pids(pool)
     first = run(0, pool)
     # Both workers busy at once: each has finished its initializer.
-    for _ in range(2):
-        pool.acquire(block=True)
-    futures = [pool.submit(time.sleep, 0.2)[0] for _ in range(2)]
+    futures = [pool.submit(time.sleep, 0.2, block=True)[0]
+               for _ in range(2)]
     for future in futures:
         future.result()
     print("=== second campaign", flush=True)
     second = run(1, pool)
-    print("pids:", repr((forked, first, second, pool.pids())), flush=True)
+    print("pids:", repr((forked, first, second, worker_pids(pool))),
+          flush=True)
 """
 
 
