@@ -1,4 +1,4 @@
-"""Harness lint: AST checks enforcing two repo contracts.
+"""Harness lint: AST checks enforcing the repo's code contracts.
 
 **Declarative-spec contract.** Experiment modules must declare their
 campaign needs as ``StudyRequest`` entries on their ``SPEC`` and
@@ -31,6 +31,11 @@ Program` builder macros -- never hand-rolled ACT loops. Outside
   the ad-hoc burst-schedule shape; use a registered DSL program or
   ``Program.hammer_rounds`` instead (see docs/PROGRAMS.md).
 
+**One-pool contract.** Worker processes start only in the campaign
+:class:`~repro.service.pool.WorkerPool` (``repro/service/pool.py``),
+the one reaper of hung units. Elsewhere the checker flags any use of
+``multiprocessing``, ``ProcessPoolExecutor`` and ``os.fork``.
+
 Run via ``make lint`` or ``python -m repro.harness.lint``; exits
 non-zero when a violation is found.
 """
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import sys
 from typing import List, Optional, Tuple
 
@@ -48,12 +54,6 @@ Violation = Tuple[str, int, str]
 #: ``time`` module attributes that read a clock (``sleep`` is allowed).
 _CLOCK_ATTRS = ("time", "monotonic", "perf_counter", "perf_counter_ns",
                 "monotonic_ns", "time_ns")
-
-
-def _experiments_dir() -> str:
-    from repro.harness import experiments
-
-    return os.path.dirname(os.path.abspath(experiments.__file__))
 
 
 def _package_dir(dotted: str) -> str:
@@ -170,6 +170,35 @@ def check_program_source(path: str, source: str) -> List[Violation]:
     return violations
 
 
+#: Dotted names that start worker processes.
+_PROCESS_STARTERS = re.compile(
+    r"^multiprocessing(\.|$)|(^|\.)ProcessPoolExecutor$|^os\.fork(pty)?$"
+)
+
+
+def check_process_source(path: str, source: str) -> List[Violation]:
+    """Flag worker processes started outside the campaign pool
+    (one-pool contract; see the module docstring)."""
+    violations: List[Violation] = []
+    for node in ast.walk(ast.parse(source, filename=path)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [f"{getattr(node.value, 'id', '')}.{node.attr}"]
+        else:
+            continue
+        found = next(filter(_PROCESS_STARTERS.search, names), None)
+        if found:
+            violations.append((
+                path, node.lineno,
+                f"starts worker processes ({found}) outside "
+                "repro/service/pool.py; use a repro.service.WorkerPool",
+            ))
+    return violations
+
+
 def _walk_python_files(directory: str):
     for root, _dirs, files in os.walk(directory):
         for filename in sorted(files):
@@ -177,18 +206,23 @@ def _walk_python_files(directory: str):
                 yield os.path.join(root, filename)
 
 
+def _check_files(paths, checker) -> List[Violation]:
+    violations: List[Violation] = []
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as handle:
+            violations.extend(checker(path, handle.read()))
+    return violations
+
+
 def check_experiments(directory: Optional[str] = None) -> List[Violation]:
     """Lint every experiment module; returns the violations found."""
-    directory = directory or _experiments_dir()
-    violations: List[Violation] = []
-    for filename in sorted(os.listdir(directory)):
-        if not filename.endswith(".py"):
-            continue
-        path = os.path.join(directory, filename)
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        violations.extend(check_source(path, source))
-    return violations
+    directory = directory or _package_dir("repro.harness.experiments")
+    return _check_files(
+        [os.path.join(directory, filename)
+         for filename in sorted(os.listdir(directory))
+         if filename.endswith(".py")],
+        check_source,
+    )
 
 
 def check_programs(directories: Optional[List[str]] = None) -> List[Violation]:
@@ -206,13 +240,11 @@ def check_programs(directories: Optional[List[str]] = None) -> List[Violation]:
             if os.path.isdir(os.path.join(base, entry))
             and os.path.join(base, entry) not in sanctioned
         ]
-    violations: List[Violation] = []
-    for directory in directories:
-        for path in _walk_python_files(directory):
-            with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-            violations.extend(check_program_source(path, source))
-    return violations
+    return _check_files(
+        [path for directory in directories
+         for path in _walk_python_files(directory)],
+        check_program_source,
+    )
 
 
 def check_clocks(directories: Optional[List[str]] = None) -> List[Violation]:
@@ -222,21 +254,31 @@ def check_clocks(directories: Optional[List[str]] = None) -> List[Violation]:
         directories = [
             _package_dir("repro.core"), _package_dir("repro.service"),
         ]
-    violations: List[Violation] = []
-    for directory in directories:
-        for path in _walk_python_files(directory):
-            with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-            violations.extend(check_timing_source(path, source))
-    return violations
+    return _check_files(
+        [path for directory in directories
+         for path in _walk_python_files(directory)],
+        check_timing_source,
+    )
+
+
+def check_processes(directory: Optional[str] = None) -> List[Violation]:
+    """Lint the whole ``repro`` package (or ``directory``) for worker
+    processes started anywhere but ``service/pool.py``."""
+    directory = directory or _package_dir("repro")
+    sanctioned = os.path.join(directory, "service", "pool.py")
+    return _check_files(
+        [path for path in _walk_python_files(directory)
+         if path != sanctioned],
+        check_process_source,
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     directory = argv[0] if argv else None
     violations = check_experiments(directory)
-    violations.extend(check_clocks() if directory is None else [])
-    violations.extend(check_programs() if directory is None else [])
+    if directory is None:
+        violations += check_clocks() + check_programs() + check_processes()
     for path, line, message in violations:
         print(f"{path}:{line}: {message}", file=sys.stderr)
     if violations:

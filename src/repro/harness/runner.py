@@ -225,6 +225,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.modules:
             validate_modules(args.modules)
         validate_program(args.program)
+        if args.orchestrate is not None and args.orchestrate < 0:
+            raise ConfigurationError(
+                f"--orchestrate must be >= 0: {args.orchestrate}"
+            )
     except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

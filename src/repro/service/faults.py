@@ -100,10 +100,10 @@ class FaultSpec:
     ``hang_seconds`` models the nastier failure mode where the bench
     does not fail fast but *stalls* (a host link that silently drops
     packets, an FPGA stuck in a handshake): the injector sleeps that
-    long at the trigger point before raising. Combined with the
-    orchestrator's ``unit_timeout`` reaper this rehearses hung-worker
-    recovery -- the coordinator declares the attempt dead, kills the
-    stuck worker process, and retries.
+    long at the trigger point before raising. Combined with a
+    ``unit_timeout`` this rehearses hung-worker recovery -- the worker
+    pool declares the attempt dead and kills the stuck worker process,
+    and the campaign retries.
     """
 
     kind: str

@@ -43,7 +43,7 @@ import os
 import time
 from collections import deque
 from contextlib import nullcontext
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -76,12 +76,8 @@ from repro.service.checkpoint import (
 )
 from repro.service.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.service.jobs import WorkUnit, plan_units
-from repro.service.pool import WorkerPool
+from repro.service.pool import POLL_SECONDS, WorkerPool
 from repro.service.telemetry import CampaignMetrics, TelemetryLog
-
-#: How often a campaign whose free workers are all taken by other
-#: campaigns looks for a freed one while its own units run.
-_STARVED_POLL_SECONDS = 0.05
 
 
 def _execute_unit(
@@ -185,13 +181,14 @@ class CampaignService:
         The campaign request (same semantics as
         :meth:`~repro.core.study.CharacterizationStudy.run`).
     chunks_per_module:
-        Target chunk count per module (default: the scale's
-        ``row_chunks``).
+        Target chunk count per module, at least 1 (default: the
+        scale's ``row_chunks``).
     max_workers:
-        ``<=1`` runs units in-process (deterministic scheduling, no
-        pool overhead); ``N>1`` fans units out over a process pool,
-        with at most ``N`` of this campaign's units in flight: ``pool``
-        when given, else a pool of ``N`` workers forked for this run.
+        ``0`` or ``1`` runs units in-process (deterministic
+        scheduling, no pool overhead); ``N>1`` fans units out over a
+        process pool, with at most ``N`` of this campaign's units in
+        flight: ``pool`` when given, else a pool of ``N`` workers
+        forked for this run.
         Either way each attempt's bench derives its own rows' per-cell
         parameters from the campaign seed, so results are bit-identical
         and the coordinator generates nothing ahead of the workers.
@@ -223,18 +220,15 @@ class CampaignService:
         ride on the corresponding telemetry events.
     unit_timeout:
         Per-attempt wall-clock deadline (seconds) in pool mode, counted
-        from the moment a free worker took the unit. An attempt that
-        exceeds it is declared hung: the pool is replaced (a
-        :class:`~concurrent.futures.ProcessPoolExecutor` cannot reap a
-        single worker), the unit is charged a
-        :class:`~repro.errors.WorkerTimeoutError` fault and retried
-        like any transient bench fault, and innocent in-flight units --
-        this campaign's and any other sharing the pool -- are restarted
-        at the same attempt, uncharged. Every rebuilt bench replays
-        bit-identically, so neither reaping nor restarting can change
-        the merged study. ``None`` (default) disables the reaper;
-        inline mode ignores it (a hung inline unit shares our process
-        and cannot be reaped).
+        from the moment a free worker took the unit. The pool reaps an
+        attempt that exceeds it (:mod:`repro.service.pool`): the unit is
+        charged a :class:`~repro.errors.WorkerTimeoutError` fault and
+        retried like any transient bench fault, and innocent units that
+        died with the workers, in any campaign, restart at the same
+        attempt, uncharged. Rebuilt benches replay bit-identically, so
+        reaping cannot change the merged study. ``None`` (default)
+        disables it; inline mode ignores it (a hung inline unit shares
+        our process and cannot be reaped).
     program:
         Optional registered DSL program name (:mod:`repro.progdsl`)
         every worker's study runs its probe schedules through; chunk
@@ -277,6 +271,15 @@ class CampaignService:
             )
         if backoff < 0:
             raise ConfigurationError(f"backoff must be >= 0: {backoff}")
+        if chunks_per_module is not None and chunks_per_module < 1:
+            raise ConfigurationError(
+                f"chunks_per_module must be >= 1 (or None): "
+                f"{chunks_per_module}"
+            )
+        if max_workers < 0:
+            raise ConfigurationError(
+                f"max_workers must be >= 0: {max_workers}"
+            )
         if unit_timeout is not None and unit_timeout <= 0:
             raise ConfigurationError(
                 f"unit_timeout must be > 0 (or None): {unit_timeout}"
@@ -593,14 +596,10 @@ class CampaignService:
         merged into this process's registry, where an inline attempt's
         increments already landed.
 
-        A unit can deliver more than once in degenerate schedules: an
-        attempt declared hung is reaped and re-queued, and the original
-        outcome surfaces later anyway (the worker was mid-return when
-        the reaper fired). Outcomes are bit-identical by construction,
-        so the duplicate is dropped *whole* -- in particular its metric
-        delta is never merged, keeping ``repro_probes_*`` (and every
-        other counter) exact: one planned unit, one unit's worth of
-        telemetry. Dedup is keyed on the unit id.
+        A unit re-queues only once its future failed, so a second
+        outcome should never come; if one does, it is dropped *whole*
+        (keyed on the unit id, its metric delta never merged), keeping
+        every counter exact.
         """
         if unit.unit_id in state.completed:
             state.metrics.duplicates_dropped += 1
@@ -627,9 +626,11 @@ class CampaignService:
         return True
 
     def _drain_pool(self, state: "_RunState", pool: WorkerPool) -> None:
+        """Run the pending units on ``pool``, at most ``max_workers`` in
+        flight. The pool keeps their deadlines and replaces its workers;
+        a unit that died with them is handled by its cause."""
         queue = deque((unit, 0) for unit in state.pending)
-        # future -> (unit, attempt, deadline, pool generation)
-        inflight: Dict = {}
+        inflight: Dict[Future, Tuple[WorkUnit, int]] = {}
         try:
             while queue or inflight:
                 starved = False
@@ -639,38 +640,24 @@ class CampaignService:
                         queue.popleft()
                         self._skip_unit(state, unit)
                         continue
-                    # A free worker first: the deadline below must not
-                    # count time queued behind other campaigns' units.
-                    submitted = pool.submit(
+                    future = pool.submit(
                         _execute_unit, self._job(unit, attempt, pool=True),
-                        block=not inflight,
+                        block=not inflight, timeout=self.unit_timeout,
                     )
-                    if submitted is None:
+                    if future is None:
                         starved = True
                         break
                     queue.popleft()
-                    future, generation = submitted
-                    deadline = (
-                        clock.monotonic() + self.unit_timeout
-                        if self.unit_timeout else None
-                    )
-                    inflight[future] = (unit, attempt, deadline, generation)
+                    inflight[future] = (unit, attempt)
                     self._start_attempt(state, unit, attempt)
                 if not inflight:
                     break
-                timeout = None
-                if self.unit_timeout:
-                    next_deadline = min(
-                        entry[2] for entry in inflight.values()
-                    )
-                    timeout = max(0.02, next_deadline - clock.monotonic())
-                if starved:
-                    timeout = min(timeout or _STARVED_POLL_SECONDS,
-                                  _STARVED_POLL_SECONDS)
-                done, _ = wait(inflight, timeout=timeout,
-                               return_when=FIRST_COMPLETED)
+                done = pool.wait(
+                    inflight, timeout=POLL_SECONDS if starved else None,
+                )
+                reaped = []
                 for future in done:
-                    unit, attempt, _, generation = inflight.pop(future)
+                    unit, attempt = inflight.pop(future)
                     if unit.module in state.metrics.quarantined:
                         # A sibling unit quarantined the module while
                         # this one was in flight; drop its outcome.
@@ -684,98 +671,51 @@ class CampaignService:
                             queue.appendleft((unit, attempt + 1))
                         continue
                     except BrokenProcessPool:
-                        if pool.broken(generation):
-                            # A worker died by itself. Any unit in flight
-                            # may have killed it, so each is charged.
+                        cause = pool.cause(future)
+                        if cause == "replaced":
+                            self.telemetry.emit(
+                                "unit_restarted", unit=unit.unit_id,
+                                module=unit.module, attempt=attempt,
+                                reason="pool replaced",
+                            )
+                            queue.appendleft((unit, attempt))
+                            continue
+                        if cause == "timeout":
+                            reaped.append(unit.unit_id)
+                            error = WorkerTimeoutError(
+                                f"unit {unit.unit_id} attempt {attempt} "
+                                f"exceeded unit_timeout={self.unit_timeout}"
+                                "s; worker reaped"
+                            )
+                        else:
                             error = WorkerCrashError(
                                 f"unit {unit.unit_id} attempt {attempt}: "
                                 "a pool worker died mid-unit"
                             )
-                            if self._handle_fault(state, unit, attempt,
-                                                  error):
-                                queue.appendleft((unit, attempt + 1))
-                            continue
-                        # A reaper replaced the pool under this unit:
-                        # not its fault, same attempt.
-                        self.telemetry.emit(
-                            "unit_restarted", unit=unit.unit_id,
-                            module=unit.module, attempt=attempt,
-                            reason="pool replaced",
-                        )
-                        queue.appendleft((unit, attempt))
+                        if self._handle_fault(state, unit, attempt, error):
+                            queue.appendleft((unit, attempt + 1))
                         continue
                     self._deliver_result(
                         state, unit, attempt, result, wall, delta,
                         fragment,
                     )
-                if self.unit_timeout:
-                    now = clock.monotonic()
-                    overdue = [
-                        future for future, entry in inflight.items()
-                        if now >= entry[2] and not future.done()
-                    ]
-                    if overdue:
-                        self._reap(pool, state, inflight, overdue, queue)
+                if reaped:
+                    self._report_reap(reaped)
         finally:
-            # A cancelled or failed campaign abandons its own futures
-            # only; the pool replaces itself once one is overdue.
-            for future, (_, _, deadline, generation) in inflight.items():
-                pool.abandon(future, deadline, generation)
+            # A cancelled or failed campaign drops its own units only;
+            # the pool reaps a running one once it is overdue.
+            for future in inflight:
+                future.cancel()
 
-    def _reap(
-        self,
-        pool: WorkerPool,
-        state: "_RunState",
-        inflight: Dict,
-        overdue: List,
-        queue: deque,
-    ) -> None:
-        """Replace a pool with hung workers and reschedule this
-        campaign's in-flight units.
-
-        Overdue units are charged a :class:`~repro.errors.
-        WorkerTimeoutError` fault (retry or quarantine, like any bench
-        fault). The executor cannot terminate a single worker, so the
-        whole pool is replaced: innocent in-flight units are re-queued
-        at the *same* attempt -- their rebuilt benches replay
-        bit-identically, and :meth:`_deliver_result` drops any late
-        duplicate outcome that slipped out before the teardown.
-        Other campaigns on the pool re-queue theirs in
-        :meth:`_drain_pool`.
-        """
-        reaped, restarted = [], []
-        generation = max(inflight[future][3] for future in overdue)
-        for future in overdue:
-            unit, attempt, _, _ = inflight.pop(future)
-            reaped.append(unit.unit_id)
-            error = WorkerTimeoutError(
-                f"unit {unit.unit_id} attempt {attempt} exceeded "
-                f"unit_timeout={self.unit_timeout}s; worker reaped"
-            )
-            if self._handle_fault(state, unit, attempt, error):
-                queue.appendleft((unit, attempt + 1))
-        for unit, attempt, _, _ in inflight.values():
-            restarted.append(unit.unit_id)
-            self.telemetry.emit(
-                "unit_restarted", unit=unit.unit_id, module=unit.module,
-                attempt=attempt, reason="pool reaped",
-            )
-            queue.appendleft((unit, attempt))
-        inflight.clear()
-        pool.replace(generation)
-        REGISTRY.counter(
-            "repro_service_worker_timeouts_total",
-            "pool workers reaped after exceeding unit_timeout",
-        ).inc(len(reaped))
+    def _report_reap(self, reaped: List[str]) -> None:
         # The coordinator's own last moments around the reap; the hung
         # worker already flushed its ring when the stall was injected
         # (it cannot after SIGTERM).
         dump_path = RECORDER.dump("pool_reaped", extra={
-            "reaped": reaped, "restarted": restarted,
-            "timeout_seconds": self.unit_timeout,
+            "reaped": reaped, "timeout_seconds": self.unit_timeout,
         })
         self.telemetry.emit(
-            "pool_reaped", reaped=reaped, restarted=restarted,
+            "pool_reaped", reaped=reaped,
             timeout_seconds=self.unit_timeout, flightrec=dump_path,
         )
         self._progress(

@@ -9,30 +9,29 @@ a job pays for no pool start-up. A direct caller that passes no pool to
 :class:`~repro.service.orchestrator.CampaignService` gets a pool of its
 ``max_workers`` for the one run.
 
-Replacing the workers (:meth:`WorkerPool.replace`, after a hang or a
-crash) still forks from whichever thread notices, while the serving
-process's other threads run; only the first workers are forked
-single-threaded.
-
-``fork`` is pinned rather than inherited: ``forkserver`` (Python 3.14's
-default on Linux) re-imports the parent's ``__main__`` in every worker,
-which breaks any caller script without a ``__main__`` guard.
+Replacing the workers (after a hang or a crash) still forks from
+whichever thread notices, while the serving process's other threads
+run; only the first workers are forked single-threaded. ``fork`` is
+pinned rather than inherited: ``forkserver`` (Python 3.14's default on
+Linux) re-imports the parent's ``__main__`` in every worker, which
+breaks any caller script without a ``__main__`` guard.
 
 Sharing rules:
 
 * :meth:`WorkerPool.submit` hands a unit a free worker (a semaphore
-  the size of the pool) before it submits it, so a unit's
-  ``unit_timeout`` deadline never counts time queued behind another
-  campaign's units.
-* The executor cannot kill one worker, so the hung-worker reaper
-  replaces the whole pool, and each replacement is counted. Units of
-  other campaigns that die with a replaced pool re-queue at the same
-  attempt; units that die with a worker that crashed by itself are
-  each charged a fault (see :meth:`WorkerPool.broken`).
-* A cancelled or failed campaign abandons only its own futures
-  (:meth:`WorkerPool.abandon`). An abandoned unit keeps its deadline:
-  once it is overdue, the next :meth:`~WorkerPool.submit` replaces the
-  pool, so a hung abandoned unit never holds its worker for good.
+  the size of the pool) before it starts the unit's deadline, so
+  ``unit_timeout`` never counts time queued behind other campaigns.
+* The pool is the one reaper: the executor cannot kill one worker, so
+  once any unit on the workers is overdue -- a live campaign's, or one
+  a cancelled campaign (which just cancels its futures) left running --
+  the next :meth:`~WorkerPool.submit` or :meth:`~WorkerPool.wait`
+  replaces them all, and each replacement is counted.
+* Every unit that dies with its workers fails with
+  ``BrokenProcessPool``, and :meth:`WorkerPool.cause` says why:
+  ``timeout`` (it was overdue), ``replaced`` (the workers were replaced
+  for another unit, or shut down) or ``crash`` (a worker died by
+  itself; no one can tell which unit killed it, so every unit in flight
+  reads ``crash``, and the first to ask replaces the workers).
 """
 
 from __future__ import annotations
@@ -40,16 +39,19 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor
+import weakref
+from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Collection, Dict, Optional, Set
 
 from repro.obs import clock
 from repro.obs.metrics import REGISTRY
 
-#: How often a submit blocked on a full pool checks for overdue
-#: abandoned units.
-_BLOCKED_POLL_SECONDS = 0.05
+#: How often a caller blocked on the pool (a submit waiting for a free
+#: worker, a campaign whose free workers other campaigns hold) looks
+#: again.
+POLL_SECONDS = 0.05
 
 
 def _warm_worker() -> None:
@@ -78,15 +80,15 @@ class WorkerPool:
 
     def __init__(self, size: Optional[int] = None):
         self.size = max(1, size or os.cpu_count() or 1)
-        #: Bumped by every replacement; a unit records the generation
-        #: it was submitted to.
-        self.generation = 0
-        self._crashed: Set[int] = set()
         self._slots = threading.BoundedSemaphore(self.size)
         self._lock = threading.Lock()
-        #: Abandoned futures still running: future -> (deadline,
-        #: generation).
-        self._abandoned: Dict[Future, Tuple[float, int]] = {}
+        #: Units on the current workers -> deadline (or None). One that
+        #: broke with the workers stays until they are replaced.
+        self._units: Dict[Future, Optional[float]] = {}
+        #: Why each unit of replaced workers died.
+        self._causes: "weakref.WeakKeyDictionary[Future, str]" = (
+            weakref.WeakKeyDictionary()
+        )
         self._executor: Optional[ProcessPoolExecutor] = self._fork()
 
     def _fork(self) -> ProcessPoolExecutor:
@@ -105,11 +107,12 @@ class WorkerPool:
 
     def submit(
         self, fn: Callable, arg, block: bool,
-    ) -> Optional[Tuple[Future, int]]:
-        """Run ``fn(arg)`` on a free worker; returns the future and the
-        pool generation it runs in, or None when no worker is free and
-        ``block`` is false. The worker's slot frees when the future
-        completes, fails or is cancelled."""
+        timeout: Optional[float] = None,
+    ) -> Optional[Future]:
+        """Run ``fn(arg)`` on a free worker, overdue ``timeout`` seconds
+        after it got one; returns its future, or None when no worker is
+        free and ``block`` is false. The worker's slot frees when the
+        future completes, fails or is cancelled."""
         if not self._take_slot(block):
             return None
         try:
@@ -122,86 +125,90 @@ class WorkerPool:
                     # A worker died on its own since the last unit:
                     # renew the pool rather than fail every later
                     # campaign.
-                    self._crashed.add(self.generation)
-                    self._replace_locked()
+                    self._replace_locked("crash")
                     future = self._executor.submit(fn, arg)
-                generation = self.generation
+                self._units[future] = (
+                    None if timeout is None else clock.monotonic() + timeout
+                )
         except BaseException:
             self._slots.release()
             raise
         future.add_done_callback(self._release)
-        return future, generation
+        return future
+
+    def wait(
+        self, futures: Collection[Future], timeout: Optional[float] = None,
+    ) -> Set[Future]:
+        """Block until one of ``futures`` is done, or ``timeout`` seconds
+        pass; returns the done ones. Meanwhile the pool replaces its
+        workers once any unit on them is overdue."""
+        give_up = None if timeout is None else clock.monotonic() + timeout
+        while True:
+            wake = [t for t in (self._reap(), give_up) if t is not None]
+            left = max(0.0, min(wake) - clock.monotonic()) if wake else None
+            done, _ = wait(futures, left, FIRST_COMPLETED)
+            if done or give_up is not None and clock.monotonic() >= give_up:
+                return done
+
+    def cause(self, future: Future) -> str:
+        """Why ``future``, failed with ``BrokenProcessPool``, died:
+        ``"timeout"``, ``"replaced"`` or ``"crash"`` (see the module
+        docstring). If its workers were not replaced under it, one
+        crashed: this call replaces them, once for every unit on them."""
+        with self._lock:
+            if future in self._units and self._executor is not None:
+                self._replace_locked("crash")
+            return self._causes.get(future, "replaced")
 
     def _take_slot(self, block: bool) -> bool:
         while True:
-            self._reap_abandoned()
+            self._reap()
             if not block:
                 return self._slots.acquire(blocking=False)
-            if self._slots.acquire(timeout=_BLOCKED_POLL_SECONDS):
+            if self._slots.acquire(timeout=POLL_SECONDS):
                 return True
 
     def _release(self, future: Future) -> None:
-        with self._lock:
-            self._abandoned.pop(future, None)
+        if future.cancelled() or not isinstance(
+            future.exception(), BrokenProcessPool
+        ):
+            with self._lock:
+                self._units.pop(future, None)
         self._slots.release()
 
-    def abandon(
-        self, future: Future, deadline: Optional[float], generation: int,
-    ) -> None:
-        """Give up on ``future`` (its campaign was cancelled or failed).
-        A queued one is cancelled; a running one finishes in its worker,
-        and past ``deadline`` (when given) the pool is replaced, so a
-        hung unit never keeps its worker."""
-        if future.cancel() or deadline is None:
-            return
-        with self._lock:
-            # Still running under the lock means its done callback,
-            # which drops the entry, has not run yet.
-            if not future.done():
-                self._abandoned[future] = (deadline, generation)
-
-    def _reap_abandoned(self) -> None:
+    def _reap(self) -> Optional[float]:
+        """Replace the workers once a unit on them is overdue; returns
+        the earliest deadline still ahead (None without one)."""
         now = clock.monotonic()
         with self._lock:
-            if self._executor is not None and any(
-                generation == self.generation and now >= deadline
-                for deadline, generation in self._abandoned.values()
-            ):
-                self._replace_locked()
+            running = [(deadline, future)
+                       for future, deadline in self._units.items()
+                       if deadline is not None and not future.done()]
+            overdue = {future for deadline, future in running
+                       if now >= deadline}
+            if overdue and self._executor is not None:
+                self._replace_locked("replaced", overdue)
+                return None
+            return min((deadline for deadline, _ in running
+                        if deadline > now), default=None)
 
-    def replace(self, generation: int) -> bool:
-        """Kill the workers of ``generation`` and fork new ones; False
-        (and nothing done) when that generation was already replaced.
-        The dead workers' futures fail with ``BrokenProcessPool``."""
-        with self._lock:
-            if generation != self.generation or self._executor is None:
-                return False
-            self._replace_locked()
-        return True
-
-    def broken(self, generation: int) -> bool:
-        """Account for a future of ``generation`` that failed with
-        ``BrokenProcessPool``; True when a worker crashed (died by
-        itself), False when :meth:`replace` or :meth:`shutdown` killed
-        the workers. A generation still current when its first broken
-        future is seen crashed, and is replaced here; every unit in
-        flight on it sees the same answer."""
-        with self._lock:
-            if generation == self.generation and self._executor is not None:
-                self._crashed.add(generation)
-                self._replace_locked()
-            return generation in self._crashed
-
-    def _replace_locked(self) -> None:
-        # Bump first: a campaign whose future breaks must already see
-        # that the pool was replaced under it.
-        self.generation += 1
+    def _replace_locked(
+        self, cause: str, overdue: Collection[Future] = (),
+    ) -> None:
+        for future in self._units:
+            self._causes[future] = "timeout" if future in overdue else cause
+        self._units.clear()
         _terminate(self._executor)
         self._executor = self._fork()
         REGISTRY.counter(
             "repro_service_pool_replacements_total",
             "campaign worker pools killed and forked anew",
         ).inc()
+        if overdue:
+            REGISTRY.counter(
+                "repro_service_worker_timeouts_total",
+                "pool workers reaped after exceeding unit_timeout",
+            ).inc(len(overdue))
 
     def shutdown(self) -> None:
         """Kill the workers, idle or busy (a busy one is never waited
@@ -214,15 +221,17 @@ class WorkerPool:
 
 def _terminate(executor: ProcessPoolExecutor) -> None:
     """Tear an executor down without waiting on its (possibly hung)
-    workers: kill every worker process, abandon the executor, then join
-    the processes briefly so none is left a zombie."""
+    workers: kill every worker process, abandon the executor (without
+    cancelling the units it has not started: those too must fail with
+    ``BrokenProcessPool``), then join the processes briefly so none is
+    left a zombie."""
     processes = list(getattr(executor, "_processes", {}).values())
     for process in processes:
         try:
             process.terminate()
         except Exception:  # already dead / never started
             pass
-    executor.shutdown(wait=False, cancel_futures=True)
+    executor.shutdown(wait=False)
     for process in processes:
         try:
             process.join(timeout=5.0)

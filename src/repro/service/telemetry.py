@@ -34,9 +34,11 @@ Event vocabulary (all emitted by
 ``unit_skipped``
     sibling unit dropped because its module was quarantined.
 ``pool_reaped`` / ``unit_restarted``
-    the ``unit_timeout`` reaper killed a pool with hung workers; the
-    overdue units were charged a ``WorkerTimeoutError`` fault, the
-    innocent in-flight units restart at the same attempt.
+    the worker pool, the one reaper, replaced its workers: this
+    campaign's overdue units (``reaped``) were charged a
+    ``WorkerTimeoutError`` fault; each innocent unit that died with the
+    workers, for any campaign's overdue unit, restarts at the same
+    attempt (``reason`` ``"pool replaced"``).
 ``unit_duplicate_dropped``
     a late duplicate outcome for an already-completed unit was dropped
     whole (its metric delta never merged -- no double counting).

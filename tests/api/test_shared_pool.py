@@ -227,12 +227,14 @@ with BackgroundServer(sys.argv[1], sys.argv[2], workers=2) as server:
 print("threads at each fork:", forks)
 """
 
-#: Replaces the server's pool the way the hung-worker reaper does, while
-#: the server's threads run, and records the thread count at every fork.
+#: Replaces the server's pool the way the hung-worker reaper does (one
+#: overdue unit, reaped by a wait through the pool), while the server's
+#: threads run, and records the thread count at every fork.
 _REPLACE_SCRIPT = """
 import os
 import sys
 import threading
+import time
 
 forks = []
 os.register_at_fork(before=lambda: forks.append(threading.active_count()))
@@ -242,7 +244,9 @@ from repro.api import ApiClient, BackgroundServer
 with BackgroundServer(sys.argv[1], sys.argv[2], workers=2) as server:
     pool = server.api.pool
     started = len(forks)
-    assert pool.replace(pool.generation)
+    hung = pool.submit(time.sleep, 60.0, block=True, timeout=0.1)
+    assert pool.wait([hung]) == {hung}
+    assert pool.cause(hung) == "timeout"
     client = ApiClient(port=server.port)
     job = client.submit_job({
         "modules": ["C5"], "tests": ["rowhammer"], "scale": "tiny",

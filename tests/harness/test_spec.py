@@ -1,5 +1,5 @@
 """Declarative experiment specs: the drift guard, plan derivation, the
-runner's spec-driven surface, and the get_study lint."""
+runner's spec-driven surface, and the harness lint."""
 
 import pytest
 
@@ -8,6 +8,8 @@ from repro.harness import cache
 from repro.harness.lint import (
     check_clocks,
     check_experiments,
+    check_process_source,
+    check_processes,
     check_source,
     check_timing_source,
 )
@@ -270,6 +272,38 @@ def test_clock_lint_scoped_to_given_directories(tmp_path):
     violations = check_clocks([str(tmp_path)])
     assert len(violations) == 1
     assert violations[0][0] == str(bad)
+
+
+def test_process_lint_current_tree_is_clean():
+    # Worker processes start only in repro/service/pool.py.
+    assert check_processes() == []
+
+
+def test_process_lint_flags_every_way_to_start_workers(tmp_path):
+    source = (
+        "import os\n"
+        "import multiprocessing\n"
+        "import multiprocessing.pool as mpp\n"
+        "from multiprocessing import get_context\n"
+        "from concurrent.futures import ProcessPoolExecutor, wait\n"
+        "from os import fork\n"
+        "import concurrent.futures as cf\n"
+        "pool = cf.ProcessPoolExecutor(2)\n"
+        "pid = os.fork()\n"
+        "from concurrent.futures.process import BrokenProcessPool\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+    )
+    violations = check_process_source("fake.py", source)
+    assert [line for _, line, _ in violations] == [2, 3, 4, 5, 6, 8, 9]
+    assert all("repro/service/pool.py" in message
+               for _, _, message in violations)
+    # The pool module itself is the sanctioned site.
+    (tmp_path / "service").mkdir()
+    (tmp_path / "service" / "pool.py").write_text(source)
+    (tmp_path / "elsewhere.py").write_text("import multiprocessing\n")
+    assert [(path, line) for path, line, _ in check_processes(
+        str(tmp_path)
+    )] == [(str(tmp_path / "elsewhere.py"), 1)]
 
 
 def test_lint_cli_reports_ok(capsys):

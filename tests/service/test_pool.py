@@ -1,6 +1,7 @@
 """The campaign worker pool: long-lived workers start every unit clean,
-an abandoned hung unit does not keep its worker, and a crashed worker
-is a fault charged to the units in flight.
+the pool says why each unit that died with its workers died, an
+abandoned hung unit does not keep its worker, and a crashed worker is a
+fault charged to the units in flight.
 
 Pool workers outlive the campaign that first used them, so per-process
 observability state -- the flight-recorder ring and its dump directory,
@@ -10,9 +11,11 @@ another's spans or land in another's directory.
 
 import json
 import os
+import signal
 import sys
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -175,17 +178,18 @@ class TestAbandonedUnits:
     def test_an_overdue_abandoned_unit_frees_the_only_worker(self):
         replaced = _replacements()
         with WorkerPool(1) as pool:
-            future, generation = pool.submit(time.sleep, 120.0, block=True)
+            future = pool.submit(time.sleep, 120.0, block=True,
+                                 timeout=0.3)
             while not future.running():  # else abandoning cancels it
                 time.sleep(0.01)
-            pool.abandon(future, clock.monotonic() + 0.3, generation)
+            future.cancel()  # abandoned: a running unit runs on
             # A later unit waits for the abandoned one's deadline, then
             # gets a fresh worker instead of waiting on it for good.
             deadline = clock.monotonic() + 30.0
             while (submitted := pool.submit(abs, -3, block=False)) is None:
                 assert clock.monotonic() < deadline, "the worker never freed"
                 time.sleep(0.05)
-            assert submitted[0].result(timeout=30.0) == 3
+            assert submitted.result(timeout=30.0) == 3
         assert _replacements() == replaced + 1
 
     def test_cancelled_campaigns_hung_unit_is_reaped_for_the_next(
@@ -214,6 +218,96 @@ class TestAbandonedUnits:
             assert _replacements() == replaced + 1
             assert not any(_alive(pid) for pid in workers)
         assert _document(later.study) == _direct(1)
+
+
+def _wait_all(pool, futures):
+    """Wait through ``pool`` until every one of ``futures`` is done."""
+    pending = set(futures)
+    deadline = clock.monotonic() + 30.0
+    while pending:
+        assert clock.monotonic() < deadline, "a unit never ended"
+        pending -= pool.wait(pending, timeout=1.0)
+
+
+def _running(*futures):
+    deadline = clock.monotonic() + 30.0
+    while not all(future.running() for future in futures):
+        assert clock.monotonic() < deadline, "a unit never started"
+        time.sleep(0.01)
+
+
+class TestPoolContract:
+    """The bare pool on ``time.sleep`` units: why each unit that died
+    with its workers died, and how often the workers were replaced."""
+
+    def test_overdue_unit_reads_timeout_and_its_neighbour_replaced(self):
+        replaced = _replacements()
+        with WorkerPool(2) as pool:
+            overdue = pool.submit(time.sleep, 120.0, block=True,
+                                  timeout=0.3)
+            neighbour = pool.submit(time.sleep, 120.0, block=True)
+            _wait_all(pool, [overdue, neighbour])
+            assert pool.cause(overdue) == "timeout"
+            assert pool.cause(neighbour) == "replaced"
+        assert _replacements() == replaced + 1
+
+    def test_unit_the_executor_had_not_started_still_reads_timeout(self):
+        # Reaped at once, most units are still queued in the executor:
+        # they must break with the workers, never end cancelled.
+        with WorkerPool(2) as pool:
+            for _ in range(20):
+                unit = pool.submit(time.sleep, 120.0, block=True,
+                                   timeout=0.0)
+                _wait_all(pool, [unit])
+                assert not unit.cancelled()
+                assert pool.cause(unit) == "timeout"
+
+    def test_killed_worker_is_a_crash_for_every_unit_in_flight(
+        self, worker_pids
+    ):
+        replaced = _replacements()
+        causes = []
+        with WorkerPool(2) as pool:
+            units = [pool.submit(time.sleep, 120.0, block=True)
+                     for _ in range(2)]
+            _running(*units)
+            os.kill(worker_pids(pool)[0], signal.SIGKILL)
+            _wait_all(pool, units)
+            # Many callers ask at once, with thread switches forced
+            # often: only the first replaces the workers.
+            askers = [
+                threading.Thread(
+                    target=lambda unit=unit: causes.append(pool.cause(unit))
+                )
+                for unit in units * 4
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for asker in askers:
+                    asker.start()
+                for asker in askers:
+                    asker.join(timeout=30.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(asker.is_alive() for asker in askers)
+            assert pool.submit(abs, -3, block=True).result(timeout=30) == 3
+        assert causes == ["crash"] * 8
+        assert _replacements() == replaced + 1
+
+    def test_abandoned_overdue_unit_is_reaped_by_the_next_wait(self):
+        replaced = _replacements()
+        with WorkerPool(2) as pool:
+            abandoned = pool.submit(time.sleep, 120.0, block=True,
+                                    timeout=0.3)
+            _running(abandoned)
+            abandoned.cancel()  # a running unit runs on
+            waiting = pool.submit(time.sleep, 120.0, block=True)
+            _wait_all(pool, [waiting])
+            assert pool.cause(waiting) == "replaced"
+            assert isinstance(abandoned.exception(timeout=30.0),
+                              BrokenProcessPool)
+        assert _replacements() == replaced + 1
 
 
 @pytest.fixture

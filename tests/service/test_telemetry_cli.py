@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.core.serialization import load_study
+from repro.errors import ConfigurationError
+from repro.service import CampaignService
 from repro.service.__main__ import main
 from repro.service.telemetry import CampaignMetrics, TelemetryLog, read_events
 
@@ -136,6 +138,21 @@ class TestServiceCli:
         captured = capsys.readouterr()
         assert "quarantined" in captured.err
 
+    @pytest.mark.parametrize("field, flag, value", [
+        ("chunks_per_module", "--chunks", 0),
+        ("chunks_per_module", "--chunks", -2),
+        ("max_workers", "--workers", -3),
+    ])
+    def test_out_of_range_chunks_or_workers_is_config_error(
+        self, field, flag, value, capsys
+    ):
+        # Refused, not run under another plan (chunks) or inline
+        # (workers).
+        with pytest.raises(ConfigurationError, match=field):
+            CampaignService(["C5"], **{field: value})
+        assert main(BASE_ARGS + ["--no-checkpoint", flag, str(value)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_malformed_fault_script_is_config_error(self, capsys):
         assert main(BASE_ARGS + ["--fault-script", "nonsense"]) == 2
         assert main(BASE_ARGS + ["--fault-script", "C5/0:x:power_droop"]) == 2
@@ -209,6 +226,12 @@ class TestRunnerIntegration:
         assert code == 0
         captured = capsys.readouterr()
         assert "no shared campaigns needed" in captured.out
+
+    def test_negative_orchestrate_is_config_error(self, capsys):
+        from repro.harness.runner import main as runner_main
+
+        assert runner_main(["fig3", "--orchestrate", "-2"]) == 2
+        assert "--orchestrate must be >= 0" in capsys.readouterr().err
 
     def test_orchestrate_parser_flags(self):
         from repro.harness.runner import build_parser

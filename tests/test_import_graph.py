@@ -89,7 +89,7 @@ with WorkerPool(2) as pool:
     forked = worker_pids(pool)
     first = run(0, pool)
     # Both workers busy at once: each has finished its initializer.
-    futures = [pool.submit(time.sleep, 0.2, block=True)[0]
+    futures = [pool.submit(time.sleep, 0.2, block=True)
                for _ in range(2)]
     for future in futures:
         future.result()
