@@ -30,11 +30,15 @@ Seven layers, any of which fails the check (exit 1):
   (``preheat_peak_mib_fused``) must not exceed its committed value by
   more than :data:`PEAK_TOLERANCE`. It measures allocation sizes, not
   speed, so it runs in both modes with a fixed band;
-* a study-store gate: the A0 ``ladder`` document's decoded size
+* a study-store gate: the A0 ``ladder`` study's decoded size
   (``study_decoded_mib``, ``tracemalloc``) must not exceed its committed
-  value by more than :data:`PEAK_TOLERANCE`, in both modes; full mode
-  also guards its load and publish times (``study_load_ms``,
-  ``study_publish_ms``) with the timing band;
+  value by more than :data:`PEAK_TOLERANCE`, and ``StudyStore.load``
+  (the column file) must be ``store_load_speedup``'s floor times
+  faster than ``StudyStore.load_dict`` (the JSON document), the two
+  measured alternately in one process, in both modes, so a ``load``
+  that parses the document again fails CI; full mode also guards its
+  load and publish times (``study_load_ms``, ``study_publish_ms``)
+  with the timing band;
 * a cold-start gate: a fresh interpreter importing the service and CLI
   entry points (``bench_probe.bench_cold_import``) must load no
   ``scipy`` module, and its peak RSS (``cold_import_peak_mib``) must
@@ -110,6 +114,8 @@ PEAK_KEY = "preheat_peak_mib_fused"
 COLD_PEAK_KEY = "cold_import_peak_mib"
 #: The decoded study's traced size, held to the same band.
 STUDY_SIZE_KEY = "study_decoded_mib"
+#: The store's load-over-parse speedup, held to its floor in both modes.
+STORE_SPEEDUP_KEY = "store_load_speedup"
 
 #: Experiment families covered by the differential bit-identity gate.
 FAMILIES = ("rowhammer", "trcd", "retention")
@@ -336,9 +342,16 @@ def main(argv=None) -> int:
 
     print("measuring the study store (A0 ladder document)...")
     store = bench_probe.bench_study_store()
+    store_floor = bench_probe.SPEEDUP_FLOORS[STORE_SPEEDUP_KEY]
     print(f"study load {store['study_load_ms']:.1f} ms, publish "
           f"{store['study_publish_ms']:.1f} ms, decoded "
-          f"{store[STUDY_SIZE_KEY]:.2f} MiB")
+          f"{store[STUDY_SIZE_KEY]:.2f} MiB, {STORE_SPEEDUP_KEY} "
+          f"{store[STORE_SPEEDUP_KEY]:.1f} (floor {store_floor:g}x)")
+    if store[STORE_SPEEDUP_KEY] < store_floor:
+        print(f"{STORE_SPEEDUP_KEY}: measured {store[STORE_SPEEDUP_KEY]:.1f}"
+              f" < floor {store_floor:g}x: StudyStore.load no longer "
+              "decodes only the column file", file=sys.stderr)
+        return 1
     if STUDY_SIZE_KEY in committed:
         ceiling = committed[STUDY_SIZE_KEY] * (1.0 + PEAK_TOLERANCE)
         if store[STUDY_SIZE_KEY] > ceiling:

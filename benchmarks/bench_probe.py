@@ -31,10 +31,12 @@ with both cache layers disabled:
   the per-row tolerance and retention layouts) on the kernel, each run
   on a fresh context, and the preheat's ``tracemalloc`` peak (MiB):
   allocation sizes, not speed, so ``bench_check --smoke`` gates it;
-* the study store: ``StudyStore.load`` (parse and decode into column
-  tables) and ``StudyStore.store`` (encode and write) of that
-  campaign's A0 seed-0 document, min of several runs, and the
-  ``tracemalloc`` size of the decoded study (MiB), which
+* the study store: ``StudyStore.load`` (decode the column file into
+  column tables) and ``StudyStore.store`` (encode and write the column
+  file and the document) of that campaign's A0 seed-0 study, min of
+  several runs; ``load``'s speedup over ``StudyStore.load_dict``
+  (parse the JSON document), which ``bench_check`` holds to its floor;
+  and the ``tracemalloc`` size of the decoded study (MiB), which
   ``bench_check --smoke`` gates;
 * the cold start of the service and CLI entry points: a fresh
   interpreter imports ``repro.api.server`` and ``repro.harness.runner``
@@ -140,6 +142,10 @@ JITTER_SMALL_BLOCK_KEYS = 20
 #: regression to that kernel's level fails here.
 JITTER_BLOCK_FLOOR = 3.5
 JITTER_SMALL_BLOCK_FLOOR = 1.9
+#: Floor of ``StudyStore.load`` (the column file) over
+#: ``StudyStore.load_dict`` (the JSON document) on the ``ladder``
+#: study: ~20x on a 2-core host, ~1x if ``load`` parses the document.
+STORE_LOAD_FLOOR = 5.0
 
 #: Kernel-over-oracle speedup floors, shared with ``bench_check``'s
 #: committed-baseline gates. Each is at least the committed floor or
@@ -153,6 +159,7 @@ SPEEDUP_FLOORS = {
     "campaign_speedup": 3.0,
     "jitter_block_speedup": JITTER_BLOCK_FLOOR,
     "jitter_small_block_speedup": JITTER_SMALL_BLOCK_FLOOR,
+    "store_load_speedup": STORE_LOAD_FLOOR,
 }
 
 
@@ -420,17 +427,20 @@ def bench_study_store(runs=7):
     """The study store's read and publish of the A0 seed-0 RowHammer +
     retention document at 65536-bit rows (the benchmark's ``ladder``
     study, 1,152 RowHammer and 12,672 retention records): ``load``
-    (parse and decode into column tables) and ``store`` (encode and
-    write) in ms, min of ``runs``, each after a ``gc.collect()``; and
-    the ``tracemalloc`` size (MiB) of the decoded study, a property of
-    the code, not of the machine's speed."""
+    (decode the column file into column tables) and ``store`` (encode
+    and write the column file and the document) in ms, min of
+    ``runs``, each after a ``gc.collect()``; ``store_load_speedup``,
+    the min ``load_dict`` (parse the document) time over the min
+    ``load`` time, the two alternating so machine load mostly cancels
+    out; and the ``tracemalloc`` size (MiB) of the decoded study, a
+    property of the code, not of the machine's speed."""
     clear_cache()
     study = get_study(
         CAMPAIGN_TESTS, modules=(CAMPAIGN_MODULE,),
         scale=CHARACTERIZATION_SCALE, seed=0, use_disk=False,
     )
     fingerprint = study.provenance["fingerprint"]
-    load_ms, publish_ms = [], []
+    load_ms, publish_ms, parse_ms = [], [], []
     with tempfile.TemporaryDirectory() as directory:
         store = StudyStore(directory)
         for _ in range(runs):
@@ -443,6 +453,10 @@ def bench_study_store(runs=7):
             started = time.perf_counter()
             store.load(fingerprint)
             load_ms.append((time.perf_counter() - started) * 1e3)
+            gc.collect()
+            started = time.perf_counter()
+            store.load_dict(fingerprint)
+            parse_ms.append((time.perf_counter() - started) * 1e3)
         gc.collect()
         tracemalloc.start()
         try:
@@ -456,6 +470,7 @@ def bench_study_store(runs=7):
     return {
         "study_load_ms": min(load_ms),
         "study_publish_ms": min(publish_ms),
+        "store_load_speedup": min(parse_ms) / min(load_ms),
         "study_decoded_mib": size / 2**20,
     }
 
@@ -594,9 +609,11 @@ def main(argv=None) -> int:
             " min-of-3, and the scipy modules loaded"
         ),
         "study_store": (
-            "StudyStore.load and .store of the A0 seed-0 RowHammer +"
-            " retention study at 65536-bit physical rows (ms, min-of-7,"
-            " each after gc.collect()), and the tracemalloc size (MiB) of"
+            "StudyStore.load (column file) and .store (column file and"
+            " document) of the A0 seed-0 RowHammer + retention study at"
+            " 65536-bit physical rows (ms, min-of-7, each after"
+            " gc.collect()), load's speedup over load_dict (the JSON"
+            " document), alternating, and the tracemalloc size (MiB) of"
             " the decoded study"
         ),
         "jitter_blocks": (

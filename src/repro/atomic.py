@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import os
 import tempfile
+from typing import Union
 
 #: Name prefix of in-flight temp files.
 TMP_PREFIX = ".tmp-"
 
 
-def write_atomic(path: str, text: str) -> int:
-    """Publish already-encoded ``text`` at ``path``; returns the bytes
-    written.
+def write_atomic(path: str, text: Union[str, bytes]) -> int:
+    """Publish ``text`` (a ``str``, written as UTF-8, or ``bytes``) at
+    ``path``; returns the bytes written.
 
     Creates the target's directory if needed, writes once to a temp
     file in it, then ``os.replace``s that over ``path``; on any failure
@@ -29,7 +30,7 @@ def write_atomic(path: str, text: str) -> int:
     publication is atomic against concurrent readers and crashes of
     this process, not against power loss.
     """
-    data = text.encode("utf-8")
+    data = text.encode("utf-8") if isinstance(text, str) else text
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(

@@ -86,10 +86,13 @@ class _Table:
 
     Every column is indexed by record along its first axis, so
     :meth:`take` and :meth:`concat` treat them alike (the retention
-    table's CSR histogram overrides both).
+    table's CSR histogram overrides both). ``COLUMNS + EXTRA`` names
+    every array, each a constructor keyword.
     """
 
     COLUMNS: Tuple[str, ...] = ()
+    #: Arrays not indexed by record (the retention table's CSR triple).
+    EXTRA: Tuple[str, ...] = ()
 
     def __len__(self) -> int:
         return len(self.row)
@@ -98,7 +101,9 @@ class _Table:
         return f"{type(self).__name__}(<{len(self)} records>)"
 
     def _arrays(self) -> Tuple[np.ndarray, ...]:
-        return tuple(getattr(self, name) for name in self.COLUMNS)
+        return tuple(
+            getattr(self, name) for name in self.COLUMNS + self.EXTRA
+        )
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -243,6 +248,7 @@ class RetentionTable(_Table):
     ``a, b = hist_offsets[i], hist_offsets[i + 1]``, flips ascending."""
 
     COLUMNS = ("bank", "row", "vpp", "trefw", "wcdp_index", "ber")
+    EXTRA = ("hist_offsets", "hist_flips", "hist_words")
 
     def __init__(self, bank=(), row=(), vpp=(), trefw=(), wcdp_index=(),
                  ber=(), word_flip_histogram=None, hist_offsets=None,
@@ -268,11 +274,6 @@ class RetentionTable(_Table):
             or len(self.hist_words) != len(self.hist_flips)
         ):
             raise AnalysisError("inconsistent word-flip histogram arrays")
-
-    def _arrays(self) -> Tuple[np.ndarray, ...]:
-        return super()._arrays() + (
-            self.hist_offsets, self.hist_flips, self.hist_words,
-        )
 
     def at(self, vpp: float, trefw: float = None) -> np.ndarray:
         """Boolean mask of the records at one V_PP (optionally one

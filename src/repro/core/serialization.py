@@ -4,11 +4,18 @@ Full-fidelity campaigns (4K rows x 10 iterations x 30 modules) take
 hours; their results need to outlive the process so analyses and figure
 regeneration can run offline. Results serialize to a single JSON
 document (schema-versioned) and round-trip losslessly.
+
+The study store keeps a second, binary copy of every study beside its
+document: a *column file* (:func:`study_to_columns`), which decodes
+without parsing a record (:func:`study_from_columns`).
 """
 
 from __future__ import annotations
 
 import json
+import math
+import struct
+import zlib
 from operator import itemgetter
 from typing import Any, Dict
 
@@ -222,6 +229,132 @@ def study_from_dict(payload: Dict[str, Any]) -> StudyResult:
         study.provenance = validate_provenance(payload["provenance"])
     for name, module_payload in payload["modules"].items():
         study.modules[name] = module_result_from_dict(module_payload)
+    return study
+
+
+#: The dtypes a column file may hold: little-endian int64 and float64.
+COLUMN_DTYPES = ("<i8", "<f8")
+
+#: A column file's first 8 bytes: the JSON header's length.
+_HEADER_LENGTH = struct.Struct("<Q")
+
+
+def study_to_columns(study: StudyResult, document: bytes = None) -> bytes:
+    """Encode a study as a column file, bound to its encoded
+    ``document`` when given.
+
+    The layout is the header's length (:data:`_HEADER_LENGTH`), a JSON
+    header, then every table column's raw little-endian bytes. The
+    header carries what :func:`study_to_dict` carries outside the
+    records (schema version, seed, scale, provenance, each module's
+    vendor, V_PPmin and V_PP levels) and, per table column (the
+    retention CSR triple included), ``[dtype, shape, offset]``, the
+    offset counted from the end of the header, and the document's
+    CRC-32. The header is padded with spaces so the columns start
+    8-byte aligned.
+    """
+    arrays, offset, modules = [], 0, {}
+    for name, result in study.modules.items():
+        columns = {}
+        for family, _, _ in _FAMILIES:
+            table = getattr(result, family)
+            specs = columns[family] = {}
+            for column in table.COLUMNS + table.EXTRA:
+                array = np.ascontiguousarray(getattr(table, column))
+                array = array.astype(
+                    array.dtype.newbyteorder("<"), copy=False
+                )
+                specs[column] = [array.dtype.str, list(array.shape), offset]
+                arrays.append(array)
+                offset += array.nbytes
+        modules[name] = {
+            "module": result.module,
+            "vendor": result.vendor,
+            "vppmin": result.vppmin,
+            "vpp_levels": list(result.vpp_levels),
+            "columns": columns,
+        }
+    header = {
+        "schema_version": SCHEMA_VERSION,
+        "seed": study.seed,
+        "scale": _scale_to_dict(study.scale),
+        "modules": modules,
+    }
+    if study.provenance is not None:
+        header["provenance"] = validate_provenance(study.provenance)
+    if document is not None:
+        header["document_crc32"] = zlib.crc32(document)
+    text = json.dumps(header).encode("utf-8")
+    text += b" " * (-(_HEADER_LENGTH.size + len(text)) % 8)
+    return b"".join([_HEADER_LENGTH.pack(len(text)), text, *arrays])
+
+
+def _column(buffer: bytearray, start: int, spec) -> np.ndarray:
+    """One column of a column file: a view of ``buffer``, checked to
+    lie inside it."""
+    dtype, shape, offset = spec
+    if dtype not in COLUMN_DTYPES:
+        raise AnalysisError(f"column dtype {dtype!r} not in {COLUMN_DTYPES}")
+    if not all(type(value) is int and value >= 0
+               for value in (offset, *shape)):
+        raise AnalysisError(f"bad column shape or offset {spec!r}")
+    count = math.prod(shape)
+    if start + offset + 8 * count > len(buffer):
+        raise AnalysisError(f"column {spec!r} runs past the end of the file")
+    return np.frombuffer(buffer, dtype, count, start + offset).reshape(shape)
+
+
+def study_from_columns(buffer, document: bytes = None) -> StudyResult:
+    """Inverse of :func:`study_to_columns`; with ``document``, the file
+    must have been bound to exactly those bytes.
+
+    The columns are views of ``buffer`` (copied into a ``bytearray``
+    first unless it is one), so they are writable. Raises
+    :class:`~repro.errors.AnalysisError` (or a ``ValueError``,
+    ``KeyError`` or ``TypeError``) on a malformed file: an unknown
+    dtype, a header or column past the end of the buffer, or another
+    document than the one it was bound to.
+    """
+    if not isinstance(buffer, bytearray):
+        buffer = bytearray(buffer)
+    if len(buffer) < _HEADER_LENGTH.size:
+        raise AnalysisError("column file shorter than its header length")
+    start = _HEADER_LENGTH.size + _HEADER_LENGTH.unpack_from(buffer)[0]
+    if start > len(buffer):
+        raise AnalysisError("column header runs past the end of the file")
+    header = json.loads(buffer[_HEADER_LENGTH.size:start])
+    if not isinstance(header, dict) or (
+        header.get("schema_version") != SCHEMA_VERSION
+    ):
+        raise AnalysisError("unsupported column file header")
+    if document is not None and (
+        header.get("document_crc32") != zlib.crc32(document)
+    ):
+        raise AnalysisError("column file does not match its document")
+    study = StudyResult(
+        scale=_scale_from_dict(dict(header["scale"])), seed=header["seed"]
+    )
+    if header.get("provenance") is not None:
+        study.provenance = validate_provenance(header["provenance"])
+    for name, entry in header["modules"].items():
+        tables = {}
+        for family, table, _ in _FAMILIES:
+            specs = entry["columns"][family]
+            records = specs["row"][1][:1]
+            if any(specs[column][1][:1] != records
+                   for column in table.COLUMNS):
+                raise AnalysisError(f"{family} columns differ in length")
+            tables[family] = table(**{
+                column: _column(buffer, start, specs[column])
+                for column in table.COLUMNS + table.EXTRA
+            })
+        study.modules[name] = ModuleResult(
+            module=entry["module"],
+            vendor=entry["vendor"],
+            vppmin=entry["vppmin"],
+            vpp_levels=list(entry["vpp_levels"]),
+            **tables,
+        )
     return study
 
 

@@ -2,13 +2,34 @@
 
 The disk layer of the study cache (:mod:`repro.harness.cache`) and the
 characterization API (:mod:`repro.api`) share this store: one directory
-holding ``study-<fingerprint>.json`` entries, where the fingerprint is
-the content hash of the campaign *request* (tests, modules, scale,
-seed, program, schema version -- see
-:func:`repro.harness.cache.study_fingerprint`). Because the request
-determines the result bit-for-bit, two writers racing on the same
-fingerprint are by construction writing identical bytes; the store only
-has to guarantee that
+holding one entry per fingerprint, where the fingerprint is the content
+hash of the campaign *request* (tests, modules, scale, seed, program,
+schema version -- see :func:`repro.harness.cache.study_fingerprint`).
+
+An entry is two files:
+
+* ``study-<fingerprint>.json`` -- the study document
+  (:func:`repro.core.serialization.study_to_dict`). It is the entry's
+  commit marker: :meth:`StudyStore.contains`, :meth:`~StudyStore.
+  fingerprints`, :meth:`~StudyStore.read_bytes` (the API's ``GET``) and
+  :meth:`~StudyStore.load_dict` read only it.
+* ``study-<fingerprint>.cols`` -- the same study as a column file
+  (:func:`repro.core.serialization.study_to_columns`), which
+  :meth:`StudyStore.load` decodes without parsing the document. Its
+  header holds the document's CRC-32, so ``load`` serves a study only
+  while its document is intact.
+
+:meth:`StudyStore.store` publishes the column file first and the
+document last, so a published document always has its column file.
+:meth:`StudyStore.delete` removes them in the opposite order. An entry
+whose column file is missing or malformed (entries written before the
+column file existed among them), or whose document no longer matches
+its CRC-32, is corrupt: :meth:`StudyStore.load` unlinks both files and
+the study is recomputed.
+
+Because the request determines the result bit-for-bit, two writers
+racing on the same fingerprint are by construction writing identical
+bytes; the store only has to guarantee that
 
 * **readers never observe a torn entry** -- every publish goes through
   :func:`repro.atomic.write_atomic` (a temp file in the same directory,
@@ -35,15 +56,21 @@ import time
 from typing import List, Optional
 
 from repro.atomic import write_atomic
-from repro.core.serialization import load_study, study_to_dict
+from repro.core.serialization import (
+    study_from_columns,
+    study_to_columns,
+    study_to_dict,
+)
 from repro.core.study import StudyResult
 from repro.errors import AnalysisError
 from repro.obs import clock
 from repro.obs.metrics import REGISTRY
 
-#: Prefix/suffix of every store entry.
+#: Prefix/suffix of every store entry (its document).
 ENTRY_PREFIX = "study-"
 ENTRY_SUFFIX = ".json"
+#: Suffix of an entry's column file.
+COLUMNS_SUFFIX = ".cols"
 
 
 def entry_name(fingerprint: str) -> str:
@@ -83,6 +110,12 @@ class StudyStore:
         """Absolute path of a fingerprint's entry (existing or not)."""
         return os.path.join(self.directory, entry_name(fingerprint))
 
+    def columns_path(self, fingerprint: str) -> str:
+        """Absolute path of a fingerprint's column file."""
+        return os.path.join(
+            self.directory, f"{ENTRY_PREFIX}{fingerprint}{COLUMNS_SUFFIX}"
+        )
+
     def _lock_path(self, fingerprint: str) -> str:
         return os.path.join(self.directory, f".lock-{fingerprint}")
 
@@ -105,25 +138,28 @@ class StudyStore:
     # -- reading ----------------------------------------------------------------
 
     def load(self, fingerprint: str) -> Optional[StudyResult]:
-        """Load one entry; ``None`` when absent or corrupt.
+        """Load one published entry from its column file; ``None`` when
+        absent or corrupt.
 
-        A corrupt entry (unparseable, schema mismatch, invalid
-        provenance block) is unlinked so the campaign is recomputed
-        rather than failing forever.
+        A corrupt entry (column file missing, truncated or malformed,
+        schema mismatch, invalid provenance block, a document that is
+        not the one the column file was bound to) is deleted so the
+        campaign is recomputed rather than failing forever.
         """
-        path = self.path(fingerprint)
-        if not os.path.isfile(path):
+        if not self.contains(fingerprint):
             return None
         try:
-            size = os.path.getsize(path)
-            study = load_study(path)
+            with open(self.path(fingerprint), "rb") as handle:
+                document = handle.read()
+            with open(self.columns_path(fingerprint), "rb") as handle:
+                buffer = bytearray(os.fstat(handle.fileno()).st_size)
+                if handle.readinto(buffer) != len(buffer):
+                    raise ValueError("short read of a column file")
+            study = study_from_columns(buffer, document)
         except (OSError, ValueError, KeyError, TypeError, AnalysisError):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+            self.delete(fingerprint)
             return None
-        _count_read(size)
+        _count_read(len(document) + len(buffer))
         return study
 
     def read_bytes(self, fingerprint: str) -> Optional[bytes]:
@@ -197,8 +233,8 @@ class StudyStore:
 
         Safe against concurrent writers of the same fingerprint (they
         serialize on the lockfile, and a late writer adopts the early
-        writer's entry) and against readers (the entry appears in one
-        ``os.replace``).
+        writer's entry) and against readers (each file appears in one
+        ``os.replace``, the column file before the document).
         """
         os.makedirs(self.directory, exist_ok=True)
         path = self.path(fingerprint)
@@ -207,7 +243,12 @@ class StudyStore:
             _store_event("write_races")
             return path
         try:
-            written = write_atomic(path, json.dumps(study_to_dict(study)))
+            document = json.dumps(study_to_dict(study)).encode("utf-8")
+            written = write_atomic(
+                self.columns_path(fingerprint),
+                study_to_columns(study, document),
+            )
+            written += write_atomic(path, document)
         finally:
             os.close(lock_fd)
             try:
@@ -223,21 +264,34 @@ class StudyStore:
     # -- maintenance ------------------------------------------------------------
 
     def delete(self, fingerprint: str) -> bool:
-        """Drop one entry; returns True when it existed."""
-        try:
-            os.unlink(self.path(fingerprint))
-            return True
-        except OSError:
-            return False
+        """Drop one entry, document first; returns True when its
+        document existed."""
+        existed = _unlink(self.path(fingerprint))
+        _unlink(self.columns_path(fingerprint))
+        return existed
 
     def clear(self) -> List[str]:
-        """Delete every entry; returns the removed paths."""
-        removed = []
-        for fingerprint in self.fingerprints():
-            path = self.path(fingerprint)
-            if self.delete(fingerprint):
-                removed.append(path)
+        """Delete every entry and every orphaned column file; returns
+        the removed documents' paths."""
+        removed = [
+            self.path(fingerprint) for fingerprint in self.fingerprints()
+            if self.delete(fingerprint)
+        ]
+        if os.path.isdir(self.directory):
+            for entry in os.listdir(self.directory):
+                if entry.startswith(ENTRY_PREFIX) and entry.endswith(
+                    COLUMNS_SUFFIX
+                ):
+                    _unlink(os.path.join(self.directory, entry))
         return removed
+
+
+def _unlink(path: str) -> bool:
+    try:
+        os.unlink(path)
+        return True
+    except OSError:
+        return False
 
 
 def _store_event(kind: str) -> None:

@@ -1,4 +1,5 @@
-"""StudyStore: content addressing, atomic publish, cross-process races.
+"""StudyStore: content addressing, atomic publish, the column file,
+cross-process races.
 
 The multi-process tests pin the store's two guarantees -- readers never
 observe a torn entry, and two writers racing on one fingerprint
@@ -9,14 +10,23 @@ serialize on the lockfile (the late one adopting the published entry)
 import json
 import multiprocessing
 import os
+import struct
 import time
 
 import pytest
 
 from repro.core.scale import StudyScale
+from repro.core.serialization import study_to_dict
 from repro.core.study import CharacterizationStudy
-from repro.harness.cache import attach_provenance, study_fingerprint
+from repro.harness.cache import (
+    attach_provenance,
+    clear_cache,
+    get_study,
+    set_study_cache_dir,
+    study_fingerprint,
+)
 from repro.harness.store import StudyStore, entry_name
+from repro.obs.metrics import REGISTRY
 
 TESTS = ("rowhammer",)
 MODULE = "C5"
@@ -98,9 +108,195 @@ class TestBasics:
         store.store(tiny_study, fingerprint)
         assert store.delete(fingerprint)
         assert not store.delete(fingerprint)
+        assert os.listdir(str(tmp_path)) == []
         store.store(tiny_study, fingerprint)
         assert store.clear() == [store.path(fingerprint)]
         assert store.fingerprints() == []
+        assert os.listdir(str(tmp_path)) == []
+
+    def test_clear_sweeps_orphaned_column_files(
+        self, tmp_path, tiny_study, fingerprint
+    ):
+        store = StudyStore(str(tmp_path))
+        store.store(tiny_study, fingerprint)
+        os.unlink(store.path(fingerprint))  # a publish killed midway
+        assert store.fingerprints() == []
+        assert store.clear() == []
+        assert os.listdir(str(tmp_path)) == []
+
+
+def _counter(name):
+    return REGISTRY.counter_values().get(name, 0.0)
+
+
+def _both_files(store, fingerprint):
+    return [
+        os.path.exists(path) for path in
+        (store.path(fingerprint), store.columns_path(fingerprint))
+    ]
+
+
+def _rewrite_header(data, edit):
+    """A column file whose JSON header went through ``edit``, its
+    columns untouched."""
+    (length,) = struct.unpack_from("<Q", data)
+    header = json.loads(data[8:8 + length])
+    edit(header)
+    text = json.dumps(header).encode("utf-8")
+    return struct.pack("<Q", len(text)) + text + data[8 + length:]
+
+
+def _set_column(column, index, value):
+    def edit(header):
+        (module,) = header["modules"].values()
+        module["columns"]["rowhammer"][column][index] = value
+    return edit
+
+
+class TestColumnFile:
+    def test_entry_is_a_document_and_a_column_file(
+        self, tmp_path, tiny_study, fingerprint
+    ):
+        store = StudyStore(str(tmp_path))
+        before = _counter("repro_study_cache_write_bytes_total")
+        store.store(tiny_study, fingerprint)
+        sizes = [
+            os.path.getsize(store.path(fingerprint)),
+            os.path.getsize(store.columns_path(fingerprint)),
+        ]
+        assert sorted(os.listdir(str(tmp_path))) == sorted(
+            os.path.basename(path) for path in
+            (store.path(fingerprint), store.columns_path(fingerprint))
+        )
+        assert (
+            _counter("repro_study_cache_write_bytes_total") - before
+            == sum(sizes)
+        )
+        before = _counter("repro_study_cache_read_bytes_total")
+        assert store.load(fingerprint).modules == tiny_study.modules
+        assert (
+            _counter("repro_study_cache_read_bytes_total") - before
+            == sum(sizes)
+        )
+
+    def test_load_does_not_parse_the_document(
+        self, tmp_path, tiny_study, fingerprint, monkeypatch
+    ):
+        store = StudyStore(str(tmp_path))
+        store.store(tiny_study, fingerprint)
+        with open(store.path(fingerprint), "rb") as handle:
+            document = handle.read()
+        parsed = []
+        loads = json.loads
+
+        def spy(text, *args, **kwargs):
+            parsed.append(text if isinstance(text, str) else bytes(text))
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", spy)  # json.load calls it too
+        assert store.load(fingerprint).modules == tiny_study.modules
+        assert parsed  # the column file's header
+        assert document not in parsed
+        assert document.decode("utf-8") not in parsed
+
+    def test_rewritten_header_still_loads(
+        self, tmp_path, tiny_study, fingerprint
+    ):
+        """The corruption cases below rewrite the header; unedited, the
+        rewrite itself loads."""
+        store = StudyStore(str(tmp_path))
+        store.store(tiny_study, fingerprint)
+        path = store.columns_path(fingerprint)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(_rewrite_header(data, lambda header: None))
+        assert store.load(fingerprint).modules == tiny_study.modules
+
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda data: data[:len(data) // 2], id="truncated"),
+        pytest.param(lambda data: data[:5], id="shorter-than-length"),
+        pytest.param(
+            lambda data: struct.pack("<Q", len(data)) + data[8:],
+            id="header-length-past-eof",
+        ),
+        pytest.param(
+            lambda data: _rewrite_header(data, _set_column("ber", 2, 1 << 40)),
+            id="offset-out-of-range",
+        ),
+        pytest.param(
+            lambda data: _rewrite_header(data, _set_column("ber", 1, [999])),
+            id="shape-out-of-range",
+        ),
+        pytest.param(
+            lambda data: _rewrite_header(data, _set_column("ber", 2, -8)),
+            id="negative-offset",
+        ),
+        pytest.param(
+            lambda data: _rewrite_header(data, _set_column("ber", 0, "|O")),
+            id="object-dtype",
+        ),
+        pytest.param(
+            lambda data: _rewrite_header(data, _set_column("ber", 0, ">f8")),
+            id="big-endian-dtype",
+        ),
+        pytest.param(
+            lambda data: _rewrite_header(
+                data, _set_column("bank", 1, [1])
+            ),
+            id="columns-differ-in-length",
+        ),
+    ])
+    def test_malformed_column_file_drops_the_entry(
+        self, tmp_path, tiny_study, fingerprint, corrupt
+    ):
+        store = StudyStore(str(tmp_path))
+        store.store(tiny_study, fingerprint)
+        path = store.columns_path(fingerprint)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(corrupt(data))
+        assert store.load(fingerprint) is None
+        assert _both_files(store, fingerprint) == [False, False]
+
+    def test_missing_column_file_drops_the_entry(
+        self, tmp_path, tiny_study, fingerprint
+    ):
+        store = StudyStore(str(tmp_path))
+        store.store(tiny_study, fingerprint)
+        os.unlink(store.columns_path(fingerprint))
+        assert store.load(fingerprint) is None
+        assert _both_files(store, fingerprint) == [False, False]
+
+    def test_document_only_entry_is_recomputed(
+        self, tmp_path, tiny_study, fingerprint, monkeypatch
+    ):
+        """An entry of the layout before the column file (the document
+        alone) is a miss; the recompute publishes both files."""
+        store = StudyStore(str(tmp_path))
+        os.makedirs(str(tmp_path), exist_ok=True)
+        with open(store.path(fingerprint), "w") as handle:
+            json.dump(study_to_dict(tiny_study), handle)
+        runs = []
+        original = CharacterizationStudy.run
+
+        def counting(self, *args, **kwargs):
+            runs.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CharacterizationStudy, "run", counting)
+        set_study_cache_dir(str(tmp_path))
+        clear_cache()
+        study = get_study(TESTS, [MODULE], scale=StudyScale.tiny(), seed=0)
+        assert runs == [1]
+        assert _both_files(store, fingerprint) == [True, True]
+        assert study.modules == tiny_study.modules
+        clear_cache()
+        assert get_study(
+            TESTS, [MODULE], scale=StudyScale.tiny(), seed=0
+        ).modules == tiny_study.modules
+        assert runs == [1]  # the new entry is a hit
 
 
 class TestLockfile:
@@ -212,9 +408,14 @@ class TestCrossProcessRace:
         reader.join(timeout=30)
         assert reader.exitcode == 0
         assert failures.empty(), failures.get()
-        # Exactly one complete, loadable entry; no lock or temp debris.
+        # Exactly one complete, loadable entry (its document and its
+        # column file); no lock or temp debris, no orphan.
         store = StudyStore(directory)
         assert store.fingerprints() == [fingerprint]
+        assert sorted(os.listdir(directory)) == sorted(
+            os.path.basename(path) for path in
+            (store.path(fingerprint), store.columns_path(fingerprint))
+        )
         loaded = store.load(fingerprint)
         assert loaded is not None
         assert loaded.provenance["fingerprint"] == fingerprint

@@ -1,9 +1,11 @@
 """Columnar study results: lossless decode/encode of the study document
-and exact table equality.
+and of the store's binary column file, and exact table equality.
 
 The document is unchanged (schema version 1): decoding it into column
 tables and encoding those back must reproduce it string for string, so
 an int-vs-float drift fails here even where ``==`` would not see it.
+A column file must decode to a study whose document is that same
+string.
 """
 
 import dataclasses
@@ -26,10 +28,12 @@ from repro.core.scale import StudyScale
 from repro.core.serialization import (
     module_result_from_dict,
     module_result_to_dict,
+    study_from_columns,
     study_from_dict,
+    study_to_columns,
     study_to_dict,
 )
-from repro.core.study import CharacterizationStudy
+from repro.core.study import CharacterizationStudy, StudyResult
 from repro.dram.calibration import ModuleGeometry
 from repro.errors import AnalysisError
 
@@ -179,3 +183,80 @@ class TestEquality:
         assert RetentionTable.concat(
             [table.take(np.array([2])), table.take(np.array([0, 1]))]
         ) == RetentionTable.from_rows([rows[2], rows[0], rows[1]])
+
+
+def _columns_round_trip(study):
+    """The study's document, and its document after a trip through the
+    column file."""
+    decoded = study_from_columns(study_to_columns(study))
+    return (
+        _canonical(study_to_dict(decoded)), _canonical(study_to_dict(study))
+    )
+
+
+def _study(*modules):
+    study = StudyResult(scale=StudyScale.tiny(), seed=9)
+    for index, module in enumerate(modules):
+        study.modules[f"Z{index}"] = module
+    return study
+
+
+class TestColumnFile:
+    def test_golden_study(self):
+        document = json.loads(GOLDEN.read_text())
+        decoded = study_from_columns(
+            study_to_columns(study_from_dict(document))
+        )
+        assert _canonical(study_to_dict(decoded)) == _canonical(document)
+
+    @pytest.mark.parametrize("family", ["rowhammer", "trcd", "retention"])
+    def test_tiny_study_of_each_family(self, family):
+        study = CharacterizationStudy(
+            scale=StudyScale.tiny(), seed=0
+        ).run(modules=["A0"], tests=(family,))
+        assert len(getattr(study.modules["A0"], family))
+        decoded, original = _columns_round_trip(study)
+        assert decoded == original
+
+    def test_bench_ladder_study(self, bench_documents):
+        study = study_from_dict(bench_documents["ladder"])
+        decoded = study_from_columns(study_to_columns(study))
+        assert decoded.modules == study.modules
+        assert _canonical(study_to_dict(decoded)) == _canonical(
+            bench_documents["ladder"]
+        )
+
+    def test_censored_hcfirst_empty_trcd_and_empty_histograms(self):
+        retention = RetentionTable.from_rows([
+            RetentionRow(0, 3, 2.5, 0.064, 2, 0.0, {}),
+            RetentionRow(0, 3, 2.5, 4.096, 2, 0.001, {1: 5, 2: 1}),
+            RetentionRow(0, 4, 2.5, 0.064, 2, 0.0, {}),
+        ])
+        study = _study(
+            _module(rowhammer=_rowhammer(), retention=retention), _module()
+        )
+        decoded, original = _columns_round_trip(study)
+        assert decoded == original
+        module = study_from_columns(study_to_columns(study)).modules["Z0"]
+        assert module.rowhammer.censored.tolist() == [False, True]
+        assert len(module.trcd) == 0
+        assert module.retention.histograms() == [{}, {1: 5, 2: 1}, {}]
+
+    def test_columns_are_writable_views(self):
+        buffer = bytearray(study_to_columns(_study(
+            _module(rowhammer=_rowhammer())
+        )))
+        table = study_from_columns(buffer).modules["Z0"].rowhammer
+        assert table.ber.base is not None  # a view, not a copy
+        table.ber[0] = 1.0
+        assert table.ber_iterations.flags.writeable
+
+    def test_document_binding(self):
+        study = _study(_module(rowhammer=_rowhammer()))
+        document = json.dumps(study_to_dict(study)).encode("utf-8")
+        data = study_to_columns(study, document)
+        assert study_from_columns(data, document).modules == study.modules
+        with pytest.raises(AnalysisError, match="does not match"):
+            study_from_columns(data, document.replace(b"0.25", b"0.75"))
+        with pytest.raises(AnalysisError, match="does not match"):
+            study_from_columns(study_to_columns(study), document)

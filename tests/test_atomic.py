@@ -19,6 +19,15 @@ def test_returns_bytes_written_and_publishes_the_text(tmp_path):
     assert os.listdir(tmp_path / "nested") == ["doc.json"]
 
 
+def test_publishes_bytes_as_given(tmp_path):
+    path = str(tmp_path / "doc.bin")
+    data = b"\x00\xff" + "µs".encode("utf-8")
+    assert write_atomic(path, data) == len(data)
+    with open(path, "rb") as handle:
+        assert handle.read() == data
+    assert os.listdir(tmp_path) == ["doc.bin"]
+
+
 def test_failed_publish_keeps_the_old_file_and_leaves_no_temp(
     tmp_path, monkeypatch
 ):
