@@ -51,7 +51,9 @@ bench-check:
 # floors for the hammer, retention, DSL-program and tRCD probes and the
 # bench campaign) and the fused-vs-command bit-identity differential
 # over every experiment family, plus zero lazy layout-head extensions
-# in its 65536-bit-row run, the preheat's traced memory peak
+# and zero per-row fallback jitter windows (every jitter read derived by
+# its hammer pass's warm-up) in its 65536-bit-row run, the preheat's
+# traced memory peak
 # within 25 % of its committed value, and the measurement-jitter
 # prefetch's speedup floors over per-key draws (a same-process ratio,
 # re-measured), and a cold import of the service and CLI entry points

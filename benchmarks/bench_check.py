@@ -18,7 +18,10 @@ Seven layers, any of which fails the check (exit 1):
   (``repro_layout_extensions_total`` stays 0), so heads made too small
   fail here rather than silently slowing studies down, and must clear
   every sensing check on its bound, generating no tRCD cell vector
-  (``repro_cell_vector_generations_total{family="trcd"}`` stays 0);
+  (``repro_cell_vector_generations_total{family="trcd"}`` stays 0),
+  and must read only jitter its hammer passes' warm-up derived
+  (``repro_jitter_draws_total{path="block"}``, the per-row fallback
+  windows, stays 0);
 * a perf-regression guard: re-measures the probe-throughput rates and
   the campaigns (``make bench`` writes them; see ``bench_probe.py``)
   and fails when a rate or speedup falls below its committed value, or
@@ -165,11 +168,12 @@ def gate_baseline(committed):
 
 
 def differential_check():
-    """Return ``(families, extensions, trcd_vectors)``: the experiment
-    families where a fused study diverges from the command oracle
-    (bit-identity gate), and the lazy layout extensions and tRCD cell
-    vector generations the fused paper-row-size study made, printing
-    each case's time.
+    """Return ``(families, extensions, trcd_vectors, jitter_windows)``:
+    the experiment families where a fused study diverges from the
+    command oracle (bit-identity gate), and the lazy layout extensions,
+    tRCD cell vector generations and per-row fallback jitter-window
+    lanes the fused paper-row-size study made, printing each case's
+    time.
 
     Every family runs at tiny scale; rowhammer and retention also run
     over the tiny row sample at the paper's row size, where float32
@@ -177,7 +181,10 @@ def differential_check():
     from repro.core.scale import StudyScale
     from repro.core.study import CharacterizationStudy
     from repro.dram.bank import LAYOUT_EXTENSIONS_METRIC
-    from repro.dram.cell import CELL_VECTOR_GENERATIONS_METRIC
+    from repro.dram.cell import (
+        CELL_VECTOR_GENERATIONS_METRIC,
+        JITTER_DRAWS_METRIC,
+    )
     from repro.obs.metrics import REGISTRY
 
     def extensions():
@@ -187,6 +194,11 @@ def differential_check():
         return REGISTRY.counter(
             CELL_VECTOR_GENERATIONS_METRIC, labels=("family",)
         ).labels(family="trcd").value
+
+    def jitter_windows():
+        return REGISTRY.counter(
+            JITTER_DRAWS_METRIC, labels=("path",)
+        ).labels(path="block").value
 
     tiny = StudyScale.tiny()
     paper_rows = dataclasses.replace(
@@ -201,18 +213,19 @@ def differential_check():
         return study.run_module("A0", tests=tests, vpp_levels=vpp_levels)
 
     mismatches = []
-    paper_extensions = paper_trcd_vectors = 0.0
+    paper_extensions = paper_trcd_vectors = paper_windows = 0.0
     for scale, tests, levels in (
         (tiny, FAMILIES, VPP_LEVELS),
         (tiny, ("trcd",), TRCD_VPP_LEVELS),
         (paper_rows, PAPER_ROW_FAMILIES, VPP_LEVELS),
     ):
         started = time.monotonic()
-        before = extensions(), trcd_vectors()
+        before = extensions(), trcd_vectors(), jitter_windows()
         fused = run("fused", scale, tests, levels)
         if scale is paper_rows:
             paper_extensions = extensions() - before[0]
             paper_trcd_vectors = trcd_vectors() - before[1]
+            paper_windows = jitter_windows() - before[2]
         command = run("command", scale, tests, levels)
         row_bits = scale.geometry.row_bits
         print(f"  {'/'.join(tests)} at V_PP {levels}, {row_bits}-bit "
@@ -222,7 +235,7 @@ def differential_check():
             for family in tests
             if getattr(fused, family) != getattr(command, family)
         )
-    return mismatches, paper_extensions, paper_trcd_vectors
+    return mismatches, paper_extensions, paper_trcd_vectors, paper_windows
 
 
 def check(committed, measured, rate_tol, speedup_tol):
@@ -304,7 +317,7 @@ def main(argv=None) -> int:
     print("checking fused-vs-command bit-identity (tiny scale, all "
           "experiment families; rowhammer/retention also at "
           f"{PAPER_ROW_BITS}-bit rows)...")
-    mismatches, extensions, trcd_vectors = differential_check()
+    mismatches, extensions, trcd_vectors, windows = differential_check()
     if mismatches:
         print("the fused kernel diverges from the command oracle on: "
               + ", ".join(mismatches), file=sys.stderr)
@@ -328,6 +341,16 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     print("every sensing check cleared on its bound (no tRCD cell vector)")
+    if windows:
+        print(f"the {PAPER_ROW_BITS}-bit-row RowHammer + retention study "
+              f"derived {windows:g} jitter lanes in per-row fallback "
+              "windows (repro_jitter_draws_total{path=\"block\"} must "
+              "stay 0 there): the hammer passes' warm-up "
+              "(repro.dram.bank.Bank.preheat_jitter) no longer predicts "
+              "the double-sided schedule's reads", file=sys.stderr)
+        return 1
+    print("the hammer passes' warm-up predicted every jitter read (no "
+          "fallback window)")
 
     if PEAK_KEY in committed:
         peak = bench_probe.bench_preheat_peak()[PEAK_KEY]

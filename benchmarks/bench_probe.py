@@ -75,7 +75,11 @@ from repro.core.sampling import sample_rows
 from repro.core.scale import StudyScale
 from repro.core.study import CharacterizationStudy
 from repro.core.trcd import find_trcd_min
-from repro.core.wcdp import retention_wcdp, rowhammer_wcdp
+from repro.core.wcdp import (
+    retention_wcdp,
+    rowhammer_probe_bound,
+    rowhammer_wcdp,
+)
 from repro.dram import constants
 from repro.dram.calibration import ModuleGeometry
 from repro.dram.patterns import STANDARD_PATTERNS
@@ -320,11 +324,20 @@ def _ladder_context(engine):
     return ctx, rows
 
 
+def _study_preheat(ctx, rows):
+    """The study's first preheat: the campaign tests' layouts and the
+    RowHammer WCDP pass's measurement jitter."""
+    ctx.engine.preheat(
+        ctx, rows, CAMPAIGN_TESTS,
+        hammer_probes=rowhammer_probe_bound(ctx.scale),
+    )
+
+
 def _preheated_context(engine):
     """A fresh ladder-geometry context and its row sample, preheated
     for the campaign's tests."""
     ctx, rows = _ladder_context(engine)
-    ctx.engine.preheat(ctx, rows, CAMPAIGN_TESTS)
+    _study_preheat(ctx, rows)
     return ctx, rows
 
 
@@ -351,14 +364,17 @@ def _ladder_state(engine):
 
 
 def _timed_ladder(state):
-    """One pass over the V_PP grid: Alg. 1 then Alg. 3 at every level
-    (the exact phase order of ``CharacterizationStudy.run_module``)."""
+    """One pass over the V_PP grid: Alg. 1 (after its jitter warm-up)
+    then Alg. 3 at every level (the exact phase order of
+    ``CharacterizationStudy.run_module``)."""
     ctx, rows, wcdp_rh, wcdp_ret, levels = state
     infra = ctx.infra
+    probes = rowhammer_test.probe_bound(ctx.scale)
     started = time.monotonic()
     infra.set_temperature(constants.ROWHAMMER_TEST_TEMPERATURE)
     for vpp in levels:
         infra.set_vpp(vpp)
+        ctx.engine.preheat(ctx, rows, (), hammer_probes=probes)
         rowhammer_test.characterize_rows(ctx, rows, wcdp_rh, vpp)
     infra.set_temperature(constants.RETENTION_TEST_TEMPERATURE)
     for vpp in levels:
@@ -395,15 +411,16 @@ def bench_wcdp_phase(runs=5):
 
 
 def bench_preheat(runs=5):
-    """The study's preheat (the per-row tolerance and retention layouts
-    of the campaign's tests) on the kernel: min of ``runs``, each on a
-    fresh context whose build runs untimed, so every run generates the
-    per-cell vectors and lays out every row as a study does."""
+    """The study's first preheat (the per-row tolerance and retention
+    layouts of the campaign's tests, and the RowHammer WCDP pass's
+    jitter) on the kernel: min of ``runs``, each on a fresh context
+    whose build runs untimed, so every run generates the per-cell
+    vectors and lays out every row as a study does."""
     timings = []
     for _ in range(runs):
         ctx, rows = _ladder_context("fused")
         started = time.monotonic()
-        ctx.engine.preheat(ctx, rows, CAMPAIGN_TESTS)
+        _study_preheat(ctx, rows)
         timings.append(time.monotonic() - started)
     return {"preheat_seconds_fused": min(timings)}
 
@@ -416,7 +433,7 @@ def bench_preheat_peak():
     ctx, rows = _ladder_context("fused")
     tracemalloc.start()
     try:
-        ctx.engine.preheat(ctx, rows, CAMPAIGN_TESTS)
+        _study_preheat(ctx, rows)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -581,9 +598,10 @@ def main(argv=None) -> int:
             " physical rows, fused, min-of-2"
         ),
         "ladder_campaign": (
-            "V_PP-grid ladder phases (Alg. 1 + Alg. 3 at every level) at"
-            " 65536-bit physical rows, fused, min-of-3; setup/preheat/WCDP"
-            " run untimed at a single operating point"
+            "V_PP-grid ladder phases (Alg. 1 after its jitter warm-up +"
+            " Alg. 3 at every level) at 65536-bit physical rows, fused,"
+            " min-of-3; setup/preheat/WCDP run untimed at a single"
+            " operating point"
         ),
         "wcdp_phase": (
             "WCDP phase (RowHammer + retention rules, six patterns per"
@@ -593,8 +611,9 @@ def main(argv=None) -> int:
         ),
         "preheat": (
             "preheat of the bench row set's RowHammer and retention"
-            " layouts (per-cell generation included) at 65536-bit physical"
-            " rows, fused, min-of-5, each on a fresh context; build untimed"
+            " layouts (per-cell generation included) and of the RowHammer"
+            " WCDP pass's jitter at 65536-bit physical rows, fused,"
+            " min-of-5, each on a fresh context; build untimed"
         ),
         "preheat_peak": (
             "tracemalloc peak (MiB) of that preheat, fused, on a fresh"

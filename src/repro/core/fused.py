@@ -8,12 +8,15 @@ bit-exact oracle. It batches at two levels (see
 
 * **the study schedule** -- a whole bisection or retention ladder runs
   as one probe session. A :class:`FusedHammerSession` resolves a whole
-  Alg. 1 run -- the worst-BER repetitions plus every bisection round x
-  iteration, including censored rows and the ``hc <= 0`` clamp, whose
-  control flow stays in :func:`repro.core.rowhammer.bisect_hcfirst` --
-  and a :class:`FusedRetentionSession` a whole Alg. 3 refresh-window
-  ladder; each probe costs a jitter draw and a few scalar multiplies
-  and binary searches instead of full-row vector work;
+  Alg. 1 run -- the worst-BER repetitions and every bisection round x
+  iteration in one session per (row, pattern, V_PP), including
+  censored rows and the ``hc <= 0`` clamp, whose control flow stays in
+  :func:`repro.core.rowhammer.bisect_hcfirst` -- and a
+  :class:`FusedRetentionSession` a whole Alg. 3 refresh-window ladder;
+  each probe costs a cached jitter lookup and a few scalar multiplies
+  and binary searches instead of full-row vector work. The jitter of a
+  whole hammer pass over the sampled rows is derived up front, in one
+  vectorized derivation (:meth:`FusedProbeEngine.preheat`);
 * **the operating point and the data pattern** -- V_PP and
   temperature only reparameterize monotone scalar factors on per-row
   sorted threshold vectors, and a data pattern only selects which
@@ -743,19 +746,32 @@ class FusedProbeEngine(ProbeEngine):
         with self.retention_session(ctx, row, pattern) as session:
             return session.worst_probe(trefw, 1)
 
-    def preheat(self, ctx, rows, tests: Sequence[str] = TEST_TYPES) -> int:
-        """Warm, for a row set, the stacked layout passes the study's
-        ``tests`` walk: the tolerance layout heads of the hammer kernel
-        (``rowhammer``) and the retention layout heads every fused
-        operating point and pattern re-slices (``retention``). Alg. 2
-        needs neither. Returns the number of rows whose tolerance
-        layout was newly warmed."""
+    def preheat(
+        self, ctx, rows, tests: Sequence[str] = TEST_TYPES,
+        hammer_probes: int = 0,
+    ) -> int:
+        """The engine's warm-up before a pass over a row set.
+
+        Warms the stacked layout passes the study's ``tests`` walk: the
+        tolerance layout heads of the hammer kernel (``rowhammer``) and
+        the retention layout heads every fused operating point and
+        pattern re-slices (``retention``); Alg. 2 needs neither. With
+        ``hammer_probes`` (the next hammer pass's most probes per row,
+        from the scale's schedule) it also derives that pass's
+        measurement jitter for every row in one vectorized derivation
+        (:meth:`~repro.dram.bank.Bank.preheat_jitter`). The jitter is a
+        pure hint: a read it did not predict derives its own window
+        (:meth:`~repro.dram.cell.CellParameterGenerator.
+        ensure_jitter_window`). Returns the number of rows whose
+        tolerance layout was newly warmed."""
         bank = self._module.bank(ctx.bank)
         warmed = 0
         if "rowhammer" in tests:
             warmed = bank.preheat_tolerance_orders(rows)
         if "retention" in tests:
             bank.preheat_retention_orders(rows)
+        if hammer_probes:
+            bank.preheat_jitter(rows, hammer_probes)
         return warmed
 
     # -- the private sensing-hazard fallback --------------------------------

@@ -21,7 +21,11 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.context import TestContext
-from repro.core.probe import one_shot_hammer_ber, open_hammer_session
+from repro.core.probe import (
+    HammerSession,
+    one_shot_hammer_ber,
+    open_hammer_session,
+)
 from repro.core.results import RowHammerRow
 from repro.core.scale import StudyScale
 from repro.dram.patterns import DataPattern
@@ -58,7 +62,13 @@ def measure_worst_ber(
     iteration (the ``sweep_saved_lookups`` counter tracks the savings).
     """
     with open_hammer_session(ctx, row, pattern) as probe:
-        values = tuple(probe.ber_ladder(hammer_count, iterations))
+        return _worst_ber(probe, hammer_count, iterations)
+
+
+def _worst_ber(
+    probe: HammerSession, hammer_count: int, iterations: int
+) -> Tuple[float, Tuple[float, ...]]:
+    values = tuple(probe.ber_ladder(hammer_count, iterations))
     return max(values), values
 
 
@@ -98,6 +108,47 @@ def bisect_hcfirst(
     return lowest_flipping
 
 
+def bisection_rounds(step: int, floor: int) -> int:
+    """Rounds of a bisection whose step starts at ``step`` and halves
+    while it stays at or above ``floor``."""
+    rounds = 0
+    while step >= floor:
+        rounds += 1
+        step //= 2
+    return rounds
+
+
+def probe_bound(scale: StudyScale) -> int:
+    """Most probes :func:`characterize_row` issues on one row: the
+    worst-BER repetitions plus up to ``iterations`` any-flip probes per
+    bisection round (24 at bench scale, 12 at tiny)."""
+    rounds = bisection_rounds(scale.hcfirst_step, scale.hcfirst_min_step)
+    return scale.iterations * (1 + rounds)
+
+
+def _traced_bisection(
+    scale: StudyScale, iterations: int, row: int, probe: HammerSession,
+) -> Optional[int]:
+    """:func:`bisect_hcfirst` on an open session, as one ``bisection``
+    span, its probe count observed in ``repro_bisection_probes``."""
+    with TRACER.span("bisection", row=row) as span:
+        probes = 0
+
+        def counted_any_flip(hammer_count: int) -> bool:
+            nonlocal probes
+            probes += 1
+            return probe.any_flip(hammer_count)
+
+        hcfirst = bisect_hcfirst(scale, iterations, counted_any_flip)
+        span.set(probes=probes, hcfirst=hcfirst)
+    REGISTRY.histogram(
+        "repro_bisection_probes",
+        "any-flip probes issued per Alg. 1 bisection",
+        buckets=BISECTION_PROBE_BUCKETS,
+    ).observe(probes)
+    return hcfirst
+
+
 def find_hcfirst(
     ctx: TestContext, row: int, pattern: DataPattern,
     iterations: int = None,
@@ -109,34 +160,25 @@ def find_hcfirst(
     bisection runs as one engine probe session.
     """
     scale = ctx.scale
-    iterations = iterations or scale.iterations
-    with TRACER.span("bisection", row=row) as span:
-        probes = 0
-
-        def counted_any_flip(hammer_count: int) -> bool:
-            nonlocal probes
-            probes += 1
-            return probe.any_flip(hammer_count)
-
-        with open_hammer_session(ctx, row, pattern) as probe:
-            hcfirst = bisect_hcfirst(scale, iterations, counted_any_flip)
-        span.set(probes=probes, hcfirst=hcfirst)
-    REGISTRY.histogram(
-        "repro_bisection_probes",
-        "any-flip probes issued per Alg. 1 bisection",
-        buckets=BISECTION_PROBE_BUCKETS,
-    ).observe(probes)
-    return hcfirst
+    with open_hammer_session(ctx, row, pattern) as probe:
+        return _traced_bisection(
+            scale, iterations or scale.iterations, row, probe
+        )
 
 
 def characterize_row(
     ctx: TestContext, row: int, pattern: DataPattern, vpp: float,
 ) -> RowHammerRow:
-    """Full Alg. 1 characterization of one row at the current V_PP."""
-    ber, iterations_values = measure_worst_ber(
-        ctx, row, pattern, ctx.scale.ber_hammer_count, ctx.scale.iterations
-    )
-    hcfirst = find_hcfirst(ctx, row, pattern)
+    """Full Alg. 1 characterization of one row at the current V_PP: the
+    worst-BER repetitions and the bisection share one probe session
+    (one sweep lookup), with the same probes and results as
+    :func:`measure_worst_ber` then :func:`find_hcfirst`."""
+    scale = ctx.scale
+    with open_hammer_session(ctx, row, pattern) as probe:
+        ber, iterations_values = _worst_ber(
+            probe, scale.ber_hammer_count, scale.iterations
+        )
+        hcfirst = _traced_bisection(scale, scale.iterations, row, probe)
     return RowHammerRow(
         bank=ctx.bank,
         row=row,

@@ -34,7 +34,12 @@ from repro.core.results import (
 )
 from repro.core.sampling import sample_rows
 from repro.core.scale import StudyScale
-from repro.core.wcdp import retention_wcdp, rowhammer_wcdp, trcd_wcdp
+from repro.core.wcdp import (
+    retention_wcdp,
+    rowhammer_probe_bound,
+    rowhammer_wcdp,
+    trcd_wcdp,
+)
 from repro.dram import constants
 from repro.dram.profiles import MODULE_PROFILES, module_profile
 from repro.errors import ConfigurationError
@@ -189,10 +194,15 @@ class CharacterizationStudy:
             )
         span.set(rows=len(rows))
         # The kernel engine precomputes the per-row sort orders the
-        # requested tests walk, in stacked passes over row blocks.
+        # requested tests walk, in stacked passes over row blocks, and
+        # before each hammer pass (the RowHammer WCDP, Alg. 1 at every
+        # V_PP) derives the whole pass's measurement jitter at once.
         preheat = getattr(ctx.engine, "preheat", None)
+        hammer_passes = preheat is not None and "rowhammer" in tests
         if preheat is not None:
-            preheat(ctx, rows, tests)
+            preheat(ctx, rows, tests, hammer_probes=(
+                rowhammer_probe_bound(self.scale) if hammer_passes else 0
+            ))
 
         # Alg. 1/2/3 row outputs, assembled into the module's tables once.
         rowhammer_rows, trcd_rows, retention_rows = [], [], []
@@ -228,6 +238,10 @@ class CharacterizationStudy:
                 with TRACER.span(
                     "operating-point", module=name, vpp=vpp, phase="50C",
                 ):
+                    if hammer_passes:
+                        preheat(ctx, rows, (), hammer_probes=(
+                            rowhammer_test.probe_bound(self.scale)
+                        ))
                     if "trcd" not in tests:
                         rowhammer_rows.extend(
                             rowhammer_test.characterize_rows(

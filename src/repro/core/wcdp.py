@@ -21,7 +21,22 @@ from typing import List, Sequence
 
 from repro.core.context import TestContext
 from repro.core.probe import open_hammer_session
+from repro.core.scale import StudyScale
 from repro.dram.patterns import STANDARD_PATTERNS, DataPattern
+
+
+def _coarse_floor(scale: StudyScale) -> int:
+    """The coarse bisection's termination step."""
+    return max(scale.hcfirst_min_step, scale.hcfirst_initial // 32)
+
+
+def rowhammer_probe_bound(scale: StudyScale) -> int:
+    """Most probes :func:`rowhammer_wcdp` issues on one row: a coarse
+    bisection per pattern plus, on a tie, one BER probe per pattern."""
+    from repro.core.rowhammer import bisection_rounds
+
+    rounds = bisection_rounds(scale.hcfirst_step, _coarse_floor(scale))
+    return len(STANDARD_PATTERNS) * (rounds + 1)
 
 
 def _coarse_hcfirst(
@@ -32,7 +47,7 @@ def _coarse_hcfirst(
     Returns +inf when nothing flips."""
     hc = ctx.scale.hcfirst_initial
     step = ctx.scale.hcfirst_step
-    floor = max(ctx.scale.hcfirst_min_step, ctx.scale.hcfirst_initial // 32)
+    floor = _coarse_floor(ctx.scale)
     lowest = math.inf
     with open_hammer_session(ctx, row, pattern) as probe:
         while step >= floor:

@@ -1143,6 +1143,33 @@ class Bank:
             self._lay_out_retention(physicals, states)
         return len(physicals)
 
+    def preheat_jitter(self, logical_rows: Sequence[int], probes: int) -> int:
+        """Derive the measurement jitter of a double-sided hammer pass
+        over ``logical_rows`` (in probe order, at most ``probes`` probes
+        per row) in one vectorized derivation
+        (:meth:`CellParameterGenerator.preheat_jitter`).
+
+        A probe reads its victim's jitter at the session after the
+        victim's WRITE_ROW (+2) and leaves the session 3 higher; it also
+        writes and hammers the victim's two physical neighbours, +3 on
+        each. So a row's reads sit on the stride-3 lattice from its
+        session now + 2, at most ``probes`` points deep for its own
+        probes plus ``probes`` per physical neighbour probed earlier in
+        the pass. Sessions are read without materializing rows. Returns
+        the number of newly derived values.
+        """
+        lattices = []
+        earlier = set()
+        for logical in logical_rows:
+            self._check_row(logical)
+            physical = self._mapping.to_physical(logical)
+            state = self._rows.get(physical)
+            session = 0 if state is None else state.session
+            moved = (physical - 1 in earlier) + (physical + 1 in earlier)
+            lattices.append((physical, session + 2, probes * (1 + moved)))
+            earlier.add(physical)
+        return self._cells.preheat_jitter(lattices)
+
     def _lay_out_tolerances(self, physicals, states, bound=None) -> None:
         """Store each row's tolerance layout: the outlier population
         sorted whole, and the bulk cells among the row's ``bound``

@@ -23,7 +23,7 @@ per-pattern coupling factor.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,9 +79,12 @@ def _count_generation(family: str) -> None:
     ).labels(family=family).inc()
 
 
-#: Counter of measurement-jitter draws, by ``path``: ``block`` for the
-#: lanes the vectorized prefetch resolved, ``single`` for the ones drawn
-#: one generator at a time (rejected prefetch lanes and
+#: Counter of measurement-jitter draws, by ``path``: ``preheat`` for the
+#: lanes a hammer pass's warm-up resolved vectorized
+#: (:meth:`CellParameterGenerator.preheat_jitter`), ``block`` for those
+#: a per-row window resolved vectorized (the fallback for reads the
+#: warm-up did not predict, and direct one-row prefetches), ``single``
+#: for the ones drawn one generator at a time (rejected lanes and
 #: :meth:`CellParameterGenerator.measurement_jitter` misses, which
 #: include every command-path draw).
 JITTER_DRAWS_METRIC = "repro_jitter_draws_total"
@@ -92,8 +95,9 @@ def _count_jitter_draws(path: str, amount: int) -> None:
 
     REGISTRY.counter(
         JITTER_DRAWS_METRIC,
-        "measurement-jitter draws, by path (block: resolved by the "
-        "vectorized prefetch; single: one generator per draw)",
+        "measurement-jitter draws, by path (preheat: resolved by a "
+        "hammer pass's vectorized warm-up; block: by a per-row "
+        "vectorized window; single: one generator per draw)",
         labels=("path",),
     ).labels(path=path).inc(amount)
 
@@ -304,74 +308,103 @@ class CellParameterGenerator:
     def prefetch_measurement_jitter(
         self, physical_row: int, sessions: Iterable[int]
     ) -> int:
-        """Bulk-derive the jitter values of a set of restore sessions.
+        """Bulk-derive the jitter values of a set of one row's restore
+        sessions (the one-row case of :meth:`_derive_jitter`; its lanes
+        count as ``block``). Returns the number of newly cached values.
+        """
+        return self._derive_jitter(((physical_row, sessions),), "block")
 
-        The kernel probe engine knows its deterministic probe schedule --
-        and therefore the session numbers whose jitter it will consume
-        -- ahead of time, so the per-session generator constructions are
-        replaced by one vectorized derivation
-        (:func:`repro.rng.standard_normal_draws`, bit-identical per
-        key) over seeds hashed from one per-row key prefix. Returns the
+    def preheat_jitter(self, lattices: Sequence[Tuple[int, int, int]]) -> int:
+        """Derive a whole hammer pass's jitter in one vectorized pass.
+
+        Each ``(physical_row, first_session, lanes)`` lattice covers the
+        sessions ``first_session, first_session + 3, ...`` (``lanes`` of
+        them) and becomes its row's horizon (see
+        :meth:`ensure_jitter_window`), so the pass's on-lattice reads
+        derive nothing more. Lanes count as ``preheat``. Returns the
         number of newly cached values.
         """
+        derived = self._derive_jitter(
+            [
+                (row, range(first, first + 3 * lanes, 3))
+                for row, first, lanes in lattices
+            ],
+            "preheat",
+        )
+        # Recorded after the derivation, which may clear every horizon.
+        for row, first, lanes in lattices:
+            self._jitter_horizon[row] = first + 3 * (lanes - 1)
+        return derived
+
+    def _derive_jitter(
+        self, windows: Sequence[Tuple[int, Iterable[int]]], path: str
+    ) -> int:
+        """Derive and cache the jitter of ``(physical_row, sessions)``
+        windows not cached yet: one per-row key prefix hashed
+        (:meth:`~repro.rng.RngHub.suffix_seeds`), then one vectorized
+        draw (:func:`repro.rng.standard_normal_draws`, bit-identical per
+        key) and one ``exp`` over every lane of every row. Returns the
+        number of newly cached values; the lanes count under ``path``
+        (the ziggurat's rejected lanes under ``single``)."""
         cache = self._jitter_cache
-        missing = [
-            session for session in sessions
-            if session << 32 | physical_row not in cache
-        ]
-        if not missing:
-            return 0
         if len(cache) > self.JITTER_CACHE_LIMIT:
             # The horizons describe what the cache holds: drop them with
             # it, or rows would skip their prefetch and draw every
             # session's jitter one generator at a time.
             cache.clear()
             self._jitter_horizon.clear()
-        draws, singles = standard_normal_draws(self._hub.suffix_seeds(
-            f"bank/{self._bank}/row/{physical_row}/jitter/", missing
-        ))
-        _count_jitter_draws("block", len(missing) - singles)
+        keys: List[int] = []
+        seeds = []
+        for row, sessions in windows:
+            missing = [
+                session for session in sessions
+                if session << 32 | row not in cache
+            ]
+            if missing:
+                seeds.append(self._hub.suffix_seeds(
+                    f"bank/{self._bank}/row/{row}/jitter/", missing
+                ))
+                keys += [session << 32 | row for session in missing]
+        if not keys:
+            return 0
+        draws, singles = standard_normal_draws(
+            seeds[0] if len(seeds) == 1 else np.concatenate(seeds)
+        )
+        _count_jitter_draws(path, len(keys) - singles)
         if singles:
             _count_jitter_draws("single", singles)
         # One vectorized exp over the block (bit-identical to the
         # per-draw scalar exp: same ufunc, same float64 inputs).
         values = np.exp(draws * self._cal.measurement_sigma)
-        cache.update(zip(
-            [session << 32 | physical_row for session in missing],
-            values.tolist(),
-        ))
-        return len(missing)
+        cache.update(zip(keys, values.tolist()))
+        return len(keys)
 
-    #: Sessions per initial prefetched jitter block. A hammer probe
-    #: advances the victim's session by 3 (+2 before the evaluation,
-    #: +1 after), so a block covers 20 consecutive probes -- one Alg. 1
-    #: bisection per operating point (worst-BER repetitions plus the
-    #: ~16 bisection rounds).
+    #: Sessions per fallback jitter window. A hammer probe advances the
+    #: victim's session by 3 (+2 before the evaluation, +1 after), so a
+    #: window covers 20 consecutive probes.
     JITTER_WINDOW_SPAN = 3 * 19
-    #: Sessions per extension block once a row is past its initial
-    #: window. A row's own probes advance its session by multiples of 3,
-    #: but other rows' probes (which write it as a non-victim row) and
-    #: other tests' restores advance it too, moving it off the
-    #: prefetched lattice, so most derived draws are never read (only
-    #: about a third are, on the bench studies). The derivation (:func:`repro.rng.standard_normal_draws`)
-    #: costs ~1-2 us per draw plus a fixed per-call term, so wide blocks
-    #: still beat narrower ones that would strand less.
+    #: Sessions per extension window once a row's reads run past its
+    #: horizon on the same lattice. The derivation costs ~1-2 us per
+    #: lane plus a fixed per-call term, so wide windows beat narrow ones
+    #: that would need more calls.
     JITTER_EXTEND_SPAN = 3 * 127
     #: Cached jitter values past which the cache (and every row's
-    #: horizon) is cleared before the next prefetch.
+    #: horizon) is cleared before the next derivation.
     JITTER_CACHE_LIMIT = 262_144
 
     def ensure_jitter_window(self, physical_row: int, session: int) -> None:
-        """Guarantee the jitter block covering ``session`` is prefetched.
+        """Guarantee the jitter of ``session`` is derived: the fallback
+        for reads the pass's warm-up (:meth:`preheat_jitter`) did not
+        predict.
 
         Tracks, per row, the stride-3 session lattice already derived:
-        because sessions only ever increase and each prefetch covers a
+        because sessions only ever increase and each derivation covers a
         contiguous stride-3 block up to its horizon, ``session`` is
         covered exactly when it lies on the horizon's lattice at or
-        below it. External session bumps (a restore between probes)
-        shift the row onto a new lattice; the next call then derives a
-        fresh block, and any overlap with previously cached sessions is
-        filtered out by :meth:`prefetch_measurement_jitter`.
+        below it. A read off the lattice (a decoy program's write steps
+        a row by 2) derives a fresh window; a read past the horizon on
+        the lattice an extension. Any overlap with previously cached
+        sessions is filtered out by :meth:`_derive_jitter`.
         """
         horizon = self._jitter_horizon.get(physical_row)
         span = self.JITTER_WINDOW_SPAN
