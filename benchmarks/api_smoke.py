@@ -8,8 +8,9 @@ asserts, end to end:
 * the served study carries the request's provenance fingerprint and is
   bit-identical to a direct ``CharacterizationStudy.run`` (the API's
   determinism contract);
-* an identical resubmission short-circuits against the
-  content-addressed store (``cache: hit``, no recompute);
+* an identical resubmission is answered from the content-addressed
+  store at admission (``completed``, ``cache: hit``, no recompute and
+  no poll);
 * the error surface holds: 400 for unknown ids, 404 for unknown
   jobs/fingerprints, 429 past the tenant quota, 409 cancelling a
   finished job;
@@ -82,12 +83,28 @@ def check_determinism(client: ApiClient, job: dict) -> None:
           f"(fingerprint {job['fingerprint'][:12]}...)")
 
 
+class CountingClient(ApiClient):
+    """An :class:`ApiClient` that counts the requests it makes."""
+
+    requests = 0
+
+    def request(self, *args, **kwargs):
+        self.requests += 1
+        return super().request(*args, **kwargs)
+
+
 def check_store_short_circuit(client: ApiClient) -> None:
-    job = client.wait_job(client.submit_job(PAYLOAD)["id"])
+    counting = CountingClient(port=client.port, tenant=client.tenant)
+    job = counting.submit_job(PAYLOAD)
     assert job["state"] == "completed" and job["cache"] == "hit", (
         job["state"], job["cache"],
     )
-    print("  short circuit: identical resubmission served from the store")
+    assert counting.wait_job(job) == job
+    assert counting.requests == 1, (
+        f"{counting.requests - 1} poll(s) for a job answered at admission"
+    )
+    print("  short circuit: identical resubmission answered from the "
+          "store at admission, no poll")
 
 
 def check_errors(client: ApiClient, finished_job: dict) -> None:

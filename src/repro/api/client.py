@@ -10,7 +10,7 @@ request (the server speaks ``Connection: close``).
     client = ApiClient(port=8642)
     job = client.submit_job({"modules": ["C5"], "tests": ["rowhammer"],
                              "scale": "tiny"})
-    job = client.wait_job(job["id"])
+    job = client.wait_job(job)  # a store hit is already completed
     study = client.get_study(job["fingerprint"])
 
 Non-2xx responses raise :class:`ApiError` carrying the HTTP status and
@@ -22,10 +22,13 @@ from __future__ import annotations
 import http.client
 import json
 import time
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.errors import ReproError
 from repro.obs import clock
+
+#: Job states a job never leaves.
+_TERMINAL = ("completed", "failed", "cancelled")
 
 
 class ApiError(ReproError):
@@ -83,7 +86,8 @@ class ApiClient:
     # -- jobs -------------------------------------------------------------------
 
     def submit_job(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """``POST /v1/jobs``; returns the accepted job document."""
+        """``POST /v1/jobs``; returns the admitted job document --
+        ``queued``, or ``completed`` when the store answered it."""
         return self.request("POST", "/v1/jobs", payload)["job"]
 
     def get_job(self, job_id: str) -> Dict[str, Any]:
@@ -97,13 +101,25 @@ class ApiClient:
         return self.request("POST", f"/v1/jobs/{job_id}/cancel")["job"]
 
     def wait_job(
-        self, job_id: str, timeout: float = 300.0, poll: float = 0.05,
+        self, job: Union[str, Dict[str, Any]], timeout: float = 300.0,
+        poll: float = 0.05,
     ) -> Dict[str, Any]:
-        """Poll until the job is terminal; raises ``TimeoutError``."""
+        """Poll until the job is terminal; raises ``TimeoutError``.
+
+        ``job`` is a job id or a job document, such as the one
+        :meth:`submit_job` returns; a terminal document comes back as
+        it is, without a request.
+        """
+        if isinstance(job, str):
+            job_id = job
+        elif job["state"] in _TERMINAL:
+            return job
+        else:
+            job_id = job["id"]
         deadline = clock.monotonic() + timeout
         while True:
             job = self.get_job(job_id)
-            if job["state"] in ("completed", "failed", "cancelled"):
+            if job["state"] in _TERMINAL:
                 return job
             if clock.monotonic() >= deadline:
                 raise TimeoutError(

@@ -12,6 +12,7 @@ Lifecycle::
     queued -> running -> completed
                       -> failed      (quarantine, configuration, crash)
                       -> cancelled   (client request, at unit boundary)
+    completed                        (store hit, answered at admission)
 
 Every transition persists the job as one atomic JSON file under
 ``<state_dir>/jobs/``, so a restarted server recovers its queue:
@@ -25,7 +26,9 @@ The runner itself is deliberately thin glue over
 same retries/quarantine, same bit-identical merge. A completed study is
 published to the content-addressed :class:`~repro.harness.store.
 StudyStore` under its request fingerprint; a job whose fingerprint is
-already published short-circuits without running anything.
+already published short-circuits without running anything: at
+admission (:func:`answer_hit`), or in the worker when an identical
+miss published the study while the job was queued.
 """
 
 from __future__ import annotations
@@ -418,17 +421,45 @@ def run_job(
                              fingerprint=job.fingerprint):
                 _execute_job(job, store, checkpoint_base, flight_dir, pool)
     finally:
-        REGISTRY.histogram(
-            "repro_api_job_seconds",
-            "job run duration (queue pop to terminal state) by tenant",
-            labels=("tenant",),
-        ).labels(tenant=job.tenant).observe(
-            clock.monotonic() - started
-        )
+        _observe_job_seconds(job, clock.monotonic() - started)
         if flight_dir and job.error:
             job.flightrec = [
                 dump["path"] for dump in recent_dumps(flight_dir)
             ]
+
+
+def answer_hit(job: Job) -> None:
+    """Complete a job at admission: its fingerprint is already
+    published, so it is never queued and no worker runs it.
+
+    Stamps ``started`` (the job starts as it is admitted) and observes
+    the run-duration histogram, which the worker path does for a job it
+    pops; the caller persists the record once.
+    """
+    started = clock.monotonic()
+    job.started = clock.wall()
+    _complete_hit(job, JobTelemetry(job.id))
+    _observe_job_seconds(job, clock.monotonic() - started)
+
+
+def _complete_hit(job: Job, telemetry: JobTelemetry) -> None:
+    """Move a job whose study the store holds to COMPLETED (``cache``
+    ``"hit"``) and report it: at admission, or in the worker when a
+    duplicate queued behind an identical miss finds that miss's study."""
+    job.cache = "hit"
+    job.state = COMPLETED
+    job.finished = clock.wall()
+    telemetry.emit("job_finished", state=COMPLETED, cache="hit",
+                   fingerprint=job.fingerprint)
+    _count_outcome(COMPLETED)
+
+
+def _observe_job_seconds(job: Job, seconds: float) -> None:
+    REGISTRY.histogram(
+        "repro_api_job_seconds",
+        "job run duration (queue pop to terminal state) by tenant",
+        labels=("tenant",),
+    ).labels(tenant=job.tenant).observe(seconds)
 
 
 def _fail(job: Job, telemetry: JobTelemetry, error: str) -> None:
@@ -450,12 +481,7 @@ def _execute_job(
     spec = job.spec
     telemetry = JobTelemetry(job.id)
     if store.contains(job.fingerprint):
-        job.cache = "hit"
-        job.state = COMPLETED
-        job.finished = clock.wall()
-        telemetry.emit("job_finished", state=COMPLETED, cache="hit",
-                       fingerprint=job.fingerprint)
-        _count_outcome(COMPLETED)
+        _complete_hit(job, telemetry)
         return
     service = CampaignService(
         modules=list(spec.modules),
@@ -535,5 +561,6 @@ __all__ = [
     "QUEUED",
     "RUNNING",
     "TERMINAL_STATES",
+    "answer_hit",
     "run_job",
 ]

@@ -10,6 +10,14 @@ Scheduling contract (pinned by ``tests/api/test_queue.py``):
   non-terminal (queued + running) jobs; the next submit is rejected
   with :class:`~repro.errors.QuotaExceededError` (HTTP 429), keeping
   one noisy tenant from filling the queue;
+* store hits skip the queue -- a job whose study is already published
+  is answered at admission and submitted terminal (``completed``). It
+  is registered the way :meth:`JobQueue.adopt` registers a recovered
+  terminal job (queryable, listed, cancel is a 409) but never enters
+  the heap and never wakes a worker, so a hit completes before every
+  miss queued ahead of it, whatever their priorities. The server checks
+  the tenant's quota before answering (a hit over quota is still a
+  429); the answered hit then holds none of it;
 * cancellation -- a queued job is marked cancelled immediately and
   lazily skipped when a worker would have popped it; a running job gets
   its ``cancel_requested`` flag set and the orchestrator aborts at the
@@ -25,7 +33,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.api.jobs import CANCELLED, QUEUED, RUNNING, Job
 from repro.errors import QuotaExceededError
@@ -47,6 +55,12 @@ class JobQueue:
         self._heap: List = []  # (-priority, seq, job_id)
         self._seq = itertools.count()
         self._jobs: Dict[str, Job] = {}
+        #: Per tenant, the ids of jobs not yet terminal -- what the
+        #: quota and the gauges scan instead of every job ever admitted.
+        #: Terminal transitions happen outside the lock (workers, cancel
+        #: of a running job), so the sets are pruned when read, from
+        #: each job's state at that moment.
+        self._live: Dict[str, Set[str]] = {}
         self._closed = False
 
     # -- introspection ----------------------------------------------------------
@@ -69,19 +83,33 @@ class JobQueue:
         """Jobs currently waiting (excludes cancelled-in-heap)."""
         with self._condition:
             return sum(
-                1 for job in self._jobs.values() if job.state == QUEUED
+                1 for job in self._live_locked() if job.state == QUEUED
             )
 
     def active(self, tenant: str) -> int:
         """The tenant's non-terminal job count (the quota basis)."""
         with self._condition:
-            return self._active_locked(tenant)
+            return len(self._live_locked(tenant))
 
-    def _active_locked(self, tenant: str) -> int:
-        return sum(
-            1 for job in self._jobs.values()
-            if job.tenant == tenant and not job.terminal
-        )
+    def _live_locked(self, tenant: Optional[str] = None) -> List[Job]:
+        """The non-terminal jobs (of one tenant, or of all), judged by
+        their state now; ids of jobs that have since become terminal
+        are dropped from the live sets on the way."""
+        if tenant is None:
+            sets = list(self._live.values())
+        else:
+            sets = [self._live.get(tenant, set())]
+        found = []
+        for live in sets:
+            done = []
+            for job_id in live:
+                job = self._jobs[job_id]
+                if job.terminal:
+                    done.append(job_id)
+                else:
+                    found.append(job)
+            live.difference_update(done)
+        return found
 
     def tenants(self) -> Dict[str, Dict[str, int]]:
         """Per-tenant rollup for ``GET /v1/ops``: active (the quota
@@ -104,43 +132,58 @@ class JobQueue:
 
     # -- producers --------------------------------------------------------------
 
+    def check_quota(self, tenant: str) -> None:
+        """Raise :class:`QuotaExceededError` (and count the rejection)
+        when ``tenant`` already holds its quota of non-terminal jobs."""
+        with self._condition:
+            self._check_quota_locked(tenant)
+
+    def _check_quota_locked(self, tenant: str) -> None:
+        active = len(self._live_locked(tenant))
+        if active >= self.tenant_quota:
+            REGISTRY.counter(
+                "repro_api_quota_rejections_total",
+                "job submissions rejected by the tenant quota",
+            ).inc()
+            raise QuotaExceededError(
+                f"tenant {tenant!r} has {active} active job(s); "
+                f"quota is {self.tenant_quota}"
+            )
+
     def submit(self, job: Job) -> Job:
-        """Admit one job; raises :class:`QuotaExceededError` over quota."""
+        """Admit one job. A queued job is checked against its tenant's
+        quota (:class:`QuotaExceededError` over it) in the same critical
+        section that queues it; a terminal one -- a store hit answered
+        at admission -- holds no quota and is only registered."""
         with self._condition:
             if self._closed:
                 raise RuntimeError("queue is closed")
-            active = self._active_locked(job.tenant)
-            if active >= self.tenant_quota:
-                REGISTRY.counter(
-                    "repro_api_quota_rejections_total",
-                    "job submissions rejected by the tenant quota",
-                ).inc()
-                raise QuotaExceededError(
-                    f"tenant {job.tenant!r} has {active} active job(s); "
-                    f"quota is {self.tenant_quota}"
-                )
-            self._jobs[job.id] = job
-            heapq.heappush(
-                self._heap, (-job.spec.priority, next(self._seq), job.id)
-            )
-            self._gauge()
-            self._condition.notify()
+            if not job.terminal:
+                self._check_quota_locked(job.tenant)
+            self._register_locked(job)
         return job
 
     def adopt(self, job: Job) -> None:
         """Register a recovered job (restart path) without quota checks;
         non-terminal jobs are re-queued."""
         with self._condition:
-            self._jobs[job.id] = job
             if not job.terminal:
                 job.state = QUEUED
                 job.cancel_requested = False
-                heapq.heappush(
-                    self._heap,
-                    (-job.spec.priority, next(self._seq), job.id),
-                )
-                self._condition.notify()
-            self._gauge()
+            self._register_locked(job)
+
+    def _register_locked(self, job: Job) -> None:
+        """Make ``job`` known; a non-terminal one is queued and wakes a
+        worker, a terminal one stays out of the heap."""
+        self._jobs[job.id] = job
+        if job.terminal:
+            return
+        self._live.setdefault(job.tenant, set()).add(job.id)
+        heapq.heappush(
+            self._heap, (-job.spec.priority, next(self._seq), job.id)
+        )
+        self._gauge()
+        self._condition.notify()
 
     # -- consumers --------------------------------------------------------------
 
@@ -207,9 +250,11 @@ class JobQueue:
             self._condition.notify_all()
 
     def _gauge(self) -> None:
+        live = self._live_locked()
+        queued = sum(1 for job in live if job.state == QUEUED)
         REGISTRY.gauge(
             "repro_api_queue_depth", "jobs waiting in the API queue"
-        ).set(sum(1 for j in self._jobs.values() if j.state == QUEUED))
+        ).set(queued)
         REGISTRY.gauge(
             "repro_api_jobs_running", "API jobs currently executing"
-        ).set(sum(1 for j in self._jobs.values() if j.state == RUNNING))
+        ).set(len(live) - queued)

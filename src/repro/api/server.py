@@ -12,6 +12,7 @@ studies are published to.
 Routes (``docs/API.md`` is the full reference)::
 
     POST /v1/jobs                submit a campaign          -> 202
+                                 (a store hit, completed)   -> 200
     GET  /v1/jobs                list jobs (?tenant=)       -> 200
     GET  /v1/jobs/<id>           poll one job               -> 200/404
     POST /v1/jobs/<id>/cancel    cancel (unit boundary)     -> 200/404/409
@@ -48,7 +49,8 @@ an ``api.admission`` span under it (when the process tracer is
 enabled); the context rides the job record through the worker thread
 and the orchestrator's pool, so ``GET /v1/jobs/<id>/trace`` can return
 one stitched Chrome trace spanning HTTP admission to pool-worker probe
-batches. Flight-recorder dumps land under ``<state_dir>/flightrec/
+batches. A store hit answered at admission has only its admission span,
+which carries ``cache=hit``. Flight-recorder dumps land under ``<state_dir>/flightrec/
 <job id>/`` and surface on ``GET /v1/ops``.
 """
 
@@ -68,6 +70,7 @@ from repro.api.jobs import (
     Job,
     JobSpec,
     JobStateDir,
+    answer_hit,
     run_job,
 )
 from repro.api.queue import DEFAULT_TENANT_QUOTA, JobQueue
@@ -238,6 +241,10 @@ class ApiServer:
     # -- request dispatch (sync; called from the async handler) -----------------
 
     def submit(self, payload: Dict, tenant: str) -> Tuple[int, Dict]:
+        """Admit one job: ``202`` with the queued job, or -- when the
+        store already holds its study -- ``200`` with the job completed
+        on the spot (``cache == "hit"``), so the client has nothing to
+        poll. Either way the record is persisted once here."""
         # One trace per admitted job, minted here at the edge. The
         # admission span (recorded only while the tracer is enabled)
         # becomes the remote parent every downstream hop -- worker
@@ -254,9 +261,17 @@ class ApiServer:
                     trace_id=context.trace_id,
                     span_id=admission.span_id,
                 ).to_dict()
+                self.queue.check_quota(tenant)
+                hit = self.store.contains(job.fingerprint)
+                if hit:
+                    admission.set(cache="hit")
+                    answer_hit(job)
+                # The job as admitted: a worker may take a queued job
+                # the moment the queue holds it.
+                document = job.as_dict()
                 self.queue.submit(job)
                 self.state.save(job)
-        return 202, {"job": job.as_dict()}
+        return (200 if hit else 202), {"job": document}
 
     def handle(
         self, method: str, path: str, query: Dict[str, str],

@@ -76,6 +76,20 @@ class TestAdmissionTrace:
         ]
         assert loaded.trace == document["job"]["trace"]
 
+    def test_admission_hit_has_only_its_admission_span(
+        self, published_store, tmp_path
+    ):
+        TRACER.enable()
+        hits = ApiServer(published_store, str(tmp_path / "state"))
+        status, document = submit(hits)
+        assert status == 200
+        spans = [
+            span for span in TRACER.spans
+            if span.attrs.get("job") == document["job"]["id"]
+        ]
+        assert [span.name for span in spans] == ["api.admission"]
+        assert spans[0].attrs["cache"] == "hit"
+
     def test_disabled_tracer_leaves_span_id_unset(self, api):
         _, document = submit(api)
         assert document["job"]["trace"]["span_id"] is None

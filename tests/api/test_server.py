@@ -13,10 +13,12 @@ import os
 import pytest
 
 from repro.api import ApiClient, ApiError, ApiServer, BackgroundServer
+from repro.api.jobs import JobStateDir, run_job
 from repro.core.scale import StudyScale
 from repro.core.serialization import study_to_dict
 from repro.core.study import CharacterizationStudy
 from repro.harness.cache import attach_provenance
+from repro.obs.metrics import REGISTRY
 
 PAYLOAD = {
     "modules": ["C5"], "tests": ["rowhammer"], "scale": "tiny", "seed": 0,
@@ -161,6 +163,121 @@ class TestRestartRecovery:
         assert document["job"]["state"] == "cancelled"
 
 
+class TestAdmissionHits:
+    """A request whose study the store holds is answered at admission:
+    ``200`` with the job completed, one persist, no queue, no worker --
+    and still everything a job records."""
+
+    @pytest.fixture
+    def hits(self, published_store, tmp_path):
+        """A server (no workers) whose store answers PAYLOAD."""
+        return ApiServer(published_store, str(tmp_path / "state"),
+                         workers=1)
+
+    def test_hit_is_completed_in_the_submit_response(self, hits):
+        status, document = submit(hits)
+        assert status == 200
+        job = document["job"]
+        assert (job["state"], job["cache"]) == ("completed", "hit")
+        stamps = [job["created"], job["started"], job["finished"]]
+        assert all(isinstance(stamp, float) for stamp in stamps)
+        assert stamps == sorted(stamps)
+        assert hits.queue.get(job["id"]).terminal
+        assert hits.queue.depth() == 0
+
+    def test_hit_is_persisted_once(self, hits, monkeypatch):
+        saves = []
+        save = JobStateDir.save
+
+        def counting_save(self, job):
+            saves.append(job.state)
+            save(self, job)
+
+        monkeypatch.setattr(JobStateDir, "save", counting_save)
+        assert submit(hits)[0] == 200
+        assert saves == ["completed"]
+
+    def test_hit_counts_as_a_completed_job(self, hits):
+        def seconds_observed():
+            return REGISTRY.histogram(
+                "repro_api_job_seconds", labels=("tenant",)
+            ).labels(tenant="acme").count
+
+        def queue_waits():
+            return REGISTRY.histogram(
+                "repro_api_queue_wait_seconds", labels=("tenant",)
+            ).labels(tenant="acme").count
+
+        completed = REGISTRY.counter("repro_api_jobs_completed_total")
+        before = (completed.value, seconds_observed(), queue_waits())
+        assert submit(hits, tenant="acme")[0] == 200
+        # Completed and timed, but never queued: no queue wait.
+        assert (completed.value, seconds_observed(), queue_waits()) == (
+            before[0] + 1, before[1] + 1, before[2],
+        )
+
+    def test_hit_stays_terminal_and_queryable_after_restart(
+        self, hits, published_store, tmp_path
+    ):
+        _, document = submit(hits)
+        job_id = document["job"]["id"]
+        again = ApiServer(published_store, str(tmp_path / "state"))
+        assert again._recovered == 0
+        status, document = again.handle(
+            "GET", f"/v1/jobs/{job_id}", {}, None, "t"
+        )
+        assert status == 200
+        assert (document["job"]["state"], document["job"]["cache"]) == (
+            "completed", "hit",
+        )
+        assert again.queue.depth() == 0
+
+    def test_hit_over_quota_is_429(self, published_store, tmp_path):
+        api = ApiServer(published_store, str(tmp_path / "state"),
+                        tenant_quota=1)
+        assert submit(api, {**PAYLOAD, "seed": 1}, tenant="alice")[0] == 202
+        status, document = submit(api, tenant="alice")
+        assert status == 429
+        assert "quota" in document["error"]
+        assert submit(api, tenant="bob")[0] == 200
+
+    def test_hit_overtakes_queued_misses(self, hits):
+        misses = [
+            submit(hits, {**PAYLOAD, "seed": seed, "priority": 9})[1]["job"]
+            for seed in (1, 2)
+        ]
+        assert [job["state"] for job in misses] == ["queued", "queued"]
+        status, document = submit(hits)
+        assert (status, document["job"]["state"]) == (200, "completed")
+        assert hits.queue.depth() == 2
+        assert all(
+            hits.queue.get(job["id"]).state == "queued" for job in misses
+        )
+        popped = [hits.queue.pop(timeout=0.1).id for _ in misses]
+        assert popped == [job["id"] for job in misses]
+
+    def test_cancelling_a_hit_is_409(self, hits):
+        job_id = submit(hits)[1]["job"]["id"]
+        status, document = hits.handle(
+            "POST", f"/v1/jobs/{job_id}/cancel", {}, None, "t"
+        )
+        assert status == 409
+        assert document["job"]["state"] == "completed"
+
+    def test_duplicate_miss_in_the_queue_ends_as_a_hit(self, api):
+        """Both submitted before the study exists: both queue, and the
+        second finds the first's study when the worker runs it."""
+        first, second = (submit(api)[1]["job"] for _ in range(2))
+        assert (first["state"], second["state"]) == ("queued", "queued")
+        for job_id in (first["id"], second["id"]):
+            job = api.queue.pop(timeout=0.1)
+            assert job.id == job_id
+            run_job(job, api.store, api.checkpoint_base)
+        assert api.queue.get(first["id"]).cache == "miss"
+        duplicate = api.queue.get(second["id"])
+        assert (duplicate.state, duplicate.cache) == ("completed", "hit")
+
+
 def _wait_terminal(api, job_id, timeout=300.0):
     import time
 
@@ -256,10 +373,30 @@ class TestHttpRoundTrip:
         assert all(r["job"] == finished_job["id"] for r in records)
 
     def test_resubmission_hits_store(self, client, finished_job):
-        job = client.wait_job(client.submit_job(dict(PAYLOAD))["id"])
+        job = client.submit_job(dict(PAYLOAD))
         assert job["state"] == "completed"
         assert job["cache"] == "hit"
         assert job["fingerprint"] == finished_job["fingerprint"]
+        assert client.wait_job(job) is job  # terminal: no request
+
+    def test_hit_streams_only_its_finish(self, client, finished_job):
+        job = client.submit_job(dict(PAYLOAD))
+        records = list(client.events(job["id"]))
+        assert [
+            (record["event"], record["state"], record["cache"])
+            for record in records
+        ] == [("job_finished", "completed", "hit")]
+        assert records[0]["job"] == job["id"]
+
+    def test_hit_moves_the_ops_completed_count_by_one(
+        self, client, finished_job
+    ):
+        def completed():
+            return client.ops()["queue"]["jobs_by_state"]["completed"]
+
+        before = completed()
+        assert client.submit_job(dict(PAYLOAD))["cache"] == "hit"
+        assert completed() == before + 1
 
     def test_error_statuses_over_http(self, client):
         with pytest.raises(ApiError) as excinfo:
