@@ -14,6 +14,9 @@ asserts, end to end:
 * the error surface holds: 400 for unknown ids, 404 for unknown
   jobs/fingerprints, 429 past the tenant quota, 409 cancelling a
   finished job;
+* connections persist: a client session of several requests uses
+  exactly one connection, and a ``Connection: close`` request is
+  answered, then closed;
 * both CLIs (``python -m repro.api``, ``python -m repro.service``)
   exit 2 on unknown module / experiment ids -- the shared
   ``repro.harness.validation`` contract.
@@ -24,6 +27,7 @@ Run:  PYTHONPATH=src python benchmarks/api_smoke.py
 from __future__ import annotations
 
 import os
+import socket
 import subprocess
 import sys
 import tempfile
@@ -40,6 +44,7 @@ from repro.core.scale import StudyScale
 from repro.core.serialization import study_to_dict
 from repro.core.study import CharacterizationStudy
 from repro.harness.cache import attach_provenance
+from repro.obs.metrics import REGISTRY
 
 PAYLOAD = {
     "modules": ["C5"], "tests": ["rowhammer"], "scale": "tiny", "seed": 0,
@@ -125,6 +130,36 @@ def check_errors(client: ApiClient, finished_job: dict) -> None:
     print("  errors: 400 / 404 / 409 mapping holds")
 
 
+def check_transport(port: int) -> None:
+    def connections():
+        return REGISTRY.counter_values()["repro_api_connections_total"]
+
+    before = connections()
+    with ApiClient(port=port) as client:
+        for _ in range(4):
+            client.health()
+        client.list_jobs()
+        client.ops()
+    assert connections() == before + 1, (
+        f"a 6-request session used {connections() - before} connections"
+    )
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(
+            b"GET /v1/healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+        )
+        received = b""
+        while True:  # until the server closes
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            received += chunk
+    head = received.partition(b"\r\n\r\n")[0].split(b"\r\n")
+    assert head[0] == b"HTTP/1.1 200 OK", head[0]
+    assert b"Connection: close" in head, head
+    print("  transport: 6 requests on one connection; Connection: close "
+          "answered, then closed")
+
+
 def check_quota() -> None:
     tmp = tempfile.mkdtemp(prefix="repro-api-quota-")
     with BackgroundServer(
@@ -181,11 +216,12 @@ def main() -> int:
         check_determinism(client, job)
         check_store_short_circuit(client)
         check_errors(client, job)
+        check_transport(server.port)
         assert "repro_api_requests_total" in client.metrics_text()
     check_quota()
     check_cli_exit_codes()
     print("api smoke: submit/SSE/poll/fetch, determinism, store "
-          "short-circuit, error mapping, CLI exit codes all OK")
+          "short-circuit, error mapping, transport, CLI exit codes all OK")
     return 0
 
 

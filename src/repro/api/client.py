@@ -2,16 +2,22 @@
 
 A thin, dependency-free (stdlib ``http.client``) wrapper used by the
 round-trip tests, the load benchmark's correctness gate, and anyone
-scripting against a running ``python -m repro.api``. One connection per
-request (the server speaks ``Connection: close``).
+scripting against a running ``python -m repro.api``. Each thread that
+uses a client keeps one persistent HTTP/1.1 connection, opened on its
+first request; :meth:`ApiClient.close` (or leaving a ``with`` block)
+closes them. A request that finds its connection closed by the server
+(an idle timeout) before any answer is sent once more, on a fresh
+connection: the server closes only between requests, so it never read
+the first copy. The SSE stream (:meth:`ApiClient.events`) has its own
+connection.
 
 ::
 
-    client = ApiClient(port=8642)
-    job = client.submit_job({"modules": ["C5"], "tests": ["rowhammer"],
-                             "scale": "tiny"})
-    job = client.wait_job(job)  # a store hit is already completed
-    study = client.get_study(job["fingerprint"])
+    with ApiClient(port=8642) as client:
+        job = client.submit_job({"modules": ["C5"],
+                                 "tests": ["rowhammer"], "scale": "tiny"})
+        job = client.wait_job(job)  # a store hit is already completed
+        study = client.get_study(job["fingerprint"])
 
 Non-2xx responses raise :class:`ApiError` carrying the HTTP status and
 the server's JSON error body.
@@ -21,14 +27,20 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ReproError
 from repro.obs import clock
 
 #: Job states a job never leaves.
 _TERMINAL = ("completed", "failed", "cancelled")
+
+#: How a request fails on a connection the server has closed.
+_STALE = (
+    http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError,
+)
 
 
 class ApiError(ReproError):
@@ -42,7 +54,8 @@ class ApiError(ReproError):
 
 
 class ApiClient:
-    """Blocking client for one server address."""
+    """Blocking client for one server address; safe to share across
+    threads (each gets its own connection)."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8642,
                  tenant: str = "default", timeout: float = 60.0):
@@ -50,8 +63,46 @@ class ApiClient:
         self.port = port
         self.tenant = tenant
         self.timeout = timeout
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        #: (thread, its connection), for close().
+        self._connections: List[Tuple[threading.Thread,
+                                      http.client.HTTPConnection]] = []
+
+    def __enter__(self) -> "ApiClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every thread's connection; a later request reconnects."""
+        with self._lock:
+            connections = list(self._connections)
+        for _, connection in connections:
+            connection.close()
 
     # -- transport --------------------------------------------------------------
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection (it connects on first use,
+        and again after the server or :meth:`close` closed it). Making
+        one closes those of threads that have finished."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout
+            )
+            self._local.connection = connection
+            with self._lock:
+                kept = [(threading.current_thread(), connection)]
+                for thread, other in self._connections:
+                    if thread.is_alive():
+                        kept.append((thread, other))
+                    else:  # its thread has finished
+                        other.close()
+                self._connections = kept
+        return connection
 
     def request(
         self, method: str, path: str,
@@ -59,22 +110,30 @@ class ApiClient:
     ) -> Any:
         """One request/response cycle; raises :class:`ApiError` on
         non-2xx, returns the decoded JSON (or raw text) body."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        try:
-            body = json.dumps(payload) if payload is not None else None
-            connection.request(
-                method, path, body=body,
-                headers={
-                    "Content-Type": "application/json",
-                    "X-Repro-Tenant": self.tenant,
-                },
-            )
-            response = connection.getresponse()
-            raw = response.read().decode("utf-8")
-        finally:
-            connection.close()
+        body = json.dumps(payload) if payload is not None else None
+        headers = {
+            "Content-Type": "application/json",
+            "X-Repro-Tenant": self.tenant,
+        }
+        connection = self._connection()
+        while True:
+            reused = connection.sock is not None
+            response = None
+            try:
+                connection.request(method, path, body=body, headers=headers)
+                response = connection.getresponse()
+                raw = response.read().decode("utf-8")
+                break
+            except BaseException as error:
+                connection.close()
+                # The server closes only between requests: a reused
+                # connection that fails before any answer never carried
+                # this request, so it goes once more on a fresh one.
+                if not (
+                    reused and response is None
+                    and isinstance(error, _STALE)
+                ):
+                    raise
         content_type = response.getheader("Content-Type", "")
         decoded: Any = raw
         if "json" in content_type:

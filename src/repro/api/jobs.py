@@ -28,7 +28,10 @@ published to the content-addressed :class:`~repro.harness.store.
 StudyStore` under its request fingerprint; a job whose fingerprint is
 already published short-circuits without running anything: at
 admission (:func:`answer_hit`), or in the worker when an identical
-miss published the study while the job was queued.
+miss published the study while the job was queued. Identical jobs
+never run side by side: a worker that pops one while another worker
+runs its campaign waits for that campaign, then answers from the
+store.
 """
 
 from __future__ import annotations
@@ -478,11 +481,26 @@ def _execute_job(
     flight_dir: Optional[str],
     pool: Optional[WorkerPool],
 ) -> None:
-    spec = job.spec
     telemetry = JobTelemetry(job.id)
-    if store.contains(job.fingerprint):
-        _complete_hit(job, telemetry)
-        return
+    # A job identical to one another worker is running waits for that
+    # campaign here, then finds its study instead of computing it again.
+    with store.computing(job.fingerprint):
+        if store.contains(job.fingerprint):
+            _complete_hit(job, telemetry)
+            return
+        _run_campaign(job, telemetry, store, checkpoint_base, flight_dir,
+                      pool)
+
+
+def _run_campaign(
+    job: Job,
+    telemetry: JobTelemetry,
+    store: StudyStore,
+    checkpoint_base: Optional[str],
+    flight_dir: Optional[str],
+    pool: Optional[WorkerPool],
+) -> None:
+    spec = job.spec
     service = CampaignService(
         modules=list(spec.modules),
         tests=spec.tests,

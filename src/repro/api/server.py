@@ -1,7 +1,7 @@
 """Characterization-as-a-service HTTP front end (stdlib asyncio).
 
 One asyncio server speaks a deliberately small HTTP/1.1 subset (JSON
-bodies, ``Connection: close``), fronting the thread-world behind it:
+bodies, persistent connections), fronting the thread-world behind it:
 the :class:`~repro.api.queue.JobQueue`, a pool of worker threads
 running campaigns through :class:`~repro.service.orchestrator.
 CampaignService`, the one campaign :class:`~repro.service.pool.
@@ -29,6 +29,14 @@ Error mapping: :class:`~repro.errors.ConfigurationError` -> 400,
 unknown ids -> 404, :class:`~repro.errors.QuotaExceededError` -> 429,
 anything else -> 500. Tenancy is the ``X-Repro-Tenant`` header
 (default ``"default"``).
+
+Transport: a connection carries requests one after another, answered
+in order, and stays open between them (HTTP/1.1's default). The server
+closes it after a request that asks it to (``Connection: close``, or
+HTTP/1.0 without ``keep-alive``), after an SSE stream, a malformed or
+oversized request or a 500 -- each answer says ``Connection: close``
+-- and when no request head arrives within :data:`IDLE_TIMEOUT_S`.
+It closes only between requests, never with one half read.
 
 The SSE stream bridges the process-global observability bus
 (:mod:`repro.obs.events`): every telemetry record a job's
@@ -100,6 +108,76 @@ _STATUS_TEXT = {
     413: "Payload Too Large", 429: "Too Many Requests",
     500: "Internal Server Error",
 }
+
+#: Seconds a connection may wait for its next request head (and a
+#: request for its body) before the server closes it.
+IDLE_TIMEOUT_S = 30.0
+
+
+class _BadRequest(Exception):
+    """A request the server answers with ``status`` and then closes."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+def _parse_head(head: Optional[bytes]):
+    """(method, path, query, headers, ``Connection`` header of the
+    answer) of one request head; the header is ``"close"`` when the
+    connection ends after the answer, ``"keep-alive"`` for a persistent
+    HTTP/1.0 connection (which must say so), else None."""
+    if head is None:
+        raise _BadRequest(400, "request head too large")
+    lines = head.decode("latin-1").split("\r\n")
+    try:
+        method, target, version = lines[0].split(" ", 2)
+    except ValueError:
+        raise _BadRequest(400, "malformed request line") from None
+    if not version.startswith("HTTP/"):
+        raise _BadRequest(400, "malformed request line")
+    headers = {}
+    for line in lines[1:]:
+        if ":" in line:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+    path, _, raw_query = target.partition("?")
+    query = {}
+    for pair in raw_query.split("&"):
+        if "=" in pair:
+            name, _, value = pair.partition("=")
+            query[name] = value
+    tokens = {
+        token.strip().lower()
+        for token in headers.get("connection", "").split(",")
+    }
+    if "close" in tokens:
+        connection = "close"
+    elif version == "HTTP/1.0":
+        connection = "keep-alive" if "keep-alive" in tokens else "close"
+    else:
+        connection = None
+    return method.upper(), path, query, headers, connection
+
+
+async def _read_body(reader, headers: Dict[str, str]) -> bytes:
+    """The request body its ``Content-Length`` announces."""
+    try:
+        length = int(headers.get("content-length") or 0)
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise _BadRequest(400, "malformed Content-Length")
+    if length > MAX_BODY_BYTES:
+        raise _BadRequest(413, f"body over {MAX_BODY_BYTES} bytes")
+    if not length:
+        return b""
+    try:
+        return await asyncio.wait_for(
+            reader.readexactly(length), timeout=IDLE_TIMEOUT_S
+        )
+    except (asyncio.IncompleteReadError, asyncio.TimeoutError):
+        raise _BadRequest(400, "request body incomplete") from None
 
 
 class ApiServer:
@@ -446,7 +524,12 @@ class ApiServer:
         ready: Optional[threading.Event] = None,
         sockets_out: Optional[list] = None,
     ) -> None:
-        """Run the HTTP front end until cancelled."""
+        """Run the HTTP front end until cancelled.
+
+        Cancelling it stops accepting connections; the connections still
+        open are tasks of the same loop, which its runner cancels
+        (``asyncio.run`` and :class:`BackgroundServer` both do).
+        """
         server = await asyncio.start_server(
             self._client, host, port, backlog=1024
         )
@@ -454,76 +537,28 @@ class ApiServer:
             sockets_out.extend(server.sockets)
         if ready is not None:
             ready.set()
-        async with server:
-            await server.serve_forever()
+        try:
+            # Not serve_forever(): cancelled, it waits (Python >= 3.12)
+            # for every open connection to close, idle ones included.
+            await asyncio.get_running_loop().create_future()
+        finally:
+            server.close()
 
     async def _client(self, reader, writer) -> None:
-        started = clock.monotonic()
-        status = 500
+        """Serve one connection: its requests in order, until one of
+        them ends it or none arrives within :data:`IDLE_TIMEOUT_S`."""
+        REGISTRY.counter(
+            "repro_api_connections_total", "HTTP connections accepted"
+        ).inc()
         try:
-            request = await asyncio.wait_for(
-                self._read_request(reader), timeout=30.0
-            )
-            if request is None:
-                return
-            method, path, query, headers, body = request
-            tenant = headers.get("x-repro-tenant", "default")
-            if path.endswith("/events") and method == "GET":
-                status = await self._serve_sse(writer, path)
-                return
-            if path == "/metrics" and method == "GET":
-                self._respond_text(writer, 200, REGISTRY.prometheus_text())
-                status = 200
-                return
-            if path == "/v1/ops" and method == "GET" and (
-                query.get("format") == "html"
-                or "text/html" in headers.get("accept", "")
-            ):
-                self._write_body(
-                    writer, 200, self._ops_html().encode("utf-8"),
-                    "text/html; charset=utf-8",
-                )
-                status = 200
-                return
-            payload = None
-            if body:
-                try:
-                    payload = json.loads(body)
-                except ValueError:
-                    self._respond(
-                        writer, 400, {"error": "request body is not JSON"}
-                    )
-                    status = 400
-                    return
-            status, document = self.handle(
-                method, path, query, payload, tenant
-            )
-            self._respond(writer, status, document)
-        except (
-            asyncio.IncompleteReadError, asyncio.LimitOverrunError,
-            asyncio.TimeoutError, ConnectionError,
-        ):
-            status = 400
-        except Exception as error:  # noqa: BLE001 - never kill the loop
-            try:
-                self._respond(
-                    writer, 500,
-                    {"error": f"{type(error).__name__}: {error}"},
-                )
-            except Exception:
+            while await self._exchange(reader, writer):
                 pass
+        except (ConnectionError, asyncio.CancelledError):
+            # The client left mid-answer, or the server is shutting
+            # down: a handler that ends cancelled is logged as an
+            # error before Python 3.12, so it ends here.
+            pass
         finally:
-            REGISTRY.counter(
-                "repro_api_requests_total", "HTTP requests served"
-            ).inc()
-            REGISTRY.counter(
-                f"repro_api_responses_{status // 100}xx_total",
-                "HTTP responses by status class",
-            ).inc()
-            REGISTRY.histogram(
-                "repro_api_request_seconds",
-                "request wall clock, connection accept to close",
-            ).observe(clock.monotonic() - started)
             try:
                 if writer.can_write_eof():
                     writer.write_eof()
@@ -535,58 +570,129 @@ class ApiServer:
             except (OSError, ConnectionError, asyncio.CancelledError):
                 pass
 
-    async def _read_request(self, reader):
-        """Parse one HTTP/1.1 request; None on immediate EOF."""
+    async def _exchange(self, reader, writer) -> bool:
+        """Read one request and answer it; returns whether the
+        connection stays open for the next one.
+
+        EOF or :data:`IDLE_TIMEOUT_S` before a whole request head ends
+        the connection unanswered, and is no request. A request asking
+        to close (``Connection: close``, HTTP/1.0 without
+        ``keep-alive``), an SSE stream, a malformed or oversized
+        request and a 500 are answered, then end it.
+        """
         try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as error:
-            if not error.partial:
-                return None
-            raise
-        lines = head.decode("latin-1").split("\r\n")
+            head = await asyncio.wait_for(
+                reader.readuntil(b"\r\n\r\n"), timeout=IDLE_TIMEOUT_S
+            )
+        except (asyncio.TimeoutError, asyncio.IncompleteReadError):
+            return False
+        except asyncio.LimitOverrunError:
+            head = None
+        started = clock.monotonic()
+        status = 500
         try:
-            method, target, _ = lines[0].split(" ", 2)
-        except ValueError:
-            raise asyncio.IncompleteReadError(head, None) from None
-        headers = {}
-        for line in lines[1:]:
-            if ":" in line:
-                name, _, value = line.partition(":")
-                headers[name.strip().lower()] = value.strip()
-        path, _, raw_query = target.partition("?")
-        query = {}
-        for pair in raw_query.split("&"):
-            if "=" in pair:
-                name, _, value = pair.partition("=")
-                query[name] = value
-        length = int(headers.get("content-length", 0) or 0)
-        if length > MAX_BODY_BYTES:
-            raise asyncio.LimitOverrunError("body too large", length)
-        body = await reader.readexactly(length) if length else b""
-        return method.upper(), path, query, headers, body
+            status, connection = await self._answer(reader, writer, head)
+            await writer.drain()
+        finally:
+            REGISTRY.counter(
+                "repro_api_requests_total", "HTTP requests served"
+            ).inc()
+            REGISTRY.counter(
+                f"repro_api_responses_{status // 100}xx_total",
+                "HTTP responses by status class",
+            ).inc()
+            REGISTRY.histogram(
+                "repro_api_request_seconds",
+                "request wall clock, request head read to response "
+                "written",
+            ).observe(clock.monotonic() - started)
+        return connection != "close"
+
+    async def _answer(
+        self, reader, writer, head: Optional[bytes]
+    ) -> Tuple[int, Optional[str]]:
+        """Answer one request whose head is ``head`` (None: too large);
+        returns (status, the answer's ``Connection`` header)."""
+        try:
+            method, path, query, headers, connection = _parse_head(head)
+            body = await _read_body(reader, headers)
+        except _BadRequest as error:
+            self._respond(writer, error.status, {"error": str(error)},
+                          "close")
+            return error.status, "close"
+        try:
+            if path.endswith("/events") and method == "GET":
+                return await self._serve_sse(writer, path), "close"
+            if path == "/metrics" and method == "GET":
+                self._respond_text(
+                    writer, 200, REGISTRY.prometheus_text(), connection
+                )
+                return 200, connection
+            if path == "/v1/ops" and method == "GET" and (
+                query.get("format") == "html"
+                or "text/html" in headers.get("accept", "")
+            ):
+                self._write_body(
+                    writer, 200, self._ops_html().encode("utf-8"),
+                    "text/html; charset=utf-8", connection,
+                )
+                return 200, connection
+            payload = None
+            if body:
+                try:
+                    payload = json.loads(body)
+                except ValueError:
+                    self._respond(
+                        writer, 400, {"error": "request body is not JSON"},
+                        connection,
+                    )
+                    return 400, connection
+            status, document = self.handle(
+                method, path, query, payload,
+                headers.get("x-repro-tenant", "default"),
+            )
+            self._respond(writer, status, document, connection)
+            return status, connection
+        except Exception as error:  # noqa: BLE001 - never kill the loop
+            self._respond(
+                writer, 500, {"error": f"{type(error).__name__}: {error}"},
+                "close",
+            )
+            return 500, "close"
 
     def _respond(
-        self, writer, status: int, document: Union[Dict, bytes]
+        self, writer, status: int, document: Union[Dict, bytes],
+        connection: Optional[str],
     ) -> None:
         if not isinstance(document, bytes):
             document = json.dumps(document).encode("utf-8")
-        self._write_body(writer, status, document, "application/json")
+        self._write_body(
+            writer, status, document, "application/json", connection
+        )
 
-    def _respond_text(self, writer, status: int, text: str) -> None:
+    def _respond_text(
+        self, writer, status: int, text: str, connection: Optional[str],
+    ) -> None:
         self._write_body(
             writer, status, text.encode("utf-8"),
-            "text/plain; charset=utf-8",
+            "text/plain; charset=utf-8", connection,
         )
 
     def _write_body(
-        self, writer, status: int, body: bytes, content_type: str
+        self, writer, status: int, body: bytes, content_type: str,
+        connection: Optional[str],
     ) -> None:
-        writer.write(
+        """One response; ``connection`` is its ``Connection`` header
+        (``"close"`` when the connection ends after it), or None for
+        HTTP/1.1's default, a persistent connection."""
+        head = (
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n"
-            f"Connection: close\r\n\r\n".encode("latin-1")
         )
+        if connection:
+            head += f"Connection: {connection}\r\n"
+        writer.write(f"{head}\r\n".encode("latin-1"))
         writer.write(body)
 
     async def _serve_sse(self, writer, path: str) -> int:
@@ -600,7 +706,8 @@ class ApiServer:
         job_id = parts[2] if len(parts) == 4 else ""
         job = self.queue.get(job_id)
         if job is None:
-            self._respond(writer, 404, {"error": f"unknown job {job_id!r}"})
+            self._respond(writer, 404, {"error": f"unknown job {job_id!r}"},
+                          "close")
             return 404
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
@@ -652,6 +759,7 @@ class BackgroundServer:
         self._requested_port = port
         self.port: Optional[int] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._serving: Optional[asyncio.Task] = None
         self._thread: Optional[threading.Thread] = None
 
     def __enter__(self) -> "BackgroundServer":
@@ -663,17 +771,26 @@ class BackgroundServer:
 
         def _run() -> None:
             loop = asyncio.new_event_loop()
-            self._loop = loop
             asyncio.set_event_loop(loop)
-            task = loop.create_task(self.api.serve(
+            self._serving = loop.create_task(self.api.serve(
                 port=self._requested_port, ready=ready,
                 sockets_out=sockets,
             ))
+            self._loop = loop
             try:
-                loop.run_until_complete(task)
+                loop.run_until_complete(self._serving)
             except asyncio.CancelledError:
                 pass
             finally:
+                # The connections still open (idle ones, half-sent
+                # requests): cancel them and let each close before the
+                # loop does, as asyncio.run shuts down.
+                pending = asyncio.all_tasks(loop)
+                for task in pending:
+                    task.cancel()
+                loop.run_until_complete(
+                    asyncio.gather(*pending, return_exceptions=True)
+                )
                 loop.close()
 
         self._thread = threading.Thread(
@@ -690,8 +807,11 @@ class BackgroundServer:
         self.api.stop_workers()
         loop, self._loop = self._loop, None
         if loop is not None:
-            for task in asyncio.all_tasks(loop):
-                loop.call_soon_threadsafe(task.cancel)
+            # Only the serve task: the loop thread ends the connections.
+            try:
+                loop.call_soon_threadsafe(self._serving.cancel)
+            except RuntimeError:
+                pass  # the loop already closed (serve itself failed)
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None

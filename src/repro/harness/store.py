@@ -37,7 +37,10 @@ bytes; the store only has to guarantee that
 * **writers do not waste work or collide on temp state** -- a per-
   fingerprint lockfile (``O_CREAT | O_EXCL``) admits a single writer;
   a second writer waits briefly and then simply adopts the published
-  entry instead of re-serializing it.
+  entry instead of re-serializing it. Within one process,
+  :meth:`StudyStore.computing` goes further: the API's job workers
+  hold it around a campaign, so an identical job waits for the study
+  instead of computing it too.
 
 Lockfiles are advisory and crash-tolerant: a lock older than
 ``stale_lock_seconds`` is broken (its holder died mid-write; the temp
@@ -52,8 +55,10 @@ from __future__ import annotations
 import errno
 import json
 import os
+import threading
 import time
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional
 
 from repro.atomic import write_atomic
 from repro.core.serialization import (
@@ -103,6 +108,9 @@ class StudyStore:
         self.directory = directory
         self.lock_timeout = lock_timeout
         self.stale_lock_seconds = stale_lock_seconds
+        # fingerprint -> [lock, holders], for computing().
+        self._computing: Dict[str, list] = {}
+        self._computing_lock = threading.Lock()
 
     # -- addressing -------------------------------------------------------------
 
@@ -118,6 +126,25 @@ class StudyStore:
 
     def _lock_path(self, fingerprint: str) -> str:
         return os.path.join(self.directory, f".lock-{fingerprint}")
+
+    @contextmanager
+    def computing(self, fingerprint: str) -> Iterator[None]:
+        """Hold, within this process, the one lock of computing
+        ``fingerprint``'s study: a thread about to compute the same
+        study waits here for the first to publish it."""
+        with self._computing_lock:
+            entry = self._computing.setdefault(
+                fingerprint, [threading.Lock(), 0]
+            )
+            entry[1] += 1
+        try:
+            with entry[0]:
+                yield
+        finally:
+            with self._computing_lock:
+                entry[1] -= 1
+                if not entry[1]:
+                    del self._computing[fingerprint]
 
     def contains(self, fingerprint: str) -> bool:
         """Whether an entry is currently published for ``fingerprint``."""

@@ -9,6 +9,7 @@ a real socket via :class:`BackgroundServer` + :class:`ApiClient`.
 import http.client
 import json
 import os
+import time
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.core.serialization import study_to_dict
 from repro.core.study import CharacterizationStudy
 from repro.harness.cache import attach_provenance
 from repro.obs.metrics import REGISTRY
+from repro.service.orchestrator import CampaignService
 
 PAYLOAD = {
     "modules": ["C5"], "tests": ["rowhammer"], "scale": "tiny", "seed": 0,
@@ -276,6 +278,39 @@ class TestAdmissionHits:
         assert api.queue.get(first["id"]).cache == "miss"
         duplicate = api.queue.get(second["id"])
         assert (duplicate.state, duplicate.cache) == ("completed", "hit")
+
+    def test_identical_misses_in_flight_run_one_campaign(
+        self, tmp_path, monkeypatch
+    ):
+        """Two workers pop two identical misses at once: the second
+        waits for the first's campaign and answers from the store."""
+        api = ApiServer(
+            str(tmp_path / "store"), str(tmp_path / "state"), workers=2
+        )
+        runs = []
+        run = CampaignService.run
+
+        def gated_run(service, *args, **kwargs):
+            runs.append(service.fingerprint)
+            # Hold the campaign until the duplicate has been popped too.
+            deadline = time.monotonic() + 30.0
+            while api.queue.depth() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.1)  # for its worker to reach the store check
+            return run(service, *args, **kwargs)
+
+        monkeypatch.setattr(CampaignService, "run", gated_run)
+        first, second = (submit(api)[1]["job"] for _ in range(2))
+        api.start_workers()
+        try:
+            jobs = [_wait_terminal(api, job["id"]) for job in (first, second)]
+        finally:
+            api.stop_workers()
+        assert len(runs) == 1
+        # Either worker may take the lock first.
+        assert sorted((job.state, job.cache) for job in jobs) == [
+            ("completed", "hit"), ("completed", "miss"),
+        ]
 
 
 def _wait_terminal(api, job_id, timeout=300.0):
