@@ -57,8 +57,8 @@ bench-check:
 # within 25 % of its committed value, and the measurement-jitter
 # prefetch's speedup floors over per-key draws (a same-process ratio,
 # re-measured), and a cold import of the service and CLI entry points
-# that must load no scipy module and stay within 25 % of its committed
-# peak RSS, without timing re-measurement (the fused
+# that must load no scipy or experiment module and stay within 25 % of
+# its committed peak RSS, without timing re-measurement (the fused
 # ladder, characterization, WCDP and preheat times are guarded by
 # bench-check's re-measurement). The API
 # load smoke rides along: a reduced-job concurrent run with the

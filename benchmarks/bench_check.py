@@ -44,8 +44,10 @@ Seven layers, any of which fails the check (exit 1):
   with the timing band;
 * a cold-start gate: a fresh interpreter importing the service and CLI
   entry points (``bench_probe.bench_cold_import``) must load no
-  ``scipy`` module, and its peak RSS (``cold_import_peak_mib``) must
-  not exceed the committed value by more than :data:`PEAK_TOLERANCE`.
+  ``scipy`` module and no ``repro.harness.experiments`` module (the
+  registry discovers experiments on first use), and its peak RSS
+  (``cold_import_peak_mib``) must not exceed the committed value by
+  more than :data:`PEAK_TOLERANCE`.
   Both run in both modes; full mode also guards
   ``cold_import_seconds`` with the timing band;
 * a jitter-kernel gate: the measurement-jitter prefetch's speedups over
@@ -299,11 +301,17 @@ def main(argv=None) -> int:
     cold = bench_probe.bench_cold_import()
     print(f"cold import {cold['cold_import_seconds']:.2f} s, peak "
           f"{cold[COLD_PEAK_KEY]:.1f} MiB, "
-          f"{cold['cold_import_scipy_modules']} scipy modules")
+          f"{cold['cold_import_scipy_modules']} scipy modules, "
+          f"{cold['cold_import_experiment_modules']} experiment modules")
     if cold["cold_import_scipy_modules"]:
         print("importing repro.api.server and repro.harness.runner loaded "
               "scipy: it is a test-only dependency and must stay out of "
               "the runtime import graph", file=sys.stderr)
+        return 1
+    if cold["cold_import_experiment_modules"]:
+        print("importing repro.api.server and repro.harness.runner loaded "
+              "experiment modules: the registry must import one only "
+              "when it is looked up", file=sys.stderr)
         return 1
     if COLD_PEAK_KEY in committed:
         ceiling = committed[COLD_PEAK_KEY] * (1.0 + PEAK_TOLERANCE)

@@ -41,8 +41,9 @@ with both cache layers disabled:
 * the cold start of the service and CLI entry points: a fresh
   interpreter imports ``repro.api.server`` and ``repro.harness.runner``
   (import wall seconds, min of several runs, and the interpreter's
-  peak RSS in MiB), and counts the ``scipy`` modules that import
-  loaded, which ``bench_check`` requires to be none.
+  peak RSS in MiB), and counts the ``scipy`` modules and the
+  ``repro.harness.experiments`` modules that import loaded, which
+  ``bench_check`` requires to be none.
 
 The JSON is written next to this script (override with ``--out``) so
 future changes have a perf trajectory to compare against;
@@ -494,9 +495,9 @@ def bench_study_store(runs=7):
 
 #: What a fresh interpreter runs for :func:`bench_cold_import`: the
 #: service and CLI entry points' imports, timed, then the process's
-#: peak RSS and the ``scipy`` modules the imports loaded. The peak is
-#: ``VmHWM``, which exec resets: ``ru_maxrss`` would carry over the
-#: forking benchmark process's RSS.
+#: peak RSS and the ``scipy`` and experiment modules the imports
+#: loaded. The peak is ``VmHWM``, which exec resets: ``ru_maxrss``
+#: would carry over the forking benchmark process's RSS.
 COLD_IMPORT_SCRIPT = """
 import json, resource, sys, time
 started = time.perf_counter()
@@ -514,6 +515,9 @@ print(json.dumps({
     "seconds": seconds,
     "peak_kib": peak_kib,
     "scipy": sum(name.startswith("scipy") for name in sys.modules),
+    "experiments": sum(
+        name.startswith("repro.harness.experiments.") for name in sys.modules
+    ),
 }))
 """
 
@@ -521,8 +525,9 @@ print(json.dumps({
 def bench_cold_import(runs=3):
     """Cold start of the service and CLI entry points, each run in a
     fresh interpreter: import wall seconds and peak RSS (MiB), min of
-    ``runs``, and the number of ``scipy`` modules loaded (the runtime
-    needs none). Runs from the source tree ``repro`` is imported from."""
+    ``runs``, and the number of ``scipy`` modules and of experiment
+    modules loaded (the entry points need neither). Runs from the
+    source tree ``repro`` is imported from."""
     import repro
 
     env = dict(os.environ)
@@ -541,6 +546,9 @@ def bench_cold_import(runs=3):
         "cold_import_seconds": min(s["seconds"] for s in samples),
         "cold_import_peak_mib": min(s["peak_kib"] for s in samples) / 1024,
         "cold_import_scipy_modules": max(s["scipy"] for s in samples),
+        "cold_import_experiment_modules": max(
+            s["experiments"] for s in samples
+        ),
     }
 
 
@@ -625,7 +633,7 @@ def main(argv=None) -> int:
         "cold_import": (
             "fresh interpreter importing repro.api.server and"
             " repro.harness.runner: import wall seconds and peak RSS (MiB),"
-            " min-of-3, and the scipy modules loaded"
+            " min-of-3, and the scipy and experiment modules loaded"
         ),
         "study_store": (
             "StudyStore.load (column file) and .store (column file and"

@@ -48,8 +48,10 @@ from repro.core.scale import scale_preset
 from repro.core.study import TEST_TYPES
 from repro.errors import ConfigurationError, JobCancelledError
 from repro.harness.cache import BENCH_MODULES, study_fingerprint
+from repro.harness.registry import get_spec
 from repro.harness.store import StudyStore
 from repro.harness.validation import (
+    validate_experiments,
     validate_modules,
     validate_program,
     validate_subset,
@@ -138,9 +140,6 @@ class JobSpec:
     def _from_experiment(
         cls, payload, experiment, allowed_modules, allowed_experiments
     ) -> "JobSpec":
-        from repro.harness.registry import get_spec
-        from repro.harness.validation import validate_experiments
-
         validate_experiments([experiment])
         validate_subset([experiment], allowed_experiments, "experiments")
         spec = get_spec(experiment)

@@ -1314,8 +1314,6 @@ class ProbeSweep:
         self.discharged_value = bank._discharged_value(self.physical)
         self._op_key = None
         self._retention_thresholds = None
-        self._counts = None
-        self._counts_key = None
         self._fused = None
         self._fused_key = None
         #: Operating point at which sensing is known data-independently
@@ -1386,16 +1384,15 @@ class ProbeSweep:
 
     def cache_nbytes(self) -> int:
         """Approximate bytes of per-operating-point arrays owned by this
-        sweep (the effective-retention vector and the counts objects'
+        sweep (the effective-retention vector and the counts object's
         sorted slices). Row-state caches are excluded: they are shared
         across sweeps and survive eviction anyway. The probe engines'
         byte-bounded LRU sums this over its residents."""
         total = 0
         if self._retention_thresholds is not None:
             total += self._retention_thresholds.nbytes
-        for counts in (self._counts, self._fused):
-            if counts is not None:
-                total += counts.nbytes()
+        if self._fused is not None:
+            total += self._fused.nbytes()
         return total
 
 
@@ -1501,26 +1498,10 @@ class HammerSweep(ProbeSweep):
         flips |= charged & (damage >= effective_tolerance)
         return flips
 
-    def threshold_counts(self) -> "_HammerCounts":
-        """Sorted-threshold reductions at the current operating point.
-
-        Rebuilt only when V_PP or temperature change -- the per-probe
-        cost of a whole bisection then collapses to a few scalar
-        multiplies (see :class:`_HammerCounts`).
-        """
-        env = self._bank._env
-        key = (env.vpp, env.temperature)
-        if self._counts is None or self._counts_key != key:
-            self._counts = _HammerCounts(self)
-            self._counts_key = key
-        return self._counts
-
     def fused_counts(self) -> "_FusedHammerCounts":
         """Layout-derived hammer reductions at the current operating
         point (the probe engine's kernel; see
-        :class:`_FusedHammerCounts`). Cached separately from
-        :meth:`threshold_counts` so mixing the two kernels on one sweep
-        cannot alias them."""
+        :class:`_FusedHammerCounts`)."""
         env = self._bank._env
         key = (env.vpp, env.temperature)
         if self._fused is None or self._fused_key != key:
@@ -1775,156 +1756,6 @@ def _charged_members(
     if charged_byte == 0xFF:
         return indices
     return indices[(population.bits[:prefix] & charged_byte) != 0]
-
-
-class _HammerCounts:
-    """Exact hammer-probe flip *counts* from scalar reductions -- the
-    kernel-level reference.
-
-    A probe's flip set is ``R | D`` where ``R`` (retention decays) and
-    ``D`` (damage flips, per bulk/outlier population) are both prefix
-    sets of presorted threshold vectors, so
-
-    ``|R | D| = |R| + sum_pop |D_pop| - sum_pop |R & D_pop|``
-
-    needs one ``searchsorted``, one binary search per population, and a
-    small overlap count -- no full-row vector work. Every comparison
-    replays the exact scalar operations of :meth:`HammerSweep.
-    flip_mask` (float64 products of the float32 tolerances, strict /
-    non-strict directions preserved), so the counts are bit-consistent
-    with ``np.count_nonzero(flip_mask(...))``. The populations are
-    derived independently of the probe engine's kernel
-    (:class:`_FusedHammerCounts`, which reads the shared per-row
-    layouts): masked from the sweep's charged and outlier masks, then
-    sorted, and owned by this object. No engine or analysis path uses
-    it: its only callers are the kernel tests
-    (``tests/core/test_fused_engine.py``, ``TestHammerKernels`` and
-    ``TestLayoutHeads``), which reach it through
-    :meth:`HammerSweep.threshold_counts` as the eager reference the
-    fused kernel is checked against.
-    """
-
-    def __init__(self, sweep: HammerSweep):
-        bank = sweep._bank
-        state = sweep.state
-        self._cells = bank._cells
-        self._physical = sweep.physical
-        tolerance = bank._cached(state, sweep.physical, "cell_tolerances")
-        populations = []
-        for mask in (
-            sweep.charged & ~sweep._outlier_mask,
-            sweep.charged & sweep._outlier_mask,
-        ):
-            indices = np.flatnonzero(mask)
-            indices = indices[np.argsort(tolerance[indices])]
-            populations.append(
-                (indices, tolerance[indices].astype(np.float64))
-            )
-        self._bulk, self._outlier = populations
-        self._hammer_pattern = bank._cached(
-            state, sweep.physical, "pattern_factors"
-        )[sweep.pattern_index]
-        self._sweep = sweep
-        self._retention_sorted = None
-        self._effective_retention = None
-        # Per-population retention slices, materialized only if a probe
-        # actually needs the decay/damage overlap correction.
-        self._pop_retention = [None, None]
-
-    def _factor(self, session: int):
-        jitter = self._cells.measurement_jitter(self._physical, session)
-        return self._hammer_pattern * jitter
-
-    def _decayed(self, elapsed: float) -> int:
-        """Exact decayed-cell count; materializes the sorted charged
-        retention thresholds on first use."""
-        if elapsed <= 0:
-            return 0
-        if self._retention_sorted is None:
-            self._effective_retention = (
-                self._sweep.effective_retention_times()
-            )
-            self._retention_sorted = np.sort(
-                self._effective_retention[self._sweep.charged]
-            )
-        return int(self._retention_sorted.searchsorted(elapsed, "left"))
-
-    def any_decay(self, elapsed: float) -> bool:
-        """True when the probe's wait decays at least one charged cell
-        (``flip_mask``'s retention term is nonzero)."""
-        return self._decayed(elapsed) > 0
-
-    def _population_retention(self, index: int) -> np.ndarray:
-        retention = self._pop_retention[index]
-        if retention is None:
-            indices = (self._bulk, self._outlier)[index][0]
-            retention = self._effective_retention[indices]
-            self._pop_retention[index] = retention
-        return retention
-
-    def count(
-        self, damage_bulk: float, damage_outlier: float, session: int,
-        elapsed: float,
-    ) -> int:
-        """``np.count_nonzero(flip_mask(...))``, without the vectors."""
-        factor = self._factor(session)
-        decayed = self._decayed(elapsed)
-        total = decayed
-        for index, damage in ((0, damage_bulk), (1, damage_outlier)):
-            tol64 = (self._bulk, self._outlier)[index][1]
-            prefix = _flip_prefix(tol64, factor, damage)
-            total += prefix
-            if prefix and decayed:
-                retention = self._population_retention(index)
-                total -= int(np.count_nonzero(retention[:prefix] < elapsed))
-        return total
-
-    def any_flip(
-        self, damage_bulk: float, damage_outlier: float, session: int,
-        elapsed: float,
-    ) -> bool:
-        """``flip_mask(...).any()``: probes only the population minima.
-
-        Skipping the jitter draw when a retention decay already decides
-        the probe is exact -- the RNG is stateless (see the sweep
-        docstrings).
-        """
-        if self.any_decay(elapsed):
-            return True
-        factor = self._factor(session)
-        for (_, tol64), damage in (
-            (self._bulk, damage_bulk), (self._outlier, damage_outlier)
-        ):
-            if tol64.shape[0] and tol64[0] * factor <= damage:
-                return True
-        return False
-
-    def flip_populations(
-        self, damage_bulk: float, damage_outlier: float, session: int
-    ) -> List[np.ndarray]:
-        """Per-population index arrays of the damage-flipped cells.
-
-        The prefix form of ``flip_mask``'s damage term: monotone
-        float64 products make each population's flip set a prefix of
-        its presorted index array. Without retention decay these
-        indices *are* the complete flip set.
-        """
-        factor = self._factor(session)
-        parts = []
-        for (indices, tol64), damage in (
-            (self._bulk, damage_bulk), (self._outlier, damage_outlier)
-        ):
-            prefix = _flip_prefix(tol64, factor, damage)
-            if prefix:
-                parts.append(indices[:prefix])
-        return parts
-
-    def nbytes(self) -> int:
-        """Bytes of the arrays this object owns (its populations and
-        the lazily sorted retention slices)."""
-        arrays = [*self._bulk, *self._outlier, *self._pop_retention]
-        arrays.append(self._retention_sorted)
-        return sum(array.nbytes for array in arrays if array is not None)
 
 
 def _fused_group_prefix(
@@ -2255,8 +2086,9 @@ class _FusedHammerCounts:
     def flip_populations(
         self, damage_bulk: float, damage_outlier: float, session: int
     ) -> List[np.ndarray]:
-        """Index arrays of the damage-flipped cells (set semantics; see
-        :meth:`_HammerCounts.flip_populations`)."""
+        """Per-population index arrays of the damage-flipped cells (set
+        semantics, any order within a population). Without retention
+        decay these indices are the complete flip set."""
         factor = self._factor(session)
         return self._members(
             self._damage_flips(damage_bulk, damage_outlier, factor)

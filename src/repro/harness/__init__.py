@@ -13,13 +13,23 @@ experiments and :mod:`repro.harness.export` serializes the resulting
 
 from repro.harness.output import ExperimentOutput, ExperimentTable
 from repro.harness.registry import (
-    EXPERIMENT_IDS,
     all_specs,
     get_experiment,
     get_spec,
     run_experiment,
 )
 from repro.harness.spec import ExperimentSpec, StudyRequest
+
+
+def __getattr__(name: str):
+    # ``EXPERIMENT_IDS`` imports every experiment module; resolve it
+    # only when asked for (PEP 562), like the registry does.
+    if name == "EXPERIMENT_IDS":
+        from repro.harness import registry
+
+        return registry.EXPERIMENT_IDS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "EXPERIMENT_IDS",

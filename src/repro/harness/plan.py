@@ -19,6 +19,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.scale import StudyScale
 from repro.harness import cache
+from repro.harness.registry import get_spec
 from repro.harness.spec import ResolvedStudy
 
 
@@ -95,8 +96,6 @@ def build_plan(
     """Resolve the declared study needs of ``experiment_ids`` under the
     given run arguments, deduplicated on the cache key in first-use
     order."""
-    from repro.harness.registry import get_spec
-
     seen = set()
     requests: List[ResolvedStudy] = []
     for experiment_id in experiment_ids:

@@ -31,12 +31,7 @@ from repro.harness.cache import DEFAULT_CACHE_DIR, set_study_cache_dir
 from repro.harness.export import export_output
 from repro.harness.plan import build_plan
 from repro.errors import ConfigurationError
-from repro.harness.registry import (
-    EXPERIMENT_IDS,
-    all_specs,
-    get_spec,
-    run_experiment,
-)
+from repro.harness.registry import all_specs, get_spec, run_experiment
 from repro.harness.validation import (
     validate_experiments,
     validate_modules,
@@ -63,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiments", nargs="*", metavar="ID",
-        help=f"experiment ids to run; known: {', '.join(EXPERIMENT_IDS)}",
+        help="experiment ids to run (--list shows them)",
     )
     parser.add_argument(
         "--all", action="store_true", help="run every registered experiment"
@@ -216,7 +211,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.list:
         print(list_experiments())
         return 0
-    ids = EXPERIMENT_IDS if args.all else args.experiments
+    ids = list(all_specs()) if args.all else args.experiments
     if not ids:
         build_parser().print_help()
         return 2

@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.study import TEST_TYPES
 from repro.dram.profiles import MODULE_PROFILES
 from repro.errors import ConfigurationError
+from repro.harness.registry import experiment_names, unknown_experiments
 
 
 def unknown_modules(modules: Sequence[str]) -> List[str]:
@@ -62,9 +63,9 @@ def validate_tests(tests: Sequence[str]) -> Tuple[str, ...]:
 def validate_program(name: Optional[str]) -> Optional[str]:
     """Check a DSL program name against the program registry.
 
-    None (no program requested) passes through. Imported lazily for the
-    same reason as :func:`validate_experiments` -- front ends that never
-    see a ``--program`` should not pay the import.
+    None (no program requested) passes through. The DSL is imported
+    lazily: front ends that never see a ``--program`` should not pay
+    the import.
     """
     if name is None:
         return None
@@ -81,17 +82,17 @@ def validate_program(name: Optional[str]) -> Optional[str]:
 def validate_experiments(ids: Sequence[str]) -> Tuple[str, ...]:
     """Check every experiment id against the registry.
 
-    Imported lazily: the registry pulls in every experiment module, and
-    the service CLI should not pay that import unless experiment ids
-    are actually being validated.
+    Ids are checked against the experiment package's module names, so
+    validating (or rejecting) ids imports no experiment module; the
+    known ids are listed by name, not in report order, for the same
+    reason. The service CLI and the API server validate ids this way
+    without importing any experiment.
     """
-    from repro.harness.registry import EXPERIMENT_IDS, unknown_experiments
-
     unknown = unknown_experiments(ids)
     if unknown:
         raise ConfigurationError(
             "unknown experiment id(s): " + ", ".join(unknown)
-            + "; known ids: " + ", ".join(EXPERIMENT_IDS)
+            + "; known ids: " + ", ".join(experiment_names())
         )
     return tuple(ids)
 

@@ -38,6 +38,7 @@ from repro.dram.cell import CELL_VECTOR_GENERATIONS_METRIC
 from repro.dram.patterns import STANDARD_PATTERNS, DataPattern
 from repro.obs.metrics import REGISTRY
 from repro.softmc.infrastructure import TestInfrastructure
+from tests.core.hammer_oracle import HammerCounts
 
 MODULES = ("A0", "B3", "C5")
 VPP_LEVELS = (2.5, 2.2)
@@ -152,7 +153,7 @@ class TestHammerKernels:
         for vpp in VPP_LEVELS:
             ctx.infra.set_vpp(vpp)
             fused = sweep.fused_counts()
-            eager = sweep.threshold_counts()
+            eager = HammerCounts(sweep)
             for session, count in enumerate((60_000, 240_000, 480_000, 1)):
                 damage = sweep.victim_damage(count)
                 mask = sweep.flip_mask(*damage, session, 1e-3)
@@ -212,7 +213,7 @@ class TestHammerKernels:
                 for pattern in STANDARD_PATTERNS:
                     sweep = bank.hammer_sweep(row, [row - 1, row + 1], pattern)
                     fused = sweep.fused_counts()
-                    eager = sweep.threshold_counts()
+                    eager = HammerCounts(sweep)
                     charged = sweep.charged
                     empty_seen += not charged.any()
                     retention = sweep.effective_retention_times()[charged]
@@ -435,7 +436,7 @@ class TestLayoutHeads:
                 if not sweep.charged.any():
                     continue
                 fused = sweep.fused_counts()
-                eager = sweep.threshold_counts()
+                eager = HammerCounts(sweep)
                 effective = np.sort(bank._effective_tolerances(
                     sweep.physical, sweep.state, sweep.pattern_index, session
                 )[sweep.charged & ~sweep._outlier_mask])

@@ -1,6 +1,9 @@
 """Declarative experiment specs: the drift guard, plan derivation, the
 runner's spec-driven surface, and the harness lint."""
 
+import sys
+import types
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -86,6 +89,48 @@ def test_registry_is_derived_not_hand_maintained():
     assert EXPERIMENT_IDS.index("significance") < EXPERIMENT_IDS.index(
         "ablation"
     )
+
+
+def test_one_spec_lookup_does_not_stand_in_for_discovery(monkeypatch):
+    from repro.harness import registry
+
+    # A fresh registry: only table3 looked up so far.
+    monkeypatch.setattr(registry, "_SPECS", {})
+    monkeypatch.setattr(registry, "_LOADED", {})
+    assert get_spec("table3").id == "table3"
+    assert list(registry._LOADED) == ["table3"]
+    specs = registry.all_specs()
+    assert len(specs) == len(registry.experiment_names()) == 27
+    assert list(specs) == EXPERIMENT_IDS
+    assert all(spec.id == experiment_id
+               for experiment_id, spec in specs.items())
+
+
+def test_unknown_ids_found_without_importing(monkeypatch):
+    from repro.harness import registry
+
+    monkeypatch.setattr(registry, "_LOADED", {})
+    assert registry.unknown_experiments(
+        ["fig3", "fig99", "table3", "fig99", "__init__", "spec"]
+    ) == ["fig99", "__init__", "spec"]
+    assert registry._LOADED == {}
+
+
+def test_file_name_must_equal_spec_id(monkeypatch):
+    from repro.harness import registry
+
+    # A module renamed without its SPEC: file name "renamed", id table3.
+    renamed = types.ModuleType("repro.harness.experiments.renamed")
+    renamed.SPEC = get_spec("table3")
+    monkeypatch.setitem(sys.modules, renamed.__name__, renamed)
+    monkeypatch.setattr(
+        registry, "_NAMES", sorted(registry.experiment_names() + ["renamed"])
+    )
+    monkeypatch.setattr(registry, "_SPECS", {})
+    with pytest.raises(ConfigurationError, match="file name must equal"):
+        get_spec("renamed")
+    with pytest.raises(ConfigurationError, match="renamed"):
+        registry.all_specs()
 
 
 def test_every_spec_is_well_formed():

@@ -1,10 +1,13 @@
-"""Runtime import graph: no entry point may load scipy, and pool
-workers import nothing per job.
+"""Runtime import graph: no entry point may load scipy or an experiment
+module, and pool workers import nothing per job.
 
 scipy is a test-only dependency (the reference for the ``normal_ppf``
 port); loading it costs over a second and tens of MB per process, so a
 fresh interpreter that imports every entry point and runs a study must
-finish with no ``scipy`` module in ``sys.modules``.
+finish with no ``scipy`` module in ``sys.modules``. The same
+interpreter must hold no ``repro.harness.experiments`` module either:
+the experiment registry is discovered on first use, and one experiment
+lookup imports only that experiment's module.
 
 A serving process forks its pool workers once and every pooled
 campaign reuses them; the pool's initializer loads what the unit path
@@ -39,8 +42,27 @@ study = CharacterizationStudy(scale=StudyScale.tiny(), seed=0).run(
 assert study.modules["C5"].rowhammer
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 print("scipy modules:", len(loaded), loaded[:5])
-sys.exit(1 if loaded else 0)
+experiments = sorted(
+    m for m in sys.modules if m.startswith("repro.harness.experiments.")
+)
+print("experiment modules:", len(experiments), experiments[:5])
+sys.exit(1 if loaded or experiments else 0)
 """
+
+_ONE_SPEC_SCRIPT = """
+import sys
+
+from repro.harness.registry import get_spec
+
+assert get_spec("table3").id == "table3"
+print(sorted(
+    m for m in sys.modules if m.startswith("repro.harness.experiments.")
+))
+"""
+
+#: ``python -m repro.harness.runner --list``, pinned byte for byte: its
+#: rows, report order and column widths come from every spec.
+_LIST_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "runner_list.txt"
 
 
 #: Two pooled campaigns on one pool. The audit hook goes in before the
@@ -121,6 +143,16 @@ def _run(args):
 
 def test_entry_points_and_a_study_never_load_scipy():
     _run(["-c", _SCRIPT])
+
+
+def test_one_spec_lookup_imports_one_experiment_module():
+    stdout = _run(["-c", _ONE_SPEC_SCRIPT]).stdout
+    assert stdout.strip() == "['repro.harness.experiments.table3']"
+
+
+def test_runner_list_output_is_unchanged():
+    stdout = _run(["-m", "repro.harness.runner", "--list"]).stdout
+    assert stdout == _LIST_FIXTURE.read_text()
 
 
 def test_pool_workers_import_nothing_per_campaign():
