@@ -12,7 +12,9 @@ install:
 # under repro.core / repro.service must take timestamps through
 # repro.obs.clock rather than time.time()/time.monotonic(), and
 # hammer schedules must come from repro.progdsl / the Program builder
-# macros rather than hand-rolled ACT or hammer/REF loops.
+# macros rather than hand-rolled ACT or hammer/REF loops, and (the
+# reachable-source contract) every src/ definition must be named by
+# other src/ code or sit on lint.py's REACHABILITY_ALLOWLIST.
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro.harness.lint
 

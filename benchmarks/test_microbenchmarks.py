@@ -15,7 +15,6 @@ from repro.core.rowhammer import measure_ber
 from repro.core.scale import StudyScale
 from repro.dram import constants
 from repro.dram.calibration import ModuleGeometry
-from repro.dram.ecc import BatchSecdedCodec
 from repro.dram.module import DramModule
 from repro.dram.patterns import STANDARD_PATTERNS
 from repro.dram.profiles import module_profile
@@ -29,6 +28,7 @@ from repro.spice.montecarlo import vary_params
 from repro.spice.transient import TransientSolver
 from repro.system import ControllerPolicy, MemoryController
 from repro.units import ns
+from tests.dram.batch_secded import BatchSecdedCodec
 
 GEOMETRY = ModuleGeometry(rows_per_bank=4096, banks=1, row_bits=8192)
 

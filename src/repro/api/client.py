@@ -200,11 +200,6 @@ class ApiClient:
         per-tenant quota usage, worker liveness, flight recorder)."""
         return self.request("GET", "/v1/ops")
 
-    def job_trace(self, job_id: str) -> Dict[str, Any]:
-        """``GET /v1/jobs/<id>/trace``: the stitched cross-process
-        Chrome-trace document for one job's trace id."""
-        return self.request("GET", f"/v1/jobs/{job_id}/trace")
-
     def metrics_text(self) -> str:
         """The server's ``/metrics`` Prometheus exposition."""
         return self.request("GET", "/metrics")

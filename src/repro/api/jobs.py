@@ -62,7 +62,7 @@ from repro.obs import context as obs_context
 from repro.obs.flightrec import recent_dumps
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
-from repro.service.checkpoint import MANIFEST_NAME, campaign_dir
+from repro.service.checkpoint import MANIFEST_NAME
 from repro.service.orchestrator import CampaignService
 from repro.service.pool import WorkerPool
 from repro.service.telemetry import TelemetryLog
@@ -515,13 +515,9 @@ def _run_campaign(
         flight_dir=flight_dir,
         pool=pool,
     )
-    resume = False
-    if checkpoint_base:
-        manifest = os.path.join(
-            campaign_dir(checkpoint_base, service.fingerprint),
-            MANIFEST_NAME,
-        )
-        resume = os.path.isfile(manifest)
+    resume = bool(service.checkpoint_dir) and os.path.isfile(
+        os.path.join(service.checkpoint_dir, MANIFEST_NAME)
+    )
 
     def _check_cancel(unit_id: str, done: int) -> None:
         if job.cancel_requested:

@@ -16,7 +16,7 @@ practice [74] for why profiling margin matters).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, Sequence, Tuple
 
 import numpy as np
 
@@ -38,13 +38,6 @@ class RetentionProfile:
     temperature: float
     rows_tested: int
     weak_rows: Tuple[int, ...]
-
-    @property
-    def weak_fraction(self) -> float:
-        """Fraction of tested rows that failed the window."""
-        if not self.rows_tested:
-            return 0.0
-        return len(self.weak_rows) / self.rows_tested
 
 
 def _charged_pattern(ctx: TestContext, row: int):

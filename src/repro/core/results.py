@@ -292,13 +292,6 @@ class RetentionTable(_Table):
         return totals[self.hist_offsets[1:]] - totals[self.hist_offsets[:-1]]
 
     @property
-    def words_with_one_flip(self) -> np.ndarray:
-        """Per record, the 64-bit words with exactly one flipped bit."""
-        return self.histogram_sums(
-            np.where(self.hist_flips == 1, self.hist_words, 0)
-        )
-
-    @property
     def words_uncorrectable(self) -> np.ndarray:
         """Per record, the words with two or more flips (beyond
         SECDED)."""
@@ -410,12 +403,3 @@ class ModuleResult:
         if not values.size:
             raise AnalysisError(f"no tRCD records at vpp={vpp}")
         return float(values.max())
-
-    def mean_retention_ber(self, vpp: float, trefw: float) -> float:
-        """Average retention BER across rows (Figure 10a's statistic)."""
-        values = self.retention.ber[self.retention_at(vpp, trefw)]
-        if not values.size:
-            raise AnalysisError(
-                f"no retention records at vpp={vpp}, trefw={trefw}"
-            )
-        return float(np.mean(values))

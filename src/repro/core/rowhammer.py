@@ -50,24 +50,11 @@ def measure_ber(
     return one_shot_hammer_ber(ctx, row, pattern, hammer_count)
 
 
-def measure_worst_ber(
-    ctx: TestContext, row: int, pattern: DataPattern, hammer_count: int,
-    iterations: int,
-) -> Tuple[float, Tuple[float, ...]]:
-    """Worst (largest) BER over ``iterations`` repetitions, plus the
-    per-iteration values (Section 4.6's CV input).
-
-    Runs as one probe session, so the engine resolves the row's sweep
-    once for all repetitions instead of re-entering its cache per
-    iteration (the ``sweep_saved_lookups`` counter tracks the savings).
-    """
-    with open_hammer_session(ctx, row, pattern) as probe:
-        return _worst_ber(probe, hammer_count, iterations)
-
-
 def _worst_ber(
     probe: HammerSession, hammer_count: int, iterations: int
 ) -> Tuple[float, Tuple[float, ...]]:
+    """Worst (largest) BER over ``iterations`` repetitions in one probe
+    session, plus the per-iteration values (Section 4.6's CV input)."""
     values = tuple(probe.ber_ladder(hammer_count, iterations))
     return max(values), values
 
@@ -171,8 +158,8 @@ def characterize_row(
 ) -> RowHammerRow:
     """Full Alg. 1 characterization of one row at the current V_PP: the
     worst-BER repetitions and the bisection share one probe session
-    (one sweep lookup), with the same probes and results as
-    :func:`measure_worst_ber` then :func:`find_hcfirst`."""
+    (one sweep lookup), with the same probes and results as a worst-BER
+    session then :func:`find_hcfirst`."""
     scale = ctx.scale
     with open_hammer_session(ctx, row, pattern) as probe:
         ber, iterations_values = _worst_ber(

@@ -37,7 +37,6 @@ from repro.dram.profiles import (
     MODULE_PROFILES,
     build_module,
     module_profile,
-    profiles_by_vendor,
 )
 from repro.dram.timing import TimingParameters
 from repro.dram.vendor import Vendor, VendorProfile
@@ -56,5 +55,4 @@ __all__ = [
     "VendorProfile",
     "build_module",
     "module_profile",
-    "profiles_by_vendor",
 ]

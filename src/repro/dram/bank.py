@@ -1399,10 +1399,10 @@ class ProbeSweep:
 class HammerSweep(ProbeSweep):
     """Batched double-sided RowHammer probe evaluation for one victim.
 
-    ``victim_damage`` replicates, deposit by deposit, the damage the
-    command path accumulates on the victim over one Alg. 1 probe (one
-    activation per aggressor initialization plus the hammer sessions),
-    and ``flip_mask`` evaluates it against the Bank's effective
+    ``damage_terms`` lets a probe replicate, deposit by deposit, the
+    damage the command path accumulates on the victim over one Alg. 1
+    probe (one activation per aggressor initialization plus the hammer
+    sessions), and ``flip_mask`` evaluates it against the Bank's effective
     thresholds -- so a whole bisection reuses one threshold computation
     per operating point.
     """
@@ -1434,8 +1434,8 @@ class HammerSweep(ProbeSweep):
         self._damage_terms = None
 
     def damage_terms(self) -> tuple:
-        """``(op_key, base_bulk, base_outlier, terms)`` for
-        :meth:`victim_damage` at the current operating point.
+        """``(op_key, base_bulk, base_outlier, terms)``: the victim's
+        damage coefficients at the current operating point.
 
         The initialization deposits (one activation per aggressor) and
         the per-aggressor ``weight / scale`` coefficients are constant
@@ -1462,20 +1462,6 @@ class HammerSweep(ProbeSweep):
             cached = (key, base_bulk, base_outlier, terms)
             self._damage_terms = cached
         return cached
-
-    def victim_damage(self, count: int) -> "tuple[float, float]":
-        """(bulk, outlier) damage one probe deposits on the victim.
-
-        Accumulated in the command path's order -- one activation per
-        aggressor initialization, then ``count`` hammers per aggressor --
-        with the same scalar expressions, so the floating-point result is
-        bit-identical to ``RowState.damage_*`` after the real commands.
-        """
-        _, damage_bulk, damage_outlier, terms = self.damage_terms()
-        for weight, scale_bulk, scale_outlier in terms:
-            damage_bulk += count * weight / scale_bulk
-            damage_outlier += count * weight / scale_outlier
-        return damage_bulk, damage_outlier
 
     def flip_mask(
         self,

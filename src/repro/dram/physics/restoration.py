@@ -68,14 +68,6 @@ class RestorationModel:
         """Maximum restorable cell voltage at ``vpp`` (Observation 10)."""
         return self.transistor.max_restorable_voltage(vpp, self.vdd)
 
-    def saturation_deficit(self, vpp: float) -> float:
-        """Fractional shortfall of the restored level below V_DD.
-
-        Zero while ``vpp >= vdd + vth``; e.g. 0.181 at V_PP = 1.7 V with
-        the SPICE threshold (Observation 10).
-        """
-        return 1.0 - self.saturation_voltage(vpp) / self.vdd
-
     # -- dynamics -------------------------------------------------------------
 
     def time_constant(self, vpp: float) -> float:

@@ -92,11 +92,6 @@ class AccessTransistorModel:
         return min(vdd, max(0.0, vpp - self.vth))
 
     @classmethod
-    def spice(cls) -> "AccessTransistorModel":
-        """The transistor model matching the paper's SPICE setup."""
-        return cls(vth=SPICE_VTH)
-
-    @classmethod
     def device(cls, vth: float = DEVICE_VTH) -> "AccessTransistorModel":
         """The effective-threshold model for real-chip behaviour."""
         return cls(vth=vth)

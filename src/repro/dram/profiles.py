@@ -24,7 +24,7 @@ Additional per-module reliability character comes from Sections 6.1/6.3:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.dram.vendor import Vendor
 from repro.errors import ConfigurationError
@@ -121,21 +121,6 @@ class ModuleProfile:
         for anchor in ("ber_nominal", "ber_at_vppmin", "ber_at_rec"):
             if not 0.0 < getattr(self, anchor) < 1.0:
                 raise ConfigurationError(f"{self.name}: {anchor} must be in (0, 1)")
-
-    @property
-    def fails_nominal_trcd(self) -> bool:
-        """True if the module needs more than the 13.5 ns nominal tRCD at
-        reduced V_PP (Observation 7's five offender modules)."""
-        return self.trcd_at_vppmin_ns > 13.5
-
-    @property
-    def fails_retention_at_64ms(self) -> bool:
-        """True if the module exhibits retention flips at the 64 ms window
-        when operated at V_PPmin (Observation 13's seven modules)."""
-        return any(
-            tier.failing_window <= _TIER_64MS + 1e-9
-            for tier in self.retention_tiers
-        )
 
 
 def _p(name, vendor, model, density, freq, org, rev, date, chips,
@@ -282,11 +267,6 @@ def module_profile(name: str) -> ModuleProfile:
         raise ConfigurationError(
             f"unknown module {name!r}; available: {sorted(MODULE_PROFILES)}"
         ) from None
-
-
-def profiles_by_vendor(vendor: Vendor) -> List[ModuleProfile]:
-    """All module profiles of one manufacturer, in Table 3 order."""
-    return [p for p in MODULE_PROFILES.values() if p.vendor is vendor]
 
 
 def total_chip_count() -> int:

@@ -28,10 +28,6 @@ class DramCommandError(DramError):
     """
 
 
-class DramTimingError(DramError):
-    """A DRAM command violated a timing constraint of the device model."""
-
-
 class DramAddressError(DramError):
     """An address (row, column, bank) is out of range for the device."""
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.scale import StudyScale
 from repro.core.serialization import SCHEMA_VERSION, _scale_to_dict
@@ -51,20 +51,12 @@ CACHE_DIR_ENV_VAR = "REPRO_STUDY_CACHE_DIR"
 #: Directory the runner uses when caching is on but no dir was given.
 DEFAULT_CACHE_DIR = ".study-cache"
 
-_CACHE: Dict[Tuple, StudyResult] = {}
+#: In-process layer, keyed by :func:`study_fingerprint` -- the disk
+#: layer's key and the preload plan's identity too.
+_CACHE: Dict[str, StudyResult] = {}
 
 _UNSET = object()
 _disk_dir = _UNSET
-
-
-def _key(tests, modules, scale, seed, program=None) -> Tuple:
-    # Both tuples are order-normalized: ("A0", "B3") and ("B3", "A0")
-    # request the same campaign. The probe engine does not participate:
-    # the kernel and the oracle produce the same study.
-    return (
-        tuple(sorted(tests)), tuple(sorted(modules)), scale, seed,
-        _program_key(program),
-    )
 
 
 def _program_key(program):
@@ -114,15 +106,18 @@ def study_fingerprint(
     seed: int,
     program: str = None,
 ) -> str:
-    """Content fingerprint of a campaign request.
+    """Content fingerprint of a campaign request: the one study
+    identity, keying both cache layers and the preload plan.
 
     Hashes the serialization schema version together with the normalized
     request, so cache entries are automatically invalidated when the
-    request or the on-disk format changes. The probe engine is not part
-    of the request: both engines produce the same study. A non-default
-    DSL ``program`` contributes its canonicalized (name-normalized)
-    schedule; the default program leaves the payload -- and so the
-    fingerprint -- byte-identical to a pre-DSL request.
+    request or the on-disk format changes. Tests and modules are
+    order-normalized: ("A0", "B3") and ("B3", "A0") request the same
+    campaign. The probe engine is not part of the request: both engines
+    produce the same study. A non-default DSL ``program`` contributes
+    its canonicalized (name-normalized) schedule; the default program
+    leaves the payload -- and so the fingerprint -- byte-identical to a
+    pre-DSL request.
     """
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -220,18 +215,24 @@ def cached_study(
     miss. ``use_disk`` is :func:`get_study`'s. The pre-run
     (:meth:`repro.harness.plan.PreloadPlan.orchestrate`) uses it to skip
     campaigns that need no run."""
-    key = _key(tests, modules, scale, seed, program)
-    if key in _CACHE:
+    return _lookup(
+        study_fingerprint(tests, modules, scale, seed, program=program),
+        use_disk,
+    )
+
+
+def _lookup(fingerprint: str, use_disk: bool = None) -> Optional[StudyResult]:
+    """:func:`cached_study` by fingerprint."""
+    study = _CACHE.get(fingerprint)
+    if study is not None:
         _cache_event("memory_hits")
-        return _CACHE[key]
+        return study
     store = _disk_store(use_disk)
     if store is not None:
-        study = store.load(
-            study_fingerprint(tests, modules, scale, seed, program=program)
-        )
+        study = store.load(fingerprint)
         if study is not None:
             _cache_event("disk_hits")
-            _CACHE[key] = study
+            _CACHE[fingerprint] = study
             return study
     _cache_event("misses")
     return None
@@ -257,7 +258,10 @@ def get_study(
     and shares its cache entries).
     """
     scale = scale or StudyScale.bench()
-    cached = cached_study(tests, modules, scale, seed, program, use_disk)
+    fingerprint = study_fingerprint(
+        tests, modules, scale, seed, program=program
+    )
+    cached = _lookup(fingerprint, use_disk)
     if cached is not None:
         return cached
     baseline = REGISTRY.counter_values()
@@ -273,13 +277,10 @@ def get_study(
     attach_provenance(
         result, tests, modules, seed, wall, counters=spent, program=program
     )
-    _CACHE[_key(tests, modules, scale, seed, program)] = result
+    _CACHE[fingerprint] = result
     store = _disk_store(use_disk)
     if store is not None:
-        store.store(
-            result,
-            study_fingerprint(tests, modules, scale, seed, program=program),
-        )
+        store.store(result, fingerprint)
     return result
 
 
@@ -304,40 +305,17 @@ def preload_study(
         attach_provenance(
             study, tests, modules, seed, wall_seconds, program=program
         )
-    _CACHE[_key(tests, modules, study.scale, seed, program)] = study
+    fingerprint = study_fingerprint(
+        tests, modules, study.scale, seed, program=program
+    )
+    _CACHE[fingerprint] = study
     if write_disk:
         store = study_store()
         if store is not None:
-            store.store(
-                study,
-                study_fingerprint(
-                    tests, modules, study.scale, seed, program=program
-                ),
-            )
+            store.store(study, fingerprint)
 
 
-# -- invalidation -----------------------------------------------------------------
-
-
-def invalidate_study(
-    tests: Sequence[str],
-    modules: Sequence[str] = BENCH_MODULES,
-    scale: StudyScale = None,
-    seed: int = 0,
-    program: str = None,
-) -> bool:
-    """Drop one campaign from both cache layers. Returns True when
-    anything was actually removed."""
-    scale = scale or StudyScale.bench()
-    removed = _CACHE.pop(
-        _key(tests, modules, scale, seed, program), None
-    ) is not None
-    store = study_store()
-    if store is not None:
-        removed = store.delete(
-            study_fingerprint(tests, modules, scale, seed, program=program)
-        ) or removed
-    return removed
+# -- clearing ---------------------------------------------------------------------
 
 
 def clear_cache() -> None:

@@ -36,6 +36,21 @@ Program` builder macros -- never hand-rolled ACT loops. Outside
 the one reaper of hung units. Elsewhere the checker flags any use of
 ``multiprocessing``, ``ProcessPoolExecutor`` and ``os.fork``.
 
+**Reachable-source contract.** ``src/`` holds what the system runs.
+Every top-level function and class, and every non-dunder method, of
+the ``repro`` package must be named by some other ``src/`` code: a
+name, an attribute, or an identifier-shaped string (a ``getattr`` key,
+a registry entry) outside ``__all__``. Imports alone do not count, and
+neither do names in tests, benchmarks or ``perfbench/`` -- that is the
+point of the rule. A definition that only tests use belongs under
+``tests/`` (an oracle) or nowhere. Public surface that only docs,
+examples, benchmarks or ``perfbench/`` call, and test-inspection
+seams, are listed in :data:`REACHABILITY_ALLOWLIST` with a reason. An
+entry whose definition is gone, or is now named from ``src/``, is
+itself a violation, so the list cannot rot. The check is name-based:
+a method counts as used when any ``src/`` code names an attribute of
+that name.
+
 Run via ``make lint`` or ``python -m repro.harness.lint``; exits
 non-zero when a violation is found.
 """
@@ -46,7 +61,8 @@ import ast
 import os
 import re
 import sys
-from typing import List, Optional, Tuple
+from collections import defaultdict
+from typing import Dict, List, Optional, Tuple
 
 #: (path, line, message) triple.
 Violation = Tuple[str, int, str]
@@ -273,12 +289,216 @@ def check_processes(directory: Optional[str] = None) -> List[Violation]:
     )
 
 
+#: Allowlist reason of test-only code whose deletion would also retire
+#: the unit tests that are its only users (ROADMAP.md, item 10).
+_DEFERRED = "test-only; deleting it retires its unit tests (deferred)"
+
+#: Definitions no other ``src/`` code names that stay in ``src/``
+#: anyway (reachable-source contract): qualified name -> reason.
+REACHABILITY_ALLOWLIST: Dict[str, str] = {
+    # Public surface: docs, examples, benchmarks or perfbench call it.
+    "repro.api.client.ApiClient": "the HTTP client (docs/API.md)",
+    "repro.api.client.ApiClient.submit_job": "ApiClient surface",
+    "repro.api.client.ApiClient.list_jobs": "ApiClient surface",
+    "repro.api.client.ApiClient.cancel_job": "ApiClient surface",
+    "repro.api.client.ApiClient.wait_job": "ApiClient surface",
+    "repro.api.client.ApiClient.health": "ApiClient surface",
+    "repro.api.client.ApiClient.metrics_text": "ApiClient surface",
+    "repro.api.server.BackgroundServer":
+        "in-process server for scripts, benchmarks and perfbench",
+    "repro.core.probe.__getattr__":
+        "lazy BatchProbeEngine alias that perfbench/ledger.py wraps",
+    "repro.core.serialization.load_study":
+        "loads an exported study (docs/FULL_SCALE.md)",
+    "repro.core.study.StudyResult.by_vendor":
+        "result API of StudyResult, exported from repro",
+    "repro.dram.ecc.SecdedCodec.bits_from_int":
+        "examples/ecc_selective_refresh.py encodes with it",
+    "repro.dram.module.DramModule.spd":
+        "module identity of DramModule, exported from repro",
+    "repro.dram.profiles.build_module": "exported in repro.__all__",
+    "repro.harness.__getattr__": "lazy EXPERIMENT_IDS (PEP 562)",
+    "repro.harness.registry.__getattr__":
+        "lazy EXPERIMENT_IDS (PEP 562); examples/full_paper_run.py",
+    "repro.harness.cache.clear_cache":
+        "perfbench, benchmarks and test fixtures reset the memory layer",
+    "repro.harness.cache.clear_disk_cache":
+        "README's way to empty the disk cache",
+    "repro.harness.store.StudyStore.load_dict":
+        "a client's parse of a fetched study; perfbench times it",
+    "repro.progdsl.parse.parse_program":
+        "DSL text front end (docs/PROGRAMS.md); dsl-smoke round-trips it",
+    "repro.progdsl.spec.ProgramSpec.renamed":
+        "dsl-smoke checks renamed programs share a fingerprint",
+    "repro.progdsl.unroll.unroll_schedule":
+        "dsl-smoke checks schedules against it",
+    "repro.service.faults.FaultPlan.script":
+        "scripted fault plans (docs/SERVICE.md)",
+    "repro.service.telemetry.read_events":
+        "benchmarks/service_smoke.py reads the events log",
+    "repro.system.trace.attack_feasibility":
+        "examples/system_level_attack.py",
+    "repro.system.trace.rowhammer_trace": "examples/system_level_attack.py",
+    "repro.units.kohm": "unit helper; the unit set is kept whole",
+    "repro.units.mv": "unit helper; the unit set is kept whole",
+    "repro.units.pf": "unit helper; the unit set is kept whole",
+    "repro.units.us": "unit helper; the unit set is kept whole",
+    # Test seams: tests drive or inspect the device model through them.
+    "repro.dram.bank.Bank.materialized_rows":
+        "test-inspection seam over private bank state",
+    "repro.dram.bank.Bank.probe_state":
+        "test-inspection seam over private bank state",
+    "repro.dram.bank.Bank.row_hammer_damage":
+        "test-inspection seam over private bank state",
+    "repro.dram.commands.Command.nop":
+        "command constructor; tests drive DramModule.execute with it",
+    "repro.dram.commands.Command.wr":
+        "command constructor; tests drive DramModule.execute with it",
+    "repro.dram.trr.TargetRowRefresh.tracked_rows":
+        "test-inspection seam over the TRR tracker",
+    "repro.obs.events.subscribers":
+        "tests/obs/conftest.py checks no subscriber leaks",
+    "repro.softmc.program.Program.wr":
+        "WR builder macro; tests run WR programs on the host",
+    "repro.system.trace.random_trace":
+        "workload generator; the replay tests drive the controller with it",
+    "repro.system.trace.sequential_trace":
+        "workload generator; the replay tests drive the controller with it",
+    # Test-only, deletion deferred.
+    "repro.dram.chip.Chip.slice_row": _DEFERRED,
+    "repro.dram.patterns.pattern_by_name": _DEFERRED,
+    "repro.dram.physics.activation.ActivationModel.trcd_ratio": _DEFERRED,
+    "repro.dram.physics.restoration.RestorationModel.restoration_latency":
+        _DEFERRED,
+    "repro.dram.physics.retention_model.RetentionModel.retention_time":
+        _DEFERRED,
+    "repro.dram.physics.transistor.AccessTransistorModel.conducts":
+        _DEFERRED,
+    "repro.dram.timing.TimingParameters.with_trefw": _DEFERRED,
+    "repro.harness.figures.sparkline": _DEFERRED,
+    "repro.softmc.isa.Instruction.produces_data": _DEFERRED,
+    "repro.softmc.power_supply.PowerSupply.disable_output": _DEFERRED,
+    "repro.softmc.power_supply.PowerSupply.enable_output": _DEFERRED,
+    "repro.softmc.power_supply.PowerSupply.setpoint": _DEFERRED,
+    "repro.system.defenses.BlockHammerThrottle.throttled_fraction":
+        _DEFERRED,
+    "repro.system.defenses.ParaDefense.bandwidth_overhead": _DEFERRED,
+}
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _definitions(tree: ast.Module):
+    """(qualified suffix, node) for every top-level function and class,
+    and every non-dunder method of a top-level class."""
+    for node in tree.body:
+        if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for child in node.body:
+                name = getattr(child, "name", "")
+                if isinstance(child, _FUNCTIONS) and not (
+                    name.startswith("__") and name.endswith("__")
+                ):
+                    yield f"{node.name}.{name}", child
+
+
+def _references(tree: ast.Module):
+    """(name, line) for everything ``tree`` names: loaded names and
+    attributes, identifier-shaped strings outside ``__all__``, and the
+    original name behind an ``import ... as`` alias."""
+    exports = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target]
+            )
+            if any(getattr(t, "id", None) == "__all__" for t in targets):
+                exports.update(map(id, ast.walk(node.value)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif (
+            isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.isidentifier() and id(node) not in exports
+        ):
+            yield node.value, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.asname and alias.asname != alias.name:
+                    yield alias.name.rpartition(".")[2], node.lineno
+
+
+def check_reachability(
+    directory: Optional[str] = None,
+    allowlist: Optional[Dict[str, str]] = None,
+) -> List[Violation]:
+    """Flag definitions of the package at ``directory`` (default: the
+    ``repro`` package) that no other code of the package names, and
+    stale ``allowlist`` entries (reachable-source contract; see the
+    module docstring)."""
+    directory = os.path.abspath(directory or _package_dir("repro"))
+    allowlist = REACHABILITY_ALLOWLIST if allowlist is None else allowlist
+    base = os.path.dirname(directory)
+    # Pass 1: every file's definitions and references.
+    definitions = []
+    references = defaultdict(list)
+    for path in _walk_python_files(directory):
+        with open(path, "r", encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        module = os.path.relpath(path, base)[:-len(".py")].replace(
+            os.sep, "."
+        ).removesuffix(".__init__")
+        for suffix, node in _definitions(tree):
+            definitions.append((
+                f"{module}.{suffix}", node.name, path, node.lineno,
+                node.end_lineno,
+            ))
+        for name, line in _references(tree):
+            references[name].append((path, line))
+    # Pass 2: a definition is used when something outside its own body
+    # names it.
+    violations: List[Violation] = []
+    for qualified, name, path, first, last in definitions:
+        used = any(
+            ref_path != path or not first <= line <= last
+            for ref_path, line in references[name]
+        )
+        if qualified in allowlist and used:
+            violations.append((
+                path, first,
+                f"{qualified} is named from src/; drop its reachability "
+                "allowlist entry",
+            ))
+        elif qualified not in allowlist and not used:
+            violations.append((
+                path, first,
+                f"{qualified} is named by no other src/ code; delete it, "
+                "move it under tests/, or allowlist it with a reason",
+            ))
+    defined = {qualified for qualified, *_ in definitions}
+    for qualified in sorted(set(allowlist) - defined):
+        violations.append((
+            directory, 0,
+            f"stale reachability allowlist entry {qualified}: no such "
+            "definition",
+        ))
+    return violations
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     directory = argv[0] if argv else None
     violations = check_experiments(directory)
     if directory is None:
-        violations += check_clocks() + check_programs() + check_processes()
+        violations += (
+            check_clocks() + check_programs() + check_processes()
+            + check_reachability()
+        )
     for path, line, message in violations:
         print(f"{path}:{line}: {message}", file=sys.stderr)
     if violations:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List
 
 from repro.errors import ConfigurationError
 from repro.harness.output import ExperimentOutput
@@ -100,22 +100,6 @@ def __getattr__(name: str):
         globals()[name] = ids
         return ids
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def campaign_tests(experiment_ids: Iterable[str]) -> List[Tuple[str, ...]]:
-    """The deduplicated campaign test tuples a set of experiments
-    declares (via their specs' ``StudyRequest``s), in first-use order.
-
-    This is the coarse, tests-only view; :func:`repro.harness.plan.
-    build_plan` additionally resolves modules/scale/seed per request.
-    """
-    needed: List[Tuple[str, ...]] = []
-    for experiment_id in experiment_ids:
-        for request in get_spec(experiment_id).studies:
-            tests = tuple(request.tests)
-            if tests not in needed:
-                needed.append(tests)
-    return needed
 
 
 def unknown_experiments(experiment_ids: Iterable[str]) -> List[str]:

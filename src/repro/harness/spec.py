@@ -97,13 +97,13 @@ class ResolvedStudy:
             label = f"{label}@{self.program}"
         return label
 
-    def cache_key(self) -> Tuple:
-        """Order-normalized identity, mirroring the study cache's key
-        (same campaign => same key, regardless of declaration order;
-        a default-schedule program normalizes to the pre-DSL key)."""
-        return (
-            tuple(sorted(self.tests)), tuple(sorted(self.modules)),
-            self.scale, self.seed, cache._program_key(self.program),
+    def cache_key(self) -> str:
+        """The study cache's identity for this campaign
+        (:func:`~repro.harness.cache.study_fingerprint`; ``scale=None``
+        is the bench scale :meth:`fetch` resolves it to)."""
+        return cache.study_fingerprint(
+            self.tests, self.modules, self.scale or StudyScale.bench(),
+            self.seed, program=self.program,
         )
 
     def fetch(self):

@@ -27,17 +27,23 @@ column file existed among them), or whose document no longer matches
 its CRC-32, is corrupt: :meth:`StudyStore.load` unlinks both files and
 the study is recomputed.
 
-Because the request determines the result bit-for-bit, two writers
-racing on the same fingerprint are by construction writing identical
-bytes; the store only has to guarantee that
+The request determines the study's records bit-for-bit, but not its
+bytes: each computed study's provenance block carries its own
+``created``, ``wall_seconds`` and ``counters``, so two writers racing
+on one fingerprint hold *different* documents, and each column file
+carries the CRC-32 of its own document only. The store guarantees that
 
 * **readers never observe a torn entry** -- every publish goes through
   :func:`repro.atomic.write_atomic` (a temp file in the same directory,
   then ``os.replace``), and
-* **writers do not waste work or collide on temp state** -- a per-
-  fingerprint lockfile (``O_CREAT | O_EXCL``) admits a single writer;
-  a second writer waits briefly and then simply adopts the published
-  entry instead of re-serializing it. Within one process,
+* **a document is only ever paired with its own column file** -- a
+  per-fingerprint lockfile (``O_CREAT | O_EXCL``) admits a single
+  writer, so two writers' files cannot interleave (one's column file
+  under the other's document would fail its CRC check, and ``load``
+  would discard the entry). A second writer waits briefly and then
+  adopts the published entry instead of re-serializing it, so the lock
+  is not redundant even though both studies are record-identical.
+  Within one process,
   :meth:`StudyStore.computing` goes further: the API's job workers
   hold it around a campaign, so an identical job waits for the study
   instead of computing it too.
@@ -92,9 +98,9 @@ class StudyStore:
         Store root; created lazily on the first write.
     lock_timeout:
         How long :meth:`store` waits for a concurrent writer of the
-        same fingerprint before giving up (seconds). Because entries
-        are content-addressed, "giving up" normally means the other
-        writer already published the identical entry.
+        same fingerprint before giving up (seconds). "Giving up"
+        normally means the other writer already published a
+        record-identical entry.
     stale_lock_seconds:
         Age beyond which an abandoned lockfile is broken.
     """
@@ -236,8 +242,8 @@ class StudyStore:
                 if error.errno != errno.EEXIST:
                     raise
             if self.contains(fingerprint):
-                # The racing writer finished: identical content is
-                # already published; adopt it.
+                # The racing writer finished: a record-identical
+                # study is already published; adopt it.
                 return None
             try:
                 age = clock.wall() - os.path.getmtime(lock_path)

@@ -58,7 +58,7 @@ from repro.obs.provenance import (
     code_version,
     validate_provenance,
 )
-from repro.obs.trace import Span, TRACER, Tracer, current_span_id
+from repro.obs.trace import Span, TRACER, Tracer
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -77,7 +77,6 @@ __all__ = [
     "clock",
     "code_version",
     "context",
-    "current_span_id",
     "events",
     "new_context",
     "prometheus_text",

@@ -224,13 +224,6 @@ class Tracer:
             return _NULL_SPAN
         return _LiveSpan(self, name, attrs)
 
-    def current_span_id(self) -> Optional[str]:
-        """The innermost open span's id on this thread, or None."""
-        stack = getattr(self._local, "stack", None)
-        if not stack:
-            return None
-        return stack[-1][1]
-
     def _stack(self) -> List[Tuple[str, str, Optional[str]]]:
         stack = getattr(self._local, "stack", None)
         if stack is None:
@@ -297,12 +290,6 @@ class Tracer:
 
 #: Process-global tracer; the runner's ``--trace`` flag enables it.
 TRACER = Tracer()
-
-
-def current_span_id() -> Optional[str]:
-    """The id of the innermost open span on this thread (global tracer),
-    or None while nothing is open / tracing is disabled."""
-    return TRACER.current_span_id()
 
 
 def span_table(

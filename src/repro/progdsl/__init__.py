@@ -20,7 +20,6 @@ from repro.progdsl.compile import (
 )
 from repro.progdsl.parse import parse_program
 from repro.progdsl.registry import (
-    default_program,
     get_program,
     is_known_program,
     program_names,
@@ -36,7 +35,6 @@ __all__ = [
     "ProgramSpec",
     "ResolvedProgram",
     "compile_program",
-    "default_program",
     "get_program",
     "is_known_program",
     "parse_program",

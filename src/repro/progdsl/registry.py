@@ -62,12 +62,6 @@ def program_names() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def default_program() -> ProgramSpec:
-    """The paper's double-sided schedule -- what every study runs when
-    no program is named."""
-    return _REGISTRY[DEFAULT_PROGRAM]
-
-
 # -- built-ins --------------------------------------------------------
 
 register_program(ProgramSpec(

@@ -20,7 +20,7 @@ such as ``"module/A0/bank/0/row/1234/retention"``.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -263,18 +263,6 @@ class RngHub:
         to the hub, which is what makes evaluation order irrelevant.
         """
         return np.random.default_rng(derive_seed(self._root_seed, key))
-
-    def standard_normals(self, keys: Sequence[str]) -> np.ndarray:
-        """One standard-normal draw per key, in order.
-
-        Bit-identical to ``self.generator(key).standard_normal()`` for
-        every key, but derived for the whole batch at once
-        (:func:`standard_normal_draws`).
-        """
-        return standard_normal_draws(np.array(
-            [derive_seed(self._root_seed, key) for key in keys],
-            dtype=np.uint64,
-        ))[0]
 
     def suffix_seeds(self, prefix: str, suffixes: Iterable[int]) -> np.ndarray:
         """``derive_seed(root_seed, prefix + str(suffix))`` per integer

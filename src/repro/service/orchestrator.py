@@ -200,11 +200,10 @@ class CampaignService:
     fault_plan:
         Optional :class:`~repro.service.faults.FaultPlan` injecting
         transient bench faults (rehearsal / chaos testing).
-    checkpoint_dir / checkpoint_base:
-        Exact checkpoint directory, or a base directory under which a
-        per-campaign subdirectory (``campaign-<fingerprint>``) is
-        derived. At most one may be given; both None disables
-        checkpointing.
+    checkpoint_base:
+        Base directory under which the campaign checkpoints to its own
+        subdirectory (``campaign-<fingerprint>``, the derived
+        ``checkpoint_dir`` attribute). None disables checkpointing.
     telemetry:
         A :class:`~repro.service.telemetry.TelemetryLog`; default is an
         in-memory log.
@@ -253,7 +252,6 @@ class CampaignService:
         max_attempts: int = 3,
         backoff: float = 0.0,
         fault_plan: Optional[FaultPlan] = None,
-        checkpoint_dir: Optional[str] = None,
         checkpoint_base: Optional[str] = None,
         telemetry: Optional[TelemetryLog] = None,
         progress: Optional[Callable[[str], None]] = None,
@@ -284,10 +282,6 @@ class CampaignService:
             raise ConfigurationError(
                 f"unit_timeout must be > 0 (or None): {unit_timeout}"
             )
-        if checkpoint_dir and checkpoint_base:
-            raise ConfigurationError(
-                "pass checkpoint_dir or checkpoint_base, not both"
-            )
         self.modules = list(modules)
         self.tests = tuple(tests)
         self.scale = scale or StudyScale.bench()
@@ -308,9 +302,10 @@ class CampaignService:
             self.tests, self.modules, self.scale, self.seed,
             self.chunks_per_module, program=self.program,
         )
-        if checkpoint_base:
-            checkpoint_dir = campaign_dir(checkpoint_base, self.fingerprint)
-        self.checkpoint_dir = checkpoint_dir
+        self.checkpoint_dir = (
+            campaign_dir(checkpoint_base, self.fingerprint)
+            if checkpoint_base else None
+        )
 
     # -- public API -------------------------------------------------------------
 
@@ -588,30 +583,15 @@ class CampaignService:
         wall_seconds: float,
         delta: Dict,
         fragment: Optional[Dict] = None,
-    ) -> bool:
-        """Accept one successful attempt's outcome, exactly once per unit.
+    ) -> None:
+        """Accept one successful attempt's outcome.
 
         The attempt's metric delta is counted as this campaign's spend
         (the provenance ``counters``); a pool attempt's delta is also
         merged into this process's registry, where an inline attempt's
-        increments already landed.
-
-        A unit re-queues only once its future failed, so a second
-        outcome should never come; if one does, it is dropped *whole*
-        (keyed on the unit id, its metric delta never merged), keeping
-        every counter exact.
+        increments already landed. A unit re-queues only once its
+        attempt failed, so each unit delivers exactly one outcome.
         """
-        if unit.unit_id in state.completed:
-            state.metrics.duplicates_dropped += 1
-            REGISTRY.counter(
-                "repro_service_duplicate_results_total",
-                "late duplicate unit outcomes dropped by the coordinator",
-            ).inc()
-            self.telemetry.emit(
-                "unit_duplicate_dropped", unit=unit.unit_id,
-                module=unit.module, attempt=attempt,
-            )
-            return False
         state.spent.merge_snapshot(delta)
         if self.max_workers > 1:
             REGISTRY.merge_snapshot(delta)
@@ -619,11 +599,9 @@ class CampaignService:
                 "unit": unit.unit_id, "delta": delta,
             })
         if fragment is not None:
-            # Deposit the worker's trace fragment for stitching; the
-            # dedup above guarantees at most one fragment per unit.
+            # Deposit the worker's trace fragment for stitching.
             obs_context.add_fragment(fragment)
         self._finish_unit(state, unit, result, attempt, wall_seconds)
-        return True
 
     def _drain_pool(self, state: "_RunState", pool: WorkerPool) -> None:
         """Run the pending units on ``pool``, at most ``max_workers`` in

@@ -39,9 +39,6 @@ Event vocabulary (all emitted by
     ``WorkerTimeoutError`` fault; each innocent unit that died with the
     workers, for any campaign's overdue unit, restarts at the same
     attempt (``reason`` ``"pool replaced"``).
-``unit_duplicate_dropped``
-    a late duplicate outcome for an already-completed unit was dropped
-    whole (its metric delta never merged -- no double counting).
 ``checkpoint_written``
     one unit's results persisted (atomic).
 ``campaign_finished``
@@ -147,9 +144,6 @@ class CampaignMetrics:
     units_resumed: int = 0
     units_failed: int = 0
     retries: int = 0
-    #: Late duplicate unit outcomes dropped by the coordinator (the
-    #: delta-merge dedup; see ``CampaignService._deliver_result``).
-    duplicates_dropped: int = 0
     faults: Dict[str, int] = field(default_factory=dict)
     quarantined: Dict[str, str] = field(default_factory=dict)
     wall_seconds: float = 0.0
@@ -166,7 +160,6 @@ class CampaignMetrics:
             "units_resumed": self.units_resumed,
             "units_failed": self.units_failed,
             "retries": self.retries,
-            "duplicates_dropped": self.duplicates_dropped,
             "faults": dict(self.faults),
             "quarantined": dict(self.quarantined),
             "wall_seconds": round(self.wall_seconds, 6),

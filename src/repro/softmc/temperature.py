@@ -46,12 +46,6 @@ class TemperatureController:
         self._min = min_temperature
         self._max = max_temperature
         self._settle_rate = settle_rate
-        self._setpoint = env.temperature
-
-    @property
-    def setpoint(self) -> float:
-        """Programmed temperature [degC]."""
-        return self._setpoint
 
     @property
     def current(self) -> float:
@@ -74,6 +68,5 @@ class TemperatureController:
         step = abs(quantized - self._env.temperature)
         if step > 0:
             self._env.advance(step * self._settle_rate)
-        self._setpoint = quantized
         self._env.set_temperature(quantized)
         return quantized

@@ -119,11 +119,6 @@ class TransientSolver:
                 batch = max(batch, shape[0])
         return batch
 
-    @property
-    def batch_size(self) -> int:
-        """Monte-Carlo batch size inferred from component values."""
-        return self._batch
-
     # -- residual -----------------------------------------------------------------
 
     def _node_voltage(

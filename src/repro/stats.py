@@ -3,7 +3,7 @@
 Thin, well-named wrappers so that experiment code reads like the paper's
 methodology section: coefficients of variation (Section 4.6), confidence
 intervals (Figures 3, 5, 10a), population densities (Figures 4, 6, 10b),
-and the lognormal order-statistics used to calibrate module profiles.
+and the normal quantile the module-profile calibration inverts.
 
 :func:`normal_ppf` is a pure-Python port of the Cephes ``ndtri``
 rational approximation (Stephen L. Moshier, Cephes Math Library
@@ -189,10 +189,6 @@ class DensityEstimate:
     density: np.ndarray
     bin_width: float
 
-    def mode(self) -> float:
-        """Location of the highest-density bin."""
-        return float(self.centers[int(np.argmax(self.density))])
-
 
 def population_density(
     values: Sequence[float], bins: int = 40, value_range: tuple = None
@@ -207,51 +203,3 @@ def population_density(
         centers=centers, density=counts, bin_width=float(edges[1] - edges[0])
     )
 
-
-def lognormal_minimum_location(
-    target_minimum: float, sigma: float, count: int
-) -> float:
-    """Median of a lognormal whose expected minimum over ``count`` draws
-    is ``target_minimum``.
-
-    Used to calibrate per-row weakness distributions so that the *minimum*
-    HC_first across a module's tested rows lands on the Table 3 anchor.
-    The expected minimum of ``count`` lognormal draws is approximated by
-    the ``1/(count+1)`` quantile.
-    """
-    if target_minimum <= 0:
-        raise AnalysisError(f"target_minimum must be positive: {target_minimum}")
-    if count < 1:
-        raise AnalysisError(f"count must be >= 1: {count}")
-    z = normal_ppf(1.0 / (count + 1.0))
-    # ln(min) ~= mu + sigma * z  =>  median = exp(mu)
-    return target_minimum / float(np.exp(sigma * z))
-
-
-def lognormal_sigma_for_tail(
-    tail_probability: float, ratio_to_median: float
-) -> float:
-    """Sigma of a lognormal such that ``P(X < median * ratio) = tail``.
-
-    Used to size per-cell tolerance spreads from a (HC_first, BER) anchor
-    pair: the BER at a fixed hammer count is the lognormal tail mass below
-    that count.
-    """
-    if not 0.0 < tail_probability < 0.5:
-        raise AnalysisError(
-            f"tail_probability must be in (0, 0.5): {tail_probability}"
-        )
-    if not 0.0 < ratio_to_median < 1.0:
-        raise AnalysisError(f"ratio_to_median must be in (0, 1): {ratio_to_median}")
-    z = normal_ppf(tail_probability)
-    return float(np.log(ratio_to_median) / z)
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of strictly positive values."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise AnalysisError("cannot compute geometric mean of an empty series")
-    if np.any(arr <= 0):
-        raise AnalysisError("geometric mean requires strictly positive values")
-    return float(np.exp(np.mean(np.log(arr))))

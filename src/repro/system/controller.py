@@ -49,12 +49,6 @@ class ControllerStats:
     ecc_corrected: int = 0
     ecc_uncorrectable: int = 0
 
-    @property
-    def row_hit_rate(self) -> float:
-        """Fraction of accesses served from an open row."""
-        total = self.row_hits + self.row_misses
-        return self.row_hits / total if total else 0.0
-
 
 class MemoryController:
     """Drives one module under a :class:`ControllerPolicy`."""

@@ -118,11 +118,6 @@ class FeasibilityReport:
     window_activations: int
     attacks_per_window: float
 
-    @property
-    def feasible(self) -> bool:
-        """Whether one full double-sided attack fits in the window."""
-        return self.attacks_per_window >= 1.0
-
 
 def attack_feasibility(
     hcfirst: int,

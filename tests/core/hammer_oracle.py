@@ -1,18 +1,48 @@
-"""The eager hammer-count oracle the fused kernel is checked against.
+"""The hammer oracles the fused kernel and Alg. 1 are checked against.
 
 :class:`HammerCounts` derives its populations independently of the
 probe engine's kernel (:class:`repro.dram.bank._FusedHammerCounts`,
 which reads the shared per-row layouts): it masks the sweep's charged
-and outlier cells, sorts them, and owns the result. No engine or
-analysis path uses it; the kernel tests in ``test_fused_engine.py``
-build one per operating point and compare flip counts and sets.
+and outlier cells, sorts them, and owns the result.
+:func:`victim_damage` replays one probe's damage deposits, and
+:func:`measure_worst_ber` runs the worst-BER ladder in a probe session
+of its own. No engine or analysis path uses them; the kernel tests in
+``test_fused_engine.py`` build one per operating point and compare
+flip counts and sets, and the Alg. 1 tests check
+:func:`repro.core.rowhammer.characterize_row` against the split
+session.
 """
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
+from repro.core.probe import open_hammer_session
+from repro.core.rowhammer import _worst_ber
 from repro.dram.bank import HammerSweep, _flip_prefix
+
+
+def victim_damage(sweep: HammerSweep, count: int) -> Tuple[float, float]:
+    """(bulk, outlier) damage one probe deposits on the sweep's victim.
+
+    Accumulated in the command path's order -- one activation per
+    aggressor initialization, then ``count`` hammers per aggressor --
+    with the same scalar expressions, so the floating-point result is
+    bit-identical to ``RowState.damage_*`` after the real commands.
+    """
+    _, damage_bulk, damage_outlier, terms = sweep.damage_terms()
+    for weight, scale_bulk, scale_outlier in terms:
+        damage_bulk += count * weight / scale_bulk
+        damage_outlier += count * weight / scale_outlier
+    return damage_bulk, damage_outlier
+
+
+def measure_worst_ber(ctx, row, pattern, hammer_count, iterations):
+    """Worst (largest) BER over ``iterations`` repetitions, plus the
+    per-iteration values, in one probe session of their own (the
+    engine resolves the row's sweep once for all repetitions)."""
+    with open_hammer_session(ctx, row, pattern) as probe:
+        return _worst_ber(probe, hammer_count, iterations)
 
 
 class HammerCounts:

@@ -38,7 +38,7 @@ from repro.dram.cell import CELL_VECTOR_GENERATIONS_METRIC
 from repro.dram.patterns import STANDARD_PATTERNS, DataPattern
 from repro.obs.metrics import REGISTRY
 from repro.softmc.infrastructure import TestInfrastructure
-from tests.core.hammer_oracle import HammerCounts
+from tests.core.hammer_oracle import HammerCounts, victim_damage
 
 MODULES = ("A0", "B3", "C5")
 VPP_LEVELS = (2.5, 2.2)
@@ -155,7 +155,7 @@ class TestHammerKernels:
             fused = sweep.fused_counts()
             eager = HammerCounts(sweep)
             for session, count in enumerate((60_000, 240_000, 480_000, 1)):
-                damage = sweep.victim_damage(count)
+                damage = victim_damage(sweep, count)
                 mask = sweep.flip_mask(*damage, session, 1e-3)
                 expected = int(np.count_nonzero(mask))
                 assert fused.count(*damage, session, 1e-3) == expected

@@ -28,6 +28,7 @@ from repro.dram.patterns import STANDARD_PATTERNS
 from repro.obs.metrics import REGISTRY
 from repro.rng import RngHub
 from repro.softmc.infrastructure import TestInfrastructure
+from tests.core.hammer_oracle import measure_worst_ber
 
 VPP_LEVELS = (2.5, 2.2)
 
@@ -160,7 +161,7 @@ class TestSharedSession:
         assert probes <= rowhammer.probe_bound(shared.scale)
 
         scale = split.scale
-        ber, values = rowhammer.measure_worst_ber(
+        ber, values = measure_worst_ber(
             split, row, pattern, scale.ber_hammer_count, scale.iterations
         )
         hcfirst = rowhammer.find_hcfirst(split, row, pattern)

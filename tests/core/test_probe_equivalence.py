@@ -520,7 +520,7 @@ class TestSweepCache:
         """One sweep resolution serves a whole session: repeated probes
         are counted as saved LRU lookups (the ``measure_worst_ber``
         satellite fix)."""
-        from repro.core.rowhammer import measure_worst_ber
+        from tests.core.hammer_oracle import measure_worst_ber
 
         ctx = self._context()
         ber, values = measure_worst_ber(

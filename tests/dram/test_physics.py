@@ -12,11 +12,20 @@ from repro.dram.physics.activation import ActivationModel
 from repro.dram.physics.disturbance import DisturbanceModel
 from repro.dram.physics.restoration import RestorationModel
 from repro.dram.physics.retention_model import RetentionModel
-from repro.dram.physics.transistor import AccessTransistorModel
+from repro.dram.physics.transistor import SPICE_VTH, AccessTransistorModel
 from repro.errors import ConfigurationError
 from repro.units import ns
 
-SPICE_RESTORATION = RestorationModel(transistor=AccessTransistorModel.spice())
+SPICE_RESTORATION = RestorationModel(
+    transistor=AccessTransistorModel(vth=SPICE_VTH)
+)
+
+
+def saturation_deficit(model, vpp):
+    """Fractional shortfall of the restored level below V_DD: zero while
+    ``vpp >= vdd + vth``, e.g. 0.181 at V_PP = 1.7 V with the SPICE
+    threshold (Observation 10)."""
+    return 1.0 - model.saturation_voltage(vpp) / model.vdd
 
 
 class TestTransistor:
@@ -38,7 +47,7 @@ class TestTransistor:
         assert not model.conducts(1.3, 0.6)
 
     def test_saturation_is_min_of_vdd_and_overdrive(self):
-        model = AccessTransistorModel.spice()
+        model = AccessTransistorModel(vth=SPICE_VTH)
         assert model.max_restorable_voltage(2.5, 1.2) == pytest.approx(1.2)
         # Observation 10: V_sat = V_PP - V_TH below the knee.
         assert model.max_restorable_voltage(1.7, 1.2) == pytest.approx(0.98)
@@ -52,11 +61,11 @@ class TestRestoration:
     def test_observation_10_deficits(self):
         # 4.1% / 11.0% / 18.1% below V_DD at 1.9 / 1.8 / 1.7 V: our hard
         # min() model gives 1.7% / 10% / 18.3% -- same knee, same scale.
-        assert SPICE_RESTORATION.saturation_deficit(2.5) == 0.0
-        assert SPICE_RESTORATION.saturation_deficit(1.8) == pytest.approx(
+        assert saturation_deficit(SPICE_RESTORATION, 2.5) == 0.0
+        assert saturation_deficit(SPICE_RESTORATION, 1.8) == pytest.approx(
             0.10, abs=0.02
         )
-        assert SPICE_RESTORATION.saturation_deficit(1.7) == pytest.approx(
+        assert saturation_deficit(SPICE_RESTORATION, 1.7) == pytest.approx(
             0.181, abs=0.02
         )
 

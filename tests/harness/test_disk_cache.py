@@ -11,7 +11,6 @@ from repro.harness.cache import (
     clear_cache,
     clear_disk_cache,
     get_study,
-    invalidate_study,
     set_study_cache_dir,
     study_cache_dir,
     study_fingerprint,
@@ -101,17 +100,6 @@ class TestDiskCache:
         # The corrupt file was replaced by the fresh result.
         with open(path) as handle:
             json.load(handle)
-
-    def test_invalidate_study_drops_both_layers(self, cache_dir, tiny_scale,
-                                                monkeypatch):
-        calls = _count_runs(monkeypatch)
-        get_study(TESTS, MODULES, scale=tiny_scale, seed=2)
-        assert invalidate_study(TESTS, MODULES, scale=tiny_scale, seed=2)
-        assert _entries(cache_dir) == []
-        get_study(TESTS, MODULES, scale=tiny_scale, seed=2)
-        assert len(calls) == 2
-        assert not invalidate_study(("trcd",), MODULES, scale=tiny_scale,
-                                    seed=2)
 
     def test_clear_disk_cache(self, cache_dir, tiny_scale):
         get_study(TESTS, MODULES, scale=tiny_scale, seed=2)

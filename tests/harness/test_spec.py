@@ -6,6 +6,7 @@ import types
 
 import pytest
 
+from repro.core.scale import StudyScale
 from repro.errors import ConfigurationError
 from repro.harness import cache
 from repro.harness.lint import (
@@ -21,7 +22,6 @@ from repro.harness.plan import build_plan
 from repro.harness.registry import (
     EXPERIMENT_IDS,
     all_specs,
-    campaign_tests,
     get_spec,
 )
 from repro.harness.runner import main
@@ -51,10 +51,9 @@ def test_declared_studies_match_actual_fetches(monkeypatch, tiny_scale):
 
     def recorder(tests, modules=cache.BENCH_MODULES, scale=None, seed=0,
                  use_disk=None, program=None):
-        fetched.append(
-            (tuple(sorted(tests)), tuple(sorted(modules)), scale, seed,
-             cache._program_key(program))
-        )
+        fetched.append(cache.study_fingerprint(
+            tests, modules, scale or StudyScale.bench(), seed, program
+        ))
         return real_get_study(tests, modules=modules, scale=scale,
                               seed=seed, use_disk=use_disk, program=program)
 
@@ -142,12 +141,6 @@ def test_every_spec_is_well_formed():
             assert request.tests, spec.id
 
 
-def test_campaign_tests_derived_from_specs():
-    assert campaign_tests(["fig3", "fig4"]) == [("rowhammer",)]
-    assert campaign_tests(["pareto"]) == [("rowhammer", "trcd")]
-    assert campaign_tests(["fig8", "table1"]) == []
-
-
 def test_unknown_knob_rejected():
     with pytest.raises(TypeError, match="sample"):
         get_spec("fig8").run(sample=3)  # typo for "samples"
@@ -214,7 +207,7 @@ def test_empty_plan_is_falsy():
 def test_plan_preload_primes_the_cache(tiny_scale):
     plan = build_plan(["fig3"], modules=("C5",), scale=tiny_scale)
     plan.orchestrate(max_workers=1)
-    key = cache._key(("rowhammer",), ("C5",), tiny_scale, 0)
+    key = cache.study_fingerprint(("rowhammer",), ("C5",), tiny_scale, 0)
     assert key in cache._CACHE
     # A second pre-run finds the campaign cached and does not re-run it.
     messages = []

@@ -127,8 +127,6 @@ class TestInlineExecution:
             CampaignService(["C5"], max_attempts=0)
         with pytest.raises(ConfigurationError):
             CampaignService(["C5"], backoff=-1.0)
-        with pytest.raises(ConfigurationError):
-            CampaignService(["C5"], checkpoint_dir="a", checkpoint_base="b")
 
 
 class _SimulatedKill(Exception):
@@ -179,15 +177,19 @@ class TestCheckpointResume:
             service.run(resume=True)
 
     def test_resume_refuses_foreign_campaign(self, tiny_scale, tmp_path):
-        checkpoint_dir = str(tmp_path / "ckpt")
-        CampaignService(
+        import os
+
+        first = CampaignService(
             modules=["C5"], tests=TESTS, scale=tiny_scale, seed=0,
-            checkpoint_dir=checkpoint_dir,
-        ).run()
+            checkpoint_base=str(tmp_path),
+        )
+        first.run()
         other = CampaignService(
             modules=["C5"], tests=TESTS, scale=tiny_scale, seed=1,
-            checkpoint_dir=checkpoint_dir,
+            checkpoint_base=str(tmp_path),
         )
+        # Another campaign's checkpoints sit where this one's belong.
+        os.rename(first.checkpoint_dir, other.checkpoint_dir)
         with pytest.raises(ConfigurationError, match="different campaign"):
             other.run(resume=True)
 
@@ -210,18 +212,19 @@ class TestCheckpointResume:
     def test_corrupt_unit_checkpoint_is_rerun(self, tiny_scale, tmp_path):
         import os
 
-        checkpoint_dir = str(tmp_path / "ckpt")
-        CampaignService(
+        service = CampaignService(
             modules=["C5"], tests=TESTS, scale=tiny_scale, seed=0,
-            checkpoint_dir=checkpoint_dir,
-        ).run()
+            checkpoint_base=str(tmp_path),
+        )
+        service.run()
+        checkpoint_dir = service.checkpoint_dir
         unit_files = [f for f in os.listdir(checkpoint_dir)
                       if f.startswith("unit-")]
         with open(os.path.join(checkpoint_dir, unit_files[0]), "w") as fh:
             fh.write("{broken")
         outcome = CampaignService(
             modules=["C5"], tests=TESTS, scale=tiny_scale, seed=0,
-            checkpoint_dir=checkpoint_dir,
+            checkpoint_base=str(tmp_path),
         ).run(resume=True)
         assert outcome.metrics.units_resumed == len(unit_files) - 1
         assert outcome.metrics.units_completed == 1

@@ -1,12 +1,12 @@
-"""Hung-worker recovery: the ``unit_timeout`` reaper and outcome dedup.
+"""Hung-worker recovery: the ``unit_timeout`` reaper.
 
 A stalling bench fault (``FaultSpec.hang_seconds``) makes a pool worker
 go quiet instead of failing fast. The coordinator's deadline reaper
 must declare the attempt dead, kill the stuck worker processes, charge
 the unit a :class:`~repro.errors.WorkerTimeoutError`, and retry -- and
 the retried campaign must still merge record-identical to a sequential
-fault-free run, with every counter exact (no double counting from a
-late duplicate outcome).
+fault-free run, with every counter exact (the reaped attempt's metric
+delta never merged).
 """
 
 import os
@@ -19,9 +19,6 @@ from repro.obs import clock
 from repro.obs.metrics import REGISTRY
 from repro.service import CampaignService
 from repro.service.faults import FaultSpec
-from repro.service.jobs import plan_units
-from repro.service.orchestrator import _RunState, _execute_unit
-from repro.service.telemetry import CampaignMetrics
 
 TESTS = ("rowhammer",)
 
@@ -95,6 +92,32 @@ class TestHungWorkerReaping:
         assert merged.vppmin == expected.vppmin
         assert merged.rowhammer == expected.rowhammer
 
+    def test_reaped_campaign_counts_each_unit_once(self, tiny_scale):
+        """Exactly-once on a schedule that happens: the reaped attempt's
+        metric delta never arrives, and its retry's arrives once, so the
+        study's probe and command counters equal a fault-free inline
+        run's."""
+
+        def spend(outcome):
+            counters = outcome.study.provenance["counters"]
+            return {
+                name: value for name, value in counters.items()
+                if name.startswith("repro_probes_")
+                or name == "repro_commands_issued_total"
+            }
+
+        reaped = CampaignService(
+            modules=["C5"], tests=TESTS, scale=tiny_scale, seed=0,
+            max_workers=2, fault_plan=HangOneAttempt("C5/0"),
+            unit_timeout=3.0,
+        ).run()
+        assert reaped.metrics.faults == {"WorkerTimeoutError": 1}
+        inline = CampaignService(
+            modules=["C5"], tests=TESTS, scale=tiny_scale, seed=0,
+        ).run()
+        assert spend(inline)["repro_commands_issued_total"] > 0
+        assert spend(reaped) == spend(inline)
+
     def test_reap_counts_in_registry(self, tiny_scale):
         before = REGISTRY.counter_values().get(
             "repro_service_worker_timeouts_total", 0.0
@@ -154,41 +177,3 @@ class TestReaperMergeHardening:
         # flushed when the reaper declared the attempt dead.
         assert "hang_injected.json" in reasons
         assert "pool_reaped.json" in reasons
-
-    def _state(self, units):
-        return _RunState(
-            units=units, pending=list(units), completed={},
-            metrics=CampaignMetrics(units_planned=len(units)),
-            on_unit_done=None, store=None,
-        )
-
-    def test_duplicate_outcome_dropped_whole(self, tiny_scale):
-        """A late duplicate outcome neither re-finishes the unit nor
-        re-merges its metric delta -- counters stay exact."""
-        service = CampaignService(
-            modules=["C5"], tests=TESTS, scale=tiny_scale, seed=0
-        )
-        units = plan_units(["C5"], tiny_scale, TESTS, None)
-        unit = units[0]
-        result, wall, delta, _ = _execute_unit(service._job(unit, 0))
-        assert delta["counters"], "the attempt must have moved counters"
-        state = self._state(units)
-        assert service._deliver_result(
-            state, unit, 0, result, wall, delta
-        ) is True
-        first = REGISTRY.counter_values()
-        assert service._deliver_result(
-            state, unit, 1, result, wall, delta
-        ) is False
-        second = REGISTRY.counter_values()
-        moved = {
-            name: value - first.get(name, 0.0)
-            for name, value in second.items()
-            if value != first.get(name, 0.0)
-        }
-        assert moved == {"repro_service_duplicate_results_total": 1.0}
-        assert state.metrics.units_completed == 1
-        assert state.metrics.duplicates_dropped == 1
-        events = [e["event"] for e in service.telemetry.events]
-        assert events.count("unit_finished") == 1
-        assert "unit_duplicate_dropped" in events

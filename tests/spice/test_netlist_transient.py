@@ -119,7 +119,6 @@ class TestTransientAgainstTheory:
         circuit.add_resistor("a", "0", np.array([1e3, 2e3]))
         circuit.add_capacitor("a", "0", 1e-9, initial_voltage=1.0)
         solver = TransientSolver(circuit)
-        assert solver.batch_size == 2
         result = solver.solve(t_stop=2e-6, dt=1e-8, initial={"a": 1.0})
         final = result.final("a")
         assert final.shape == (2,)

@@ -65,7 +65,7 @@ class TestReplay:
         stats = replay(
             controller, sequential_trace(0, 64, stride=8)
         )
-        assert stats.row_hit_rate > 0.9
+        assert stats.row_hits / (stats.row_hits + stats.row_misses) > 0.9
 
     def test_hammer_trace_forces_activations(self):
         """Every access of the attack loop re-activates (the loop's whole
@@ -101,10 +101,9 @@ class TestFeasibility:
         """4.8K (weakest modern chip) and 140.7K (A5) both fit many times
         over in a 64 ms window -- the paper's system-level feasibility."""
         weakest = attack_feasibility(4_800)
-        assert weakest.feasible
         assert weakest.attacks_per_window > 100
         strongest = attack_feasibility(140_700)
-        assert strongest.feasible
+        assert strongest.attacks_per_window >= 1.0
         assert strongest.attacks_per_window < weakest.attacks_per_window
 
     def test_reduced_vpp_shrinks_headroom(self):

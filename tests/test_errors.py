@@ -14,7 +14,6 @@ def test_all_errors_derive_from_repro_error():
 
 def test_subsystem_grouping():
     assert issubclass(errors.DramCommandError, errors.DramError)
-    assert issubclass(errors.DramTimingError, errors.DramError)
     assert issubclass(errors.DramAddressError, errors.DramError)
     assert issubclass(errors.CommunicationError, errors.SoftMCError)
     assert issubclass(errors.PowerSupplyError, errors.SoftMCError)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.scale import StudyScale
 from repro.dram.calibration import ModuleGeometry
-from repro.dram.ecc import CODE_BITS, BatchSecdedCodec, SecdedCodec
+from repro.dram.ecc import CODE_BITS, SecdedCodec
 from repro.errors import ConvergenceError, UncorrectableError
 from repro.harness.cache import get_study
 from repro.softmc.infrastructure import TestInfrastructure
@@ -16,6 +16,7 @@ from repro.softmc.program import Program
 from repro.spice.netlist import Circuit
 from repro.spice.transient import TransientSolver
 from repro.units import ms, ns
+from tests.dram.batch_secded import BatchSecdedCodec
 
 
 class TestCacheKeys:

@@ -71,34 +71,6 @@ def test_population_density_normalized():
     estimate = stats.population_density(rng.normal(size=5000), bins=50)
     mass = np.sum(estimate.density) * estimate.bin_width
     assert mass == pytest.approx(1.0, abs=1e-6)
-    assert abs(estimate.mode()) < 0.5
-
-
-def test_lognormal_minimum_location():
-    sigma, count = 0.5, 1000
-    median = stats.lognormal_minimum_location(100.0, sigma, count)
-    rng = np.random.default_rng(2)
-    minima = [
-        np.min(median * np.exp(sigma * rng.standard_normal(count)))
-        for _ in range(200)
-    ]
-    # The expected minimum should land near the requested target.
-    assert np.median(minima) == pytest.approx(100.0, rel=0.15)
-
-
-def test_lognormal_sigma_for_tail_roundtrip():
-    sigma = stats.lognormal_sigma_for_tail(0.01, 0.5)
-    # P(X < median * 0.5) should be ~1% under that sigma.
-    z = np.log(0.5) / sigma
-    assert NormalDist().cdf(z) == pytest.approx(0.01, rel=1e-6)
-
-
-def test_geometric_mean():
-    assert stats.geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-    with pytest.raises(AnalysisError):
-        stats.geometric_mean([1.0, -1.0])
-    with pytest.raises(AnalysisError):
-        stats.geometric_mean([])
 
 
 @given(st.lists(st.floats(min_value=0.1, max_value=1e6), min_size=1, max_size=50))
