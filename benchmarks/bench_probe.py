@@ -376,7 +376,8 @@ def _timed_ladder(state):
     for vpp in levels:
         infra.set_vpp(vpp)
         ctx.engine.preheat(ctx, rows, (), hammer_probes=probes)
-        rowhammer_test.characterize_rows(ctx, rows, wcdp_rh, vpp)
+        for row in rows:
+            rowhammer_test.characterize_row(ctx, row, wcdp_rh[row], vpp)
     infra.set_temperature(constants.RETENTION_TEST_TEMPERATURE)
     for vpp in levels:
         infra.set_vpp(vpp)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from repro.core.adjacency import AdjacencyOracle, MappingAdjacency
 from repro.core.scale import StudyScale, safe_timings  # noqa: F401 (re-export)
-from repro.errors import ConfigurationError
 from repro.softmc.infrastructure import TestInfrastructure
 
 
@@ -32,13 +31,6 @@ class TestContext:
     probe_engine: str = None
     #: The resolved :class:`repro.core.probe.ProbeEngine` instance.
     engine: object = None
-    #: Sweep-LRU capacity override of the kernel engine; None keeps the
-    #: built-in default.
-    sweep_cache: int = None
-    #: Sweep-LRU byte-budget override (resident kernel state, see
-    #: ``FusedProbeEngine._enforce_byte_budget``); None keeps the
-    #: built-in default.
-    sweep_cache_bytes: int = None
     #: Compiled DSL program (:class:`repro.progdsl.compile.
     #: CompiledProgram`) the measurement loops route probe sessions
     #: through; None runs the paper's double-sided / scale-driven
@@ -46,10 +38,6 @@ class TestContext:
     program: object = None
 
     def __post_init__(self) -> None:
-        for knob in ("sweep_cache", "sweep_cache_bytes"):
-            value = getattr(self, knob)
-            if value is not None and value < 1:
-                raise ConfigurationError(f"{knob} must be >= 1, got {value}")
         if self.adjacency is None:
             self.adjacency = MappingAdjacency(self.infra)
         if self.engine is None:

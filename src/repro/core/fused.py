@@ -60,24 +60,25 @@ by ``tests/core/test_probe_equivalence.py`` and
   sensing_corruption`) is data-independent whenever its fast check
   passes -- constant per (row, pattern, operating point) -- so it is
   checked once per session. If it *could* fire (a sensing hazard), the
-  session runs every probe on the private per-probe vector path
-  instead, counted in ``repro_probe_fallbacks_total{reason=sensing}``.
+  session hands every probe to the command oracle instead, counted in
+  ``repro_probe_fallbacks_total{reason=sensing}``.
 
 Alg. 2 runs on :class:`KernelTrcdSession` (see
-:mod:`repro.core.trcd`).
+:mod:`repro.core.trcd`). Every fallback -- a sensing hazard or a tRCD
+sweep the kernel cannot replay -- runs on the engine's one
+:class:`~repro.core.probe.CommandProbeEngine`, which shares the
+engine's counters; the kernel has no probe path of its own besides
+the sessions.
 """
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from collections import OrderedDict
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.probe import (
-    _SWEEP_CACHE_BYTES,
-    _SWEEP_CACHE_SIZE,
-    SWEEP_CACHE_GAUGE,
     CommandProbeEngine,
     HammerSession,
     ProbeEngine,
@@ -93,6 +94,17 @@ from repro.softmc.host import _COLUMN_LATENCY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context import TestContext
+
+#: Cap on cached (row, pattern) sweeps per engine. The V_PP ladder
+#: revisits every sampled row once per level and per probe kind, so the
+#: cap must cover a whole row set *times* the schedules touching it
+#: (rows x patterns x hammer/retention) or each level rebuilds every
+#: sweep -- the classic LRU sequential-scan worst case; a bench-scale
+#: characterization alone walks 96 rows x 4 WCDP patterns x 2 kinds =
+#: 768 distinct sweeps. A sweep keeps no per-operating-point arrays
+#: (its kernels read the row state's shared layouts), so the count is
+#: the only bound. Tests patch this constant to force evictions.
+_SWEEP_CACHE_SIZE = 1024
 
 
 def _sensing_exact(sweep, bank, engine, row) -> bool:
@@ -129,6 +141,16 @@ def _flipped_bits(sweep, flip_sets, *args):
         return data
 
     return produce
+
+
+def _note_probes(session, probes: int) -> None:
+    """Count a session's probes after its first as saved sweep lookups:
+    the session resolved its sweep once for all of them."""
+    if probes > 0:
+        session._engine.counters.sweep_saved_lookups += (
+            probes if session._probed else probes - 1
+        )
+        session._probed = True
 
 
 def _add_damage(damage_bulk, damage_outlier, terms, counts):
@@ -168,12 +190,24 @@ class FusedHammerSession(HammerSession):
             rounds = program.spec.rounds
             sweep = engine._program_sweep(ctx, program, row, pattern)
         self._sweep = sweep
-        self._decoys = decoys
         self._bank = engine._module.bank(ctx.bank)
+        self._probed = False
+        # Corruption policy for this operating point: one verdict covers
+        # the whole session (V_PP cannot change mid-session). The check
+        # reads the row's pattern slot, which each probe's WRITE_ROW
+        # sets: set it first.
+        sweep.state.pattern_index = sweep.pattern_index
+        if not _sensing_exact(sweep, self._bank, engine, row):
+            self._fallback = engine._fallback_session(
+                ctx, row, pattern, "hammer" if program is None else "program",
+                program,
+            )
+            return
+        self._fallback = None
+        self._decoys = decoys
         self._env = engine._env
         self._size = sweep.bits.size
         self._pending = None
-        self._probed = False
         states = sweep.aggressor_states
         self._hammered = len(states) - decoys
         # Restore sessions one probe adds per non-victim row: two for
@@ -185,23 +219,12 @@ class FusedHammerSession(HammerSession):
         # Per-probe commands that do not scale with the hammer count
         # (the row WRITE/READ instructions).
         self._static_commands = (2 + len(states)) * (2 + engine._columns)
-        # Corruption policy for this operating point: one verdict covers
-        # the whole session (V_PP cannot change mid-session). The
-        # per-probe path sets pattern_index before each check; replicate
-        # that.
-        sweep.state.pattern_index = sweep.pattern_index
-        self._exact = _sensing_exact(sweep, self._bank, engine, row)
-        if self._exact:
-            # The operating point is fixed for the session's lifetime:
-            # resolve the count kernel and the damage coefficients once.
-            self._counts = sweep.fused_counts()
-            _, self._base_bulk, self._base_outlier, terms = (
-                sweep.damage_terms()
-            )
-            self._hammer_terms = terms[decoys:]
-            self._cell_gen = self._bank._cells
-        else:
-            engine._count_fallback("hammer" if program is None else "program")
+        # The operating point is fixed for the session's lifetime:
+        # resolve the count kernel and the damage coefficients once.
+        self._counts = sweep.fused_counts()
+        _, self._base_bulk, self._base_outlier, terms = sweep.damage_terms()
+        self._hammer_terms = terms[decoys:]
+        self._cell_gen = self._bank._cells
 
     def _round_counts(self, hammer_count: int):
         """The probe's per-burst hammer counts (one burst unless a
@@ -210,32 +233,26 @@ class FusedHammerSession(HammerSession):
             return (hammer_count,)
         return self._program.round_counts(hammer_count)
 
-    def _probe_fallback(self, hammer_count: int) -> float:
-        if self._probed:
-            self._engine.counters.sweep_saved_lookups += 1
-        self._probed = True
-        return self._engine._hammer_probe(
-            self._ctx, self._sweep, self._decoys,
-            self._round_counts(hammer_count),
-        )
-
     def ber(self, hammer_count: int) -> float:
-        if not self._exact:
-            return self._probe_fallback(hammer_count)
+        if self._fallback is not None:
+            _note_probes(self, 1)
+            return self._fallback.ber(hammer_count)
         flipped = self._probes(hammer_count, 1, self._counts.count)[0]
         return float(flipped / self._size)
 
     def any_flip(self, hammer_count: int) -> bool:
-        if not self._exact:
-            return self._probe_fallback(hammer_count) > 0
+        if self._fallback is not None:
+            _note_probes(self, 1)
+            return self._fallback.any_flip(hammer_count)
         return self._probes(hammer_count, 1, self._counts.any_flip)[0]
 
     def ber_ladder(self, hammer_count, iterations):
         """Alg. 1's worst-BER repetitions as one bookkeeping pass."""
+        if self._fallback is not None:
+            _note_probes(self, iterations)
+            return self._fallback.ber_ladder(hammer_count, iterations)
         if iterations <= 0:
             return []
-        if not self._exact:
-            return [self.ber(hammer_count) for _ in range(iterations)]
         with TRACER.span(
             "probe-batch", hammer_count=hammer_count, iterations=iterations,
         ):
@@ -331,16 +348,16 @@ class FusedHammerSession(HammerSession):
         counters.commands_issued += iterations * (
             self._static_commands + 2 * total_cycles
         )
-        counters.sweep_saved_lookups += (
-            iterations if self._probed else iterations - 1
-        )
-        self._probed = True
+        _note_probes(self, iterations)
         self._pending = (
             damage_bulk, damage_outlier, session - 1, elapsed
         )
         return answers
 
     def close(self) -> None:
+        if self._fallback is not None:
+            self._fallback.close()
+            return
         if self._pending is None:
             return
         damage_bulk, damage_outlier, session, elapsed = self._pending
@@ -377,26 +394,23 @@ class FusedRetentionSession(RetentionSession):
 
     def __init__(self, engine, ctx, row, pattern):
         super().__init__(engine, ctx, row, pattern)
-        self._sweep = engine._sweep(ctx, "retention", row, pattern)
+        sweep = self._sweep = engine._sweep(ctx, "retention", row, pattern)
         self._bank = engine._module.bank(ctx.bank)
-        self._env = engine._env
-        self._size = self._sweep.bits.size
-        self._pending = None
         self._probed = False
-        self._sweep.state.pattern_index = self._sweep.pattern_index
-        self._exact = _sensing_exact(self._sweep, self._bank, engine, row)
-        if self._exact:
-            # Retention probes never draw jitter (the flip rule has no
-            # tolerance term), so only the count kernel needs resolving
-            # up front.
-            self._counts = self._sweep.fused_counts()
-        else:
-            engine._count_fallback("retention")
-
-    def _note_probe(self):
-        if self._probed:
-            self._engine.counters.sweep_saved_lookups += 1
-        self._probed = True
+        sweep.state.pattern_index = sweep.pattern_index
+        if not _sensing_exact(sweep, self._bank, engine, row):
+            self._fallback = engine._fallback_session(
+                ctx, row, pattern, "retention"
+            )
+            return
+        self._fallback = None
+        self._env = engine._env
+        self._size = sweep.bits.size
+        self._pending = None
+        # Retention probes never draw jitter (the flip rule has no
+        # tolerance term), so only the count kernel needs resolving up
+        # front.
+        self._counts = sweep.fused_counts()
 
     def _count_windows(
         self, windows: Sequence[float], iterations: int
@@ -444,10 +458,7 @@ class FusedRetentionSession(RetentionSession):
         counters = engine.counters
         counters.retention_probes += probes
         counters.commands_issued += probes * 2 * (2 + engine._columns)
-        counters.sweep_saved_lookups += (
-            probes if self._probed else probes - 1
-        )
-        self._probed = True
+        _note_probes(self, probes)
         self._pending = elapsed_values[-1]
         return self._counts.count_many(elapsed_values), elapsed_values
 
@@ -463,28 +474,16 @@ class FusedRetentionSession(RetentionSession):
         )
 
     def ber(self, trefw: float) -> float:
-        if not self._exact:
-            self._note_probe()
-            mismatches = self._engine._retention_mismatches(
-                self._ctx, self._sweep, trefw
-            )
-            return float(np.count_nonzero(mismatches) / mismatches.size)
+        if self._fallback is not None:
+            _note_probes(self, 1)
+            return self._fallback.ber(trefw)
         counts, _ = self._count_windows((trefw,), 1)
         return float(counts[0] / self._size)
 
     def worst_probe(self, trefw, iterations):
-        if not self._exact:
-            worst_ber = -1.0
-            worst_histogram: Dict[int, int] = {}
-            for _ in range(iterations):
-                self._note_probe()
-                ber, histogram = self._engine._retention_probe(
-                    self._ctx, self._sweep, trefw
-                )
-                if ber > worst_ber:
-                    worst_ber = ber
-                    worst_histogram = histogram
-            return worst_ber, worst_histogram
+        if self._fallback is not None:
+            _note_probes(self, iterations)
+            return self._fallback.worst_probe(trefw, iterations)
         with TRACER.span(
             "probe-batch", trefw=trefw, iterations=iterations,
         ):
@@ -494,7 +493,10 @@ class FusedRetentionSession(RetentionSession):
         return self._worst(counts, elapsed_values, 0, iterations)
 
     def worst_ladder(self, windows, iterations):
-        if not self._exact or iterations <= 0 or not windows:
+        if self._fallback is not None:
+            _note_probes(self, len(windows) * iterations)
+            return self._fallback.worst_ladder(windows, iterations)
+        if iterations <= 0 or not windows:
             return super().worst_ladder(windows, iterations)
         with TRACER.span(
             "probe-batch", windows=len(windows), iterations=iterations,
@@ -508,6 +510,9 @@ class FusedRetentionSession(RetentionSession):
             ]
 
     def close(self) -> None:
+        if self._fallback is not None:
+            self._fallback.close()
+            return
         if self._pending is None:
             return
         elapsed = self._pending
@@ -538,8 +543,8 @@ class KernelTrcdSession(TrcdSession):
     ``iterations``. The row data and the flip guard the last program
     leaves are materialized at close.
 
-    The whole session runs on the command path instead, counted in
-    ``trcd_fallbacks_<reason>``, when
+    The whole session runs on the engine's command oracle instead,
+    counted in ``trcd_fallbacks_<reason>``, when
 
     * ``per_column`` asks for Alg. 2's literal column loop;
     * an armed fault injector is on the bench: injected faults must fire
@@ -567,11 +572,14 @@ class KernelTrcdSession(TrcdSession):
             reason = "retention_guard"
         name = f"trcd_fallbacks_{reason}"
         setattr(engine.counters, name, getattr(engine.counters, name) + 1)
+        self._fallback = engine._oracle.trcd_session(
+            ctx, row, pattern, per_column
+        )
 
     def faulty(self, trcd, iterations):
         sweep = self._sweep
         if sweep is None:
-            return super().faulty(trcd, iterations)
+            return self._fallback.faulty(trcd, iterations)
         # The command path checks communication per instruction; V_PP
         # cannot change mid-trial, so one check up front is equivalent.
         self._module.check_communication()
@@ -586,6 +594,8 @@ class KernelTrcdSession(TrcdSession):
     def close(self) -> None:
         if self._sweep is not None:
             self._sweep.close()
+        else:
+            self._fallback.close()
 
 
 class FusedProbeEngine(ProbeEngine):
@@ -594,7 +604,9 @@ class FusedProbeEngine(ProbeEngine):
 
     Selection: the default engine (TRR modules still force the command
     engine). Sweeps -- a (row, pattern) pair's cached per-row state --
-    live in a capacity- and byte-bounded LRU. The one-off probe entry
+    live in an LRU of at most :data:`_SWEEP_CACHE_SIZE` entries. Every
+    fallback session runs on one command oracle that shares the
+    engine's counters. The one-off probe entry
     points (``hammer_ber``, ``retention_ber``, ``retention_probe``) are
     routed through one-probe sessions, so WCDP tie-break ranking hits
     the kernels too.
@@ -618,12 +630,11 @@ class FusedProbeEngine(ProbeEngine):
         )
         self._columns = self._module.geometry.columns
         self._sweeps: "OrderedDict" = OrderedDict()
-        self._sweep_capacity = ctx.sweep_cache or _SWEEP_CACHE_SIZE
-        self._sweep_byte_capacity = (
-            ctx.sweep_cache_bytes or _SWEEP_CACHE_BYTES
-        )
-        self._sweep_gauge = None
-        self._sweep_budget_tick = 0
+        self._sweep_capacity = _SWEEP_CACHE_SIZE
+        # The one command oracle of every fallback session; its probes
+        # count on this engine's counters.
+        self._oracle = CommandProbeEngine(ctx)
+        self._oracle.counters = self.counters
 
     # -- the sweep LRU ------------------------------------------------------
 
@@ -640,13 +651,6 @@ class FusedProbeEngine(ProbeEngine):
         if len(self._sweeps) > self._sweep_capacity:
             self._sweeps.popitem(last=False)
             self.counters.sweep_evictions += 1
-        # Walking every resident is O(capacity): amortize it over the
-        # miss stream for big caches, but stay exact while the cache is
-        # small (where tests -- and tiny byte budgets -- live).
-        self._sweep_budget_tick += 1
-        if len(self._sweeps) <= 16 or self._sweep_budget_tick >= 16:
-            self._sweep_budget_tick = 0
-            self._enforce_byte_budget()
         return sweep
 
     def _sweep(self, ctx, kind, row, pattern):
@@ -682,35 +686,18 @@ class FusedProbeEngine(ProbeEngine):
         sweep = bank.hammer_sweep(row, list(resolved.rows), pattern)
         return self._admit_sweep(key, sweep)
 
-    def _enforce_byte_budget(self) -> None:
-        """Evict oldest sweeps while the residents' owned bytes exceed
-        the byte budget (at least one sweep always survives), then
-        publish the occupancy gauge. Runs on the miss path only: byte
-        ownership grows when a sweep first touches an operating point,
-        so the measured total lags a probe or two, but misses are when
-        occupancy can jump and the budget is a bound on retained -- not
-        instantaneous -- memory."""
-        total = sum(
-            sweep.cache_nbytes() for sweep in self._sweeps.values()
-        )
-        while total > self._sweep_byte_capacity and len(self._sweeps) > 1:
-            _, evicted = self._sweeps.popitem(last=False)
-            total -= evicted.cache_nbytes()
-            self.counters.sweep_evictions += 1
-        gauge = self._sweep_gauge
-        if gauge is None:
-            from repro.obs.metrics import REGISTRY  # local: keep obs optional
-
-            gauge = self._sweep_gauge = REGISTRY.gauge(
-                SWEEP_CACHE_GAUGE,
-                "Bytes owned by the probe-engine sweep LRU's residents",
-            )
-        gauge.set(total)
-
-    def _count_fallback(self, kind: str) -> None:
-        """Count one session that opened on a sensing hazard."""
+    def _fallback_session(self, ctx, row, pattern, kind, program=None):
+        """The command oracle's session for a kernel session that opened
+        on a sensing hazard (``kind``: ``hammer``, ``program`` or
+        ``retention``), counted in ``probe_fallbacks_<kind>_sensing``."""
         name = f"probe_fallbacks_{kind}_sensing"
         setattr(self.counters, name, getattr(self.counters, name) + 1)
+        oracle = self._oracle
+        if kind == "retention":
+            return oracle.retention_session(ctx, row, pattern)
+        if program is None:
+            return oracle.hammer_session(ctx, row, pattern)
+        return oracle.program_hammer_session(ctx, row, pattern, program)
 
     # -- sessions and one-off probes ----------------------------------------
 
@@ -725,9 +712,6 @@ class FusedProbeEngine(ProbeEngine):
 
     def trcd_session(self, ctx, row, pattern, per_column=False):
         return KernelTrcdSession(self, ctx, row, pattern, per_column)
-
-    #: The tRCD sessions' fallback: the oracle's program path.
-    trcd_probe = CommandProbeEngine.trcd_probe
 
     def hammer_ber(self, ctx, row, pattern, hammer_count):
         """One-off hammer BER through a (one-probe) session."""
@@ -773,128 +757,3 @@ class FusedProbeEngine(ProbeEngine):
         if hammer_probes:
             bank.preheat_jitter(rows, hammer_probes)
         return warmed
-
-    # -- the private sensing-hazard fallback --------------------------------
-    #
-    # When activation corruption could fire, a session's probes run one
-    # at a time on full-row vectors: the flip mask is evaluated at each
-    # read-back ACT and the corruption mask ORed in, exactly as the
-    # command path's persist-then-sense order does.
-
-    def _read_back(self, bank, sweep, flips):
-        """The READ_ROW that ends a per-probe fallback: materialize the
-        flips at the ACT, restore, sense; returns the mismatch mask."""
-        env = self._env
-        state = sweep.state
-        data = sweep.bits.copy()
-        if flips.any():
-            data[flips] = sweep.discharged_value
-        state.data = data
-        state.pattern_index = sweep.pattern_index
-        state.cache.pop("_flip_guard", None)
-        state.last_restore_time = env.now
-        state.vpp_at_restore = env.vpp
-        state.damage_bulk = 0.0
-        state.damage_outlier = 0.0
-        state.session += 1
-        bank.total_activations += 1
-        corrupt = bank.sensing_corruption(sweep.row, self._trcd_q)
-        env.advance(self._trcd_q)
-        env.advance(self._row_io)
-        env.advance(self._trp_q)
-        return flips if corrupt is None else (flips | corrupt)
-
-    def _write_row(self, bank, state) -> None:
-        """WRITE_ROW's bookkeeping: ACT restores, full-row WR, PRE
-        restores."""
-        state.session += 2
-        bank.total_activations += 1
-        env = self._env
-        env.advance(self._trcd_q)
-        env.advance(self._row_io)
-        env.advance(self._trp_q)
-
-    def _hammer_probe(self, ctx, sweep, decoy_count, counts):
-        """One hammer probe on full-row vectors. ``sweep`` covers every
-        non-victim row (decoys first); ``counts`` is the per-burst
-        hammer schedule. Decoys are initialized but never hammered, and
-        each burst's simulated-time advance and damage deposits stay
-        separate adds (the command path runs one HAMMER instruction per
-        burst)."""
-        # The command path checks communication before every instruction;
-        # one up-front check is equivalent because V_PP cannot change
-        # mid-probe.
-        self._module.check_communication()
-        bank = self._module.bank(ctx.bank)
-        env = self._env
-
-        # WRITE_ROW victim, then each non-victim row (decoys, then
-        # aggressors; each deposits one activation's damage on the
-        # victim, accounted for in the sweep's damage terms).
-        state = sweep.state
-        state.session += 2
-        bank.total_activations += 1
-        env.advance(self._trcd_q)
-        env.advance(self._row_io)
-        restore_time = env.now
-        env.advance(self._trp_q)
-        for row_state in sweep.aggressor_states:
-            self._write_row(bank, row_state)
-
-        # HAMMER bursts: aggressor rows only, one restore per row per
-        # burst.
-        hammered = sweep.aggressor_states[decoy_count:]
-        total_cycles = 0
-        for count in counts:
-            for row_state in hammered:
-                row_state.session += 1
-                bank.total_activations += count
-            cycles = count * len(hammered)
-            total_cycles += cycles
-            env.advance(cycles * self._trc_q)
-
-        # READ_ROW: evaluate pending flips at the read's ACT, restore.
-        elapsed = env.now - restore_time
-        _, base_bulk, base_outlier, terms = sweep.damage_terms()
-        damage_bulk, damage_outlier = _add_damage(
-            base_bulk, base_outlier, terms[decoy_count:], counts
-        )
-        flips = sweep.flip_mask(
-            damage_bulk, damage_outlier, state.session, elapsed
-        )
-        mismatches = self._read_back(bank, sweep, flips)
-        self.counters.hammer_probes += 1
-        self.counters.commands_issued += (
-            (2 + len(sweep.aggressor_states)) * (2 + self._columns)
-            + 2 * total_cycles
-        )
-        return float(np.count_nonzero(mismatches) / mismatches.size)
-
-    def _retention_mismatches(self, ctx, sweep, trefw):
-        self._module.check_communication()
-        bank = self._module.bank(ctx.bank)
-        env = self._env
-        state = sweep.state
-
-        # WRITE_ROW victim, then the unrefreshed WAIT.
-        state.session += 2
-        bank.total_activations += 1
-        env.advance(self._trcd_q)
-        env.advance(self._row_io)
-        restore_time = env.now
-        env.advance(self._trp_q)
-        env.advance(trefw)
-
-        # READ_ROW: the decayed cells materialize at the ACT.
-        elapsed = env.now - restore_time
-        mismatches = self._read_back(bank, sweep, sweep.flip_mask(elapsed))
-        self.counters.retention_probes += 1
-        self.counters.commands_issued += 2 * (2 + self._columns)
-        return mismatches
-
-    def _retention_probe(self, ctx, sweep, trefw):
-        mismatches = self._retention_mismatches(ctx, sweep, trefw)
-        ber = float(np.count_nonzero(mismatches) / mismatches.size)
-        counts = mismatches.astype(np.int64).reshape(-1, 64).sum(axis=1)
-        histogram = Counter(int(c) for c in counts if c > 0)
-        return ber, dict(histogram)

@@ -64,8 +64,8 @@ _PROBE_METRIC_HELP = {
     "repro_trcd_fallbacks_total":
         "Alg. 2 sessions a kernel engine ran on the command path, by reason",
     "repro_probe_fallbacks_total":
-        "Alg. 1/3 kernel sessions run on the per-probe vector path, by "
-        "session kind and reason",
+        "Alg. 1/3 kernel sessions run on the command oracle, by session "
+        "kind and reason",
 }
 
 
@@ -98,8 +98,8 @@ class ProbeCounters:
     trcd_fallbacks_retention_guard: int = 0
     #: Kernel hammer, retention and DSL-program sessions that opened on
     #: a sensing hazard (activation corruption could fire at this
-    #: operating point) and so ran every probe on the per-probe vector
-    #: path (see :mod:`repro.core.fused`).
+    #: operating point) and so ran every probe on the command oracle
+    #: (see :mod:`repro.core.fused`).
     probe_fallbacks_hammer_sensing: int = 0
     probe_fallbacks_retention_sensing: int = 0
     probe_fallbacks_program_sensing: int = 0

@@ -74,32 +74,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: command-path oracle, accepted by ``TestContext(probe_engine=...)``.
 ENGINE_NAMES = ("fused", "command")
 
-#: Default cap on cached (row, pattern) sweeps. The V_PP ladder revisits
-#: every sampled row once per level and per probe kind, so the cap must
-#: cover a whole row set *times* the schedules touching it (rows x
-#: patterns x hammer/retention) or each level rebuilds every sweep --
-#: the classic LRU sequential-scan worst case; a bench-scale
-#: characterization alone walks 96 rows x 4 WCDP patterns x 2 kinds =
-#: 768 distinct sweeps. Since the byte budget below took over as the
-#: memory bound, the entry cap is sized generously and only backstops
-#: campaigns with pathologically many tiny sweeps.
-_SWEEP_CACHE_SIZE = 1024
-
-#: Default byte budget of the sweep LRU (per engine), measured over the
-#: per-operating-point arrays the resident sweeps own
-#: (:meth:`repro.dram.bank.ProbeSweep.cache_nbytes`). At 8 Kb rows the
-#: entry cap binds first; at 65536-bit rows one sweep's arrays reach
-#: ~1.5 MB, so 192 entries would quietly hold ~300 MB -- the byte bound
-#: keeps such campaigns under a predictable ceiling. At least one sweep
-#: always stays resident, so a tiny budget degrades to per-schedule
-#: caching rather than failing. Occupancy is exported as the
-#: ``repro_sweep_cache_bytes`` gauge.
-_SWEEP_CACHE_BYTES = 256 * 1024 * 1024
-
-#: Metric name of the sweep-LRU occupancy gauge (bytes owned by the
-#: resident sweeps of the engine that most recently updated the cache).
-SWEEP_CACHE_GAUGE = "repro_sweep_cache_bytes"
-
 
 class HammerSession:
     """One row's Alg. 1 probe run (a worst-BER loop, a bisection).

@@ -18,7 +18,7 @@ resolves a whole bisection inside one probe session; see
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.core.context import TestContext
 from repro.core.probe import (
@@ -176,18 +176,3 @@ def characterize_row(
         ber_iterations=iterations_values,
     )
 
-
-def characterize_rows(
-    ctx: TestContext, rows: Sequence[int],
-    patterns: Dict[int, DataPattern], vpp: float,
-) -> List[RowHammerRow]:
-    """Alg. 1 over a whole row set at the current V_PP (the campaign
-    loop's batch entry point; probe order matches the per-row loop)."""
-    return [
-        _profiled_row(ctx, row, patterns[row], vpp) for row in rows
-    ]
-
-
-def _profiled_row(ctx, row, pattern, vpp) -> RowHammerRow:
-    with TRACER.span("rowhammer"):
-        return characterize_row(ctx, row, pattern, vpp)

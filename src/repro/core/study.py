@@ -225,11 +225,9 @@ class CharacterizationStudy:
                 self._progress(f"{name}: determining retention WCDPs")
                 wcdp_ret = {row: retention_wcdp(ctx, row) for row in rows}
 
-        # RowHammer and tRCD at 50 degC across the V_PP grid. With tRCD
-        # in the mix, the sequential per-row interleave is preserved
-        # (tRCD probes run between a row's RowHammer schedules, so probe
-        # chronology is row-by-row); a RowHammer-only campaign hands the
-        # whole row set to the batch entry point per operating point.
+        # RowHammer and tRCD at 50 degC across the V_PP grid, row by
+        # row: a row's tRCD probes run right after its RowHammer
+        # schedules, so probe chronology is row-by-row.
         if "rowhammer" in tests or "trcd" in tests:
             infra.set_temperature(constants.ROWHAMMER_TEST_TEMPERATURE)
             for vpp in vpp_levels:
@@ -242,13 +240,6 @@ class CharacterizationStudy:
                         preheat(ctx, rows, (), hammer_probes=(
                             rowhammer_test.probe_bound(self.scale)
                         ))
-                    if "trcd" not in tests:
-                        rowhammer_rows.extend(
-                            rowhammer_test.characterize_rows(
-                                ctx, rows, wcdp_rh, vpp
-                            )
-                        )
-                        continue
                     for row in rows:
                         if "rowhammer" in tests:
                             with TRACER.span("rowhammer"):
@@ -257,12 +248,13 @@ class CharacterizationStudy:
                                         ctx, row, wcdp_rh[row], vpp
                                     )
                                 )
-                        with TRACER.span("trcd"):
-                            trcd_rows.append(
-                                trcd_test.characterize_row(
-                                    ctx, row, wcdp_act[row], vpp
+                        if "trcd" in tests:
+                            with TRACER.span("trcd"):
+                                trcd_rows.append(
+                                    trcd_test.characterize_row(
+                                        ctx, row, wcdp_act[row], vpp
+                                    )
                                 )
-                            )
 
         # Retention at 80 degC across the V_PP grid.
         if "retention" in tests:

@@ -7,8 +7,8 @@ characteristics reported in the paper.
 
 Layering, bottom-up:
 
-* :mod:`repro.dram.constants`, :mod:`repro.dram.timing`,
-  :mod:`repro.dram.commands` -- JEDEC DDR4 vocabulary.
+* :mod:`repro.dram.constants`, :mod:`repro.dram.timing` -- JEDEC DDR4
+  vocabulary (commands are SoftMC programs, :mod:`repro.softmc`).
 * :mod:`repro.dram.physics` -- analytic circuit-derived models of how the
   wordline voltage affects activation, restoration, disturbance and
   retention. This is the heart of the substitution: the paper's trends
@@ -25,7 +25,6 @@ Layering, bottom-up:
 * :mod:`repro.dram.spd` -- serial-presence-detect metadata.
 """
 
-from repro.dram.commands import Command, CommandKind
 from repro.dram.constants import (
     NOMINAL_TRCD,
     NOMINAL_TREFW,
@@ -42,8 +41,6 @@ from repro.dram.timing import TimingParameters
 from repro.dram.vendor import Vendor, VendorProfile
 
 __all__ = [
-    "Command",
-    "CommandKind",
     "DramModule",
     "MODULE_PROFILES",
     "NOMINAL_TRCD",

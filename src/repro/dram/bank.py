@@ -1292,13 +1292,12 @@ class Bank:
 class ProbeSweep:
     """Shared precomputation of one (victim row, data pattern) probe.
 
-    Holds the victim's pattern bits, charged-cell mask and -- cached per
-    (V_PP, temperature) operating point -- the per-cell effective
-    retention thresholds, so repeated probes of the same row skip the
-    per-probe parameter rederivation of the command path. The flip
-    evaluation reuses the Bank's own threshold expressions, which is
-    what keeps the sweep bit-identical to
-    :meth:`Bank._persist_pending_flips`.
+    Holds the victim's pattern bits and charged-cell mask, and -- cached
+    per (V_PP, temperature) operating point -- its counts kernel, so
+    repeated probes of the same row skip the per-probe parameter
+    rederivation of the command path. The flip evaluation reuses the
+    Bank's own threshold expressions, which is what keeps the sweep
+    bit-identical to :meth:`Bank._persist_pending_flips`.
     """
 
     def __init__(self, bank: Bank, victim_row: int, pattern: DataPattern):
@@ -1312,8 +1311,6 @@ class ProbeSweep:
             bank.pattern_view(self.physical, pattern)
         )
         self.discharged_value = bank._discharged_value(self.physical)
-        self._op_key = None
-        self._retention_thresholds = None
         self._fused = None
         self._fused_key = None
         #: Operating point at which sensing is known data-independently
@@ -1328,16 +1325,13 @@ class ProbeSweep:
         return self._bank._cached(self.state, self.physical, "cell_outlier_mask")
 
     def effective_retention_times(self) -> np.ndarray:
-        """Per-cell retention thresholds at the current operating point
-        (recomputed only when V_PP or temperature change)."""
-        env = self._bank._env
-        key = (env.vpp, env.temperature)
-        if key != self._op_key:
-            self._retention_thresholds = self._bank._effective_retention_times(
-                self.physical, self.state, self.pattern_index, env.vpp
-            )
-            self._op_key = key
-        return self._retention_thresholds
+        """Per-cell retention thresholds at the current operating point,
+        computed on each call: only full-vector readers (a decaying
+        hammer close, the tests' oracles) need them, and the sweep keeps
+        no per-operating-point vector."""
+        return self._bank._effective_retention_times(
+            self.physical, self.state, self.pattern_index, self._bank._env.vpp
+        )
 
     def charged_tolerance_minima(self) -> tuple:
         """``(bulk, outlier)``: the charged cells' smallest base
@@ -1381,19 +1375,6 @@ class ProbeSweep:
                 )
                 shortest = min(shortest, float(effective))
         return shortest
-
-    def cache_nbytes(self) -> int:
-        """Approximate bytes of per-operating-point arrays owned by this
-        sweep (the effective-retention vector and the counts object's
-        sorted slices). Row-state caches are excluded: they are shared
-        across sweeps and survive eviction anyway. The probe engines'
-        byte-bounded LRU sums this over its residents."""
-        total = 0
-        if self._retention_thresholds is not None:
-            total += self._retention_thresholds.nbytes
-        if self._fused is not None:
-            total += self._fused.nbytes()
-        return total
 
 
 class HammerSweep(ProbeSweep):
@@ -1502,18 +1483,11 @@ class RetentionSweep(ProbeSweep):
     A retention probe leaves the victim's accumulated damage at zero
     (the full-row write restores it and nothing activates nearby during
     the wait) and effective tolerances are strictly positive, so the
-    command path's damage term can never fire; the sweep therefore only
-    evaluates the retention thresholds. Skipping the jitter draw is
-    exact because the RNG is stateless (keyed by row and session).
+    command path's damage term can never fire; the sweep's kernel
+    therefore only resolves the retention thresholds. Skipping the
+    jitter draw is exact because the RNG is stateless (keyed by row and
+    session).
     """
-
-    def flip_mask(self, elapsed: float) -> np.ndarray:
-        """Cells that decay within ``elapsed`` seconds of the restore."""
-        charged = self.charged
-        flips = np.zeros_like(charged)
-        if elapsed > 0:
-            flips |= charged & (self.effective_retention_times() < elapsed)
-        return flips
 
     def fused_counts(self) -> "_FusedRetentionCounts":
         """Group-decomposed retention reductions at the current
@@ -1800,12 +1774,11 @@ class _FusedRetentionCounts:
     (``bits & charged_byte``). The boundary
     correction replays the exact float32/float64 operations of the
     vectorized ``retention * thermal * margin**sensitivity * pattern``
-    chain elementwise, so all three are bit-identical to
-    :meth:`RetentionSweep.flip_mask`; the engine's differential tests
-    against the command path assert exactly that. The kernel owns *no*
-    per-operating-point arrays -- fused retention sweeps are weightless
-    under the sweep LRU's byte budget, so V_PP ladders keep every row
-    resident.
+    chain elementwise, so all three are bit-identical to the full-vector
+    rule ``charged & (effective_retention_times() < elapsed)``; the
+    engine's differential tests against the command path assert exactly
+    that. The kernel owns *no* per-operating-point arrays: the sweep
+    LRU bounds sweeps by count alone.
     """
 
     def __init__(self, bank: Bank, state: RowState, physical: int,
@@ -1929,12 +1902,6 @@ class _FusedRetentionCounts:
             for v, c in enumerate(histogram)
             if v and c
         }
-
-    def nbytes(self) -> int:
-        """Always 0: needle inversion resolves counts against the
-        state-cached base-time arrays, so the kernel owns no
-        per-operating-point arrays at all."""
-        return 0
 
 
 class _FusedHammerCounts:
@@ -2079,8 +2046,3 @@ class _FusedHammerCounts:
         return self._members(
             self._damage_flips(damage_bulk, damage_outlier, factor)
         )
-
-    def nbytes(self) -> int:
-        """Bytes of the owned per-operating-point arrays (none: the
-        layouts live on the shared row state)."""
-        return 0

@@ -21,9 +21,6 @@ NOMINAL_VDD = 1.2
 #: Step size used when sweeping V_PP down from nominal [V] (Section 4.1).
 VPP_STEP = 0.1
 
-#: Lowest V_PP the paper's SPICE sweep considers [V] (Section 4.5).
-VPP_SWEEP_FLOOR = 1.5
-
 # -- timings ----------------------------------------------------------------
 
 #: Nominal row activation latency [s] (Section 4.3; 13.5 ns).
@@ -42,24 +39,6 @@ NOMINAL_TREFW = ms(64.0)
 #: issue one DRAM command every 1.5 ns (footnote 10), which quantizes every
 #: timing sweep to 1.5 ns steps.
 SOFTMC_COMMAND_CLOCK = ns(1.5)
-
-#: Minimum ACT-to-ACT interval to the same bank [s] (tRC = tRAS + tRP).
-NOMINAL_TRC = NOMINAL_TRAS + NOMINAL_TRP
-
-# -- organization -----------------------------------------------------------
-
-#: Number of banks per DDR4 chip (Section 2.1 cites 16 [80]).
-BANKS_PER_CHIP = 16
-
-#: Bits per DRAM cell word served per chip per column access for an x8 part.
-DEVICE_WIDTH_X8 = 8
-
-#: Bits per column access for an x4 part.
-DEVICE_WIDTH_X4 = 4
-
-#: ECC data-word size in bits assumed by the paper's mitigation analysis
-#: (Observation 14: "a realistic data word size of 64 bits").
-ECC_DATA_WORD_BITS = 64
 
 # -- experiment parameters from the paper ------------------------------------
 

@@ -12,14 +12,11 @@ requirements, retention behaviour -- flows from the banks' physics.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
+from typing import List
 
 from repro.dram.bank import Bank
 from repro.dram.calibration import ModuleCalibration, ModuleGeometry, calibrate
 from repro.dram.chip import Chip
-from repro.dram.commands import Command, CommandKind
 from repro.dram.environment import ModuleEnvironment
 from repro.dram.mapping import make_mapping
 from repro.dram.profiles import ModuleProfile
@@ -146,36 +143,6 @@ class DramModule:
                 f"module {self.name} does not respond at "
                 f"V_PP = {self._env.vpp:.2f} V (V_PPmin = {self.vppmin:.2f} V)"
             )
-
-    # -- command execution ------------------------------------------------------------
-
-    def execute(self, command: Command, trcd: float = None) -> Optional[np.ndarray]:
-        """Execute one DDR4 command against the module.
-
-        Returns read data for RD commands, None otherwise. ``trcd``
-        applies to ACT commands (the latency the controller will honor
-        before the first column access).
-        """
-        self.check_communication()
-        kind = command.kind
-        if kind is CommandKind.ACT:
-            self._banks[command.bank].activate(command.row, trcd=trcd)
-            return None
-        if kind is CommandKind.PRE:
-            self._banks[command.bank].precharge()
-            return None
-        if kind is CommandKind.RD:
-            return self._banks[command.bank].read_column(command.column)
-        if kind is CommandKind.WR:
-            self._banks[command.bank].write_column(command.column, command.data)
-            return None
-        if kind is CommandKind.REF:
-            for bank in self._banks:
-                bank.refresh()
-            return None
-        if kind is CommandKind.NOP:
-            return None
-        raise CommunicationError(f"unsupported command kind: {kind}")
 
     # -- statistics ---------------------------------------------------------------------
 

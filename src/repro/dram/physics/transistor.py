@@ -25,11 +25,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-#: Threshold voltage that reproduces the paper's SPICE saturation numbers
-#: (Observation 10: cell saturates 4.1 % / 11.0 % / 18.1 % below V_DD at
-#: V_PP = 1.9 / 1.8 / 1.7 V, i.e. V_sat = V_PP - 0.72 V).
-SPICE_VTH = 0.72
-
 #: Default *effective* threshold for the behavioral model of real chips.
 #: Real devices operate reliably down to V_PP = 1.4 V (Table 3, module A0)
 #: which the paper's own SPICE model cannot explain (footnote 13); an

@@ -37,19 +37,19 @@ the one reaper of hung units. Elsewhere the checker flags any use of
 ``multiprocessing``, ``ProcessPoolExecutor`` and ``os.fork``.
 
 **Reachable-source contract.** ``src/`` holds what the system runs.
-Every top-level function and class, and every non-dunder method, of
-the ``repro`` package must be named by some other ``src/`` code: a
-name, an attribute, or an identifier-shaped string (a ``getattr`` key,
-a registry entry) outside ``__all__``. Imports alone do not count, and
-neither do names in tests, benchmarks or ``perfbench/`` -- that is the
-point of the rule. A definition that only tests use belongs under
-``tests/`` (an oracle) or nowhere. Public surface that only docs,
-examples, benchmarks or ``perfbench/`` call, and test-inspection
-seams, are listed in :data:`REACHABILITY_ALLOWLIST` with a reason. An
-entry whose definition is gone, or is now named from ``src/``, is
-itself a violation, so the list cannot rot. The check is name-based:
-a method counts as used when any ``src/`` code names an attribute of
-that name.
+Every top-level function, class and UPPER_CASE constant, and every
+non-dunder method, of the ``repro`` package must be named by some
+other ``src/`` code: a name, an attribute, or an identifier-shaped
+string (a ``getattr`` key, a registry entry) outside ``__all__``.
+Imports alone do not count, and neither do names in tests, benchmarks
+or ``perfbench/`` -- that is the point of the rule. A definition that
+only tests use belongs under ``tests/`` (an oracle) or nowhere. Public
+surface that only docs, examples, benchmarks or ``perfbench/`` call,
+and test-inspection seams, are listed in
+:data:`REACHABILITY_ALLOWLIST` with a reason. An entry whose
+definition is gone, or is now named from ``src/``, is itself a
+violation, so the list cannot rot. The check is name-based: a method
+counts as used when any ``src/`` code names an attribute of that name.
 
 Run via ``make lint`` or ``python -m repro.harness.lint``; exits
 non-zero when a violation is found.
@@ -350,10 +350,6 @@ REACHABILITY_ALLOWLIST: Dict[str, str] = {
         "test-inspection seam over private bank state",
     "repro.dram.bank.Bank.row_hammer_damage":
         "test-inspection seam over private bank state",
-    "repro.dram.commands.Command.nop":
-        "command constructor; tests drive DramModule.execute with it",
-    "repro.dram.commands.Command.wr":
-        "command constructor; tests drive DramModule.execute with it",
     "repro.dram.trr.TargetRowRefresh.tracked_rows":
         "test-inspection seam over the TRR tracker",
     "repro.obs.events.subscribers":
@@ -388,20 +384,37 @@ REACHABILITY_ALLOWLIST: Dict[str, str] = {
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+def _constant_names(node: ast.stmt):
+    """The UPPER_CASE names a top-level assignment binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return
+    for target in targets:
+        for name in (target, *getattr(target, "elts", ())):
+            if isinstance(name, ast.Name) and name.id.isupper():
+                yield name.id
+
+
 def _definitions(tree: ast.Module):
-    """(qualified suffix, node) for every top-level function and class,
-    and every non-dunder method of a top-level class."""
+    """(qualified suffix, name, node) for every top-level function,
+    class and UPPER_CASE constant, and every non-dunder method of a
+    top-level class."""
     for node in tree.body:
+        for name in _constant_names(node):
+            yield name, name, node
         if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
             continue
-        yield node.name, node
+        yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for child in node.body:
                 name = getattr(child, "name", "")
                 if isinstance(child, _FUNCTIONS) and not (
                     name.startswith("__") and name.endswith("__")
                 ):
-                    yield f"{node.name}.{name}", child
+                    yield f"{node.name}.{name}", name, child
 
 
 def _references(tree: ast.Module):
@@ -453,9 +466,9 @@ def check_reachability(
         module = os.path.relpath(path, base)[:-len(".py")].replace(
             os.sep, "."
         ).removesuffix(".__init__")
-        for suffix, node in _definitions(tree):
+        for suffix, name, node in _definitions(tree):
             definitions.append((
-                f"{module}.{suffix}", node.name, path, node.lineno,
+                f"{module}.{suffix}", name, path, node.lineno,
                 node.end_lineno,
             ))
         for name, line in _references(tree):

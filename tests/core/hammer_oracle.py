@@ -1,14 +1,15 @@
-"""The hammer oracles the fused kernel and Alg. 1 are checked against.
+"""The oracles the fused kernels and Alg. 1 are checked against.
 
 :class:`HammerCounts` derives its populations independently of the
 probe engine's kernel (:class:`repro.dram.bank._FusedHammerCounts`,
 which reads the shared per-row layouts): it masks the sweep's charged
 and outlier cells, sorts them, and owns the result.
-:func:`victim_damage` replays one probe's damage deposits, and
-:func:`measure_worst_ber` runs the worst-BER ladder in a probe session
-of its own. No engine or analysis path uses them; the kernel tests in
-``test_fused_engine.py`` build one per operating point and compare
-flip counts and sets, and the Alg. 1 tests check
+:func:`victim_damage` replays one probe's damage deposits,
+:func:`retention_flip_mask` evaluates a retention probe's decays on full
+vectors, and :func:`measure_worst_ber` runs the worst-BER ladder in a
+probe session of its own. No engine or analysis path uses them; the
+kernel tests in ``test_fused_engine.py`` build them per operating point
+and compare flip counts and sets, and the Alg. 1 tests check
 :func:`repro.core.rowhammer.characterize_row` against the split
 session.
 """
@@ -19,7 +20,7 @@ import numpy as np
 
 from repro.core.probe import open_hammer_session
 from repro.core.rowhammer import _worst_ber
-from repro.dram.bank import HammerSweep, _flip_prefix
+from repro.dram.bank import HammerSweep, RetentionSweep, _flip_prefix
 
 
 def victim_damage(sweep: HammerSweep, count: int) -> Tuple[float, float]:
@@ -35,6 +36,18 @@ def victim_damage(sweep: HammerSweep, count: int) -> Tuple[float, float]:
         damage_bulk += count * weight / scale_bulk
         damage_outlier += count * weight / scale_outlier
     return damage_bulk, damage_outlier
+
+
+def retention_flip_mask(sweep: RetentionSweep, elapsed: float) -> np.ndarray:
+    """Cells of a retention sweep's victim that decay within ``elapsed``
+    seconds of the restore: the full-vector rule the retention kernel
+    (:class:`repro.dram.bank._FusedRetentionCounts`) resolves by needle
+    inversion."""
+    charged = sweep.charged
+    flips = np.zeros_like(charged)
+    if elapsed > 0:
+        flips |= charged & (sweep.effective_retention_times() < elapsed)
+    return flips
 
 
 def measure_worst_ber(ctx, row, pattern, hammer_count, iterations):

@@ -350,9 +350,10 @@ class TestEvictedSweepsFree:
     command engine's)."""
 
     @pytest.mark.parametrize("kind", ["hammer", "retention"])
-    def test_evicted_sweep_dies_without_a_collection(self, kind):
+    def test_evicted_sweep_dies_without_a_collection(self, kind, monkeypatch):
+        monkeypatch.setattr("repro.core.fused._SWEEP_CACHE_SIZE", 1)
         command_ctx = _context("B3", "command")
-        fused_ctx = _context("B3", "fused", sweep_cache=1)
+        fused_ctx = _context("B3", "fused")
         pattern = STANDARD_PATTERNS[2]
         rows = (5, 9)
         for ctx in (command_ctx, fused_ctx):

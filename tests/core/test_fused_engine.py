@@ -38,7 +38,11 @@ from repro.dram.cell import CELL_VECTOR_GENERATIONS_METRIC
 from repro.dram.patterns import STANDARD_PATTERNS, DataPattern
 from repro.obs.metrics import REGISTRY
 from repro.softmc.infrastructure import TestInfrastructure
-from tests.core.hammer_oracle import HammerCounts, victim_damage
+from tests.core.hammer_oracle import (
+    HammerCounts,
+    retention_flip_mask,
+    victim_damage,
+)
 
 MODULES = ("A0", "B3", "C5")
 VPP_LEVELS = (2.5, 2.2)
@@ -300,7 +304,7 @@ class TestHammerKernels:
                             value = float(thresholds[index])
                             waits += [value, float(np.nextafter(value, np.inf))]
                     for elapsed in waits:
-                        mask = sweep.flip_mask(elapsed)
+                        mask = retention_flip_mask(sweep, elapsed)
                         assert counts.count(elapsed) == np.count_nonzero(mask)
                         assert np.array_equal(
                             np.sort(counts.flip_indices(elapsed)),
@@ -460,7 +464,7 @@ class TestLayoutHeads:
                     elapsed = float(np.nextafter(
                         thresholds[int(quantile * thresholds.size)], np.inf
                     ))
-                    mask = retention.flip_mask(elapsed)
+                    mask = retention_flip_mask(retention, elapsed)
                     assert counts.count(elapsed) == np.count_nonzero(mask)
                     assert np.array_equal(
                         np.sort(counts.flip_indices(elapsed)),
@@ -553,7 +557,7 @@ class TestLayoutHeads:
         )
         elapsed = float(np.nextafter(effective[last], np.inf))
         before = _extensions("retention")
-        mask = sweep.flip_mask(elapsed)
+        mask = retention_flip_mask(sweep, elapsed)
         assert np.count_nonzero(mask) > bound
         assert counts.count(elapsed) == np.count_nonzero(mask)
         assert np.array_equal(

@@ -4,10 +4,10 @@ The fused kernel engine must be *bit-identical* to the validated
 ``Program``/``SoftMCHost`` reference for every quantity the studies
 record -- HC_first, RowHammer BER (including per-iteration values),
 tRCD_min and retention BER/histograms -- across modules of all three
-vendors and multiple V_PP levels, on its kernel sessions and on its
-private per-probe sensing-hazard fallback alike. Alg. 2's kernel is
-pinned down to the post-sweep device state. Any divergence here means
-the kernel's replay of the command schedule (session counters,
+vendors and multiple V_PP levels, on its kernel sessions and on the
+sessions a sensing hazard hands to the command oracle alike. Alg. 2's
+kernel is pinned down to the post-sweep device state. Any divergence
+here means the kernel's replay of the command schedule (session counters,
 simulated-time offsets, damage deposit order, sorted-threshold
 reductions) has drifted from the host's semantics.
 """
@@ -56,8 +56,9 @@ def _run(name, engine_kind):
 
 @pytest.fixture
 def hazard_fallback(monkeypatch):
-    """Force every kernel session onto the per-probe sensing-hazard
-    fallback (as if activation corruption could fire everywhere)."""
+    """Force every kernel session onto the sensing-hazard fallback, the
+    command oracle (as if activation corruption could fire
+    everywhere)."""
     monkeypatch.setattr(
         "repro.core.fused._sensing_exact", lambda *args: False
     )
@@ -112,6 +113,42 @@ class TestStudyEquivalence:
         assert fused.rowhammer == command.rowhammer
         if name == "A0":
             assert max(r.trcd_min for r in command.trcd) > NOMINAL_TRCD
+
+    @pytest.mark.parametrize("name", MODULES)
+    def test_hazard_sessions_keep_counter_parity(
+        self, name, monkeypatch, hazard_fallback
+    ):
+        """With every kernel session on the command oracle, the fused
+        engine's probe and command counts equal the command engine's,
+        and its fallbacks still publish as labeled children."""
+        from repro.obs.metrics import MetricsRegistry
+
+        contexts = {}
+        build = CharacterizationStudy.build_context
+
+        def capture(study, module):
+            ctx = build(study, module)
+            contexts[study.probe_engine] = ctx
+            return ctx
+
+        monkeypatch.setattr(CharacterizationStudy, "build_context", capture)
+        command = _run(name, "command")
+        fused = _run(name, "fused")
+        assert fused.rowhammer == command.rowhammer
+        assert fused.retention == command.retention
+        reference = contexts["command"].engine.counters
+        counters = contexts["fused"].engine.counters
+        for field in ("hammer_probes", "retention_probes", "commands_issued"):
+            assert getattr(counters, field) == getattr(reference, field)
+        registry = MetricsRegistry()
+        counters.publish(registry=registry)
+        family = registry.counter(
+            "repro_probe_fallbacks_total", labels=("kind", "reason")
+        )
+        for kind in ("hammer", "retention"):
+            sessions = getattr(counters, f"probe_fallbacks_{kind}_sensing")
+            assert sessions > 0
+            assert family.labels(kind=kind, reason="sensing").value == sessions
 
     def test_fused_engine_selected_by_default(self):
         study = CharacterizationStudy(scale=StudyScale.tiny(), seed=3)
@@ -194,9 +231,9 @@ class TestDirectProbeEquivalence:
     @pytest.mark.parametrize("name", MODULES)
     def test_batch_hammer_session_sequence(self, name, monkeypatch):
         """A schedule-batched kernel session's per-probe answers (scalar
-        reductions), and its per-probe sensing-hazard fallback's (full
-        vectors), match the command path probe for probe, including
-        the deferred data materialization at close."""
+        reductions), and those of a session its sensing-hazard fallback
+        hands to the command oracle, match the command path probe for
+        probe, including the deferred data materialization at close."""
         pattern = STANDARD_PATTERNS[0]
         counts = (60_000, 120_000, 240_000, 480_000)
         command_ctx, fused_ctx = self._contexts(name)
@@ -477,24 +514,26 @@ class TestEngineSelection:
 
 
 class TestSweepCache:
-    """The configurable sweep LRU and its traffic counters."""
+    """The sweep LRU and its traffic counters. Its cap is the constant
+    ``repro.core.fused._SWEEP_CACHE_SIZE``, which tests patch to force
+    evictions."""
 
-    def _context(self, sweep_cache=None, probe_engine="fused"):
+    @pytest.fixture
+    def capacity(self, monkeypatch):
+        def patch(entries):
+            monkeypatch.setattr("repro.core.fused._SWEEP_CACHE_SIZE", entries)
+        return patch
+
+    def _context(self):
         infra = TestInfrastructure.for_module(
             "A0", geometry=StudyScale.tiny().geometry, seed=3
         )
-        return TestContext(infra, StudyScale.tiny(),
-                           probe_engine=probe_engine,
-                           sweep_cache=sweep_cache)
+        return TestContext(infra, StudyScale.tiny(), probe_engine="fused")
 
-    def test_capacity_default_and_override(self):
+    def test_capacity_default_and_override(self, capacity):
         assert self._context().engine._sweep_capacity == 1024
-        assert self._context(sweep_cache=7).engine._sweep_capacity == 7
-
-    def test_capacity_validation(self):
-        for kind in ENGINE_NAMES:  # checked on the context, either engine
-            with pytest.raises(ConfigurationError, match="sweep_cache"):
-                self._context(sweep_cache=0, probe_engine=kind)
+        capacity(7)
+        assert self._context().engine._sweep_capacity == 7
 
     def test_hit_miss_counters(self):
         ctx = self._context()
@@ -506,8 +545,9 @@ class TestSweepCache:
         assert ctx.engine.counters.sweep_hits == 1
         assert ctx.engine.counters.sweep_evictions == 0
 
-    def test_capacity_one_evicts(self):
-        ctx = self._context(sweep_cache=1)
+    def test_capacity_one_evicts(self, capacity):
+        capacity(1)
+        ctx = self._context()
         ctx.engine.hammer_ber(ctx, 5, STANDARD_PATTERNS[0], 1_000)
         ctx.engine.hammer_ber(ctx, 9, STANDARD_PATTERNS[0], 1_000)
         ctx.engine.hammer_ber(ctx, 5, STANDARD_PATTERNS[0], 1_000)
@@ -559,98 +599,18 @@ class TestSweepCache:
         assert counters.sweep_misses == 2
         assert counters.sweep_saved_lookups == (5 - 1) + (9 - 1)
 
-    def test_counters_flow_into_profile(self):
-        ctx = self._context(sweep_cache=1)
+    def test_counters_flow_into_profile(self, capacity):
+        capacity(1)
+        ctx = self._context()
         ctx.engine.hammer_ber(ctx, 5, STANDARD_PATTERNS[0], 1_000)
         summary = ctx.engine.counters.as_dict()
         assert summary["sweep_misses"] == 1
 
 
-class TestSweepCacheByteBudget:
-    """The byte-bounded side of the sweep LRU
-    (``TestContext.sweep_cache_bytes``)."""
-
-    def _context(self, sweep_cache_bytes=None, probe_engine="fused"):
-        infra = TestInfrastructure.for_module(
-            "A0", geometry=StudyScale.tiny().geometry, seed=3
-        )
-        return TestContext(infra, StudyScale.tiny(),
-                           probe_engine=probe_engine,
-                           sweep_cache_bytes=sweep_cache_bytes)
-
-    def test_byte_capacity_default_and_override(self):
-        engine = self._context().engine
-        assert engine._sweep_byte_capacity == 256 * 1024 * 1024
-        engine = self._context(sweep_cache_bytes=4096).engine
-        assert engine._sweep_byte_capacity == 4096
-
-    def test_byte_capacity_validation(self):
-        with pytest.raises(ConfigurationError, match="sweep_cache_bytes"):
-            self._context(sweep_cache_bytes=0)
-
-    def test_tiny_budget_evicts_but_keeps_newest(self, hazard_fallback):
-        # Kernel sessions own no per-operating-point bytes; the per-probe
-        # hazard fallback materializes the effective-retention vector.
-        ctx = self._context(sweep_cache_bytes=1)
-        pattern = STANDARD_PATTERNS[0]
-        ctx.engine.hammer_ber(ctx, 5, pattern, 1_000)
-        ctx.engine.hammer_ber(ctx, 9, pattern, 1_000)
-        counters = ctx.engine.counters
-        # A 1-byte budget can never hold two resident sweeps, but the
-        # newest always survives (a session must be able to finish).
-        assert counters.sweep_evictions >= 1
-        assert len(ctx.engine._sweeps) == 1
-        ctx.engine.hammer_ber(ctx, 9, pattern, 1_000)
-        assert counters.sweep_hits == 1
-
-    def test_generous_budget_never_evicts(self):
-        ctx = self._context(sweep_cache_bytes=1 << 30)
-        pattern = STANDARD_PATTERNS[0]
-        for row in (5, 9, 13):
-            ctx.engine.hammer_ber(ctx, row, pattern, 1_000)
-        assert ctx.engine.counters.sweep_evictions == 0
-        assert len(ctx.engine._sweeps) == 3
-
-    def test_occupancy_gauge_published(self, hazard_fallback):
-        from repro.obs.metrics import REGISTRY
-
-        ctx = self._context(sweep_cache_bytes=1 << 30)
-        # The gauge is refreshed on the miss path, so it reflects the
-        # kernel state resident *before* the newest sweep: probe two
-        # rows so the first sweep's bytes are visible.
-        ctx.engine.hammer_ber(ctx, 5, STANDARD_PATTERNS[0], 1_000)
-        ctx.engine.hammer_ber(ctx, 9, STANDARD_PATTERNS[0], 1_000)
-        gauges = REGISTRY.snapshot()["gauges"]
-        assert gauges.get("repro_sweep_cache_bytes", 0.0) > 0
-
-    def test_fused_residents_are_weightless(self, monkeypatch):
-        # The fused kernels resolve probes against state-cached base
-        # arrays by needle inversion, so resident sweeps own no
-        # per-operating-point bytes: even a 1-byte budget keeps a whole
-        # retention row set resident, where the hazard fallback's
-        # materialized threshold vectors evict down to one sweep.
-        ctx = self._context(sweep_cache_bytes=1)
-        pattern = STANDARD_PATTERNS[2]
-        ctx.infra.set_temperature(80.0)
-        ctx.engine.retention_ber(ctx, 5, pattern, 0.5)
-        ctx.engine.retention_ber(ctx, 9, pattern, 0.5)
-        assert ctx.engine.counters.sweep_evictions == 0
-        assert len(ctx.engine._sweeps) == 2
-        monkeypatch.setattr(
-            "repro.core.fused._sensing_exact", lambda *args: False
-        )
-        fallback_ctx = self._context(sweep_cache_bytes=1)
-        fallback_ctx.infra.set_temperature(80.0)
-        fallback_ctx.engine.retention_ber(fallback_ctx, 5, pattern, 0.5)
-        fallback_ctx.engine.retention_ber(fallback_ctx, 9, pattern, 0.5)
-        assert fallback_ctx.engine.counters.sweep_evictions >= 1
-        assert len(fallback_ctx.engine._sweeps) == 1
-
-
 class TestSensingHazard:
     """A real sensing hazard: tRCD-offender rows at low V_PP, where the
     probes' safe tRCD no longer covers every cell's activation
-    requirement, so kernel sessions run on the per-probe fallback."""
+    requirement, so kernel sessions run on the command oracle."""
 
     VPP_LEVELS = (2.5, 1.4)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.dram.chip import Chip
-from repro.dram.commands import Command
 from repro.dram.environment import ModuleEnvironment
 from repro.dram.mapping import DirectMapping
 from repro.dram.module import DramModule
@@ -16,6 +15,7 @@ from repro.errors import (
     ConfigurationError,
     DramAddressError,
 )
+from repro.softmc.program import Program
 
 
 class TestChip:
@@ -75,20 +75,24 @@ class TestModule:
         with pytest.raises(CommunicationError):
             b3_module.check_communication()
 
-    def test_execute_command_api(self, b3_module):
-        b3_module.execute(Command.act(0, 5))
+    def test_execute_command_api(self, b3_infra):
+        program = Program()
+        program.act(0, 5)
         payload = np.ones(64, dtype=np.uint8)
-        b3_module.execute(Command.wr(0, 2, payload))
-        read = b3_module.execute(Command.rd(0, 2))
-        assert np.array_equal(read, payload)
-        b3_module.execute(Command.pre(0))
-        b3_module.execute(Command.ref())
-        b3_module.execute(Command.nop())
+        program.wr(0, 2, payload)
+        read_index = program.rd(0, 2)
+        program.pre(0)
+        program.ref()
+        result = b3_infra.host.execute(program)
+        assert np.array_equal(result.data(read_index), payload)
+        assert result.commands_issued == 5
 
-    def test_execute_refuses_when_mute(self, b3_module):
-        b3_module.env.set_vpp(1.0)
+    def test_execute_refuses_when_mute(self, b3_infra):
+        b3_infra.module.env.set_vpp(1.0)
+        program = Program()
+        program.act(0, 5)
         with pytest.raises(CommunicationError):
-            b3_module.execute(Command.act(0, 5))
+            b3_infra.host.execute(program)
 
     def test_bank_index_checked(self, b3_module):
         with pytest.raises(DramAddressError):

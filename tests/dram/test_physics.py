@@ -12,9 +12,14 @@ from repro.dram.physics.activation import ActivationModel
 from repro.dram.physics.disturbance import DisturbanceModel
 from repro.dram.physics.restoration import RestorationModel
 from repro.dram.physics.retention_model import RetentionModel
-from repro.dram.physics.transistor import SPICE_VTH, AccessTransistorModel
+from repro.dram.physics.transistor import AccessTransistorModel
 from repro.errors import ConfigurationError
 from repro.units import ns
+
+#: Threshold voltage that reproduces the paper's SPICE saturation numbers
+#: (Observation 10: cell saturates 4.1 % / 11.0 % / 18.1 % below V_DD at
+#: V_PP = 1.9 / 1.8 / 1.7 V, i.e. V_sat = V_PP - 0.72 V).
+SPICE_VTH = 0.72
 
 SPICE_RESTORATION = RestorationModel(
     transistor=AccessTransistorModel(vth=SPICE_VTH)

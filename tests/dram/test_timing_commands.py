@@ -1,10 +1,8 @@
-"""Timing parameter sets and the DDR4 command vocabulary."""
+"""Timing parameter sets and the paper's methodology constants."""
 
-import numpy as np
 import pytest
 
 from repro.dram import constants
-from repro.dram.commands import Command, CommandKind
 from repro.dram.timing import TimingParameters, quantize_to_command_clock
 from repro.errors import ConfigurationError
 from repro.units import ns
@@ -43,27 +41,6 @@ class TestTimingParameters:
     def test_quantization_rejects_nonpositive(self):
         with pytest.raises(ConfigurationError):
             quantize_to_command_clock(0.0)
-
-
-class TestCommands:
-    def test_constructors(self):
-        assert Command.act(1, 5).kind is CommandKind.ACT
-        assert Command.pre(0).bank == 0
-        assert Command.rd(0, 3).column == 3
-        assert Command.ref().kind is CommandKind.REF
-        assert Command.nop().kind is CommandKind.NOP
-        wr = Command.wr(0, 1, np.zeros(64, dtype=np.uint8))
-        assert wr.data is not None
-
-    def test_operand_validation(self):
-        with pytest.raises(ConfigurationError):
-            Command(CommandKind.ACT, bank=0)  # missing row
-        with pytest.raises(ConfigurationError):
-            Command(CommandKind.RD, bank=0)  # missing column
-        with pytest.raises(ConfigurationError):
-            Command(CommandKind.WR, bank=0, column=0)  # missing data
-        with pytest.raises(ConfigurationError):
-            Command(CommandKind.PRE)  # missing bank
 
 
 def test_paper_constants():

@@ -55,8 +55,8 @@ def test_attribute_and_getattr_string_references_count(tmp_path):
         user="""
             from pkg import mod
 
-            VALUE = mod.helper()
-            HOOK = getattr(mod, "hook")
+            value = mod.helper()
+            hook = getattr(mod, "hook")
         """,
     )
     assert check_reachability(package, allowlist={}) == []
@@ -78,6 +78,44 @@ def test_exports_and_plain_imports_do_not_count(tmp_path):
     ]
 
 
+def test_unreferenced_constant_is_flagged(tmp_path):
+    package = _package(tmp_path, mod="""
+        #: Named by nothing else.
+        LIMIT = 16
+        SIZE, _OFFSET = 4, 2
+        lower_case = 1  # not a constant: never flagged
+
+        def total():
+            return SIZE + lower_case
+
+        total()
+    """)
+    violations = check_reachability(package, allowlist={})
+    assert _flagged(violations) == ["pkg.mod.LIMIT", "pkg.mod._OFFSET"]
+    assert sorted(line for _, line, _ in violations) == [3, 4]
+
+
+def test_constant_named_as_module_attribute_counts(tmp_path):
+    package = _package(
+        tmp_path,
+        mod="""
+            LIMIT = 16
+            UNUSED = 0
+        """,
+        user="""
+            from pkg import mod
+
+            def limit():
+                return mod.LIMIT
+
+            limit()
+        """,
+    )
+    assert _flagged(check_reachability(package, allowlist={})) == [
+        "pkg.mod.UNUSED"
+    ]
+
+
 def test_allowlisted_definition_is_not_flagged(tmp_path):
     package = _package(tmp_path, mod="def public():\n    return 1\n")
     allowlist = {"pkg.mod.public": "documented entry point"}
@@ -85,7 +123,7 @@ def test_allowlisted_definition_is_not_flagged(tmp_path):
 
 
 def test_stale_allowlist_entry_fails(tmp_path):
-    package = _package(tmp_path, mod="X = 1\n")
+    package = _package(tmp_path, mod="x = 1\n")
     violations = check_reachability(
         package, allowlist={"pkg.mod.gone": "was public"}
     )
@@ -99,7 +137,7 @@ def test_allowlist_entry_for_a_used_definition_fails(tmp_path):
     package = _package(
         tmp_path,
         mod="def helper():\n    return 1\n",
-        user="from pkg import mod\nVALUE = mod.helper()\n",
+        user="from pkg import mod\nvalue = mod.helper()\n",
     )
     violations = check_reachability(
         package, allowlist={"pkg.mod.helper": "was test-only"}
