@@ -73,8 +73,10 @@ bench-smoke:
 
 # One-module orchestrated campaign with one injected bench fault:
 # asserts the retry succeeds, the JSON-lines event log parses, and the
-# merged study matches the sequential reference bit-for-bit. Writes
-# its timings to the temp directory; `make bench` records them.
+# merged study matches the sequential reference bit-for-bit, also after
+# a checkpointed run stopped at its first unit is resumed. Writes its
+# timings (with the per-unit checkpoint write/read row) to the temp
+# directory; `make bench` records them.
 service-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/service_smoke.py
 

@@ -12,10 +12,21 @@ one scripted fault injected into the first work unit, and asserts:
   ``CharacterizationStudy.run`` -- the injected fault left no trace in
   the science.
 
+A resume leg then stops a checkpointed run of the same campaign from
+``on_unit_done`` after its first unit, resumes it, and asserts that at
+least one unit came back from its column-file checkpoint and that the
+merged study is record-identical to the sequential run.
+
 It also times ``pooled_seconds``: the median wall clock of the same
 campaign, fault-free on two workers, run again and again on one
 :class:`~repro.service.pool.WorkerPool` after one warm-up run -- what a
 pooled job costs a serving process whose workers are already forked.
+The ``checkpoint`` row times one unit's checkpoint on the A0 bench
+module with all three test families: the write, and the resume read
+(``CheckpointStore.begin(resume=True)``), minimum of
+:data:`CHECKPOINT_RUNS`. Its ``json_codec`` entry, the same two figures
+for the per-record JSON checkpoints that service schema 1 wrote, is
+carried over from the previous file.
 
 Timings land in ``--out`` (default: ``BENCH_service.json`` in the
 temp directory, so a smoke run leaves the checkout clean); ``make
@@ -44,8 +55,9 @@ except ImportError:  # launched from a checkout without PYTHONPATH
     )
 
 from repro.core.scale import StudyScale
-from repro.core.study import CharacterizationStudy
+from repro.core.study import TEST_TYPES, CharacterizationStudy, StudyResult
 from repro.service import CampaignService, FaultPlan
+from repro.service.checkpoint import CheckpointStore
 from repro.service.pool import WorkerPool
 from repro.service.telemetry import TelemetryLog, read_events
 
@@ -57,6 +69,92 @@ SEED = 0
 FAULTED_UNIT = f"{MODULE}/0"
 #: Timed pooled campaigns behind ``pooled_seconds`` (after one warm-up).
 POOLED_RUNS = 9
+#: The module whose one-unit checkpoint the ``checkpoint`` row times,
+#: and the timed runs (the row keeps the minimum).
+CHECKPOINT_MODULE = "A0"
+CHECKPOINT_RUNS = 7
+
+
+class _Stop(Exception):
+    """Raised from ``on_unit_done`` to stop a campaign mid-run."""
+
+
+def run_resume_leg(scale: StudyScale, reference) -> int:
+    """Stop a checkpointed campaign after its first unit, resume it,
+    and check the merged study; returns the units resumed."""
+    def stop(unit_id, done):
+        raise _Stop(unit_id)
+
+    with tempfile.TemporaryDirectory() as base:
+        def service():
+            return CampaignService(
+                modules=[MODULE], tests=TESTS, scale=scale, seed=SEED,
+                checkpoint_base=base,
+            )
+
+        try:
+            service().run(on_unit_done=stop)
+        except _Stop:
+            pass
+        else:
+            raise AssertionError("the campaign ran past its first unit")
+        outcome = service().run(resume=True)
+    metrics = outcome.metrics
+    assert metrics.units_resumed >= 1, "no unit resumed from its checkpoint"
+    assert metrics.units_resumed + metrics.units_completed == (
+        metrics.units_planned
+    )
+    assert outcome.study.modules[MODULE] == reference.modules[MODULE], (
+        "resumed study diverged from the sequential reference"
+    )
+    return metrics.units_resumed
+
+
+def time_checkpoint() -> dict:
+    """Min-of-:data:`CHECKPOINT_RUNS` milliseconds to write one unit
+    checkpoint of the A0 bench module (all three families) and to read
+    it back on resume."""
+    scale = StudyScale.bench()
+    result = CharacterizationStudy(scale=scale, seed=SEED).run_module(
+        CHECKPOINT_MODULE
+    )
+    study = StudyResult(
+        scale=scale, seed=SEED, modules={CHECKPOINT_MODULE: result}
+    )
+    record = {
+        "unit_id": f"{CHECKPOINT_MODULE}/0",
+        "module": CHECKPOINT_MODULE,
+        "chunk_index": 0,
+        "rows": sorted(set(result.rowhammer.row.tolist())),
+        "tests": list(TEST_TYPES),
+        "attempts": 1,
+        "wall_seconds": 0.0,
+    }
+    manifest = {"fingerprint": "checkpoint-timing"}
+    writes, reads = [], []
+    with tempfile.TemporaryDirectory() as directory:
+        store = CheckpointStore(directory)
+        store.begin(manifest, resume=False)
+        for _ in range(CHECKPOINT_RUNS):
+            started = time.perf_counter()
+            store.write_unit(record, study)
+            writes.append(time.perf_counter() - started)
+            started = time.perf_counter()
+            units = store.begin(manifest, resume=True)
+            reads.append(time.perf_counter() - started)
+            assert units[record["unit_id"]][1] == result
+    return {
+        "scope": {
+            "module": CHECKPOINT_MODULE,
+            "tests": list(TEST_TYPES),
+            "scale": "bench",
+            "records": len(result.rowhammer) + len(result.trcd)
+            + len(result.retention),
+            "statistic": f"min of {CHECKPOINT_RUNS}",
+        },
+        "write_ms": round(min(writes) * 1e3, 3),
+        "resume_read_ms": round(min(reads) * 1e3, 3),
+    }
 
 
 def time_pooled(scale: StudyScale, reference) -> float:
@@ -119,6 +217,8 @@ def run_smoke(scale: StudyScale, events_path: str) -> dict:
         "orchestrated study diverged from the sequential reference"
     )
 
+    resumed = run_resume_leg(scale, reference)
+
     return {
         "scope": {
             "module": MODULE,
@@ -136,6 +236,8 @@ def run_smoke(scale: StudyScale, events_path: str) -> dict:
             orchestrated_seconds / sequential_seconds, 3
         ),
         "pooled_seconds": round(time_pooled(scale, reference), 4),
+        "units_resumed": resumed,
+        "checkpoint": time_checkpoint(),
     }
 
 
@@ -161,6 +263,9 @@ def main(argv=None) -> int:
             for key in ("load",):
                 if key in previous and key not in payload:
                     payload[key] = previous[key]
+            baseline = previous.get("checkpoint", {}).get("json_codec")
+            if baseline is not None:
+                payload["checkpoint"]["json_codec"] = baseline
         except ValueError:
             pass
 
@@ -171,10 +276,14 @@ def main(argv=None) -> int:
 
     for key in ("units", "retries", "events", "records",
                 "orchestrated_seconds", "sequential_seconds",
-                "orchestration_overhead", "pooled_seconds"):
-        print(f"{key:>24}: {payload[key]}")
+                "orchestration_overhead", "pooled_seconds",
+                "units_resumed"):
+        print(f"{key:>26}: {payload[key]}")
+    for key in ("write_ms", "resume_read_ms"):
+        print(f"{'checkpoint ' + key:>26}: {payload['checkpoint'][key]}")
     print(f"wrote {args.out}")
-    print("service smoke: retry + event log + bit-identical merge OK")
+    print("service smoke: retry + event log + resume + bit-identical "
+          "merge OK")
     return 0
 
 

@@ -481,6 +481,9 @@ class FusedRetentionSession(RetentionSession):
         return float(counts[0] / self._size)
 
     def worst_probe(self, trefw, iterations):
+        if iterations <= 0:
+            # No probe: the generic loop's (-1.0, {}), device untouched.
+            return super().worst_probe(trefw, iterations)
         if self._fallback is not None:
             _note_probes(self, iterations)
             return self._fallback.worst_probe(trefw, iterations)

@@ -2,21 +2,24 @@
 
 Full-fidelity campaigns (4K rows x 10 iterations x 30 modules) take
 hours; their results need to outlive the process so analyses and figure
-regeneration can run offline. Results serialize to a single JSON
-document (schema-versioned) and round-trip losslessly.
-
-The study store keeps a second, binary copy of every study beside its
-document: a *column file* (:func:`study_to_columns`), which decodes
-without parsing a record (:func:`study_from_columns`).
+regeneration can run offline. A study serializes to a JSON *document*
+(:func:`study_to_dict`, schema-versioned; the study store's commit
+marker, the API's ``GET`` body, ``python -m repro.service --out``),
+which nothing here parses back, and to a binary *column file*
+(:func:`study_to_columns`), the one decoder
+(:func:`study_from_columns`) for study-store entries and unit
+checkpoints alike. Studies round-trip losslessly through the column
+file: the decoded study's document is the original's, string for
+string.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
-from operator import itemgetter
 from typing import Any, Dict
 
 import numpy as np
@@ -82,9 +85,9 @@ _FLIP_KEYS = _FlipKeys()
 def module_result_to_dict(result: ModuleResult) -> Dict[str, Any]:
     """Serialize one module's results to plain JSON-ready data.
 
-    Used both for whole-study documents (:func:`study_to_dict`) and for
-    the orchestration service's per-unit checkpoints. Columns leave
-    through ``tolist()``, so ints stay ints and floats stay floats.
+    The per-module part of the study document (:func:`study_to_dict`).
+    Columns leave through ``tolist()``, so ints stay ints and floats
+    stay floats.
     """
     rowhammer = result.rowhammer
     trcd = result.trcd
@@ -148,49 +151,12 @@ def module_result_to_dict(result: ModuleResult) -> Dict[str, Any]:
     }
 
 
-#: Each record family's table and JSON fields, with the numpy dtype a
-#: field decodes to (None: a list the table converts itself -- censored
-#: ``hcfirst``, the per-iteration block, the histograms).
+#: Each record family's name and table type.
 _FAMILIES = (
-    ("rowhammer", RowHammerTable, (
-        ("bank", np.int64), ("row", np.int64), ("vpp", np.float64),
-        ("wcdp_index", np.int64), ("hcfirst", None), ("ber", np.float64),
-        ("ber_iterations", None),
-    )),
-    ("trcd", TrcdTable, (
-        ("bank", np.int64), ("row", np.int64), ("vpp", np.float64),
-        ("wcdp_index", np.int64), ("trcd_min", np.float64),
-    )),
-    ("retention", RetentionTable, (
-        ("bank", np.int64), ("row", np.int64), ("vpp", np.float64),
-        ("trefw", np.float64), ("wcdp_index", np.int64),
-        ("ber", np.float64), ("word_flip_histogram", None),
-    )),
+    ("rowhammer", RowHammerTable),
+    ("trcd", TrcdTable),
+    ("retention", RetentionTable),
 )
-
-
-def module_result_from_dict(payload: Dict[str, Any]) -> ModuleResult:
-    """Inverse of :func:`module_result_to_dict`: fills the columns
-    straight from the record lists, one pass per field (no per-record
-    objects)."""
-    tables = {}
-    for family, table, fields in _FAMILIES:
-        records = payload[family]
-        columns = {}
-        for name, dtype in fields:
-            values = map(itemgetter(name), records)
-            columns[name] = (
-                list(values) if dtype is None
-                else np.fromiter(values, dtype, len(records))
-            )
-        tables[family] = table(**columns)
-    return ModuleResult(
-        module=payload["module"],
-        vendor=payload["vendor"],
-        vppmin=payload["vppmin"],
-        vpp_levels=list(payload["vpp_levels"]),
-        **tables,
-    )
 
 
 def study_to_dict(study: StudyResult) -> Dict[str, Any]:
@@ -211,25 +177,6 @@ def study_to_dict(study: StudyResult) -> Dict[str, Any]:
     if study.provenance is not None:
         payload["provenance"] = validate_provenance(study.provenance)
     return payload
-
-
-def study_from_dict(payload: Dict[str, Any]) -> StudyResult:
-    """Inverse of :func:`study_to_dict`."""
-    version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise AnalysisError(
-            f"unsupported study schema version {version!r} "
-            f"(expected {SCHEMA_VERSION})"
-        )
-    study = StudyResult(
-        scale=_scale_from_dict(dict(payload["scale"])),
-        seed=payload["seed"],
-    )
-    if payload.get("provenance") is not None:
-        study.provenance = validate_provenance(payload["provenance"])
-    for name, module_payload in payload["modules"].items():
-        study.modules[name] = module_result_from_dict(module_payload)
-    return study
 
 
 #: The dtypes a column file may hold: little-endian int64 and float64.
@@ -256,7 +203,7 @@ def study_to_columns(study: StudyResult, document: bytes = None) -> bytes:
     arrays, offset, modules = [], 0, {}
     for name, result in study.modules.items():
         columns = {}
-        for family, _, _ in _FAMILIES:
+        for family, _ in _FAMILIES:
             table = getattr(result, family)
             specs = columns[family] = {}
             for column in table.COLUMNS + table.EXTRA:
@@ -304,6 +251,16 @@ def _column(buffer: bytearray, start: int, spec) -> np.ndarray:
     return np.frombuffer(buffer, dtype, count, start + offset).reshape(shape)
 
 
+def read_column_file(path: str) -> bytearray:
+    """A column file's bytes, read straight into a ``bytearray`` (the
+    buffer :func:`study_from_columns` decodes without copying)."""
+    with open(path, "rb") as handle:
+        buffer = bytearray(os.fstat(handle.fileno()).st_size)
+        if handle.readinto(buffer) != len(buffer):
+            raise ValueError(f"short read of column file {path}")
+    return buffer
+
+
 def study_from_columns(buffer, document: bytes = None) -> StudyResult:
     """Inverse of :func:`study_to_columns`; with ``document``, the file
     must have been bound to exactly those bytes.
@@ -338,7 +295,7 @@ def study_from_columns(buffer, document: bytes = None) -> StudyResult:
         study.provenance = validate_provenance(header["provenance"])
     for name, entry in header["modules"].items():
         tables = {}
-        for family, table, _ in _FAMILIES:
+        for family, table in _FAMILIES:
             specs = entry["columns"][family]
             records = specs["row"][1][:1]
             if any(specs[column][1][:1] != records
@@ -368,9 +325,3 @@ def save_study(study: StudyResult, path: str) -> None:
     text = json.dumps(study_to_dict(study))
     with open(path, "w") as handle:
         handle.write(text)
-
-
-def load_study(path: str) -> StudyResult:
-    """Read a study result previously written by :func:`save_study`."""
-    with open(path) as handle:
-        return study_from_dict(json.load(handle))

@@ -308,8 +308,6 @@ REACHABILITY_ALLOWLIST: Dict[str, str] = {
         "in-process server for scripts, benchmarks and perfbench",
     "repro.core.probe.__getattr__":
         "lazy BatchProbeEngine alias that perfbench/ledger.py wraps",
-    "repro.core.serialization.load_study":
-        "loads an exported study (docs/FULL_SCALE.md)",
     "repro.core.study.StudyResult.by_vendor":
         "result API of StudyResult, exported from repro",
     "repro.dram.ecc.SecdedCodec.bits_from_int":

@@ -68,6 +68,7 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.atomic import write_atomic
 from repro.core.serialization import (
+    read_column_file,
     study_from_columns,
     study_to_columns,
     study_to_dict,
@@ -184,10 +185,7 @@ class StudyStore:
         try:
             with open(self.path(fingerprint), "rb") as handle:
                 document = handle.read()
-            with open(self.columns_path(fingerprint), "rb") as handle:
-                buffer = bytearray(os.fstat(handle.fileno()).st_size)
-                if handle.readinto(buffer) != len(buffer):
-                    raise ValueError("short read of a column file")
+            buffer = read_column_file(self.columns_path(fingerprint))
             study = study_from_columns(buffer, document)
         except (OSError, ValueError, KeyError, TypeError, AnalysisError):
             self.delete(fingerprint)

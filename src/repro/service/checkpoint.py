@@ -2,16 +2,20 @@
 
 Layout of a checkpoint directory::
 
-    <dir>/manifest.json        # campaign identity (fingerprint, request)
-    <dir>/unit-<module>-<chunk>.json   # one file per completed unit
+    <dir>/manifest.json                # campaign identity (fingerprint, request)
+    <dir>/unit-<module>-<chunk>.cols   # the unit's results, a column file
+    <dir>/unit-<module>-<chunk>.json   # the unit record: its commit marker
 
-Every file is published atomically (:func:`repro.atomic.write_atomic`:
-a temp file in the same directory, then ``os.replace``), so a campaign
-killed mid-write never leaves a half-written unit behind -- at worst
-the unit is missing and is re-run on resume. Unit payloads embed the serialized
-:class:`~repro.core.results.ModuleResult` part
-(:func:`repro.core.serialization.module_result_to_dict`) plus the unit's
-row set, so resume can verify a checkpoint still matches the plan.
+A unit is written as a study-store entry is, each file atomically
+(:func:`repro.atomic.write_atomic`): first the column file of a
+one-module study holding the unit's
+:class:`~repro.core.results.ModuleResult`, bound by CRC-32 to the
+record's bytes, then the record (ids, rows, tests, attempts, wall
+clock; no results), which lets resume check the unit still matches the
+plan. Results round-trip losslessly through the column file
+(:func:`repro.core.serialization.study_from_columns`). A pair that is
+incomplete, truncated or not bound to its record is dropped on resume,
+and the unit re-runs.
 
 The manifest records a *campaign fingerprint* -- a hash of the study
 fingerprint, the chunking and the checkpoint layout version -- and
@@ -23,15 +27,23 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.atomic import write_atomic
+from repro.core.results import ModuleResult
 from repro.core.scale import StudyScale
-from repro.errors import ConfigurationError
+from repro.core.serialization import (
+    read_column_file,
+    study_from_columns,
+    study_to_columns,
+)
+from repro.core.study import StudyResult
+from repro.errors import AnalysisError, ConfigurationError
 from repro.harness.cache import study_fingerprint
 
-#: Bumped when the checkpoint layout changes incompatibly.
-SERVICE_SCHEMA_VERSION = 1
+#: Bumped when the checkpoint layout changes incompatibly (2: a unit's
+#: results moved out of its record into a column file).
+SERVICE_SCHEMA_VERSION = 2
 
 #: Manifest filename inside a checkpoint directory.
 MANIFEST_NAME = "manifest.json"
@@ -84,7 +96,7 @@ class CheckpointStore:
 
     def begin(
         self, manifest: Dict[str, Any], resume: bool
-    ) -> Dict[str, Dict[str, Any]]:
+    ) -> Dict[str, Tuple[Dict[str, Any], ModuleResult]]:
         """Prepare the directory for a campaign.
 
         Fresh start (``resume=False``): stale unit files and manifest
@@ -92,9 +104,9 @@ class CheckpointStore:
 
         Resume (``resume=True``): the stored manifest must exist and
         carry the same fingerprint (:class:`~repro.errors.
-        ConfigurationError` otherwise); returns the completed unit
-        payloads keyed by unit id. Corrupt unit files are dropped and
-        their units re-run.
+        ConfigurationError` otherwise); returns every completed unit's
+        ``(record, result)`` keyed by unit id. A unit whose pair is
+        incomplete or does not match is dropped and re-run.
         """
         manifest_path = self._manifest_path()
         if resume:
@@ -123,23 +135,27 @@ class CheckpointStore:
         if os.path.isdir(self.directory):
             for entry in os.listdir(self.directory):
                 if entry == MANIFEST_NAME or (
-                    entry.startswith("unit-") and entry.endswith(".json")
+                    entry.startswith("unit-")
+                    and entry.endswith((".json", ".cols"))
                 ):
-                    try:
-                        os.unlink(os.path.join(self.directory, entry))
-                    except OSError:
-                        pass
+                    _unlink(os.path.join(self.directory, entry))
         write_atomic(manifest_path, json.dumps(manifest))
         return {}
 
-    def write_unit(self, payload: Dict[str, Any]) -> str:
-        """Atomically persist one completed unit; returns the path."""
-        path = self._unit_path(payload["unit_id"])
-        write_atomic(path, json.dumps(payload))
+    def write_unit(self, record: Dict[str, Any], study: StudyResult) -> str:
+        """Atomically persist one completed unit: ``study`` (the unit's
+        one-module results) as a column file bound to ``record``, then
+        ``record``, the commit marker. Returns the record's path."""
+        path = self._unit_path(record["unit_id"])
+        document = json.dumps(record).encode("utf-8")
+        write_atomic(
+            _columns_path(path), study_to_columns(study, document)
+        )
+        write_atomic(path, document)
         return path
 
-    def _load_units(self) -> Dict[str, Dict[str, Any]]:
-        units: Dict[str, Dict[str, Any]] = {}
+    def _load_units(self) -> Dict[str, Tuple[Dict[str, Any], ModuleResult]]:
+        units: Dict[str, Tuple[Dict[str, Any], ModuleResult]] = {}
         if not os.path.isdir(self.directory):
             return units
         for entry in sorted(os.listdir(self.directory)):
@@ -147,15 +163,29 @@ class CheckpointStore:
                 continue
             path = os.path.join(self.directory, entry)
             try:
-                with open(path) as handle:
-                    payload = json.load(handle)
-                unit_id = payload["unit_id"]
-            except (OSError, ValueError, KeyError, TypeError):
-                # Corrupt or stale: drop it; the unit is simply re-run.
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-                continue
-            units[unit_id] = payload
+                with open(path, "rb") as handle:
+                    document = handle.read()
+                record = json.loads(document)
+                study = study_from_columns(
+                    read_column_file(_columns_path(path)), document
+                )
+                units[record["unit_id"]] = (
+                    record, study.modules[record["module"]]
+                )
+            except (OSError, ValueError, KeyError, TypeError,
+                    AnalysisError):
+                # Torn, stale or mismatched pair: drop it; the unit re-runs.
+                _unlink(path)
+                _unlink(_columns_path(path))
         return units
+
+
+def _columns_path(record_path: str) -> str:
+    return os.path.splitext(record_path)[0] + ".cols"
+
+
+def _unlink(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass

@@ -51,10 +51,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.campaign import merge_module_chunks
 from repro.core.results import ModuleResult
 from repro.core.scale import StudyScale
-from repro.core.serialization import (
-    module_result_from_dict,
-    module_result_to_dict,
-)
 from repro.core.study import TEST_TYPES, CharacterizationStudy, StudyResult
 from repro.errors import (
     BenchFaultError,
@@ -355,19 +351,17 @@ class CampaignService:
         completed: Dict[str, ModuleResult] = {}
         if self.checkpoint_dir:
             store = CheckpointStore(self.checkpoint_dir)
-            payloads = store.begin(self._manifest(), resume)
+            checkpointed = store.begin(self._manifest(), resume)
             for unit in units:
-                payload = payloads.get(unit.unit_id)
-                if payload is None:
+                if unit.unit_id not in checkpointed:
                     continue
+                record, result = checkpointed[unit.unit_id]
                 if (
-                    tuple(payload.get("rows", ())) != unit.rows
-                    or tuple(payload.get("tests", ())) != unit.tests
+                    tuple(record.get("rows", ())) != unit.rows
+                    or tuple(record.get("tests", ())) != unit.tests
                 ):
                     continue  # plan changed under the checkpoint; re-run
-                completed[unit.unit_id] = module_result_from_dict(
-                    payload["result"]
-                )
+                completed[unit.unit_id] = result
                 metrics.units_resumed += 1
                 self.telemetry.emit("unit_resumed", unit=unit.unit_id,
                                     module=unit.module)
@@ -479,8 +473,10 @@ class CampaignService:
                     "tests": list(unit.tests),
                     "attempts": attempt + 1,
                     "wall_seconds": round(wall_seconds, 6),
-                    "result": module_result_to_dict(result),
-                })
+                }, StudyResult(
+                    scale=self.scale, seed=self.seed,
+                    modules={unit.module: result},
+                ))
             self.telemetry.emit("checkpoint_written", unit=unit.unit_id,
                                 path=path)
         self.telemetry.emit(

@@ -1,16 +1,16 @@
-"""Columnar study results: lossless decode/encode of the study document
-and of the store's binary column file, and exact table equality.
+"""Columnar study results: the study document and the store's binary
+column file, and exact table equality.
 
-The document is unchanged (schema version 1): decoding it into column
-tables and encoding those back must reproduce it string for string, so
-an int-vs-float drift fails here even where ``==`` would not see it.
-A column file must decode to a study whose document is that same
-string.
+The document (schema version 1) is encode-only; the column file is the
+one decoder. A study that goes through the column file must come back
+with the same document, string for string, so an int-vs-float drift
+fails here even where ``==`` would not see it.
 """
 
 import dataclasses
 import json
 import pathlib
+import struct
 
 import numpy as np
 import pytest
@@ -22,14 +22,11 @@ from repro.core.results import (
     RetentionTable,
     RowHammerRow,
     RowHammerTable,
-    TrcdTable,
 )
 from repro.core.scale import StudyScale
 from repro.core.serialization import (
-    module_result_from_dict,
     module_result_to_dict,
     study_from_columns,
-    study_from_dict,
     study_to_columns,
     study_to_dict,
 )
@@ -44,9 +41,24 @@ def _canonical(document) -> str:
     return json.dumps(document, sort_keys=True)
 
 
-def _assert_round_trip(document):
-    restored = study_to_dict(study_from_dict(document))
-    assert _canonical(restored) == _canonical(document)
+def _decoded(study):
+    """``study`` after a trip through its column file."""
+    return study_from_columns(study_to_columns(study))
+
+
+def _assert_round_trip(study):
+    restored = _decoded(study)
+    assert restored.modules == study.modules
+    assert _canonical(study_to_dict(restored)) == _canonical(
+        study_to_dict(study)
+    )
+
+
+def _golden_study():
+    """The study ``tests/golden/c5_tiny_study.json`` records."""
+    return CharacterizationStudy(scale=StudyScale.tiny(), seed=12).run(
+        modules=["C5"], tests=("rowhammer", "trcd")
+    )
 
 
 def _module(**tables):
@@ -62,8 +74,15 @@ def _rowhammer(hcfirst=(10_000, None), ber=(0.25, 0.5)):
     ])
 
 
+def _study(*modules):
+    study = StudyResult(scale=StudyScale.tiny(), seed=9)
+    for index, module in enumerate(modules):
+        study.modules[f"Z{index}"] = module
+    return study
+
+
 @pytest.fixture(scope="module")
-def bench_documents():
+def bench_studies():
     """A0 seed-0 studies shaped like the benchmark's ``ladder`` (RowHammer
     + retention at 65536-bit rows) and ``characterize`` (all three
     families) workloads."""
@@ -72,34 +91,43 @@ def bench_documents():
         bench, geometry=ModuleGeometry(row_bits=65536)
     )
     return {
-        "ladder": study_to_dict(CharacterizationStudy(
-            scale=ladder, seed=0
-        ).run(modules=["A0"], tests=("rowhammer", "retention"))),
-        "characterize": study_to_dict(CharacterizationStudy(
-            scale=bench, seed=0
-        ).run(modules=["A0"], tests=("rowhammer", "trcd", "retention"))),
+        "ladder": CharacterizationStudy(scale=ladder, seed=0).run(
+            modules=["A0"], tests=("rowhammer", "retention")
+        ),
+        "characterize": CharacterizationStudy(scale=bench, seed=0).run(
+            modules=["A0"], tests=("rowhammer", "trcd", "retention")
+        ),
     }
 
 
 class TestDocumentRoundTrip:
+    """The document of a study decoded from its column file is the
+    original study's document."""
+
     def test_golden_study(self):
-        _assert_round_trip(json.loads(GOLDEN.read_text()))
+        study = _golden_study()
+        _assert_round_trip(study)
+        assert _canonical(study_to_dict(_decoded(study))) == _canonical(
+            json.loads(GOLDEN.read_text())
+        )
 
     @pytest.mark.parametrize("shape", ["ladder", "characterize"])
-    def test_bench_study(self, bench_documents, shape):
-        document = bench_documents[shape]
-        module = document["modules"]["A0"]
+    def test_bench_study(self, bench_studies, shape):
+        study = bench_studies[shape]
+        module = study_to_dict(study)["modules"]["A0"]
         assert module["rowhammer"] and module["retention"]
         assert bool(module["trcd"]) == (shape == "characterize")
         # Both shapes carry non-empty and empty histograms.
         histograms = [r["word_flip_histogram"] for r in module["retention"]]
         assert any(histograms) and not all(histograms)
-        _assert_round_trip(document)
+        _assert_round_trip(study)
 
-    def test_decoded_values_keep_their_types(self, bench_documents):
-        document = bench_documents["characterize"]["modules"]["A0"]
-        restored = module_result_to_dict(module_result_from_dict(document))
+    def test_decoded_values_keep_their_types(self, bench_studies):
+        study = bench_studies["characterize"]
+        document = module_result_to_dict(study.modules["A0"])
+        restored = module_result_to_dict(_decoded(study).modules["A0"])
         for family in ("rowhammer", "trcd", "retention"):
+            assert len(restored[family]) == len(document[family])
             for mine, theirs in zip(restored[family], document[family]):
                 assert [type(v) for v in mine.values()] == [
                     type(v) for v in theirs.values()
@@ -112,7 +140,9 @@ class TestDocumentRoundTrip:
         assert [r.hcfirst for r in table] == [10_000, None]
         payload = module_result_to_dict(_module(rowhammer=table))
         assert [r["hcfirst"] for r in payload["rowhammer"]] == [10_000, None]
-        assert module_result_from_dict(payload).rowhammer == table
+        assert _decoded(_study(_module(rowhammer=table))).modules[
+            "Z0"
+        ].rowhammer == table
 
     def test_empty_histograms_and_trcd_table(self):
         retention = RetentionTable.from_rows([
@@ -126,7 +156,7 @@ class TestDocumentRoundTrip:
         assert [r["word_flip_histogram"] for r in payload["retention"]] == [
             {}, {"1": 5, "2": 1}, {},
         ]
-        restored = module_result_from_dict(json.loads(json.dumps(payload)))
+        restored = _decoded(_study(module)).modules["Z0"]
         assert restored == module
         assert len(restored.trcd) == 0
         assert _canonical(module_result_to_dict(restored)) == _canonical(
@@ -138,16 +168,32 @@ class TestDocumentRoundTrip:
         payload = module_result_to_dict(module)
         assert (payload["rowhammer"], payload["trcd"], payload["retention"]
                 ) == ([], [], [])
-        restored = module_result_from_dict(payload)
+        restored = _decoded(_study(module)).modules["Z0"]
         assert restored == module
         assert not restored.rowhammer and not restored.retention
         assert module_result_to_dict(restored) == payload
 
     def test_ragged_ber_iterations_rejected(self):
-        payload = module_result_to_dict(_module(rowhammer=_rowhammer()))
-        payload["rowhammer"][1]["ber_iterations"] = [0.5]
-        with pytest.raises(AnalysisError):
-            module_result_from_dict(payload)
+        """Per-iteration BERs are one row per record, in a table built
+        from rows and in a column file alike."""
+        with pytest.raises(AnalysisError, match="differ in length"):
+            RowHammerTable(
+                bank=[0, 0], row=[3, 3], vpp=[2.5, 1.5], wcdp_index=[1, 1],
+                hcfirst=[10_000, None], ber=[0.25, 0.5],
+                ber_iterations=[[0.25, 0.125], [0.5]],
+            )
+        data = study_to_columns(_study(_module(rowhammer=_rowhammer())))
+        (length,) = struct.unpack_from("<Q", data)
+        header = json.loads(data[8:8 + length])
+        header["modules"]["Z0"]["columns"]["rowhammer"]["ber_iterations"][
+            1
+        ][0] = 1
+        text = json.dumps(header).encode("utf-8")
+        text += b" " * (-(8 + len(text)) % 8)
+        with pytest.raises(AnalysisError, match="differ in length"):
+            study_from_columns(
+                struct.pack("<Q", len(text)) + text + data[8 + length:]
+            )
 
 
 class TestEquality:
@@ -188,26 +234,18 @@ class TestEquality:
 def _columns_round_trip(study):
     """The study's document, and its document after a trip through the
     column file."""
-    decoded = study_from_columns(study_to_columns(study))
     return (
-        _canonical(study_to_dict(decoded)), _canonical(study_to_dict(study))
+        _canonical(study_to_dict(_decoded(study))),
+        _canonical(study_to_dict(study)),
     )
-
-
-def _study(*modules):
-    study = StudyResult(scale=StudyScale.tiny(), seed=9)
-    for index, module in enumerate(modules):
-        study.modules[f"Z{index}"] = module
-    return study
 
 
 class TestColumnFile:
     def test_golden_study(self):
-        document = json.loads(GOLDEN.read_text())
-        decoded = study_from_columns(
-            study_to_columns(study_from_dict(document))
+        decoded = _decoded(_golden_study())
+        assert _canonical(study_to_dict(decoded)) == _canonical(
+            json.loads(GOLDEN.read_text())
         )
-        assert _canonical(study_to_dict(decoded)) == _canonical(document)
 
     @pytest.mark.parametrize("family", ["rowhammer", "trcd", "retention"])
     def test_tiny_study_of_each_family(self, family):
@@ -218,12 +256,12 @@ class TestColumnFile:
         decoded, original = _columns_round_trip(study)
         assert decoded == original
 
-    def test_bench_ladder_study(self, bench_documents):
-        study = study_from_dict(bench_documents["ladder"])
-        decoded = study_from_columns(study_to_columns(study))
+    def test_bench_ladder_study(self, bench_studies):
+        study = bench_studies["ladder"]
+        decoded = _decoded(study)
         assert decoded.modules == study.modules
         assert _canonical(study_to_dict(decoded)) == _canonical(
-            bench_documents["ladder"]
+            study_to_dict(study)
         )
 
     def test_censored_hcfirst_empty_trcd_and_empty_histograms(self):
@@ -237,7 +275,7 @@ class TestColumnFile:
         )
         decoded, original = _columns_round_trip(study)
         assert decoded == original
-        module = study_from_columns(study_to_columns(study)).modules["Z0"]
+        module = _decoded(study).modules["Z0"]
         assert module.rowhammer.censored.tolist() == [False, True]
         assert len(module.trcd) == 0
         assert module.retention.histograms() == [{}, {1: 5, 2: 1}, {}]

@@ -113,6 +113,36 @@ class TestFusedSessionEquivalence:
                 _row_data(command_ctx, 5) == _row_data(fused_ctx, 5)
             ).all()
 
+    @pytest.mark.parametrize("engine_kind", ["command", "fused"])
+    def test_zero_iteration_retention_probes(self, engine_kind):
+        """``worst_probe``/``worst_ladder`` with 0 iterations probe
+        nothing: ``(-1.0, {})`` per window, and device state and
+        counters end as a session without those calls leaves them."""
+        windows = list(StudyScale.tiny().retention_windows)
+
+        def session(zero_iterations):
+            ctx = _context("A0", engine_kind)
+            ctx.infra.set_temperature(80.0)
+            with ctx.engine.retention_session(
+                ctx, 5, STANDARD_PATTERNS[2]
+            ) as session:
+                session.ber(0.5)
+                if zero_iterations:
+                    assert session.worst_probe(0.5, 0) == (-1.0, {})
+                    assert session.worst_ladder(windows, 0) == (
+                        [(-1.0, {})] * len(windows)
+                    )
+                session.ber(1.0)
+            counters = ctx.engine.counters
+            return (
+                ctx.infra.module.env.now, counters.retention_probes,
+                counters.commands_issued,
+                ctx.infra.module.bank(0).total_activations,
+                _row_data(ctx, 5).tobytes(),
+            )
+
+        assert session(True) == session(False)
+
     @pytest.mark.parametrize("name", MODULES)
     def test_one_off_probes_match_command(self, name):
         """The session-routed one-off entry points (``hammer_ber``,

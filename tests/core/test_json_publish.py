@@ -1,7 +1,7 @@
 """Published JSON is byte-identical to streaming ``json.dump``.
 
-``save_study``, the checkpoint writer, the job-record writer and the
-flight-recorder dump encode once with ``json.dumps`` and write the
+``save_study``, the checkpoint record writer, the job-record writer and
+the flight-recorder dump encode once with ``json.dumps`` and write the
 string in one call (streaming ``json.dump`` runs CPython's pure-Python
 encoder); the files they write must not change by a byte.
 """
@@ -9,12 +9,22 @@ encoder); the files they write must not change by a byte.
 import json
 import pathlib
 
+import pytest
+
 from repro.api.jobs import Job, JobSpec, JobStateDir
-from repro.core.serialization import save_study, study_from_dict, study_to_dict
+from repro.core.scale import StudyScale
+from repro.core.serialization import save_study, study_to_dict
+from repro.core.study import CharacterizationStudy
 from repro.obs.flightrec import FlightRecorder
 from repro.service.checkpoint import CheckpointStore
 
-GOLDEN = pathlib.Path(__file__).parents[1] / "golden" / "c5_tiny_study.json"
+
+@pytest.fixture(scope="module")
+def golden_study():
+    """The study ``tests/golden/c5_tiny_study.json`` records."""
+    return CharacterizationStudy(scale=StudyScale.tiny(), seed=12).run(
+        modules=["C5"], tests=("rowhammer", "trcd")
+    )
 
 
 def _streamed(payload, path, **options):
@@ -23,25 +33,26 @@ def _streamed(payload, path, **options):
     return path.read_bytes()
 
 
-def test_save_study_bytes_equal_json_dump(tmp_path):
-    study = study_from_dict(json.loads(GOLDEN.read_text()))
+def test_save_study_bytes_equal_json_dump(tmp_path, golden_study):
     published = tmp_path / "study.json"
-    save_study(study, str(published))
+    save_study(golden_study, str(published))
     assert published.read_bytes() == _streamed(
-        study_to_dict(study), tmp_path / "streamed.json"
+        study_to_dict(golden_study), tmp_path / "streamed.json"
     )
 
 
-def test_checkpoint_unit_bytes_equal_json_dump(tmp_path):
-    golden = json.loads(GOLDEN.read_text())
-    payload = {
+def test_checkpoint_unit_bytes_equal_json_dump(tmp_path, golden_study):
+    record = {
         "unit_id": "C5/rows/0-8",
-        "module": golden["modules"]["C5"],
+        "module": "C5",
+        "rows": [0, 1, 2, 3, 4, 5, 6, 7],
         "metrics": {"probes": 1234, "seconds": 0.1 + 0.2, "label": "µs"},
     }
-    path = CheckpointStore(str(tmp_path / "ckpt")).write_unit(payload)
+    path = CheckpointStore(str(tmp_path / "ckpt")).write_unit(
+        record, golden_study
+    )
     assert pathlib.Path(path).read_bytes() == _streamed(
-        payload, tmp_path / "streamed.json"
+        record, tmp_path / "streamed.json"
     )
 
 

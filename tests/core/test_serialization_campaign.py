@@ -1,6 +1,8 @@
 """Study persistence, row-chunk planning, and pooled campaigns through
 the orchestration service, differentially against sequential studies."""
 
+import json
+
 import pytest
 
 from repro.core.campaign import CHUNK_GAP, module_mapping, plan_row_chunks
@@ -8,9 +10,9 @@ from repro.core.sampling import sample_rows
 from repro.core.scale import StudyScale
 from repro.core.serialization import (
     SCHEMA_VERSION,
-    load_study,
     save_study,
-    study_from_dict,
+    study_from_columns,
+    study_to_columns,
     study_to_dict,
 )
 from repro.core.study import CharacterizationStudy
@@ -45,27 +47,32 @@ def _records(study):
 
 class TestSerialization:
     def test_roundtrip_lossless(self, small_study):
-        restored = study_from_dict(study_to_dict(small_study))
+        restored = study_from_columns(study_to_columns(small_study))
         assert _records(restored) == _records(small_study)
         assert restored.seed == small_study.seed
         assert restored.scale == small_study.scale
 
     def test_file_roundtrip(self, small_study, tmp_path):
-        path = str(tmp_path / "study.json")
-        save_study(small_study, path)
-        restored = load_study(path)
-        assert _records(restored) == _records(small_study)
+        """``save_study`` writes the study's document."""
+        path = tmp_path / "study.json"
+        save_study(small_study, str(path))
+        assert json.loads(path.read_text()) == json.loads(
+            json.dumps(study_to_dict(small_study))
+        )
 
     def test_schema_version_checked(self, small_study):
-        payload = study_to_dict(small_study)
-        payload["schema_version"] = SCHEMA_VERSION + 1
+        data = study_to_columns(small_study)
+        current = b'"schema_version": %d' % SCHEMA_VERSION
+        assert current in data
         with pytest.raises(AnalysisError):
-            study_from_dict(payload)
+            study_from_columns(data.replace(
+                current, b'"schema_version": %d' % (SCHEMA_VERSION + 1), 1
+            ))
 
     def test_analyses_work_on_restored_study(self, small_study):
         from repro.core.analysis import normalized_curves
 
-        restored = study_from_dict(study_to_dict(small_study))
+        restored = study_from_columns(study_to_columns(small_study))
         curves = normalized_curves(restored, "ber")
         assert "C5" in curves
 

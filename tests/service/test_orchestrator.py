@@ -6,6 +6,9 @@ record-identical to a plain sequential ``CharacterizationStudy.run``.
 """
 
 import dataclasses
+import json
+import os
+from contextlib import nullcontext
 
 import pytest
 
@@ -15,7 +18,9 @@ from repro.dram.cell import CELL_VECTOR_GENERATIONS_METRIC
 from repro.errors import ConfigurationError
 from repro.obs.metrics import REGISTRY
 from repro.service import CampaignService, FaultPlan
+from repro.service import checkpoint
 from repro.service.checkpoint import MANIFEST_NAME
+from repro.service.pool import WorkerPool
 
 TESTS = ("rowhammer",)
 #: One module per vendor (Samsung / SK Hynix / Micron in the paper's
@@ -203,34 +208,207 @@ class TestCheckpointResume:
         assert a.checkpoint_dir != b.checkpoint_dir
         a.run()
         # Seed-1's directory was never created; seed-0's holds the
-        # manifest plus one file per unit.
+        # manifest plus two files per unit.
         import os
 
         assert (tmp_path / os.path.basename(a.checkpoint_dir)
                 / MANIFEST_NAME).is_file()
 
     def test_corrupt_unit_checkpoint_is_rerun(self, tiny_scale, tmp_path):
-        import os
+        """A unit is two files; corrupting either one re-runs that unit
+        alone."""
+        for damaged in ("record", "columns"):
+            service = _c5_service(tiny_scale, tmp_path)
+            units = service.run().metrics.units_planned
+            pairs = _unit_pairs(service.checkpoint_dir)
+            assert len(pairs) == units > 1
+            with open(pairs[0][damaged], "w") as fh:
+                fh.write("{broken")
+            outcome = _c5_service(tiny_scale, tmp_path).run(resume=True)
+            assert outcome.metrics.units_resumed == units - 1, damaged
+            assert outcome.metrics.units_completed == 1, damaged
+            assert_record_identical(
+                outcome.study, sequential(["C5"], tiny_scale), ["C5"]
+            )
 
-        service = CampaignService(
-            modules=["C5"], tests=TESTS, scale=tiny_scale, seed=0,
-            checkpoint_base=str(tmp_path),
-        )
-        service.run()
-        checkpoint_dir = service.checkpoint_dir
-        unit_files = [f for f in os.listdir(checkpoint_dir)
-                      if f.startswith("unit-")]
-        with open(os.path.join(checkpoint_dir, unit_files[0]), "w") as fh:
-            fh.write("{broken")
-        outcome = CampaignService(
-            modules=["C5"], tests=TESTS, scale=tiny_scale, seed=0,
-            checkpoint_base=str(tmp_path),
-        ).run(resume=True)
-        assert outcome.metrics.units_resumed == len(unit_files) - 1
+    def test_column_file_without_record_is_rerun(self, tiny_scale, tmp_path):
+        """A kill between a unit's two writes leaves its column file
+        alone: the unit was never committed and re-runs."""
+        service = _c5_service(tiny_scale, tmp_path)
+        units = service.run().metrics.units_planned
+        pairs = _unit_pairs(service.checkpoint_dir)
+        os.unlink(pairs[0]["record"])
+        outcome = _c5_service(tiny_scale, tmp_path).run(resume=True)
+        assert outcome.metrics.units_resumed == units - 1
         assert outcome.metrics.units_completed == 1
         assert_record_identical(
             outcome.study, sequential(["C5"], tiny_scale), ["C5"]
         )
+
+    @pytest.mark.parametrize(
+        "damage", ["edited-record", "foreign-columns", "truncated-columns"]
+    )
+    def test_mismatched_pair_is_dropped_and_rerun(
+        self, tiny_scale, tmp_path, damage
+    ):
+        """A record whose CRC-32 its column file does not carry (the
+        record edited, or another unit's column file under it), or a
+        truncated column file: the pair is dropped, the unit re-runs and
+        is checkpointed again."""
+        service = _c5_service(tiny_scale, tmp_path)
+        units = service.run().metrics.units_planned
+        pairs = _unit_pairs(service.checkpoint_dir)
+        victim = pairs[0]
+        if damage == "edited-record":
+            with open(victim["record"]) as fh:
+                record = json.load(fh)
+            record["attempts"] += 1
+            with open(victim["record"], "w") as fh:
+                json.dump(record, fh)
+        elif damage == "foreign-columns":
+            with open(pairs[1]["columns"], "rb") as fh:
+                foreign = fh.read()
+            with open(victim["columns"], "wb") as fh:
+                fh.write(foreign)
+        else:
+            size = os.path.getsize(victim["columns"])
+            os.truncate(victim["columns"], size // 2)
+        outcome = _c5_service(tiny_scale, tmp_path).run(resume=True)
+        assert outcome.metrics.units_resumed == units - 1
+        assert outcome.metrics.units_completed == 1
+        assert_record_identical(
+            outcome.study, sequential(["C5"], tiny_scale), ["C5"]
+        )
+        again = _c5_service(tiny_scale, tmp_path).run(resume=True)
+        assert again.metrics.units_resumed == units
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stopped_after_any_unit_resumes_identically(
+        self, tiny_scale, tmp_path, workers
+    ):
+        """Stop after unit k, for every k, then resume: the merged study
+        is record-identical to an uninterrupted run, inline and pooled."""
+        modules = ["B3", "C5"]
+        reference = sequential(modules, tiny_scale)
+        with WorkerPool(workers) if workers > 1 else nullcontext() as pool:
+            def service():
+                return CampaignService(
+                    modules=modules, tests=TESTS, scale=tiny_scale, seed=0,
+                    checkpoint_base=str(tmp_path), max_workers=workers,
+                    pool=pool,
+                )
+
+            units = service().run().metrics.units_planned
+            assert units > 2
+            for stop in range(1, units):
+                def kill(unit_id, done, stop=stop):
+                    if done == stop:
+                        raise _SimulatedKill(unit_id)
+
+                with pytest.raises(_SimulatedKill):
+                    service().run(on_unit_done=kill)
+                outcome = service().run(resume=True)
+                assert outcome.metrics.units_resumed == stop
+                assert outcome.metrics.units_completed == units - stop
+                assert_record_identical(outcome.study, reference, modules)
+
+    def test_version_1_checkpoints_are_refused_by_the_cli(
+        self, tiny_scale, tmp_path, monkeypatch, capsys
+    ):
+        """Layout-1 checkpoints hash to another campaign directory:
+        ``--resume`` finds no manifest of its own and exits 2."""
+        from repro.service.__main__ import main
+
+        base = str(tmp_path / "checkpoints")
+        legacy = _version_1_checkpoint(tiny_scale, base, monkeypatch)
+        code = main([
+            "--modules", "C5", "--tests", *TESTS, "--scale", "tiny",
+            "--quiet", "--checkpoint-dir", base, "--resume",
+        ])
+        assert code == 2
+        assert "cannot resume" in capsys.readouterr().err
+        assert sorted(os.listdir(base)) == [os.path.basename(legacy)]
+
+    def test_api_job_reruns_beside_version_1_checkpoints(
+        self, tiny_scale, tmp_path, monkeypatch
+    ):
+        """An API job whose campaign has layout-1 checkpoints runs fresh
+        in its own directory and leaves the old one alone."""
+        from repro.api import ApiServer
+        from repro.api.jobs import run_job
+
+        api = ApiServer(str(tmp_path / "store"), str(tmp_path / "state"))
+        legacy = _version_1_checkpoint(
+            tiny_scale, api.checkpoint_base, monkeypatch
+        )
+        before = {
+            name: open(os.path.join(legacy, name), "rb").read()
+            for name in os.listdir(legacy)
+        }
+        _, document = api.handle(
+            "POST", "/v1/jobs", {},
+            {"modules": ["C5"], "tests": list(TESTS), "scale": "tiny",
+             "seed": 0},
+            "default",
+        )
+        job = api.queue.get(document["job"]["id"])
+        run_job(job, api.store, api.checkpoint_base)
+        assert job.state == "completed", job.error
+        assert job.cache == "miss"
+        assert job.metrics["units_resumed"] == 0
+        directories = os.listdir(api.checkpoint_base)
+        assert len(directories) == 2
+        (fresh,) = set(directories) - {os.path.basename(legacy)}
+        assert len(_unit_pairs(
+            os.path.join(api.checkpoint_base, fresh)
+        )) == job.metrics["units_completed"]
+        assert {
+            name: open(os.path.join(legacy, name), "rb").read()
+            for name in os.listdir(legacy)
+        } == before
+
+
+def _c5_service(scale, base):
+    return CampaignService(
+        modules=["C5"], tests=TESTS, scale=scale, seed=0,
+        checkpoint_base=str(base),
+    )
+
+
+def _unit_pairs(directory):
+    """Each checkpointed unit's record and column file paths, by record
+    name."""
+    return [
+        {"record": os.path.join(directory, name),
+         "columns": os.path.join(directory, name[:-len(".json")] + ".cols")}
+        for name in sorted(os.listdir(directory))
+        if name.startswith("unit-") and name.endswith(".json")
+    ]
+
+
+def _version_1_checkpoint(scale, base, monkeypatch):
+    """A checkpoint directory of C5's campaign as layout 1 wrote it: the
+    manifest and one unit record with its results inline. Returns the
+    directory."""
+    from repro.core.serialization import module_result_to_dict
+
+    with monkeypatch.context() as patch:
+        patch.setattr(checkpoint, "SERVICE_SCHEMA_VERSION", 1)
+        fingerprint = checkpoint.campaign_fingerprint(
+            TESTS, ["C5"], scale, 0, None
+        )
+    directory = checkpoint.campaign_dir(base, fingerprint)
+    os.makedirs(directory)
+    with open(os.path.join(directory, MANIFEST_NAME), "w") as handle:
+        json.dump({"service_schema": 1, "fingerprint": fingerprint}, handle)
+    result = sequential(["C5"], scale).modules["C5"]
+    with open(os.path.join(directory, "unit-C5-0.json"), "w") as handle:
+        json.dump({
+            "unit_id": "C5/0", "module": "C5", "chunk_index": 0,
+            "rows": [], "tests": list(TESTS), "attempts": 1,
+            "wall_seconds": 0.1, "result": module_result_to_dict(result),
+        }, handle)
+    return directory
 
 
 class TestPoolExecution:

@@ -9,11 +9,12 @@ process totals. Each test first pre-loads the registry with a million
 hammer probes no campaign made.
 """
 
+import json
+
 import pytest
 
 from repro.api import ApiClient, ApiServer, BackgroundServer
 from repro.core.scale import StudyScale
-from repro.core.serialization import load_study
 from repro.harness import cache
 from repro.harness.plan import PreloadPlan
 from repro.harness.spec import ResolvedStudy
@@ -109,7 +110,8 @@ def test_service_cli_out_carries_the_study_fingerprint(tmp_path, capsys):
             "--seed", "3", "--no-checkpoint", "--quiet", "--out", out]
     assert main(args) == 0
     capsys.readouterr()
-    block = validate_provenance(load_study(out).provenance)
+    with open(out) as handle:
+        block = validate_provenance(json.load(handle)["provenance"])
     api = ApiServer(str(tmp_path / "store"), str(tmp_path / "state"),
                     workers=1)
     status, document = api.handle(
